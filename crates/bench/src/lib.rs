@@ -390,7 +390,7 @@ pub fn ch4_query_set(
 // driver and the `serve_throughput` criterion bench.
 // ---------------------------------------------------------------------------
 
-use keybridge_core::{SearchService, SearchSnapshot};
+use keybridge_core::{Reply, Request, SearchService, SearchSnapshot, ServeRequests};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -463,9 +463,9 @@ pub fn replay_serve(
                         }
                         let q = keybridge_core::KeywordQuery::from_terms(queries[i].clone());
                         let t = Instant::now();
-                        let answers = service.search(&q, k);
+                        let reply = service.search(&q, k);
                         mine.push(t.elapsed().as_secs_f64() * 1e3);
-                        std::hint::black_box(answers);
+                        std::hint::black_box(reply);
                     }
                 })
             })
@@ -528,8 +528,13 @@ pub fn replay_diversified(
                         if i >= queries.len() {
                             return (n, pool, selected);
                         }
-                        let q = keybridge_core::KeywordQuery::from_terms(queries[i].clone());
-                        let reply = service.search_diversified(&q, opts);
+                        let query = keybridge_core::KeywordQuery::from_terms(queries[i].clone());
+                        let Some(Reply::Diversified(Ok(reply))) = service
+                            .submit_request(Request::Diversified { query, opts })
+                            .wait()
+                        else {
+                            panic!("diversified request not served");
+                        };
                         n += 1;
                         pool += reply.pool;
                         selected += reply.answers.len();

@@ -20,7 +20,7 @@
 //! the ceiling.
 
 use keybridge_core::{
-    DiversifyOptions, KeywordQuery, SearchService, SearchSnapshot, ServeRequests,
+    DiversifyOptions, KeywordQuery, Reply, Request, SearchService, SearchSnapshot, ServeRequests,
 };
 use keybridge_relstore::RowBatch;
 use rand::rngs::StdRng;
@@ -32,9 +32,9 @@ use std::time::{Duration, Instant};
 /// What one scheduled operation asks of the service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpMode {
-    /// Plain top-k search (`submit_timed`, async).
+    /// Plain top-k search (`Request::AnswersTimed`, async).
     Search,
-    /// Diversified top-k (`submit_diversified_timed`, async).
+    /// Diversified top-k (`Request::DiversifiedTimed`, async).
     Diversified,
     /// A construction-session burst: open, read answers, close (sync).
     Session,
@@ -358,25 +358,26 @@ pub fn run_open_loop<S: ServeRequests + Sync>(
         };
 
         // The dispatcher: fire each op at its scheduled instant.
-        let mut pending_search = Vec::new();
-        let mut pending_div = Vec::new();
+        let mut pending = Vec::new();
         for op in ops {
             wait_until(t0, op.at);
             match op.mode {
                 OpMode::Search => {
                     let ticket = match cfg.inject_sleep {
                         Some(d) => service.submit_sleeping(d),
-                        None => service
-                            .submit_timed(KeywordQuery::from_terms(queries[op.arg].clone()), cfg.k),
+                        None => service.submit_request(Request::AnswersTimed {
+                            query: KeywordQuery::from_terms(queries[op.arg].clone()),
+                            k: cfg.k,
+                        }),
                     };
-                    pending_search.push((op.at, ticket));
+                    pending.push((op.at, ticket));
                 }
                 OpMode::Diversified => {
-                    let ticket = service.submit_diversified_timed(
-                        KeywordQuery::from_terms(queries[op.arg].clone()),
-                        cfg.div,
-                    );
-                    pending_div.push((op.at, ticket));
+                    let ticket = service.submit_request(Request::DiversifiedTimed {
+                        query: KeywordQuery::from_terms(queries[op.arg].clone()),
+                        opts: cfg.div,
+                    });
+                    pending.push((op.at, ticket));
                 }
                 OpMode::Session => {
                     let _ = session_tx.send(SyncJob::Session {
@@ -399,20 +400,17 @@ pub fn run_open_loop<S: ServeRequests + Sync>(
         // completion minus *scheduled* arrival, so queueing before a worker
         // picked the job up is charged to the service.
         let mut tally = Tally::default();
-        for (at, ticket) in pending_search {
-            match ticket.wait() {
-                Some(r) if r.result.is_ok() => tally
+        for (at, ticket) in pending {
+            let completed_at = match ticket.wait() {
+                Some(Reply::AnswersTimed(r)) if r.result.is_ok() => Some(r.completed_at),
+                Some(Reply::DiversifiedTimed(r)) if r.result.is_ok() => Some(r.completed_at),
+                _ => None,
+            };
+            match completed_at {
+                Some(done) => tally
                     .latencies_ms
-                    .push(((r.completed_at - t0).as_secs_f64() - at) * 1e3),
-                _ => tally.failures += 1,
-            }
-        }
-        for (at, ticket) in pending_div {
-            match ticket.wait() {
-                Some(r) if r.result.is_ok() => tally
-                    .latencies_ms
-                    .push(((r.completed_at - t0).as_secs_f64() - at) * 1e3),
-                _ => tally.failures += 1,
+                    .push(((done - t0).as_secs_f64() - at) * 1e3),
+                None => tally.failures += 1,
             }
         }
 

@@ -343,6 +343,52 @@ pub fn bound_nodes(interp: &QueryInterpretation, node_count: usize) -> Vec<bool>
     bound
 }
 
+/// The pipeline's execution seam: the two things serving a query needs from
+/// a store — run one interpretation to a limit through an [`ExecCache`], and
+/// name a bound result row by its primary key. [`LocalExecutor`] answers
+/// both from one database; the sharded coordinator scatters the first over
+/// its shards and answers the second from its pk maps. Implementations are
+/// bundles of borrows into a pinned serving state, hence `Copy`.
+pub(crate) trait Executor: Copy {
+    /// Execute `interp` under `opts`, memoized through `cache` by the
+    /// [`with_result_cache`] rules.
+    fn execute(
+        &self,
+        interp: &QueryInterpretation,
+        opts: ExecOptions,
+        cache: &mut ExecCache,
+    ) -> RelResult<Arc<ExecutedResult>>;
+
+    /// Primary-key value of `row` of `table`.
+    fn pk(&self, table: TableId, row: RowId) -> i64;
+}
+
+/// The single-store [`Executor`]: index harvest, join-tree execution and
+/// key minting over one database.
+#[derive(Clone, Copy)]
+pub struct LocalExecutor<'a> {
+    pub(crate) db: &'a Database,
+    pub(crate) index: &'a InvertedIndex,
+    pub(crate) catalog: &'a TemplateCatalog,
+}
+
+impl Executor for LocalExecutor<'_> {
+    fn execute(
+        &self,
+        interp: &QueryInterpretation,
+        opts: ExecOptions,
+        cache: &mut ExecCache,
+    ) -> RelResult<Arc<ExecutedResult>> {
+        with_result_cache(cache, interp, opts, |c| {
+            execute_inner(self, interp, opts, &mut Some(c))
+        })
+    }
+
+    fn pk(&self, table: TableId, row: RowId) -> i64 {
+        self.db.pk_value(table, row)
+    }
+}
+
 /// Execute `interp` over `db`.
 pub fn execute_interpretation(
     db: &Database,
@@ -351,7 +397,12 @@ pub fn execute_interpretation(
     interp: &QueryInterpretation,
     opts: ExecOptions,
 ) -> RelResult<ExecutedResult> {
-    execute_inner(db, index, catalog, interp, opts, &mut None)
+    execute_inner(
+        &LocalExecutor { db, index, catalog },
+        interp,
+        opts,
+        &mut None,
+    )
 }
 
 /// Execute `interp`, sharing predicate row sets and memoized results through
@@ -375,17 +426,15 @@ pub fn execute_interpretation_cached(
     opts: ExecOptions,
     cache: &mut ExecCache,
 ) -> RelResult<Arc<ExecutedResult>> {
-    with_result_cache(cache, interp, opts, |c| {
-        execute_inner(db, index, catalog, interp, opts, &mut Some(c))
-    })
+    LocalExecutor { db, index, catalog }.execute(interp, opts, cache)
 }
 
 /// The result-memoization spine of [`execute_interpretation_cached`] with the
 /// actual execution abstracted out: check the local then shared caches under
 /// the `satisfies` rule, otherwise run `compute` and publish its (complete)
-/// result to both tiers. The sharded coordinator routes its scatter-gather
-/// executions through this same path so single-shard and sharded serving
-/// share one caching semantics.
+/// result to both tiers. Every [`Executor`] routes its executions through
+/// this path, so single-shard and sharded serving share one caching
+/// semantics.
 pub(crate) fn with_result_cache(
     cache: &mut ExecCache,
     interp: &QueryInterpretation,
@@ -434,8 +483,8 @@ pub(crate) fn with_result_cache(
 /// The answer/all keys of a JTT slice under one interpretation's bound-node
 /// projection — the single definition both fresh executions and prefix
 /// truncations use, so the two can never drift apart.
-fn collect_result_keys(
-    db: &Database,
+pub(crate) fn collect_result_keys(
+    executor: &impl Executor,
     nodes: &[TableId],
     bound: &[bool],
     jtts: &[JoinedRow],
@@ -447,7 +496,7 @@ fn collect_result_keys(
             let table = nodes[node];
             let key = ResultKey {
                 table,
-                pk: db.pk_value(table, *row),
+                pk: executor.pk(table, *row),
             };
             all_keys.insert(key);
             if bound[node] {
@@ -470,8 +519,8 @@ fn collect_result_keys(
 /// etc. describe the complete execution, not a hypothetical re-run) — cache
 /// hits cost no executor work, so fabricating fresh-run counters would
 /// misreport what actually happened.
-pub fn truncate_result(
-    db: &Database,
+pub(crate) fn truncate_result(
+    executor: &impl Executor,
     catalog: &TemplateCatalog,
     interp: &QueryInterpretation,
     res: &Arc<ExecutedResult>,
@@ -483,7 +532,7 @@ pub fn truncate_result(
     let tpl = catalog.get(interp.template);
     let bound = bound_nodes(interp, tpl.tree.nodes.len());
     let jtts: Vec<JoinedRow> = res.jtts[..cap].to_vec();
-    let (keys, all_keys) = collect_result_keys(db, &tpl.tree.nodes, &bound, &jtts);
+    let (keys, all_keys) = collect_result_keys(executor, &tpl.tree.nodes, &bound, &jtts);
     Arc::new(ExecutedResult {
         jtts,
         keys,
@@ -495,7 +544,7 @@ pub fn truncate_result(
 /// The answer keys of `res`'s first `cap` JTTs — [`truncate_result`]'s
 /// keys-only fast path for stages that never look at the tuple trees.
 pub(crate) fn prefix_keys(
-    db: &Database,
+    executor: &impl Executor,
     catalog: &TemplateCatalog,
     interp: &QueryInterpretation,
     res: &ExecutedResult,
@@ -506,17 +555,16 @@ pub(crate) fn prefix_keys(
     }
     let tpl = catalog.get(interp.template);
     let bound = bound_nodes(interp, tpl.tree.nodes.len());
-    collect_result_keys(db, &tpl.tree.nodes, &bound, &res.jtts[..cap]).0
+    collect_result_keys(executor, &tpl.tree.nodes, &bound, &res.jtts[..cap]).0
 }
 
 fn execute_inner(
-    db: &Database,
-    index: &InvertedIndex,
-    catalog: &TemplateCatalog,
+    local: &LocalExecutor<'_>,
     interp: &QueryInterpretation,
     opts: ExecOptions,
     cache: &mut Option<&mut ExecCache>,
 ) -> RelResult<ExecutedResult> {
+    let LocalExecutor { db, index, catalog } = *local;
     let tpl = catalog.get(interp.template);
     let n = tpl.tree.nodes.len();
     let mut per_node: Vec<Option<Vec<RowId>>> = vec![None; n];
@@ -562,7 +610,7 @@ fn execute_inner(
             &mut BatchArena::new(),
         )?,
     };
-    let (keys, all_keys) = collect_result_keys(db, &tpl.tree.nodes, &bound, &outcome.rows);
+    let (keys, all_keys) = collect_result_keys(local, &tpl.tree.nodes, &bound, &outcome.rows);
     Ok(ExecutedResult {
         jtts: outcome.rows,
         keys,

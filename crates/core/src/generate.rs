@@ -1,7 +1,7 @@
 //! Interpretation generation (§3.5.2): compose keyword interpretations with
 //! query templates into complete, minimal query interpretations.
 
-use crate::exec::{bound_nodes, ExecCache, ExecutedResult, ResultKey};
+use crate::exec::{bound_nodes, ExecCache, ExecutedResult, Executor, LocalExecutor, ResultKey};
 use crate::interp::{BindingTarget, KeywordBinding, QueryInterpretation};
 use crate::keyword::KeywordQuery;
 use crate::prob::{IncrementalScorer, ProbabilityConfig, ProbabilityModel, TemplatePrior};
@@ -778,10 +778,20 @@ impl<'a> Interpreter<'a> {
         crate::pipeline::QueryPipeline::new(self, base, gen_cache, exec_cache).answers(query, k)
     }
 
+    /// The single-store executor over this interpreter's database and index.
+    pub(crate) fn local_executor(&self) -> LocalExecutor<'a> {
+        LocalExecutor {
+            db: self.db,
+            index: self.index,
+            catalog: self.catalog,
+        }
+    }
+
     /// Turn up to `remaining` JTTs of one executed interpretation into
-    /// [`RankedAnswer`]s.
+    /// [`RankedAnswer`]s, keys minted through `executor`.
     pub(crate) fn collect_answers(
         &self,
+        executor: &impl Executor,
         s: &ScoredInterpretation,
         res: &ExecutedResult,
         remaining: usize,
@@ -798,7 +808,7 @@ impl<'a> Interpreter<'a> {
                     let table = tpl.tree.nodes[node];
                     ResultKey {
                         table,
-                        pk: self.db.pk_value(table, *row),
+                        pk: executor.pk(table, *row),
                     }
                 })
                 .collect();

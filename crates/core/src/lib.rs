@@ -48,8 +48,8 @@ mod wal;
 
 pub use construct::{ConstructionOption, ConstructionSession, SessionConfig};
 pub use exec::{
-    bound_nodes, execute_interpretation, execute_interpretation_cached, truncate_result, ExecCache,
-    ExecutedResult, ResultKey, SharedExecCache,
+    bound_nodes, execute_interpretation, execute_interpretation_cached, ExecCache, ExecutedResult,
+    ResultKey, SharedExecCache,
 };
 pub use generate::{
     AnswerStats, GenerationStats, GenerationStrategy, Interpreter, InterpreterConfig,

@@ -1,11 +1,11 @@
 //! The composable query pipeline: generation → execution → post-processing.
 //!
-//! Every end-to-end serving mode in this workspace is the same three stages
-//! wired differently: an [`InterpretationSource`] produces ranked candidate
-//! interpretations (best-first over a keyword query, or a fixed pre-ranked
-//! window), the cached batched executor materializes them through one
-//! [`ExecCache`] (optionally backed by the process-wide shared tier), and a
-//! pluggable [`PostProcess`] stage consumes the streamed
+//! Every end-to-end serving mode in this workspace, on every topology, is
+//! the same three stages wired differently: an [`InterpretationSource`]
+//! produces ranked candidate interpretations (best-first over a keyword
+//! query, or a fixed pre-ranked window), an executor materializes them
+//! through one [`ExecCache`] (optionally backed by the process-wide shared
+//! tier), and a pluggable [`PostProcess`] stage consumes the streamed
 //! [`ExecutedResult`]s:
 //!
 //! * **plain top-k answers** (Hot path 2) — collect JTTs best-first until
@@ -18,16 +18,31 @@
 //!   candidate window of an interactive session, candidates sharing one
 //!   cache across refreshes.
 //!
-//! [`crate::Interpreter::answers_top_k`] and the [`crate::SearchService`]
-//! request modes all run on this pipeline, which is what keeps a warm,
-//! concurrent service byte-identical to the cold offline oracles: the only
-//! cross-query state is the result-invariant shared cache tier, and
-//! complete cached results are truncated back to the request's limit
-//! ([`truncate_result`]) before a stage observes them.
+//! ## The executor seam
+//!
+//! The wave loop ([`QueryPipeline`]'s `drive`) exists once. What differs
+//! between a single store and K shards is confined to the crate-private
+//! `Executor` trait, which has exactly two duties: *execute one
+//! interpretation to a limit through an [`ExecCache`]*, and *return the
+//! primary key of a bound `(table, row)`* so stages can mint
+//! [`ResultKey`]s. [`QueryPipeline::new`] plugs in the local executor
+//! (index harvest + join-tree execution + `db.pk_value` over the
+//! interpreter's database); [`crate::ShardedService`] plugs in its
+//! scatter-gather coordinator (per-shard reduction, one forced plan, bounded
+//! merge, pk maps). Dispatch is static — the loop is monomorphized per
+//! executor — and nothing in it asks which one it got: the coordinator's
+//! `ExecCache` simply never holds predicate rows, so executor-to-generator
+//! verdict seeding finds nothing to seed there.
+//!
+//! [`crate::Interpreter::answers_top_k`], the [`crate::SearchService`] and
+//! the [`crate::ShardedService`] request modes all run on this pipeline,
+//! which is what keeps a warm, concurrent, possibly sharded service
+//! byte-identical to the cold offline oracles: the only cross-query state is
+//! the result-invariant shared cache tier, and complete cached results are
+//! truncated back to the request's limit before a stage observes them.
 
 use crate::exec::{
-    execute_interpretation_cached, prefix_keys, truncate_result, ExecCache, ExecutedResult,
-    ResultKey,
+    prefix_keys, truncate_result, ExecCache, ExecutedResult, Executor, LocalExecutor, ResultKey,
 };
 use crate::generate::{
     AnswerStats, GenerationStats, Interpreter, NonemptyCache, RankedAnswer, ScoredInterpretation,
@@ -169,13 +184,14 @@ pub trait PostProcess {
 }
 
 /// Plain streamed top-k answers: take JTTs best-first until `k` exist.
-struct TopKAnswers<'q, 'a> {
+struct TopKAnswers<'q, 'a, E> {
     interpreter: &'q Interpreter<'a>,
+    executor: E,
     k: usize,
     answers: Vec<RankedAnswer>,
 }
 
-impl PostProcess for TopKAnswers<'_, '_> {
+impl<E: Executor> PostProcess for TopKAnswers<'_, '_, E> {
     fn demand(&self) -> usize {
         self.k - self.answers.len().min(self.k)
     }
@@ -187,25 +203,27 @@ impl PostProcess for TopKAnswers<'_, '_> {
     fn ingest(&mut self, _rank: usize, s: &ScoredInterpretation, res: &Arc<ExecutedResult>) {
         let remaining = self.demand();
         self.interpreter
-            .collect_answers(s, res, remaining, &mut self.answers);
+            .collect_answers(&self.executor, s, res, remaining, &mut self.answers);
     }
 }
 
 /// The diversification pool (§4.4.2): every non-empty candidate survives
 /// with its relevance, structural atoms, and result keys capped at `cap`
 /// JTTs per interpretation — the pool Alg. 4.1 then selects from.
-struct DivPoolStage<'q, 'a> {
+struct DivPoolStage<'q, 'a, E> {
     interpreter: &'q Interpreter<'a>,
+    executor: E,
     cap: usize,
     items: Vec<DivItem>,
     keys: Vec<BTreeSet<ResultKey>>,
     picks: Vec<ScoredInterpretation>,
 }
 
-impl<'q, 'a> DivPoolStage<'q, 'a> {
-    fn new(interpreter: &'q Interpreter<'a>, cap: usize) -> Self {
+impl<'q, 'a, E: Executor> DivPoolStage<'q, 'a, E> {
+    fn new(interpreter: &'q Interpreter<'a>, executor: E, cap: usize) -> Self {
         DivPoolStage {
             interpreter,
+            executor,
             cap,
             items: Vec::new(),
             keys: Vec::new(),
@@ -214,7 +232,7 @@ impl<'q, 'a> DivPoolStage<'q, 'a> {
     }
 }
 
-impl PostProcess for DivPoolStage<'_, '_> {
+impl<E: Executor> PostProcess for DivPoolStage<'_, '_, E> {
     fn demand(&self) -> usize {
         self.cap
     }
@@ -235,7 +253,7 @@ impl PostProcess for DivPoolStage<'_, '_> {
                 .collect(),
         });
         self.keys.push(prefix_keys(
-            self.interpreter.db(),
+            &self.executor,
             self.interpreter.catalog(),
             &s.interpretation,
             res,
@@ -248,13 +266,14 @@ impl PostProcess for DivPoolStage<'_, '_> {
 /// A construction session's window refresh: every candidate executed (at
 /// most `limit` JTTs each), non-empty ones collected with their window
 /// index, complete cache hits truncated back to `limit`.
-struct WindowStage<'q, 'a> {
+struct WindowStage<'q, 'a, E> {
     interpreter: &'q Interpreter<'a>,
+    executor: E,
     limit: usize,
     out: Vec<(usize, Arc<ExecutedResult>)>,
 }
 
-impl PostProcess for WindowStage<'_, '_> {
+impl<E: Executor> PostProcess for WindowStage<'_, '_, E> {
     fn demand(&self) -> usize {
         self.limit
     }
@@ -267,7 +286,7 @@ impl PostProcess for WindowStage<'_, '_> {
         self.out.push((
             rank,
             truncate_result(
-                self.interpreter.db(),
+                &self.executor,
                 self.interpreter.catalog(),
                 &s.interpretation,
                 res,
@@ -283,25 +302,47 @@ impl PostProcess for WindowStage<'_, '_> {
 
 /// Generation → cached execution → post-processing over explicit cache
 /// handles. Construct the caches with [`NonemptyCache::with_shared`] /
-/// [`ExecCache::with_shared`] to fall through to a
-/// [`crate::SearchService`]'s process-wide tier; plain caches give the cold
-/// offline behavior.
-pub struct QueryPipeline<'s, 'a> {
+/// [`ExecCache::with_shared`] to fall through to a service's process-wide
+/// tier; plain caches give the cold offline behavior. `E` is the executor
+/// the candidates run on (see the module docs); outside this crate it is
+/// always the local one [`QueryPipeline::new`] builds.
+pub struct QueryPipeline<'s, 'a, E = LocalExecutor<'a>> {
     interpreter: &'s Interpreter<'a>,
+    executor: E,
     base: ExecOptions,
     gen_cache: &'s mut NonemptyCache,
     exec_cache: &'s mut ExecCache,
 }
 
 impl<'s, 'a> QueryPipeline<'s, 'a> {
+    /// A pipeline executing over the interpreter's own database and index.
     pub fn new(
         interpreter: &'s Interpreter<'a>,
         base: ExecOptions,
         gen_cache: &'s mut NonemptyCache,
         exec_cache: &'s mut ExecCache,
     ) -> Self {
+        let executor = interpreter.local_executor();
+        Self::with_executor(interpreter, executor, base, gen_cache, exec_cache)
+    }
+}
+
+// The executor seam is sealed on purpose: the trait stays crate-private so
+// the set of executors (local, scatter-gather) is closed.
+#[allow(private_bounds)]
+impl<'s, 'a, E: Executor> QueryPipeline<'s, 'a, E> {
+    /// A pipeline whose candidates execute on `executor`; `interpreter`
+    /// then only generates (and names the catalog).
+    pub(crate) fn with_executor(
+        interpreter: &'s Interpreter<'a>,
+        executor: E,
+        base: ExecOptions,
+        gen_cache: &'s mut NonemptyCache,
+        exec_cache: &'s mut ExecCache,
+    ) -> Self {
         QueryPipeline {
             interpreter,
+            executor,
             base,
             gen_cache,
             exec_cache,
@@ -309,7 +350,7 @@ impl<'s, 'a> QueryPipeline<'s, 'a> {
     }
 
     /// The shared driver: pull a ranked wave from `source`, execute each
-    /// candidate through the cached batched executor with `limit` set to
+    /// candidate through the executor with `limit` set to
     /// the stage's remaining demand, and feed non-empty results to `post`.
     /// With `grow`, waves expand geometrically until the stage is satisfied
     /// or the source is exhausted; executions that error are tombstoned so
@@ -345,14 +386,10 @@ impl<'s, 'a> QueryPipeline<'s, 'a> {
                     continue;
                 }
                 let hits_before = self.exec_cache.result_hits;
-                let res = match execute_interpretation_cached(
-                    self.interpreter.db(),
-                    self.interpreter.index(),
-                    self.interpreter.catalog(),
-                    &s.interpretation,
-                    opts,
-                    self.exec_cache,
-                ) {
+                let res = match self
+                    .executor
+                    .execute(&s.interpretation, opts, self.exec_cache)
+                {
                     Ok(r) => r,
                     Err(_) => {
                         stats.exec_errors += 1;
@@ -405,6 +442,7 @@ impl<'s, 'a> QueryPipeline<'s, 'a> {
         let mut source = BestFirstSource::new(interpreter, query, true);
         let mut post = TopKAnswers {
             interpreter,
+            executor: self.executor,
             k,
             answers: Vec::new(),
         };
@@ -430,7 +468,7 @@ impl<'s, 'a> QueryPipeline<'s, 'a> {
     pub fn executed_pool(&mut self, ranked: &[ScoredInterpretation], cap: usize) -> ExecutedPool {
         let mut stats = AnswerStats::default();
         let interpreter = self.interpreter;
-        let mut post = DivPoolStage::new(interpreter, cap);
+        let mut post = DivPoolStage::new(interpreter, self.executor, cap);
         let mut source = FixedSource::new(ranked.to_vec());
         let start = ranked.len().max(1);
         self.drive(&mut source, &mut post, start, false, None, &mut stats);
@@ -455,7 +493,7 @@ impl<'s, 'a> QueryPipeline<'s, 'a> {
     ) -> DiversifiedAnswers {
         let mut stats = AnswerStats::default();
         let interpreter = self.interpreter;
-        let mut post = DivPoolStage::new(interpreter, opts.cap);
+        let mut post = DivPoolStage::new(interpreter, self.executor, opts.cap);
         if opts.pool > 0 && !query.is_empty() {
             let mut source = BestFirstSource::new(interpreter, query, true);
             let start = opts
@@ -505,6 +543,7 @@ impl<'s, 'a> QueryPipeline<'s, 'a> {
         let interpreter = self.interpreter;
         let mut post = WindowStage {
             interpreter,
+            executor: self.executor,
             limit,
             out: Vec::new(),
         };

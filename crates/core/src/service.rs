@@ -65,33 +65,24 @@
 //!
 //! Every serving mode is a value of the typed [`Request`] enum; submitting
 //! one through [`ServeRequests::submit_request`] yields a [`Ticket`]
-//! resolving to the matching [`Reply`] arm. Both [`SearchService`] and the
-//! sharded scatter-gather router ([`crate::sharded::ShardedService`])
-//! implement [`ServeRequests`], so the open-loop harness, the smoke driver,
-//! and the differential suites drive either through the same trait. Use
-//! [`ServiceBuilder`] to configure and start either service; the legacy
-//! constructor triplet and the `submit_*`/`search_*` wrappers remain as
-//! thin conveniences over the seam:
+//! resolving to the matching [`Reply`] arm. That (plus the blocking
+//! [`ServeRequests::search`] convenience) is the whole request surface of
+//! both [`SearchService`] and the sharded scatter-gather router
+//! ([`crate::sharded::ShardedService`]), so the open-loop harness, the
+//! smoke driver, and the differential suites drive either through the same
+//! trait. Use [`ServiceBuilder`] to configure and start either service.
 //!
-//! | legacy method                        | request seam equivalent                 |
-//! |--------------------------------------|-----------------------------------------|
-//! | `submit(query, k)`                   | `Request::Answers { query, k }`         |
-//! | `submit_interpretations(query, k)`   | `Request::Interpretations { query, k }` |
-//! | `submit_diversified(query, opts)`    | `Request::Diversified { query, opts }`  |
-//! | `submit_timed(query, k)`             | `Request::AnswersTimed { query, k }`    |
-//! | `submit_diversified_timed(q, opts)`  | `Request::DiversifiedTimed { .. }`      |
-//! | `search` / `search_with_stats` / `search_versioned` | blocking `Request::Answers`  |
-//! | `search_diversified(query, opts)`    | blocking `Request::Diversified`         |
-//! | `SearchService::start`               | `ServiceBuilder::new().workers(n).start`|
-//! | `SearchService::start_durable`       | `ServiceBuilder::…​.durable(dir).start`  |
-//! | `SearchService::open`                | `ServiceBuilder::…​.durable(dir).open`   |
+//! Both topologies also *serve* a request through the same code: a
+//! `WorkerPool` thread pins the current generation, and the one
+//! `serve_request` function runs the [`QueryPipeline`] over that
+//! generation's interpreter, shared-cache handles and executor — panic
+//! containment per arm and completion-stamp placement live there, once.
 //!
-//! The `submit_panicking` / `submit_sleeping` testing seams are no longer
-//! part of the default public surface: they compile only under the
-//! `test-seams` cargo feature (or `cfg(test)`).
+//! The `submit_panicking` / `submit_sleeping` testing seams compile only
+//! under the `test-seams` cargo feature (or `cfg(test)`).
 
 use crate::construct::{ConstructionOption, ConstructionSession, SessionConfig};
-use crate::exec::{ExecCache, ExecutedResult, SharedExecCache};
+use crate::exec::{ExecCache, ExecutedResult, Executor, SharedExecCache};
 use crate::generate::{
     AnswerStats, GenerationStats, Interpreter, InterpreterConfig, NonemptyCache, RankedAnswer,
     ScoredInterpretation, SharedNonemptyCache,
@@ -675,8 +666,7 @@ pub struct TimedReply<T> {
 
 /// One serving request, as a value. Every mode the service can serve is a
 /// variant here; [`ServeRequests::submit_request`] is the single seam both
-/// the single-shard [`SearchService`] and the sharded router implement, and
-/// every legacy `submit_*` method is a thin typed wrapper over it.
+/// the single-shard [`SearchService`] and the sharded router implement.
 #[derive(Debug, Clone)]
 pub enum Request {
     /// Top-k *answers* (the end-to-end hot path). Resolves to
@@ -707,8 +697,7 @@ pub enum Request {
 pub type InterpretationsReply = (Vec<ScoredInterpretation>, GenerationStats);
 
 /// One served reply; the variant always matches the submitted [`Request`]
-/// variant. The typed `submit_*` wrappers unwrap the matching arm through
-/// [`Ticket::expecting`], so most callers never see this enum.
+/// variant.
 #[derive(Debug)]
 pub enum Reply {
     Answers(Result<SearchReply, RequestError>),
@@ -719,89 +708,107 @@ pub enum Reply {
 }
 
 /// A pending reply. `wait` blocks until the serving worker finishes;
-/// `None` means the service shut down (or a worker died) before replying —
-/// or the reply arm did not match what the ticket was told to expect,
-/// which cannot happen through the typed `submit_*` wrappers.
+/// `None` means the service shut down (or a worker died) before replying.
 pub struct Ticket<T> {
-    rx: Receiver<Reply>,
-    extract: fn(Reply) -> Option<T>,
-}
-
-impl Ticket<Reply> {
-    /// A ticket resolving to the raw [`Reply`], whatever its arm.
-    pub(crate) fn raw(rx: Receiver<Reply>) -> Self {
-        Ticket { rx, extract: Some }
-    }
-
-    /// Refine a raw ticket to one unwrapping a single reply arm — the seam
-    /// the typed `submit_*` wrappers are built from.
-    pub fn expecting<T>(self, extract: fn(Reply) -> Option<T>) -> Ticket<T> {
-        Ticket {
-            rx: self.rx,
-            extract,
-        }
-    }
+    rx: Receiver<T>,
 }
 
 impl<T> Ticket<T> {
     pub fn wait(self) -> Option<T> {
-        let reply = self.rx.recv().ok()?;
-        (self.extract)(reply)
+        self.rx.recv().ok()
     }
 }
 
-fn reply_answers(reply: Reply) -> Option<Result<SearchReply, RequestError>> {
-    match reply {
-        Reply::Answers(r) => Some(r),
-        _ => None,
+type PoolJob = Box<dyn FnOnce() + Send + 'static>;
+
+/// A fixed set of named threads draining one job queue — the one place this
+/// crate spawns threads: [`SearchService`]'s workers, the sharded
+/// coordinator and every shard pool are instances. Jobs run under
+/// `catch_unwind` so a panicking job never takes its thread down; the
+/// submitter observes the failure through the job's dropped reply channel.
+/// Dropping the pool hangs up the queue and joins every thread.
+pub(crate) struct WorkerPool {
+    tx: Option<Sender<PoolJob>>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl WorkerPool {
+    /// Spawn `threads` workers (at least one) named `{name}-{i}`.
+    pub(crate) fn start(name: &str, threads: usize) -> Self {
+        let (tx, rx) = channel::<PoolJob>();
+        let rx = Arc::new(Mutex::new(rx));
+        let threads = (0..threads.max(1))
+            .map(|i| {
+                let rx = Arc::clone(&rx);
+                std::thread::Builder::new()
+                    .name(format!("{name}-{i}"))
+                    .spawn(move || loop {
+                        // Hold the receiver lock only for the pop, never
+                        // while serving.
+                        let job = match rx.lock() {
+                            Ok(guard) => guard.recv(),
+                            Err(_) => return, // a sibling panicked mid-pop
+                        };
+                        let Ok(job) = job else { return }; // hung up + drained
+                        let _ = catch_unwind(AssertUnwindSafe(job));
+                    })
+                    .expect("spawn worker thread")
+            })
+            .collect();
+        WorkerPool {
+            tx: Some(tx),
+            threads,
+        }
+    }
+
+    /// Number of threads.
+    pub(crate) fn size(&self) -> usize {
+        self.threads.len()
+    }
+
+    pub(crate) fn submit(&self, job: PoolJob) {
+        if let Some(tx) = &self.tx {
+            // A send only fails when every thread is gone; the caller then
+            // observes the hang-up through its reply channel.
+            let _ = tx.send(job);
+        }
+    }
+
+    /// Enqueue one request-shaped job. The worker pins the generation
+    /// `current` holds when the job *starts* — one pointer load, after which
+    /// a swap mid-request cannot affect it (snapshot isolation) and it can
+    /// never mix generations — runs `serve` against it, and counts the
+    /// request before replying, so a client that just got its answer never
+    /// observes a stale total.
+    pub(crate) fn submit_pinned<S: Send + Sync + 'static>(
+        &self,
+        current: &Arc<Mutex<Arc<S>>>,
+        served: &Arc<AtomicUsize>,
+        serve: impl FnOnce(&S) -> Reply + Send + 'static,
+    ) -> Ticket<Reply> {
+        let (reply, rx) = channel();
+        let current = Arc::clone(current);
+        let served = Arc::clone(served);
+        self.submit(Box::new(move || {
+            let state = match current.lock() {
+                Ok(guard) => Arc::clone(&guard),
+                Err(_) => return, // writer panicked mid-swap: hang up
+            };
+            let out = serve(&state);
+            served.fetch_add(1, Ordering::Relaxed);
+            let _ = reply.send(out); // client may have given up: fine
+        }));
+        Ticket { rx }
     }
 }
 
-fn reply_interpretations(reply: Reply) -> Option<Result<InterpretationsReply, RequestError>> {
-    match reply {
-        Reply::Interpretations(r) => Some(r),
-        _ => None,
+impl Drop for WorkerPool {
+    fn drop(&mut self) {
+        self.tx.take(); // hang up: threads drain the queue, then exit
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
     }
-}
-
-fn reply_diversified(reply: Reply) -> Option<Result<DiversifiedReply, RequestError>> {
-    match reply {
-        Reply::Diversified(r) => Some(r),
-        _ => None,
-    }
-}
-
-pub(crate) fn reply_answers_timed(reply: Reply) -> Option<TimedReply<SearchReply>> {
-    match reply {
-        Reply::AnswersTimed(r) => Some(r),
-        _ => None,
-    }
-}
-
-fn reply_diversified_timed(reply: Reply) -> Option<TimedReply<DiversifiedReply>> {
-    match reply {
-        Reply::DiversifiedTimed(r) => Some(r),
-        _ => None,
-    }
-}
-
-enum Job {
-    /// One [`Request`], served against the worker's pinned epoch; the reply
-    /// arm always matches the request variant.
-    Serve {
-        request: Request,
-        reply: Sender<Reply>,
-    },
-    /// Testing seam: a request that holds its worker for a fixed duration,
-    /// so load-harness tests can inject known service delays and compare
-    /// measured queueing against an analytic model. Never constructed in
-    /// production.
-    #[cfg(any(test, feature = "test-seams"))]
-    Sleep { dur: Duration, reply: Sender<Reply> },
-    /// Testing seam: a request whose serving code path panics, used by the
-    /// containment regression test. Never constructed in production.
-    #[cfg(any(test, feature = "test-seams"))]
-    Panic { reply: Sender<Reply> },
 }
 
 /// A multi-user keyword-search server over a **live** store: an epoch-
@@ -813,13 +820,13 @@ enum Job {
 /// one-pointer snapshot load. Dropping the service hangs up the job channel
 /// and joins the workers.
 pub struct SearchService {
+    // Dropped first: joins the workers before anything they serve from.
+    pool: WorkerPool,
     current: Arc<Mutex<Arc<ServingState>>>,
     /// Serializes ingests; lazily holds the writer's mutable copy.
     writer: Mutex<Option<WriterState>>,
     /// WAL + checkpoint state for durable services; `None` under `start`.
     durability: Option<Durability>,
-    tx: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
     served: Arc<AtomicUsize>,
     epoch_swaps: AtomicUsize,
     stale_evictions: AtomicUsize,
@@ -973,28 +980,12 @@ impl SearchService {
         epoch: SnapshotEpoch,
         durability: Option<Durability>,
     ) -> Self {
-        let current = Arc::new(Mutex::new(ServingState::fresh(epoch, snapshot)));
-        let served = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..workers.max(1))
-            .map(|i| {
-                let current = Arc::clone(&current);
-                let served = Arc::clone(&served);
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("keybridge-worker-{i}"))
-                    .spawn(move || worker_loop(&current, &served, &rx))
-                    .expect("spawn worker thread")
-            })
-            .collect();
         SearchService {
-            current,
+            pool: WorkerPool::start("keybridge-worker", workers),
+            current: Arc::new(Mutex::new(ServingState::fresh(epoch, snapshot))),
             writer: Mutex::new(None),
             durability,
-            tx: Some(tx),
-            workers,
-            served,
+            served: Arc::new(AtomicUsize::new(0)),
             epoch_swaps: AtomicUsize::new(0),
             stale_evictions: AtomicUsize::new(0),
             rows_ingested: AtomicUsize::new(0),
@@ -1020,7 +1011,7 @@ impl SearchService {
 
     /// Number of worker threads.
     pub fn worker_count(&self) -> usize {
-        self.workers.len()
+        self.pool.size()
     }
 
     /// Apply one insert batch to the live store and publish the result as
@@ -1161,122 +1152,18 @@ impl SearchService {
             .is_some_and(Durability::is_poisoned)
     }
 
-    /// Enqueue a top-k *answers* request (the end-to-end hot path). The
-    /// ticket resolves to `Err` when the serving worker panicked on this
-    /// request (the panic is contained; the worker keeps serving).
-    ///
-    /// Thin wrapper over [`Request::Answers`] through the
-    /// [`ServeRequests`] seam.
-    pub fn submit(
-        &self,
-        query: KeywordQuery,
-        k: usize,
-    ) -> Ticket<Result<SearchReply, RequestError>> {
-        ServeRequests::submit(self, query, k)
-    }
-
-    /// Enqueue a top-k *interpretations* request (no execution).
-    ///
-    /// Thin wrapper over [`Request::Interpretations`].
-    pub fn submit_interpretations(
-        &self,
-        query: KeywordQuery,
-        k: usize,
-    ) -> Ticket<Result<InterpretationsReply, RequestError>> {
-        ServeRequests::submit_interpretations(self, query, k)
-    }
-
     /// Testing seam for the panic-containment path: a request whose serving
-    /// code panics. The reply must arrive as
-    /// [`RequestError::WorkerPanicked`] and the worker must survive.
+    /// code panics. The reply must arrive as [`Reply::Answers`] carrying
+    /// [`RequestError::WorkerPanicked`], and the worker must survive.
     #[cfg(any(test, feature = "test-seams"))]
     #[doc(hidden)]
-    pub fn submit_panicking(&self) -> Ticket<Result<SearchReply, RequestError>> {
-        let (reply, rx) = channel();
-        self.send(Job::Panic { reply });
-        Ticket::raw(rx).expecting(reply_answers)
-    }
-
-    /// Blocking convenience: submit and wait.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request failed ([`RequestError`]) or the service shut
-    /// down before replying — a failed request must never masquerade as a
-    /// zero-result query. Callers that need to observe failure as a value
-    /// use [`Self::submit`] + [`Ticket::wait`].
-    pub fn search(&self, query: &KeywordQuery, k: usize) -> Vec<RankedAnswer> {
-        self.search_versioned(query, k).answers
-    }
-
-    /// [`Self::search`] with the per-request counters.
-    pub fn search_with_stats(
-        &self,
-        query: &KeywordQuery,
-        k: usize,
-    ) -> (Vec<RankedAnswer>, AnswerStats) {
-        let reply = self.search_versioned(query, k);
-        (reply.answers, reply.stats)
-    }
-
-    /// [`Self::search`] with the serving epoch and counters — the call the
-    /// update-equivalence suites use to match a racing reply against the
-    /// exact database version that produced it. Panics like [`Self::search`]
-    /// when the worker died.
-    pub fn search_versioned(&self, query: &KeywordQuery, k: usize) -> SearchReply {
-        self.submit(query.clone(), k)
-            .wait()
-            .expect("SearchService shut down before replying")
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Enqueue a diversified top-k request: Alg. 4.1 over the best
-    /// `opts.pool` interpretations, executed through this epoch's shared
-    /// caches (at most `opts.cap` JTTs each).
-    ///
-    /// Thin wrapper over [`Request::Diversified`].
-    pub fn submit_diversified(
-        &self,
-        query: KeywordQuery,
-        opts: DiversifyOptions,
-    ) -> Ticket<Result<DiversifiedReply, RequestError>> {
-        ServeRequests::submit_diversified(self, query, opts)
-    }
-
-    /// [`Self::submit`] with a worker-stamped completion instant in the
-    /// reply, for open-loop load drivers that measure latency from the
-    /// request's scheduled arrival time rather than from `wait`'s return.
-    ///
-    /// Thin wrapper over [`Request::AnswersTimed`].
-    pub fn submit_timed(&self, query: KeywordQuery, k: usize) -> Ticket<TimedReply<SearchReply>> {
-        ServeRequests::submit_timed(self, query, k)
-    }
-
-    /// [`Self::submit_diversified`] with a worker-stamped completion
-    /// instant in the reply.
-    ///
-    /// Thin wrapper over [`Request::DiversifiedTimed`].
-    pub fn submit_diversified_timed(
-        &self,
-        query: KeywordQuery,
-        opts: DiversifyOptions,
-    ) -> Ticket<TimedReply<DiversifiedReply>> {
-        ServeRequests::submit_diversified_timed(self, query, opts)
-    }
-
-    /// Blocking diversified top-k — warm and contended, the reply is
-    /// byte-identical to the cold offline `divq` oracle (pool build + Alg.
-    /// 4.1 over a fresh interpreter). Panics like [`Self::search`] when the
-    /// serving worker died.
-    pub fn search_diversified(
-        &self,
-        query: &KeywordQuery,
-        opts: DiversifyOptions,
-    ) -> DiversifiedReply {
-        self.submit_diversified(query.clone(), opts)
-            .wait()
-            .expect("SearchService shut down before replying")
-            .unwrap_or_else(|e| panic!("{e}"))
+    pub fn submit_panicking(&self) -> Ticket<Reply> {
+        self.pool.submit_pinned(&self.current, &self.served, |_| {
+            let out = catch_unwind(|| -> SearchReply {
+                panic!("injected worker panic (testing seam)");
+            });
+            Reply::Answers(out.map_err(panic_to_error))
+        })
     }
 
     // -----------------------------------------------------------------
@@ -1495,32 +1382,13 @@ impl SearchService {
             shard_rows_skipped: 0,
         }
     }
-
-    fn send(&self, job: Job) {
-        if let Some(tx) = &self.tx {
-            // A send only fails when every worker is gone; the caller then
-            // observes the hang-up through its ticket.
-            let _ = tx.send(job);
-        }
-    }
-}
-
-impl Drop for SearchService {
-    fn drop(&mut self) {
-        self.tx.take(); // hang up: workers drain the queue, then exit
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
 }
 
 /// The unified serving seam — **Hot path 8**. One typed [`Request`] enum in,
 /// one [`Ticket`] resolving to the matching [`Reply`] arm out, plus the
 /// ingest/stats/epoch surface a load driver needs. [`SearchService`] and
 /// [`crate::sharded::ShardedService`] both implement it, so harnesses,
-/// differential suites, and examples drive either interchangeably; the
-/// typed `submit_*` and blocking `search*` conveniences are provided
-/// methods over `submit_request`, shared by every implementation.
+/// differential suites, and examples drive either interchangeably.
 pub trait ServeRequests {
     /// Enqueue one request; the ticket resolves to the matching reply arm.
     fn submit_request(&self, request: Request) -> Ticket<Reply>;
@@ -1536,97 +1404,27 @@ pub trait ServeRequests {
 
     /// Testing seam for the open-loop harness: a request that occupies one
     /// serving worker for exactly `dur`, replying with an empty, stamped
-    /// [`SearchReply`]. Injecting known service delays makes measured
+    /// [`Reply::AnswersTimed`]. Injecting known service delays makes measured
     /// queueing comparable against an analytic queue model.
     #[cfg(any(test, feature = "test-seams"))]
     #[doc(hidden)]
-    fn submit_sleeping(&self, dur: Duration) -> Ticket<TimedReply<SearchReply>>;
+    fn submit_sleeping(&self, dur: Duration) -> Ticket<Reply>;
 
-    /// Enqueue a top-k *answers* request ([`Request::Answers`]).
-    fn submit(&self, query: KeywordQuery, k: usize) -> Ticket<Result<SearchReply, RequestError>> {
-        self.submit_request(Request::Answers { query, k })
-            .expecting(reply_answers)
-    }
-
-    /// Enqueue a top-k *interpretations* request
-    /// ([`Request::Interpretations`]).
-    fn submit_interpretations(
-        &self,
-        query: KeywordQuery,
-        k: usize,
-    ) -> Ticket<Result<InterpretationsReply, RequestError>> {
-        self.submit_request(Request::Interpretations { query, k })
-            .expecting(reply_interpretations)
-    }
-
-    /// Enqueue a diversified top-k request ([`Request::Diversified`]).
-    fn submit_diversified(
-        &self,
-        query: KeywordQuery,
-        opts: DiversifyOptions,
-    ) -> Ticket<Result<DiversifiedReply, RequestError>> {
-        self.submit_request(Request::Diversified { query, opts })
-            .expecting(reply_diversified)
-    }
-
-    /// [`Self::submit`] with a worker-stamped completion instant
-    /// ([`Request::AnswersTimed`]).
-    fn submit_timed(&self, query: KeywordQuery, k: usize) -> Ticket<TimedReply<SearchReply>> {
-        self.submit_request(Request::AnswersTimed { query, k })
-            .expecting(reply_answers_timed)
-    }
-
-    /// [`Self::submit_diversified`] with a worker-stamped completion
-    /// instant ([`Request::DiversifiedTimed`]).
-    fn submit_diversified_timed(
-        &self,
-        query: KeywordQuery,
-        opts: DiversifyOptions,
-    ) -> Ticket<TimedReply<DiversifiedReply>> {
-        self.submit_request(Request::DiversifiedTimed { query, opts })
-            .expecting(reply_diversified_timed)
-    }
-
-    /// Blocking convenience: submit and wait.
+    /// Blocking convenience: submit a [`Request::Answers`] and wait.
     ///
     /// # Panics
     ///
     /// Panics if the request failed ([`RequestError`]) or the service shut
     /// down before replying — a failed request must never masquerade as a
     /// zero-result query. Callers that need to observe failure as a value
-    /// use [`Self::submit`] + [`Ticket::wait`].
-    fn search(&self, query: &KeywordQuery, k: usize) -> Vec<RankedAnswer> {
-        self.search_versioned(query, k).answers
-    }
-
-    /// [`Self::search`] with the per-request counters.
-    fn search_with_stats(
-        &self,
-        query: &KeywordQuery,
-        k: usize,
-    ) -> (Vec<RankedAnswer>, AnswerStats) {
-        let reply = self.search_versioned(query, k);
-        (reply.answers, reply.stats)
-    }
-
-    /// [`Self::search`] with the serving epoch and counters — the call the
-    /// update-equivalence suites use to match a racing reply against the
-    /// exact database version that produced it. Panics like [`Self::search`]
-    /// when the worker died.
-    fn search_versioned(&self, query: &KeywordQuery, k: usize) -> SearchReply {
-        self.submit(query.clone(), k)
-            .wait()
-            .expect("service shut down before replying")
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Blocking diversified top-k. Panics like [`Self::search`] when the
-    /// serving worker died.
-    fn search_diversified(&self, query: &KeywordQuery, opts: DiversifyOptions) -> DiversifiedReply {
-        self.submit_diversified(query.clone(), opts)
-            .wait()
-            .expect("service shut down before replying")
-            .unwrap_or_else(|e| panic!("{e}"))
+    /// use [`Self::submit_request`] + [`Ticket::wait`].
+    fn search(&self, query: &KeywordQuery, k: usize) -> SearchReply {
+        let query = query.clone();
+        match self.submit_request(Request::Answers { query, k }).wait() {
+            Some(Reply::Answers(Ok(reply))) => reply,
+            Some(Reply::Answers(Err(e))) => panic!("{e}"),
+            _ => panic!("service shut down before replying"),
+        }
     }
 
     /// One interactive-construction burst, as the open-loop harness issues
@@ -1635,16 +1433,30 @@ pub trait ServeRequests {
     /// whether answers materialized. Services without a session registry
     /// serve the burst as a plain blocking answers request.
     fn session_burst(&self, query: &KeywordQuery, window: usize, limit: usize) -> bool {
+        let (query, k) = (query.clone(), limit);
         let _ = window;
-        matches!(self.submit(query.clone(), limit).wait(), Some(Ok(_)))
+        matches!(
+            self.submit_request(Request::Answers { query, k }).wait(),
+            Some(Reply::Answers(Ok(_)))
+        )
     }
 }
 
 impl ServeRequests for SearchService {
     fn submit_request(&self, request: Request) -> Ticket<Reply> {
-        let (reply, rx) = channel();
-        self.send(Job::Serve { request, reply });
-        Ticket::raw(rx)
+        self.pool
+            .submit_pinned(&self.current, &self.served, |state: &ServingState| {
+                let interpreter = state.snapshot.interpreter();
+                let pinned = Pinned {
+                    interpreter: &interpreter,
+                    executor: interpreter.local_executor(),
+                    nonempty: &state.nonempty,
+                    exec: &state.exec,
+                    epoch: state.epoch,
+                    shard_epochs: Vec::new(),
+                };
+                serve_request(&pinned, request)
+            })
     }
 
     fn ingest_batch(&self, batch: &RowBatch) -> Result<IngestReceipt, ServiceError> {
@@ -1660,10 +1472,11 @@ impl ServeRequests for SearchService {
     }
 
     #[cfg(any(test, feature = "test-seams"))]
-    fn submit_sleeping(&self, dur: Duration) -> Ticket<TimedReply<SearchReply>> {
-        let (reply, rx) = channel();
-        self.send(Job::Sleep { dur, reply });
-        Ticket::raw(rx).expecting(reply_answers_timed)
+    fn submit_sleeping(&self, dur: Duration) -> Ticket<Reply> {
+        self.pool
+            .submit_pinned(&self.current, &self.served, move |state: &ServingState| {
+                sleeping_reply(dur, state.epoch, Vec::new())
+            })
     }
 
     /// A real registry-backed burst: open, materialize, close — exactly the
@@ -1890,7 +1703,7 @@ impl ServeRequests for KeywordService {
     }
 
     #[cfg(any(test, feature = "test-seams"))]
-    fn submit_sleeping(&self, dur: Duration) -> Ticket<TimedReply<SearchReply>> {
+    fn submit_sleeping(&self, dur: Duration) -> Ticket<Reply> {
         match self {
             KeywordService::Single(s) => s.submit_sleeping(dur),
             KeywordService::Sharded(s) => s.submit_sleeping(dur),
@@ -1905,155 +1718,119 @@ impl ServeRequests for KeywordService {
     }
 }
 
-fn worker_loop(
-    current: &Mutex<Arc<ServingState>>,
-    served: &AtomicUsize,
-    rx: &Mutex<Receiver<Job>>,
-) {
-    loop {
-        // Hold the receiver lock only for the pop, never while serving.
-        let job = match rx.lock() {
-            Ok(guard) => guard.recv(),
-            Err(_) => return, // a sibling panicked mid-pop; shut down
-        };
-        let Ok(job) = job else { return }; // channel hung up: drained + done
-                                           // Pin this request to one serving state: snapshot + the cache
-                                           // generation that belongs to it. An epoch swap mid-request does not
-                                           // affect us (snapshot isolation), and we can never mix epochs.
-        let state = match current.lock() {
-            Ok(guard) => Arc::clone(&guard),
-            Err(_) => return, // writer panicked mid-swap; shut down
-        };
-        match job {
-            Job::Serve { request, reply } => {
-                let out = serve_request(&state, request);
-                // Count before replying so a client that just got its answer
-                // never observes a stale total.
-                served.fetch_add(1, Ordering::Relaxed);
-                let _ = reply.send(out); // client may have given up: fine
-            }
-            #[cfg(any(test, feature = "test-seams"))]
-            Job::Sleep { dur, reply } => {
-                std::thread::sleep(dur);
-                served.fetch_add(1, Ordering::Relaxed);
-                let _ = reply.send(Reply::AnswersTimed(TimedReply {
-                    completed_at: Instant::now(),
-                    result: Ok(SearchReply {
-                        epoch: state.epoch,
-                        shard_epochs: Vec::new(),
-                        answers: Vec::new(),
-                        stats: AnswerStats::default(),
-                    }),
-                }));
-            }
-            #[cfg(any(test, feature = "test-seams"))]
-            Job::Panic { reply } => {
-                let out = catch_unwind(|| -> SearchReply {
-                    panic!("injected worker panic (testing seam)");
-                });
-                served.fetch_add(1, Ordering::Relaxed);
-                let _ = reply.send(Reply::Answers(out.map_err(panic_to_error)));
-            }
+/// Everything one request is served against: the pinned generation's
+/// interpreter, shared-cache handles and executor, plus the epoch stamps its
+/// replies carry. The two topologies differ only in how they fill this in.
+pub(crate) struct Pinned<'s, 'a, E> {
+    pub(crate) interpreter: &'s Interpreter<'a>,
+    pub(crate) executor: E,
+    pub(crate) nonempty: &'s Arc<SharedNonemptyCache>,
+    pub(crate) exec: &'s Arc<SharedExecCache>,
+    pub(crate) epoch: SnapshotEpoch,
+    /// Empty on a single-shard service.
+    pub(crate) shard_epochs: Vec<SnapshotEpoch>,
+}
+
+impl<E: Executor> Pinned<'_, '_, E> {
+    /// Run `mode` on a fresh pipeline whose per-request caches fall through
+    /// to this generation's shared tier.
+    fn run<T>(&self, mode: impl FnOnce(&mut QueryPipeline<'_, '_, E>) -> T) -> T {
+        let mut gen_cache = NonemptyCache::with_shared(Arc::clone(self.nonempty));
+        let mut exec_cache = ExecCache::with_shared(Arc::clone(self.exec));
+        mode(&mut QueryPipeline::with_executor(
+            self.interpreter,
+            self.executor,
+            ExecOptions::default(),
+            &mut gen_cache,
+            &mut exec_cache,
+        ))
+    }
+
+    fn answers(&self, query: &KeywordQuery, k: usize) -> SearchReply {
+        let (answers, stats) = self.run(|p| p.answers(query, k));
+        SearchReply {
+            epoch: self.epoch,
+            shard_epochs: self.shard_epochs.clone(),
+            answers,
+            stats,
+        }
+    }
+
+    fn diversified(&self, query: &KeywordQuery, opts: DiversifyOptions) -> DiversifiedReply {
+        let out = self.run(|p| p.diversified(query, opts));
+        DiversifiedReply {
+            epoch: self.epoch,
+            shard_epochs: self.shard_epochs.clone(),
+            answers: out.answers,
+            pool: out.pool,
+            stats: out.stats,
         }
     }
 }
 
-/// Serve one [`Request`] against a pinned serving state, always producing
-/// the matching [`Reply`] arm. Serving code runs under `catch_unwind`: a
-/// panicking query must come back to its client as a typed
-/// [`RequestError`], not as a hung-up channel — and the worker must survive
-/// to take the next job. `AssertUnwindSafe` is sound here because the
-/// shared caches only ever admit *complete* entries (a panic mid-query
-/// cannot have published partial derived state), and everything else the
-/// closure touches dies with the request.
-fn serve_request(state: &ServingState, request: Request) -> Reply {
-    let interpreter = state.snapshot.interpreter();
+/// Serve one [`Request`] against a pinned generation, always producing the
+/// matching [`Reply`] arm — the one request dispatcher of both topologies.
+/// Serving code runs under `catch_unwind`: a panicking query must come back
+/// to its client as a typed [`RequestError`], not as a hung-up channel — and
+/// the worker must survive to take the next job. `AssertUnwindSafe` is sound
+/// here because the shared caches only ever admit *complete* entries (a
+/// panic mid-query cannot have published partial derived state), and
+/// everything else the closure touches dies with the request. Timed arms
+/// stamp completion after the reply is computed, still on the worker.
+pub(crate) fn serve_request<E: Executor>(pinned: &Pinned<'_, '_, E>, request: Request) -> Reply {
+    let answers = |query: &KeywordQuery, k: usize| {
+        catch_unwind(AssertUnwindSafe(|| pinned.answers(query, k))).map_err(panic_to_error)
+    };
+    let diversified = |query: &KeywordQuery, opts: DiversifyOptions| {
+        catch_unwind(AssertUnwindSafe(|| pinned.diversified(query, opts))).map_err(panic_to_error)
+    };
     match request {
-        Request::Answers { query, k } => Reply::Answers(
-            catch_unwind(AssertUnwindSafe(|| {
-                answers_on_state(state, &interpreter, &query, k)
-            }))
-            .map_err(panic_to_error),
-        ),
+        Request::Answers { query, k } => Reply::Answers(answers(&query, k)),
         Request::Interpretations { query, k } => Reply::Interpretations(
             catch_unwind(AssertUnwindSafe(|| {
-                let mut gen_cache = NonemptyCache::with_shared(Arc::clone(&state.nonempty));
-                interpreter.top_k_with_cache(&query, k, true, &mut gen_cache)
+                let mut gen_cache = NonemptyCache::with_shared(Arc::clone(pinned.nonempty));
+                pinned
+                    .interpreter
+                    .top_k_with_cache(&query, k, true, &mut gen_cache)
             }))
             .map_err(panic_to_error),
         ),
-        Request::Diversified { query, opts } => Reply::Diversified(
-            catch_unwind(AssertUnwindSafe(|| {
-                diversified_on_state(state, &interpreter, &query, opts)
-            }))
-            .map_err(panic_to_error),
-        ),
+        Request::Diversified { query, opts } => Reply::Diversified(diversified(&query, opts)),
         Request::AnswersTimed { query, k } => {
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                answers_on_state(state, &interpreter, &query, k)
-            }));
+            let result = answers(&query, k);
             Reply::AnswersTimed(TimedReply {
                 completed_at: Instant::now(),
-                result: out.map_err(panic_to_error),
+                result,
             })
         }
         Request::DiversifiedTimed { query, opts } => {
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                diversified_on_state(state, &interpreter, &query, opts)
-            }));
+            let result = diversified(&query, opts);
             Reply::DiversifiedTimed(TimedReply {
                 completed_at: Instant::now(),
-                result: out.map_err(panic_to_error),
+                result,
             })
         }
     }
 }
 
-fn answers_on_state(
-    state: &ServingState,
-    interpreter: &Interpreter<'_>,
-    query: &KeywordQuery,
-    k: usize,
-) -> SearchReply {
-    let mut gen_cache = NonemptyCache::with_shared(Arc::clone(&state.nonempty));
-    let mut exec_cache = ExecCache::with_shared(Arc::clone(&state.exec));
-    let (answers, stats) = interpreter.answers_top_k_with_caches(
-        query,
-        k,
-        ExecOptions::default(),
-        &mut gen_cache,
-        &mut exec_cache,
-    );
-    SearchReply {
-        epoch: state.epoch,
-        shard_epochs: Vec::new(),
-        answers,
-        stats,
-    }
-}
-
-fn diversified_on_state(
-    state: &ServingState,
-    interpreter: &Interpreter<'_>,
-    query: &KeywordQuery,
-    opts: DiversifyOptions,
-) -> DiversifiedReply {
-    let mut gen_cache = NonemptyCache::with_shared(Arc::clone(&state.nonempty));
-    let mut exec_cache = ExecCache::with_shared(Arc::clone(&state.exec));
-    let out = QueryPipeline::new(
-        interpreter,
-        ExecOptions::default(),
-        &mut gen_cache,
-        &mut exec_cache,
-    )
-    .diversified(query, opts);
-    DiversifiedReply {
-        epoch: state.epoch,
-        shard_epochs: Vec::new(),
-        answers: out.answers,
-        pool: out.pool,
-        stats: out.stats,
-    }
+/// The body of the `submit_sleeping` testing seam: hold the worker for
+/// `dur`, then reply with an empty, stamped [`SearchReply`].
+#[cfg(any(test, feature = "test-seams"))]
+pub(crate) fn sleeping_reply(
+    dur: Duration,
+    epoch: SnapshotEpoch,
+    shard_epochs: Vec<SnapshotEpoch>,
+) -> Reply {
+    std::thread::sleep(dur);
+    Reply::AnswersTimed(TimedReply {
+        completed_at: Instant::now(),
+        result: Ok(SearchReply {
+            epoch,
+            shard_epochs,
+            answers: Vec::new(),
+            stats: AnswerStats::default(),
+        }),
+    })
 }
 
 /// Render a caught panic payload as the typed reply error. Panics raised by
@@ -2096,13 +1873,28 @@ mod tests {
         Arc::new(SearchSnapshot::build(data.db, InterpreterConfig::default(), 4, 50_000).unwrap())
     }
 
+    fn diversified(
+        service: &SearchService,
+        query: &KeywordQuery,
+        opts: DiversifyOptions,
+    ) -> DiversifiedReply {
+        let query = query.clone();
+        match service
+            .submit_request(Request::Diversified { query, opts })
+            .wait()
+        {
+            Some(Reply::Diversified(Ok(reply))) => reply,
+            other => panic!("diversified request not served: {other:?}"),
+        }
+    }
+
     #[test]
     fn service_matches_direct_interpreter() {
         let snap = snapshot();
         let service = SearchService::start(Arc::clone(&snap), 2);
         let q = KeywordQuery::from_terms(vec!["tom".into()]);
         let direct = snap.interpreter().answers_top_k(&q, 5);
-        let served = service.search(&q, 5);
+        let served = service.search(&q, 5).answers;
         assert_eq!(direct.len(), served.len());
         for (a, b) in direct.iter().zip(&served) {
             assert_eq!(a.interpretation, b.interpretation);
@@ -2118,7 +1910,7 @@ mod tests {
         let snap = snapshot();
         let service = SearchService::start(snap, 1);
         let q = KeywordQuery::from_terms(vec!["tom".into(), "hanks".into()]);
-        let (first, _) = service.search_with_stats(&q, 5);
+        let first = service.search(&q, 5).answers;
         let stats = service.stats();
         assert!(
             stats.nonempty_entries > 0,
@@ -2130,7 +1922,11 @@ mod tests {
         );
         // Replay: the second request's generation must be served from the
         // shared tier (zero fresh probes) and return identical answers.
-        let (second, astats) = service.search_with_stats(&q, 5);
+        let SearchReply {
+            answers: second,
+            stats: astats,
+            ..
+        } = service.search(&q, 5);
         assert_eq!(first.len(), second.len());
         for (a, b) in first.iter().zip(&second) {
             assert_eq!(a.interpretation, b.interpretation);
@@ -2148,11 +1944,12 @@ mod tests {
         let service = SearchService::start(Arc::clone(&snap), 2);
         let q = KeywordQuery::from_terms(vec!["tom".into()]);
         let direct = snap.interpreter().top_k(&q, 7);
-        let (served, _) = service
-            .submit_interpretations(q, 7)
+        let Some(Reply::Interpretations(Ok((served, _)))) = service
+            .submit_request(Request::Interpretations { query: q, k: 7 })
             .wait()
-            .expect("service alive")
-            .expect("request served");
+        else {
+            panic!("interpretations request not served");
+        };
         assert_eq!(direct.len(), served.len());
         for (a, b) in direct.iter().zip(&served) {
             assert_eq!(a.interpretation, b.interpretation);
@@ -2167,12 +1964,14 @@ mod tests {
         let queries = ["tom", "day", "moore", "mary"];
         let tickets: Vec<_> = (0..16)
             .map(|i| {
-                let q = KeywordQuery::from_terms(vec![queries[i % queries.len()].into()]);
-                (i, service.submit(q, 3))
+                let query = KeywordQuery::from_terms(vec![queries[i % queries.len()].into()]);
+                (i, service.submit_request(Request::Answers { query, k: 3 }))
             })
             .collect();
         for (i, t) in tickets {
-            let reply = t.wait().expect("worker alive").expect("request served");
+            let Some(Reply::Answers(Ok(reply))) = t.wait() else {
+                panic!("request {i} not served");
+            };
             assert!(reply.answers.len() <= 3, "request {i} overflowed k");
             assert_eq!(reply.epoch, SnapshotEpoch(0));
         }
@@ -2198,7 +1997,7 @@ mod tests {
 
         // Warm the epoch-0 cache generation, then swap.
         let q = KeywordQuery::from_terms(vec!["tom".into()]);
-        let before = service.search_versioned(&q, 5);
+        let before = service.search(&q, 5);
         assert_eq!(before.epoch, SnapshotEpoch(0));
         let warm = service.stats();
         assert!(warm.nonempty_entries > 0, "epoch-0 generation never filled");
@@ -2231,7 +2030,7 @@ mod tests {
         assert_eq!(stats.result_entries, 0);
 
         // Post-swap replies report the new epoch and see the new row.
-        let after = service.search_versioned(&q, 50);
+        let after = service.search(&q, 50);
         assert_eq!(after.epoch, SnapshotEpoch(1));
         assert!(
             after.answers.len() >= before.answers.len(),
@@ -2263,7 +2062,7 @@ mod tests {
         .diversified(&q, opts);
         // Twice through the warm service: second run is cache-served.
         for pass in 0..2 {
-            let reply = service.search_diversified(&q, opts);
+            let reply = diversified(&service, &q, opts);
             assert_eq!(reply.epoch, SnapshotEpoch(0));
             assert_eq!(reply.pool, cold.pool, "pass {pass}");
             assert_eq!(reply.answers.len(), cold.answers.len(), "pass {pass}");
@@ -2447,11 +2246,16 @@ mod tests {
         let service = SearchService::start(Arc::clone(&snap), 2);
         let q = KeywordQuery::from_terms(vec!["tom".into()]);
         let before = Instant::now();
-        let plain = service.search(&q, 5);
-        let timed = service
-            .submit_timed(q.clone(), 5)
+        let plain = service.search(&q, 5).answers;
+        let Some(Reply::AnswersTimed(timed)) = service
+            .submit_request(Request::AnswersTimed {
+                query: q.clone(),
+                k: 5,
+            })
             .wait()
-            .expect("service alive");
+        else {
+            panic!("timed answers request not served");
+        };
         assert!(timed.completed_at >= before);
         assert!(timed.completed_at <= Instant::now());
         let reply = timed.result.expect("request served");
@@ -2463,21 +2267,24 @@ mod tests {
         }
 
         let opts = DiversifyOptions::default();
-        let div_plain = service.search_diversified(&q, opts);
-        let div_timed = service
-            .submit_diversified_timed(q, opts)
+        let div_plain = diversified(&service, &q, opts);
+        let Some(Reply::DiversifiedTimed(div_timed)) = service
+            .submit_request(Request::DiversifiedTimed { query: q, opts })
             .wait()
-            .expect("service alive");
+        else {
+            panic!("timed diversified request not served");
+        };
         let div_reply = div_timed.result.expect("request served");
         assert_eq!(div_reply.pool, div_plain.pool);
         assert_eq!(div_reply.answers.len(), div_plain.answers.len());
 
         // The sleeping seam holds the worker and stamps afterwards.
         let t0 = Instant::now();
-        let slept = service
-            .submit_sleeping(Duration::from_millis(20))
-            .wait()
-            .expect("service alive");
+        let Some(Reply::AnswersTimed(slept)) =
+            service.submit_sleeping(Duration::from_millis(20)).wait()
+        else {
+            panic!("sleeping request not served");
+        };
         assert!(slept.completed_at.duration_since(t0) >= Duration::from_millis(20));
         assert!(slept.result.is_ok());
     }
@@ -2488,13 +2295,12 @@ mod tests {
         // One worker: if the panic killed it, nothing could serve afterward.
         let service = SearchService::start(snap, 1);
         let q = KeywordQuery::from_terms(vec!["tom".into()]);
-        let before = service.search(&q, 3);
+        let before = service.search(&q, 3).answers;
 
-        let err = service
-            .submit_panicking()
-            .wait()
-            .expect("channel alive: a contained panic still replies")
-            .expect_err("injected panic must surface as an error");
+        // Channel alive: a contained panic still replies, as an error.
+        let Some(Reply::Answers(Err(err))) = service.submit_panicking().wait() else {
+            panic!("injected panic must surface as an error reply");
+        };
         let RequestError::WorkerPanicked { message } = &err;
         assert!(message.contains("injected worker panic"), "{message}");
         assert_eq!(
@@ -2503,7 +2309,7 @@ mod tests {
         );
 
         // The same (sole) worker keeps serving identical answers.
-        let after = service.search(&q, 3);
+        let after = service.search(&q, 3).answers;
         assert_eq!(before.len(), after.len());
         for (a, b) in before.iter().zip(&after) {
             assert_eq!(a.interpretation, b.interpretation);
@@ -2559,13 +2365,13 @@ mod tests {
         assert!(stats.wal_bytes > 0);
         assert_eq!(stats.checkpoints, 1);
         assert_eq!(stats.recovery_replayed_batches, 0);
-        let expected = service.search_versioned(&q, 10);
+        let expected = service.search(&q, 10);
         drop(service);
 
         let recovered = SearchService::open(&dir, 2, &opts).unwrap();
         assert_eq!(recovered.current_epoch(), SnapshotEpoch(3));
         assert_eq!(recovered.stats().recovery_replayed_batches, 1);
-        let got = recovered.search_versioned(&q, 10);
+        let got = recovered.search(&q, 10);
         assert_eq!(got.epoch, expected.epoch);
         assert_eq!(got.answers.len(), expected.answers.len());
         for (a, b) in got.answers.iter().zip(&expected.answers) {

@@ -17,28 +17,43 @@
 //! - the **global inverted index** (generation must see global term
 //!   statistics to rank interpretations byte-identically to one store),
 //! - the **pk maps** (global `RowId` → primary key per table, to mint
-//!   [`ResultKey`]s without a global database),
+//!   [`crate::ResultKey`]s without a global database),
 //! - the global [`SharedNonemptyCache`] / result-level [`SharedExecCache`]
 //!   generations (swapped on every ingest, like the single-shard service).
 //!
-//! ## Execution: two-phase scatter-gather
+//! ## Execution: the pipeline over a scatter-gather executor
 //!
-//! Serving a query runs the identical wave loop as
-//! [`crate::QueryPipeline::answers`] / `diversified`, except each
-//! interpretation's execution scatters:
+//! There is no sharded wave loop. A request is served by the same
+//! `serve_request` → [`crate::QueryPipeline`] code as on a single store —
+//! generation over the global index, waves, post-processing stages, result
+//! memoization, reply assembly — with the coordinator plugged into the
+//! pipeline's crate-private `Executor` seam for the two things that are
+//! genuinely different here. What the coordinator still owns:
 //!
-//! 1. **Reduce**: every shard harvests its local candidate rows and runs
-//!    the full Yannakakis semi-join reduction; it reports its per-node
-//!    `given` and reduced-set cardinalities and *blocks*.
-//! 2. **Plan + gather**: the coordinator sums the cardinalities — under
-//!    FK-closed partitioning the sums equal the single-store values — and
-//!    forces one global [`JoinPlan`] on every shard. Shards enumerate their
-//!    (limit-capped) result prefixes, translate local row ids to global
-//!    through their monotone row maps, and the coordinator merges by the
-//!    plan's visit-order row tuple. Because the executor enumerates
-//!    lexicographically in visit order and each shard's output is the
-//!    order-preserved restriction of the global enumeration, the merged
-//!    prefix is **byte-identical** to the single-store oracle.
+//! - **Key minting** from the pk maps (`Executor::pk`), the stand-in for
+//!   `db.pk_value` where no global database exists.
+//! - **Executing one interpretation** (`Executor::execute`), memoized
+//!   through the global result-level cache and otherwise scattered in two
+//!   phases:
+//!   1. **Reduce**: every shard harvests its local candidate rows through
+//!      its own predicate cache and runs the full Yannakakis semi-join
+//!      reduction; it reports its per-node `given` and reduced-set
+//!      cardinalities and *blocks*.
+//!   2. **Plan forcing + bounded merge**: the coordinator sums the
+//!      cardinalities — under FK-closed partitioning the sums equal the
+//!      single-store values — and forces one global [`JoinPlan`] on every
+//!      shard. Shards enumerate their (limit-capped) result prefixes and
+//!      translate local row ids to global through their monotone row maps;
+//!      the coordinator k-way merges by the plan's visit-order row tuple,
+//!      stopping at the limit. Because the executor enumerates
+//!      lexicographically in visit order and each shard's output is the
+//!      order-preserved restriction of the global enumeration, the merged
+//!      prefix is **byte-identical** to the single-store oracle.
+//!
+//! The coordinator's per-request `ExecCache` never holds predicate rows
+//! (those are shard-local), so the pipeline's executor-to-generator verdict
+//! seeding finds nothing to seed; seeded verdicts are index-derivable, so
+//! generation output — and therefore every reply — is unchanged.
 //!
 //! The one deliberate divergence: the `max_intermediate` abort guard fires
 //! per shard, so a query that aborts on one big store may succeed sharded
@@ -52,12 +67,9 @@
 //! always delivered.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Instant;
 
 use keybridge_index::InvertedIndex;
 use keybridge_relstore::{
@@ -66,84 +78,14 @@ use keybridge_relstore::{
     JoinTree, JoinedRow, RelResult, RowBatch, RowId, Schema, ShardAssignment, TableId,
 };
 
-use crate::exec::{bound_nodes, intersect_sorted, with_result_cache};
-use crate::exec::{ExecCache, ExecutedResult, ResultKey, SharedExecCache};
-use crate::generate::{
-    AnswerStats, Interpreter, NonemptyCache, RankedAnswer, ScoredInterpretation,
-    SharedNonemptyCache,
-};
+use crate::exec::{bound_nodes, collect_result_keys, intersect_sorted, with_result_cache};
+use crate::exec::{ExecCache, ExecutedResult, Executor, SharedExecCache};
+use crate::generate::{Interpreter, SharedNonemptyCache};
 use crate::interp::{BindingTarget, QueryInterpretation};
-use crate::keyword::KeywordQuery;
-use crate::pipeline::{
-    diversify, BestFirstSource, DivItem, DiversifiedAnswer, DiversifyOptions, InterpretationSource,
-};
 use crate::service::{
-    panic_to_error, DiversifiedReply, IngestError, IngestReceipt, Reply, Request, SearchReply,
-    SearchSnapshot, ServeRequests, ServiceError, ServiceStats, SnapshotEpoch, Ticket, TimedReply,
+    serve_request, IngestError, IngestReceipt, Pinned, Reply, Request, SearchSnapshot,
+    ServeRequests, ServiceError, ServiceStats, SnapshotEpoch, Ticket, WorkerPool,
 };
-use crate::template::TemplateCatalog;
-
-// ---------------------------------------------------------------------------
-// Worker pool.
-// ---------------------------------------------------------------------------
-
-type PoolJob = Box<dyn FnOnce() + Send + 'static>;
-
-/// A fixed set of named threads draining one job queue. Jobs run under
-/// `catch_unwind` so a panicking job never takes its thread down — the
-/// coordinator observes the failure through the job's dropped reply
-/// channel, exactly like the single-shard worker loop observes a dead
-/// sibling. Dropping the pool hangs up the queue and joins every thread.
-struct WorkerPool {
-    tx: Option<Sender<PoolJob>>,
-    threads: Vec<JoinHandle<()>>,
-}
-
-impl WorkerPool {
-    fn start(name: &str, threads: usize) -> Self {
-        let threads = threads.max(1);
-        let (tx, rx) = channel::<PoolJob>();
-        let rx = Arc::new(Mutex::new(rx));
-        let handles = (0..threads)
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                std::thread::Builder::new()
-                    .name(format!("{name}-{i}"))
-                    .spawn(move || loop {
-                        // Hold the receiver lock only for the pop.
-                        let job = match rx.lock() {
-                            Ok(guard) => guard.recv(),
-                            Err(_) => return,
-                        };
-                        let Ok(job) = job else { return };
-                        let _ = catch_unwind(AssertUnwindSafe(job));
-                    })
-                    .expect("spawn shard worker thread")
-            })
-            .collect();
-        WorkerPool {
-            tx: Some(tx),
-            threads: handles,
-        }
-    }
-
-    fn submit(&self, job: PoolJob) {
-        if let Some(tx) = &self.tx {
-            // Only fails when every thread is gone; callers observe that
-            // through their reply channel.
-            let _ = tx.send(job);
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.tx.take(); // hang up: threads drain the queue, then exit
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Published state.
@@ -179,7 +121,7 @@ struct ShardSet {
     /// (generation must rank on global term statistics).
     index: Arc<InvertedIndex>,
     /// Per table: global row index → primary key. The coordinator's stand-in
-    /// for `db.pk_value` when minting [`ResultKey`]s.
+    /// for `db.pk_value` when minting [`crate::ResultKey`]s.
     pk_maps: Arc<Vec<Vec<i64>>>,
     /// Global generation-side verdict cache (swapped every ingest).
     nonempty: Arc<SharedNonemptyCache>,
@@ -195,41 +137,27 @@ impl ShardSet {
 }
 
 /// Writer-side state, serialized under one mutex like the single-shard
-/// writer: the global shard directory plus the ever-touched set.
+/// writer: the global shard directory.
 struct ShardedWriter {
     /// `(table, pk) → shard` for every row ever placed — committed rows and
     /// (when started with a pre-computed plan) rows scheduled for future
     /// ingest. Routing honors scheduled placements so a replayed holdout
     /// lands exactly where the full-corpus partitioning put it.
     assignment: ShardAssignment,
-    touched_ever: Vec<bool>,
 }
 
-/// Everything a coordinator job needs, cloneable into the job closure.
+/// Everything a coordinator job needs beside its pinned [`ShardSet`],
+/// cloneable into the job closure.
+#[derive(Clone)]
 struct ServeCtx {
     base: Arc<SearchSnapshot>,
     /// Empty database over the schema — the generation side only reads
     /// schema names from it (verified: `tpl.signature(db)`), never rows.
     schema_db: Arc<Database>,
-    current: Arc<Mutex<Arc<ShardSet>>>,
     pools: Arc<Vec<Arc<WorkerPool>>>,
-    served: Arc<AtomicUsize>,
     /// Gathered-but-never-merged rows: what the bounded top-k merge left
     /// unconsumed once the global prefix was provably complete.
     shard_rows_skipped: Arc<AtomicUsize>,
-}
-
-impl Clone for ServeCtx {
-    fn clone(&self) -> Self {
-        ServeCtx {
-            base: Arc::clone(&self.base),
-            schema_db: Arc::clone(&self.schema_db),
-            current: Arc::clone(&self.current),
-            pools: Arc::clone(&self.pools),
-            served: Arc::clone(&self.served),
-            shard_rows_skipped: Arc::clone(&self.shard_rows_skipped),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -248,6 +176,8 @@ pub struct ShardedService {
     // wind down on their own Drop.
     coordinator: WorkerPool,
     ctx: ServeCtx,
+    current: Arc<Mutex<Arc<ShardSet>>>,
+    served: Arc<AtomicUsize>,
     writer: Mutex<ShardedWriter>,
     epoch_swaps: AtomicUsize,
     shard_epoch_swaps: AtomicUsize,
@@ -321,15 +251,12 @@ impl ShardedService {
             ctx: ServeCtx {
                 base: snapshot,
                 schema_db,
-                current: Arc::new(Mutex::new(set)),
                 pools: Arc::new(pools),
-                served: Arc::new(AtomicUsize::new(0)),
                 shard_rows_skipped: Arc::new(AtomicUsize::new(0)),
             },
-            writer: Mutex::new(ShardedWriter {
-                assignment,
-                touched_ever: vec![false; shard_count],
-            }),
+            current: Arc::new(Mutex::new(set)),
+            served: Arc::new(AtomicUsize::new(0)),
+            writer: Mutex::new(ShardedWriter { assignment }),
             epoch_swaps: AtomicUsize::new(0),
             shard_epoch_swaps: AtomicUsize::new(0),
             stale_evictions: AtomicUsize::new(0),
@@ -344,7 +271,7 @@ impl ShardedService {
 
     /// The per-shard epoch vector of the currently published generation.
     pub fn shard_epochs(&self) -> Vec<SnapshotEpoch> {
-        self.ctx.current.lock().unwrap().shard_epochs()
+        self.current.lock().unwrap().shard_epochs()
     }
 
     /// Apply one insert batch: validate exactly like
@@ -356,7 +283,7 @@ impl ShardedService {
     /// cache.
     pub fn ingest(&self, batch: &RowBatch) -> Result<IngestReceipt, IngestError> {
         let mut writer = self.writer.lock().unwrap();
-        let set = Arc::clone(&self.ctx.current.lock().unwrap());
+        let set = Arc::clone(&self.current.lock().unwrap());
         let schema = self.ctx.base.db.schema();
         let table_count = schema.table_count();
 
@@ -376,7 +303,9 @@ impl ShardedService {
         let mut row_pks: Vec<i64> = Vec::with_capacity(batch.len());
         let mut batch_pos: HashMap<(u32, i64), usize> = HashMap::new();
         for (i, (table, row)) in batch.iter().enumerate() {
-            let pk_val = check_shape(schema, *table, row, i).map_err(IngestError::Batch)?;
+            let pk_val = schema
+                .check_shape(*table, row)
+                .map_err(|e| IngestError::Batch(schema.shape_batch_error(e, i)))?;
             let t = table.0 as usize;
             if in_store(*table, pk_val).is_some() || !new_pks[t].insert(pk_val) {
                 return Err(IngestError::Batch(BatchError::DuplicatePrimaryKey {
@@ -549,15 +478,12 @@ impl ShardedService {
             nonempty: Arc::new(SharedNonemptyCache::new()),
             exec: Arc::new(SharedExecCache::new()),
         });
-        *self.ctx.current.lock().unwrap() = next;
+        *self.current.lock().unwrap() = next;
         self.epoch_swaps.fetch_add(1, Ordering::Relaxed);
         self.shard_epoch_swaps
             .fetch_add(touched.len(), Ordering::Relaxed);
         self.stale_evictions.fetch_add(stale, Ordering::Relaxed);
         self.rows_ingested.fetch_add(batch.len(), Ordering::Relaxed);
-        for s in touched {
-            writer.touched_ever[s] = true;
-        }
         Ok(IngestReceipt {
             epoch: generation,
             rows: batch.len(),
@@ -567,20 +493,22 @@ impl ShardedService {
 
 impl ServeRequests for ShardedService {
     fn submit_request(&self, request: Request) -> Ticket<Reply> {
-        let (reply, rx) = channel();
         let ctx = self.ctx.clone();
-        self.coordinator.submit(Box::new(move || {
-            // Pin one generation for the whole request (snapshot isolation
-            // across every shard at once).
-            let set = match ctx.current.lock() {
-                Ok(guard) => Arc::clone(&guard),
-                Err(_) => return,
-            };
-            let out = serve_sharded(&ctx, &set, request);
-            ctx.served.fetch_add(1, Ordering::Relaxed);
-            let _ = reply.send(out);
-        }));
-        Ticket::raw(rx)
+        // One generation pinned for the whole request: snapshot isolation
+        // across every shard at once.
+        self.coordinator
+            .submit_pinned(&self.current, &self.served, move |set: &ShardSet| {
+                let interpreter = coordinator_interpreter(&ctx, set);
+                let pinned = Pinned {
+                    interpreter: &interpreter,
+                    executor: Coordinator { ctx: &ctx, set },
+                    nonempty: &set.nonempty,
+                    exec: &set.exec,
+                    epoch: set.generation,
+                    shard_epochs: set.shard_epochs(),
+                };
+                serve_request(&pinned, request)
+            })
     }
 
     fn ingest_batch(&self, batch: &RowBatch) -> Result<IngestReceipt, ServiceError> {
@@ -588,7 +516,7 @@ impl ServeRequests for ShardedService {
     }
 
     fn service_stats(&self) -> ServiceStats {
-        let set = Arc::clone(&self.ctx.current.lock().unwrap());
+        let set = Arc::clone(&self.current.lock().unwrap());
         let mut predicate_entries = set.exec.predicate_count();
         let mut predicate_hits = set.exec.predicate_hits();
         let mut result_entries = set.exec.result_count();
@@ -600,7 +528,7 @@ impl ServeRequests for ShardedService {
             result_hits += s.exec.result_hits();
         }
         ServiceStats {
-            served: self.ctx.served.load(Ordering::Relaxed),
+            served: self.served.load(Ordering::Relaxed),
             epoch: set.generation.0,
             epoch_swaps: self.epoch_swaps.load(Ordering::Relaxed),
             stale_evictions: self.stale_evictions.load(Ordering::Relaxed),
@@ -620,84 +548,27 @@ impl ServeRequests for ShardedService {
             recovery_replayed_batches: 0,
             shard_epoch_swaps: self.shard_epoch_swaps.load(Ordering::Relaxed),
             shard_rows_skipped: self.ctx.shard_rows_skipped.load(Ordering::Relaxed),
-            shards_touched: self
-                .writer
-                .lock()
-                .unwrap()
-                .touched_ever
-                .iter()
-                .filter(|&&t| t)
-                .count(),
+            // A shard's epoch chain starts at 0 and only ingest bumps it.
+            shards_touched: set.shards.iter().filter(|s| s.epoch.0 > 0).count(),
         }
     }
 
     fn serving_epoch(&self) -> SnapshotEpoch {
-        self.ctx.current.lock().unwrap().generation
+        self.current.lock().unwrap().generation
     }
 
     #[cfg(any(test, feature = "test-seams"))]
-    fn submit_sleeping(&self, dur: std::time::Duration) -> Ticket<TimedReply<SearchReply>> {
-        let (reply, rx) = channel();
-        let ctx = self.ctx.clone();
-        self.coordinator.submit(Box::new(move || {
-            let set = match ctx.current.lock() {
-                Ok(guard) => Arc::clone(&guard),
-                Err(_) => return,
-            };
-            std::thread::sleep(dur);
-            ctx.served.fetch_add(1, Ordering::Relaxed);
-            let _ = reply.send(Reply::AnswersTimed(TimedReply {
-                completed_at: Instant::now(),
-                result: Ok(SearchReply {
-                    epoch: set.generation,
-                    shard_epochs: set.shard_epochs(),
-                    answers: Vec::new(),
-                    stats: AnswerStats::default(),
-                }),
-            }));
-        }));
-        Ticket::raw(rx).expecting(crate::service::reply_answers_timed)
+    fn submit_sleeping(&self, dur: std::time::Duration) -> Ticket<Reply> {
+        self.coordinator
+            .submit_pinned(&self.current, &self.served, move |set: &ShardSet| {
+                crate::service::sleeping_reply(dur, set.generation, set.shard_epochs())
+            })
     }
 }
 
 // ---------------------------------------------------------------------------
 // Ingest helpers.
 // ---------------------------------------------------------------------------
-
-/// Mirror of `Database::check_shape` + `shape_batch_error`, against the
-/// schema alone (the coordinator holds no global database). Same checks,
-/// same order, same error shapes.
-fn check_shape(
-    schema: &Schema,
-    table: TableId,
-    row: &[keybridge_relstore::Value],
-    batch_row: usize,
-) -> Result<i64, BatchError> {
-    let def = schema.table(table);
-    if row.len() != def.attrs.len() {
-        return Err(BatchError::Arity {
-            table: def.name.clone(),
-            batch_row,
-            expected: def.attrs.len(),
-            got: row.len(),
-        });
-    }
-    for (v, a) in row.iter().zip(&def.attrs) {
-        if !v.conforms_to(a.ty) {
-            return Err(BatchError::Type {
-                table: def.name.clone(),
-                attr: a.name.clone(),
-                batch_row,
-            });
-        }
-    }
-    row[def.pk.0 as usize]
-        .as_int()
-        .ok_or_else(|| BatchError::NullPrimaryKey {
-            table: def.name.clone(),
-            batch_row,
-        })
-}
 
 enum Resolution {
     /// All resolved constraints agree on this shard.
@@ -775,50 +646,8 @@ fn resolve_route(
 }
 
 // ---------------------------------------------------------------------------
-// Serving: the coordinator-side pipeline mirror.
+// Scatter-gather execution.
 // ---------------------------------------------------------------------------
-
-/// Serve one request against a pinned generation — the sharded counterpart
-/// of the single-shard `serve_request`, with the same panic containment
-/// per arm and the same completion-stamp placement.
-fn serve_sharded(ctx: &ServeCtx, set: &Arc<ShardSet>, request: Request) -> Reply {
-    match request {
-        Request::Answers { query, k } => Reply::Answers(
-            catch_unwind(AssertUnwindSafe(|| answers_on_set(ctx, set, &query, k)))
-                .map_err(panic_to_error),
-        ),
-        Request::Interpretations { query, k } => Reply::Interpretations(
-            catch_unwind(AssertUnwindSafe(|| {
-                let interpreter = coordinator_interpreter(ctx, set);
-                let mut gen_cache = NonemptyCache::with_shared(Arc::clone(&set.nonempty));
-                interpreter.top_k_with_cache(&query, k, true, &mut gen_cache)
-            }))
-            .map_err(panic_to_error),
-        ),
-        Request::Diversified { query, opts } => Reply::Diversified(
-            catch_unwind(AssertUnwindSafe(|| {
-                diversified_on_set(ctx, set, &query, opts)
-            }))
-            .map_err(panic_to_error),
-        ),
-        Request::AnswersTimed { query, k } => {
-            let out = catch_unwind(AssertUnwindSafe(|| answers_on_set(ctx, set, &query, k)));
-            Reply::AnswersTimed(TimedReply {
-                completed_at: Instant::now(),
-                result: out.map_err(panic_to_error),
-            })
-        }
-        Request::DiversifiedTimed { query, opts } => {
-            let out = catch_unwind(AssertUnwindSafe(|| {
-                diversified_on_set(ctx, set, &query, opts)
-            }));
-            Reply::DiversifiedTimed(TimedReply {
-                completed_at: Instant::now(),
-                result: out.map_err(panic_to_error),
-            })
-        }
-    }
-}
 
 /// The generation-side interpreter: global index (oracle-identical term
 /// statistics), schema-only database (generation reads only schema names).
@@ -831,203 +660,28 @@ fn coordinator_interpreter<'a>(ctx: &'a ServeCtx, set: &'a ShardSet) -> Interpre
     )
 }
 
-/// Streamed top-k answers: the exact wave loop of
-/// [`crate::QueryPipeline::answers`], with scatter-gather execution in
-/// place of the single-store executor and pk-map key minting in place of
-/// `db.pk_value`. Verdict seeding from executor predicates is skipped (the
-/// coordinator's result cache holds no predicate rows); seeded verdicts
-/// are index-derivable, so generation output — and therefore the answers —
-/// is unchanged, only the uncompared seeding counter differs.
-fn answers_on_set(ctx: &ServeCtx, set: &ShardSet, query: &KeywordQuery, k: usize) -> SearchReply {
-    let mut stats = AnswerStats::default();
-    let mut answers: Vec<RankedAnswer> = Vec::new();
-    if k > 0 && !query.is_empty() {
-        let interpreter = coordinator_interpreter(ctx, set);
-        let mut gen_cache = NonemptyCache::with_shared(Arc::clone(&set.nonempty));
-        let mut exec_cache = ExecCache::with_shared(Arc::clone(&set.exec));
-        let mut source = BestFirstSource::new(&interpreter, query, true);
-        let start = k.max(8).min(interpreter.config().max_interpretations);
-        let mut failed: HashSet<QueryInterpretation> = HashSet::new();
-        let mut gen_k = start;
-        loop {
-            stats.waves += 1;
-            let (ranked, gstats) = source.pull(gen_k, &mut gen_cache);
-            stats.gen = gstats;
-            stats.generated = ranked.len();
-            answers.clear();
-            for s in ranked.iter() {
-                let remaining = k - answers.len().min(k);
-                if remaining == 0 {
-                    break;
-                }
-                let Some(res) = executed_sharded(
-                    ctx,
-                    set,
-                    s,
-                    remaining,
-                    &mut exec_cache,
-                    &mut stats,
-                    &mut failed,
-                ) else {
-                    continue;
-                };
-                collect_answers(
-                    &ctx.base.catalog,
-                    &set.pk_maps,
-                    s,
-                    &res,
-                    remaining,
-                    &mut answers,
-                );
-            }
-            let exhausted = ranked.len() < gen_k || gen_k >= source.cap();
-            if k - answers.len().min(k) == 0 || exhausted {
-                break;
-            }
-            gen_k = gen_k.saturating_mul(4).min(source.cap());
-        }
-        stats.predicate_cache_hits = exec_cache.predicate_hits;
-        stats.result_cache_hits = exec_cache.result_hits;
-        stats.answers = answers.len();
-    }
-    SearchReply {
-        epoch: set.generation,
-        shard_epochs: set.shard_epochs(),
-        answers,
-        stats,
-    }
+/// The scatter-gather [`Executor`] the coordinator plugs into the shared
+/// pipeline for one request: the service's pools and one pinned generation.
+#[derive(Clone, Copy)]
+struct Coordinator<'a> {
+    ctx: &'a ServeCtx,
+    set: &'a ShardSet,
 }
 
-/// Diversified top-k: the exact single-wave pool build of
-/// [`crate::QueryPipeline::diversified`] over scatter-gather execution.
-fn diversified_on_set(
-    ctx: &ServeCtx,
-    set: &ShardSet,
-    query: &KeywordQuery,
-    opts: DiversifyOptions,
-) -> DiversifiedReply {
-    let mut stats = AnswerStats::default();
-    let mut items: Vec<DivItem> = Vec::new();
-    let mut keys: Vec<BTreeSet<ResultKey>> = Vec::new();
-    let mut picks: Vec<ScoredInterpretation> = Vec::new();
-    if opts.pool > 0 && !query.is_empty() {
-        let interpreter = coordinator_interpreter(ctx, set);
-        let mut gen_cache = NonemptyCache::with_shared(Arc::clone(&set.nonempty));
-        let mut exec_cache = ExecCache::with_shared(Arc::clone(&set.exec));
-        let mut source = BestFirstSource::new(&interpreter, query, true);
-        let start = opts
-            .pool
-            .min(interpreter.config().max_interpretations.max(1));
-        let mut failed: HashSet<QueryInterpretation> = HashSet::new();
-        // One wave (no growth), like the single-shard pool build.
-        stats.waves += 1;
-        let (ranked, gstats) = source.pull(start, &mut gen_cache);
-        stats.gen = gstats;
-        stats.generated = ranked.len();
-        for s in ranked.iter() {
-            if opts.cap == 0 {
-                break;
-            }
-            let Some(res) = executed_sharded(
-                ctx,
-                set,
-                s,
-                opts.cap,
-                &mut exec_cache,
-                &mut stats,
-                &mut failed,
-            ) else {
-                continue;
-            };
-            items.push(DivItem {
-                relevance: s.probability,
-                atoms: s
-                    .interpretation
-                    .atoms(&ctx.base.catalog)
-                    .into_iter()
-                    .collect(),
-            });
-            keys.push(prefix_keys(
-                &ctx.base.catalog,
-                &set.pk_maps,
-                &s.interpretation,
-                &res,
-                opts.cap,
-            ));
-            picks.push(s.clone());
-        }
-        stats.predicate_cache_hits = exec_cache.predicate_hits;
-        stats.result_cache_hits = exec_cache.result_hits;
+impl Executor for Coordinator<'_> {
+    fn execute(
+        &self,
+        interp: &QueryInterpretation,
+        opts: ExecOptions,
+        cache: &mut ExecCache,
+    ) -> RelResult<Arc<ExecutedResult>> {
+        with_result_cache(cache, interp, opts, |_| scatter_execute(self, interp, opts))
     }
-    let selected = diversify(&items, opts.config);
-    let answers: Vec<DiversifiedAnswer> = selected
-        .into_iter()
-        .map(|i| DiversifiedAnswer {
-            interpretation: picks[i].interpretation.clone(),
-            log_score: picks[i].log_score,
-            relevance: items[i].relevance,
-            atoms: items[i].atoms.clone(),
-            keys: keys[i].clone(),
-            pool_rank: i,
-        })
-        .collect();
-    stats.answers = answers.len();
-    DiversifiedReply {
-        epoch: set.generation,
-        shard_epochs: set.shard_epochs(),
-        answers,
-        pool: items.len(),
-        stats,
+
+    fn pk(&self, table: TableId, row: RowId) -> i64 {
+        self.set.pk_maps[table.0 as usize][row.index()]
     }
 }
-
-/// One interpretation through the cached scatter-gather executor — the
-/// per-candidate body of the pipeline's drive loop: tombstone errored
-/// interpretations, count fresh executions once, drop empty results.
-fn executed_sharded(
-    ctx: &ServeCtx,
-    set: &ShardSet,
-    s: &ScoredInterpretation,
-    remaining: usize,
-    exec_cache: &mut ExecCache,
-    stats: &mut AnswerStats,
-    failed: &mut HashSet<QueryInterpretation>,
-) -> Option<Arc<ExecutedResult>> {
-    let opts = ExecOptions {
-        limit: remaining,
-        count_only: false,
-        ..ExecOptions::default()
-    };
-    if failed.contains(&s.interpretation) {
-        return None;
-    }
-    let hits_before = exec_cache.result_hits;
-    let res = match with_result_cache(exec_cache, &s.interpretation, opts, |_| {
-        scatter_execute(ctx, set, &s.interpretation, opts)
-    }) {
-        Ok(r) => r,
-        Err(_) => {
-            stats.exec_errors += 1;
-            failed.insert(s.interpretation.clone());
-            return None;
-        }
-    };
-    if exec_cache.result_hits == hits_before {
-        stats.executed += 1;
-        stats.exec.absorb(&res.stats);
-        if !res.is_empty() {
-            stats.nonempty += 1;
-        }
-    }
-    if res.is_empty() {
-        return None;
-    }
-    Some(res)
-}
-
-// ---------------------------------------------------------------------------
-// Scatter-gather execution.
-// ---------------------------------------------------------------------------
 
 /// What a shard reports after its semi-join reduction pass: per-node
 /// candidate counts before reduction, per-node reduced-set sizes, and the
@@ -1038,11 +692,11 @@ type ReduceReport = RelResult<(Vec<usize>, Vec<usize>, ExecStats)>;
 /// into the oracle's result (see the module docs for why the merge is
 /// byte-identical). Returns global row ids.
 fn scatter_execute(
-    ctx: &ServeCtx,
-    set: &ShardSet,
+    coordinator: &Coordinator<'_>,
     interp: &QueryInterpretation,
     opts: ExecOptions,
 ) -> RelResult<ExecutedResult> {
+    let Coordinator { ctx, set } = *coordinator;
     let catalog = &ctx.base.catalog;
     let tpl = catalog.get(interp.template);
     let tree = &tpl.tree;
@@ -1173,7 +827,7 @@ fn scatter_execute(
         .fetch_add(total - consumed, Ordering::Relaxed);
     stats.result_count = merged.len();
     let bound = bound_nodes(interp, n);
-    let (keys, all_keys) = collect_result_keys(&set.pk_maps, &tree.nodes, &bound, &merged);
+    let (keys, all_keys) = collect_result_keys(coordinator, &tree.nodes, &bound, &merged);
     Ok(ExecutedResult {
         jtts: merged,
         keys,
@@ -1265,94 +919,38 @@ fn shard_execute(
     let _ = out_tx.send(result);
 }
 
-// ---------------------------------------------------------------------------
-// pk-map key minting (mirrors of the db-backed helpers in `crate::exec` /
-// `crate::generate`, which the coordinator cannot use: its database is
-// schema-only).
-// ---------------------------------------------------------------------------
-
-fn pk_of(pk_maps: &[Vec<i64>], table: TableId, row: RowId) -> i64 {
-    pk_maps[table.0 as usize][row.index()]
-}
-
-/// Mirror of `exec::collect_result_keys` over the pk maps.
-fn collect_result_keys(
-    pk_maps: &[Vec<i64>],
-    nodes: &[TableId],
-    bound: &[bool],
-    jtts: &[JoinedRow],
-) -> (BTreeSet<ResultKey>, BTreeSet<ResultKey>) {
-    let mut keys = BTreeSet::new();
-    let mut all_keys = BTreeSet::new();
-    for jtt in jtts {
-        for (node, row) in jtt.iter().enumerate() {
-            let table = nodes[node];
-            let key = ResultKey {
-                table,
-                pk: pk_of(pk_maps, table, *row),
-            };
-            all_keys.insert(key);
-            if bound[node] {
-                keys.insert(key);
-            }
-        }
-    }
-    (keys, all_keys)
-}
-
-/// Mirror of `Interpreter::collect_answers` over the pk maps.
-fn collect_answers(
-    catalog: &TemplateCatalog,
-    pk_maps: &[Vec<i64>],
-    s: &ScoredInterpretation,
-    res: &ExecutedResult,
-    remaining: usize,
-    answers: &mut Vec<RankedAnswer>,
-) {
-    let tpl = catalog.get(s.interpretation.template);
-    let bound = bound_nodes(&s.interpretation, tpl.tree.nodes.len());
-    for jtt in res.jtts.iter().take(remaining) {
-        let mut keys: Vec<ResultKey> = jtt
-            .iter()
-            .enumerate()
-            .filter(|(node, _)| bound[*node])
-            .map(|(node, row)| {
-                let table = tpl.tree.nodes[node];
-                ResultKey {
-                    table,
-                    pk: pk_of(pk_maps, table, *row),
-                }
-            })
-            .collect();
-        keys.sort();
-        keys.dedup();
-        answers.push(RankedAnswer {
-            interpretation: s.interpretation.clone(),
-            log_score: s.log_score,
-            jtt: jtt.clone(),
-            keys,
-        });
-    }
-}
-
-/// Mirror of `exec::prefix_keys` over the pk maps.
-fn prefix_keys(
-    catalog: &TemplateCatalog,
-    pk_maps: &[Vec<i64>],
-    interp: &QueryInterpretation,
-    res: &ExecutedResult,
-    cap: usize,
-) -> BTreeSet<ResultKey> {
-    if res.jtts.len() <= cap {
-        return res.keys.clone();
-    }
-    let tpl = catalog.get(interp.template);
-    let bound = bound_nodes(interp, tpl.tree.nodes.len());
-    collect_result_keys(pk_maps, &tpl.tree.nodes, &bound, &res.jtts[..cap]).0
-}
-
 // Everything a coordinator or shard job touches crosses threads.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ShardedService>();
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::generate::InterpreterConfig;
+    use keybridge_datagen::{ImdbConfig, ImdbDataset};
+    use std::time::Duration;
+
+    #[test]
+    fn service_stats_does_not_wait_for_an_in_flight_ingest() {
+        let data = ImdbDataset::generate(ImdbConfig::tiny(1)).unwrap();
+        let snapshot =
+            SearchSnapshot::build(data.db, InterpreterConfig::default(), 4, 50_000).unwrap();
+        let service = Arc::new(ShardedService::start(Arc::new(snapshot), 2, 1));
+        // `ingest` holds the writer lock across its O(shard) clones; hold it
+        // here and read the stats from another thread.
+        let in_flight_ingest = service.writer.lock().unwrap();
+        let (tx, rx) = channel();
+        let reader = Arc::clone(&service);
+        let probe = std::thread::spawn(move || {
+            let _ = tx.send(reader.service_stats());
+        });
+        let stats = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("service_stats blocked behind the writer lock");
+        assert_eq!(stats.shards_touched, 0);
+        drop(in_flight_ingest);
+        probe.join().unwrap();
+    }
+}

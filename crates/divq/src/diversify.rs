@@ -3,8 +3,8 @@
 //!
 //! The algorithmic core ([`DivItem`], [`jaccard`], [`diversify`],
 //! [`div_pool`]) lives in `keybridge_core::pipeline` so the concurrent
-//! serving layer can run it (`SearchService::search_diversified`); this
-//! module re-exports it and keeps the *offline* pool builder —
+//! serving layer can run it (`Request::Diversified`); this module
+//! re-exports it and keeps the *offline* pool builder —
 //! [`executed_div_pool`] — which is the cold single-threaded oracle the
 //! served mode is differentially tested against.
 

@@ -159,41 +159,13 @@ impl Database {
             .unwrap_or(&[])
     }
 
-    /// Arity, type, and primary-key *shape* checks shared by every insert
-    /// path. Returns the row's primary-key value (uniqueness is checked by
-    /// the callers, whose notion of "already present" differs: a batch also
-    /// sees its own earlier rows).
-    fn check_shape(&self, table: TableId, row: &[Value]) -> RelResult<i64> {
-        let def = self.schema.table(table);
-        if row.len() != def.attrs.len() {
-            return Err(RelError::ArityMismatch {
-                table,
-                expected: def.attrs.len(),
-                got: row.len(),
-            });
-        }
-        for (i, (v, a)) in row.iter().zip(&def.attrs).enumerate() {
-            if !v.conforms_to(a.ty) {
-                return Err(RelError::TypeMismatch {
-                    attr: AttrRef {
-                        table,
-                        attr: crate::schema::AttrId(i as u32),
-                    },
-                });
-            }
-        }
-        row[def.pk.0 as usize]
-            .as_int()
-            .ok_or(RelError::BadPrimaryKey { table })
-    }
-
     /// Insert a row. Checks arity, types, primary-key integrity, and table
     /// capacity (a `RowId` is a `u32`; a table at capacity reports
     /// [`RelError::TableFull`] instead of silently wrapping ids), interns
     /// every text cell into the database's string arena, and maintains the
     /// pk and fk hash indexes. Returns the new row's id.
     pub fn insert(&mut self, table: TableId, mut row: Vec<Value>) -> RelResult<RowId> {
-        let pk_val = self.check_shape(table, &row)?;
+        let pk_val = self.schema.check_shape(table, &row)?;
         let store = &self.tables[table.0 as usize];
         let len = store.rows.len();
         if len >= self.max_rows {
@@ -230,7 +202,7 @@ impl Database {
     /// end), an online insert must leave the database consistent so a
     /// concurrently published snapshot never serves dangling joins.
     pub fn insert_row(&mut self, table: TableId, row: Vec<Value>) -> RelResult<RowId> {
-        self.check_shape(table, &row)?;
+        self.schema.check_shape(table, &row)?;
         for &(fk_idx, col) in &self.table_fk_cols[table.0 as usize] {
             if let Some(key) = row[col].as_int() {
                 let parent = self.schema.fk(FkId(fk_idx as u32)).to.table;
@@ -243,36 +215,6 @@ impl Database {
             }
         }
         self.insert(table, row)
-    }
-
-    /// Translate a [`Self::check_shape`] failure into a [`BatchError`] that
-    /// names the table (and attribute) and pins the offending batch row.
-    fn shape_batch_error(&self, e: RelError, batch_row: usize) -> BatchError {
-        match e {
-            RelError::ArityMismatch {
-                table,
-                expected,
-                got,
-            } => BatchError::Arity {
-                table: self.schema.table(table).name.clone(),
-                batch_row,
-                expected,
-                got,
-            },
-            RelError::TypeMismatch { attr } => {
-                let t = self.schema.table(attr.table);
-                BatchError::Type {
-                    table: t.name.clone(),
-                    attr: t.attr(attr.attr).name.clone(),
-                    batch_row,
-                }
-            }
-            RelError::BadPrimaryKey { table } => BatchError::NullPrimaryKey {
-                table: self.schema.table(table).name.clone(),
-                batch_row,
-            },
-            other => unreachable!("check_shape only returns shape errors, got {other}"),
-        }
     }
 
     /// Insert a batch of rows atomically: the whole batch is validated —
@@ -289,8 +231,9 @@ impl Database {
         let mut new_pks: Vec<HashSet<i64>> = vec![HashSet::new(); self.schema.table_count()];
         for (i, (table, row)) in batch.iter().enumerate() {
             let pk_val = self
+                .schema
                 .check_shape(*table, row)
-                .map_err(|e| self.shape_batch_error(e, i))?;
+                .map_err(|e| self.schema.shape_batch_error(e, i))?;
             let t = table.0 as usize;
             if self.tables[t].by_pk(pk_val).is_some() || !new_pks[t].insert(pk_val) {
                 return Err(BatchError::DuplicatePrimaryKey {

@@ -270,31 +270,11 @@ pub struct ExecOutcome {
     pub stats: ExecStats,
 }
 
-/// Execute `tree` over `db` with per-node `candidates`; rows only.
-pub fn execute_join_tree(
-    db: &Database,
-    tree: &JoinTree,
-    candidates: &Candidates,
-    opts: ExecOptions,
-) -> RelResult<Vec<JoinedRow>> {
-    execute_join_tree_with_stats(db, tree, candidates, opts).map(|o| o.rows)
-}
-
 /// Execute `tree` over `db` with per-node `candidates`, returning rows and
-/// execution counters. Dispatches on [`ExecOptions::strategy`]. Uses a
-/// throwaway [`BatchArena`]; repeat executors should hold one and call
-/// [`execute_join_tree_with_stats_in`].
-pub fn execute_join_tree_with_stats(
-    db: &Database,
-    tree: &JoinTree,
-    candidates: &Candidates,
-    opts: ExecOptions,
-) -> RelResult<ExecOutcome> {
-    execute_join_tree_with_stats_in(db, tree, candidates, opts, &mut BatchArena::new())
-}
-
-/// [`execute_join_tree_with_stats`] against a caller-held [`BatchArena`]
-/// (the naive strategy ignores it).
+/// execution counters. Dispatches on [`ExecOptions::strategy`]. Binding
+/// batches live in the caller-held [`BatchArena`] (the naive strategy ignores
+/// it): repeat executors hold one across executions, one-shot callers pass
+/// `&mut BatchArena::new()`.
 pub fn execute_join_tree_with_stats_in(
     db: &Database,
     tree: &JoinTree,
@@ -371,7 +351,7 @@ fn execute_hash_join(
 
 /// The semi-join reduction pre-pass of the hash-join strategy, exposed on
 /// its own so sharded executions can reduce locally, exchange only the
-/// resulting cardinalities, and then run [`execute_reduced`] under a plan
+/// resulting cardinalities, and then run [`execute_reduced_in`] under a plan
 /// forced by a coordinator.
 pub fn reduce_join_tree(
     db: &Database,
@@ -650,21 +630,6 @@ fn arena_reserve<T>(v: &mut Vec<T>, additional: usize, allocs: &mut usize) {
 /// produced by [`plan_join_order`] on this store's own cardinalities this is
 /// bit-identical to `ExecStrategy::HashJoin`; under a coordinator-forced
 /// plan every participating store joins in the same order.
-///
-/// Convenience wrapper over [`execute_reduced_in`] with a throwaway arena;
-/// callers executing more than once should hold a [`BatchArena`] and reuse
-/// it.
-pub fn execute_reduced(
-    db: &Database,
-    tree: &JoinTree,
-    sets: Vec<Vec<RowId>>,
-    plan: &JoinPlan,
-    opts: ExecOptions,
-) -> RelResult<ExecOutcome> {
-    execute_reduced_in(db, tree, sets, plan, opts, &mut BatchArena::new())
-}
-
-/// [`execute_reduced`] against a caller-held [`BatchArena`].
 ///
 /// Columnar binding batches: one column span per joined node, all of equal
 /// length, living in the arena. Full reduction guarantees every partial
@@ -1040,6 +1005,16 @@ mod tests {
         }
     }
 
+    /// One-shot execution over a throwaway arena.
+    fn run(
+        db: &Database,
+        tree: &JoinTree,
+        candidates: &Candidates,
+        opts: ExecOptions,
+    ) -> ExecOutcome {
+        execute_join_tree_with_stats_in(db, tree, candidates, opts, &mut BatchArena::new()).unwrap()
+    }
+
     /// Sorted copies, for multiset comparison between strategies.
     fn sorted(mut rows: Vec<JoinedRow>) -> Vec<JoinedRow> {
         rows.sort();
@@ -1051,7 +1026,7 @@ mod tests {
         let db = movie_db();
         let tree = actor_acts_movie_tree(&db);
         for opts in [ExecOptions::default(), naive_opts()] {
-            let rows = execute_join_tree(&db, &tree, &Candidates::free(3), opts).unwrap();
+            let rows = run(&db, &tree, &Candidates::free(3), opts).rows;
             assert_eq!(rows.len(), 4); // one JTT per acts row
         }
     }
@@ -1064,7 +1039,7 @@ mod tests {
         let hanks = db.table(actor).by_pk(1).unwrap();
         let cands = Candidates::free(3).restrict(0, vec![hanks]);
         for opts in [ExecOptions::default(), naive_opts()] {
-            let rows = execute_join_tree(&db, &tree, &cands, opts).unwrap();
+            let rows = run(&db, &tree, &cands, opts).rows;
             assert_eq!(rows.len(), 2); // Terminal + Volcano
             for r in &rows {
                 assert_eq!(r[0], hanks);
@@ -1084,7 +1059,7 @@ mod tests {
             .restrict(0, vec![hanks])
             .restrict(2, vec![terminal]);
         for opts in [ExecOptions::default(), naive_opts()] {
-            let rows = execute_join_tree(&db, &tree, &cands, opts).unwrap();
+            let rows = run(&db, &tree, &cands, opts).rows;
             assert_eq!(rows.len(), 1);
         }
     }
@@ -1095,7 +1070,7 @@ mod tests {
         let tree = actor_acts_movie_tree(&db);
         let cands = Candidates::free(3).restrict(0, vec![]);
         for opts in [ExecOptions::default(), naive_opts()] {
-            let rows = execute_join_tree(&db, &tree, &cands, opts).unwrap();
+            let rows = run(&db, &tree, &cands, opts).rows;
             assert!(rows.is_empty());
         }
     }
@@ -1142,7 +1117,7 @@ mod tests {
             .restrict(4, vec![ryan]);
         let volcano = db.table(movie).by_pk(12).unwrap();
         for opts in [ExecOptions::default(), naive_opts()] {
-            let rows = execute_join_tree(&db, &tree, &cands, opts).unwrap();
+            let rows = run(&db, &tree, &cands, opts).rows;
             assert_eq!(rows.len(), 1); // Joe vs the Volcano
             assert_eq!(rows[0][2], volcano);
         }
@@ -1158,7 +1133,7 @@ mod tests {
                 strategy,
                 ..Default::default()
             };
-            let rows = execute_join_tree(&db, &tree, &Candidates::free(3), opts).unwrap();
+            let rows = run(&db, &tree, &Candidates::free(3), opts).rows;
             assert_eq!(rows.len(), 2);
         }
     }
@@ -1183,8 +1158,8 @@ mod tests {
             ..Default::default()
         };
         for cands in &cases {
-            let hj = execute_join_tree(&db, &tree, cands, big(ExecStrategy::HashJoin)).unwrap();
-            let nv = execute_join_tree(&db, &tree, cands, big(ExecStrategy::Naive)).unwrap();
+            let hj = run(&db, &tree, cands, big(ExecStrategy::HashJoin)).rows;
+            let nv = run(&db, &tree, cands, big(ExecStrategy::Naive)).rows;
             assert_eq!(sorted(hj), sorted(nv));
         }
     }
@@ -1236,8 +1211,8 @@ mod tests {
             ..Default::default()
         };
         for cands in &cases {
-            let hj = execute_join_tree(&db, &tree, cands, big(ExecStrategy::HashJoin)).unwrap();
-            let nv = execute_join_tree(&db, &tree, cands, big(ExecStrategy::Naive)).unwrap();
+            let hj = run(&db, &tree, cands, big(ExecStrategy::HashJoin)).rows;
+            let nv = run(&db, &tree, cands, big(ExecStrategy::Naive)).rows;
             assert_eq!(sorted(hj.clone()), sorted(nv));
             // Node 0 is the fk (reporting) side: every result pairs an
             // employee with their manager.
@@ -1256,7 +1231,7 @@ mod tests {
             count_only: true,
             ..Default::default()
         };
-        let out = execute_join_tree_with_stats(&db, &tree, &Candidates::free(3), opts).unwrap();
+        let out = run(&db, &tree, &Candidates::free(3), opts);
         assert!(out.rows.is_empty());
         assert_eq!(out.stats.result_count, 4);
     }
@@ -1272,8 +1247,8 @@ mod tests {
         let cands = Candidates::free(3)
             .restrict(0, vec![hanks])
             .restrict(2, vec![terminal]);
-        let hj = execute_join_tree_with_stats(&db, &tree, &cands, ExecOptions::default()).unwrap();
-        let nv = execute_join_tree_with_stats(&db, &tree, &cands, naive_opts()).unwrap();
+        let hj = run(&db, &tree, &cands, ExecOptions::default());
+        let nv = run(&db, &tree, &cands, naive_opts());
         assert_eq!(hj.stats.result_count, nv.stats.result_count);
         // The reducer must strip the acts rows that don't reach Terminal.
         assert!(hj.stats.semijoin_rows_out < hj.stats.semijoin_rows_in);
@@ -1294,7 +1269,7 @@ mod tests {
             limit: 1,
             ..Default::default()
         };
-        let out = execute_join_tree_with_stats(&db, &tree, &Candidates::free(3), opts).unwrap();
+        let out = run(&db, &tree, &Candidates::free(3), opts);
         assert_eq!(out.rows.len(), 1);
         // With limit 1 no batch ever holds more than one binding:
         // seed + one per attach step.
@@ -1345,8 +1320,14 @@ mod tests {
     fn candidate_arity_checked() {
         let db = movie_db();
         let tree = actor_acts_movie_tree(&db);
-        let err = execute_join_tree(&db, &tree, &Candidates::free(2), ExecOptions::default())
-            .unwrap_err();
+        let err = execute_join_tree_with_stats_in(
+            &db,
+            &tree,
+            &Candidates::free(2),
+            ExecOptions::default(),
+            &mut BatchArena::new(),
+        )
+        .unwrap_err();
         assert!(matches!(err, RelError::MalformedJoinTree(_)));
     }
 
@@ -1356,7 +1337,7 @@ mod tests {
         let movie = db.schema().table_id("movie").unwrap();
         let tree = JoinTree::single(movie);
         for opts in [ExecOptions::default(), naive_opts()] {
-            let rows = execute_join_tree(&db, &tree, &Candidates::free(1), opts).unwrap();
+            let rows = run(&db, &tree, &Candidates::free(1), opts).rows;
             assert_eq!(rows.len(), 3);
         }
         assert_eq!(tree.join_count(), 0);

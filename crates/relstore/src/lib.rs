@@ -8,7 +8,7 @@
 //! * an undirected join graph over the schema ([`SchemaGraph`]),
 //! * an executor for *join trees* — the relational-algebra shape of candidate
 //!   networks / query interpretations — given per-node candidate row sets
-//!   ([`execute_join_tree`]), and
+//!   ([`execute_join_tree_with_stats_in`]), and
 //! * a compact, versioned on-disk snapshot of schema + rows with
 //!   length-prefixed, checksummed sections ([`Database::snapshot_bytes`]),
 //!   plus the binary framing toolkit ([`snapshot`]) the index snapshot and
@@ -50,10 +50,9 @@ mod value;
 pub use database::{Database, RowBatch, TableStore};
 pub use error::{BatchError, RelError, RelResult};
 pub use exec::{
-    execute_join_tree, execute_join_tree_with_stats, execute_join_tree_with_stats_in,
-    execute_reduced, execute_reduced_in, plan_join_order, reduce_join_tree, BatchArena, Candidates,
-    ExecOptions, ExecOutcome, ExecStats, ExecStrategy, JoinPlan, JoinTree, JoinTreeEdge, JoinedRow,
-    ReducedTree,
+    execute_join_tree_with_stats_in, execute_reduced_in, plan_join_order, reduce_join_tree,
+    BatchArena, Candidates, ExecOptions, ExecOutcome, ExecStats, ExecStrategy, JoinPlan, JoinTree,
+    JoinTreeEdge, JoinedRow, ReducedTree,
 };
 pub use graph::{GraphEdge, SchemaGraph};
 pub use partition::{

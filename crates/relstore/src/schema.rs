@@ -1,7 +1,7 @@
 //! Catalog: tables, attributes, primary keys, and foreign keys.
 
-use crate::error::{RelError, RelResult};
-use crate::value::ValueType;
+use crate::error::{BatchError, RelError, RelResult};
+use crate::value::{Value, ValueType};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -159,6 +159,64 @@ impl Schema {
     pub fn attr_label(&self, r: AttrRef) -> String {
         let t = self.table(r.table);
         format!("{}.{}", t.name, t.attr(r.attr).name)
+    }
+
+    /// Arity, type, and primary-key *shape* checks shared by every insert
+    /// path. Returns the row's primary-key value (uniqueness is checked by
+    /// the callers, whose notion of "already present" differs: a batch also
+    /// sees its own earlier rows).
+    pub fn check_shape(&self, table: TableId, row: &[Value]) -> RelResult<i64> {
+        let def = self.table(table);
+        if row.len() != def.attrs.len() {
+            return Err(RelError::ArityMismatch {
+                table,
+                expected: def.attrs.len(),
+                got: row.len(),
+            });
+        }
+        for (i, (v, a)) in row.iter().zip(&def.attrs).enumerate() {
+            if !v.conforms_to(a.ty) {
+                return Err(RelError::TypeMismatch {
+                    attr: AttrRef {
+                        table,
+                        attr: AttrId(i as u32),
+                    },
+                });
+            }
+        }
+        row[def.pk.0 as usize]
+            .as_int()
+            .ok_or(RelError::BadPrimaryKey { table })
+    }
+
+    /// Translate a [`Self::check_shape`] failure into a [`BatchError`] that
+    /// names the table (and attribute) and pins the offending batch row.
+    pub fn shape_batch_error(&self, e: RelError, batch_row: usize) -> BatchError {
+        match e {
+            RelError::ArityMismatch {
+                table,
+                expected,
+                got,
+            } => BatchError::Arity {
+                table: self.table(table).name.clone(),
+                batch_row,
+                expected,
+                got,
+            },
+            RelError::TypeMismatch { attr } => {
+                let t = self.table(attr.table);
+                BatchError::Type {
+                    table: t.name.clone(),
+                    attr: t.attr(attr.attr).name.clone(),
+                    batch_row,
+                }
+            }
+            RelError::BadPrimaryKey { table } => BatchError::NullPrimaryKey {
+                table: self.table(table).name.clone(),
+                batch_row,
+            },
+            other => unreachable!("check_shape only returns shape errors, got {other}"),
+        }
     }
 }
 

@@ -503,20 +503,11 @@ impl TermAttrEntry {
         *self = Self::from_pairs(&rows);
     }
 
-    /// Convert to the canonical repr if the stored layout disagrees — the
-    /// version-2 snapshot upgrade path (v2 predates the bitmap repr, so its
-    /// dense entries arrive gap-encoded).
-    fn canonicalize(&mut self) {
-        if !self.is_canonical() {
-            self.reencode();
-        }
-    }
-
     /// Reconstruct an entry from snapshot parts, validating that `packed`
     /// is a structurally exact encoding of `df` strictly increasing
     /// postings under `repr` whose term frequencies sum to `occurrences`.
-    /// Canonicality of the repr *choice* is the caller's concern (enforced
-    /// for v3 snapshots, reinstated by conversion for v2).
+    /// Canonicality of the repr *choice* is the caller's concern (the
+    /// snapshot loader rejects a non-canonical tag).
     fn from_packed(
         repr: PostingsRepr,
         packed: Vec<u8>,
@@ -1252,15 +1243,10 @@ impl TermIndex for InvertedIndex {
 
 const IDX_MAGIC: &[u8; 8] = b"KBTIDX01";
 /// Version 3: adds a one-byte [`PostingsRepr`] tag per dictionary entry so
-/// dense lists snapshot their bitmap blocks verbatim. Version-2 snapshots
-/// (all gaps, no tag) are still readable — their dense entries are
-/// canonicalized to bitmaps on load, so a loaded v2 index re-snapshots to
-/// the same bytes a fresh build would. Version-1 snapshots are rejected
-/// (rebuild from the store instead — the WAL/snapshot recovery path always
-/// can).
+/// dense lists snapshot their bitmap blocks verbatim. Older versions are
+/// rejected (rebuild from the store instead — the WAL/snapshot recovery path
+/// always can).
 const IDX_VERSION: u32 = 3;
-/// Oldest still-readable snapshot version.
-const IDX_MIN_VERSION: u32 = 2;
 /// [`PostingsRepr`] tags of the v3 dictionary section.
 const REPR_GAPS: u8 = 0;
 const REPR_BITMAP: u8 = 1;
@@ -1421,7 +1407,7 @@ impl InvertedIndex {
             return Err(SnapshotError::BadMagic);
         }
         let version = c.u32()?;
-        if !(IDX_MIN_VERSION..=IDX_VERSION).contains(&version) {
+        if version != IDX_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
 
@@ -1462,32 +1448,22 @@ impl InvertedIndex {
                 let aref = read_attr_ref(&mut dc)?;
                 let occurrences = dc.varu64()?;
                 let df = dc.varu32()?;
-                let repr = if version >= 3 {
-                    match dc.u8()? {
-                        REPR_GAPS => PostingsRepr::Gaps,
-                        REPR_BITMAP => PostingsRepr::Bitmap,
-                        k => {
-                            return Err(SnapshotError::Corrupt(format!(
-                                "unknown postings repr tag {k}"
-                            )))
-                        }
+                let repr = match dc.u8()? {
+                    REPR_GAPS => PostingsRepr::Gaps,
+                    REPR_BITMAP => PostingsRepr::Bitmap,
+                    k => {
+                        return Err(SnapshotError::Corrupt(format!(
+                            "unknown postings repr tag {k}"
+                        )))
                     }
-                } else {
-                    PostingsRepr::Gaps
                 };
                 let packed_len = dc.varu32()? as usize;
                 let packed = dc.take(packed_len)?.to_vec();
-                let mut posting = TermAttrEntry::from_packed(repr, packed, df, occurrences)?;
-                if version >= 3 {
-                    // v3 stores the canonical repr; a mismatched tag means
-                    // the snapshot was not produced by this encoder.
-                    if !posting.is_canonical() {
-                        return Err(SnapshotError::Corrupt("non-canonical postings repr".into()));
-                    }
-                } else {
-                    // v2 predates the bitmap repr: upgrade dense entries so
-                    // the loaded index is byte-identical to a fresh build.
-                    posting.canonicalize();
+                let posting = TermAttrEntry::from_packed(repr, packed, df, occurrences)?;
+                // The encoder stores the canonical repr; a mismatched tag
+                // means the snapshot was not produced by it.
+                if !posting.is_canonical() {
+                    return Err(SnapshotError::Corrupt("non-canonical postings repr".into()));
                 }
                 entry.attrs.push(aref);
                 entry.postings.push(posting);
@@ -2133,77 +2109,15 @@ mod tests {
     }
 
     #[test]
-    fn v2_snapshots_load_and_canonicalize() {
-        // A version-2 snapshot (gap-encoded entries, no repr tag) of an
-        // index whose dense entries would canonically be bitmaps must load,
-        // upgrade those entries, and re-snapshot byte-identically to a
-        // fresh v3 encode of the same index.
-        let mut db = db();
-        let actor = db.schema().table_id("actor").unwrap();
-        // Bulk up "tom" in actor.name until its postings go dense.
-        let mut idx = InvertedIndex::build(&db);
-        for i in 0..40 {
-            let r = db
-                .insert(actor, vec![Value::Int(100 + i), Value::text("Tom Surname")])
-                .unwrap();
-            idx.index_row(&db, actor, r);
-        }
-        let name = aref(&db, "actor", "name");
-        assert_eq!(
-            idx.postings("tom", name).unwrap().repr(),
-            PostingsRepr::Bitmap
-        );
-        let v3 = idx.snapshot_bytes().unwrap();
-        // Re-encode the snapshot as version 2 by hand: rewrite the version
-        // word and re-emit the dictionary section with gap-encoded entries
-        // and no repr tags.
-        let mut v2 = Vec::new();
-        v2.extend_from_slice(IDX_MAGIC);
-        put_u32(&mut v2, 2);
-        let mut c = Cursor::new(&v3);
-        c.take(8).unwrap();
-        c.u32().unwrap();
-        put_section(&mut v2, SEC_TOKENIZER, c.section(SEC_TOKENIZER).unwrap());
-        put_section(&mut v2, SEC_ATTR_STATS, c.section(SEC_ATTR_STATS).unwrap());
-        let mut sec = Vec::new();
-        let mut terms: Vec<&String> = idx.dict.keys().collect();
-        terms.sort_unstable();
-        put_varu32(&mut sec, terms.len() as u32);
-        for term in terms {
-            let entry = &idx.dict[term];
-            put_str(&mut sec, term).unwrap();
-            put_varu32(&mut sec, entry.attrs.len() as u32);
-            for (aref, posting) in entry.attrs.iter().zip(&entry.postings) {
-                put_attr_ref(&mut sec, *aref);
-                put_varu64(&mut sec, posting.occurrences);
-                put_varu32(&mut sec, posting.df);
-                // v2 stored every entry gap-encoded.
-                let pairs: Vec<(RowId, u32)> = posting.rows().collect();
-                let mut gaps = Vec::new();
-                let mut prev = 0;
-                for (i, &(r, tf)) in pairs.iter().enumerate() {
-                    put_varu32(&mut gaps, if i == 0 { r.0 } else { r.0 - prev });
-                    put_varu32(&mut gaps, tf);
-                    prev = r.0;
-                }
-                put_varu32(&mut sec, gaps.len() as u32);
-                sec.extend_from_slice(&gaps);
-            }
-        }
-        put_section(&mut v2, SEC_DICT, &sec);
-        c.section(SEC_DICT).unwrap(); // skip the v3 dictionary (cursor is sequential)
-        put_section(
-            &mut v2,
-            SEC_SCHEMA_TERMS,
-            c.section(SEC_SCHEMA_TERMS).unwrap(),
-        );
-        let back = InvertedIndex::from_snapshot_bytes(&v2).unwrap();
-        assert_eq!(
-            back.postings("tom", name).unwrap().repr(),
-            PostingsRepr::Bitmap,
-            "dense v2 entry must canonicalize to bitmap on load"
-        );
-        assert_eq!(back.snapshot_bytes().unwrap(), v3);
+    fn v2_snapshots_are_rejected() {
+        // Version 2 (gap-encoded entries, no repr tag) was never deployed
+        // with a store: the loader refuses it by version word alone.
+        let mut bytes = InvertedIndex::build(&db()).snapshot_bytes().unwrap();
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert!(matches!(
+            InvertedIndex::from_snapshot_bytes(&bytes),
+            Err(SnapshotError::UnsupportedVersion(2))
+        ));
     }
 
     #[test]

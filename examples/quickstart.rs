@@ -7,8 +7,8 @@
 
 use keybridge::core::{
     execute_interpretation, render_natural, render_sql, DiversifyOptions, DurableOptions,
-    Interpreter, InterpreterConfig, KeywordQuery, SearchService, SearchSnapshot, ServeRequests,
-    ServiceBuilder, SessionConfig, TemplateCatalog,
+    Interpreter, InterpreterConfig, KeywordQuery, Reply, Request, SearchService, SearchSnapshot,
+    ServeRequests, ServiceBuilder, SessionConfig, TemplateCatalog,
 };
 use keybridge::datagen::{ImdbConfig, ImdbDataset};
 use keybridge::index::InvertedIndex;
@@ -109,8 +109,11 @@ fn main() {
     let tickets: Vec<_> = ["hanks terminal", "tom cruise", "hanks terminal"]
         .into_iter()
         .map(|text| {
-            let q = KeywordQuery::from_terms(text.split(' ').map(str::to_owned).collect());
-            (text, service.submit(q, 3))
+            let query = KeywordQuery::from_terms(text.split(' ').map(str::to_owned).collect());
+            (
+                text,
+                service.submit_request(Request::Answers { query, k: 3 }),
+            )
         })
         .collect();
     println!(
@@ -118,10 +121,9 @@ fn main() {
         tickets.len()
     );
     for (text, ticket) in tickets {
-        let reply = ticket
-            .wait()
-            .expect("service alive")
-            .expect("request served without a worker panic");
+        let Some(Reply::Answers(Ok(reply))) = ticket.wait() else {
+            panic!("service alive and request served without a worker panic");
+        };
         println!(
             "  \"{text}\" -> {} answers (epoch {})",
             reply.answers.len(),
@@ -176,7 +178,7 @@ fn main() {
     ];
     let receipt = service.ingest(&batch).expect("valid batch");
     let q = KeywordQuery::from_terms(vec!["stoppard".into(), "encore".into()]);
-    let reply = service.search_versioned(&q, 3);
+    let reply = service.search(&q, 3);
     println!(
         "\ningested {} rows -> epoch {}; \"stoppard encore\" now finds {} answers \
          (served at epoch {})",
@@ -186,7 +188,7 @@ fn main() {
         reply.epoch
     );
 
-    // 7. The expressive modes are served too. `search_diversified` returns
+    // 7. The expressive modes are served too. `Request::Diversified` returns
     //    a relevant-AND-structurally-novel interpretation list (Alg. 4.1)
     //    instead of near-duplicate readings of the same intent, and the
     //    session registry runs incremental query construction server-side —
@@ -194,7 +196,13 @@ fn main() {
     //    window never shifts under them while ingests land.
     let snap = service.snapshot();
     let query = KeywordQuery::from_terms(vec!["hanks".into(), "terminal".into()]);
-    let div = service.search_diversified(&query, DiversifyOptions::default());
+    let diversified = Request::Diversified {
+        query: query.clone(),
+        opts: DiversifyOptions::default(),
+    };
+    let Some(Reply::Diversified(Ok(div))) = service.submit_request(diversified).wait() else {
+        panic!("diversified request served");
+    };
     println!(
         "\ndiversified \"hanks terminal\": {} selected from a pool of {} \
          executed interpretations (epoch {}):",
@@ -273,11 +281,11 @@ fn main() {
     )];
     durable.ingest(&batch).expect("valid batch"); // durable only in the WAL
     let q = KeywordQuery::from_terms(vec!["tom".into()]);
-    let before = durable.search_versioned(&q, 5);
+    let before = durable.search(&q, 5);
     drop(durable); // "crash": all in-memory state is gone
 
     let recovered = SearchService::open(&dir, 2, &opts).expect("store recovers");
-    let after = recovered.search_versioned(&q, 5);
+    let after = recovered.search(&q, 5);
     let identical = before.epoch == after.epoch
         && before.answers.len() == after.answers.len()
         && before
@@ -309,7 +317,7 @@ fn main() {
         .start(Arc::clone(&snap))
         .expect("an in-memory sharded service always starts");
     let q = KeywordQuery::from_terms(vec!["hanks".into(), "terminal".into()]);
-    let reply = sharded.search_versioned(&q, 3);
+    let reply = sharded.search(&q, 3);
     println!(
         "\nsharded \"hanks terminal\": {} answers merged from {} shards \
          (per-shard epochs {:?})",
@@ -322,7 +330,7 @@ fn main() {
         vec![Value::Int(900_006), Value::text("tom scattered")],
     )];
     let receipt = sharded.ingest_batch(&batch).expect("valid batch");
-    let reply = sharded.search_versioned(&q, 3);
+    let reply = sharded.search(&q, 3);
     let stats = sharded.service_stats();
     println!(
         "ingest -> global epoch {}; only the owning shard advanced \

@@ -54,7 +54,10 @@
 //! so stale derived state can never leak into post-update answers:
 //!
 //! ```
-//! use keybridge::core::{InterpreterConfig, KeywordQuery, SearchService, SearchSnapshot};
+//! use keybridge::core::{
+//!     InterpreterConfig, KeywordQuery, Reply, Request, SearchService, SearchSnapshot,
+//!     ServeRequests,
+//! };
 //! use keybridge::datagen::{ImdbConfig, ImdbDataset};
 //! use keybridge::relstore::{RowBatch, Value};
 //! use std::sync::Arc;
@@ -66,12 +69,14 @@
 //! );
 //! let service = SearchService::start(snapshot, 2);
 //!
-//! // Submit asynchronously from any thread; block on the ticket when ready.
+//! // Every serving mode is a `Request` value. Submit asynchronously from
+//! // any thread; block on the ticket when ready.
 //! let query = KeywordQuery::from_terms(vec!["tom".into()]);
-//! let ticket = service.submit(query.clone(), 5);
-//! // The ticket payload is a Result: a panicking worker replies with a
-//! // typed error (the panic is contained) instead of hanging up.
-//! let reply = ticket.wait().expect("service alive").expect("request served");
+//! let ticket = service.submit_request(Request::Answers { query: query.clone(), k: 5 });
+//! // The reply arm matches the request, and its payload is a Result: a
+//! // panicking worker replies with a typed error (the panic is contained)
+//! // instead of hanging up.
+//! let Some(Reply::Answers(Ok(reply))) = ticket.wait() else { panic!("request served") };
 //! assert!(reply.answers.len() <= 5);
 //! assert_eq!(reply.epoch.0, 0);
 //!
@@ -79,13 +84,16 @@
 //! let batch: RowBatch = vec![(actor, vec![Value::Int(999), Value::text("tom fresh")])];
 //! let receipt = service.ingest(&batch).expect("valid batch");
 //! assert_eq!(receipt.epoch.0, 1);
-//! assert_eq!(service.search_versioned(&query, 5).epoch, receipt.epoch);
+//! assert_eq!(service.search(&query, 5).epoch, receipt.epoch);
 //!
 //! // Diversified top-k (Alg. 4.1) and incremental construction sessions
 //! // are served request modes too; a session pins the epoch it was opened
 //! // on, so concurrent ingests never shift its window.
 //! use keybridge::core::{DiversifyOptions, SessionConfig};
-//! let div = service.search_diversified(&query, DiversifyOptions::default());
+//! let diversified = Request::Diversified { query: query.clone(), opts: DiversifyOptions::default() };
+//! let Some(Reply::Diversified(Ok(div))) = service.submit_request(diversified).wait() else {
+//!     panic!("request served")
+//! };
 //! assert!(div.answers.len() <= 10 && div.answers.len() <= div.pool);
 //! assert_eq!(div.epoch, receipt.epoch);
 //! let session = service.open_session(&query, 10, SessionConfig::default());

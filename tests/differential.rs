@@ -13,8 +13,8 @@ use keybridge::core::{
 };
 use keybridge::index::InvertedIndex;
 use keybridge::relstore::{
-    execute_join_tree_with_stats, Candidates, Database, ExecOptions, ExecStrategy, JoinTree,
-    JoinTreeEdge, JoinedRow, RowId, SchemaBuilder, TableKind, Value,
+    execute_join_tree_with_stats_in, BatchArena, Candidates, Database, ExecOptions, ExecStrategy,
+    JoinTree, JoinTreeEdge, JoinedRow, RowId, SchemaBuilder, TableKind, Value,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -186,11 +186,22 @@ fn join_tree_execution_matches_naive_oracle() {
             for (ti, tree) in trees(&db).iter().enumerate() {
                 let cands = random_candidates(&mut rng, &db, tree);
                 let note = format!("seed {seed} case {case} tree {ti}");
-                let hj =
-                    execute_join_tree_with_stats(&db, tree, &cands, opts(ExecStrategy::HashJoin))
-                        .unwrap_or_else(|e| panic!("{note}: hash join failed: {e}"));
-                let nv = execute_join_tree_with_stats(&db, tree, &cands, opts(ExecStrategy::Naive))
-                    .unwrap_or_else(|e| panic!("{note}: naive failed: {e}"));
+                let hj = execute_join_tree_with_stats_in(
+                    &db,
+                    tree,
+                    &cands,
+                    opts(ExecStrategy::HashJoin),
+                    &mut BatchArena::new(),
+                )
+                .unwrap_or_else(|e| panic!("{note}: hash join failed: {e}"));
+                let nv = execute_join_tree_with_stats_in(
+                    &db,
+                    tree,
+                    &cands,
+                    opts(ExecStrategy::Naive),
+                    &mut BatchArena::new(),
+                )
+                .unwrap_or_else(|e| panic!("{note}: naive failed: {e}"));
                 assert_eq!(
                     sorted(hj.rows.clone()),
                     sorted(nv.rows.clone()),
@@ -204,7 +215,7 @@ fn join_tree_execution_matches_naive_oracle() {
                 total_nv_intermediates += nv.stats.intermediate_bindings;
 
                 // count_only agrees with the materialized count.
-                let co = execute_join_tree_with_stats(
+                let co = execute_join_tree_with_stats_in(
                     &db,
                     tree,
                     &cands,
@@ -212,6 +223,7 @@ fn join_tree_execution_matches_naive_oracle() {
                         count_only: true,
                         ..opts(ExecStrategy::HashJoin)
                     },
+                    &mut BatchArena::new(),
                 )
                 .unwrap();
                 assert!(co.rows.is_empty(), "{note}: count_only returned rows");
@@ -222,7 +234,7 @@ fn join_tree_execution_matches_naive_oracle() {
                 );
 
                 // limit caps results and the result set stays a subset.
-                let limited = execute_join_tree_with_stats(
+                let limited = execute_join_tree_with_stats_in(
                     &db,
                     tree,
                     &cands,
@@ -231,6 +243,7 @@ fn join_tree_execution_matches_naive_oracle() {
                         strategy: ExecStrategy::HashJoin,
                         ..Default::default()
                     },
+                    &mut BatchArena::new(),
                 )
                 .unwrap();
                 assert!(limited.rows.len() <= 2, "{note}: limit violated");

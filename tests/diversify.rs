@@ -8,8 +8,9 @@
 //! after the swap.
 
 use keybridge::core::{
-    DiversifiedReply, DiversifyConfig, DiversifyOptions, InterpreterConfig, KeywordQuery,
-    SearchService, SearchSnapshot, SessionConfig, SessionView, TemplateCatalog,
+    DiversifiedReply, DiversifyConfig, DiversifyOptions, InterpreterConfig, KeywordQuery, Reply,
+    Request, SearchService, SearchSnapshot, ServeRequests, SessionConfig, SessionView,
+    TemplateCatalog,
 };
 use keybridge::datagen::{
     holdout_plan, FreebaseConfig, FreebaseDataset, ImdbConfig, ImdbDataset, IngestConfig,
@@ -32,6 +33,18 @@ const fn div_opts() -> DiversifyOptions {
         config: DIV_CFG,
         pool: POOL,
         cap: CAP,
+    }
+}
+
+/// Blocking diversified top-k under [`div_opts`] through the request seam.
+fn diversified(service: &SearchService, query: &KeywordQuery) -> DiversifiedReply {
+    let (query, opts) = (query.clone(), div_opts());
+    match service
+        .submit_request(Request::Diversified { query, opts })
+        .wait()
+    {
+        Some(Reply::Diversified(Ok(reply))) => reply,
+        _ => panic!("Request::Diversified must resolve to a served Reply::Diversified"),
     }
 }
 
@@ -211,7 +224,7 @@ fn assert_diversified_identical(snapshot: Arc<SearchSnapshot>, queries: &[Vec<St
                         // executed under *different* limits than the pool
                         // cap — the cross-mode truncation case.
                         let _ = service.search(&q, 5);
-                        let reply = service.search_diversified(&q, div_opts());
+                        let reply = diversified(&service, &q);
                         assert_eq!(
                             reply.pool, oracles[j].0,
                             "pass {pass} client {c}: pool size diverged for {:?}",
@@ -436,11 +449,11 @@ fn stress_sessions_pinned_across_epoch_swaps() {
                         match (c + i) % 3 {
                             0 => {
                                 // Plain search: epoch-tagged, warms caches.
-                                let reply = service.search_versioned(&q, 5);
+                                let reply = service.search(&q, 5);
                                 assert!((reply.epoch.0 as usize) < div_oracles.len());
                             }
                             1 => {
-                                let reply = service.search_diversified(&q, div_opts());
+                                let reply = diversified(&service, &q);
                                 let e = reply.epoch.0 as usize;
                                 assert!(e < div_oracles.len(), "impossible epoch {e}");
                                 assert_eq!(
@@ -490,8 +503,7 @@ fn stress_sessions_pinned_across_epoch_swaps() {
     assert_eq!(service.current_epoch().0 as usize, final_epoch);
     // Settled: diversified requests serve the final epoch byte-identically…
     for (j, terms) in queries.iter().enumerate() {
-        let reply =
-            service.search_diversified(&KeywordQuery::from_terms(terms.clone()), div_opts());
+        let reply = diversified(&service, &KeywordQuery::from_terms(terms.clone()));
         assert_eq!(reply.epoch.0 as usize, final_epoch);
         assert_eq!(canon_div(&reply), div_oracles[final_epoch][j].1);
     }

@@ -14,7 +14,8 @@
 //! concurrent readers racing the epoch swaps.
 
 use keybridge::core::{
-    InterpreterConfig, KeywordQuery, RankedAnswer, SearchService, SearchSnapshot, TemplateCatalog,
+    InterpreterConfig, KeywordQuery, RankedAnswer, SearchService, SearchSnapshot, ServeRequests,
+    TemplateCatalog,
 };
 use keybridge::datagen::{
     holdout_plan, FreebaseConfig, FreebaseDataset, ImdbConfig, ImdbDataset, IngestConfig,
@@ -91,7 +92,7 @@ fn assert_update_equivalence(
     let check = |service: &SearchService, oracle_db: &Database, epoch: u64| {
         let expected = cold_answers(oracle_db, &catalog, queries);
         for (qi, terms) in queries.iter().enumerate() {
-            let reply = service.search_versioned(&KeywordQuery::from_terms(terms.clone()), K);
+            let reply = service.search(&KeywordQuery::from_terms(terms.clone()), K);
             assert_eq!(
                 reply.epoch.0, epoch,
                 "reply epoch drifted (query {qi}, seed {schedule_seed})"
@@ -276,7 +277,7 @@ fn concurrent_readers_race_epoch_swaps() {
                     for i in 0..queries.len() {
                         let j = (i + c) % queries.len();
                         let q = KeywordQuery::from_terms(queries[j].clone());
-                        let reply = service.search_versioned(&q, K);
+                        let reply = service.search(&q, K);
                         let epoch = reply.epoch.0 as usize;
                         assert!(epoch < oracles.len(), "impossible epoch {epoch}");
                         assert_eq!(
@@ -305,7 +306,7 @@ fn concurrent_readers_race_epoch_swaps() {
     assert_eq!(stats.epoch_swaps, plan.batches.len());
     // Post-race, the fully grown service still matches its final oracle.
     for (j, terms) in queries.iter().enumerate() {
-        let reply = service.search_versioned(&KeywordQuery::from_terms(terms.clone()), K);
+        let reply = service.search(&KeywordQuery::from_terms(terms.clone()), K);
         assert_eq!(reply.epoch.0 as usize, plan.batches.len());
         assert_eq!(canon(&reply.answers), oracles[plan.batches.len()][j]);
     }

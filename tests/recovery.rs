@@ -18,8 +18,8 @@
 
 use keybridge::core::{
     scan_wal, DurabilityError, DurableOptions, FaultPoint, IngestError, InterpreterConfig,
-    KeywordQuery, RankedAnswer, SearchService, SearchSnapshot, TemplateCatalog, SNAPSHOT_FILE,
-    WAL_FILE,
+    KeywordQuery, RankedAnswer, SearchService, SearchSnapshot, ServeRequests, TemplateCatalog,
+    SNAPSHOT_FILE, WAL_FILE,
 };
 use keybridge::datagen::{
     holdout_plan, FreebaseConfig, FreebaseDataset, ImdbConfig, ImdbDataset, IngestConfig,
@@ -228,7 +228,7 @@ fn assert_crash_equivalence(
             "at {point}"
         );
         for (qi, terms) in queries.iter().enumerate() {
-            let reply = recovered.search_versioned(&KeywordQuery::from_terms(terms.clone()), K);
+            let reply = recovered.search(&KeywordQuery::from_terms(terms.clone()), K);
             assert_eq!(reply.epoch.0 as usize, durable, "query {qi} at {point}");
             assert_eq!(
                 canon(&reply.answers),
@@ -258,7 +258,7 @@ fn assert_crash_equivalence(
         }
         assert_eq!(recovered.current_epoch().0 as usize, plan.batches.len());
         for (qi, terms) in queries.iter().enumerate() {
-            let reply = recovered.search_versioned(&KeywordQuery::from_terms(terms.clone()), K);
+            let reply = recovered.search(&KeywordQuery::from_terms(terms.clone()), K);
             assert_eq!(
                 canon(&reply.answers),
                 oracle.answers[plan.batches.len()][qi],
@@ -459,7 +459,7 @@ fn torn_wal_tail_at_every_byte_recovers_prefix() {
             "index diverged after cut at byte {cut}"
         );
         for (qi, terms) in queries.iter().enumerate() {
-            let reply = recovered.search_versioned(&KeywordQuery::from_terms(terms.clone()), K);
+            let reply = recovered.search(&KeywordQuery::from_terms(terms.clone()), K);
             assert_eq!(
                 canon(&reply.answers),
                 oracle.answers[expected_batches][qi],

@@ -6,7 +6,8 @@
 //! hammering the shared caches from many clients at once.
 
 use keybridge::core::{
-    InterpreterConfig, KeywordQuery, RankedAnswer, SearchService, SearchSnapshot, TemplateCatalog,
+    InterpreterConfig, KeywordQuery, RankedAnswer, SearchService, SearchSnapshot, ServeRequests,
+    TemplateCatalog,
 };
 use keybridge::datagen::{
     holdout_plan, FreebaseConfig, FreebaseDataset, ImdbConfig, ImdbDataset, IngestConfig,
@@ -67,7 +68,7 @@ fn assert_identical_under_concurrency(
                 for i in 0..queries.len() {
                     let j = (i + c * 3) % queries.len();
                     let q = KeywordQuery::from_terms(queries[j].clone());
-                    let got = canon(&service.search(&q, k));
+                    let got = canon(&service.search(&q, k).answers);
                     assert_eq!(
                         got, expected[j],
                         "client {c}: query {:?} diverged from single-threaded run",
@@ -217,7 +218,7 @@ fn stress_overlapping_logs_warm_caches() {
                             (queries.len() - 1 + c - i) % queries.len()
                         };
                         let q = KeywordQuery::from_terms(queries[j].clone());
-                        let got = canon(&service.search(&q, k));
+                        let got = canon(&service.search(&q, k).answers);
                         assert_eq!(
                             got, expected[j],
                             "pass {pass} client {c}: {:?} diverged",
@@ -303,7 +304,7 @@ fn stress_writer_swaps_epochs_mid_replay() {
 
     // Warm epoch 0 before the race so the first swap provably displaces a
     // populated cache generation.
-    let warm = service.search_versioned(&KeywordQuery::from_terms(queries[0].clone()), k);
+    let warm = service.search(&KeywordQuery::from_terms(queries[0].clone()), k);
     assert_eq!(canon(&warm.answers), oracles[0][0]);
 
     std::thread::scope(|scope| {
@@ -322,7 +323,7 @@ fn stress_writer_swaps_epochs_mid_replay() {
                             (queries.len() - 1 + c - i) % queries.len()
                         };
                         let q = KeywordQuery::from_terms(queries[j].clone());
-                        let reply = service.search_versioned(&q, k);
+                        let reply = service.search(&q, k);
                         let epoch = reply.epoch.0 as usize;
                         assert!(epoch < oracles.len(), "impossible epoch {epoch}");
                         assert_eq!(
@@ -358,7 +359,7 @@ fn stress_writer_swaps_epochs_mid_replay() {
     );
     // The settled service serves the final epoch, byte-identical.
     for (j, terms) in queries.iter().enumerate() {
-        let reply = service.search_versioned(&KeywordQuery::from_terms(terms.clone()), k);
+        let reply = service.search(&KeywordQuery::from_terms(terms.clone()), k);
         assert_eq!(reply.epoch.0 as usize, plan.batches.len());
         assert_eq!(canon(&reply.answers), oracles[plan.batches.len()][j]);
     }

@@ -4,13 +4,13 @@
 //! single-shard oracle on all four datagen fixtures, under concurrent
 //! mixed-mode load and while a writer swaps shard epochs mid-replay. Plus
 //! the routing contract (a batch touching shards {i, j} bumps *only* those
-//! shards' epochs) and the legacy-wrapper ⇔ `Request`-enum equivalence of
-//! the unified serving seam.
+//! shards' epochs) and the "one wave loop" contract: a cold sequential
+//! replay drives identical per-request pipeline counters on both topologies.
 
 use keybridge::core::{
-    DiversifiedReply, DiversifyOptions, InterpreterConfig, KeywordQuery, RankedAnswer, Reply,
-    Request, ScoredInterpretation, SearchService, SearchSnapshot, ServeRequests, ServiceBuilder,
-    ShardedService, TemplateCatalog,
+    AnswerStats, DiversifiedReply, DiversifyOptions, InterpreterConfig, KeywordQuery, RankedAnswer,
+    Reply, Request, SearchService, SearchSnapshot, ServeRequests, ServiceBuilder, ShardedService,
+    TemplateCatalog,
 };
 use keybridge::datagen::{
     sharded_holdout_plan, FreebaseConfig, FreebaseDataset, ImdbConfig, ImdbDataset, IngestConfig,
@@ -55,17 +55,30 @@ fn canon_div(reply: &DiversifiedReply) -> String {
     out
 }
 
-fn canon_interps(interps: &[ScoredInterpretation]) -> String {
-    let mut out = String::new();
-    for s in interps {
-        out.push_str(&format!(
-            "tpl={:?} bindings={:?} score_bits={:016x}\n",
-            s.interpretation.template,
-            s.interpretation.bindings,
-            s.log_score.to_bits(),
-        ));
+/// Blocking diversified top-k through the request seam.
+fn diversified<S: ServeRequests>(service: &S, query: &KeywordQuery) -> DiversifiedReply {
+    let (query, opts) = (query.clone(), DiversifyOptions::default());
+    match service
+        .submit_request(Request::Diversified { query, opts })
+        .wait()
+    {
+        Some(Reply::Diversified(Ok(reply))) => reply,
+        _ => panic!("Request::Diversified must resolve to a served Reply::Diversified"),
     }
-    out
+}
+
+/// The counters the shared wave loop drives — everything in [`AnswerStats`]
+/// that does not depend on where predicate rows are cached.
+fn wave_counters(s: &AnswerStats) -> [usize; 7] {
+    [
+        s.waves,
+        s.generated,
+        s.executed,
+        s.nonempty,
+        s.exec_errors,
+        s.answers,
+        s.result_cache_hits,
+    ]
 }
 
 /// The cold single-threaded reference: a fresh interpreter per query.
@@ -184,11 +197,37 @@ fn assert_sharded_identical(
             .iter()
             .map(|terms| {
                 let q = KeywordQuery::from_terms(terms.clone());
-                canon_div(&single.search_diversified(&q, DiversifyOptions::default()))
+                canon_div(&diversified(&single, &q))
             })
             .collect(),
     );
     drop(single);
+
+    // One loop: both topologies run the same pipeline, so a cold,
+    // single-client, sequential replay must count the same waves, pulls,
+    // executions and cache hits request by request.
+    let cold = |shards: usize| {
+        ServiceBuilder::new()
+            .workers(1)
+            .shards(shards)
+            .start(Arc::clone(&snapshot))
+            .unwrap()
+    };
+    let (one, many) = (cold(1), cold(SHARDS));
+    for terms in queries {
+        let q = KeywordQuery::from_terms(terms.clone());
+        assert_eq!(
+            wave_counters(&one.search(&q, k).stats),
+            wave_counters(&many.search(&q, k).stats),
+            "answers {terms:?}: wave-loop counters differ across topologies"
+        );
+        assert_eq!(
+            wave_counters(&diversified(&one, &q).stats),
+            wave_counters(&diversified(&many, &q).stats),
+            "diversified {terms:?}: wave-loop counters differ across topologies"
+        );
+    }
+    drop((one, many));
 
     let service = ServiceBuilder::new()
         .workers(workers)
@@ -208,7 +247,7 @@ fn assert_sharded_identical(
                 for i in 0..queries.len() {
                     let j = (i + c * 3) % queries.len();
                     let q = KeywordQuery::from_terms(queries[j].clone());
-                    let reply = service.search_versioned(&q, k);
+                    let reply = service.search(&q, k);
                     assert_eq!(
                         reply.shard_epochs.len(),
                         SHARDS,
@@ -222,7 +261,7 @@ fn assert_sharded_identical(
                     );
                     // Every other query doubles as a diversified probe.
                     if i % 2 == c % 2 {
-                        let div = service.search_diversified(&q, DiversifyOptions::default());
+                        let div = diversified(&*service, &q);
                         assert_eq!(div.shard_epochs.len(), SHARDS);
                         assert_eq!(
                             canon_div(&div),
@@ -408,7 +447,7 @@ fn sharded_writer_swaps_epochs_mid_replay() {
 
     // Warm epoch 0 before the race so the first swap provably displaces a
     // populated cache generation.
-    let warm = service.search_versioned(&KeywordQuery::from_terms(queries[0].clone()), k);
+    let warm = service.search(&KeywordQuery::from_terms(queries[0].clone()), k);
     assert_eq!(canon(&warm.answers), oracles[0][0]);
 
     std::thread::scope(|scope| {
@@ -425,7 +464,7 @@ fn sharded_writer_swaps_epochs_mid_replay() {
                             (queries.len() - 1 + c - i) % queries.len()
                         };
                         let q = KeywordQuery::from_terms(queries[j].clone());
-                        let reply = service.search_versioned(&q, k);
+                        let reply = service.search(&q, k);
                         let epoch = reply.epoch.0 as usize;
                         assert!(epoch < oracles.len(), "impossible epoch {epoch}");
                         assert_eq!(
@@ -458,133 +497,8 @@ fn sharded_writer_swaps_epochs_mid_replay() {
     // The settled service serves the final epoch, byte-identical to the
     // full-fixture unsharded oracle.
     for (j, terms) in queries.iter().enumerate() {
-        let reply = service.search_versioned(&KeywordQuery::from_terms(terms.clone()), k);
+        let reply = service.search(&KeywordQuery::from_terms(terms.clone()), k);
         assert_eq!(reply.epoch.0 as usize, plan.batches.len());
         assert_eq!(canon(&reply.answers), oracles[plan.batches.len()][j]);
     }
-}
-
-// --- legacy wrappers ⇔ Request enum ------------------------------------------
-
-/// Every legacy convenience wrapper must be byte-equivalent to issuing its
-/// `Request` arm through `submit_request` directly — on any implementation
-/// of the seam.
-fn assert_wrappers_match<S: ServeRequests>(service: &S, queries: &[Vec<String>], k: usize) {
-    for terms in queries {
-        let q = KeywordQuery::from_terms(terms.clone());
-
-        // Answers: raw enum vs blocking wrapper vs typed submit.
-        let raw = match service
-            .submit_request(Request::Answers {
-                query: q.clone(),
-                k,
-            })
-            .wait()
-            .expect("service alive")
-        {
-            Reply::Answers(Ok(r)) => r,
-            _ => panic!("Request::Answers must resolve to Reply::Answers"),
-        };
-        let wrapped = service.search_versioned(&q, k);
-        assert_eq!(canon(&raw.answers), canon(&wrapped.answers));
-        assert_eq!(raw.epoch, wrapped.epoch);
-        assert_eq!(raw.shard_epochs, wrapped.shard_epochs);
-        let typed = service
-            .submit(q.clone(), k)
-            .wait()
-            .expect("service alive")
-            .expect("request served");
-        assert_eq!(canon(&raw.answers), canon(&typed.answers));
-        let (answers, _) = service.search_with_stats(&q, k);
-        assert_eq!(canon(&raw.answers), canon(&answers));
-        assert_eq!(canon(&raw.answers), canon(&service.search(&q, k)));
-
-        // Timed answers: same payload, plus a stamp.
-        let timed = service
-            .submit_timed(q.clone(), k)
-            .wait()
-            .expect("service alive");
-        let timed_reply = timed.result.expect("request served");
-        assert_eq!(canon(&raw.answers), canon(&timed_reply.answers));
-        assert_eq!(raw.epoch, timed_reply.epoch);
-
-        // Interpretations.
-        let raw_i = match service
-            .submit_request(Request::Interpretations {
-                query: q.clone(),
-                k,
-            })
-            .wait()
-            .expect("service alive")
-        {
-            Reply::Interpretations(Ok(r)) => r,
-            _ => panic!("Request::Interpretations must resolve to Reply::Interpretations"),
-        };
-        let typed_i = service
-            .submit_interpretations(q.clone(), k)
-            .wait()
-            .expect("service alive")
-            .expect("request served");
-        assert_eq!(canon_interps(&raw_i.0), canon_interps(&typed_i.0));
-
-        // Diversified, plain and timed.
-        let opts = DiversifyOptions::default();
-        let raw_d = match service
-            .submit_request(Request::Diversified {
-                query: q.clone(),
-                opts,
-            })
-            .wait()
-            .expect("service alive")
-        {
-            Reply::Diversified(Ok(r)) => r,
-            _ => panic!("Request::Diversified must resolve to Reply::Diversified"),
-        };
-        let wrapped_d = service.search_diversified(&q, opts);
-        assert_eq!(canon_div(&raw_d), canon_div(&wrapped_d));
-        assert_eq!(raw_d.epoch, wrapped_d.epoch);
-        assert_eq!(raw_d.shard_epochs, wrapped_d.shard_epochs);
-        let timed_d = service
-            .submit_diversified_timed(q.clone(), opts)
-            .wait()
-            .expect("service alive");
-        assert_eq!(
-            canon_div(&raw_d),
-            canon_div(&timed_d.result.expect("served"))
-        );
-    }
-}
-
-/// The wrapper ⇔ enum equivalence on both seam implementations, all four
-/// fixtures.
-fn assert_wrappers_match_both(snap: Arc<SearchSnapshot>, queries: &[Vec<String>]) {
-    let single = SearchService::start(Arc::clone(&snap), 2);
-    assert_wrappers_match(&single, queries, 5);
-    drop(single);
-    let sharded = ShardedService::start(snap, SHARDS, 2);
-    assert_wrappers_match(&sharded, queries, 5);
-}
-
-#[test]
-fn wrappers_match_request_enum_imdb() {
-    let (snap, queries) = imdb_log();
-    assert_wrappers_match_both(snap, &queries);
-}
-
-#[test]
-fn wrappers_match_request_enum_lyrics() {
-    let (snap, queries) = lyrics_log();
-    assert_wrappers_match_both(snap, &queries);
-}
-
-#[test]
-fn wrappers_match_request_enum_freebase() {
-    let (snap, queries) = freebase_log();
-    assert_wrappers_match_both(snap, &queries);
-}
-
-#[test]
-fn wrappers_match_request_enum_yago() {
-    let (snap, queries) = yago_log();
-    assert_wrappers_match_both(snap, &queries);
 }
