@@ -314,7 +314,7 @@ impl ExecCache {
 
 /// Intersect two sorted row lists in place (`prev ∩= other`), two-pointer
 /// merge — the sorted-merge path replacing the old per-binding `HashSet`.
-pub(crate) fn intersect_sorted(prev: &mut Vec<RowId>, other: &[RowId]) {
+fn intersect_sorted(prev: &mut Vec<RowId>, other: &[RowId]) {
     let mut out_i = 0;
     let mut j = 0;
     for i in 0..prev.len() {
@@ -380,7 +380,7 @@ impl Executor for LocalExecutor<'_> {
         cache: &mut ExecCache,
     ) -> RelResult<Arc<ExecutedResult>> {
         with_result_cache(cache, interp, opts, |c| {
-            execute_inner(self, interp, opts, &mut Some(c))
+            execute_inner(self, interp, opts, c)
         })
     }
 
@@ -389,7 +389,7 @@ impl Executor for LocalExecutor<'_> {
     }
 }
 
-/// Execute `interp` over `db`.
+/// Execute `interp` over `db`, one-shot: nothing outlives the call.
 pub fn execute_interpretation(
     db: &Database,
     index: &InvertedIndex,
@@ -397,12 +397,8 @@ pub fn execute_interpretation(
     interp: &QueryInterpretation,
     opts: ExecOptions,
 ) -> RelResult<ExecutedResult> {
-    execute_inner(
-        &LocalExecutor { db, index, catalog },
-        interp,
-        opts,
-        &mut None,
-    )
+    let local = LocalExecutor { db, index, catalog };
+    execute_inner(&local, interp, opts, &mut ExecCache::new())
 }
 
 /// Execute `interp`, sharing predicate row sets and memoized results through
@@ -558,59 +554,47 @@ pub(crate) fn prefix_keys(
     collect_result_keys(executor, &tpl.tree.nodes, &bound, &res.jtts[..cap]).0
 }
 
+/// The candidate row sets of `interp`'s value predicates, one per join-tree
+/// node (`nodes[i]` is node `i`'s table): each predicate's rows come through
+/// `cache` (local tier, shared tier, or a fresh `index` intersection), and
+/// several predicates on one node intersect by sorted merge — both lists come
+/// out of the index sorted. The one harvest of both topologies: `index` is
+/// the whole store's on a single service and a shard's own on a shard.
+pub(crate) fn harvest_candidates(
+    cache: &mut ExecCache,
+    index: &InvertedIndex,
+    interp: &QueryInterpretation,
+    nodes: &[TableId],
+) -> Candidates {
+    let mut per_node: Vec<Option<Vec<RowId>>> = vec![None; nodes.len()];
+    for b in &interp.bindings {
+        if let BindingTarget::Value { node, attr } = b.target {
+            let aref = AttrRef {
+                table: nodes[node],
+                attr,
+            };
+            let rows = cache.rows(index, &b.keywords, aref);
+            match &mut per_node[node] {
+                Some(prev) => intersect_sorted(prev, &rows),
+                slot => *slot = Some((*rows).clone()),
+            }
+        }
+    }
+    Candidates { per_node }
+}
+
 fn execute_inner(
     local: &LocalExecutor<'_>,
     interp: &QueryInterpretation,
     opts: ExecOptions,
-    cache: &mut Option<&mut ExecCache>,
+    cache: &mut ExecCache,
 ) -> RelResult<ExecutedResult> {
     let LocalExecutor { db, index, catalog } = *local;
-    let tpl = catalog.get(interp.template);
-    let n = tpl.tree.nodes.len();
-    let mut per_node: Vec<Option<Vec<RowId>>> = vec![None; n];
-    let mut scratch = Vec::new();
-
-    for b in &interp.bindings {
-        if let BindingTarget::Value { node, attr } = b.target {
-            let aref = AttrRef {
-                table: tpl.tree.nodes[node],
-                attr,
-            };
-            let rows = match cache.as_deref_mut() {
-                Some(c) => (*c.rows(index, &b.keywords, aref)).clone(),
-                None => {
-                    let mut out = Vec::new();
-                    index.rows_with_all_into(&b.keywords, aref, &mut out, &mut scratch);
-                    out
-                }
-            };
-            per_node[node] = Some(match per_node[node].take() {
-                // Two predicates on the same node: sorted-merge intersection
-                // (both lists come out of the index sorted).
-                Some(mut prev) => {
-                    intersect_sorted(&mut prev, &rows);
-                    prev
-                }
-                None => rows,
-            });
-        }
-    }
-
-    let bound = bound_nodes(interp, n);
-    let candidates = Candidates { per_node };
-    // Cached executions share the cache's arena across the whole candidate
-    // list; uncached one-shot executions pay for a fresh one.
-    let outcome = match cache.as_deref_mut() {
-        Some(c) => execute_join_tree_with_stats_in(db, &tpl.tree, &candidates, opts, &mut c.arena)?,
-        None => execute_join_tree_with_stats_in(
-            db,
-            &tpl.tree,
-            &candidates,
-            opts,
-            &mut BatchArena::new(),
-        )?,
-    };
-    let (keys, all_keys) = collect_result_keys(local, &tpl.tree.nodes, &bound, &outcome.rows);
+    let tree = &catalog.get(interp.template).tree;
+    let candidates = harvest_candidates(cache, index, interp, &tree.nodes);
+    let outcome = execute_join_tree_with_stats_in(db, tree, &candidates, opts, &mut cache.arena)?;
+    let bound = bound_nodes(interp, tree.nodes.len());
+    let (keys, all_keys) = collect_result_keys(local, &tree.nodes, &bound, &outcome.rows);
     Ok(ExecutedResult {
         jtts: outcome.rows,
         keys,

@@ -6,7 +6,7 @@ use crate::interp::{BindingTarget, KeywordBinding, QueryInterpretation};
 use crate::keyword::KeywordQuery;
 use crate::prob::{IncrementalScorer, ProbabilityConfig, ProbabilityModel, TemplatePrior};
 use crate::template::TemplateCatalog;
-use keybridge_index::{InvertedIndex, SchemaTarget, TermIndex};
+use keybridge_index::{InvertedIndex, SchemaTarget};
 use keybridge_relstore::{AttrRef, Database, ExecOptions, ExecStats, JoinedRow, TableId};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -261,23 +261,20 @@ enum TermCandidate {
     AttrName(AttrRef),
 }
 
-/// The interpretation generator. Generic over the [`TermIndex`] the
-/// generation side reads (defaulting to the single-store
-/// [`InvertedIndex`]), so a sharded coordinator can run the identical
-/// best-first search over a merged multi-shard view; the execution-side
-/// methods (`answers_top_k*`) exist only for the concrete inverted index,
-/// which is what the executor's candidate harvest needs.
-pub struct Interpreter<'a, I = InvertedIndex> {
+/// The interpretation generator over one database, its inverted index and
+/// its template catalog. (A sharded coordinator runs the same generator over
+/// its *global* index and a schema-only database.)
+pub struct Interpreter<'a> {
     db: &'a Database,
-    index: &'a I,
+    index: &'a InvertedIndex,
     catalog: &'a TemplateCatalog,
     config: InterpreterConfig,
 }
 
-impl<'a, I: TermIndex> Interpreter<'a, I> {
+impl<'a> Interpreter<'a> {
     pub fn new(
         db: &'a Database,
-        index: &'a I,
+        index: &'a InvertedIndex,
         catalog: &'a TemplateCatalog,
         config: InterpreterConfig,
     ) -> Self {
@@ -305,8 +302,8 @@ impl<'a, I: TermIndex> Interpreter<'a, I> {
         self.db
     }
 
-    /// The term index in use.
-    pub fn index(&self) -> &'a I {
+    /// The inverted index in use.
+    pub fn index(&self) -> &'a InvertedIndex {
         self.index
     }
 
@@ -711,14 +708,11 @@ impl<'a, I: TermIndex> Interpreter<'a, I> {
         }
         search.finish()
     }
-}
 
-// ---------------------------------------------------------------------
-// End-to-end streaming answers — execution needs the concrete inverted
-// index (candidate row sets), so these live on the default instantiation.
-// ---------------------------------------------------------------------
+    // -----------------------------------------------------------------
+    // End-to-end streaming answers.
+    // -----------------------------------------------------------------
 
-impl<'a> Interpreter<'a> {
     /// The top `k` *answers* of `query`: joining tuple trees, ordered by
     /// their interpretation's rank (the §2.2.6 results the user actually
     /// wants, not query forms). Generation and execution interleave:
@@ -973,10 +967,10 @@ impl Ord for Score {
     }
 }
 
-struct BestFirstSearch<'s, 'a, I> {
-    interpreter: &'s Interpreter<'a, I>,
-    model: &'s ProbabilityModel<'a, I>,
-    scorer: &'s IncrementalScorer<'a, 's, I>,
+struct BestFirstSearch<'s, 'a> {
+    interpreter: &'s Interpreter<'a>,
+    model: &'s ProbabilityModel<'a>,
+    scorer: &'s IncrementalScorer<'a, 's>,
     terms: &'s [String],
     candidates: &'s HashMap<String, Vec<TermCandidate>>,
     k: usize,
@@ -997,7 +991,7 @@ struct BestFirstSearch<'s, 'a, I> {
     stats: GenerationStats,
 }
 
-impl<'s, 'a, I: TermIndex> BestFirstSearch<'s, 'a, I> {
+impl BestFirstSearch<'_, '_> {
     /// The k-th best exact score buffered so far (`-inf` until `k` found):
     /// the prune threshold.
     fn threshold(&self) -> f64 {

@@ -18,7 +18,7 @@
 
 use crate::interp::{BindingTarget, QueryInterpretation};
 use crate::template::TemplateCatalog;
-use keybridge_index::{InvertedIndex, TermIndex};
+use keybridge_index::InvertedIndex;
 use keybridge_relstore::{AttrRef, Database};
 use std::collections::HashMap;
 
@@ -115,22 +115,19 @@ impl ProbabilityConfig {
 }
 
 /// The assembled model. Borrows the index and catalog; owns its prior.
-/// Generic over the [`TermIndex`] it reads frequencies from (defaulting to
-/// the single-store [`InvertedIndex`]), so a sharded coordinator can score
-/// against a merged multi-shard view with the exact same arithmetic.
 #[derive(Debug, Clone)]
-pub struct ProbabilityModel<'a, I = InvertedIndex> {
+pub struct ProbabilityModel<'a> {
     db: &'a Database,
-    index: &'a I,
+    index: &'a InvertedIndex,
     catalog: &'a TemplateCatalog,
     prior: TemplatePrior,
     config: ProbabilityConfig,
 }
 
-impl<'a, I: TermIndex> ProbabilityModel<'a, I> {
+impl<'a> ProbabilityModel<'a> {
     pub fn new(
         db: &'a Database,
-        index: &'a I,
+        index: &'a InvertedIndex,
         catalog: &'a TemplateCatalog,
         prior: TemplatePrior,
         config: ProbabilityConfig,
@@ -206,17 +203,13 @@ impl<'a, I: TermIndex> ProbabilityModel<'a, I> {
         value_attrs: &[Vec<AttrRef>],
         name_tables: &[Vec<keybridge_relstore::TableId>],
         allow_unmapped: bool,
-    ) -> IncrementalScorer<'a, 'q, I> {
+    ) -> IncrementalScorer<'a, 'q> {
         IncrementalScorer::new(self, terms, value_attrs, name_tables, allow_unmapped)
     }
-}
 
-impl ProbabilityModel<'_> {
     /// Normalize a slice of log scores into linear probabilities summing
     /// to 1 (softmax with max-shift for stability). Empty input yields an
-    /// empty vector. (Pure float math — lives on the default-index model so
-    /// `ProbabilityModel::normalize(..)` keeps resolving without a type
-    /// annotation.)
+    /// empty vector.
     pub fn normalize(log_scores: &[f64]) -> Vec<f64> {
         if log_scores.is_empty() {
             return Vec::new();
@@ -264,8 +257,8 @@ use std::cell::RefCell;
 /// Group scores are cached per `(occurrence set, attribute)` — shared
 /// across all templates, since the score of a value bag depends only on the
 /// underlying attribute, not on which template node carries it.
-pub struct IncrementalScorer<'a, 'q, I = InvertedIndex> {
-    model: &'q ProbabilityModel<'a, I>,
+pub struct IncrementalScorer<'a, 'q> {
+    model: &'q ProbabilityModel<'a>,
     terms: Vec<String>,
     /// Per occurrence: candidate value attrs with their floored `ln ATF`,
     /// sorted by attr.
@@ -285,9 +278,9 @@ pub struct IncrementalScorer<'a, 'q, I = InvertedIndex> {
     uniform: bool,
 }
 
-impl<'a, 'q, I: TermIndex> IncrementalScorer<'a, 'q, I> {
+impl<'a, 'q> IncrementalScorer<'a, 'q> {
     fn new(
-        model: &'q ProbabilityModel<'a, I>,
+        model: &'q ProbabilityModel<'a>,
         terms: &[String],
         value_attrs: &[Vec<AttrRef>],
         name_tables: &[Vec<TableId>],

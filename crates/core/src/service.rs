@@ -25,13 +25,62 @@
 //! ## Live ingestion: epochs
 //!
 //! The paper's pipeline assumes a frozen database; a production deployment
-//! must absorb inserts while answering queries. [`SearchService::ingest`]
-//! applies a validated [`RowBatch`] to a private writer copy of the store
-//! (primary-key / foreign-key indexes maintained, referential integrity
-//! enforced), splices the new rows into the writer's inverted index
-//! incrementally, and then **publishes** the result as a fresh
-//! [`SearchSnapshot`] under the next [`SnapshotEpoch`] — rebuild-and-swap
-//! behind a `Mutex<Arc<..>>`, the std-only `ArcSwap` idiom.
+//! must absorb inserts while answering queries. The service's answer is a
+//! chain of immutable **epochs**: the store a reader sees never changes, and
+//! a write publishes a whole new one — rebuild-and-swap behind a
+//! `Mutex<Arc<..>>`, the std-only `ArcSwap` idiom. There is no writer-side
+//! copy of the store: the writer *is* the latest published epoch, and the
+//! writer lock guards nothing but the right to replace it.
+//!
+//! ### The write path
+//!
+//! A write enters as a [`RowBatch`] and takes the same five steps on both
+//! topologies ([`SearchService::ingest`], and
+//! [`ShardedService::ingest`](crate::sharded::ShardedService::ingest) with
+//! "the store" read as "the touched shards"):
+//!
+//! 1. **Validate** the batch *as a unit* against the published store with
+//!    relstore's one batch validator (`Schema::validate_batch`, reached
+//!    through [`Database::validate_batch`] here and through shard-directory
+//!    lookups on the sharded service): arity, types, pk uniqueness against
+//!    store + batch, table capacity (the `u32` row-id space), referential
+//!    integrity with intra-batch parents allowed. A rejected batch returns a
+//!    typed [`BatchError`] naming the table and batch row; it has cost
+//!    O(batch) and touched neither memory nor disk. The same bad batch gets
+//!    the same error value from either topology (`tests/sharded.rs`).
+//! 2. **Log** — durable services only: append one CRC-framed WAL record and
+//!    fsync it (see Durability below). A failed append poisons the service
+//!    and returns; because nothing has been cloned or applied yet, it leaves
+//!    **nothing in memory** to roll back — the served epoch is still the
+//!    last one whose record is durable.
+//! 3. **Clone from published**: copy the published [`Database`] and
+//!    [`InvertedIndex`] (on the sharded service: the touched shards' stores,
+//!    local indexes and row maps, plus the global index and pk maps). This
+//!    is the one O(database) step of a write, paid once per *accepted*
+//!    batch, outside the lock readers pin through. Interned text cells make
+//!    it refcount bumps rather than string copies; making it O(batch) is
+//!    ROADMAP Open item 3.
+//! 4. **Apply** the batch to the copy: `insert_batch` with pk/fk hash-index
+//!    maintenance, then `index_batch` — a sorted-position posting splice per
+//!    new row with online row-count/token/vocabulary stats, so ATF/IDF/
+//!    joint-ATF stay *bit-identical* to a full rebuild (property-tested in
+//!    `textindex/tests/incremental.rs`). Recovery replays logged batches
+//!    through the same `apply_batch` helper.
+//! 5. **Swap**: publish the copy as a fresh [`SearchSnapshot`] under the
+//!    next [`SnapshotEpoch`]. The catalog is schema-derived and transfers
+//!    across epochs unchanged. Readers never block on a writer beyond this
+//!    pointer store; every reply carries the epoch that served it
+//!    ([`SearchReply::epoch`]).
+//!
+//! The sharded service adds a routing step between 1 and 3 — each row goes
+//! to the single shard its foreign-key parents pin (multi-pass hint
+//! resolution, post-verified; a cross-shard edge rejects as
+//! [`IngestError::Unroutable`], still before any clone) — and swaps **only
+//! the touched shards'** states under one global generation bump: the
+//! untouched K−1 shards keep their `Arc`s and their warm caches
+//! ([`ServiceStats::shard_epoch_swaps`] / `shards_touched`).
+//!
+//! ### Cache generations
 //!
 //! Every epoch carries its *own generation* of the two shared caches,
 //! bundled with the snapshot in one [`ServingState`] `Arc` that workers
@@ -41,12 +90,19 @@
 //! *n + 1* — stale entries cannot leak into post-update answers, no
 //! per-entry tagging or invalidation sweep required. The displaced
 //! generation's entries are counted in [`ServiceStats::stale_evictions`]
-//! and freed when the last in-flight request of the old epoch finishes.
-//! In-flight requests keep serving the epoch they started on (snapshot
-//! isolation); `tests/ingest.rs` asserts live-updated answers are
-//! byte-identical to a cold rebuild after every batch, and the epoch-race
+//! (swaps in `epoch_swaps`) and freed when the last in-flight request of the
+//! old epoch finishes. In-flight requests keep serving the epoch they
+//! started on (snapshot isolation).
+//!
+//! Correctness spine: `tests/ingest.rs` — after every batch of an FK-safe
+//! randomized schedule (`datagen::holdout_plan`), answers from the
+//! live-updated warm service are byte-identical (bit-exact scores) to a cold
+//! [`Interpreter`] over a from-scratch rebuilt store, on all four fixtures ×
+//! 3 schedule seeds, plus concurrent readers racing swaps; the epoch-race
 //! stress test in `tests/service.rs` asserts every racing reply matches
-//! exactly the oracle of the epoch it reports.
+//! exactly the oracle of the epoch it reports. `smoke --check` gates the
+//! deterministic `ingest_rows` / `ingest_batches` / `epoch_swaps` /
+//! `stale_evictions` counters across machines.
 //!
 //! ## Durability: WAL + checkpoints — **Hot path 6**
 //!
@@ -195,13 +251,20 @@ impl ServingState {
     }
 }
 
-/// The writer's private copy of the store: the mutable primary the ingest
-/// path applies batches to, plus its incrementally maintained index.
-/// Created lazily on the first ingest (a read-only service never pays for
-/// the copy) and retained so successive ingests only clone to *publish*.
-struct WriterState {
-    db: Database,
-    index: InvertedIndex,
+/// The apply step of the write path: insert `batch` into `db` (atomically —
+/// [`Database::insert_batch`] validates before it stores) and splice the new
+/// rows into `index`. Live ingest runs it on a clone of the published store,
+/// recovery on the store it is rebuilding, so replay and ingest cannot
+/// diverge. Returns the number of rows inserted.
+fn apply_batch(
+    db: &mut Database,
+    index: &mut InvertedIndex,
+    batch: &RowBatch,
+) -> Result<usize, BatchError> {
+    let ids = db.insert_batch(batch)?;
+    let inserted: Vec<(TableId, RowId)> = batch.iter().map(|(table, _)| *table).zip(ids).collect();
+    index.index_batch(db, &inserted);
+    Ok(inserted.len())
 }
 
 /// Why an [`SearchService::ingest`] was refused.
@@ -823,8 +886,9 @@ pub struct SearchService {
     // Dropped first: joins the workers before anything they serve from.
     pool: WorkerPool,
     current: Arc<Mutex<Arc<ServingState>>>,
-    /// Serializes ingests; lazily holds the writer's mutable copy.
-    writer: Mutex<Option<WriterState>>,
+    /// Serializes every path that replaces `current` (ingest, checkpoint).
+    /// Guards no data: the writer's store *is* the latest published epoch.
+    writer: Mutex<()>,
     /// WAL + checkpoint state for durable services; `None` under `start`.
     durability: Option<Durability>,
     served: Arc<AtomicUsize>,
@@ -943,15 +1007,9 @@ impl SearchService {
             }
             // A logged batch was validated before it was appended, so a
             // rejection here means the snapshot and log disagree.
-            let ids = db.insert_batch(batch).map_err(|e| {
+            apply_batch(&mut db, &mut index, batch).map_err(|e| {
                 DurabilityError::Corrupt(format!("WAL batch for epoch {seq} rejected: {e}"))
             })?;
-            let inserted: Vec<(TableId, RowId)> = batch
-                .iter()
-                .map(|(table, _)| *table)
-                .zip(ids.iter().copied())
-                .collect();
-            index.index_batch(&db, &inserted);
             epoch = *seq;
             replayed += 1;
         }
@@ -983,7 +1041,7 @@ impl SearchService {
         SearchService {
             pool: WorkerPool::start("keybridge-worker", workers),
             current: Arc::new(Mutex::new(ServingState::fresh(epoch, snapshot))),
-            writer: Mutex::new(None),
+            writer: Mutex::new(()),
             durability,
             served: Arc::new(AtomicUsize::new(0)),
             epoch_swaps: AtomicUsize::new(0),
@@ -1015,19 +1073,26 @@ impl SearchService {
     }
 
     /// Apply one insert batch to the live store and publish the result as
-    /// the next epoch. The batch is validated as a unit (arity, types,
-    /// primary keys, referential integrity — intra-batch parents allowed)
-    /// against the writer's copy; a rejected batch changes nothing, neither
-    /// store nor epoch. Concurrent ingests serialize on the writer lock;
-    /// readers are never blocked beyond the single pointer swap.
+    /// the next epoch — the module docs' write path, steps in order:
     ///
-    /// On a durable service the validated batch is appended to the
-    /// write-ahead log and fsynced **before** the epoch swap — an epoch a
-    /// client ever observed is always recoverable. A failed append poisons
-    /// the service without publishing anything; if the configured
-    /// `checkpoint_every` threshold is reached, a checkpoint runs after the
-    /// swap (its failure also poisons, but the batch itself — already
-    /// WAL-durable — is still accepted).
+    /// 1. **Validate** the batch as a unit against the published store
+    ///    ([`Database::validate_batch`]: arity, types, primary keys, table
+    ///    capacity, referential integrity — intra-batch parents allowed). A
+    ///    rejected batch costs O(batch) and changes nothing: no clone, no
+    ///    WAL byte, no epoch.
+    /// 2. **Log** (durable services): append the batch to the write-ahead
+    ///    log and fsync — an epoch a client ever observed is always
+    ///    recoverable. A failed append poisons the service and returns with
+    ///    nothing in memory to undo.
+    /// 3. **Clone** the published `Database` + `InvertedIndex` — the one
+    ///    O(database) step — **apply** the batch to the copy, and **swap**
+    ///    it in under a fresh shared-cache generation.
+    ///
+    /// Concurrent ingests serialize on the writer lock; readers are never
+    /// blocked beyond the single pointer swap. If the configured
+    /// `checkpoint_every` threshold is reached, a checkpoint of the epoch
+    /// just published runs after the swap (its failure also poisons, but the
+    /// batch itself — already WAL-durable — is still accepted).
     pub fn ingest(&self, batch: &RowBatch) -> Result<IngestReceipt, IngestError> {
         if let Some(d) = &self.durability {
             if d.is_poisoned() {
@@ -1037,78 +1102,55 @@ impl SearchService {
         // Each pinned epoch is about to cost a full displaced database
         // copy; shed sessions nobody is coming back for first.
         self.expire_idle_sessions();
-        let mut writer = self.writer.lock().unwrap();
-        if writer.is_none() {
-            // First ingest: fork the writer's mutable copy off the served
-            // snapshot. From here on the writer copy is the primary.
-            let state = self.current.lock().unwrap().clone();
-            *writer = Some(WriterState {
-                db: state.snapshot.db.clone(),
-                index: state.snapshot.index.clone(),
-            });
-        }
-        let w = writer.as_mut().expect("initialized above");
-        let ids = w.db.insert_batch(batch)?;
-        let inserted: Vec<(TableId, RowId)> = batch
-            .iter()
-            .map(|(table, _)| *table)
-            .zip(ids.iter().copied())
-            .collect();
-        w.index.index_batch(&w.db, &inserted);
-
-        // Publish: clone the writer copy into an immutable snapshot under
-        // the next epoch with a fresh shared-cache generation. The catalog
-        // is schema-derived and the schema is immutable, so it transfers.
-        // The O(database) clones happen *outside* the `current` lock —
-        // workers pin their state through that lock per request, so it may
-        // only be held for pointer reads and the final swap. `prev` cannot
-        // go stale in between: the held writer lock serializes every path
-        // that replaces `current`.
+        // `prev` cannot go stale below: the held writer lock serializes
+        // every path that replaces `current`.
+        let _writer = self.writer.lock().unwrap();
         let prev = Arc::clone(&self.current.lock().unwrap());
+        prev.snapshot.db.validate_batch(batch)?;
+        let epoch = SnapshotEpoch(prev.epoch.0 + 1);
         if let Some(d) = &self.durability {
             // WAL before swap: the record producing the next epoch must be
             // durable before any client can observe that epoch.
-            if let Err(e) = d.append(prev.epoch.0 + 1, batch) {
-                // The writer copy is now ahead of both the served and the
-                // (known-)durable state; drop it and poison. Recovery is a
-                // fresh `open`, which replays whatever the log retained.
+            if let Err(e) = d.append(epoch.0, batch) {
                 d.poison();
-                *writer = None;
                 return Err(IngestError::Durability(e));
             }
         }
+        // The O(database) clones happen *outside* the `current` lock —
+        // workers pin their state through that lock per request, so it may
+        // only be held for pointer reads and the final swap. The catalog is
+        // schema-derived and the schema is immutable, so it transfers.
+        let mut db = prev.snapshot.db.clone();
+        let mut index = prev.snapshot.index.clone();
+        let rows = apply_batch(&mut db, &mut index, batch)
+            .expect("batch validated against the store it is applied to");
         let next = ServingState::fresh(
-            SnapshotEpoch(prev.epoch.0 + 1),
+            epoch,
             Arc::new(SearchSnapshot::new(
-                w.db.clone(),
-                w.index.clone(),
+                db,
+                index,
                 prev.snapshot.catalog.clone(),
                 prev.snapshot.config.clone(),
             )),
         );
-        let displaced = {
-            let mut current = self.current.lock().unwrap();
-            std::mem::replace(&mut *current, Arc::clone(&next))
-        };
+        *self.current.lock().unwrap() = Arc::clone(&next);
         self.epoch_swaps.fetch_add(1, Ordering::Relaxed);
         self.stale_evictions
-            .fetch_add(displaced.cache_entries(), Ordering::Relaxed);
-        self.rows_ingested.fetch_add(ids.len(), Ordering::Relaxed);
+            .fetch_add(prev.cache_entries(), Ordering::Relaxed);
+        self.rows_ingested.fetch_add(rows, Ordering::Relaxed);
         if let Some(d) = &self.durability {
             let since = d.batches_since_checkpoint.fetch_add(1, Ordering::Relaxed) + 1;
             if d.checkpoint_every > 0 && since >= d.checkpoint_every {
                 // Auto-checkpoint under the still-held writer lock. The
                 // batch is already WAL-durable, so a checkpoint failure
                 // poisons future writes but does not un-accept it.
-                if d.checkpoint(next.epoch.0, &w.db, &w.index).is_err() {
+                let snap = &next.snapshot;
+                if d.checkpoint(epoch.0, &snap.db, &snap.index).is_err() {
                     d.poison();
                 }
             }
         }
-        Ok(IngestReceipt {
-            epoch: next.epoch,
-            rows: ids.len(),
-        })
+        Ok(IngestReceipt { epoch, rows })
     }
 
     /// Fold the log into a fresh `snapshot.kb` (written atomically) and
@@ -1349,6 +1391,7 @@ impl SearchService {
     /// Current serving/cache counters.
     pub fn stats(&self) -> ServiceStats {
         let state = self.current.lock().unwrap().clone();
+        let durable = self.durability.as_ref();
         ServiceStats {
             served: self.served.load(Ordering::Relaxed),
             epoch: state.epoch.0,
@@ -1364,22 +1407,11 @@ impl SearchService {
             sessions_open: self.sessions.lock().unwrap().len(),
             sessions_evicted: self.sessions_evicted.load(Ordering::Relaxed),
             sessions_expired: self.sessions_expired.load(Ordering::Relaxed),
-            wal_batches: self
-                .durability
-                .as_ref()
-                .map_or(0, |d| d.wal_batches.load(Ordering::Relaxed)),
-            wal_bytes: self
-                .durability
-                .as_ref()
-                .map_or(0, |d| d.wal_bytes.load(Ordering::Relaxed)),
-            checkpoints: self
-                .durability
-                .as_ref()
-                .map_or(0, |d| d.checkpoints.load(Ordering::Relaxed)),
-            recovery_replayed_batches: self.durability.as_ref().map_or(0, |d| d.recovery_replayed),
-            shard_epoch_swaps: 0,
-            shards_touched: 0,
-            shard_rows_skipped: 0,
+            wal_batches: durable.map_or(0, |d| d.wal_batches.load(Ordering::Relaxed)),
+            wal_bytes: durable.map_or(0, |d| d.wal_bytes.load(Ordering::Relaxed)),
+            checkpoints: durable.map_or(0, |d| d.checkpoints.load(Ordering::Relaxed)),
+            recovery_replayed_batches: durable.map_or(0, |d| d.recovery_replayed),
+            ..Default::default()
         }
     }
 }
@@ -2380,6 +2412,69 @@ mod tests {
             assert_eq!(a.keys, b.keys);
             assert_eq!(a.log_score.to_bits(), b.log_score.to_bits());
         }
+        drop(recovered);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rejected_batch_on_a_durable_service_writes_nothing() {
+        let dir =
+            std::env::temp_dir().join(format!("keybridge-service-reject-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let snap = snapshot();
+        let actor = snap.db.schema().table_id("actor").unwrap();
+        let acts = snap.db.schema().table_id("acts").unwrap();
+        let base_pk = snap.db.table(actor).len() as i64 + 8000;
+        let opts = DurableOptions {
+            max_joins: 4,
+            ..DurableOptions::default()
+        };
+        let good = |i: i64| -> RowBatch {
+            vec![(
+                actor,
+                vec![Value::Int(base_pk + i), Value::text(format!("tom wal{i}"))],
+            )]
+        };
+        let service = SearchService::start_durable(Arc::clone(&snap), 1, &dir, &opts).unwrap();
+        service.ingest(&good(0)).unwrap();
+        let before = service.stats();
+        assert_eq!(before.wal_batches, 1);
+        assert_eq!(scan_wal(&dir).unwrap().records.len(), 1);
+
+        // A good first row followed by an orphan: refused as a unit, before
+        // the log sees a byte.
+        let mut bad = good(1);
+        bad.push((
+            acts,
+            vec![
+                Value::Int(999_999),
+                Value::Int(777_777),
+                Value::Int(888_888),
+                Value::text("ghost role"),
+            ],
+        ));
+        assert!(matches!(
+            service.ingest(&bad),
+            Err(IngestError::Batch(BatchError::DanglingForeignKey {
+                batch_row: 1,
+                ..
+            }))
+        ));
+        let after = service.stats();
+        assert_eq!(after.wal_batches, before.wal_batches);
+        assert_eq!(after.wal_bytes, before.wal_bytes);
+        assert_eq!(after.epoch_swaps, 1);
+        assert_eq!(scan_wal(&dir).unwrap().records.len(), 1);
+        assert!(!service.is_poisoned(), "a rejection is not a fault");
+        drop(service);
+
+        // Recovery finds the pre-rejection epoch, and the batch whose first
+        // row rode in the rejected one is still acceptable.
+        let recovered = SearchService::open(&dir, 1, &opts).unwrap();
+        assert_eq!(recovered.current_epoch(), SnapshotEpoch(1));
+        assert_eq!(recovered.stats().recovery_replayed_batches, 1);
+        let receipt = recovered.ingest(&good(1)).unwrap();
+        assert_eq!(receipt.epoch, SnapshotEpoch(2));
         drop(recovered);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -66,7 +66,7 @@
 //! simultaneously, reduce always completes, and the plan (or an abort) is
 //! always delivered.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -74,14 +74,14 @@ use std::sync::{Arc, Mutex};
 use keybridge_index::InvertedIndex;
 use keybridge_relstore::{
     assign_shards, execute_reduced_in, hash_shard, plan_join_order, reduce_join_tree,
-    split_database, AttrRef, BatchError, Candidates, Database, ExecOptions, ExecStats, JoinPlan,
-    JoinTree, JoinedRow, RelResult, RowBatch, RowId, Schema, ShardAssignment, TableId,
+    split_database, Database, ExecOptions, ExecStats, JoinPlan, JoinTree, JoinedRow, RelResult,
+    RowBatch, RowId, Schema, ShardAssignment, TableId, MAX_TABLE_ROWS,
 };
 
-use crate::exec::{bound_nodes, collect_result_keys, intersect_sorted, with_result_cache};
+use crate::exec::{bound_nodes, collect_result_keys, harvest_candidates, with_result_cache};
 use crate::exec::{ExecCache, ExecutedResult, Executor, SharedExecCache};
 use crate::generate::{Interpreter, SharedNonemptyCache};
-use crate::interp::{BindingTarget, QueryInterpretation};
+use crate::interp::QueryInterpretation;
 use crate::service::{
     serve_request, IngestError, IngestReceipt, Pinned, Reply, Request, SearchSnapshot,
     ServeRequests, ServiceError, ServiceStats, SnapshotEpoch, Ticket, WorkerPool,
@@ -136,16 +136,6 @@ impl ShardSet {
     }
 }
 
-/// Writer-side state, serialized under one mutex like the single-shard
-/// writer: the global shard directory.
-struct ShardedWriter {
-    /// `(table, pk) → shard` for every row ever placed — committed rows and
-    /// (when started with a pre-computed plan) rows scheduled for future
-    /// ingest. Routing honors scheduled placements so a replayed holdout
-    /// lands exactly where the full-corpus partitioning put it.
-    assignment: ShardAssignment,
-}
-
 /// Everything a coordinator job needs beside its pinned [`ShardSet`],
 /// cloneable into the job closure.
 #[derive(Clone)]
@@ -178,7 +168,12 @@ pub struct ShardedService {
     ctx: ServeCtx,
     current: Arc<Mutex<Arc<ShardSet>>>,
     served: Arc<AtomicUsize>,
-    writer: Mutex<ShardedWriter>,
+    /// The writer lock, holding the global shard directory: `(table, pk) →
+    /// shard` for every row ever placed — committed rows and (when started
+    /// with a pre-computed plan) rows scheduled for future ingest. Routing
+    /// honors scheduled placements so a replayed holdout lands exactly
+    /// where the full-corpus partitioning put it.
+    writer: Mutex<ShardAssignment>,
     epoch_swaps: AtomicUsize,
     shard_epoch_swaps: AtomicUsize,
     stale_evictions: AtomicUsize,
@@ -256,7 +251,7 @@ impl ShardedService {
             },
             current: Arc::new(Mutex::new(set)),
             served: Arc::new(AtomicUsize::new(0)),
-            writer: Mutex::new(ShardedWriter { assignment }),
+            writer: Mutex::new(assignment),
             epoch_swaps: AtomicUsize::new(0),
             shard_epoch_swaps: AtomicUsize::new(0),
             stale_evictions: AtomicUsize::new(0),
@@ -274,127 +269,75 @@ impl ShardedService {
         self.current.lock().unwrap().shard_epochs()
     }
 
-    /// Apply one insert batch: validate exactly like
-    /// [`Database::insert_batch`] (same errors, same order, with the whole
-    /// sharded store standing in for "the database"), route every row to
-    /// the single shard its foreign-key parents pin (planned placement
-    /// honored, rootless rows hashed), and publish a generation in which
-    /// **only the touched shards** carry a new epoch and a fresh predicate
-    /// cache.
+    /// Apply one insert batch — the same write shape as
+    /// [`crate::SearchService::ingest`] (see "The write path" in
+    /// `core/service.rs`), with the whole sharded store standing in for "the
+    /// database":
+    ///
+    /// 1. **Validate** with relstore's one batch validator
+    ///    ([`Schema::validate_batch`]), its two lookups answered by the shard
+    ///    directory and the global pk maps — so a batch is rejected here with
+    ///    exactly the [`BatchError`](keybridge_relstore::BatchError) the
+    ///    single service returns, before anything is cloned.
+    /// 2. **Route** every row to the single shard its foreign-key parents
+    ///    pin (planned placement honored, rootless rows hashed); a row whose
+    ///    constraints disagree is [`IngestError::Unroutable`], still before
+    ///    any clone.
+    /// 3. **Clone from published**: only the touched shards' stores, plus
+    ///    the global index and pk maps.
+    /// 4. **Apply** in batch order, then **swap** in a generation in which
+    ///    only the touched shards carry a new epoch and a fresh predicate
+    ///    cache.
     pub fn ingest(&self, batch: &RowBatch) -> Result<IngestReceipt, IngestError> {
-        let mut writer = self.writer.lock().unwrap();
+        let mut directory = self.writer.lock().unwrap();
         let set = Arc::clone(&self.current.lock().unwrap());
         let schema = self.ctx.base.db.schema();
-        let table_count = schema.table_count();
 
         // Does (table, pk) exist in the *store*? The directory also holds
         // planned (not yet ingested) placements, so hint presence alone is
         // not existence — probe the hinted shard.
         let in_store = |table: TableId, pk: i64| -> Option<usize> {
-            writer
-                .assignment
+            directory
                 .shard_of(table, pk)
                 .filter(|&s| set.shards[s].db.table(table).by_pk(pk).is_some())
         };
+        // Global row ids are minted off the pk maps, so their lengths are
+        // the table sizes the capacity check must see.
+        let row_pks = schema.validate_batch(
+            batch,
+            MAX_TABLE_ROWS,
+            |table, pk| in_store(table, pk).is_some(),
+            |table| set.pk_maps[table.0 as usize].len(),
+        )?;
+        let batch_pos: HashMap<(u32, i64), usize> = batch
+            .iter()
+            .zip(&row_pks)
+            .enumerate()
+            .map(|(i, ((table, _), &pk))| ((table.0, pk), i))
+            .collect();
 
-        // Phase 1 (mirrors `insert_batch`): shape, then pk uniqueness
-        // against the store and within the batch.
-        let mut new_pks: Vec<HashSet<i64>> = vec![HashSet::new(); table_count];
-        let mut row_pks: Vec<i64> = Vec::with_capacity(batch.len());
-        let mut batch_pos: HashMap<(u32, i64), usize> = HashMap::new();
-        for (i, (table, row)) in batch.iter().enumerate() {
-            let pk_val = schema
-                .check_shape(*table, row)
-                .map_err(|e| IngestError::Batch(schema.shape_batch_error(e, i)))?;
-            let t = table.0 as usize;
-            if in_store(*table, pk_val).is_some() || !new_pks[t].insert(pk_val) {
-                return Err(IngestError::Batch(BatchError::DuplicatePrimaryKey {
-                    table: schema.table(*table).name.clone(),
-                    key: pk_val,
-                    batch_row: i,
-                }));
-            }
-            batch_pos.insert((table.0, pk_val), i);
-            row_pks.push(pk_val);
-        }
-        // Referential integrity: a parent may live anywhere in the store or
-        // in this batch. Same fk-column order as `insert_batch`.
-        for (i, (table, row)) in batch.iter().enumerate() {
-            for (_, fk) in schema.fks().filter(|(_, fk)| fk.from.table == *table) {
-                if let Some(key) = row[fk.from.attr.0 as usize].as_int() {
-                    let parent = fk.to.table;
-                    if in_store(parent, key).is_none() && !new_pks[parent.0 as usize].contains(&key)
-                    {
-                        let t = schema.table(*table);
-                        return Err(IngestError::Batch(BatchError::DanglingForeignKey {
-                            table: t.name.clone(),
-                            attr: t.attr(fk.from.attr).name.clone(),
-                            key,
-                            batch_row: i,
-                        }));
-                    }
-                }
-            }
-        }
-
-        // Route every row to one shard. Constraints per row: its planned
-        // placement (if the directory has one) and the shards of its
-        // foreign-key parents (in-store, or earlier-routed batch rows).
-        // Multi-pass so intra-batch parents may appear in any order; a
-        // stuck cycle pins its first row from whatever constraints are
-        // already resolved. Conflicting constraints are unroutable.
-        let shard_count = writer.assignment.shards();
+        // Route every row to one shard. Multi-pass so intra-batch parents
+        // may appear in any order; when a pass settles nothing (an
+        // intra-batch fk cycle), the first pending row is pinned from
+        // whatever constraints are already resolved.
+        let resolve = |route: &[Option<usize>], i: usize, forced: bool| {
+            let (table, row) = &batch[i];
+            let pk = row_pks[i];
+            resolve_route(
+                schema, &directory, &set, &batch_pos, route, *table, row, pk, forced,
+            )
+        };
         let mut route: Vec<Option<usize>> = vec![None; batch.len()];
-        loop {
+        while let Some(first) = route.iter().position(Option::is_none) {
             let mut progressed = false;
-            let mut all_done = true;
-            for (i, (table, row)) in batch.iter().enumerate() {
-                if route[i].is_some() {
-                    continue;
+            for i in first..batch.len() {
+                if route[i].is_none() {
+                    route[i] = resolve(&route, i, false)?;
+                    progressed |= route[i].is_some();
                 }
-                match resolve_route(
-                    schema, &writer, &set, &batch_pos, &route, *table, row, row_pks[i], false,
-                ) {
-                    Resolution::Shard(s) => {
-                        route[i] = Some(s);
-                        progressed = true;
-                    }
-                    Resolution::Unrouted => {
-                        route[i] = Some(hash_shard(*table, row_pks[i], shard_count));
-                        progressed = true;
-                    }
-                    Resolution::Pending => all_done = false,
-                    Resolution::Conflict => {
-                        return Err(IngestError::Unroutable {
-                            table: schema.table(*table).name.clone(),
-                            key: row_pks[i],
-                        });
-                    }
-                }
-            }
-            if all_done {
-                break;
             }
             if !progressed {
-                // Intra-batch fk cycle: force-resolve the first pending row
-                // from its already-resolved constraints only.
-                let i = route.iter().position(Option::is_none).expect("pending row");
-                let (table, row) = &batch[i];
-                route[i] = Some(
-                    match resolve_route(
-                        schema, &writer, &set, &batch_pos, &route, *table, row, row_pks[i], true,
-                    ) {
-                        Resolution::Shard(s) => s,
-                        Resolution::Unrouted => hash_shard(*table, row_pks[i], shard_count),
-                        Resolution::Conflict => {
-                            return Err(IngestError::Unroutable {
-                                table: schema.table(*table).name.clone(),
-                                key: row_pks[i],
-                            });
-                        }
-                        Resolution::Pending => unreachable!("forced resolution never pends"),
-                    },
-                );
+                route[first] = resolve(&route, first, true)?;
             }
         }
         // Every fk edge must be intra-shard, else a shard-local join would
@@ -417,40 +360,38 @@ impl ShardedService {
             }
         }
 
-        // Apply, in full batch order: clone only the touched shards' state,
-        // insert locally, maintain the local index, the global index, the
-        // row/pk maps, and the directory.
-        let touched: BTreeSet<usize> = route.iter().map(|r| r.expect("routed")).collect();
-        let mut new_dbs: HashMap<usize, Database> = touched
-            .iter()
-            .map(|&s| (s, (*set.shards[s].db).clone()))
-            .collect();
-        let mut new_indexes: HashMap<usize, InvertedIndex> = touched
-            .iter()
-            .map(|&s| (s, (*set.shards[s].index).clone()))
-            .collect();
-        let mut new_row_maps: HashMap<usize, Vec<Vec<RowId>>> = touched
-            .iter()
-            .map(|&s| (s, (*set.shards[s].row_map).clone()))
-            .collect();
+        // Clone only the touched shards' published state (store, local
+        // index, row map), then apply in full batch order: insert locally,
+        // maintain the local index, the global index, the row/pk maps, and
+        // the directory.
+        let mut forks: BTreeMap<usize, (Database, InvertedIndex, Vec<Vec<RowId>>)> =
+            BTreeMap::new();
+        for s in route.iter().map(|r| r.expect("routed")) {
+            forks.entry(s).or_insert_with(|| {
+                let old = &set.shards[s];
+                (
+                    (*old.db).clone(),
+                    (*old.index).clone(),
+                    (*old.row_map).clone(),
+                )
+            });
+        }
         let mut pk_maps = (*set.pk_maps).clone();
         let mut global_index = (*set.index).clone();
         for (i, (table, row)) in batch.iter().enumerate() {
             let s = route[i].expect("routed");
             let t = table.0 as usize;
-            let db = new_dbs.get_mut(&s).expect("touched shard");
+            let (db, index, row_map) = forks.get_mut(&s).expect("touched shard");
             let local = db
                 .insert(*table, row.clone())
                 .expect("batch validated before apply");
-            new_indexes
-                .get_mut(&s)
-                .expect("touched shard")
-                .index_row(db, *table, local);
-            let global = RowId(pk_maps[t].len() as u32);
-            new_row_maps.get_mut(&s).expect("touched shard")[t].push(global);
+            index.index_row(db, *table, local);
+            let global =
+                RowId(u32::try_from(pk_maps[t].len()).expect("capacity validated before apply"));
+            row_map[t].push(global);
             global_index.index_row_values(schema, *table, global, row);
             pk_maps[t].push(row_pks[i]);
-            writer.assignment.record(*table, row_pks[i], s);
+            directory.record(*table, row_pks[i], s);
         }
 
         // Publish: global epoch bumps, touched shards bump their own chain
@@ -458,15 +399,16 @@ impl ShardedService {
         // their Arc (and their warm cache).
         let mut stale = set.nonempty.len() + set.exec.predicate_count() + set.exec.result_count();
         let mut shards = set.shards.clone();
-        for &s in &touched {
+        let touched = forks.len();
+        for (s, (db, index, row_map)) in forks {
             let old = &set.shards[s];
             stale += old.exec.predicate_count() + old.exec.result_count();
             shards[s] = Arc::new(ShardState {
                 epoch: SnapshotEpoch(old.epoch.0 + 1),
-                db: Arc::new(new_dbs.remove(&s).expect("touched shard")),
-                index: Arc::new(new_indexes.remove(&s).expect("touched shard")),
+                db: Arc::new(db),
+                index: Arc::new(index),
                 exec: Arc::new(SharedExecCache::new()),
-                row_map: Arc::new(new_row_maps.remove(&s).expect("touched shard")),
+                row_map: Arc::new(row_map),
             });
         }
         let generation = SnapshotEpoch(set.generation.0 + 1);
@@ -480,8 +422,7 @@ impl ShardedService {
         });
         *self.current.lock().unwrap() = next;
         self.epoch_swaps.fetch_add(1, Ordering::Relaxed);
-        self.shard_epoch_swaps
-            .fetch_add(touched.len(), Ordering::Relaxed);
+        self.shard_epoch_swaps.fetch_add(touched, Ordering::Relaxed);
         self.stale_evictions.fetch_add(stale, Ordering::Relaxed);
         self.rows_ingested.fetch_add(batch.len(), Ordering::Relaxed);
         Ok(IngestReceipt {
@@ -539,17 +480,11 @@ impl ServeRequests for ShardedService {
             predicate_hits,
             result_entries,
             result_hits,
-            sessions_open: 0,
-            sessions_evicted: 0,
-            sessions_expired: 0,
-            wal_batches: 0,
-            wal_bytes: 0,
-            checkpoints: 0,
-            recovery_replayed_batches: 0,
             shard_epoch_swaps: self.shard_epoch_swaps.load(Ordering::Relaxed),
             shard_rows_skipped: self.ctx.shard_rows_skipped.load(Ordering::Relaxed),
             // A shard's epoch chain starts at 0 and only ingest bumps it.
             shards_touched: set.shards.iter().filter(|s| s.epoch.0 > 0).count(),
+            ..Default::default()
         }
     }
 
@@ -570,24 +505,16 @@ impl ServeRequests for ShardedService {
 // Ingest helpers.
 // ---------------------------------------------------------------------------
 
-enum Resolution {
-    /// All resolved constraints agree on this shard.
-    Shard(usize),
-    /// No constraints at all (rootless, unplanned row): caller hashes.
-    Unrouted,
-    /// An intra-batch parent is not routed yet; try again next pass (only
-    /// when `forced` is false).
-    Pending,
-    /// Two resolved constraints name different shards.
-    Conflict,
-}
-
-/// The shard constraints of one batch row: its planned placement in the
-/// directory plus every foreign-key parent's shard.
+/// The shard one batch row must land on: the one its planned placement in
+/// the directory and every foreign-key parent's shard agree on, or the hash
+/// of its key when nothing constrains it. `Ok(None)` means an intra-batch
+/// parent is not routed yet — try again next pass; `forced` skips such
+/// parents instead, so it always settles. Constraints that name different
+/// shards make the row unroutable.
 #[allow(clippy::too_many_arguments)]
 fn resolve_route(
     schema: &Schema,
-    writer: &ShardedWriter,
+    directory: &ShardAssignment,
     set: &ShardSet,
     batch_pos: &HashMap<(u32, i64), usize>,
     route: &[Option<usize>],
@@ -595,54 +522,35 @@ fn resolve_route(
     row: &[keybridge_relstore::Value],
     pk: i64,
     forced: bool,
-) -> Resolution {
-    let mut req: Option<usize> = None;
-    let mut constrain = |s: usize| -> bool {
-        match req {
-            Some(prev) => prev == s,
-            None => {
-                req = Some(s);
-                true
-            }
-        }
-    };
-    if let Some(h) = writer.assignment.shard_of(table, pk) {
-        if !constrain(h) {
-            unreachable!("first constraint cannot conflict");
-        }
-    }
+) -> Result<Option<usize>, IngestError> {
+    let mut req = directory.shard_of(table, pk);
     for (_, fk) in schema.fks().filter(|(_, fk)| fk.from.table == table) {
         let Some(key) = row[fk.from.attr.0 as usize].as_int() else {
             continue;
         };
         let parent = fk.to.table;
-        let parent_shard = match writer
-            .assignment
-            .shard_of(parent, key)
-            .filter(|&s| set.shards[s].db.table(parent).by_pk(key).is_some())
-        {
-            Some(s) => Some(s),
-            None => match batch_pos.get(&(parent.0, key)) {
-                Some(&j) => match route[j] {
-                    Some(s) => Some(s),
-                    None if forced => None, // skip unresolved constraints
-                    None => return Resolution::Pending,
+        let planned = directory.shard_of(parent, key);
+        let parent_shard =
+            match planned.filter(|&s| set.shards[s].db.table(parent).by_pk(key).is_some()) {
+                Some(s) => Some(s),
+                None => match batch_pos.get(&(parent.0, key)) {
+                    Some(&j) if route[j].is_none() && !forced => return Ok(None),
+                    Some(&j) => route[j],
+                    // Validated, so the parent is in the store or the batch
+                    // (both handled above); fall back to its planned shard.
+                    None => planned,
                 },
-                // Parent only planned in the directory (validated, so this
-                // means it is in the batch — handled above — or in store).
-                None => writer.assignment.shard_of(parent, key),
-            },
-        };
-        if let Some(s) = parent_shard {
-            if !constrain(s) {
-                return Resolution::Conflict;
-            }
+            };
+        if parent_shard.is_some_and(|s| *req.get_or_insert(s) != s) {
+            return Err(IngestError::Unroutable {
+                table: schema.table(table).name.clone(),
+                key: pk,
+            });
         }
     }
-    match req {
-        Some(s) => Resolution::Shard(s),
-        None => Resolution::Unrouted,
-    }
+    Ok(Some(req.unwrap_or_else(|| {
+        hash_shard(table, pk, directory.shards())
+    })))
 }
 
 // ---------------------------------------------------------------------------
@@ -866,29 +774,9 @@ fn shard_execute(
     plan_rx: Receiver<Option<JoinPlan>>,
     out_tx: Sender<RelResult<(Vec<JoinedRow>, ExecStats)>>,
 ) {
-    let n = tree.nodes.len();
-    // Candidate harvest, exactly like `execute_inner`: predicate row sets
-    // through the (shard-local) cache, sorted-merge intersection for
-    // multiple predicates on one node.
     let mut cache = ExecCache::with_shared(Arc::clone(&shard.exec));
-    let mut per_node: Vec<Option<Vec<RowId>>> = vec![None; n];
-    for b in &interp.bindings {
-        if let BindingTarget::Value { node, attr } = b.target {
-            let aref = AttrRef {
-                table: tree.nodes[node],
-                attr,
-            };
-            let rows = (*cache.rows(&shard.index, &b.keywords, aref)).clone();
-            per_node[node] = Some(match per_node[node].take() {
-                Some(mut prev) => {
-                    intersect_sorted(&mut prev, &rows);
-                    prev
-                }
-                None => rows,
-            });
-        }
-    }
-    let reduced = match reduce_join_tree(&shard.db, tree, &Candidates { per_node }) {
+    let candidates = harvest_candidates(&mut cache, &shard.index, interp, &tree.nodes);
+    let reduced = match reduce_join_tree(&shard.db, tree, &candidates) {
         Ok(r) => r,
         Err(e) => {
             let _ = red_tx.send(Err(e));

@@ -10,7 +10,7 @@
 //!
 //! * [`jaccard`] / [`DivItem`] — interpretation similarity as the Jaccard
 //!   coefficient over keyword-interpretation sets (Eq. 4.3);
-//! * [`diversify`] — the greedy top-k selection of Alg. 4.1 with the
+//! * [`fn@diversify`] — the greedy top-k selection of Alg. 4.1 with the
 //!   λ-weighted relevance/novelty score (Eq. 4.4) and its score upper-bound
 //!   early termination;
 //! * [`metrics`] — α-nDCG-W (Eqs. 4.5–4.6) and WS-recall (Eq. 4.7), the

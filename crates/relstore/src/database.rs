@@ -3,12 +3,12 @@
 use crate::error::{BatchError, RelError, RelResult};
 use crate::schema::{AttrRef, FkId, Schema, TableId};
 use crate::value::{RowId, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Hard per-table row capacity: `RowId` is a `u32`, so a table can hold at
 /// most `u32::MAX + 1` rows before ids would wrap.
-const DEFAULT_MAX_ROWS: usize = (u32::MAX as usize) + 1;
+pub const MAX_TABLE_ROWS: usize = (u32::MAX as usize) + 1;
 
 /// Per-database string dictionary. Every text cell is canonicalized to one
 /// shared [`Arc<str>`] per distinct string, identified by a dense `u32`
@@ -98,7 +98,7 @@ pub struct Database {
     table_fk_cols: Vec<Vec<(usize, usize)>>,
     /// Interned text values shared by every row.
     arena: StringArena,
-    /// Per-table row capacity. Always [`DEFAULT_MAX_ROWS`] in production;
+    /// Per-table row capacity. Always [`MAX_TABLE_ROWS`] in production;
     /// tests lower it to exercise the `TableFull` boundary.
     max_rows: usize,
 }
@@ -118,7 +118,7 @@ impl Database {
             fk_index,
             table_fk_cols,
             arena: StringArena::default(),
-            max_rows: DEFAULT_MAX_ROWS,
+            max_rows: MAX_TABLE_ROWS,
         }
     }
 
@@ -217,67 +217,32 @@ impl Database {
         self.insert(table, row)
     }
 
+    /// Whether [`Self::insert_batch`] would accept `batch`, without touching
+    /// the database: [`Schema::validate_batch`] with this database's pk
+    /// indexes and table lengths as the store. O(batch).
+    pub fn validate_batch(&self, batch: &RowBatch) -> Result<(), BatchError> {
+        let exists = |table: TableId, pk| self.table(table).by_pk(pk).is_some();
+        self.schema
+            .validate_batch(batch, self.max_rows, exists, |t| self.table(t).len())
+            .map(drop)
+    }
+
     /// Insert a batch of rows atomically: the whole batch is validated —
     /// arity, types, primary-key uniqueness (against the database *and*
-    /// within the batch), and referential integrity, where a foreign key may
-    /// resolve to a parent anywhere in the same batch — before any row is
-    /// stored. On error nothing is inserted and the returned [`BatchError`]
-    /// names the table and batch row that failed; on success the returned
-    /// ids are in batch order.
+    /// within the batch), table capacity, and referential integrity, where a
+    /// foreign key may resolve to a parent anywhere in the same batch —
+    /// before any row is stored. On error nothing is inserted and the
+    /// returned [`BatchError`] names the table and batch row that failed; on
+    /// success the returned ids are in batch order.
     pub fn insert_batch(&mut self, batch: &RowBatch) -> Result<Vec<RowId>, BatchError> {
-        // Phase 1: validate. `new_pks[t]` collects primary keys the batch
-        // itself introduces, so intra-batch parents (in any position — the
-        // batch is one atomic unit) and intra-batch pk collisions are seen.
-        let mut new_pks: Vec<HashSet<i64>> = vec![HashSet::new(); self.schema.table_count()];
-        for (i, (table, row)) in batch.iter().enumerate() {
-            let pk_val = self
-                .schema
-                .check_shape(*table, row)
-                .map_err(|e| self.schema.shape_batch_error(e, i))?;
-            let t = table.0 as usize;
-            if self.tables[t].by_pk(pk_val).is_some() || !new_pks[t].insert(pk_val) {
-                return Err(BatchError::DuplicatePrimaryKey {
-                    table: self.schema.table(*table).name.clone(),
-                    key: pk_val,
-                    batch_row: i,
-                });
-            }
-            // Every batch row carries a distinct pk, so `new_pks[t].len()` is
-            // the number of rows this batch adds to table `t` so far. Reject
-            // in phase 1 if the table would cross its `u32` row-id capacity,
-            // so phase 2 can still never fail.
-            if self.tables[t].len() + new_pks[t].len() > self.max_rows {
-                return Err(BatchError::TableFull {
-                    table: self.schema.table(*table).name.clone(),
-                    batch_row: i,
-                });
-            }
-        }
-        for (i, (table, row)) in batch.iter().enumerate() {
-            for &(fk_idx, col) in &self.table_fk_cols[table.0 as usize] {
-                if let Some(key) = row[col].as_int() {
-                    let parent = self.schema.fk(FkId(fk_idx as u32)).to.table;
-                    if self.tables[parent.0 as usize].by_pk(key).is_none()
-                        && !new_pks[parent.0 as usize].contains(&key)
-                    {
-                        let t = self.schema.table(*table);
-                        return Err(BatchError::DanglingForeignKey {
-                            table: t.name.clone(),
-                            attr: t.attrs[col].name.clone(),
-                            key,
-                            batch_row: i,
-                        });
-                    }
-                }
-            }
-        }
-        // Phase 2: apply. `insert` cannot fail after phase 1 validated
-        // shape and pk uniqueness; index maintenance happens per row.
+        self.validate_batch(batch)?;
+        // `insert` cannot fail on a validated batch; index maintenance
+        // happens per row.
         Ok(batch
             .iter()
             .map(|(table, row)| {
                 self.insert(*table, row.clone())
-                    .expect("batch validated in phase 1")
+                    .expect("batch validated before apply")
             })
             .collect())
     }
@@ -700,6 +665,47 @@ mod tests {
         let ok: RowBatch = vec![(actor, vec![Value::Int(2), Value::text("b")])];
         db.insert_batch(&ok).unwrap();
         assert_eq!(db.table(actor).len(), 2);
+    }
+
+    #[test]
+    fn validate_batch_reports_table_full_through_lookups() {
+        // A store seen only through the two lookups, the way the sharded
+        // ingest path sees its shard directory: one actor row (pk 1), room
+        // for two.
+        let db = db();
+        let actor = db.schema().table_id("actor").unwrap();
+        let exists = |t: TableId, pk: i64| t == actor && pk == 1;
+        let rows = |t: TableId| usize::from(t == actor);
+        let batch: RowBatch = vec![
+            (actor, vec![Value::Int(2), Value::text("b")]),
+            (actor, vec![Value::Int(3), Value::text("c")]),
+        ];
+        assert_eq!(
+            db.schema().validate_batch(&batch, 2, exists, rows),
+            Err(BatchError::TableFull {
+                table: "actor".into(),
+                batch_row: 1,
+            })
+        );
+        // Exactly filling the table is fine, and the pks come back in order.
+        assert_eq!(
+            db.schema().validate_batch(&batch[..1], 2, exists, rows),
+            Ok(vec![2])
+        );
+        assert_eq!(
+            db.schema().validate_batch(&batch, 3, exists, rows),
+            Ok(vec![2, 3])
+        );
+        // A duplicate outranks capacity on the same row, as in `insert_batch`.
+        let dup: RowBatch = vec![(actor, vec![Value::Int(1), Value::text("a")])];
+        assert_eq!(
+            db.schema().validate_batch(&dup, 1, exists, rows),
+            Err(BatchError::DuplicatePrimaryKey {
+                table: "actor".into(),
+                key: 1,
+                batch_row: 0,
+            })
+        );
     }
 
     #[test]

@@ -47,7 +47,7 @@ mod schema;
 pub mod snapshot;
 mod value;
 
-pub use database::{Database, RowBatch, TableStore};
+pub use database::{Database, RowBatch, TableStore, MAX_TABLE_ROWS};
 pub use error::{BatchError, RelError, RelResult};
 pub use exec::{
     execute_join_tree_with_stats_in, execute_reduced_in, plan_join_order, reduce_join_tree,

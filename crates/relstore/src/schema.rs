@@ -2,7 +2,7 @@
 
 use crate::error::{BatchError, RelError, RelResult};
 use crate::value::{Value, ValueType};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Identifier of a table within one [`Schema`].
@@ -189,9 +189,77 @@ impl Schema {
             .ok_or(RelError::BadPrimaryKey { table })
     }
 
+    /// Validate `batch` as one atomic unit against a store described by two
+    /// lookups — `exists(table, pk)`: is that primary key already stored;
+    /// `rows(table)`: how many rows the table holds — without touching it.
+    /// Checks, in this order: every row's shape, primary-key uniqueness
+    /// against the store *and* within the batch, and that no table would
+    /// grow past `max_rows` (the `RowId` space); then referential integrity,
+    /// where a foreign key may resolve to a parent anywhere in the store or
+    /// in the batch. The first failure is returned, naming the table and
+    /// pinning the batch row. On success returns the primary key of every
+    /// batch row, in batch order.
+    ///
+    /// This is the only batch validator: [`crate::Database::insert_batch`]
+    /// and the sharded ingest path (whose "store" is a shard directory) both
+    /// call it, so they reject the same batches with the same errors.
+    pub fn validate_batch(
+        &self,
+        batch: &[(TableId, Vec<Value>)],
+        max_rows: usize,
+        exists: impl Fn(TableId, i64) -> bool,
+        rows: impl Fn(TableId) -> usize,
+    ) -> Result<Vec<i64>, BatchError> {
+        // `new_pks[t]` collects primary keys the batch itself introduces, so
+        // intra-batch parents (in any position) and collisions are seen.
+        let mut new_pks: Vec<HashSet<i64>> = vec![HashSet::new(); self.table_count()];
+        let mut pks = Vec::with_capacity(batch.len());
+        for (i, (table, row)) in batch.iter().enumerate() {
+            let pk = self
+                .check_shape(*table, row)
+                .map_err(|e| self.shape_batch_error(e, i))?;
+            let added = &mut new_pks[table.0 as usize];
+            if exists(*table, pk) || !added.insert(pk) {
+                return Err(BatchError::DuplicatePrimaryKey {
+                    table: self.table(*table).name.clone(),
+                    key: pk,
+                    batch_row: i,
+                });
+            }
+            // Every batch row carries a distinct pk, so `added.len()` is the
+            // number of rows this batch adds to the table so far. Rejecting
+            // here is what lets the apply step mint row ids unchecked.
+            if rows(*table) + added.len() > max_rows {
+                return Err(BatchError::TableFull {
+                    table: self.table(*table).name.clone(),
+                    batch_row: i,
+                });
+            }
+            pks.push(pk);
+        }
+        for (i, (table, row)) in batch.iter().enumerate() {
+            for (_, fk) in self.fks().filter(|(_, fk)| fk.from.table == *table) {
+                let Some(key) = row[fk.from.attr.0 as usize].as_int() else {
+                    continue;
+                };
+                let parent = fk.to.table;
+                if !exists(parent, key) && !new_pks[parent.0 as usize].contains(&key) {
+                    let t = self.table(*table);
+                    return Err(BatchError::DanglingForeignKey {
+                        table: t.name.clone(),
+                        attr: t.attr(fk.from.attr).name.clone(),
+                        key,
+                        batch_row: i,
+                    });
+                }
+            }
+        }
+        Ok(pks)
+    }
+
     /// Translate a [`Self::check_shape`] failure into a [`BatchError`] that
     /// names the table (and attribute) and pins the offending batch row.
-    pub fn shape_batch_error(&self, e: RelError, batch_row: usize) -> BatchError {
+    fn shape_batch_error(&self, e: RelError, batch_row: usize) -> BatchError {
         match e {
             RelError::ArityMismatch {
                 table,

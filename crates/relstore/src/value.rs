@@ -39,8 +39,8 @@ impl fmt::Display for ValueType {
 /// Text payloads are shared [`Arc<str>`] handles rather than owned `String`s:
 /// the [`crate::Database`] interns every text cell into a per-database string
 /// arena, so cloning a row — or the whole database, as the ingest path does
-/// for its writer copy — bumps reference counts instead of deep-copying every
-/// string. Equality and hashing compare string *contents*, exactly as before.
+/// once per accepted batch — bumps reference counts instead of deep-copying
+/// every string. Equality and hashing compare string *contents*, exactly as before.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Value {
     Int(i64),

@@ -33,8 +33,8 @@ use std::collections::HashMap;
 /// Physical layout of one [`TermAttrEntry`]'s packed buffer.
 ///
 /// The repr is a *canonical* function of the logical posting set: sparse
-/// lists delta-encode row gaps, dense lists — at least [`BITMAP_MIN_DF`]
-/// postings covering at least 1/[`BITMAP_DENSITY`] of their row span —
+/// lists delta-encode row gaps, dense lists — at least `BITMAP_MIN_DF` (16)
+/// postings covering at least 1/`BITMAP_DENSITY` (1/32) of their row span —
 /// switch to a fixed-width bitmap block. Because the choice depends only on
 /// the final set, never on mutation order, splice-equals-rebuild and
 /// snapshot canonicality survive the adaptive layout.
@@ -1191,48 +1191,6 @@ impl InvertedIndex {
                 .zip(&entry.postings)
                 .map(move |(&attr, p)| (term.as_str(), attr, p))
         })
-    }
-}
-
-/// The slice of index functionality the interpretation-generation layer
-/// consumes: candidate harvesting ([`TermIndex::attrs_containing`],
-/// [`TermIndex::schema_matches`]), predicate non-emptiness
-/// ([`TermIndex::has_row_with_all`]), and the smoothed (joint) attribute
-/// term frequencies the probability model scores with. Implemented by
-/// [`InvertedIndex`] and by merged multi-shard views, so one generation
-/// code path serves both a single store and a sharded coordinator.
-pub trait TermIndex {
-    /// The attributes in which `term` occurs, sorted.
-    fn attrs_containing(&self, term: &str) -> &[AttrRef];
-    /// Schema elements whose name contains `term`.
-    fn schema_matches(&self, term: &str) -> &[SchemaTarget];
-    /// Whether at least one row of `attr` contains *all* of `terms`.
-    fn has_row_with_all(&self, terms: &[String], attr: AttrRef) -> bool;
-    /// Attribute term frequency with additive smoothing (Eq. 3.8).
-    fn atf(&self, term: &str, attr: AttrRef, alpha: f64) -> f64;
-    /// Joint attribute term frequency of a keyword bag (DivQ, Eq. 4.2).
-    fn joint_atf(&self, terms: &[String], attr: AttrRef, alpha: f64) -> f64;
-}
-
-impl TermIndex for InvertedIndex {
-    fn attrs_containing(&self, term: &str) -> &[AttrRef] {
-        InvertedIndex::attrs_containing(self, term)
-    }
-
-    fn schema_matches(&self, term: &str) -> &[SchemaTarget] {
-        InvertedIndex::schema_matches(self, term)
-    }
-
-    fn has_row_with_all(&self, terms: &[String], attr: AttrRef) -> bool {
-        InvertedIndex::has_row_with_all(self, terms, attr)
-    }
-
-    fn atf(&self, term: &str, attr: AttrRef, alpha: f64) -> f64 {
-        InvertedIndex::atf(self, term, attr, alpha)
-    }
-
-    fn joint_atf(&self, terms: &[String], attr: AttrRef, alpha: f64) -> f64 {
-        InvertedIndex::joint_atf(self, terms, attr, alpha)
     }
 }
 

@@ -20,6 +20,6 @@ mod token;
 
 pub use index::{
     for_each_joint_row, AttrStats, InvertedIndex, Postings, PostingsRepr, SchemaTarget,
-    TermAttrEntry, TermIndex,
+    TermAttrEntry,
 };
 pub use token::Tokenizer;

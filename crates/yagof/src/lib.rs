@@ -13,7 +13,7 @@
 //! * [`matching`] — instance-overlap matching of categories to tables
 //!   (§6.5): a category and a table match when the overlap of their instance
 //!   sets is large relative to both (harmonic-mean score with a threshold);
-//! * [`combine`] — the resulting YAGO+F hierarchy: matched tables attached
+//! * [`mod@combine`] — the resulting YAGO+F hierarchy: matched tables attached
 //!   to categories, with the coverage statistics of Table 6.3;
 //! * [`quality`] — precision/recall of the matching against the generator's
 //!   hidden gold mapping (Fig. 6.4; the thesis used manual assessment).

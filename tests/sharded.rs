@@ -8,15 +8,16 @@
 //! replay drives identical per-request pipeline counters on both topologies.
 
 use keybridge::core::{
-    AnswerStats, DiversifiedReply, DiversifyOptions, InterpreterConfig, KeywordQuery, RankedAnswer,
-    Reply, Request, SearchService, SearchSnapshot, ServeRequests, ServiceBuilder, ShardedService,
-    TemplateCatalog,
+    AnswerStats, DiversifiedReply, DiversifyOptions, IngestError, InterpreterConfig, KeywordQuery,
+    RankedAnswer, Reply, Request, SearchService, SearchSnapshot, ServeRequests, ServiceBuilder,
+    ServiceError, ShardedService, TemplateCatalog,
 };
 use keybridge::datagen::{
     sharded_holdout_plan, FreebaseConfig, FreebaseDataset, ImdbConfig, ImdbDataset, IngestConfig,
     LyricsConfig, LyricsDataset, Workload, WorkloadConfig, YagoConfig, YagoOntology,
 };
 use keybridge::index::{InvertedIndex, Tokenizer};
+use keybridge::relstore::{BatchError, RowBatch, Value};
 use std::sync::Arc;
 
 const SHARDS: usize = 4;
@@ -378,6 +379,257 @@ fn ingest_bumps_only_touched_shard_epochs() {
         expected_swaps < plan.batches.len() * SHARDS || SHARDS == 1,
         "fixture too dense: every batch touched every shard, isolation unobserved"
     );
+}
+
+// --- routing: children follow their parents, or the batch is refused ----------
+
+/// The routing step of the sharded write path, on hand-built batches the
+/// holdout replays never produce: a chain of intra-batch parents listed
+/// children-first (resolved over several passes onto one shard), and a row
+/// whose stored parents live on two different shards (refused as
+/// `Unroutable` with nothing changed).
+#[test]
+fn ingest_routes_children_to_their_parents_or_refuses() {
+    let data = ImdbDataset::generate(ImdbConfig::tiny(99)).unwrap();
+    let (actor, movie, acts, company) = (data.actor, data.movie, data.acts, data.company);
+    let assignment = keybridge::relstore::assign_shards(&data.db, SHARDS);
+    // A stored actor and a stored movie that live on different shards.
+    let pks = |t| -> Vec<i64> {
+        let table = data.db.table(t);
+        table.rows().map(|(r, _)| data.db.pk_value(t, r)).collect()
+    };
+    let (actors, movies) = (pks(actor), pks(movie));
+    let (split_actor, split_movie) = actors
+        .iter()
+        .flat_map(|&a| movies.iter().map(move |&m| (a, m)))
+        .find(|&(a, m)| assignment.shard_of(actor, a) != assignment.shard_of(movie, m))
+        .expect("fixture spans more than one shard");
+    let directory = assignment.clone();
+    let actor_off = |shard: usize| -> i64 {
+        let off = |&a: &i64| directory.shard_of(actor, a) != Some(shard);
+        actors.iter().copied().find(|a| off(a)).unwrap()
+    };
+    let snap =
+        Arc::new(SearchSnapshot::build(data.db, InterpreterConfig::default(), 4, 50_000).unwrap());
+    let service = ShardedService::start_with_assignment(snap, assignment, 1);
+
+    // acts -> movie -> company, each parent *after* its child in the batch.
+    let chain: RowBatch = vec![
+        (
+            acts,
+            vec![
+                Value::Int(910_001),
+                Value::Null,
+                Value::Int(910_002),
+                Value::text("understudy"),
+            ],
+        ),
+        (
+            movie,
+            vec![
+                Value::Int(910_002),
+                Value::text("late parents"),
+                Value::Int(2001),
+                Value::Int(910_003),
+                Value::Null,
+            ],
+        ),
+        (
+            company,
+            vec![Value::Int(910_003), Value::text("rootless films")],
+        ),
+    ];
+    let receipt = service.ingest(&chain).unwrap();
+    assert_eq!((receipt.epoch.0, receipt.rows), (1, 3));
+    let epochs = service.shard_epochs();
+    assert_eq!(
+        epochs.iter().map(|e| e.0).sum::<u64>(),
+        1,
+        "the whole chain must land on one shard: {epochs:?}"
+    );
+    let reply = service.search(&KeywordQuery::from_terms(vec!["understudy".into()]), 5);
+    assert!(
+        reply
+            .answers
+            .iter()
+            .any(|a| a.keys.iter().any(|k| k.table == acts && k.pk == 910_001)),
+        "the routed row must be findable"
+    );
+
+    // Parents on two shards: no home for the child, and nothing moves.
+    let torn: RowBatch = vec![(
+        acts,
+        vec![
+            Value::Int(910_004),
+            Value::Int(split_actor),
+            Value::Int(split_movie),
+            Value::text("torn"),
+        ],
+    )];
+    match service.ingest(&torn) {
+        Err(IngestError::Unroutable { table, key }) => {
+            assert_eq!((table.as_str(), key), ("acts", 910_004));
+        }
+        other => panic!("expected Unroutable, got {other:?}"),
+    }
+    assert_eq!(service.shard_epochs(), epochs);
+    let stats = service.service_stats();
+    assert_eq!((stats.epoch_swaps, stats.rows_ingested), (1, 3));
+    // The same conflict reached through intra-batch parents: the new movie
+    // follows its new (rootless, hence hashed) company, and the acts row is
+    // torn between that shard and a stored actor elsewhere.
+    let home = keybridge::relstore::hash_shard(company, 910_007, SHARDS);
+    let torn_late: RowBatch = vec![
+        (
+            acts,
+            vec![
+                Value::Int(910_005),
+                Value::Int(actor_off(home)),
+                Value::Int(910_006),
+                Value::text("torn late"),
+            ],
+        ),
+        (
+            movie,
+            vec![
+                Value::Int(910_006),
+                Value::text("elsewhere"),
+                Value::Int(2002),
+                Value::Int(910_007),
+                Value::Null,
+            ],
+        ),
+        (
+            company,
+            vec![Value::Int(910_007), Value::text("elsewhere inc")],
+        ),
+    ];
+    assert!(matches!(
+        service.ingest(&torn_late),
+        Err(IngestError::Unroutable { key: 910_005, .. })
+    ));
+    assert_eq!(service.shard_epochs(), epochs);
+
+    // Still serving writes: the chain's company takes another movie.
+    let more: RowBatch = vec![(
+        movie,
+        vec![
+            Value::Int(910_008),
+            Value::text("sequel"),
+            Value::Int(2003),
+            Value::Int(910_003),
+            Value::Null,
+        ],
+    )];
+    assert_eq!(service.ingest(&more).unwrap().epoch.0, 2);
+    let after = service.shard_epochs();
+    let bumped: Vec<usize> = (0..SHARDS).filter(|&s| after[s] != epochs[s]).collect();
+    let chain_shard = epochs.iter().position(|e| e.0 == 1).unwrap();
+    assert_eq!(
+        bumped,
+        vec![chain_shard],
+        "a child goes where its parent went"
+    );
+}
+
+// --- rejections: one validator, two topologies --------------------------------
+
+/// Both services validate through relstore's one batch validator, so the
+/// same bad batch must come back as the *same* `BatchError` value from a
+/// single and a K=4 service, leave every epoch and ingest counter where it
+/// was, and not get in the way of the next good batch.
+#[test]
+fn rejections_are_identical_across_topologies() {
+    let data = ImdbDataset::generate(ImdbConfig::tiny(99)).unwrap();
+    let (actor, movie) = (data.actor, data.movie);
+    let stored_pk = data.db.pk_value(actor, keybridge::relstore::RowId(0));
+    let snap =
+        Arc::new(SearchSnapshot::build(data.db, InterpreterConfig::default(), 4, 50_000).unwrap());
+    let start = |shards: usize| {
+        ServiceBuilder::new()
+            .workers(1)
+            .shards(shards)
+            .start(Arc::clone(&snap))
+            .unwrap()
+    };
+    let (single, many) = (start(1), start(SHARDS));
+    let sharded = many.as_sharded().unwrap();
+
+    let good_actor = |pk: i64| (actor, vec![Value::Int(pk), Value::text("fresh face")]);
+    let bad: Vec<(&str, RowBatch)> = vec![
+        ("short arity", vec![(actor, vec![Value::Int(900_001)])]),
+        (
+            "wrong type",
+            vec![(actor, vec![Value::Int(900_002), Value::Int(7)])],
+        ),
+        (
+            "null pk",
+            vec![(actor, vec![Value::Null, Value::text("x")])],
+        ),
+        ("pk duplicates the store", vec![good_actor(stored_pk)]),
+        (
+            "pk duplicated inside the batch",
+            vec![good_actor(900_003), good_actor(900_003)],
+        ),
+        (
+            "dangling fk",
+            vec![(
+                movie,
+                vec![
+                    Value::Int(900_004),
+                    Value::text("orphan"),
+                    Value::Int(1999),
+                    Value::Int(777_777),
+                    Value::Null,
+                ],
+            )],
+        ),
+        (
+            "second row is the bad one",
+            vec![good_actor(900_005), (actor, vec![Value::Int(900_006)])],
+        ),
+    ];
+    let rejection = |r: Result<_, ServiceError>| -> BatchError {
+        match r {
+            Err(ServiceError::Ingest(IngestError::Batch(e))) => e,
+            other => panic!("expected a batch rejection, got {other:?}"),
+        }
+    };
+    let counters = |s: &dyn ServeRequests| {
+        let st = s.service_stats();
+        (
+            s.serving_epoch(),
+            st.epoch_swaps,
+            st.rows_ingested,
+            st.shard_epoch_swaps,
+        )
+    };
+    let (single_before, many_before) = (counters(&single), counters(&many));
+    let shard_epochs_before = sharded.shard_epochs();
+    for (what, batch) in &bad {
+        let a = rejection(single.ingest_batch(batch));
+        let b = rejection(many.ingest_batch(batch));
+        assert_eq!(a, b, "{what}: topologies disagree on the rejection");
+        assert_eq!(counters(&single), single_before, "{what}: single moved");
+        assert_eq!(counters(&many), many_before, "{what}: sharded moved");
+        assert_eq!(sharded.shard_epochs(), shard_epochs_before, "{what}");
+    }
+    // The last case pins the *second* row: order of discovery is shared too.
+    assert!(matches!(
+        rejection(many.ingest_batch(&bad[6].1)),
+        BatchError::Arity { batch_row: 1, .. }
+    ));
+
+    // Neither service was left wedged: a good batch lands on both, once.
+    let good: RowBatch = vec![good_actor(900_007)];
+    for service in [&single, &many] {
+        let receipt = service.ingest_batch(&good).unwrap();
+        assert_eq!((receipt.epoch.0, receipt.rows), (1, 1));
+        let stats = service.service_stats();
+        assert_eq!((stats.epoch_swaps, stats.rows_ingested), (1, 1));
+    }
+    assert_eq!(many.service_stats().shard_epoch_swaps, 1);
+    assert_eq!(sharded.shard_epochs().iter().map(|e| e.0).sum::<u64>(), 1);
 }
 
 // --- writer swaps shard epochs mid-replay ------------------------------------
