@@ -4,13 +4,15 @@
 //! Not a figure of the paper: this measures the infrastructure the paper
 //! presumes ("the user gets results"). For each fixture (IMDB, Lyrics) the
 //! harness takes the workload's keyword queries, pulls the top-10
-//! interpretations best-first, and reports per-strategy executor counters —
+//! interpretations best-first, and reports per-executor counters —
 //! intermediate bindings materialized, hash probes, semi-join reduction —
 //! plus wall-clock for full execution and for streaming the top-10 answers.
 
 use keybridge_bench::{imdb_fixture, lyrics_fixture, mean, print_table, Fixture};
-use keybridge_core::{execute_interpretation, KeywordQuery, TemplatePrior};
-use keybridge_relstore::{ExecOptions, ExecStats, ExecStrategy};
+use keybridge_core::{
+    execute_interpretation, execute_interpretation_naive, KeywordQuery, TemplatePrior,
+};
+use keybridge_relstore::{ExecOptions, ExecStats};
 use std::time::Instant;
 
 fn run_fixture(f: &Fixture, queries: usize) -> Vec<String> {
@@ -32,23 +34,21 @@ fn run_fixture(f: &Fixture, queries: usize) -> Vec<String> {
             continue;
         }
         evaluated += 1;
-        for (strategy, total, times) in [
-            (ExecStrategy::Naive, &mut nv_total, &mut t_nv),
-            (ExecStrategy::HashJoin, &mut hj_total, &mut t_hj),
+        let opts = ExecOptions {
+            limit: 10_000,
+            ..Default::default()
+        };
+        for (execute, total, times) in [
+            (
+                execute_interpretation_naive as fn(_, _, _, _, _) -> _,
+                &mut nv_total,
+                &mut t_nv,
+            ),
+            (execute_interpretation, &mut hj_total, &mut t_hj),
         ] {
             let t = Instant::now();
             for s in &ranked {
-                if let Ok(r) = execute_interpretation(
-                    &f.db,
-                    &f.index,
-                    &f.catalog,
-                    &s.interpretation,
-                    ExecOptions {
-                        limit: 10_000,
-                        strategy,
-                        ..Default::default()
-                    },
-                ) {
+                if let Ok(r) = execute(&f.db, &f.index, &f.catalog, &s.interpretation, opts) {
                     total.absorb(&r.stats);
                 }
             }

@@ -27,21 +27,22 @@
 //! with the 1.5x slack of `keybridge_bench::check_regression`.
 
 use keybridge_bench::{
-    check_regression, openloop_schedule, replay_diversified, replay_serve, run_open_loop,
-    sweep_capacity, CheckConfig, DivServeRun, IngestRun, MixWeights, OpenLoopConfig, OpenLoopRun,
-    RecoveryRun, ServeRun, SloConfig, SweepConfig, SweepOutcome,
+    check_regression, naive_heap_bytes, naive_index_snapshot_bytes, naive_store_snapshot_bytes,
+    openloop_schedule, replay_diversified, replay_serve, run_open_loop, sweep_capacity,
+    CheckConfig, DivServeRun, IngestRun, MixWeights, OpenLoopConfig, OpenLoopRun, RecoveryRun,
+    ServeRun, SloConfig, SweepConfig, SweepOutcome,
 };
 use keybridge_core::{
-    execute_interpretation_cached, DiversifyOptions, DurableOptions, ExecCache, Interpreter,
-    InterpreterConfig, KeywordQuery, SearchSnapshot, ServeRequests, ServiceStats, ShardedService,
-    TemplateCatalog,
+    execute_interpretation_cached, execute_interpretation_naive, DiversifyOptions, DurableOptions,
+    ExecCache, Interpreter, InterpreterConfig, KeywordQuery, SearchSnapshot, ServeRequests,
+    ServiceStats, ShardedService, TemplateCatalog,
 };
 use keybridge_datagen::{
     holdout_plan, sharded_holdout_plan, ImdbConfig, ImdbDataset, IngestConfig, MixedWorkload,
     Workload, WorkloadConfig,
 };
 use keybridge_index::InvertedIndex;
-use keybridge_relstore::{ExecOptions, ExecStats, ExecStrategy};
+use keybridge_relstore::{ExecOptions, ExecStats};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -296,12 +297,11 @@ fn main() {
 
     // == execution: batched hash joins vs. the naive oracle, and the
     //    end-to-end streaming answers path, on the 4-keyword query. ==
-    let exec_opts = |strategy| ExecOptions {
+    let exec_opts = ExecOptions {
         limit: 10_000,
-        strategy,
         ..Default::default()
     };
-    let sum_stats = |strategy| -> ExecStats {
+    let hash_join_stats = || -> ExecStats {
         // One cache per invocation: the top-k executions share its batch
         // arena (the allocation profile `batch_allocs` gates — the arena
         // stops growing after the first queries warm it), while fresh
@@ -314,7 +314,7 @@ fn main() {
                 &index,
                 &catalog,
                 &s.interpretation,
-                exec_opts(strategy),
+                exec_opts,
                 &mut cache,
             ) {
                 total.absorb(&r.stats);
@@ -322,10 +322,25 @@ fn main() {
         }
         total
     };
-    let hj = sum_stats(ExecStrategy::HashJoin);
-    let nv = sum_stats(ExecStrategy::Naive);
-    let t_exec_hj = time(runs, || sum_stats(ExecStrategy::HashJoin));
-    let t_exec_nv = time(runs, || sum_stats(ExecStrategy::Naive));
+    let naive_stats = || -> ExecStats {
+        let mut total = ExecStats::default();
+        for s in &topk {
+            if let Ok(r) = execute_interpretation_naive(
+                &data.db,
+                &index,
+                &catalog,
+                &s.interpretation,
+                exec_opts,
+            ) {
+                total.absorb(&r.stats);
+            }
+        }
+        total
+    };
+    let hj = hash_join_stats();
+    let nv = naive_stats();
+    let t_exec_hj = time(runs, hash_join_stats);
+    let t_exec_nv = time(runs, naive_stats);
     let (answers, astats) = interpreter.answers_top_k_with_stats(&query4, k);
     let t_answers = time(runs, || interpreter.answers_top_k(&query4, k));
     println!(
@@ -428,12 +443,12 @@ fn main() {
                 .snapshot_bytes()
                 .expect("store fits the codec")
                 .len() as u64;
-            let store_bytes_naive = data.db.naive_snapshot_bytes();
+            let store_bytes_naive = naive_store_snapshot_bytes(&data.db);
             let heap_bytes = data.db.approx_heap_bytes();
-            let heap_bytes_naive = data.db.naive_heap_bytes();
+            let heap_bytes_naive = naive_heap_bytes(&data.db);
             let index = InvertedIndex::build(&data.db);
             let index_bytes = index.snapshot_bytes().expect("index fits the codec").len() as u64;
-            let index_bytes_naive = index.naive_snapshot_bytes();
+            let index_bytes_naive = naive_index_snapshot_bytes(&data.db, &index);
             // Probe RSS while this rung's store + index are resident,
             // before the serving snapshot adds its own structures.
             let rss = rss_bytes();

@@ -395,7 +395,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+mod footprint;
 mod openloop;
+pub use footprint::{naive_heap_bytes, naive_index_snapshot_bytes, naive_store_snapshot_bytes};
 pub use openloop::{
     openloop_schedule, queue_latencies, run_open_loop, sweep_capacity, MixWeights, ModeCounts,
     OpMode, OpenLoopConfig, OpenLoopOp, OpenLoopRun, SloConfig, SweepConfig, SweepOutcome,

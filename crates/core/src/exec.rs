@@ -20,17 +20,16 @@
 //! takes owned vectors).
 
 use crate::interp::BindingTarget;
+use crate::striped::StripedMap;
 use crate::template::TemplateCatalog;
 use crate::QueryInterpretation;
 use keybridge_index::InvertedIndex;
 use keybridge_relstore::{
-    execute_join_tree_with_stats_in, AttrRef, BatchArena, Candidates, Database, ExecOptions,
-    ExecStats, JoinedRow, RelResult, RowId, TableId,
+    execute_join_tree_naive, execute_join_tree_with_stats_in, AttrRef, BatchArena, Candidates,
+    Database, ExecOptions, ExecOutcome, ExecStats, JoinTree, JoinedRow, RelResult, RowId, TableId,
 };
 use std::collections::{BTreeSet, HashMap};
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// A tuple identifier: table plus primary-key value. The unit of result
 /// overlap in DivQ's metrics (one `ResultKey` = one information nugget).
@@ -69,28 +68,22 @@ impl ExecutedResult {
     }
 }
 
-/// One memoized execution: the options it ran under plus its result.
+/// One memoized execution: the limits it ran under plus its result.
 #[derive(Debug, Clone)]
 struct CachedExecution {
     limit: usize,
     max_intermediate: usize,
-    count_only: bool,
-    strategy: keybridge_relstore::ExecStrategy,
     result: Arc<ExecutedResult>,
 }
 
 impl CachedExecution {
-    /// Whether this cached run can stand in for a request under `opts`: it
-    /// ran in the same mode (strategy and `count_only` match, the cached run
-    /// was at least as strict about `max_intermediate`) and its limit was
-    /// not the binding constraint (it either completed below its limit or
-    /// had at least the requested one).
+    /// Whether this cached run can stand in for a request under `opts`: the
+    /// cached run was at least as strict about `max_intermediate` and its
+    /// limit was not the binding constraint (it either completed below its
+    /// limit or had at least the requested one).
     fn satisfies(&self, opts: &ExecOptions) -> bool {
-        let complete = !self.count_only && self.result.jtts.len() < self.limit;
-        self.strategy == opts.strategy
-            && self.count_only == opts.count_only
-            && self.max_intermediate <= opts.max_intermediate
-            && (complete || self.limit >= opts.limit)
+        self.max_intermediate <= opts.max_intermediate
+            && (self.is_complete() || self.limit >= opts.limit)
     }
 
     /// Whether the run finished below its limit, i.e. holds the *full*
@@ -99,36 +92,16 @@ impl CachedExecution {
     /// (post-reduction truncation preserves enumeration order), so serving
     /// them cross-query cannot change what any caller observes.
     fn is_complete(&self) -> bool {
-        !self.count_only && self.result.jtts.len() < self.limit
+        self.result.jtts.len() < self.limit
     }
 }
 
-/// Number of lock stripes in the shared caches (here and in
-/// `SharedNonemptyCache`). Power of two; small enough to stay
-/// cache-friendly, large enough that 8 workers rarely collide.
-pub(crate) const STRIPES: usize = 16;
-
-/// The stripe a key hashes to — the one stripe-pick routine every shared
-/// cache in the crate uses.
-pub(crate) fn stripe_of<K: Hash>(key: &K) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) & (STRIPES - 1)
-}
-
-/// Per-shard admission caps: the shared tiers are bounded, not evicting —
-/// a full shard stops admitting new entries (existing ones keep serving
-/// hits; fresh work just re-computes), so a long-lived service under a
-/// diverse or adversarial query stream cannot grow without bound.
-const PREDICATE_SHARD_CAP: usize = 4096;
-const RESULT_SHARD_CAP: usize = 1024;
+/// Per-stripe admission caps of the shared tiers (see [`StripedMap`]).
+const PREDICATE_STRIPE_CAP: usize = 4096;
+const RESULT_STRIPE_CAP: usize = 1024;
 
 /// A predicate's cache identity: sorted keyword bag + attribute.
 type PredicateKey = (Vec<String>, AttrRef);
-/// One lock stripe of the shared predicate map.
-type PredicateShard = RwLock<HashMap<PredicateKey, Arc<Vec<RowId>>>>;
-/// One lock stripe of the shared (complete-only) result map.
-type ResultShard = RwLock<HashMap<QueryInterpretation, CachedExecution>>;
 
 /// Process-wide execution cache shared by every worker of a
 /// [`crate::SearchService`]: lock-striped maps of predicate row sets and
@@ -137,19 +110,15 @@ type ResultShard = RwLock<HashMap<QueryInterpretation, CachedExecution>>;
 /// populated against — the service owns both, so the pairing is structural.
 #[derive(Debug)]
 pub struct SharedExecCache {
-    predicates: Vec<PredicateShard>,
-    results: Vec<ResultShard>,
-    predicate_hits: AtomicUsize,
-    result_hits: AtomicUsize,
+    predicates: StripedMap<PredicateKey, Arc<Vec<RowId>>>,
+    results: StripedMap<QueryInterpretation, CachedExecution>,
 }
 
 impl Default for SharedExecCache {
     fn default() -> Self {
         SharedExecCache {
-            predicates: (0..STRIPES).map(|_| RwLock::new(HashMap::new())).collect(),
-            results: (0..STRIPES).map(|_| RwLock::new(HashMap::new())).collect(),
-            predicate_hits: AtomicUsize::new(0),
-            result_hits: AtomicUsize::new(0),
+            predicates: StripedMap::new(PREDICATE_STRIPE_CAP),
+            results: StripedMap::new(RESULT_STRIPE_CAP),
         }
     }
 }
@@ -161,71 +130,22 @@ impl SharedExecCache {
 
     /// Distinct predicate row sets currently shared.
     pub fn predicate_count(&self) -> usize {
-        self.predicates
-            .iter()
-            .map(|s| s.read().unwrap().len())
-            .sum()
+        self.predicates.len()
     }
 
     /// Complete executions currently shared.
     pub fn result_count(&self) -> usize {
-        self.results.iter().map(|s| s.read().unwrap().len()).sum()
+        self.results.len()
     }
 
     /// Cross-query predicate hits served so far.
     pub fn predicate_hits(&self) -> usize {
-        self.predicate_hits.load(Ordering::Relaxed)
+        self.predicates.hits()
     }
 
     /// Cross-query result hits served so far.
     pub fn result_hits(&self) -> usize {
-        self.result_hits.load(Ordering::Relaxed)
-    }
-
-    fn get_predicate(&self, key: &PredicateKey) -> Option<Arc<Vec<RowId>>> {
-        let hit = self.predicates[stripe_of(key)]
-            .read()
-            .unwrap()
-            .get(key)
-            .cloned();
-        if hit.is_some() {
-            self.predicate_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
-    }
-
-    fn put_predicate(&self, key: PredicateKey, rows: Arc<Vec<RowId>>) {
-        let mut shard = self.predicates[stripe_of(&key)].write().unwrap();
-        if shard.len() < PREDICATE_SHARD_CAP {
-            shard.entry(key).or_insert(rows);
-        }
-    }
-
-    fn get_result(
-        &self,
-        interp: &QueryInterpretation,
-        opts: &ExecOptions,
-    ) -> Option<Arc<ExecutedResult>> {
-        let shard = self.results[stripe_of(interp)].read().unwrap();
-        let c = shard.get(interp)?;
-        if c.satisfies(opts) {
-            self.result_hits.fetch_add(1, Ordering::Relaxed);
-            Some(Arc::clone(&c.result))
-        } else {
-            None
-        }
-    }
-
-    fn put_result(&self, interp: &QueryInterpretation, cached: &CachedExecution) {
-        if !cached.is_complete() {
-            return;
-        }
-        let mut shard = self.results[stripe_of(interp)].write().unwrap();
-        if shard.len() < RESULT_SHARD_CAP {
-            shard
-                .entry(interp.clone())
-                .or_insert_with(|| cached.clone());
-        }
+        self.results.hits()
     }
 }
 
@@ -262,15 +182,6 @@ impl ExecCache {
         }
     }
 
-    /// Whether a cached predicate is known (non-)empty — the executor-side
-    /// twin of the generator's non-emptiness probe. `None` when the bag was
-    /// never materialized.
-    pub fn predicate_nonempty(&self, keywords: &[String], attr: AttrRef) -> Option<bool> {
-        let mut key = keywords.to_vec();
-        key.sort();
-        self.predicate_rows.get(&(key, attr)).map(|r| !r.is_empty())
-    }
-
     /// Number of distinct predicates materialized so far.
     pub fn predicate_count(&self) -> usize {
         self.predicate_rows.len()
@@ -297,7 +208,7 @@ impl ExecCache {
             return Arc::clone(rows);
         }
         if let Some(shared) = &self.shared {
-            if let Some(rows) = shared.get_predicate(&key) {
+            if let Some(rows) = shared.predicates.get(&key, |_| true) {
                 self.predicate_hits += 1;
                 self.predicate_rows.insert(key, Arc::clone(&rows));
                 return rows;
@@ -305,7 +216,7 @@ impl ExecCache {
         }
         let rows = Arc::new(index.rows_with_all(keywords, attr));
         if let Some(shared) = &self.shared {
-            shared.put_predicate(key.clone(), Arc::clone(&rows));
+            shared.predicates.insert(key.clone(), Arc::clone(&rows));
         }
         self.predicate_rows.insert(key, Arc::clone(&rows));
         rows
@@ -402,10 +313,10 @@ pub fn execute_interpretation(
 }
 
 /// Execute `interp`, sharing predicate row sets and memoized results through
-/// `cache`. A cached result is reused only when it ran in the same mode
-/// (strategy and `count_only` match, the cached run was at least as strict
-/// about `max_intermediate`) and its limit was not the binding constraint
-/// (it either completed below its limit or had at least the requested one).
+/// `cache`. A cached result is reused only when the cached run was at least
+/// as strict about `max_intermediate` and its limit was not the binding
+/// constraint (it either completed below its limit or had at least the
+/// requested one).
 /// When `cache` is backed by a [`SharedExecCache`], local result misses fall
 /// through to the *complete* runs other queries have shared, and fresh
 /// complete runs are published back.
@@ -444,7 +355,8 @@ pub(crate) fn with_result_cache(
         }
     }
     if let Some(shared) = &cache.shared {
-        if let Some(result) = shared.get_result(interp, &opts) {
+        if let Some(hit) = shared.results.get(interp, |c| c.satisfies(&opts)) {
+            let result = hit.result;
             cache.result_hits += 1;
             // Shared entries are complete; remember locally under a limit
             // that marks them complete for any follow-up request.
@@ -453,8 +365,6 @@ pub(crate) fn with_result_cache(
                 CachedExecution {
                     limit: result.jtts.len() + 1,
                     max_intermediate: opts.max_intermediate,
-                    count_only: opts.count_only,
-                    strategy: opts.strategy,
                     result: Arc::clone(&result),
                 },
             );
@@ -465,12 +375,12 @@ pub(crate) fn with_result_cache(
     let cached = CachedExecution {
         limit: opts.limit,
         max_intermediate: opts.max_intermediate,
-        count_only: opts.count_only,
-        strategy: opts.strategy,
         result: Arc::clone(&result),
     };
     if let Some(shared) = &cache.shared {
-        shared.put_result(interp, &cached);
+        if cached.is_complete() {
+            shared.results.insert(interp.clone(), cached.clone());
+        }
     }
     cache.results.insert(interp.clone(), cached);
     Ok(result)
@@ -589,18 +499,46 @@ fn execute_inner(
     opts: ExecOptions,
     cache: &mut ExecCache,
 ) -> RelResult<ExecutedResult> {
-    let LocalExecutor { db, index, catalog } = *local;
+    let tree = &local.catalog.get(interp.template).tree;
+    let candidates = harvest_candidates(cache, local.index, interp, &tree.nodes);
+    let outcome =
+        execute_join_tree_with_stats_in(local.db, tree, &candidates, opts, &mut cache.arena)?;
+    Ok(executed_result(local, interp, tree, outcome))
+}
+
+/// [`execute_interpretation`] on the reference executor
+/// ([`execute_join_tree_naive`]): the same candidate harvest, the per-binding
+/// nested-loop join. Exists to be compared against; nothing on the serving
+/// path calls it.
+pub fn execute_interpretation_naive(
+    db: &Database,
+    index: &InvertedIndex,
+    catalog: &TemplateCatalog,
+    interp: &QueryInterpretation,
+    opts: ExecOptions,
+) -> RelResult<ExecutedResult> {
+    let local = LocalExecutor { db, index, catalog };
     let tree = &catalog.get(interp.template).tree;
-    let candidates = harvest_candidates(cache, index, interp, &tree.nodes);
-    let outcome = execute_join_tree_with_stats_in(db, tree, &candidates, opts, &mut cache.arena)?;
+    let candidates = harvest_candidates(&mut ExecCache::new(), index, interp, &tree.nodes);
+    let outcome = execute_join_tree_naive(db, tree, &candidates, opts)?;
+    Ok(executed_result(&local, interp, tree, outcome))
+}
+
+/// An executor outcome with its answer/all keys collected.
+fn executed_result(
+    local: &LocalExecutor<'_>,
+    interp: &QueryInterpretation,
+    tree: &JoinTree,
+    outcome: ExecOutcome,
+) -> ExecutedResult {
     let bound = bound_nodes(interp, tree.nodes.len());
     let (keys, all_keys) = collect_result_keys(local, &tree.nodes, &bound, &outcome.rows);
-    Ok(ExecutedResult {
+    ExecutedResult {
         jtts: outcome.rows,
         keys,
         all_keys,
         stats: outcome.stats,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -608,7 +546,7 @@ mod tests {
     use super::*;
     use crate::interp::KeywordBinding;
     use crate::template::TemplateCatalog;
-    use keybridge_relstore::{ExecStrategy, SchemaBuilder, TableKind, Value};
+    use keybridge_relstore::{SchemaBuilder, TableKind, Value};
 
     fn setup() -> (Database, InvertedIndex, TemplateCatalog) {
         let mut b = SchemaBuilder::new();
@@ -781,19 +719,15 @@ mod tests {
                 },
             ],
         );
-        for strategy in [ExecStrategy::HashJoin, ExecStrategy::Naive] {
-            let res = execute_interpretation(
-                &db,
-                &idx,
-                &catalog,
-                &interp,
-                ExecOptions {
-                    strategy,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(res.len(), 1, "{strategy:?}");
+        for (name, execute) in [
+            (
+                "hash join",
+                execute_interpretation as fn(_, _, _, _, _) -> _,
+            ),
+            ("naive", execute_interpretation_naive),
+        ] {
+            let res = execute(&db, &idx, &catalog, &interp, ExecOptions::default()).unwrap();
+            assert_eq!(res.len(), 1, "{name}");
             assert!(res.keys.contains(&ResultKey {
                 table: actor,
                 pk: 1
@@ -829,13 +763,6 @@ mod tests {
         assert_eq!(cache.result_hits, 1);
         assert_eq!(a.jtts, b.jtts);
         assert_eq!(a.keys, b.keys);
-        // The predicate sets answer non-emptiness without re-probing.
-        let name = db.schema().resolve("actor", "name").unwrap();
-        assert_eq!(
-            cache.predicate_nonempty(&["hanks".into()], name),
-            Some(true)
-        );
-        assert_eq!(cache.predicate_nonempty(&["zzz".into()], name), None);
     }
 
     #[test]

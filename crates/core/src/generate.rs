@@ -5,25 +5,13 @@ use crate::exec::{bound_nodes, ExecCache, ExecutedResult, Executor, LocalExecuto
 use crate::interp::{BindingTarget, KeywordBinding, QueryInterpretation};
 use crate::keyword::KeywordQuery;
 use crate::prob::{IncrementalScorer, ProbabilityConfig, ProbabilityModel, TemplatePrior};
+use crate::striped::StripedMap;
 use crate::template::TemplateCatalog;
 use keybridge_index::{InvertedIndex, SchemaTarget};
 use keybridge_relstore::{AttrRef, Database, ExecOptions, ExecStats, JoinedRow, TableId};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Arc, RwLock};
-
-/// How the interpreter produces its ranked candidates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GenerationStrategy {
-    /// Score-guided best-first search emitting interpretations best-first
-    /// and stopping once the k-th best is provably found. The default.
-    #[default]
-    BestFirst,
-    /// Enumerate every interpretation, score all, sort — the original
-    /// exhaustive pipeline, retained as the correctness oracle.
-    Exhaustive,
-}
+use std::sync::Arc;
 
 /// Generation and scoring knobs.
 #[derive(Debug, Clone)]
@@ -41,8 +29,6 @@ pub struct InterpreterConfig {
     pub prob: ProbabilityConfig,
     /// Template prior.
     pub prior: TemplatePrior,
-    /// Candidate-generation strategy for the `top_k` entry points.
-    pub strategy: GenerationStrategy,
 }
 
 impl Default for InterpreterConfig {
@@ -53,7 +39,6 @@ impl Default for InterpreterConfig {
             allow_schema_bindings: true,
             prob: ProbabilityConfig::default(),
             prior: TemplatePrior::Uniform,
-            strategy: GenerationStrategy::default(),
         }
     }
 }
@@ -98,7 +83,7 @@ pub struct ScoredInterpretation {
 /// positional — the cache remembers its term sequence and self-clears when
 /// handed a different query, so stale verdicts can never leak).
 /// [`Interpreter::answers_top_k`] threads one cache through its generation
-/// waves and seeds it from the executor's materialized predicate row sets.
+/// waves.
 ///
 /// A cache can additionally be backed by a [`SharedNonemptyCache`], whose
 /// verdicts are keyed by the *sorted keyword bag* instead of the positional
@@ -143,28 +128,17 @@ impl NonemptyCache {
 /// the index it was populated against.
 #[derive(Debug)]
 pub struct SharedNonemptyCache {
-    shards: Vec<BagShard>,
-    hits: AtomicUsize,
+    /// Keyed by *sorted* keyword bag + attribute.
+    verdicts: StripedMap<(Vec<String>, AttrRef), bool>,
 }
 
-/// A shared verdict's identity: sorted keyword bag + attribute.
-type BagKey = (Vec<String>, AttrRef);
-/// One lock stripe of the shared verdict map.
-type BagShard = RwLock<HashMap<BagKey, bool>>;
-
-/// Per-shard admission cap, mirroring the bounded shared tiers of
-/// `exec.rs`: a full shard stops admitting (existing verdicts keep serving
-/// hits; fresh probes just hit the index) so a long-lived service cannot
-/// grow without bound.
-const VERDICT_SHARD_CAP: usize = 65_536;
+/// Per-stripe admission cap of the shared verdict map (see [`StripedMap`]).
+const VERDICT_STRIPE_CAP: usize = 65_536;
 
 impl Default for SharedNonemptyCache {
     fn default() -> Self {
         SharedNonemptyCache {
-            shards: (0..crate::exec::STRIPES)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-            hits: AtomicUsize::new(0),
+            verdicts: StripedMap::new(VERDICT_STRIPE_CAP),
         }
     }
 }
@@ -176,7 +150,7 @@ impl SharedNonemptyCache {
 
     /// Verdicts currently shared.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().unwrap().len()).sum()
+        self.verdicts.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -185,27 +159,7 @@ impl SharedNonemptyCache {
 
     /// Cross-query hits served so far.
     pub fn hits(&self) -> usize {
-        self.hits.load(AtomicOrdering::Relaxed)
-    }
-
-    /// The shared verdict for a *sorted* keyword bag, if any.
-    fn get(&self, key: &BagKey) -> Option<bool> {
-        let hit = self.shards[crate::exec::stripe_of(key)]
-            .read()
-            .unwrap()
-            .get(key)
-            .copied();
-        if hit.is_some() {
-            self.hits.fetch_add(1, AtomicOrdering::Relaxed);
-        }
-        hit
-    }
-
-    fn insert(&self, key: BagKey, verdict: bool) {
-        let mut shard = self.shards[crate::exec::stripe_of(&key)].write().unwrap();
-        if shard.len() < VERDICT_SHARD_CAP {
-            shard.entry(key).or_insert(verdict);
-        }
+        self.verdicts.hits()
     }
 }
 
@@ -245,8 +199,6 @@ pub struct AnswerStats {
     pub predicate_cache_hits: usize,
     /// Whole executions served from the cache (wave replays).
     pub result_cache_hits: usize,
-    /// Generator non-emptiness entries seeded from executor predicates.
-    pub nonempty_seeded: usize,
     /// Final wave's generation counters.
     pub gen: GenerationStats,
     /// Executor counters aggregated over all fresh executions.
@@ -549,9 +501,6 @@ impl<'a> Interpreter<'a> {
     }
 
     /// [`Self::top_k`] / [`Self::top_k_complete`] with search counters.
-    /// Obeys `config.strategy`: under
-    /// [`GenerationStrategy::Exhaustive`] the original pipeline runs and is
-    /// truncated, serving as the correctness oracle for the best-first path.
     pub fn top_k_with_stats(
         &self,
         query: &KeywordQuery,
@@ -561,31 +510,13 @@ impl<'a> Interpreter<'a> {
         if k == 0 || query.is_empty() {
             return (Vec::new(), GenerationStats::default());
         }
-        match self.config.strategy {
-            GenerationStrategy::Exhaustive => {
-                let ranked = if include_partials {
-                    self.ranked_with_partials(query)
-                } else {
-                    self.ranked_interpretations(query)
-                };
-                let stats = GenerationStats {
-                    materialized: ranked.len(),
-                    emitted: ranked.len().min(k),
-                    ..Default::default()
-                };
-                (Self::renormalized_prefix(ranked, k), stats)
-            }
-            GenerationStrategy::BestFirst => {
-                self.best_first_top_k(query, k, include_partials, None)
-            }
-        }
+        self.best_first_top_k(query, k, include_partials, None)
     }
 
     /// Like [`Self::top_k_with_stats`], but the non-emptiness memo persists
     /// in `cache` across calls — the repeated-`top_k`-with-growing-`k`
     /// pattern of [`Self::answers_top_k`]. Occurrence masks are positional,
     /// so a cache handed a different keyword sequence resets itself first.
-    /// Ignored under the exhaustive strategy.
     pub fn top_k_with_cache(
         &self,
         query: &KeywordQuery,
@@ -600,16 +531,11 @@ impl<'a> Interpreter<'a> {
             cache.map.clear();
             cache.terms = query.terms().to_vec();
         }
-        match self.config.strategy {
-            GenerationStrategy::Exhaustive => self.top_k_with_stats(query, k, include_partials),
-            GenerationStrategy::BestFirst => {
-                self.best_first_top_k(query, k, include_partials, Some(cache))
-            }
-        }
+        self.best_first_top_k(query, k, include_partials, Some(cache))
     }
 
     /// Truncate a ranked list to `k` and renormalize probabilities over the
-    /// survivors, so both strategies report the same distribution shape.
+    /// survivors, the distribution shape the best-first search reports.
     fn renormalized_prefix(
         mut ranked: Vec<ScoredInterpretation>,
         k: usize,
@@ -722,8 +648,7 @@ impl<'a> Interpreter<'a> {
     /// and empty interpretations are skipped — replays across waves are
     /// served from the execution cache.
     pub fn answers_top_k(&self, query: &KeywordQuery, k: usize) -> Vec<RankedAnswer> {
-        self.answers_top_k_with_opts(query, k, ExecOptions::default())
-            .0
+        self.answers_top_k_with_stats(query, k).0
     }
 
     /// [`Self::answers_top_k`] with counters.
@@ -732,31 +657,25 @@ impl<'a> Interpreter<'a> {
         query: &KeywordQuery,
         k: usize,
     ) -> (Vec<RankedAnswer>, AnswerStats) {
-        self.answers_top_k_with_opts(query, k, ExecOptions::default())
-    }
-
-    /// [`Self::answers_top_k`] under explicit base execution options —
-    /// `strategy` and `max_intermediate` are honored, `limit` and
-    /// `count_only` are managed by the streaming loop.
-    pub fn answers_top_k_with_opts(
-        &self,
-        query: &KeywordQuery,
-        k: usize,
-        base: ExecOptions,
-    ) -> (Vec<RankedAnswer>, AnswerStats) {
         let mut exec_cache = ExecCache::new();
         let mut gen_cache = NonemptyCache::new();
-        self.answers_top_k_with_caches(query, k, base, &mut gen_cache, &mut exec_cache)
+        self.answers_top_k_with_caches(
+            query,
+            k,
+            ExecOptions::default(),
+            &mut gen_cache,
+            &mut exec_cache,
+        )
     }
 
-    /// [`Self::answers_top_k_with_opts`] with *explicit cache handles* — the
+    /// [`Self::answers_top_k_with_stats`] with *explicit cache handles* — the
     /// seam the concurrent [`crate::SearchService`] drives. The caller owns
     /// both per-query caches (usually constructed with
     /// [`NonemptyCache::with_shared`] / [`ExecCache::with_shared`] so misses
-    /// fall through to the process-wide maps); all the interior state that
-    /// used to be created ad hoc inside this method now lives in them.
-    /// Cache-hit counters in the returned stats are cumulative over the
-    /// handed-in caches' lifetimes.
+    /// fall through to the process-wide maps). Of `base`, `max_intermediate`
+    /// is honored; `limit` is managed by the streaming loop. Cache-hit
+    /// counters in the returned stats are cumulative over the handed-in
+    /// caches' lifetimes.
     ///
     /// This is the plain top-k mode of the [`crate::QueryPipeline`]; the
     /// diversified and session-window modes compose the same stages
@@ -816,61 +735,12 @@ impl<'a> Interpreter<'a> {
             });
         }
     }
-    /// Seed the generator's mask-keyed non-emptiness cache from the
-    /// predicate row sets the executor materialized for `interp`. Each
-    /// keyword bag maps back to a canonical occurrence mask (first unused
-    /// occurrence per term), which covers the common no-duplicate case
-    /// exactly.
-    pub(crate) fn seed_nonempty_from_execution(
-        &self,
-        terms: &[String],
-        interp: &QueryInterpretation,
-        exec_cache: &ExecCache,
-        gen_cache: &mut NonemptyCache,
-    ) -> usize {
-        if terms.len() > 63 {
-            return 0; // occurrence masks are u64; long queries skip seeding
-        }
-        let tpl = self.catalog.get(interp.template);
-        let mut seeded = 0;
-        'binding: for b in &interp.bindings {
-            let BindingTarget::Value { node, attr } = b.target else {
-                continue;
-            };
-            let mut mask = 0u64;
-            for kw in &b.keywords {
-                let Some(pos) = (0..terms.len()).find(|&i| terms[i] == *kw && mask & (1 << i) == 0)
-                else {
-                    continue 'binding;
-                };
-                mask |= 1 << pos;
-            }
-            let aref = AttrRef {
-                table: tpl.tree.nodes[node],
-                attr,
-            };
-            let Some(nonempty) = exec_cache.predicate_nonempty(&b.keywords, aref) else {
-                continue;
-            };
-            if let std::collections::hash_map::Entry::Vacant(e) = gen_cache.map.entry((mask, aref))
-            {
-                e.insert(nonempty);
-                seeded += 1;
-            }
-            if let Some(shared) = &gen_cache.shared {
-                let mut bag = b.keywords.clone();
-                bag.sort();
-                shared.insert((bag, aref), nonempty);
-            }
-        }
-        seeded
-    }
 }
 
 /// Localize schema-level term candidates to the node occurrences of one
 /// template — the single definition of binding semantics, shared by the
-/// exhaustive enumerator and the best-first search so the two strategies
-/// cannot drift apart.
+/// exhaustive enumerator and the best-first search so the two cannot drift
+/// apart.
 fn localize_candidates(
     candidates: &[TermCandidate],
     tpl: &crate::template::QueryTemplate,
@@ -1087,14 +957,14 @@ impl BestFirstSearch<'_, '_> {
             let mut bag = kws.clone();
             bag.sort();
             let key = (bag, aref);
-            if let Some(ok) = shared.get(&key) {
+            if let Some(ok) = shared.verdicts.get(&key, |_| true) {
                 self.stats.nonempty_shared_hits += 1;
                 self.nonempty.insert((mask, aref), ok);
                 return ok;
             }
             self.stats.nonempty_probes += 1;
             let ok = self.interpreter.index.has_row_with_all(&kws, aref);
-            shared.insert(key, ok);
+            shared.verdicts.insert(key, ok);
             self.nonempty.insert((mask, aref), ok);
             return ok;
         }
@@ -1572,36 +1442,6 @@ mod tests {
     }
 
     #[test]
-    fn exhaustive_strategy_flag_is_the_oracle() {
-        let f = fixture();
-        let (first, last) = first_actor_tokens(&f);
-        let q = KeywordQuery::from_terms(vec![first, last]);
-        let best = Interpreter::new(
-            &f.data.db,
-            &f.index,
-            &f.catalog,
-            InterpreterConfig::default(),
-        );
-        let exhaustive = Interpreter::new(
-            &f.data.db,
-            &f.index,
-            &f.catalog,
-            InterpreterConfig {
-                strategy: GenerationStrategy::Exhaustive,
-                ..Default::default()
-            },
-        );
-        let a = best.top_k(&q, 7);
-        let b = exhaustive.top_k(&q, 7);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.interpretation, y.interpretation);
-            assert!((x.log_score - y.log_score).abs() < 1e-12);
-            assert!((x.probability - y.probability).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn top_k_edge_cases() {
         let f = fixture();
         let interp = Interpreter::new(
@@ -1661,41 +1501,43 @@ mod tests {
     #[test]
     fn answers_agree_across_strategies() {
         // BestFirst generation + hash-join execution must produce the same
-        // answer keys and scores as exhaustive generation + naive execution.
+        // answer keys and scores as exhaustive generation + naive execution:
+        // walk the oracle ranking, take JTTs until `k` answers exist.
         let f = fixture();
         let (first, last) = first_actor_tokens(&f);
         let q = KeywordQuery::from_terms(vec![first, last]);
-        let fast = Interpreter::new(
+        let interp = Interpreter::new(
             &f.data.db,
             &f.index,
             &f.catalog,
             InterpreterConfig::default(),
         );
-        let oracle = Interpreter::new(
-            &f.data.db,
-            &f.index,
-            &f.catalog,
-            InterpreterConfig {
-                strategy: GenerationStrategy::Exhaustive,
-                ..Default::default()
-            },
-        );
         let k = 10;
-        let a = fast.answers_top_k(&q, k);
-        let b = oracle.answers_top_k_with_opts(
-            &q,
-            k,
-            keybridge_relstore::ExecOptions {
-                strategy: keybridge_relstore::ExecStrategy::Naive,
+        let a = interp.answers_top_k(&q, k);
+        let mut b: Vec<RankedAnswer> = Vec::new();
+        for s in interp.ranked_with_partials(&q) {
+            if b.len() >= k {
+                break;
+            }
+            let opts = ExecOptions {
+                limit: k - b.len(),
                 ..Default::default()
-            },
-        );
-        let b = b.0;
+            };
+            let res = crate::exec::execute_interpretation_naive(
+                &f.data.db,
+                &f.index,
+                &f.catalog,
+                &s.interpretation,
+                opts,
+            )
+            .unwrap();
+            interp.collect_answers(&interp.local_executor(), &s, &res, opts.limit, &mut b);
+        }
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.interpretation, y.interpretation);
             assert!((x.log_score - y.log_score).abs() < 1e-12);
-            // JTT order within one interpretation is strategy-defined; keys
+            // JTT order within one interpretation is executor-defined; keys
             // of the multiset must still agree pairwise after sorting.
         }
         let mut ka: Vec<_> = a.iter().map(|x| x.keys.clone()).collect();

@@ -15,8 +15,9 @@
 //!    attribute name) satisfying uniqueness and minimality (Def. 3.5.4).
 //!    `Interpreter::top_k` emits the best k interpretations (complete and
 //!    partial) by best-first search guided by [`IncrementalScorer`], never
-//!    materializing the full space; the exhaustive enumerate-then-rank
-//!    pipeline stays available as [`GenerationStrategy::Exhaustive`].
+//!    materializing the full space. The exhaustive enumerate-then-rank
+//!    pipeline ([`Interpreter::ranked_with_partials`]) is the reference the
+//!    search is tested against; tests and benches call it by name.
 //! 4. [`ProbabilityModel`] — the probabilistic interpretation model
 //!    (Eqs. 3.5–3.8) with the DivQ refinements (joint ATF, unmapped-keyword
 //!    smoothing; Eq. 4.2), plus the SQAK and join-count baseline rankers.
@@ -43,17 +44,18 @@ mod rank;
 mod render;
 mod service;
 mod sharded;
+mod striped;
 mod template;
 mod wal;
 
 pub use construct::{ConstructionOption, ConstructionSession, SessionConfig};
 pub use exec::{
-    bound_nodes, execute_interpretation, execute_interpretation_cached, ExecCache, ExecutedResult,
-    ResultKey, SharedExecCache,
+    bound_nodes, execute_interpretation, execute_interpretation_cached,
+    execute_interpretation_naive, ExecCache, ExecutedResult, ResultKey, SharedExecCache,
 };
 pub use generate::{
-    AnswerStats, GenerationStats, GenerationStrategy, Interpreter, InterpreterConfig,
-    NonemptyCache, RankedAnswer, ScoredInterpretation, SharedNonemptyCache,
+    AnswerStats, GenerationStats, Interpreter, InterpreterConfig, NonemptyCache, RankedAnswer,
+    ScoredInterpretation, SharedNonemptyCache,
 };
 pub use hierarchy::{subsumes, QueryHierarchy};
 pub use interp::{

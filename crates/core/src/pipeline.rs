@@ -30,9 +30,7 @@
 //! interpreter's database); [`crate::ShardedService`] plugs in its
 //! scatter-gather coordinator (per-shard reduction, one forced plan, bounded
 //! merge, pk maps). Dispatch is static — the loop is monomorphized per
-//! executor — and nothing in it asks which one it got: the coordinator's
-//! `ExecCache` simply never holds predicate rows, so executor-to-generator
-//! verdict seeding finds nothing to seed there.
+//! executor — and nothing in it asks which one it got.
 //!
 //! [`crate::Interpreter::answers_top_k`], the [`crate::SearchService`] and
 //! the [`crate::ShardedService`] request modes all run on this pipeline,
@@ -361,7 +359,6 @@ impl<'s, 'a, E: Executor> QueryPipeline<'s, 'a, E> {
         post: &mut P,
         start_k: usize,
         grow: bool,
-        seed_terms: Option<&[String]>,
         stats: &mut AnswerStats,
     ) {
         let mut failed: HashSet<QueryInterpretation> = HashSet::new();
@@ -379,7 +376,6 @@ impl<'s, 'a, E: Executor> QueryPipeline<'s, 'a, E> {
                 }
                 let opts = ExecOptions {
                     limit: remaining,
-                    count_only: false,
                     ..self.base
                 };
                 if failed.contains(&s.interpretation) {
@@ -398,20 +394,11 @@ impl<'s, 'a, E: Executor> QueryPipeline<'s, 'a, E> {
                     }
                 };
                 if self.exec_cache.result_hits == hits_before {
-                    // Fresh execution: count it once and feed what the
-                    // executor learned back into the generator's cache.
+                    // Fresh execution: count it once.
                     stats.executed += 1;
                     stats.exec.absorb(&res.stats);
                     if !res.is_empty() {
                         stats.nonempty += 1;
-                    }
-                    if let Some(terms) = seed_terms {
-                        stats.nonempty_seeded += self.interpreter.seed_nonempty_from_execution(
-                            terms,
-                            &s.interpretation,
-                            self.exec_cache,
-                            self.gen_cache,
-                        );
                     }
                 }
                 if res.is_empty() {
@@ -447,14 +434,7 @@ impl<'s, 'a, E: Executor> QueryPipeline<'s, 'a, E> {
             answers: Vec::new(),
         };
         let start = k.max(8).min(interpreter.config().max_interpretations);
-        self.drive(
-            &mut source,
-            &mut post,
-            start,
-            true,
-            Some(query.terms()),
-            &mut stats,
-        );
+        self.drive(&mut source, &mut post, start, true, &mut stats);
         stats.answers = post.answers.len();
         (post.answers, stats)
     }
@@ -471,7 +451,7 @@ impl<'s, 'a, E: Executor> QueryPipeline<'s, 'a, E> {
         let mut post = DivPoolStage::new(interpreter, self.executor, cap);
         let mut source = FixedSource::new(ranked.to_vec());
         let start = ranked.len().max(1);
-        self.drive(&mut source, &mut post, start, false, None, &mut stats);
+        self.drive(&mut source, &mut post, start, false, &mut stats);
         ExecutedPool {
             items: post.items,
             keys: post.keys,
@@ -499,14 +479,7 @@ impl<'s, 'a, E: Executor> QueryPipeline<'s, 'a, E> {
             let start = opts
                 .pool
                 .min(interpreter.config().max_interpretations.max(1));
-            self.drive(
-                &mut source,
-                &mut post,
-                start,
-                false,
-                Some(query.terms()),
-                &mut stats,
-            );
+            self.drive(&mut source, &mut post, start, false, &mut stats);
         }
         let selected = diversify(&post.items, opts.config);
         let answers: Vec<DiversifiedAnswer> = selected
@@ -549,7 +522,7 @@ impl<'s, 'a, E: Executor> QueryPipeline<'s, 'a, E> {
         };
         let mut source = FixedSource::from_window(candidates);
         let start = candidates.len().max(1);
-        self.drive(&mut source, &mut post, start, false, None, &mut stats);
+        self.drive(&mut source, &mut post, start, false, &mut stats);
         post.out
     }
 }

@@ -1537,10 +1537,8 @@ impl ServeRequests for SearchService {
 pub struct ServiceBuilder {
     workers: usize,
     shards: usize,
-    session_ttl: Option<Duration>,
     durable_dir: Option<PathBuf>,
-    durable_opts: DurableOptions,
-    checkpoint_every: Option<usize>,
+    checkpoint_every: usize,
     fault_plan: Option<Arc<FaultPlan>>,
 }
 
@@ -1555,10 +1553,8 @@ impl ServiceBuilder {
         ServiceBuilder {
             workers: 2,
             shards: 1,
-            session_ttl: None,
             durable_dir: None,
-            durable_opts: DurableOptions::default(),
-            checkpoint_every: None,
+            checkpoint_every: DurableOptions::default().checkpoint_every,
             fault_plan: None,
         }
     }
@@ -1577,29 +1573,17 @@ impl ServiceBuilder {
         self
     }
 
-    /// Idle TTL for abandoned construction sessions
-    /// (see [`SearchService::set_session_ttl`]).
-    pub fn session_ttl(mut self, ttl: Duration) -> Self {
-        self.session_ttl = Some(ttl);
-        self
-    }
-
     /// Make the service durable over `dir` (WAL + checkpoints).
     pub fn durable(mut self, dir: impl Into<PathBuf>) -> Self {
         self.durable_dir = Some(dir.into());
         self
     }
 
-    /// Durable-store options (catalog bounds, interpreter config).
-    pub fn durable_options(mut self, opts: DurableOptions) -> Self {
-        self.durable_opts = opts;
-        self
-    }
-
-    /// Auto-checkpoint threshold in batches, overriding
-    /// [`DurableOptions::checkpoint_every`].
+    /// Auto-checkpoint threshold in batches
+    /// ([`DurableOptions::checkpoint_every`]; the other durable options keep
+    /// their defaults).
     pub fn checkpoint_every(mut self, batches: usize) -> Self {
-        self.checkpoint_every = Some(batches);
+        self.checkpoint_every = batches;
         self
     }
 
@@ -1610,12 +1594,11 @@ impl ServiceBuilder {
         self
     }
 
-    fn effective_durable_opts(&self) -> DurableOptions {
-        let mut opts = self.durable_opts.clone();
-        if let Some(every) = self.checkpoint_every {
-            opts.checkpoint_every = every;
+    fn durable_opts(&self) -> DurableOptions {
+        DurableOptions {
+            checkpoint_every: self.checkpoint_every,
+            ..Default::default()
         }
-        opts
     }
 
     /// Start a fresh service over `snapshot` with this configuration.
@@ -1640,13 +1623,12 @@ impl ServiceBuilder {
                     snapshot,
                     self.workers,
                     dir,
-                    &self.effective_durable_opts(),
+                    &self.durable_opts(),
                     faults,
                 )?
             }
             None => SearchService::start(snapshot, self.workers),
         };
-        service.set_session_ttl(self.session_ttl);
         Ok(KeywordService::Single(service))
     }
 
@@ -1664,13 +1646,8 @@ impl ServiceBuilder {
             .fault_plan
             .clone()
             .unwrap_or_else(|| Arc::new(FaultPlan::new()));
-        let service = SearchService::open_with_plan(
-            dir,
-            self.workers,
-            &self.effective_durable_opts(),
-            faults,
-        )?;
-        service.set_session_ttl(self.session_ttl);
+        let service =
+            SearchService::open_with_plan(dir, self.workers, &self.durable_opts(), faults)?;
         Ok(KeywordService::Single(service))
     }
 }

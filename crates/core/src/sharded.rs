@@ -50,11 +50,6 @@
 //!      order-preserved restriction of the global enumeration, the merged
 //!      prefix is **byte-identical** to the single-store oracle.
 //!
-//! The coordinator's per-request `ExecCache` never holds predicate rows
-//! (those are shard-local), so the pipeline's executor-to-generator verdict
-//! seeding finds nothing to seed; seeded verdicts are index-derivable, so
-//! generation output — and therefore every reply — is unchanged.
-//!
 //! The one deliberate divergence: the `max_intermediate` abort guard fires
 //! per shard, so a query that aborts on one big store may succeed sharded
 //! (each shard's intermediate stays under the bound). The differential

@@ -34,6 +34,7 @@ impl StringArena {
         s
     }
 
+    #[cfg(test)]
     fn lookup(&self, s: &str) -> Option<u32> {
         self.ids.get(s).copied()
     }
@@ -195,28 +196,6 @@ impl Database {
         Ok(id)
     }
 
-    /// Insert a row *with referential-integrity enforcement*: in addition to
-    /// everything [`Self::insert`] checks, every non-null foreign-key value
-    /// of the row must reference an existing parent. This is the live-write
-    /// path — unlike bulk loading (arbitrary order, validated once at the
-    /// end), an online insert must leave the database consistent so a
-    /// concurrently published snapshot never serves dangling joins.
-    pub fn insert_row(&mut self, table: TableId, row: Vec<Value>) -> RelResult<RowId> {
-        self.schema.check_shape(table, &row)?;
-        for &(fk_idx, col) in &self.table_fk_cols[table.0 as usize] {
-            if let Some(key) = row[col].as_int() {
-                let parent = self.schema.fk(FkId(fk_idx as u32)).to.table;
-                if self.tables[parent.0 as usize].by_pk(key).is_none() {
-                    return Err(RelError::BrokenForeignKey {
-                        table,
-                        row: self.tables[table.0 as usize].len() as u32,
-                    });
-                }
-            }
-        }
-        self.insert(table, row)
-    }
-
     /// Whether [`Self::insert_batch`] would accept `batch`, without touching
     /// the database: [`Schema::validate_batch`] with this database's pk
     /// indexes and table lengths as the store. O(batch).
@@ -269,7 +248,8 @@ impl Database {
     }
 
     /// Number of distinct interned strings in the arena.
-    pub fn symbol_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn symbol_count(&self) -> usize {
         self.arena.syms.len()
     }
 
@@ -277,12 +257,14 @@ impl Database {
     /// any stored text cell. Ids reflect first-insertion order of this
     /// database instance and are *not* serialized — snapshots derive their
     /// own canonical dictionary from row order.
-    pub fn symbol_id(&self, s: &str) -> Option<u32> {
+    #[cfg(test)]
+    pub(crate) fn symbol_id(&self, s: &str) -> Option<u32> {
         self.arena.lookup(s)
     }
 
     /// Total bytes of distinct interned string payloads.
-    pub fn symbol_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn symbol_bytes(&self) -> u64 {
         self.arena.syms.iter().map(|s| s.len() as u64).sum()
     }
 
@@ -310,35 +292,6 @@ impl Database {
         }
         for s in &self.arena.syms {
             bytes += s.len() as u64 + ARC_HEADER;
-        }
-        for idx in &self.fk_index {
-            for rows in idx.values() {
-                bytes += rows.len() as u64 * FK_ENTRY;
-            }
-        }
-        bytes
-    }
-
-    /// What [`Self::approx_heap_bytes`] would report for the pre-interning
-    /// representation, where every text cell owned its own `String` copy.
-    /// The difference between the two is exactly the interning win, computed
-    /// over identical content with identical constants.
-    pub fn naive_heap_bytes(&self) -> u64 {
-        const ROW_VEC: u64 = 24;
-        const CELL: u64 = 24;
-        const PK_ENTRY: u64 = 16;
-        const FK_ENTRY: u64 = 12;
-        let mut bytes = 0u64;
-        for t in &self.tables {
-            bytes += t.rows.len() as u64 * (ROW_VEC + PK_ENTRY);
-            for r in &t.rows {
-                bytes += r.len() as u64 * CELL;
-                for v in r {
-                    if let Some(s) = v.as_text() {
-                        bytes += s.len() as u64;
-                    }
-                }
-            }
         }
         for idx in &self.fk_index {
             for rows in idx.values() {
@@ -481,25 +434,6 @@ mod tests {
         let mut db = db();
         let acts = db.schema().table_id("acts").unwrap();
         db.insert(acts, vec![Value::Int(1), Value::Null, Value::Null])
-            .unwrap();
-        db.validate().unwrap();
-    }
-
-    #[test]
-    fn insert_row_enforces_referential_integrity() {
-        let mut db = db();
-        let actor = db.schema().table_id("actor").unwrap();
-        let acts = db.schema().table_id("acts").unwrap();
-        // Orphan fk rejected at insert time (unlike bulk `insert`).
-        let err = db
-            .insert_row(acts, vec![Value::Int(1), Value::Int(5), Value::Null])
-            .unwrap_err();
-        assert!(matches!(err, RelError::BrokenForeignKey { .. }));
-        assert_eq!(db.table(acts).len(), 0);
-        // With the parent present (and a null fk being legal) it goes in.
-        db.insert_row(actor, vec![Value::Int(5), Value::text("a")])
-            .unwrap();
-        db.insert_row(acts, vec![Value::Int(1), Value::Int(5), Value::Null])
             .unwrap();
         db.validate().unwrap();
     }
@@ -748,13 +682,13 @@ mod tests {
             (Value::Text(x), Value::Text(y)) => assert!(std::sync::Arc::ptr_eq(x, y)),
             other => panic!("expected text cells, got {other:?}"),
         }
-        // The accounting model sees the dedup: interned footprint charges
-        // "terminal" once (plus an Arc header), the naive model charges the
-        // payload per cell — with repeated strings, interning wins.
+        // The accounting model sees the dedup: 100 more "terminal" cells
+        // cost their row, cell and pk-index entries, and no string bytes.
+        let before = db.approx_heap_bytes();
         for i in 10..110 {
             db.insert(actor, vec![Value::Int(i), Value::text("terminal")])
                 .unwrap();
         }
-        assert!(db.approx_heap_bytes() < db.naive_heap_bytes());
+        assert_eq!(db.approx_heap_bytes() - before, 100 * (24 + 16 + 2 * 24));
     }
 }

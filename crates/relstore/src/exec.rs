@@ -9,21 +9,21 @@
 //! `None` means the node is a *free* table: any row may participate. It
 //! returns joining tuple trees (JTTs): one [`RowId`] per node.
 //!
-//! Two strategies are available (see [`ExecStrategy`]):
+//! One executor serves ([`execute_join_tree_with_stats_in`]): a semi-join
+//! reduction pre-pass — one bottom-up and one top-down sweep over the tree,
+//! the Yannakakis full reducer — shrinks every candidate set to rows that
+//! participate in at least one complete JTT. Bindings then grow in *columnar
+//! batches* (one `Vec<RowId>` column per joined node, struct-of-arrays) by
+//! build/probe hash joins along the tree, attaching the most selective node
+//! first. Because the tree is fully reduced, every partial binding is
+//! guaranteed to extend to a result, so [`ExecOptions::limit`] can cut
+//! *every* batch, not just the final one — the executor streams top-`limit`
+//! answers without materializing the full join.
 //!
-//! * **Hash join** (the default): a semi-join reduction pre-pass — one
-//!   bottom-up and one top-down sweep over the tree, the Yannakakis full
-//!   reducer — shrinks every candidate set to rows that participate in at
-//!   least one complete JTT. Bindings then grow in *columnar batches* (one
-//!   `Vec<RowId>` column per joined node, struct-of-arrays) by build/probe
-//!   hash joins along the tree, attaching the most selective node first.
-//!   Because the tree is fully reduced, every partial binding is guaranteed
-//!   to extend to a result, so [`ExecOptions::limit`] can cut *every* batch,
-//!   not just the final one — the executor streams top-`limit` answers
-//!   without materializing the full join.
-//! * **Naive** nested-loop expansion: the original executor — one
-//!   `Vec<Option<RowId>>` per partial binding, cloned on every edge attach —
-//!   retained as the correctness oracle for the differential test suite.
+//! [`execute_join_tree_naive`] is the named reference it is tested against:
+//! the original nested-loop expansion — one `Vec<Option<RowId>>` per partial
+//! binding, cloned on every edge attach. Tests and benches call it by name;
+//! no option selects it.
 
 use crate::database::Database;
 use crate::error::{RelError, RelResult};
@@ -112,7 +112,7 @@ impl JoinTree {
 /// Per-node candidate rows. `None` = unrestricted (free table). Candidate
 /// lists are expected to be duplicate-free (the inverted index produces
 /// sorted, distinct rows); duplicates are tolerated but result multiplicity
-/// is then strategy-defined.
+/// is then executor-defined.
 #[derive(Debug, Clone, Default)]
 pub struct Candidates {
     pub per_node: Vec<Option<Vec<RowId>>>,
@@ -133,18 +133,7 @@ impl Candidates {
     }
 }
 
-/// How the executor evaluates the join tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecStrategy {
-    /// Semi-join reduction + columnar batched hash joins. The default.
-    #[default]
-    HashJoin,
-    /// Per-binding nested-loop expansion — the original executor, retained
-    /// as the differential-testing oracle.
-    Naive,
-}
-
-/// Execution limits and mode.
+/// Execution limits.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
     /// Stop after this many result tuples.
@@ -152,12 +141,6 @@ pub struct ExecOptions {
     /// Abort if the intermediate binding count exceeds this bound
     /// (protects against free-table blowups).
     pub max_intermediate: usize,
-    /// Count matching JTTs (up to `limit`) without materializing them;
-    /// [`ExecOutcome::rows`] stays empty and only
-    /// [`ExecStats::result_count`] is meaningful.
-    pub count_only: bool,
-    /// Evaluation strategy.
-    pub strategy: ExecStrategy,
 }
 
 impl Default for ExecOptions {
@@ -165,8 +148,6 @@ impl Default for ExecOptions {
         ExecOptions {
             limit: 1000,
             max_intermediate: 200_000,
-            count_only: false,
-            strategy: ExecStrategy::default(),
         }
     }
 }
@@ -182,7 +163,7 @@ pub struct ExecStats {
     /// quantity the batched executor minimizes.
     pub intermediate_bindings: usize,
     /// Candidate rows across all nodes before semi-join reduction
-    /// (hash-join strategy only; free nodes count their full table).
+    /// (zero on the naive reference; free nodes count their full table).
     pub semijoin_rows_in: usize,
     /// Candidate rows across all nodes after the bottom-up + top-down
     /// reduction sweeps.
@@ -233,7 +214,7 @@ pub type JoinedRow = Vec<RowId>;
 
 /// A forced join order for the hash-join executor: the seed node plus the
 /// edge indexes in attach order. [`plan_join_order`] replicates exactly the
-/// choices `ExecStrategy::HashJoin` makes on its own, but from bare
+/// choices [`execute_join_tree_with_stats_in`] makes on its own, but from bare
 /// cardinalities — so a coordinator can compute one plan from *global*
 /// (cross-shard summed) cardinalities and force every shard to execute the
 /// same order, keeping a scatter-gather execution bit-identical to a
@@ -265,16 +246,16 @@ pub struct ReducedTree {
 /// Result rows plus execution counters.
 #[derive(Debug, Clone, Default)]
 pub struct ExecOutcome {
-    /// Matching JTTs, at most `limit` (empty under `count_only`).
+    /// Matching JTTs, at most `limit`.
     pub rows: Vec<JoinedRow>,
     pub stats: ExecStats,
 }
 
 /// Execute `tree` over `db` with per-node `candidates`, returning rows and
-/// execution counters. Dispatches on [`ExecOptions::strategy`]. Binding
-/// batches live in the caller-held [`BatchArena`] (the naive strategy ignores
-/// it): repeat executors hold one across executions, one-shot callers pass
-/// `&mut BatchArena::new()`.
+/// execution counters: semi-join reduction, then columnar batched hash joins
+/// in the order [`plan_join_order`] picks. Binding batches live in the
+/// caller-held [`BatchArena`]: repeat executors hold one across executions,
+/// one-shot callers pass `&mut BatchArena::new()`.
 pub fn execute_join_tree_with_stats_in(
     db: &Database,
     tree: &JoinTree,
@@ -282,16 +263,34 @@ pub fn execute_join_tree_with_stats_in(
     opts: ExecOptions,
     arena: &mut BatchArena,
 ) -> RelResult<ExecOutcome> {
+    let reduced = reduce_join_tree(db, tree, candidates)?;
+    let mut stats = reduced.stats;
+    if reduced.sets.iter().any(Vec::is_empty) {
+        return Ok(ExecOutcome {
+            rows: Vec::new(),
+            stats,
+        });
+    }
+    let sizes: Vec<usize> = reduced.sets.iter().map(Vec::len).collect();
+    let plan = plan_join_order(tree, &reduced.given, &sizes);
+    let out = execute_reduced_in(db, tree, reduced.sets, &plan, opts, arena)?;
+    stats.absorb(&out.stats);
+    Ok(ExecOutcome {
+        rows: out.rows,
+        stats,
+    })
+}
+
+/// The shape checks every execution starts with: a valid tree and one
+/// candidate slot per node.
+fn check_shape(db: &Database, tree: &JoinTree, candidates: &Candidates) -> RelResult<()> {
     tree.validate(db)?;
     if candidates.per_node.len() != tree.nodes.len() {
         return Err(RelError::MalformedJoinTree(
             "candidate arity mismatch".into(),
         ));
     }
-    match opts.strategy {
-        ExecStrategy::HashJoin => execute_hash_join(db, tree, candidates, opts, arena),
-        ExecStrategy::Naive => execute_naive(db, tree, candidates, opts),
-    }
+    Ok(())
 }
 
 /// The join key of `row` at node `node` under `fk`, where `fk_side` says
@@ -320,36 +319,7 @@ fn a_is_fk_side(db: &Database, tree: &JoinTree, edge: &JoinTreeEdge) -> bool {
     fk.from.table == tree.nodes[edge.a] && fk.to.table == tree.nodes[edge.b]
 }
 
-// ---------------------------------------------------------------------------
-// Hash-join strategy: semi-join reduction + columnar batches.
-// ---------------------------------------------------------------------------
-
-fn execute_hash_join(
-    db: &Database,
-    tree: &JoinTree,
-    candidates: &Candidates,
-    opts: ExecOptions,
-    arena: &mut BatchArena,
-) -> RelResult<ExecOutcome> {
-    let reduced = reduce_join_tree(db, tree, candidates)?;
-    let mut stats = reduced.stats;
-    if reduced.sets.iter().any(Vec::is_empty) {
-        return Ok(ExecOutcome {
-            rows: Vec::new(),
-            stats,
-        });
-    }
-    let sizes: Vec<usize> = reduced.sets.iter().map(Vec::len).collect();
-    let plan = plan_join_order(tree, &reduced.given, &sizes);
-    let out = execute_reduced_in(db, tree, reduced.sets, &plan, opts, arena)?;
-    stats.absorb(&out.stats);
-    Ok(ExecOutcome {
-        rows: out.rows,
-        stats,
-    })
-}
-
-/// The semi-join reduction pre-pass of the hash-join strategy, exposed on
+/// The semi-join reduction pre-pass of the executor, exposed on
 /// its own so sharded executions can reduce locally, exchange only the
 /// resulting cardinalities, and then run [`execute_reduced_in`] under a plan
 /// forced by a coordinator.
@@ -358,12 +328,7 @@ pub fn reduce_join_tree(
     tree: &JoinTree,
     candidates: &Candidates,
 ) -> RelResult<ReducedTree> {
-    tree.validate(db)?;
-    if candidates.per_node.len() != tree.nodes.len() {
-        return Err(RelError::MalformedJoinTree(
-            "candidate arity mismatch".into(),
-        ));
-    }
+    check_shape(db, tree, candidates)?;
     let n = tree.nodes.len();
     let mut stats = ExecStats::default();
 
@@ -625,11 +590,12 @@ fn arena_reserve<T>(v: &mut Vec<T>, additional: usize, allocs: &mut usize) {
     }
 }
 
-/// The join phase of the hash-join strategy over already-reduced sets,
-/// following a [`JoinPlan`] instead of choosing its own order. With the plan
-/// produced by [`plan_join_order`] on this store's own cardinalities this is
-/// bit-identical to `ExecStrategy::HashJoin`; under a coordinator-forced
-/// plan every participating store joins in the same order.
+/// The join phase of the executor over already-reduced sets, following a
+/// [`JoinPlan`] instead of choosing its own order. With the plan produced by
+/// [`plan_join_order`] on this store's own cardinalities this is
+/// bit-identical to [`execute_join_tree_with_stats_in`]; under a
+/// coordinator-forced plan every participating store joins in the same
+/// order.
 ///
 /// Columnar binding batches: one column span per joined node, all of equal
 /// length, living in the arena. Full reduction guarantees every partial
@@ -767,33 +733,34 @@ pub fn execute_reduced_in(
     stats.result_count = batch_len;
     stats.arena_bytes_peak = stats.arena_bytes_peak.max(arena.bytes());
     stats.batch_allocs += arena.allocs - allocs_before;
-    let rows = if opts.count_only {
-        Vec::new()
-    } else {
-        (0..batch_len)
-            .map(|i| {
-                (0..n)
-                    .map(|node| {
-                        let c = slot[node].expect("all joined");
-                        arena.front[c * batch_len + i]
-                    })
-                    .collect()
-            })
-            .collect()
-    };
+    let rows = (0..batch_len)
+        .map(|i| {
+            (0..n)
+                .map(|node| {
+                    let c = slot[node].expect("all joined");
+                    arena.front[c * batch_len + i]
+                })
+                .collect()
+        })
+        .collect();
     Ok(ExecOutcome { rows, stats })
 }
 
 // ---------------------------------------------------------------------------
-// Naive strategy: the original per-binding expansion, kept as the oracle.
+// The reference: the original per-binding expansion, kept as the oracle.
 // ---------------------------------------------------------------------------
 
-fn execute_naive(
+/// Execute `tree` by per-binding nested-loop expansion — the reference
+/// implementation [`execute_join_tree_with_stats_in`] is differentially
+/// tested against. Same inputs, same result multiset, no reduction pass and
+/// no arena.
+pub fn execute_join_tree_naive(
     db: &Database,
     tree: &JoinTree,
     candidates: &Candidates,
     opts: ExecOptions,
 ) -> RelResult<ExecOutcome> {
+    check_shape(db, tree, candidates)?;
     let n = tree.nodes.len();
     let mut stats = ExecStats::default();
     // Estimated cardinality per node, used to order the join.
@@ -859,7 +826,7 @@ fn execute_naive(
         let new_table = tree.nodes[new];
         // Forward: known node holds the fk column, probe parent's pk index.
         // Orientation comes from the shared per-edge helper so both
-        // strategies agree even on self-referencing foreign keys.
+        // executors agree even on self-referencing foreign keys.
         let forward = (edge.a == known) == a_is_fk_side(db, tree, &edge);
 
         let mut next: Vec<Vec<Option<RowId>>> = Vec::with_capacity(bindings.len());
@@ -912,15 +879,11 @@ fn execute_naive(
     }
 
     stats.result_count = bindings.len().min(opts.limit);
-    let rows = if opts.count_only {
-        Vec::new()
-    } else {
-        bindings
-            .into_iter()
-            .take(opts.limit)
-            .map(|b| b.into_iter().map(|r| r.expect("all nodes bound")).collect())
-            .collect()
-    };
+    let rows = bindings
+        .into_iter()
+        .take(opts.limit)
+        .map(|b| b.into_iter().map(|r| r.expect("all nodes bound")).collect())
+        .collect();
     Ok(ExecOutcome { rows, stats })
 }
 
@@ -998,13 +961,6 @@ mod tests {
         }
     }
 
-    fn naive_opts() -> ExecOptions {
-        ExecOptions {
-            strategy: ExecStrategy::Naive,
-            ..Default::default()
-        }
-    }
-
     /// One-shot execution over a throwaway arena.
     fn run(
         db: &Database,
@@ -1015,7 +971,21 @@ mod tests {
         execute_join_tree_with_stats_in(db, tree, candidates, opts, &mut BatchArena::new()).unwrap()
     }
 
-    /// Sorted copies, for multiset comparison between strategies.
+    /// The same execution on the reference executor.
+    fn run_naive(
+        db: &Database,
+        tree: &JoinTree,
+        candidates: &Candidates,
+        opts: ExecOptions,
+    ) -> ExecOutcome {
+        execute_join_tree_naive(db, tree, candidates, opts).unwrap()
+    }
+
+    /// Both executors, for tests asserting the same thing of each.
+    type Exec = fn(&Database, &JoinTree, &Candidates, ExecOptions) -> ExecOutcome;
+    const BOTH: [Exec; 2] = [run, run_naive];
+
+    /// Sorted copies, for multiset comparison between executors.
     fn sorted(mut rows: Vec<JoinedRow>) -> Vec<JoinedRow> {
         rows.sort();
         rows
@@ -1025,8 +995,8 @@ mod tests {
     fn full_join_unrestricted() {
         let db = movie_db();
         let tree = actor_acts_movie_tree(&db);
-        for opts in [ExecOptions::default(), naive_opts()] {
-            let rows = run(&db, &tree, &Candidates::free(3), opts).rows;
+        for exec in BOTH {
+            let rows = exec(&db, &tree, &Candidates::free(3), ExecOptions::default()).rows;
             assert_eq!(rows.len(), 4); // one JTT per acts row
         }
     }
@@ -1038,8 +1008,8 @@ mod tests {
         let actor = db.schema().table_id("actor").unwrap();
         let hanks = db.table(actor).by_pk(1).unwrap();
         let cands = Candidates::free(3).restrict(0, vec![hanks]);
-        for opts in [ExecOptions::default(), naive_opts()] {
-            let rows = run(&db, &tree, &cands, opts).rows;
+        for exec in BOTH {
+            let rows = exec(&db, &tree, &cands, ExecOptions::default()).rows;
             assert_eq!(rows.len(), 2); // Terminal + Volcano
             for r in &rows {
                 assert_eq!(r[0], hanks);
@@ -1058,8 +1028,8 @@ mod tests {
         let cands = Candidates::free(3)
             .restrict(0, vec![hanks])
             .restrict(2, vec![terminal]);
-        for opts in [ExecOptions::default(), naive_opts()] {
-            let rows = run(&db, &tree, &cands, opts).rows;
+        for exec in BOTH {
+            let rows = exec(&db, &tree, &cands, ExecOptions::default()).rows;
             assert_eq!(rows.len(), 1);
         }
     }
@@ -1069,8 +1039,8 @@ mod tests {
         let db = movie_db();
         let tree = actor_acts_movie_tree(&db);
         let cands = Candidates::free(3).restrict(0, vec![]);
-        for opts in [ExecOptions::default(), naive_opts()] {
-            let rows = run(&db, &tree, &cands, opts).rows;
+        for exec in BOTH {
+            let rows = exec(&db, &tree, &cands, ExecOptions::default()).rows;
             assert!(rows.is_empty());
         }
     }
@@ -1116,8 +1086,8 @@ mod tests {
             .restrict(0, vec![hanks])
             .restrict(4, vec![ryan]);
         let volcano = db.table(movie).by_pk(12).unwrap();
-        for opts in [ExecOptions::default(), naive_opts()] {
-            let rows = run(&db, &tree, &cands, opts).rows;
+        for exec in BOTH {
+            let rows = exec(&db, &tree, &cands, ExecOptions::default()).rows;
             assert_eq!(rows.len(), 1); // Joe vs the Volcano
             assert_eq!(rows[0][2], volcano);
         }
@@ -1127,13 +1097,12 @@ mod tests {
     fn limit_respected() {
         let db = movie_db();
         let tree = actor_acts_movie_tree(&db);
-        for strategy in [ExecStrategy::HashJoin, ExecStrategy::Naive] {
+        for exec in BOTH {
             let opts = ExecOptions {
                 limit: 2,
-                strategy,
                 ..Default::default()
             };
-            let rows = run(&db, &tree, &Candidates::free(3), opts).rows;
+            let rows = exec(&db, &tree, &Candidates::free(3), opts).rows;
             assert_eq!(rows.len(), 2);
         }
     }
@@ -1152,14 +1121,13 @@ mod tests {
             Candidates::free(3).restrict(0, toms.clone()),
             Candidates::free(3).restrict(0, toms).restrict(2, vec![]),
         ];
-        let big = |strategy| ExecOptions {
+        let big = ExecOptions {
             limit: usize::MAX,
-            strategy,
             ..Default::default()
         };
         for cands in &cases {
-            let hj = run(&db, &tree, cands, big(ExecStrategy::HashJoin)).rows;
-            let nv = run(&db, &tree, cands, big(ExecStrategy::Naive)).rows;
+            let hj = run(&db, &tree, cands, big).rows;
+            let nv = run_naive(&db, &tree, cands, big).rows;
             assert_eq!(sorted(hj), sorted(nv));
         }
     }
@@ -1168,7 +1136,7 @@ mod tests {
     fn self_referencing_fk_strategies_agree() {
         // employee.manager_id -> employee: both edge orientations type-check,
         // so the executor must pick one deterministically (node `a` = fk
-        // side) and both strategies must implement the same choice.
+        // side) and the reference must implement the same choice.
         let mut b = SchemaBuilder::new();
         b.table("employee", TableKind::Entity)
             .pk("id")
@@ -1205,14 +1173,13 @@ mod tests {
             Candidates::free(2).restrict(0, vec![r3]),
             Candidates::free(2).restrict(1, vec![r1]),
         ];
-        let big = |strategy| ExecOptions {
+        let big = ExecOptions {
             limit: usize::MAX,
-            strategy,
             ..Default::default()
         };
         for cands in &cases {
-            let hj = run(&db, &tree, cands, big(ExecStrategy::HashJoin)).rows;
-            let nv = run(&db, &tree, cands, big(ExecStrategy::Naive)).rows;
+            let hj = run(&db, &tree, cands, big).rows;
+            let nv = run_naive(&db, &tree, cands, big).rows;
             assert_eq!(sorted(hj.clone()), sorted(nv));
             // Node 0 is the fk (reporting) side: every result pairs an
             // employee with their manager.
@@ -1221,19 +1188,6 @@ mod tests {
                 assert_eq!(mgr, Some(db.pk_value(emp, row[1])));
             }
         }
-    }
-
-    #[test]
-    fn count_only_counts_without_rows() {
-        let db = movie_db();
-        let tree = actor_acts_movie_tree(&db);
-        let opts = ExecOptions {
-            count_only: true,
-            ..Default::default()
-        };
-        let out = run(&db, &tree, &Candidates::free(3), opts);
-        assert!(out.rows.is_empty());
-        assert_eq!(out.stats.result_count, 4);
     }
 
     #[test]
@@ -1248,7 +1202,7 @@ mod tests {
             .restrict(0, vec![hanks])
             .restrict(2, vec![terminal]);
         let hj = run(&db, &tree, &cands, ExecOptions::default());
-        let nv = run(&db, &tree, &cands, naive_opts());
+        let nv = run_naive(&db, &tree, &cands, ExecOptions::default());
         assert_eq!(hj.stats.result_count, nv.stats.result_count);
         // The reducer must strip the acts rows that don't reach Terminal.
         assert!(hj.stats.semijoin_rows_out < hj.stats.semijoin_rows_in);
@@ -1336,8 +1290,8 @@ mod tests {
         let db = movie_db();
         let movie = db.schema().table_id("movie").unwrap();
         let tree = JoinTree::single(movie);
-        for opts in [ExecOptions::default(), naive_opts()] {
-            let rows = run(&db, &tree, &Candidates::free(1), opts).rows;
+        for exec in BOTH {
+            let rows = exec(&db, &tree, &Candidates::free(1), ExecOptions::default()).rows;
             assert_eq!(rows.len(), 3);
         }
         assert_eq!(tree.join_count(), 0);

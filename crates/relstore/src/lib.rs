@@ -50,9 +50,9 @@ mod value;
 pub use database::{Database, RowBatch, TableStore, MAX_TABLE_ROWS};
 pub use error::{BatchError, RelError, RelResult};
 pub use exec::{
-    execute_join_tree_with_stats_in, execute_reduced_in, plan_join_order, reduce_join_tree,
-    BatchArena, Candidates, ExecOptions, ExecOutcome, ExecStats, ExecStrategy, JoinPlan, JoinTree,
-    JoinTreeEdge, JoinedRow, ReducedTree,
+    execute_join_tree_naive, execute_join_tree_with_stats_in, execute_reduced_in, plan_join_order,
+    reduce_join_tree, BatchArena, Candidates, ExecOptions, ExecOutcome, ExecStats, JoinPlan,
+    JoinTree, JoinTreeEdge, JoinedRow, ReducedTree,
 };
 pub use graph::{GraphEdge, SchemaGraph};
 pub use partition::{

@@ -25,15 +25,10 @@ use crate::error::RelError;
 use crate::schema::{SchemaBuilder, TableKind};
 use crate::value::{Value, ValueType};
 use std::fmt;
-use std::fs::File;
-use std::io::{Read, Write};
-use std::path::Path;
 
 /// Errors raised while encoding or decoding snapshot bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// Filesystem failure (message carries the operation and cause).
-    Io(String),
     /// The leading magic bytes are not a snapshot of the expected kind.
     BadMagic,
     /// The snapshot was written by an unknown format version.
@@ -55,7 +50,6 @@ pub enum SnapshotError {
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SnapshotError::Io(msg) => write!(f, "snapshot io error: {msg}"),
             SnapshotError::BadMagic => f.write_str("snapshot magic bytes do not match"),
             SnapshotError::UnsupportedVersion(v) => {
                 write!(f, "unsupported snapshot version {v}")
@@ -74,12 +68,6 @@ impl fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
-
-impl From<std::io::Error> for SnapshotError {
-    fn from(e: std::io::Error) -> Self {
-        SnapshotError::Io(e.to_string())
-    }
-}
 
 impl From<RelError> for SnapshotError {
     fn from(e: RelError) -> Self {
@@ -488,40 +476,6 @@ impl Database {
         Ok(out)
     }
 
-    /// Size of the *pre-diet* (version 1) encoding of this database's
-    /// content: fixed 8-byte integers and every text cell carrying its own
-    /// length-prefixed string copy, no dictionary. Deterministic and cheap
-    /// (no allocation); the smoke bench records it next to the real snapshot
-    /// size so the storage-diet win is measurable per fixture.
-    pub fn naive_snapshot_bytes(&self) -> u64 {
-        const FRAME: u64 = 13; // section tag + u64 length + crc32
-        let schema = self.schema();
-        let mut total = 12u64; // magic + version
-        let mut sec = 4u64; // table count
-        for (_, t) in schema.tables() {
-            sec += 4 + t.name.len() as u64 + 1 + 4 + 4;
-            for a in &t.attrs {
-                sec += 4 + a.name.len() as u64 + 1;
-            }
-        }
-        sec += 4 + schema.fk_count() as u64 * 12;
-        total += FRAME + sec;
-        for (tid, _) in schema.tables() {
-            let mut sec = 4u64; // row count
-            for (_, row) in self.table(tid).rows() {
-                for v in row {
-                    sec += match v {
-                        Value::Null => 1,
-                        Value::Int(_) => 9,
-                        Value::Text(s) => 5 + s.len() as u64,
-                    };
-                }
-            }
-            total += FRAME + sec;
-        }
-        total
-    }
-
     /// Decode a snapshot produced by [`Self::snapshot_bytes`]. The schema is
     /// rebuilt through [`SchemaBuilder`] and every row re-inserted in stored
     /// order, so table ids, attribute ids, foreign-key ids, and row ids all
@@ -677,24 +631,6 @@ impl Database {
             ));
         }
         Ok(db)
-    }
-
-    /// Write [`Self::snapshot_bytes`] to `path`, fsynced. Callers that need
-    /// atomic replacement (the service checkpoint) write to a temp file and
-    /// rename; this primitive just persists bytes durably.
-    pub fn save_snapshot(&self, path: &Path) -> Result<(), SnapshotError> {
-        let bytes = self.snapshot_bytes()?;
-        let mut f = File::create(path)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-        Ok(())
-    }
-
-    /// Read and decode a snapshot written by [`Self::save_snapshot`].
-    pub fn load_snapshot(path: &Path) -> Result<Database, SnapshotError> {
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        Database::from_snapshot_bytes(&bytes)
     }
 }
 
@@ -854,21 +790,6 @@ mod tests {
     }
 
     #[test]
-    fn save_and_load_via_file() {
-        let db = sample_db();
-        let path =
-            std::env::temp_dir().join(format!("keybridge-snapshot-test-{}.kb", std::process::id()));
-        db.save_snapshot(&path).unwrap();
-        let back = Database::load_snapshot(&path).unwrap();
-        assert_eq!(back.snapshot_bytes().unwrap(), db.snapshot_bytes().unwrap());
-        std::fs::remove_file(&path).unwrap();
-        assert!(matches!(
-            Database::load_snapshot(&path).unwrap_err(),
-            SnapshotError::Io(_)
-        ));
-    }
-
-    #[test]
     fn varints_roundtrip() {
         let u64s = [
             0u64,
@@ -982,12 +903,15 @@ mod tests {
             };
             db.insert(t, vec![Value::Int(i), Value::text(s)]).unwrap();
         }
-        let real = db.snapshot_bytes().unwrap().len() as u64;
-        let naive = db.naive_snapshot_bytes();
+        // 100 copies each of a 9- and a 12-byte string: the whole snapshot —
+        // schema, dictionary and 200 rows — is smaller than the text payload
+        // alone would be with one copy per cell.
+        let real = db.snapshot_bytes().unwrap().len();
+        let text_payload = 100 * "tom hanks".len() + 100 * "the terminal".len();
         assert!(
-            real * 4 < naive * 3,
+            real * 4 < text_payload * 3,
             "dictionary snapshot ({real} B) should be at least 25% smaller \
-             than the pre-diet encoding ({naive} B)"
+             than its undeduplicated text ({text_payload} B)"
         );
         // And the compact form still roundtrips exactly.
         let back = Database::from_snapshot_bytes(&db.snapshot_bytes().unwrap()).unwrap();

@@ -53,7 +53,8 @@ pub enum PostingsRepr {
 const BITMAP_MIN_DF: u32 = 16;
 /// ...covering at least `1 / BITMAP_DENSITY` of their row span
 /// (`df * BITMAP_DENSITY >= span`). At the threshold a bitmap costs ~4
-/// bytes of words per posting, comfortably under the 8-byte naive codec.
+/// bytes of words per posting, comfortably under a fixed-width 8-byte
+/// `(row, tf)` pair.
 const BITMAP_DENSITY: u64 = 32;
 
 /// Postings of one term within one attribute: row-sorted `(row, tf)` pairs,
@@ -1317,35 +1318,6 @@ impl InvertedIndex {
         Ok(out)
     }
 
-    /// Size in bytes of the *version-1* snapshot encoding of this index —
-    /// fixed-width `(row, tf)` `u32` pairs, no dictionary deltas — computed
-    /// without materializing it. The footprint benchmark reports the packed
-    /// encoding's win against this figure.
-    pub fn naive_snapshot_bytes(&self) -> u64 {
-        const FRAME: u64 = 13; // section tag + u64 length + crc32
-        let mut total: u64 = 12; // magic + version
-        let mut sec: u64 = 4;
-        for w in self.tokenizer.stopwords() {
-            sec += 4 + w.len() as u64;
-        }
-        total += FRAME + sec;
-        total += FRAME + 4 + self.attr_stats.len() as u64 * 24;
-        let mut sec: u64 = 4;
-        for (term, entry) in &self.dict {
-            sec += 4 + term.len() as u64 + 4;
-            for p in &entry.postings {
-                sec += 8 + 8 + 4 + p.df as u64 * 8;
-            }
-        }
-        total += FRAME + sec;
-        let mut sec: u64 = 4;
-        for (term, targets) in &self.schema_terms {
-            sec += 4 + term.len() as u64 + 4 + targets.len() as u64 * 9;
-        }
-        total += FRAME + sec;
-        total
-    }
-
     /// Total packed postings bytes across the dictionary (diagnostics for
     /// the footprint benchmark).
     pub fn postings_bytes(&self) -> u64 {
@@ -1463,23 +1435,6 @@ impl InvertedIndex {
             schema_terms,
             tokenizer,
         })
-    }
-
-    /// Write [`Self::snapshot_bytes`] to `path`, fsynced.
-    pub fn save_snapshot(&self, path: &std::path::Path) -> Result<(), SnapshotError> {
-        use std::io::Write;
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(&self.snapshot_bytes()?)?;
-        f.sync_all()?;
-        Ok(())
-    }
-
-    /// Read and decode a snapshot written by [`Self::save_snapshot`].
-    pub fn load_snapshot(path: &std::path::Path) -> Result<InvertedIndex, SnapshotError> {
-        use std::io::Read;
-        let mut bytes = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-        InvertedIndex::from_snapshot_bytes(&bytes)
     }
 }
 
@@ -2100,22 +2055,5 @@ mod tests {
             !decoded.is_canonical(),
             "a dense gaps entry is structurally valid but non-canonical"
         );
-    }
-
-    #[test]
-    fn snapshot_file_roundtrip() {
-        let db = db();
-        let idx = InvertedIndex::build(&db);
-        let path = std::env::temp_dir().join(format!(
-            "keybridge-index-snapshot-test-{}.kb",
-            std::process::id()
-        ));
-        idx.save_snapshot(&path).unwrap();
-        let back = InvertedIndex::load_snapshot(&path).unwrap();
-        assert_eq!(
-            back.snapshot_bytes().unwrap(),
-            idx.snapshot_bytes().unwrap()
-        );
-        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -1,20 +1,24 @@
 //! Differential execution tests: the batched hash-join executor must return
 //! exactly the same results as the retained naive nested-loop oracle
-//! (`ExecStrategy::Naive`), on randomized schemas, instances, candidate
+//! (`execute_join_tree_naive`), on randomized schemas, instances, candidate
 //! sets, and interpretations — including the two-predicates-on-one-node
 //! intersection path and empty-candidate edge cases.
 //!
 //! Every property runs over `SEEDS` (≥ 3 distinct seeds; CI gates on this
 //! suite). Failures reproduce by seed.
 
+mod common;
+
+use common::oracle_answers;
 use keybridge::core::{
-    execute_interpretation, BindingTarget, GenerationStrategy, Interpreter, InterpreterConfig,
-    KeywordBinding, KeywordQuery, ProbabilityConfig, QueryInterpretation, TemplateCatalog,
+    execute_interpretation, execute_interpretation_naive, BindingTarget, Interpreter,
+    InterpreterConfig, KeywordBinding, KeywordQuery, ProbabilityConfig, QueryInterpretation,
+    TemplateCatalog,
 };
 use keybridge::index::InvertedIndex;
 use keybridge::relstore::{
-    execute_join_tree_with_stats_in, BatchArena, Candidates, Database, ExecOptions, ExecStrategy,
-    JoinTree, JoinTreeEdge, JoinedRow, RowId, SchemaBuilder, TableKind, Value,
+    execute_join_tree_naive, execute_join_tree_with_stats_in, BatchArena, Candidates, Database,
+    ExecOptions, JoinTree, JoinTreeEdge, JoinedRow, RowId, SchemaBuilder, TableKind, Value,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -166,10 +170,10 @@ fn sorted(mut rows: Vec<JoinedRow>) -> Vec<JoinedRow> {
     rows
 }
 
-fn opts(strategy: ExecStrategy) -> ExecOptions {
+/// No limit: both executors enumerate their full result.
+fn opts() -> ExecOptions {
     ExecOptions {
         limit: usize::MAX,
-        strategy,
         ..Default::default()
     }
 }
@@ -190,18 +194,12 @@ fn join_tree_execution_matches_naive_oracle() {
                     &db,
                     tree,
                     &cands,
-                    opts(ExecStrategy::HashJoin),
+                    opts(),
                     &mut BatchArena::new(),
                 )
                 .unwrap_or_else(|e| panic!("{note}: hash join failed: {e}"));
-                let nv = execute_join_tree_with_stats_in(
-                    &db,
-                    tree,
-                    &cands,
-                    opts(ExecStrategy::Naive),
-                    &mut BatchArena::new(),
-                )
-                .unwrap_or_else(|e| panic!("{note}: naive failed: {e}"));
+                let nv = execute_join_tree_naive(&db, tree, &cands, opts())
+                    .unwrap_or_else(|e| panic!("{note}: naive failed: {e}"));
                 assert_eq!(
                     sorted(hj.rows.clone()),
                     sorted(nv.rows.clone()),
@@ -214,25 +212,6 @@ fn join_tree_execution_matches_naive_oracle() {
                 total_hj_intermediates += hj.stats.intermediate_bindings;
                 total_nv_intermediates += nv.stats.intermediate_bindings;
 
-                // count_only agrees with the materialized count.
-                let co = execute_join_tree_with_stats_in(
-                    &db,
-                    tree,
-                    &cands,
-                    ExecOptions {
-                        count_only: true,
-                        ..opts(ExecStrategy::HashJoin)
-                    },
-                    &mut BatchArena::new(),
-                )
-                .unwrap();
-                assert!(co.rows.is_empty(), "{note}: count_only returned rows");
-                assert_eq!(
-                    co.stats.result_count,
-                    hj.rows.len(),
-                    "{note}: count_only count"
-                );
-
                 // limit caps results and the result set stays a subset.
                 let limited = execute_join_tree_with_stats_in(
                     &db,
@@ -240,7 +219,6 @@ fn join_tree_execution_matches_naive_oracle() {
                     &cands,
                     ExecOptions {
                         limit: 2,
-                        strategy: ExecStrategy::HashJoin,
                         ..Default::default()
                     },
                     &mut BatchArena::new(),
@@ -308,12 +286,8 @@ fn interpretation_execution_matches_naive_oracle() {
             let query = random_query(&mut rng);
             let note = format!("seed {seed} case {case} query \"{query}\"");
             for qi in interp.enumerate_interpretations(&query).iter().take(40) {
-                let hj =
-                    execute_interpretation(&db, &index, &catalog, qi, opts(ExecStrategy::HashJoin))
-                        .unwrap();
-                let nv =
-                    execute_interpretation(&db, &index, &catalog, qi, opts(ExecStrategy::Naive))
-                        .unwrap();
+                let hj = execute_interpretation(&db, &index, &catalog, qi, opts()).unwrap();
+                let nv = execute_interpretation_naive(&db, &index, &catalog, qi, opts()).unwrap();
                 assert_eq!(
                     sorted(hj.jtts.clone()),
                     sorted(nv.jtts.clone()),
@@ -332,7 +306,7 @@ fn interpretation_execution_matches_naive_oracle() {
 }
 
 /// The two-predicates-on-one-node intersection path: separate keyword bags
-/// bound to the same node must intersect identically under both strategies,
+/// bound to the same node must intersect identically under both executors,
 /// including empty intersections.
 #[test]
 fn same_node_intersection_matches_oracle() {
@@ -369,17 +343,8 @@ fn same_node_intersection_matches_oracle() {
                         },
                     ],
                 );
-                let hj = execute_interpretation(
-                    &db,
-                    &index,
-                    &catalog,
-                    &qi,
-                    opts(ExecStrategy::HashJoin),
-                )
-                .unwrap();
-                let nv =
-                    execute_interpretation(&db, &index, &catalog, &qi, opts(ExecStrategy::Naive))
-                        .unwrap();
+                let hj = execute_interpretation(&db, &index, &catalog, &qi, opts()).unwrap();
+                let nv = execute_interpretation_naive(&db, &index, &catalog, &qi, opts()).unwrap();
                 assert_eq!(
                     sorted(hj.jtts.clone()),
                     sorted(nv.jtts),
@@ -416,28 +381,12 @@ fn answers_pipeline_matches_exhaustive_naive_oracle() {
                 },
                 ..Default::default()
             };
-            let fast = Interpreter::new(&db, &index, &catalog, config.clone());
-            let oracle = Interpreter::new(
-                &db,
-                &index,
-                &catalog,
-                InterpreterConfig {
-                    strategy: GenerationStrategy::Exhaustive,
-                    ..config
-                },
-            );
+            let fast = Interpreter::new(&db, &index, &catalog, config);
             let query = random_query(&mut rng);
             let note = format!("seed {seed} case {case} query \"{query}\"");
             for k in [1, 4, 10] {
                 let a = fast.answers_top_k(&query, k);
-                let (b, _) = oracle.answers_top_k_with_opts(
-                    &query,
-                    k,
-                    ExecOptions {
-                        strategy: ExecStrategy::Naive,
-                        ..Default::default()
-                    },
-                );
+                let b = oracle_answers(&fast, &query, k);
                 assert_eq!(a.len(), b.len(), "{note} k={k}: answer count");
                 for (i, (x, y)) in a.iter().zip(&b).enumerate() {
                     assert_eq!(
@@ -449,7 +398,7 @@ fn answers_pipeline_matches_exhaustive_naive_oracle() {
                         "{note} k={k}: score at answer {i}"
                     );
                 }
-                // JTT order within one interpretation is strategy-defined;
+                // JTT order within one interpretation is executor-defined;
                 // compare key multisets.
                 let mut ka: Vec<_> = a.iter().map(|x| x.keys.clone()).collect();
                 let mut kb: Vec<_> = b.iter().map(|x| x.keys.clone()).collect();

@@ -2,9 +2,12 @@
 //! index → templates → interpretations → ranking → construction →
 //! diversification → execution.
 
+mod common;
+
+use common::oracle_answers;
 use keybridge::core::{
-    execute_interpretation, render_natural, render_sql, GenerationStrategy, Interpreter,
-    InterpreterConfig, KeywordQuery, RankedAnswer, TemplateCatalog,
+    execute_interpretation, render_natural, render_sql, Interpreter, InterpreterConfig,
+    KeywordQuery, RankedAnswer, TemplateCatalog,
 };
 use keybridge::datagen::{
     FreebaseConfig, FreebaseDataset, ImdbConfig, ImdbDataset, LyricsConfig, LyricsDataset,
@@ -16,7 +19,7 @@ use keybridge::freeq::{
 };
 use keybridge::index::{InvertedIndex, Tokenizer};
 use keybridge::iqp::{SessionConfig, SimulatedUser};
-use keybridge::relstore::{Database, ExecOptions, ExecStrategy, TableId};
+use keybridge::relstore::{Database, ExecOptions, TableId};
 use keybridge::yagof::{combine, evaluate_matching, match_categories, MatchConfig};
 
 struct Pipeline {
@@ -276,15 +279,6 @@ fn run_golden(
     snapshots: &[Snapshot],
 ) {
     let fast = Interpreter::new(db, index, catalog, InterpreterConfig::default());
-    let oracle = Interpreter::new(
-        db,
-        index,
-        catalog,
-        InterpreterConfig {
-            strategy: GenerationStrategy::Exhaustive,
-            ..Default::default()
-        },
-    );
     for snap in snapshots {
         let q = KeywordQuery::from_terms(snap.query.iter().map(|s| s.to_string()).collect());
         let note = format!("{name} query {:?}", snap.query);
@@ -315,14 +309,7 @@ fn run_golden(
 
         // 2. Differential: the independent oracle pipeline agrees on every
         //    answer's interpretation, score, and key multiset.
-        let (expect, _) = oracle.answers_top_k_with_opts(
-            &q,
-            5,
-            ExecOptions {
-                strategy: ExecStrategy::Naive,
-                ..Default::default()
-            },
-        );
+        let expect = oracle_answers(&fast, &q, 5);
         assert_eq!(answers.len(), expect.len(), "{note}: oracle count");
         for (i, (a, b)) in answers.iter().zip(&expect).enumerate() {
             assert_eq!(a.interpretation, b.interpretation, "{note}: answer {i}");
