@@ -6,9 +6,14 @@ use crate::value::{RowId, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Hard per-table row capacity: `RowId` is a `u32`, so a table can hold at
-/// most `u32::MAX + 1` rows before ids would wrap.
-pub const MAX_TABLE_ROWS: usize = (u32::MAX as usize) + 1;
+/// Hard per-table row capacity: `RowId` is a `u32` and its last value is
+/// reserved (the foreign-key parent column's "no parent" mark), so a table
+/// can hold at most `u32::MAX` rows.
+pub const MAX_TABLE_ROWS: usize = u32::MAX as usize;
+
+/// The parent column's mark for "null foreign key, or parent not loaded
+/// yet". Never a row id: see [`MAX_TABLE_ROWS`].
+pub(crate) const NO_PARENT: u32 = u32::MAX;
 
 /// Per-database string dictionary. Every text cell is canonicalized to one
 /// shared [`Arc<str>`] per distinct string, identified by a dense `u32`
@@ -94,9 +99,17 @@ pub struct Database {
     /// `fk_index[fk][key]` = rows of the *referencing* table whose fk column
     /// holds `key`. This supports joins in the pk -> fk direction.
     fk_index: Vec<HashMap<i64, Vec<RowId>>>,
-    /// Per table: the `(fk index, column)` pairs of foreign keys that
-    /// originate in that table. Precomputed so inserts stay allocation-free.
-    table_fk_cols: Vec<Vec<(usize, usize)>>,
+    /// `fk_parent[fk][child row]` = row id of the referenced parent, or
+    /// [`NO_PARENT`]: the pk -> row resolution of every fk cell, done once
+    /// at insert, so joins along a foreign key run on dense row ids instead
+    /// of key lookups. Derived from the rows and never serialized.
+    fk_parent: Vec<Vec<u32>>,
+    /// Per table: the `(fk index, column, referenced table)` triples of
+    /// foreign keys that originate in that table. Precomputed so inserts
+    /// stay allocation-free.
+    table_fk_cols: Vec<Vec<(usize, usize, usize)>>,
+    /// Per table: the indexes of the foreign keys that reference it.
+    table_fk_in: Vec<Vec<usize>>,
     /// Interned text values shared by every row.
     arena: StringArena,
     /// Per-table row capacity. Always [`MAX_TABLE_ROWS`] in production;
@@ -109,15 +122,25 @@ impl Database {
     pub fn new(schema: Schema) -> Self {
         let tables = vec![TableStore::default(); schema.table_count()];
         let fk_index = vec![HashMap::new(); schema.fk_count()];
+        let fk_parent = vec![Vec::new(); schema.fk_count()];
         let mut table_fk_cols = vec![Vec::new(); schema.table_count()];
+        let mut table_fk_in = vec![Vec::new(); schema.table_count()];
         for (id, fk) in schema.fks() {
-            table_fk_cols[fk.from.table.0 as usize].push((id.0 as usize, fk.from.attr.0 as usize));
+            let to = fk.to.table.0 as usize;
+            table_fk_cols[fk.from.table.0 as usize].push((
+                id.0 as usize,
+                fk.from.attr.0 as usize,
+                to,
+            ));
+            table_fk_in[to].push(id.0 as usize);
         }
         Database {
             schema,
             tables,
             fk_index,
+            fk_parent,
             table_fk_cols,
+            table_fk_in,
             arena: StringArena::default(),
             max_rows: MAX_TABLE_ROWS,
         }
@@ -160,11 +183,27 @@ impl Database {
             .unwrap_or(&[])
     }
 
+    /// The parent row that `child`'s cell of foreign key `fk` references:
+    /// `by_pk` of that cell on the referenced table, resolved at insert.
+    /// `None` for a null cell and for a parent that is not loaded (yet).
+    pub fn fk_parent_row(&self, fk: FkId, child: RowId) -> Option<RowId> {
+        let parent = self.fk_parent[fk.0 as usize][child.index()];
+        (parent != NO_PARENT).then_some(RowId(parent))
+    }
+
+    /// The whole parent column of `fk`, one entry per row of the
+    /// referencing table, [`NO_PARENT`] where [`Self::fk_parent_row`] says
+    /// `None`. For loops that cannot afford an `Option` per row.
+    pub(crate) fn fk_parent_col(&self, fk: FkId) -> &[u32] {
+        &self.fk_parent[fk.0 as usize]
+    }
+
     /// Insert a row. Checks arity, types, primary-key integrity, and table
     /// capacity (a `RowId` is a `u32`; a table at capacity reports
     /// [`RelError::TableFull`] instead of silently wrapping ids), interns
     /// every text cell into the database's string arena, and maintains the
-    /// pk and fk hash indexes. Returns the new row's id.
+    /// pk and fk hash indexes and the parent columns — the only place any
+    /// of them is written. Returns the new row's id.
     pub fn insert(&mut self, table: TableId, mut row: Vec<Value>) -> RelResult<RowId> {
         let pk_val = self.schema.check_shape(table, &row)?;
         let store = &self.tables[table.0 as usize];
@@ -185,10 +224,22 @@ impl Database {
         }
         self.tables[table.0 as usize].pk_index.insert(pk_val, id);
 
-        // Maintain fk indexes for every fk whose referencing side is `table`.
-        for &(fk_idx, col) in &self.table_fk_cols[table.0 as usize] {
-            if let Some(key) = row[col].as_int() {
+        // Every fk whose referencing side is `table`: index the cell and
+        // resolve it to its parent's row (which may be this very row).
+        for &(fk_idx, col, to) in &self.table_fk_cols[table.0 as usize] {
+            let parent = row[col].as_int().and_then(|key| {
                 self.fk_index[fk_idx].entry(key).or_default().push(id);
+                self.tables[to].by_pk(key)
+            });
+            self.fk_parent[fk_idx].push(parent.map_or(NO_PARENT, |p| p.0));
+        }
+        // Every fk that references `table`: loaders insert in arbitrary
+        // order, so children of this row may already be stored.
+        for &fk_idx in &self.table_fk_in[table.0 as usize] {
+            if let Some(children) = self.fk_index[fk_idx].get(&pk_val) {
+                for child in children {
+                    self.fk_parent[fk_idx][child.index()] = id.0;
+                }
             }
         }
 
@@ -228,19 +279,18 @@ impl Database {
 
     /// Check referential integrity of every foreign key (non-null fk values
     /// must have a parent row). Inserts do not enforce this — loaders insert
-    /// in arbitrary order — so call this once after loading.
+    /// in arbitrary order — so call this once after loading. A walk of the
+    /// parent columns: a cell is broken when it is non-null and unresolved.
     pub fn validate(&self) -> RelResult<()> {
-        for (_, fk) in self.schema.fks() {
-            let parent = &self.tables[fk.to.table.0 as usize];
+        for (id, fk) in self.schema.fks() {
             let child = &self.tables[fk.from.table.0 as usize];
             for (rid, row) in child.rows() {
-                if let Some(key) = row[fk.from.attr.0 as usize].as_int() {
-                    if parent.by_pk(key).is_none() {
-                        return Err(RelError::BrokenForeignKey {
-                            table: fk.from.table,
-                            row: rid.0,
-                        });
-                    }
+                let unresolved = self.fk_parent_row(id, rid).is_none();
+                if unresolved && row[fk.from.attr.0 as usize].as_int().is_some() {
+                    return Err(RelError::BrokenForeignKey {
+                        table: fk.from.table,
+                        row: rid.0,
+                    });
                 }
             }
         }
@@ -270,18 +320,21 @@ impl Database {
 
     /// Deterministic approximation of row-storage heap bytes. Counts logical
     /// content — per-row and per-cell struct sizes, one copy of each interned
-    /// string, pk/fk index entries — not allocator capacities, so the result
-    /// is a pure function of database content (identical across machines and
-    /// runs) and can be regression-gated like any other counter.
+    /// string, pk/fk index entries, parent-column entries — not allocator
+    /// capacities, so the result is a pure function of database content
+    /// (identical across machines and runs) and can be regression-gated like
+    /// any other counter.
     pub fn approx_heap_bytes(&self) -> u64 {
         // Struct-size constants for the accounting model (64-bit targets):
         // a row's `Vec<Value>` header, the `Value` enum (discriminant + the
         // 16-byte `Arc<str>` fat pointer), a pk-index entry, an fk posting,
-        // and an `Arc` strong/weak refcount header per interned string.
+        // a parent-column entry per fk cell, and an `Arc` strong/weak
+        // refcount header per interned string.
         const ROW_VEC: u64 = 24;
         const CELL: u64 = 24;
         const PK_ENTRY: u64 = 16;
         const FK_ENTRY: u64 = 12;
+        const FK_PARENT: u64 = 4;
         const ARC_HEADER: u64 = 16;
         let mut bytes = 0u64;
         for t in &self.tables {
@@ -297,6 +350,9 @@ impl Database {
             for rows in idx.values() {
                 bytes += rows.len() as u64 * FK_ENTRY;
             }
+        }
+        for col in &self.fk_parent {
+            bytes += col.len() as u64 * FK_PARENT;
         }
         bytes
     }
@@ -690,5 +746,44 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(db.approx_heap_bytes() - before, 100 * (24 + 16 + 2 * 24));
+        // A row with fk cells also pays, per non-null cell, an fk-index
+        // posting, and per cell, null or not, a parent-column entry.
+        let acts = db.schema().table_id("acts").unwrap();
+        let before = db.approx_heap_bytes();
+        db.insert(acts, vec![Value::Int(1), Value::Int(1), Value::Null])
+            .unwrap();
+        assert_eq!(
+            db.approx_heap_bytes() - before,
+            (24 + 16 + 3 * 24) + 12 + 2 * 4
+        );
+    }
+
+    #[test]
+    fn parent_column_resolves_in_any_load_order() {
+        let mut db = db();
+        let s = db.schema().clone();
+        let actor = s.table_id("actor").unwrap();
+        let acts = s.table_id("acts").unwrap();
+        let (fk_actor, _) = s.fks().find(|(_, fk)| fk.to.table == actor).unwrap();
+        let (fk_movie, _) = s.fks().find(|(_, fk)| fk.to.table != actor).unwrap();
+        // The child first: its actor is not loaded yet, its movie is null.
+        let child = db
+            .insert(acts, vec![Value::Int(100), Value::Int(1), Value::Null])
+            .unwrap();
+        assert_eq!(db.fk_parent_row(fk_actor, child), None);
+        assert_eq!(db.fk_parent_row(fk_movie, child), None);
+        assert!(db.validate().is_err());
+        // The parent patches the child that was waiting for it.
+        let parent = db
+            .insert(actor, vec![Value::Int(1), Value::text("Hanks")])
+            .unwrap();
+        assert_eq!(db.fk_parent_row(fk_actor, child), Some(parent));
+        assert_eq!(db.fk_parent_row(fk_movie, child), None);
+        db.validate().unwrap();
+        // A child loaded after its parent resolves on the spot.
+        let late = db
+            .insert(acts, vec![Value::Int(101), Value::Int(1), Value::Null])
+            .unwrap();
+        assert_eq!(db.fk_parent_row(fk_actor, late), Some(parent));
     }
 }

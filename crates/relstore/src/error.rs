@@ -35,6 +35,10 @@ pub enum RelError {
     BrokenForeignKey { table: TableId, row: u32 },
     /// A join tree handed to the executor is malformed.
     MalformedJoinTree(String),
+    /// An execution of a well-formed join tree was abandoned because one
+    /// step produced more partial bindings than `ExecOptions::max_intermediate`
+    /// (`limit`) allows.
+    IntermediateLimitExceeded { limit: usize },
     /// A row is not covered by a shard assignment (partitioning).
     UnassignedRow { table: String, key: i64 },
     /// The table is at its `u32` row-id capacity; inserting one more row
@@ -82,6 +86,9 @@ impl fmt::Display for RelError {
                 write!(f, "broken foreign key at table #{} row {row}", table.0)
             }
             RelError::MalformedJoinTree(msg) => write!(f, "malformed join tree: {msg}"),
+            RelError::IntermediateLimitExceeded { limit } => {
+                write!(f, "intermediate result exceeds max_intermediate ({limit})")
+            }
             RelError::UnassignedRow { table, key } => {
                 write!(f, "row `{table}`:{key} not covered by shard assignment")
             }
@@ -229,6 +236,7 @@ mod tests {
                 row: 5,
             },
             RelError::MalformedJoinTree("cycle".into()),
+            RelError::IntermediateLimitExceeded { limit: 7 },
             RelError::TableFull { table: TableId(0) },
         ];
         for e in samples {

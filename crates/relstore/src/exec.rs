@@ -10,24 +10,33 @@
 //! returns joining tuple trees (JTTs): one [`RowId`] per node.
 //!
 //! One executor serves ([`execute_join_tree_with_stats_in`]): a semi-join
-//! reduction pre-pass — one bottom-up and one top-down sweep over the tree,
-//! the Yannakakis full reducer — shrinks every candidate set to rows that
-//! participate in at least one complete JTT. Bindings then grow in *columnar
-//! batches* (one `Vec<RowId>` column per joined node, struct-of-arrays) by
-//! build/probe hash joins along the tree, attaching the most selective node
-//! first. Because the tree is fully reduced, every partial binding is
-//! guaranteed to extend to a result, so [`ExecOptions::limit`] can cut
-//! *every* batch, not just the final one — the executor streams top-`limit`
-//! answers without materializing the full join.
+//! reduction pre-pass ([`reduce_join_tree`]) — one bottom-up and one top-down
+//! sweep over the tree, the Yannakakis full reducer — shrinks every candidate
+//! set to rows that participate in at least one complete JTT. Bindings then
+//! grow in *columnar batches* (one `Vec<RowId>` column per joined node,
+//! struct-of-arrays) by build/probe hash joins along the tree, attaching the
+//! most selective node first. Because the tree is fully reduced, every
+//! partial binding is guaranteed to extend to a result, so
+//! [`ExecOptions::limit`] can cut *every* batch, not just the final one — the
+//! executor streams top-`limit` answers without materializing the full join.
+//!
+//! Both phases work in **row-id space**. Every edge is a foreign key, and the
+//! database resolves each fk cell to its parent's `RowId` once, at insert
+//! ([`Database::fk_parent_row`]); so "these two rows join" is `parent(child)
+//! == row`, a dense `u32` column read — no row fetch, no key extraction, no
+//! key hashing. The reducer turns each step's source into a bitmap over the
+//! edge's pk-side table and filters or materializes the target from it; the
+//! join phase keys its build table by pk-side row.
 //!
 //! [`execute_join_tree_naive`] is the named reference it is tested against:
-//! the original nested-loop expansion — one `Vec<Option<RowId>>` per partial
-//! binding, cloned on every edge attach. Tests and benches call it by name;
-//! no option selects it.
+//! the original nested-loop expansion in key space — cell reads and pk / fk
+//! index probes, one `Vec<Option<RowId>>` per partial binding, cloned on
+//! every edge attach — and so shares nothing with the parent column. Tests
+//! and benches call it by name; no option selects it.
 
-use crate::database::Database;
+use crate::database::{Database, NO_PARENT};
 use crate::error::{RelError, RelResult};
-use crate::schema::{FkId, ForeignKey, TableId};
+use crate::schema::{FkId, TableId};
 use crate::value::RowId;
 use std::collections::{HashMap, HashSet};
 
@@ -162,8 +171,10 @@ pub struct ExecStats {
     /// Partial bindings materialized across all steps, seed included — the
     /// quantity the batched executor minimizes.
     pub intermediate_bindings: usize,
-    /// Candidate rows across all nodes before semi-join reduction
-    /// (zero on the naive reference; free nodes count their full table).
+    /// Candidate rows across all nodes before semi-join reduction — a
+    /// *cardinality bound*, not rows touched: a free node counts its whole
+    /// table here although the reducer never reads that table (it
+    /// materializes the node from a neighbor). Zero on the naive reference.
     pub semijoin_rows_in: usize,
     /// Candidate rows across all nodes after the bottom-up + top-down
     /// reduction sweeps.
@@ -293,24 +304,6 @@ fn check_shape(db: &Database, tree: &JoinTree, candidates: &Candidates) -> RelRe
     Ok(())
 }
 
-/// The join key of `row` at node `node` under `fk`, where `fk_side` says
-/// whether the node holds the referencing column. `None` = null fk value,
-/// which joins nothing.
-#[inline]
-fn join_key(
-    db: &Database,
-    table: TableId,
-    row: RowId,
-    fk: &ForeignKey,
-    fk_side: bool,
-) -> Option<i64> {
-    if fk_side {
-        db.cell(table, row, fk.from).as_int()
-    } else {
-        Some(db.pk_value(table, row))
-    }
-}
-
 /// Whether endpoint `a` of `edge` is the foreign-key (referencing) side.
 /// For self-referencing foreign keys both orientations type-check; the `a`
 /// side wins deterministically.
@@ -319,10 +312,102 @@ fn a_is_fk_side(db: &Database, tree: &JoinTree, edge: &JoinTreeEdge) -> bool {
     fk.from.table == tree.nodes[edge.a] && fk.to.table == tree.nodes[edge.b]
 }
 
+/// A bitmap over the rows of one table: the row-id-space form of "the join
+/// keys one side of an edge offers". One is reused by every step of a
+/// reduction.
+#[derive(Default)]
+struct RowBits {
+    words: Vec<u64>,
+}
+
+impl RowBits {
+    /// Clear, and size for a table of `rows` rows.
+    fn reset(&mut self, rows: usize) {
+        self.words.clear();
+        self.words.resize(rows.div_ceil(64), 0);
+    }
+
+    #[inline]
+    fn set(&mut self, row: u32) {
+        self.words[(row >> 6) as usize] |= 1 << (row & 63);
+    }
+
+    #[inline]
+    fn get(&self, row: u32) -> bool {
+        self.words[(row >> 6) as usize] >> (row & 63) & 1 != 0
+    }
+
+    /// The set rows, ascending.
+    fn ones(&self) -> impl Iterator<Item = RowId> + '_ {
+        self.words.iter().enumerate().flat_map(|(wi, &word)| {
+            std::iter::successors((word != 0).then_some(word), |w| {
+                let rest = w & (w - 1);
+                (rest != 0).then_some(rest)
+            })
+            .map(move |w| RowId((wi as u32) << 6 | w.trailing_zeros()))
+        })
+    }
+}
+
+/// What gathering one parent's children costs (a row read for its key, a hash
+/// probe of the fk index, a second heap hop to the list, the sort of what
+/// comes out) in entries of a sequential parent-column scan. A free fk-side
+/// node is materialized by the scan once its source holds more than one
+/// pk-side row in this many: the source then names about that share of the
+/// child table, so the two costs meet. Measured on the x10 IMDB fixture: flat
+/// from 16 to 64, 20% slower at 8.
+const SCAN_PER_GATHER: usize = 32;
+
+/// Keep the rows of one node that satisfy `joins`, in their order. The node's
+/// working set is filtered in place; a node that still reads its given
+/// candidates gets its working set from them, so the given list is walked
+/// once and never copied whole. `false` = the node is free and has no rows
+/// yet: nothing to filter.
+fn retain_rows(
+    work: &mut Option<Vec<RowId>>,
+    given: &Option<Vec<RowId>>,
+    joins: impl Fn(RowId) -> bool,
+) -> bool {
+    match (work.as_mut(), given) {
+        (Some(rows), _) => rows.retain(|&r| joins(r)),
+        (None, Some(rows)) => *work = Some(rows.iter().copied().filter(|&r| joins(r)).collect()),
+        (None, None) => return false,
+    }
+    true
+}
+
 /// The semi-join reduction pre-pass of the executor, exposed on
 /// its own so sharded executions can reduce locally, exchange only the
 /// resulting cardinalities, and then run [`execute_reduced_in`] under a plan
 /// forced by a coordinator.
+///
+/// Yannakakis' full reducer — root the tree at the most selective given
+/// node, filter each parent by each child bottom-up, then each child by its
+/// parent top-down — with every step done in row-id space. An edge joins a
+/// referencing (fk-side) node to a referenced (pk-side) node, and
+/// [`Database::fk_parent_row`] already holds the row each fk cell resolves
+/// to, so filtering never reads a row, extracts a key or hashes one:
+///
+/// * the source's rows become a bitmap over the **pk-side table**: an
+///   fk-side source marks its rows' parents, a pk-side source marks its own
+///   rows;
+/// * a target that has rows keeps those whose bit (pk side) or whose
+///   parent's bit (fk side) is set, in their order;
+/// * a free target that has none yet is *materialized from the bitmap*: on
+///   the pk side it is the set bits, ascending; on the fk side it is the
+///   children of the set bits, either gathered from the fk index and sorted
+///   or picked by one sequential scan of the parent column. Both give the
+///   same sorted, distinct rows; `SCAN_PER_GATHER` and the two lengths
+///   decide which is cheaper.
+///
+/// So a free table's rows are never read, and its parent column is walked
+/// only when the source already covers a fair share of it; key space is
+/// entered in two places only — the gather (one key read and one fk-index
+/// probe per marked parent) and a free fk-side *source*, where a pk-side
+/// row survives if the fk index lists any child for it. The output is fixed
+/// by the semantics alone: a restricted node ends as its given list, order
+/// and duplicates kept, minus the rows in no complete JTT; a free node as
+/// the ascending distinct rows in some JTT.
 pub fn reduce_join_tree(
     db: &Database,
     tree: &JoinTree,
@@ -330,37 +415,33 @@ pub fn reduce_join_tree(
 ) -> RelResult<ReducedTree> {
     check_shape(db, tree, candidates)?;
     let n = tree.nodes.len();
-    let mut stats = ExecStats::default();
-
-    // Candidate sets stay lazy: `None` = still unrestricted. The semi-join
-    // sweeps materialize a free node *from its neighbor's keys* (via the
-    // pk / fk hash indexes) the first time a restricted neighbor touches
-    // it, so an execution never scans or hashes a full free table. When
-    // every node is free there is nothing to propagate from, so all nodes
-    // materialize up front and the sweeps reduce them directly — either
-    // way the tree ends fully reduced.
-    let mut sets: Vec<Option<Vec<RowId>>> = candidates.per_node.clone();
-    if sets.iter().all(Option::is_none) {
-        for (i, s) in sets.iter_mut().enumerate() {
-            *s = Some(db.table(tree.nodes[i]).rows().map(|(r, _)| r).collect());
-        }
-    }
-    stats.semijoin_rows_in = (0..n)
-        .map(|i| match &sets[i] {
+    let given: Vec<usize> = (0..n)
+        .map(|i| match &candidates.per_node[i] {
             Some(rows) => rows.len(),
             None => db.table(tree.nodes[i]).len(),
         })
-        .sum();
+        .collect();
+    let mut stats = ExecStats {
+        semijoin_rows_in: given.iter().sum(),
+        ..Default::default()
+    };
+
+    // Working sets, written on a node's first filter or materialization.
+    // Until then a restricted node reads its given candidates and a free
+    // node has no rows at all — it is materialized from a neighbor's bitmap
+    // the first time a node with rows touches it. When every node is free
+    // there is nothing to propagate from, so all nodes start as their whole
+    // table and the sweeps reduce them directly.
+    let mut sets: Vec<Option<Vec<RowId>>> = vec![None; n];
+    if candidates.per_node.iter().all(Option::is_none) {
+        for (set, &rows) in sets.iter_mut().zip(&given) {
+            *set = Some((0..rows as u32).map(RowId).collect());
+        }
+    }
 
     // Root the tree at the most selective *given* node and compute a BFS
     // order with parent pointers (edge index per non-root node).
-    let given_card = |i: usize| -> usize {
-        match &candidates.per_node[i] {
-            Some(rows) => rows.len(),
-            None => db.table(tree.nodes[i]).len(),
-        }
-    };
-    let seed = (0..n).min_by_key(|&i| given_card(i)).expect("non-empty");
+    let seed = (0..n).min_by_key(|&i| given[i]).expect("non-empty");
     let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n]; // (edge idx, neighbor)
     for (ei, e) in tree.edges.iter().enumerate() {
         adj[e.a].push((ei, e.b));
@@ -387,98 +468,97 @@ pub fn reduce_join_tree(
         return Err(RelError::MalformedJoinTree("disconnected tree".into()));
     }
 
-    // Semi-join full reducer (Yannakakis): bottom-up — filter each parent by
-    // each child — then top-down — filter each child by its parent. After
-    // full reduction every surviving row participates in ≥ 1 complete JTT.
+    // One step: reduce `target` by `source` along edge `ei`.
     //
-    // A still-`None` (free, untouched) source makes the step approximate:
-    // the target is filtered by partner *existence* in the full free table
-    // (pure index lookups), and a `None` target materializes straight from
-    // its restricted source's keys — so no free table is ever scanned or
-    // hashed whole. Returns whether the step consulted a free source; any
-    // such step may leave dead rows, in which case a second, now-exact
-    // sweep over the (small) materialized sets finishes the reduction.
-    let filter_by =
-        |sets: &mut Vec<Option<Vec<RowId>>>, target: usize, source: usize, ei: usize| -> bool {
-            let edge = &tree.edges[ei];
-            let a_fk = a_is_fk_side(db, tree, edge);
-            let (t_fk, s_fk) = if edge.a == target {
-                (a_fk, !a_fk)
-            } else {
-                (!a_fk, a_fk)
-            };
-            let fk = db.schema().fk(edge.fk);
-            let s_table = tree.nodes[source];
-            let t_table = tree.nodes[target];
-            let source_keys: Option<Vec<i64>> = sets[source].as_ref().map(|src| {
-                let mut keys: Vec<i64> = src
-                    .iter()
-                    .filter_map(|&r| join_key(db, s_table, r, fk, s_fk))
-                    .collect();
-                keys.sort_unstable();
-                keys.dedup();
-                keys
-            });
-            match source_keys {
-                None => {
-                    // Free source: keep target rows with any partner at all.
-                    let Some(rows) = sets[target].as_mut() else {
-                        return true; // both free — nothing known yet
-                    };
-                    if s_fk {
-                        rows.retain(|&r| {
-                            join_key(db, t_table, r, fk, t_fk)
-                                .is_some_and(|k| !db.fk_referrers(edge.fk, k).is_empty())
-                        });
-                    } else {
-                        rows.retain(|&r| {
-                            join_key(db, t_table, r, fk, t_fk)
-                                .is_some_and(|k| db.table(s_table).by_pk(k).is_some())
-                        });
-                    }
-                    true
-                }
-                Some(keys) => match sets[target].as_mut() {
-                    Some(rows) => {
-                        let keyset: HashSet<i64> = keys.into_iter().collect();
-                        rows.retain(|&r| {
-                            join_key(db, t_table, r, fk, t_fk).is_some_and(|k| keyset.contains(&k))
-                        });
-                        false
-                    }
-                    None => {
-                        // Materialize the free target from the source keys.
-                        let mut rows: Vec<RowId> = if t_fk {
-                            keys.iter()
-                                .flat_map(|&k| db.fk_referrers(edge.fk, k))
-                                .copied()
-                                .collect()
-                        } else {
-                            keys.iter()
-                                .filter_map(|&k| db.table(t_table).by_pk(k))
-                                .collect()
-                        };
-                        rows.sort_unstable();
-                        rows.dedup();
-                        sets[target] = Some(rows);
-                        false
-                    }
-                },
-            }
+    // A source that is free and has no rows yet makes the step approximate:
+    // the target keeps the rows with any partner at all in the source's
+    // whole table. Returns whether that happened; any such step may leave
+    // dead rows, in which case a second, now-exact sweep over the (small)
+    // materialized sets finishes the reduction.
+    let mut bits = RowBits::default();
+    let mut step = |sets: &mut [Option<Vec<RowId>>], target: usize, source: usize, ei: usize| {
+        let edge = &tree.edges[ei];
+        let s_fk = (edge.a == source) == a_is_fk_side(db, tree, edge);
+        let parent_of = db.fk_parent_col(edge.fk);
+        let pk_table = db.schema().fk(edge.fk).to.table;
+        let pk_rows = db.table(pk_table).len();
+        // The two nodes' working sets, disjointly borrowed.
+        let (work, source_work) = if target < source {
+            let (lo, hi) = sets.split_at_mut(source);
+            (&mut lo[target], &hi[0])
+        } else {
+            let (lo, hi) = sets.split_at_mut(target);
+            (&mut hi[0], &lo[source])
         };
-    let sweep = |sets: &mut Vec<Option<Vec<RowId>>>| -> bool {
+        let given = &candidates.per_node[target];
+        let source_rows = source_work
+            .as_deref()
+            .or(candidates.per_node[source].as_deref());
+        let Some(source_rows) = source_rows else {
+            if s_fk {
+                retain_rows(work, given, |r| {
+                    !db.fk_referrers(edge.fk, db.pk_value(pk_table, r))
+                        .is_empty()
+                });
+            } else {
+                retain_rows(work, given, |r| parent_of[r.index()] != NO_PARENT);
+            }
+            return true;
+        };
+        bits.reset(pk_rows);
+        if s_fk {
+            for &r in source_rows {
+                let parent = parent_of[r.index()];
+                if parent != NO_PARENT {
+                    bits.set(parent);
+                }
+            }
+            if !retain_rows(work, given, |r| bits.get(r.0)) {
+                *work = Some(bits.ones().collect());
+            }
+        } else {
+            for &r in source_rows {
+                bits.set(r.0);
+            }
+            let joins = |r: RowId| {
+                let parent = parent_of[r.index()];
+                parent != NO_PARENT && bits.get(parent)
+            };
+            if !retain_rows(work, given, joins) {
+                let scan = source_rows.len() * SCAN_PER_GATHER >= pk_rows;
+                *work = Some(if scan {
+                    (0..parent_of.len() as u32)
+                        .map(RowId)
+                        .filter(|&r| joins(r))
+                        .collect()
+                } else {
+                    // Each child has one parent, so the gathered lists are
+                    // disjoint: sorting alone makes them the distinct set.
+                    let mut rows: Vec<RowId> = bits
+                        .ones()
+                        .flat_map(|p| db.fk_referrers(edge.fk, db.pk_value(pk_table, p)))
+                        .copied()
+                        .collect();
+                    rows.sort_unstable();
+                    rows
+                });
+            }
+        }
+        false
+    };
+    let mut sweep = |sets: &mut [Option<Vec<RowId>>]| -> bool {
         let mut approx = false;
         for &v in order.iter().skip(1).rev() {
             let ei = parent_edge[v].expect("non-root");
             let e = &tree.edges[ei];
             let parent = if e.a == v { e.b } else { e.a };
-            approx |= filter_by(sets, parent, v, ei);
+            approx |= step(sets, parent, v, ei);
         }
         for &v in order.iter().skip(1) {
             let ei = parent_edge[v].expect("non-root");
             let e = &tree.edges[ei];
             let parent = if e.a == v { e.b } else { e.a };
-            approx |= filter_by(sets, v, parent, ei);
+            approx |= step(sets, v, parent, ei);
         }
         approx
     };
@@ -488,15 +568,16 @@ pub fn reduce_join_tree(
         // the second sweep is exact and completes the full reduction.
         sweep(&mut sets);
     }
-    stats.semijoin_rows_out = sets
-        .iter()
-        .map(|s| s.as_ref().expect("reduced sets are materialized").len())
-        .sum();
-    let given: Vec<usize> = (0..n).map(given_card).collect();
+    // Only a single-node tree gets here with a node no step has written.
     let sets: Vec<Vec<RowId>> = sets
         .into_iter()
-        .map(|s| s.expect("reduced sets are materialized"))
+        .zip(&candidates.per_node)
+        .map(|(work, given)| {
+            work.or_else(|| given.clone())
+                .expect("reduced sets are materialized")
+        })
         .collect();
+    stats.semijoin_rows_out = sets.iter().map(Vec::len).sum();
     Ok(ReducedTree { sets, given, stats })
 }
 
@@ -646,18 +727,26 @@ pub fn execute_reduced_in(
             (edge.b, edge.a)
         };
         joined[new] = true;
-        let a_fk = a_is_fk_side(db, tree, &edge);
-        let known_fk = (edge.a == known) == a_fk;
-        let fk = *db.schema().fk(edge.fk);
-        let known_table = tree.nodes[known];
-        let new_table = tree.nodes[new];
+        let known_fk = (edge.a == known) == a_is_fk_side(db, tree, &edge);
+        // The join key of a row, in row-id space: the pk-side row it joins —
+        // its resolved parent on the fk side, itself on the pk side.
+        // `NO_PARENT` (a null or dangling fk cell) joins nothing.
+        let parent_of = db.fk_parent_col(edge.fk);
+        let pk_side_row = |row: RowId, fk_side: bool| {
+            if fk_side {
+                parent_of[row.index()]
+            } else {
+                row.0
+            }
+        };
 
         // Build a hash table over the new node's reduced candidates, keyed
         // by join key. The pk side has unique keys; the fk side may not.
         let new_set = &sets[new];
-        let mut build: HashMap<i64, Vec<RowId>> = HashMap::with_capacity(new_set.len());
+        let mut build: HashMap<u32, Vec<RowId>> = HashMap::with_capacity(new_set.len());
         for &r in new_set {
-            if let Some(k) = join_key(db, new_table, r, &fk, !known_fk) {
+            let k = pk_side_row(r, !known_fk);
+            if k != NO_PARENT {
                 build.entry(k).or_default().push(r);
             }
         }
@@ -680,17 +769,14 @@ pub fn execute_reduced_in(
         arena_reserve(newcol, batch_len, allocs);
         'probe: for (bi, &krow) in known_col.iter().enumerate() {
             stats.probes += 1;
-            let Some(key) = join_key(db, known_table, krow, &fk, known_fk) else {
-                continue;
-            };
-            let Some(matches) = build.get(&key) else {
+            let Some(matches) = build.get(&pk_side_row(krow, known_fk)) else {
                 continue;
             };
             for &m in matches {
                 if newcol.len() >= opts.max_intermediate {
-                    return Err(RelError::MalformedJoinTree(
-                        "intermediate result exceeds max_intermediate".into(),
-                    ));
+                    return Err(RelError::IntermediateLimitExceeded {
+                        limit: opts.max_intermediate,
+                    });
                 }
                 sel.push(bi as u32);
                 newcol.push(m);
@@ -862,9 +948,9 @@ pub fn execute_join_tree_naive(
                 }
             }
             if next.len() > opts.max_intermediate {
-                return Err(RelError::MalformedJoinTree(
-                    "intermediate result exceeds max_intermediate".into(),
-                ));
+                return Err(RelError::IntermediateLimitExceeded {
+                    limit: opts.max_intermediate,
+                });
             }
         }
         stats.batches += 1;
@@ -1228,6 +1314,25 @@ mod tests {
         // With limit 1 no batch ever holds more than one binding:
         // seed + one per attach step.
         assert!(out.stats.intermediate_bindings <= 1 + tree.join_count());
+    }
+
+    #[test]
+    fn intermediate_limit_is_a_typed_refusal_not_a_malformed_tree() {
+        let db = movie_db();
+        let tree = actor_acts_movie_tree(&db);
+        tree.validate(&db).unwrap();
+        // Four JTTs; no step may hold more than one partial binding.
+        let opts = ExecOptions {
+            limit: usize::MAX,
+            max_intermediate: 1,
+        };
+        let cands = Candidates::free(3);
+        let hj = execute_join_tree_with_stats_in(&db, &tree, &cands, opts, &mut BatchArena::new());
+        let nv = execute_join_tree_naive(&db, &tree, &cands, opts);
+        for err in [hj.unwrap_err(), nv.unwrap_err()] {
+            assert_eq!(err, RelError::IntermediateLimitExceeded { limit: 1 });
+            assert!(err.to_string().contains("max_intermediate (1)"));
+        }
     }
 
     #[test]

@@ -83,18 +83,11 @@ pub fn hash_shard(table: TableId, pk: i64, shards: usize) -> usize {
 /// Parents missing from `db` are skipped (bulk-loaded stores may be
 /// temporarily inconsistent).
 pub fn fk_parents(db: &Database, table: TableId, row: RowId) -> Vec<(TableId, RowId)> {
-    let mut out = Vec::new();
-    for (_, fk) in db.schema().fks() {
-        if fk.from.table != table {
-            continue;
-        }
-        if let Some(key) = db.cell(table, row, fk.from).as_int() {
-            if let Some(parent) = db.table(fk.to.table).by_pk(key) {
-                out.push((fk.to.table, parent));
-            }
-        }
-    }
-    out
+    db.schema()
+        .fks()
+        .filter(|(_, fk)| fk.from.table == table)
+        .filter_map(|(id, fk)| Some((fk.to.table, db.fk_parent_row(id, row)?)))
+        .collect()
 }
 
 /// Union-find over row ordinals.

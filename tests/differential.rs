@@ -2,7 +2,9 @@
 //! exactly the same results as the retained naive nested-loop oracle
 //! (`execute_join_tree_naive`), on randomized schemas, instances, candidate
 //! sets, and interpretations — including the two-predicates-on-one-node
-//! intersection path and empty-candidate edge cases.
+//! intersection path and empty-candidate edge cases. The semi-join reducer
+//! is held, node by node, to the rows of an unlimited naive execution, and
+//! the foreign-key parent column it runs on to the pk index it caches.
 //!
 //! Every property runs over `SEEDS` (≥ 3 distinct seeds; CI gates on this
 //! suite). Failures reproduce by seed.
@@ -17,11 +19,13 @@ use keybridge::core::{
 };
 use keybridge::index::InvertedIndex;
 use keybridge::relstore::{
-    execute_join_tree_naive, execute_join_tree_with_stats_in, BatchArena, Candidates, Database,
-    ExecOptions, JoinTree, JoinTreeEdge, JoinedRow, RowId, SchemaBuilder, TableKind, Value,
+    assign_shards, execute_join_tree_naive, execute_join_tree_with_stats_in, reduce_join_tree,
+    split_database, BatchArena, Candidates, Database, ExecOptions, JoinTree, JoinTreeEdge,
+    JoinedRow, RelError, RowBatch, RowId, SchemaBuilder, TableId, TableKind, Value,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 /// The differential suite's seed set — at least 3 distinct seeds, per the
 /// CI gate.
@@ -415,4 +419,354 @@ fn answers_pipeline_matches_exhaustive_naive_oracle() {
         nonempty_cases >= 12,
         "corpus too degenerate: {nonempty_cases}"
     );
+}
+
+/// The `max_intermediate` guard refuses with its own variant on both
+/// executors: the tree it refuses is well formed.
+#[test]
+fn intermediate_limit_is_typed_on_both_executors() {
+    let mut refused = 0usize;
+    for &seed in &SEEDS {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(65537));
+        for case in 0..5 {
+            let db = random_db(&mut rng);
+            let tree = &trees(&db)[1];
+            let cands = Candidates::free(tree.nodes.len());
+            let full = execute_join_tree_naive(&db, tree, &cands, opts()).unwrap();
+            if full.rows.len() < 2 {
+                continue; // nothing for a one-binding budget to refuse
+            }
+            let tight = ExecOptions {
+                limit: usize::MAX,
+                max_intermediate: 1,
+            };
+            let hj =
+                execute_join_tree_with_stats_in(&db, tree, &cands, tight, &mut BatchArena::new());
+            let nv = execute_join_tree_naive(&db, tree, &cands, tight);
+            let want = RelError::IntermediateLimitExceeded { limit: 1 };
+            assert_eq!(hj.unwrap_err(), want, "seed {seed} case {case}: hash join");
+            assert_eq!(nv.unwrap_err(), want, "seed {seed} case {case}: naive");
+            refused += 1;
+        }
+    }
+    assert!(refused >= 8, "corpus too degenerate: {refused}");
+}
+
+/// Fisher–Yates over the suite's rng.
+fn shuffle<T>(rng: &mut StdRng, items: &mut [T]) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.gen_range(0..=i));
+    }
+}
+
+/// dept <- emp (-> emp, its manager) <- proj.lead, and assign -> emp, proj.
+/// A self-referencing foreign key, a table with two parents, null fk cells;
+/// with `dangling`, also a few keys no row answers to. `scale` multiplies
+/// the row counts: past a few dozen parent rows a small candidate list makes
+/// the reducer gather a free child table instead of scanning its column.
+fn company_rows(rng: &mut StdRng, dangling: bool, scale: i64) -> (Database, RowBatch) {
+    let mut b = SchemaBuilder::new();
+    b.table("dept", TableKind::Entity)
+        .pk("id")
+        .text_attr("name");
+    b.table("emp", TableKind::Entity)
+        .pk("id")
+        .text_attr("name")
+        .int_attr("dept_id")
+        .int_attr("manager_id");
+    b.table("proj", TableKind::Entity)
+        .pk("id")
+        .text_attr("title")
+        .int_attr("lead_id");
+    b.table("assign", TableKind::Relation)
+        .pk("id")
+        .int_attr("emp_id")
+        .int_attr("proj_id");
+    b.foreign_key("emp", "dept_id", "dept").unwrap();
+    b.foreign_key("emp", "manager_id", "emp").unwrap();
+    b.foreign_key("proj", "lead_id", "emp").unwrap();
+    b.foreign_key("assign", "emp_id", "emp").unwrap();
+    b.foreign_key("assign", "proj_id", "proj").unwrap();
+    let db = Database::new(b.finish().unwrap());
+    let table = |name: &str| db.schema().table_id(name).unwrap();
+    let (n_dept, n_emp, n_proj) = (
+        scale * rng.gen_range(1..4i64),
+        scale * rng.gen_range(2..9i64),
+        scale * rng.gen_range(1..6i64),
+    );
+    // A key into a table of `n` rows (pks are 10 * position, so row ids and
+    // keys never coincide); sometimes null, rarely one that matches nothing.
+    let key = |rng: &mut StdRng, n: i64| {
+        if rng.gen_bool(0.15) {
+            Value::Null
+        } else if dangling && rng.gen_bool(0.05) {
+            Value::Int(7)
+        } else {
+            Value::Int(10 * rng.gen_range(0..n))
+        }
+    };
+    let mut rows: RowBatch = Vec::new();
+    for i in 0..n_dept {
+        rows.push((
+            table("dept"),
+            vec![Value::Int(10 * i), Value::text(format!("d{i}"))],
+        ));
+    }
+    for i in 0..n_emp {
+        let row = vec![
+            Value::Int(10 * i),
+            Value::text(format!("e{i}")),
+            key(rng, n_dept),
+            key(rng, n_emp),
+        ];
+        rows.push((table("emp"), row));
+    }
+    for i in 0..n_proj {
+        let row = vec![
+            Value::Int(10 * i),
+            Value::text(format!("p{i}")),
+            key(rng, n_emp),
+        ];
+        rows.push((table("proj"), row));
+    }
+    for i in 0..scale * rng.gen_range(0..14i64) {
+        let row = vec![Value::Int(10 * i), key(rng, n_emp), key(rng, n_proj)];
+        rows.push((table("assign"), row));
+    }
+    // Loaders insert in arbitrary order: children before their parents.
+    shuffle(rng, &mut rows);
+    (db, rows)
+}
+
+fn company_db(rng: &mut StdRng, dangling: bool, scale: i64) -> Database {
+    let (mut db, rows) = company_rows(rng, dangling, scale);
+    for (table, row) in rows {
+        db.insert(table, row).unwrap();
+    }
+    db
+}
+
+/// A random join tree of up to five nodes over `db`'s schema graph. Edge
+/// endpoints come in either order; on the self-referencing key that order
+/// decides which node is the referencing one.
+fn random_tree(rng: &mut StdRng, db: &Database) -> JoinTree {
+    let s = db.schema();
+    let mut tree = JoinTree::single(TableId(rng.gen_range(0..s.table_count() as u32)));
+    for _ in 0..rng.gen_range(0..5usize) {
+        let at = rng.gen_range(0..tree.nodes.len());
+        let here = tree.nodes[at];
+        let incident: Vec<_> = s
+            .fks()
+            .filter(|(_, fk)| fk.from.table == here || fk.to.table == here)
+            .collect();
+        let (fk, def) = incident[rng.gen_range(0..incident.len())];
+        let other = if def.from.table == here && (def.to.table != here || rng.gen_bool(0.5)) {
+            def.to.table
+        } else {
+            def.from.table
+        };
+        let new = tree.nodes.len();
+        tree.nodes.push(other);
+        let (a, b) = if rng.gen_bool(0.5) {
+            (at, new)
+        } else {
+            (new, at)
+        };
+        tree.edges.push(JoinTreeEdge { a, b, fk });
+    }
+    tree.validate(db).unwrap();
+    tree
+}
+
+/// Candidates the index would never produce: drawn with replacement, so
+/// unsorted and with duplicates; sometimes empty; sometimes none at all.
+/// `short` restricts fewer nodes and keeps every list to one or two rows.
+fn messy_candidates(rng: &mut StdRng, db: &Database, tree: &JoinTree, short: bool) -> Candidates {
+    let mut c = Candidates::free(tree.nodes.len());
+    if rng.gen_bool(0.15) {
+        return c; // the all-free tree
+    }
+    for i in 0..tree.nodes.len() {
+        let roll: f64 = rng.gen();
+        if roll < if short { 0.7 } else { 0.4 } {
+            continue;
+        }
+        let len = db.table(tree.nodes[i]).len() as u32;
+        let rows = if roll < if short { 0.72 } else { 0.48 } || len == 0 {
+            Vec::new()
+        } else {
+            let most = if short || rng.gen_bool(0.5) {
+                2
+            } else {
+                len + 2
+            };
+            (0..rng.gen_range(1..=most))
+                .map(|_| RowId(rng.gen_range(0..len)))
+                .collect()
+        };
+        c = c.restrict(i, rows);
+    }
+    c
+}
+
+/// The reducer against an oracle that shares nothing with it: a node's
+/// reduced set must be exactly the rows bound at that node in some JTT of an
+/// unlimited naive execution — given order and duplicates kept where the
+/// node was restricted, ascending and distinct where it was free — and the
+/// reduction counters must be the sums over those sets.
+#[test]
+fn reducer_sets_equal_the_rows_of_the_naive_join() {
+    let unlimited = ExecOptions {
+        limit: usize::MAX,
+        max_intermediate: usize::MAX,
+    };
+    let (mut nonempty, mut all_free, mut self_joins) = (0usize, 0usize, 0usize);
+    for &seed in &SEEDS {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(2_654_435_761));
+        for case in 0..120 {
+            // Every third case: big tables under one- and two-row lists,
+            // where free child tables are gathered, not scanned.
+            let big = case % 3 == 1;
+            let db = company_db(&mut rng, case % 3 == 0, if big { 24 } else { 1 });
+            let tree = random_tree(&mut rng, &db);
+            let cands = messy_candidates(&mut rng, &db, &tree, big);
+            let note = format!("seed {seed} case {case}: {tree:?} {cands:?}");
+            let jtts = execute_join_tree_naive(&db, &tree, &cands, unlimited)
+                .unwrap_or_else(|e| panic!("{note}: naive failed: {e}"))
+                .rows;
+            let reduced = reduce_join_tree(&db, &tree, &cands)
+                .unwrap_or_else(|e| panic!("{note}: reducer failed: {e}"));
+            let (mut rows_in, mut rows_out) = (0usize, 0usize);
+            for (node, given) in cands.per_node.iter().enumerate() {
+                let alive: BTreeSet<RowId> = jtts.iter().map(|jtt| jtt[node]).collect();
+                let want: Vec<RowId> = match given {
+                    Some(rows) => rows.iter().copied().filter(|r| alive.contains(r)).collect(),
+                    None => alive.into_iter().collect(),
+                };
+                let given_len = given
+                    .as_ref()
+                    .map_or(db.table(tree.nodes[node]).len(), Vec::len);
+                assert_eq!(reduced.sets[node], want, "{note}: node {node}");
+                assert_eq!(reduced.given[node], given_len, "{note}: node {node}");
+                rows_in += given_len;
+                rows_out += want.len();
+            }
+            assert_eq!(reduced.stats.semijoin_rows_in, rows_in, "{note}");
+            assert_eq!(reduced.stats.semijoin_rows_out, rows_out, "{note}");
+            nonempty += usize::from(!jtts.is_empty());
+            all_free += usize::from(cands.per_node.iter().all(Option::is_none));
+            self_joins += usize::from(
+                tree.edges
+                    .iter()
+                    .any(|e| tree.nodes[e.a] == tree.nodes[e.b]),
+            );
+        }
+    }
+    assert!(nonempty >= 120, "corpus too degenerate: {nonempty}");
+    assert!(all_free >= 20, "too few all-free trees: {all_free}");
+    assert!(self_joins >= 40, "too few self-joins: {self_joins}");
+}
+
+/// Every `fk_parent_row` of `db`, by foreign key and child row.
+fn parent_column(db: &Database) -> Vec<Vec<Option<RowId>>> {
+    db.schema()
+        .fks()
+        .map(|(id, fk)| {
+            db.table(fk.from.table)
+                .rows()
+                .map(|(r, _)| db.fk_parent_row(id, r))
+                .collect()
+        })
+        .collect()
+}
+
+/// The column's invariant: it is `by_pk` of the fk cell, cached.
+fn assert_column_is_the_pk_index(db: &Database, note: &str) {
+    for (id, fk) in db.schema().fks() {
+        for (r, _) in db.table(fk.from.table).rows() {
+            let by_pk = db
+                .cell(fk.from.table, r, fk.from)
+                .as_int()
+                .and_then(|key| db.table(fk.to.table).by_pk(key));
+            assert_eq!(
+                db.fk_parent_row(id, r),
+                by_pk,
+                "{note}: fk {id:?} row {r:?}"
+            );
+        }
+    }
+}
+
+/// The parent column is derived state with one write site; every way a
+/// store comes to exist must leave it equal to the pk index it caches.
+#[test]
+fn fk_parent_column_tracks_the_pk_index() {
+    for &seed in &SEEDS {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(40_503));
+        for case in 0..10 {
+            let note = format!("seed {seed} case {case}");
+            // (i) Row-at-a-time load in shuffled order, dangling keys included.
+            let loose = company_db(&mut rng, true, 1);
+            assert_column_is_the_pk_index(&loose, &note);
+            let resolved = parent_column(&loose).iter().flatten().flatten().count();
+            assert!(resolved > 0, "{note}: nothing resolved");
+
+            // (ii) One batch that lists children before their in-batch parents.
+            let (mut db, rows) = company_rows(&mut rng, false, 1);
+            db.insert_batch(&rows).unwrap();
+            db.validate().unwrap();
+            assert_column_is_the_pk_index(&db, &note);
+
+            // (iii) Snapshot round trip: the column is rebuilt, not stored.
+            let decoded = Database::from_snapshot_bytes(&db.snapshot_bytes().unwrap()).unwrap();
+            assert_column_is_the_pk_index(&decoded, &note);
+            assert_eq!(parent_column(&decoded), parent_column(&db), "{note}");
+
+            // (iv) Every shard of a split, in its local row ids.
+            let split = split_database(&db, &assign_shards(&db, 3)).unwrap();
+            for shard in &split.dbs {
+                assert_column_is_the_pk_index(shard, &note);
+            }
+
+            // (v) A clone owns its column: a parent arriving on the clone
+            // patches the clone's waiting children and nobody else's.
+            let emp = db.schema().table_id("emp").unwrap();
+            let orphan = vec![
+                Value::Int(9001),
+                Value::text("o"),
+                Value::Null,
+                Value::Int(9002),
+            ];
+            db.insert(emp, orphan).unwrap();
+            let before = parent_column(&db);
+            let mut fork = db.clone();
+            let boss = vec![Value::Int(9002), Value::text("b"), Value::Null, Value::Null];
+            let boss = fork.insert(emp, boss).unwrap();
+            assert_column_is_the_pk_index(&fork, &note);
+            assert_eq!(parent_column(&db), before, "{note}: original moved");
+            let waiting = db.table(emp).by_pk(9001).unwrap();
+            assert!(parent_column(&fork)
+                .iter()
+                .any(|col| col.get(waiting.index()) == Some(&Some(boss))));
+
+            // A rejected batch writes nothing, the column included.
+            let bad: RowBatch = vec![
+                (
+                    emp,
+                    vec![Value::Int(9002), Value::text("b"), Value::Null, Value::Null],
+                ),
+                (
+                    emp,
+                    vec![
+                        Value::Int(9003),
+                        Value::text("c"),
+                        Value::Int(-1),
+                        Value::Null,
+                    ],
+                ),
+            ];
+            db.insert_batch(&bad).unwrap_err();
+            assert_eq!(parent_column(&db), before, "{note}: rejected batch wrote");
+        }
+    }
 }
