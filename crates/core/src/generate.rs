@@ -46,6 +46,10 @@ impl Default for InterpreterConfig {
 /// Counters describing one generation run, for benches and regression
 /// assertions (the exhaustive pipeline materializes the whole candidate
 /// space; best-first should materialize barely more than `k`).
+///
+/// A pull of a resumed search ([`crate::BestFirstSource`]) reports the work
+/// *it* added; [`Self::absorb`] folds the pulls of one request into the
+/// counters a single fresh `top_k` at the last pull's `k` reports.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GenerationStats {
     /// Complete interpretations actually constructed (grouped, hashed).
@@ -54,7 +58,9 @@ pub struct GenerationStats {
     pub expanded: usize,
     /// Search states pushed onto the frontier.
     pub pushed: usize,
-    /// Children cut by the k-th-best bound before being pushed.
+    /// Children cut before being pushed — by the k-th-best bound or by
+    /// minimality infeasibility — and still cut when the pull returned (a
+    /// larger pull lowers the bound and may admit some after all).
     pub pruned: usize,
     /// Non-emptiness probes issued against the index.
     pub nonempty_probes: usize,
@@ -65,6 +71,23 @@ pub struct GenerationStats {
     pub nonempty_shared_hits: usize,
     /// Interpretations returned.
     pub emitted: usize,
+}
+
+impl GenerationStats {
+    /// Fold a later pull of the same source into this running total. Work
+    /// counters add. `pruned` and `emitted` describe what a pull ended
+    /// with — the cuts in force, the interpretations returned — so the
+    /// later pull's values stand.
+    pub fn absorb(&mut self, later: &GenerationStats) {
+        self.materialized += later.materialized;
+        self.expanded += later.expanded;
+        self.pushed += later.pushed;
+        self.pruned = later.pruned;
+        self.nonempty_probes += later.nonempty_probes;
+        self.nonempty_cache_hits += later.nonempty_cache_hits;
+        self.nonempty_shared_hits += later.nonempty_shared_hits;
+        self.emitted = later.emitted;
+    }
 }
 
 /// An interpretation with its score under the probability model.
@@ -82,8 +105,8 @@ pub struct ScoredInterpretation {
 /// repeated `top_k` calls for the *same* keyword query (occurrence masks are
 /// positional — the cache remembers its term sequence and self-clears when
 /// handed a different query, so stale verdicts can never leak).
-/// [`Interpreter::answers_top_k`] threads one cache through its generation
-/// waves.
+/// [`Interpreter::answers_top_k`] hands one cache to every pull of its
+/// generation session.
 ///
 /// A cache can additionally be backed by a [`SharedNonemptyCache`], whose
 /// verdicts are keyed by the *sorted keyword bag* instead of the positional
@@ -199,7 +222,8 @@ pub struct AnswerStats {
     pub predicate_cache_hits: usize,
     /// Whole executions served from the cache (wave replays).
     pub result_cache_hits: usize,
-    /// Final wave's generation counters.
+    /// The request's generation work over all waves: what one fresh
+    /// `top_k` at the final wave's `k` counts.
     pub gen: GenerationStats,
     /// Executor counters aggregated over all fresh executions.
     pub exec: ExecStats,
@@ -507,16 +531,18 @@ impl<'a> Interpreter<'a> {
         k: usize,
         include_partials: bool,
     ) -> (Vec<ScoredInterpretation>, GenerationStats) {
-        if k == 0 || query.is_empty() {
-            return (Vec::new(), GenerationStats::default());
-        }
-        self.best_first_top_k(query, k, include_partials, None)
+        self.top_k_with_cache(query, k, include_partials, &mut NonemptyCache::new())
     }
 
-    /// Like [`Self::top_k_with_stats`], but the non-emptiness memo persists
-    /// in `cache` across calls — the repeated-`top_k`-with-growing-`k`
-    /// pattern of [`Self::answers_top_k`]. Occurrence masks are positional,
-    /// so a cache handed a different keyword sequence resets itself first.
+    /// Like [`Self::top_k_with_stats`], but the non-emptiness memo lives in
+    /// `cache`, so it outlasts the call (and falls through to the shared
+    /// tier when built with [`NonemptyCache::with_shared`]). Occurrence
+    /// masks are positional, so a cache handed a different keyword sequence
+    /// resets itself first.
+    ///
+    /// Every `top_k*` entry point is this: open a generation session, pull
+    /// once. A caller that will come back for a larger `k` keeps the
+    /// session instead ([`crate::BestFirstSource`]).
     pub fn top_k_with_cache(
         &self,
         query: &KeywordQuery,
@@ -524,14 +550,7 @@ impl<'a> Interpreter<'a> {
         include_partials: bool,
         cache: &mut NonemptyCache,
     ) -> (Vec<ScoredInterpretation>, GenerationStats) {
-        if k == 0 || query.is_empty() {
-            return (Vec::new(), GenerationStats::default());
-        }
-        if cache.terms.as_slice() != query.terms() {
-            cache.map.clear();
-            cache.terms = query.terms().to_vec();
-        }
-        self.best_first_top_k(query, k, include_partials, Some(cache))
+        self.open_search(query, include_partials).pull(k, cache)
     }
 
     /// Truncate a ranked list to `k` and renormalize probabilities over the
@@ -549,90 +568,82 @@ impl<'a> Interpreter<'a> {
         ranked
     }
 
-    fn best_first_top_k(
-        &self,
-        query: &KeywordQuery,
-        k: usize,
+    /// Open the generation session of `query`: resolve every keyword
+    /// against the index, derive the scorer's bound tables, and seed one
+    /// root state per viable template. Nothing is searched until the first
+    /// [`BestFirstSearch::pull`].
+    pub(crate) fn open_search<'q>(
+        &'q self,
+        query: &'q KeywordQuery,
         include_partials: bool,
-        cache: Option<&mut NonemptyCache>,
-    ) -> (Vec<ScoredInterpretation>, GenerationStats) {
+    ) -> BestFirstSearch<'q, 'a> {
         let terms = query.terms();
-        let n = terms.len();
-        if n > 63 {
-            // Occurrence bitmasks are u64; queries this long are beyond any
-            // workload in the paper. Fall back to the exhaustive pipeline.
-            let ranked = self.ranked_interpretations(query);
-            let stats = GenerationStats {
-                materialized: ranked.len(),
-                emitted: ranked.len().min(k),
-                ..Default::default()
-            };
-            return (Self::renormalized_prefix(ranked, k), stats);
-        }
-        let candidates = self.term_candidates(query);
+        // Occurrence bitmasks are u64; queries longer than 63 keywords are
+        // beyond any workload in the paper and take the exhaustive pipeline.
+        let exhaustive = (terms.len() > 63).then(|| self.ranked_interpretations(query));
+        let by_term = if exhaustive.is_some() {
+            HashMap::new()
+        } else {
+            self.term_candidates(query)
+        };
+        let candidates: Vec<Vec<TermCandidate>> = terms
+            .iter()
+            .map(|t| by_term.get(t.as_str()).cloned().unwrap_or_default())
+            .collect();
         // Per-occurrence candidate views for the incremental scorer.
-        let mut value_attrs: Vec<Vec<AttrRef>> = Vec::with_capacity(n);
-        let mut name_tables: Vec<Vec<TableId>> = Vec::with_capacity(n);
-        for t in terms {
-            let cands = &candidates[t.as_str()];
-            value_attrs.push(
+        let value_attrs: Vec<Vec<AttrRef>> = candidates
+            .iter()
+            .map(|cands| {
                 cands
                     .iter()
                     .filter_map(|c| match c {
                         TermCandidate::Value(a) => Some(*a),
                         _ => None,
                     })
-                    .collect(),
-            );
-            let mut tabs: Vec<TableId> = cands
-                .iter()
-                .filter_map(|c| match c {
-                    TermCandidate::TableName(t) => Some(*t),
-                    TermCandidate::AttrName(a) => Some(a.table),
-                    TermCandidate::Value(_) => None,
-                })
-                .collect();
-            tabs.sort();
-            tabs.dedup();
-            name_tables.push(tabs);
-        }
-        let model = ProbabilityModel::new(
-            self.db,
+                    .collect()
+            })
+            .collect();
+        let name_tables: Vec<Vec<TableId>> = candidates
+            .iter()
+            .map(|cands| {
+                cands
+                    .iter()
+                    .filter_map(|c| match c {
+                        TermCandidate::TableName(t) => Some(*t),
+                        TermCandidate::AttrName(a) => Some(a.table),
+                        TermCandidate::Value(_) => None,
+                    })
+                    .collect()
+            })
+            .collect();
+        let scorer = IncrementalScorer::new(
             self.index,
-            self.catalog,
-            self.config.prior.clone(),
             self.config.prob,
+            self.db.schema().table_count(),
+            terms,
+            &value_attrs,
+            &name_tables,
+            include_partials,
         );
-        let scorer = model.incremental(terms, &value_attrs, &name_tables, include_partials);
-
-        let mut cache = cache;
-        let shared = cache.as_deref().and_then(|c| c.shared.clone());
-        let nonempty = cache
-            .as_deref_mut()
-            .map(|c| std::mem::take(&mut c.map))
-            .unwrap_or_default();
         let mut search = BestFirstSearch {
             interpreter: self,
-            model: &model,
-            scorer: &scorer,
             terms,
-            candidates: &candidates,
-            k,
+            candidates,
+            scorer,
+            exhaustive,
+            tpls: (0..self.catalog.len()).map(|_| None).collect(),
             heap: BinaryHeap::new(),
-            tpls: HashMap::new(),
-            emitted: HashSet::new(),
+            deferred: Vec::new(),
             buffer: Vec::new(),
+            // `by_term` is keyed by distinct term.
+            repeated_terms: by_term.len() < terms.len(),
+            emitted: HashSet::new(),
+            k: 0,
             top_scores: BinaryHeap::new(),
-            nonempty,
-            shared,
             stats: GenerationStats::default(),
         };
         search.seed_roots();
-        search.run();
-        if let Some(c) = cache {
-            c.map = std::mem::take(&mut search.nonempty);
-        }
-        search.finish()
+        search
     }
 
     // -----------------------------------------------------------------
@@ -642,11 +653,13 @@ impl<'a> Interpreter<'a> {
     /// The top `k` *answers* of `query`: joining tuple trees, ordered by
     /// their interpretation's rank (the §2.2.6 results the user actually
     /// wants, not query forms). Generation and execution interleave:
-    /// interpretations are pulled best-first in geometrically growing waves,
-    /// executed lazily with `limit` set to the answers still missing (the
-    /// batched executor then streams instead of materializing full joins),
-    /// and empty interpretations are skipped — replays across waves are
-    /// served from the execution cache.
+    /// interpretations are pulled best-first in geometrically growing waves
+    /// from one generation session — a larger wave continues the search
+    /// where the previous one stopped — and executed lazily with `limit` set
+    /// to the answers still missing (the batched executor then streams
+    /// instead of materializing full joins); empty interpretations are
+    /// skipped, and the prefix a wave re-walks is served from the execution
+    /// cache.
     pub fn answers_top_k(&self, query: &KeywordQuery, k: usize) -> Vec<RankedAnswer> {
         self.answers_top_k_with_stats(query, k).0
     }
@@ -745,7 +758,7 @@ fn localize_candidates(
     candidates: &[TermCandidate],
     tpl: &crate::template::QueryTemplate,
 ) -> Vec<BindingTarget> {
-    let mut targets = Vec::new();
+    let mut targets = Vec::with_capacity(candidates.len());
     for cand in candidates {
         match cand {
             TermCandidate::Value(a) => {
@@ -769,23 +782,65 @@ fn localize_candidates(
 }
 
 /// Float-tolerance margin absorbing associativity drift between the
-/// incrementally maintained prefix score and the freshly computed
-/// `log_score` of an emitted interpretation.
+/// incrementally maintained prefix score and the exact score of an emitted
+/// interpretation.
 const SCORE_EPS: f64 = 1e-9;
 
-/// A frontier state: template, the targets assigned to the first
-/// `assign.len()` keyword occurrences (`UNMAPPED` or an index into the
-/// template's per-occurrence target list), the exact prefix log-score of
-/// that assignment, and the admissible upper bound `ub` on any completion.
-#[derive(Debug, Clone)]
+/// The targets assigned so far, one slot per keyword occurrence: `UNMAPPED`
+/// or an index into the template's per-occurrence target list. Stored inline
+/// for queries of up to [`Assign::INLINE`] keywords, so expanding a state
+/// allocates nothing; longer queries (up to the 63 the occurrence masks
+/// allow) spill to the heap.
+#[derive(Clone)]
+enum Assign {
+    Inline([i16; Assign::INLINE]),
+    Spilled(Box<[i16]>),
+}
+
+const UNMAPPED: i16 = -1;
+
+impl Assign {
+    const INLINE: usize = 8;
+
+    fn new(n: usize) -> Self {
+        if n <= Self::INLINE {
+            Assign::Inline([UNMAPPED; Self::INLINE])
+        } else {
+            Assign::Spilled(vec![UNMAPPED; n].into_boxed_slice())
+        }
+    }
+
+    fn slots(&self) -> &[i16] {
+        match self {
+            Assign::Inline(a) => a,
+            Assign::Spilled(b) => b,
+        }
+    }
+
+    fn set(&mut self, i: usize, choice: i16) {
+        match self {
+            Assign::Inline(a) => a[i] = choice,
+            Assign::Spilled(b) => b[i] = choice,
+        }
+    }
+}
+
+/// A frontier state: template, the targets assigned to the first `depth`
+/// keyword occurrences, the exact prefix log-score of that assignment, and
+/// the admissible upper bound `ub` on any completion.
 struct SearchNode {
     ub: f64,
     prefix: f64,
     tpl: crate::template::TemplateId,
-    assign: Vec<i32>,
+    depth: u8,
+    slots: Assign,
 }
 
-const UNMAPPED: i32 = -1;
+impl SearchNode {
+    fn assign(&self) -> &[i16] {
+        &self.slots.slots()[..self.depth as usize]
+    }
+}
 
 impl PartialEq for SearchNode {
     fn eq(&self, other: &Self) -> bool {
@@ -804,22 +859,29 @@ impl Ord for SearchNode {
         // deeper states (drives completions out early) then canonical ids.
         self.ub
             .total_cmp(&other.ub)
-            .then_with(|| self.assign.len().cmp(&other.assign.len()))
+            .then_with(|| self.depth.cmp(&other.depth))
             .then_with(|| other.tpl.cmp(&self.tpl))
-            .then_with(|| other.assign.cmp(&self.assign))
+            .then_with(|| other.assign().cmp(self.assign()))
     }
 }
 
-/// Localized search data of one template: per-occurrence binding targets
-/// and suffix bound sums.
-/// One child of a frontier expansion: the target index assigned to the next
-/// occurrence (`UNMAPPED` for the partials branch), its score delta, and the
-/// value-group identity to non-emptiness-check, if any.
-type ChildDelta = (i32, f64, Option<(u64, AttrRef)>);
-
+/// What the session knows about one viable template: its prior, the suffix
+/// sums of its per-occurrence bounds (entry `i` bounds the total remaining
+/// contribution once occurrences `0..i` are assigned; entry `n` is 0), and
+/// the per-occurrence binding targets, each localized when a state of the
+/// template first assigns that occurrence (so a state at depth `d` finds
+/// occurrences `0..d` localized by its ancestors).
 struct TplData {
-    targets: Vec<Vec<BindingTarget>>,
+    ln_prior: f64,
     suffix: Vec<f64>,
+    /// Bit per leaf node, for the minimality-feasibility prune. Template
+    /// trees are tiny in practice; the rare > 64-node template skips the
+    /// prune (sound — it is only an optimization, minimality is checked at
+    /// emission).
+    leaf_mask: Option<u64>,
+    targets: Vec<Vec<BindingTarget>>,
+    /// Bit per occurrence whose `targets` entry is filled.
+    localized: u64,
 }
 
 /// `f64` with total order, for the k-th-best min-heap.
@@ -837,31 +899,93 @@ impl Ord for Score {
     }
 }
 
-struct BestFirstSearch<'s, 'a> {
-    interpreter: &'s Interpreter<'a>,
-    model: &'s ProbabilityModel<'a>,
-    scorer: &'s IncrementalScorer<'a, 's>,
-    terms: &'s [String],
-    candidates: &'s HashMap<String, Vec<TermCandidate>>,
-    k: usize,
+/// One query's generation session: everything best-first search derives
+/// from the query — term candidates, the scorer's bound tables and group
+/// memo, per-template priors, targets and suffix bounds — and everything it
+/// has found so far — the frontier, the exactly scored interpretations, the
+/// children the k-th-best threshold cut. All of it is paid for once:
+/// [`Self::pull`] at a larger `k` *continues* the search instead of
+/// restarting it.
+///
+/// The invariant that makes resumption exact: after `pull(k)`, the frontier,
+/// the cut list, the buffer and every counter are what a fresh search at `k`
+/// holds at the same point of the (k-independent) pop sequence. A cut child
+/// has a bound below the threshold of its day and thresholds only rise, so a
+/// fresh search would have stopped before popping it; re-judging the cut
+/// list against the new, lower threshold is therefore all a larger `k`
+/// needs.
+pub(crate) struct BestFirstSearch<'q, 'a> {
+    interpreter: &'q Interpreter<'a>,
+    terms: &'q [String],
+    /// Per occurrence: the schema-level candidates of its term.
+    candidates: Vec<Vec<TermCandidate>>,
+    scorer: IncrementalScorer<'q>,
+    /// The whole ranking, for a query too long for occurrence masks.
+    exhaustive: Option<Vec<ScoredInterpretation>>,
+    /// Indexed by `TemplateId`; `None` for templates that cannot interpret
+    /// the query.
+    tpls: Vec<Option<TplData>>,
     heap: BinaryHeap<SearchNode>,
-    tpls: HashMap<crate::template::TemplateId, TplData>,
-    emitted: HashSet<QueryInterpretation>,
+    /// Children cut by the k-th-best threshold, each with the number of
+    /// interpretations buffered when it was cut, in cut order.
+    deferred: Vec<(usize, SearchNode)>,
+    /// Emitted interpretations with their exact scores, in emission order.
     buffer: Vec<(QueryInterpretation, f64)>,
-    /// Min-heap of the k best exact scores seen so far.
+    /// Whether some keyword occurs twice — the only way two assignments can
+    /// spell the same interpretation, so the only time `emitted` is needed.
+    repeated_terms: bool,
+    emitted: HashSet<QueryInterpretation>,
+    /// The `k` of the current pull.
+    k: usize,
+    /// Min-heap of the `k` best exact scores seen so far.
     top_scores: BinaryHeap<std::cmp::Reverse<Score>>,
-    /// Memoized non-emptiness probes of a keyword bag against an
-    /// attribute. The bag is encoded as its occurrence bitmask (fixed
-    /// per query), so cache hits are allocation-free; duplicate keywords
-    /// at different positions probe the index once each, which is the
-    /// only sharing the mask encoding gives up.
-    nonempty: HashMap<(u64, AttrRef), bool>,
-    /// Cross-query verdicts (bag-keyed), consulted on local misses.
-    shared: Option<Arc<SharedNonemptyCache>>,
+    /// Counters since the session opened; `pull` reports what it added.
     stats: GenerationStats,
 }
 
 impl BestFirstSearch<'_, '_> {
+    /// The best `k` interpretations found by searching until the `k`-th
+    /// best is proven, with the work this pull added (see
+    /// [`GenerationStats::absorb`]). Non-emptiness verdicts are read from
+    /// and written to `cache`, which resets itself when it last served a
+    /// different keyword sequence.
+    pub(crate) fn pull(
+        &mut self,
+        k: usize,
+        cache: &mut NonemptyCache,
+    ) -> (Vec<ScoredInterpretation>, GenerationStats) {
+        if k == 0 || self.terms.is_empty() {
+            return (Vec::new(), GenerationStats::default());
+        }
+        if let Some(ranked) = &self.exhaustive {
+            let stats = GenerationStats {
+                materialized: ranked.len(),
+                emitted: ranked.len().min(k),
+                ..Default::default()
+            };
+            return (Interpreter::renormalized_prefix(ranked.clone(), k), stats);
+        }
+        if cache.terms.as_slice() != self.terms {
+            cache.map.clear();
+            cache.terms = self.terms.to_vec();
+        }
+        let before = self.stats;
+        self.retarget(k);
+        self.run(cache);
+        let reply = self.reply();
+        let stats = GenerationStats {
+            materialized: self.stats.materialized - before.materialized,
+            expanded: self.stats.expanded - before.expanded,
+            pushed: self.stats.pushed - before.pushed,
+            pruned: self.stats.pruned,
+            nonempty_probes: self.stats.nonempty_probes - before.nonempty_probes,
+            nonempty_cache_hits: self.stats.nonempty_cache_hits - before.nonempty_cache_hits,
+            nonempty_shared_hits: self.stats.nonempty_shared_hits - before.nonempty_shared_hits,
+            emitted: reply.len(),
+        };
+        (reply, stats)
+    }
+
     /// The k-th best exact score buffered so far (`-inf` until `k` found):
     /// the prune threshold.
     fn threshold(&self) -> f64 {
@@ -875,11 +999,55 @@ impl BestFirstSearch<'_, '_> {
         }
     }
 
+    /// Whether the k-th-best threshold rules out a state bounded by `ub`.
+    fn cut(&self, ub: f64) -> bool {
+        ub < self.threshold() - SCORE_EPS
+    }
+
+    /// Record an emitted interpretation's exact score in the top-`k` heap.
+    fn note_score(&mut self, exact: f64) {
+        self.top_scores.push(std::cmp::Reverse(Score(exact)));
+        if self.top_scores.len() > self.k {
+            self.top_scores.pop();
+        }
+    }
+
+    /// Aim the session at `k`: rebuild the top-`k` scores from the buffer
+    /// and re-judge every cut child against the threshold a fresh search at
+    /// `k` would have held when it was cut — the k-th best of the
+    /// interpretations buffered at that moment. Children that now survive
+    /// rejoin the frontier (and the counters move from `pruned` to
+    /// `pushed`, as that search would have counted them).
+    fn retarget(&mut self, k: usize) {
+        if k == self.k {
+            return;
+        }
+        self.k = k;
+        self.top_scores.clear();
+        let mut deferred = std::mem::take(&mut self.deferred).into_iter().peekable();
+        for buffered in 0..=self.buffer.len() {
+            while let Some((_, node)) = deferred.next_if(|(at, _)| *at == buffered) {
+                if self.cut(node.ub) {
+                    self.deferred.push((buffered, node));
+                } else {
+                    self.stats.pruned -= 1;
+                    self.stats.pushed += 1;
+                    self.heap.push(node);
+                }
+            }
+            if let Some(&(_, exact)) = self.buffer.get(buffered) {
+                self.note_score(exact);
+            }
+        }
+    }
+
     /// Push one root state per template that can interpret the query.
     fn seed_roots(&mut self) {
         let n = self.terms.len();
         let partials = self.scorer.allows_unmapped();
-        for tpl in self.interpreter.catalog.iter() {
+        let interpreter = self.interpreter;
+        let mut bounds = vec![0.0; n];
+        for tpl in interpreter.catalog.iter() {
             // More leaves than keywords can never satisfy minimality
             // (every leaf needs a binding; each keyword binds one node).
             if tpl.leaves().len() > n {
@@ -887,9 +1055,9 @@ impl BestFirstSearch<'_, '_> {
             }
             let mut bound_sum = 0.0;
             let mut targetable = 0usize;
-            for i in 0..n {
-                let b = self.scorer.term_bound(tpl, i);
-                bound_sum += b;
+            for (i, bound) in bounds.iter_mut().enumerate() {
+                *bound = self.scorer.term_bound(tpl, i);
+                bound_sum += *bound;
                 if self.scorer.has_target_in(tpl, i) {
                     targetable += 1;
                 }
@@ -902,264 +1070,293 @@ impl BestFirstSearch<'_, '_> {
             if !partials && targetable < n {
                 continue;
             }
-            let prior = self.scorer.ln_prior(tpl);
+            let mut suffix = vec![0.0; n + 1];
+            for i in (0..n).rev() {
+                suffix[i] = bounds[i] + suffix[i + 1];
+            }
+            let ln_prior = interpreter.config.prior.ln_prob(
+                tpl.signature_names(interpreter.db),
+                interpreter.catalog.len(),
+            );
+            let leaf_mask = (tpl.tree.nodes.len() <= 64)
+                .then(|| tpl.leaves().iter().fold(0u64, |m, &l| m | 1 << l));
+            self.tpls[tpl.id.0 as usize] = Some(TplData {
+                ln_prior,
+                suffix,
+                leaf_mask,
+                targets: Vec::new(),
+                localized: 0,
+            });
             self.stats.pushed += 1;
             self.heap.push(SearchNode {
-                ub: prior + bound_sum,
-                prefix: prior,
+                ub: ln_prior + bound_sum,
+                prefix: ln_prior,
                 tpl: tpl.id,
-                assign: Vec::new(),
+                depth: 0,
+                slots: Assign::new(n),
             });
         }
     }
 
-    /// Localize term candidates to `tpl`'s nodes (memoized per template).
-    fn ensure_tpl_data(&mut self, id: crate::template::TemplateId) {
-        if self.tpls.contains_key(&id) {
-            return;
-        }
-        let tpl = self.interpreter.catalog.get(id);
-        let targets: Vec<Vec<BindingTarget>> = self
-            .terms
-            .iter()
-            .map(|term| localize_candidates(&self.candidates[term.as_str()], tpl))
-            .collect();
-        let suffix = self.scorer.suffix_bounds(tpl);
-        self.tpls.insert(id, TplData { targets, suffix });
-    }
-
-    /// Resolve the value-group mask of `target` within `assign` (bits of
-    /// earlier occurrences already bound to the same target).
-    fn group_mask(&self, data: &TplData, assign: &[i32], target: &BindingTarget) -> u64 {
-        let mut mask = 0u64;
-        for (p, &t) in assign.iter().enumerate() {
-            if t != UNMAPPED && &data.targets[p][t as usize] == target {
-                mask |= 1 << p;
-            }
-        }
-        mask
-    }
-
-    /// Memoized non-emptiness of a value group (keyword bag ⊂ attr).
-    /// Misses consult the cross-query shared cache (bag-keyed) before
-    /// probing the index; fresh verdicts are published back so every other
-    /// query — on any thread — skips the probe.
-    fn group_nonempty(&mut self, mask: u64, aref: AttrRef) -> bool {
-        if let Some(&hit) = self.nonempty.get(&(mask, aref)) {
-            self.stats.nonempty_cache_hits += 1;
-            return hit;
-        }
-        let kws: Vec<String> = (0..self.terms.len())
-            .filter(|i| mask & (1 << i) != 0)
-            .map(|i| self.terms[i].clone())
-            .collect();
-        if let Some(shared) = &self.shared {
-            let mut bag = kws.clone();
-            bag.sort();
-            let key = (bag, aref);
-            if let Some(ok) = shared.verdicts.get(&key, |_| true) {
-                self.stats.nonempty_shared_hits += 1;
-                self.nonempty.insert((mask, aref), ok);
-                return ok;
-            }
-            self.stats.nonempty_probes += 1;
-            let ok = self.interpreter.index.has_row_with_all(&kws, aref);
-            shared.verdicts.insert(key, ok);
-            self.nonempty.insert((mask, aref), ok);
-            return ok;
-        }
-        self.stats.nonempty_probes += 1;
-        let ok = self.interpreter.index.has_row_with_all(&kws, aref);
-        self.nonempty.insert((mask, aref), ok);
-        ok
-    }
-
-    /// Pop-expand until the k-th best is provably found.
-    fn run(&mut self) {
+    /// Pop-expand until the k-th best is provably found. The state that
+    /// proves it goes back on the frontier: a later, larger pull starts
+    /// from it.
+    fn run(&mut self, cache: &mut NonemptyCache) {
         let n = self.terms.len();
+        let cap = self.interpreter.config.max_interpretations;
         while let Some(node) = self.heap.pop() {
-            if self.buffer.len() >= self.k && node.ub < self.threshold() - SCORE_EPS {
+            if (self.buffer.len() >= self.k && self.cut(node.ub)) || self.buffer.len() >= cap {
+                self.heap.push(node);
                 break;
             }
-            if self.buffer.len() >= self.interpreter.config.max_interpretations {
-                break;
-            }
-            let depth = node.assign.len();
-            if depth == n {
+            if node.depth as usize == n {
                 self.materialize(&node);
-                continue;
+            } else {
+                self.expand(node, cache);
             }
-            self.expand(node);
         }
     }
 
     /// Expand one frontier state over every option for the next occurrence.
-    fn expand(&mut self, node: SearchNode) {
+    fn expand(&mut self, node: SearchNode, cache: &mut NonemptyCache) {
         self.stats.expanded += 1;
-        self.ensure_tpl_data(node.tpl);
-        let i = node.assign.len();
-        let n = self.terms.len();
-        let tpl = self.interpreter.catalog.get(node.tpl);
-        let require_nonempty = self.interpreter.config.require_nonempty_predicates;
-        // Bitmask of template nodes already carrying a binding, for the
-        // minimality-feasibility prune. Template trees are tiny in
-        // practice; the rare > 64-node template skips the prune (sound —
-        // it is only an optimization, minimality is checked at emission).
-        let prunable = tpl.tree.nodes.len() <= 64;
-        let bound_nodes: u64 = if prunable {
-            let data = &self.tpls[&node.tpl];
-            node.assign
-                .iter()
-                .enumerate()
-                .filter(|&(_, &t)| t != UNMAPPED)
-                .map(|(p, &t)| 1u64 << data.targets[p][t as usize].node())
-                .fold(0, |acc, b| acc | b)
-        } else {
-            0
-        };
+        let i = node.depth as usize;
+        let interpreter = self.interpreter;
+        let tpl = interpreter.catalog.get(node.tpl);
+        let require_nonempty = interpreter.config.require_nonempty_predicates;
+        // Held by value while the children are built (they need `&mut self`
+        // for the memos and the frontier), put back below.
+        let mut data = self.tpls[node.tpl.0 as usize]
+            .take()
+            .expect("a frontier state's template was seeded");
+        if data.localized & 1 << i == 0 {
+            data.targets.resize_with(self.terms.len(), Vec::new);
+            data.targets[i] = localize_candidates(&self.candidates[i], tpl);
+            data.localized |= 1 << i;
+        }
+        let assign = node.assign();
+        // Template nodes already carrying a binding.
+        let bound_nodes = assign
+            .iter()
+            .enumerate()
+            .filter(|&(_, &t)| t != UNMAPPED)
+            .fold(0u64, |m, (p, &t)| {
+                m | 1u64 << (data.targets[p][t as usize].node() & 63)
+            });
         // A child is viable only if the leaves still unbound after it can
         // all be covered by the occurrences that remain.
-        let remaining_after = n - i - 1;
+        let remaining_after = self.terms.len() - i - 1;
+        let leaf_mask = data.leaf_mask;
         let feasible = |nodes_mask: u64| {
-            !prunable
-                || tpl
-                    .leaves()
-                    .iter()
-                    .filter(|&&l| nodes_mask & (1u64 << l) == 0)
-                    .count()
-                    <= remaining_after
+            leaf_mask.is_none_or(|leaves| {
+                (leaves & !nodes_mask).count_ones() as usize <= remaining_after
+            })
         };
-        // Collect child deltas first: the non-emptiness probes need
-        // `&mut self` while the template data stays borrowed otherwise.
-        let mut children: Vec<ChildDelta> = Vec::new();
-        {
-            let data = &self.tpls[&node.tpl];
-            for (ti, target) in data.targets[i].iter().enumerate() {
-                if !feasible(bound_nodes | (1u64 << (target.node() & 63))) {
-                    self.stats.pruned += 1;
-                    continue;
-                }
-                let (delta, group) = match target {
-                    BindingTarget::Value { node: tnode, attr } => {
-                        let aref = AttrRef {
-                            table: tpl.tree.nodes[*tnode],
-                            attr: *attr,
-                        };
-                        let old_mask = self.group_mask(data, &node.assign, target);
-                        let new_mask = old_mask | (1 << i);
-                        let old_ln = if old_mask == 0 {
-                            0.0
-                        } else {
-                            self.scorer.value_group_ln(old_mask, aref)
-                        };
-                        (
-                            self.scorer.value_group_ln(new_mask, aref) - old_ln,
-                            Some((new_mask, aref)),
-                        )
-                    }
-                    BindingTarget::TableName { .. } | BindingTarget::AttrName { .. } => {
-                        (self.scorer.name_ln(), None)
-                    }
-                };
-                children.push((ti as i32, delta, group));
-            }
-        }
-        if self.scorer.allows_unmapped() && feasible(bound_nodes) {
-            children.push((UNMAPPED, self.scorer.unmapped_ln(), None));
-        }
-        for (ti, delta, group) in children {
-            // Prune empty value groups: every extension keeps the group,
-            // so no descendant can satisfy the non-emptiness condition.
-            if require_nonempty {
-                if let Some((mask, aref)) = group {
-                    if !self.group_nonempty(mask, aref) {
-                        continue;
-                    }
-                }
-            }
-            let prefix = node.prefix + delta;
-            let data = &self.tpls[&node.tpl];
-            let ub = prefix + data.suffix[i + 1];
-            if self.buffer.len() >= self.k && ub < self.threshold() - SCORE_EPS {
+        let suffix = data.suffix[i + 1];
+        for (ti, target) in data.targets[i].iter().enumerate() {
+            if !feasible(bound_nodes | 1u64 << (target.node() & 63)) {
                 self.stats.pruned += 1;
                 continue;
             }
-            let mut assign = node.assign.clone();
-            assign.push(ti);
-            self.stats.pushed += 1;
-            self.heap.push(SearchNode {
-                ub,
-                prefix,
-                tpl: node.tpl,
-                assign,
-            });
+            let delta = match *target {
+                BindingTarget::Value { node: tnode, attr } => {
+                    let aref = AttrRef {
+                        table: tpl.tree.nodes[tnode],
+                        attr,
+                    };
+                    // Earlier occurrences already bound to the same target.
+                    let old_mask = assign
+                        .iter()
+                        .enumerate()
+                        .filter(|&(p, &t)| t != UNMAPPED && data.targets[p][t as usize] == *target)
+                        .fold(0u64, |m, (p, _)| m | 1u64 << p);
+                    let new_mask = old_mask | 1u64 << i;
+                    // Prune empty value groups: every extension keeps the
+                    // group, so no descendant can satisfy the non-emptiness
+                    // condition.
+                    if require_nonempty && !self.group_nonempty(new_mask, aref, cache) {
+                        continue;
+                    }
+                    let old_ln = if old_mask == 0 {
+                        0.0
+                    } else {
+                        self.scorer.value_group_ln(old_mask, aref)
+                    };
+                    self.scorer.value_group_ln(new_mask, aref) - old_ln
+                }
+                BindingTarget::TableName { .. } | BindingTarget::AttrName { .. } => {
+                    self.scorer.name_ln()
+                }
+            };
+            let choice = i16::try_from(ti).expect("fewer than 2^15 targets per occurrence");
+            self.offer(&node, choice, delta, suffix);
         }
+        if self.scorer.allows_unmapped() && feasible(bound_nodes) {
+            self.offer(&node, UNMAPPED, self.scorer.unmapped_ln(), suffix);
+        }
+        self.tpls[node.tpl.0 as usize] = Some(data);
+    }
+
+    /// Put the child of `parent` that assigns `choice` to the next
+    /// occurrence on the frontier — or, when the k-th-best threshold cuts
+    /// it, on the cut list a larger pull re-judges.
+    fn offer(&mut self, parent: &SearchNode, choice: i16, delta: f64, suffix: f64) {
+        let prefix = parent.prefix + delta;
+        let mut child = SearchNode {
+            ub: prefix + suffix,
+            prefix,
+            tpl: parent.tpl,
+            depth: parent.depth + 1,
+            slots: parent.slots.clone(),
+        };
+        child.slots.set(parent.depth as usize, choice);
+        if self.buffer.len() >= self.k && self.cut(child.ub) {
+            self.stats.pruned += 1;
+            self.deferred.push((self.buffer.len(), child));
+        } else {
+            self.stats.pushed += 1;
+            self.heap.push(child);
+        }
+    }
+
+    /// Memoized non-emptiness of a value group (keyword bag ⊂ attr), the
+    /// bag encoded as its occurrence bitmask (fixed per query), so cache
+    /// hits are allocation-free; duplicate keywords at different positions
+    /// probe the index once each, which is the only sharing the mask
+    /// encoding gives up. Misses consult the cross-query shared cache
+    /// (bag-keyed) before probing the index; fresh verdicts are published
+    /// back so every other query — on any thread — skips the probe.
+    fn group_nonempty(&mut self, mask: u64, aref: AttrRef, cache: &mut NonemptyCache) -> bool {
+        if let Some(&hit) = cache.map.get(&(mask, aref)) {
+            self.stats.nonempty_cache_hits += 1;
+            return hit;
+        }
+        // Sorted, which is how the shared tier keys a bag.
+        let bag = self.scorer.bag(mask);
+        let index = self.interpreter.index;
+        let ok = match &cache.shared {
+            Some(shared) => {
+                let key = (bag, aref);
+                match shared.verdicts.get(&key, |_| true) {
+                    Some(ok) => {
+                        self.stats.nonempty_shared_hits += 1;
+                        ok
+                    }
+                    None => {
+                        self.stats.nonempty_probes += 1;
+                        let ok = index.has_row_with_all(&key.0, aref);
+                        shared.verdicts.insert(key, ok);
+                        ok
+                    }
+                }
+            }
+            None => {
+                self.stats.nonempty_probes += 1;
+                index.has_row_with_all(&bag, aref)
+            }
+        };
+        cache.map.insert((mask, aref), ok);
+        ok
     }
 
     /// Turn a fully assigned state into a `QueryInterpretation`, apply the
     /// emission filters (some binding, minimality, novelty), and buffer it
-    /// with its exact model score.
+    /// with its exact model score. Keywords stay occurrence masks until the
+    /// filters have passed; the score is assembled, in the interpretation's
+    /// binding order, from the template's prior and the scorer's memo —
+    /// the terms `ProbabilityModel::log_score` adds, without its postings
+    /// walks.
     fn materialize(&mut self, node: &SearchNode) {
-        let data = &self.tpls[&node.tpl];
-        let mut groups: HashMap<BindingTarget, Vec<String>> = HashMap::new();
-        for (p, &t) in node.assign.iter().enumerate() {
-            if t != UNMAPPED {
-                groups
-                    .entry(data.targets[p][t as usize])
-                    .or_default()
-                    .push(self.terms[p].clone());
+        let data = self.tpls[node.tpl.0 as usize]
+            .as_ref()
+            .expect("a frontier state's template was seeded");
+        let mut groups: Vec<(BindingTarget, u64)> = Vec::with_capacity(node.depth as usize);
+        for (p, &t) in node.assign().iter().enumerate() {
+            if t == UNMAPPED {
+                continue;
+            }
+            let target = data.targets[p][t as usize];
+            match groups.iter_mut().find(|g| g.0 == target) {
+                Some(group) => group.1 |= 1 << p,
+                None => groups.push((target, 1 << p)),
             }
         }
         if groups.is_empty() {
             return; // all-unmapped: not an interpretation of any subset
         }
         self.stats.materialized += 1;
-        let bindings: Vec<KeywordBinding> = groups
-            .into_iter()
-            .map(|(target, keywords)| KeywordBinding { keywords, target })
-            .collect();
-        let interp = QueryInterpretation::new(node.tpl, bindings);
-        if !interp.is_minimal(self.interpreter.catalog) {
+        let tpl = self.interpreter.catalog.get(node.tpl);
+        // Minimality (Def. 3.5.4(2)): every leaf carries a binding.
+        let bound = |leaf: &usize| groups.iter().any(|(target, _)| target.node() == *leaf);
+        if !tpl.leaves().iter().all(bound) {
             return;
         }
-        if self.emitted.contains(&interp) {
+        let bindings: Vec<KeywordBinding> = groups
+            .iter()
+            .map(|&(target, mask)| KeywordBinding {
+                keywords: self.scorer.bag(mask),
+                target,
+            })
+            .collect();
+        let interp = QueryInterpretation::new(node.tpl, bindings);
+        if self.repeated_terms && !self.emitted.insert(interp.clone()) {
             return; // duplicate via permuted identical keywords
         }
-        let exact = self.model.log_score(&interp, self.terms.len());
-        self.emitted.insert(interp.clone());
-        self.buffer.push((interp, exact));
-        self.top_scores.push(std::cmp::Reverse(Score(exact)));
-        if self.top_scores.len() > self.k {
-            self.top_scores.pop();
+        let mut exact = data.ln_prior;
+        for b in &interp.bindings {
+            let &(_, mask) = groups
+                .iter()
+                .find(|(target, _)| *target == b.target)
+                .expect("every binding came from a group");
+            exact += self
+                .scorer
+                .binding_ln(b.target, mask, tpl.tree.nodes[b.target.node()]);
         }
+        let unmapped = node.assign().iter().filter(|&&t| t == UNMAPPED).count();
+        if unmapped > 0 {
+            exact += unmapped as f64 * self.scorer.unmapped_ln();
+        }
+        debug_assert_eq!(
+            exact.to_bits(),
+            ProbabilityModel::new(
+                self.interpreter.db,
+                self.interpreter.index,
+                self.interpreter.catalog,
+                self.interpreter.config.prior.clone(),
+                self.interpreter.config.prob,
+            )
+            .log_score(&interp, self.terms.len())
+            .to_bits(),
+            "memo score differs from the oracle for {interp:?}"
+        );
+        self.buffer.push((interp, exact));
+        self.note_score(exact);
     }
 
-    /// Sort the buffered candidates with the oracle's comparator, truncate
-    /// to `k`, and normalize probabilities over the survivors.
-    fn finish(mut self) -> (Vec<ScoredInterpretation>, GenerationStats) {
-        self.buffer.sort_by(|a, b| {
+    /// The canonical sort of the buffer (the oracle's comparator),
+    /// truncated to `k`, probabilities normalized over the survivors.
+    fn reply(&self) -> Vec<ScoredInterpretation> {
+        let mut order: Vec<&(QueryInterpretation, f64)> = self.buffer.iter().collect();
+        order.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .unwrap_or(Ordering::Equal)
                 .then_with(|| a.0.template.cmp(&b.0.template))
                 .then_with(|| a.0.bindings.cmp(&b.0.bindings))
         });
-        self.buffer.truncate(self.k);
-        let logs: Vec<f64> = self.buffer.iter().map(|(_, l)| *l).collect();
+        order.truncate(self.k);
+        let logs: Vec<f64> = order.iter().map(|(_, l)| *l).collect();
         let probs = ProbabilityModel::normalize(&logs);
-        let out: Vec<ScoredInterpretation> = self
-            .buffer
+        order
             .into_iter()
             .zip(probs)
             .map(
                 |((interpretation, log_score), probability)| ScoredInterpretation {
-                    interpretation,
-                    log_score,
+                    interpretation: interpretation.clone(),
+                    log_score: *log_score,
                     probability,
                 },
             )
-            .collect();
-        self.stats.emitted = out.len();
-        (out, self.stats)
+            .collect()
     }
 }
 

@@ -43,7 +43,8 @@ use crate::exec::{
     prefix_keys, truncate_result, ExecCache, ExecutedResult, Executor, LocalExecutor, ResultKey,
 };
 use crate::generate::{
-    AnswerStats, GenerationStats, Interpreter, NonemptyCache, RankedAnswer, ScoredInterpretation,
+    AnswerStats, BestFirstSearch, GenerationStats, Interpreter, NonemptyCache, RankedAnswer,
+    ScoredInterpretation,
 };
 use crate::interp::BindingAtom;
 use crate::keyword::KeywordQuery;
@@ -62,8 +63,11 @@ use std::sync::Arc;
 /// [`InterpretationSource::cap`]) when the post-processing stage still
 /// demands answers after a wave.
 pub trait InterpretationSource {
-    /// The best `k` candidates, best-first. Waves replay: a later, larger
-    /// pull returns a superset prefix of an earlier one.
+    /// The best `k` candidates, best-first, with the generation work this
+    /// pull added (see [`GenerationStats::absorb`]). A later, larger pull
+    /// returns a superset whose first entries are the earlier pull's, in
+    /// the same order; a source may keep state between pulls so that the
+    /// larger one costs only the difference.
     fn pull(
         &mut self,
         k: usize,
@@ -74,22 +78,22 @@ pub trait InterpretationSource {
     fn cap(&self) -> usize;
 }
 
-/// Best-first generation over a keyword query — the
-/// [`Interpreter::top_k_with_cache`] hot path, with the non-emptiness memo
-/// persisting across waves (and falling through to the shared tier when the
-/// cache was built with [`NonemptyCache::with_shared`]).
+/// Best-first generation over a keyword query: one generation session
+/// (the [`Interpreter::top_k_with_cache`] search, kept open), so a wave at
+/// `4k` continues from the frontier the wave at `k` stopped on instead of
+/// searching again from the roots. The non-emptiness memo is the caller's
+/// `gen_cache` (falling through to the shared tier when it was built with
+/// [`NonemptyCache::with_shared`]).
 pub struct BestFirstSource<'q, 'a> {
-    interpreter: &'q Interpreter<'a>,
-    query: &'q KeywordQuery,
-    include_partials: bool,
+    search: BestFirstSearch<'q, 'a>,
+    cap: usize,
 }
 
 impl<'q, 'a> BestFirstSource<'q, 'a> {
     pub fn new(interpreter: &'q Interpreter<'a>, query: &'q KeywordQuery, partials: bool) -> Self {
         BestFirstSource {
-            interpreter,
-            query,
-            include_partials: partials,
+            search: interpreter.open_search(query, partials),
+            cap: interpreter.config().max_interpretations,
         }
     }
 }
@@ -100,12 +104,11 @@ impl InterpretationSource for BestFirstSource<'_, '_> {
         k: usize,
         gen_cache: &mut NonemptyCache,
     ) -> (Vec<ScoredInterpretation>, GenerationStats) {
-        self.interpreter
-            .top_k_with_cache(self.query, k, self.include_partials, gen_cache)
+        self.search.pull(k, gen_cache)
     }
 
     fn cap(&self) -> usize {
-        self.interpreter.config().max_interpretations
+        self.cap
     }
 }
 
@@ -170,8 +173,8 @@ pub trait PostProcess {
     fn demand(&self) -> usize;
 
     /// Start of a (re)play: the driver re-walks the ranked prefix each
-    /// wave (replays are execution-cache hits), so accumulated output
-    /// resets here.
+    /// wave (the source only extends it; re-executions are execution-cache
+    /// hits), so accumulated output resets here.
     fn begin_wave(&mut self);
 
     /// One non-empty executed candidate. `rank` is its position in the
@@ -366,7 +369,7 @@ impl<'s, 'a, E: Executor> QueryPipeline<'s, 'a, E> {
         loop {
             stats.waves += 1;
             let (ranked, gstats) = source.pull(gen_k, self.gen_cache);
-            stats.gen = gstats;
+            stats.gen.absorb(&gstats);
             stats.generated = ranked.len();
             post.begin_wave();
             for (rank, s) in ranked.iter().enumerate() {
@@ -771,6 +774,52 @@ mod tests {
             assert_eq!(a.keys, b.keys);
         }
         assert_eq!(stats.answers, piped.len());
+    }
+
+    #[test]
+    fn multi_wave_generation_counters_are_the_request_total() {
+        // A request that needs a second wave resumes the first wave's
+        // search; its `gen` counters must still be what one fresh search at
+        // the final wave's `k` reports — not the last pull's share.
+        let f = fixture();
+        let it = interp(&f);
+        let k = 10;
+        for (terms, waves) in [
+            (&["robert", "cruise"][..], 2),
+            (&["robert", "cruise", "dream"], 3),
+        ] {
+            let q = KeywordQuery::from_terms(terms.iter().map(|t| t.to_string()).collect());
+            let mut gen_cache = NonemptyCache::new();
+            let mut exec_cache = ExecCache::new();
+            let (_, stats) =
+                QueryPipeline::new(&it, ExecOptions::default(), &mut gen_cache, &mut exec_cache)
+                    .answers(&q, k);
+            assert_eq!(stats.waves, waves, "{terms:?}: fixture drifted");
+            let final_k = (1..waves).fold(k, |gen_k, _| gen_k * 4);
+            let (fresh, want) = it.top_k_with_cache(&q, final_k, true, &mut NonemptyCache::new());
+            assert_eq!(stats.generated, fresh.len(), "{terms:?}");
+            let got = stats.gen;
+            assert_eq!(
+                (got.materialized, got.expanded, got.pushed, got.pruned),
+                (want.materialized, want.expanded, want.pushed, want.pruned),
+                "{terms:?}: search counters"
+            );
+            assert_eq!(
+                (
+                    got.nonempty_probes,
+                    got.nonempty_cache_hits,
+                    got.nonempty_shared_hits,
+                    got.emitted
+                ),
+                (
+                    want.nonempty_probes,
+                    want.nonempty_cache_hits,
+                    want.nonempty_shared_hits,
+                    want.emitted
+                ),
+                "{terms:?}: probe counters"
+            );
+        }
     }
 
     #[test]

@@ -63,6 +63,12 @@ impl TemplatePrior {
             }
         }
     }
+
+    /// `ln P(T)`, floored so it stays finite: the prior term of
+    /// [`ProbabilityModel::log_score`].
+    pub fn ln_prob(&self, signature: &[String], n_templates: usize) -> f64 {
+        self.prob(signature, n_templates).max(MIN_PROB).ln()
+    }
 }
 
 /// Knobs of the probability model.
@@ -151,8 +157,9 @@ impl<'a> ProbabilityModel<'a> {
     /// charged `P_u` per unmapped keyword (Eq. 3.6 / §4.4.2).
     pub fn log_score(&self, interp: &QueryInterpretation, query_len: usize) -> f64 {
         let tpl = self.catalog.get(interp.template);
-        let sig = tpl.signature(self.db);
-        let mut lp = self.prior.prob(&sig, self.catalog.len()).max(MIN_PROB).ln();
+        let mut lp = self
+            .prior
+            .ln_prob(tpl.signature_names(self.db), self.catalog.len());
         for b in &interp.bindings {
             let p = match b.target {
                 BindingTarget::Value { node, attr } => {
@@ -190,23 +197,6 @@ impl<'a> ProbabilityModel<'a> {
         lp
     }
 
-    /// Build the incremental scorer driving best-first top-k generation.
-    ///
-    /// `terms` are the query's keyword occurrences in order; `value_attrs[i]`
-    /// are the attributes where occurrence `i` matches as a value;
-    /// `name_tables[i]` the tables on which it matches a schema name (table
-    /// or attribute); `allow_unmapped` enables the partial-interpretation
-    /// branch charged `P_u`.
-    pub fn incremental<'q>(
-        &'q self,
-        terms: &[String],
-        value_attrs: &[Vec<AttrRef>],
-        name_tables: &[Vec<keybridge_relstore::TableId>],
-        allow_unmapped: bool,
-    ) -> IncrementalScorer<'a, 'q> {
-        IncrementalScorer::new(self, terms, value_attrs, name_tables, allow_unmapped)
-    }
-
     /// Normalize a slice of log scores into linear probabilities summing
     /// to 1 (softmax with max-shift for stability). Empty input yields an
     /// empty vector.
@@ -227,10 +217,11 @@ impl<'a> ProbabilityModel<'a> {
 
 use crate::template::QueryTemplate;
 use keybridge_relstore::TableId;
-use std::cell::RefCell;
 
 /// Incremental evaluation of the probability model over *partial keyword
-/// assignments*, for the best-first top-k generator.
+/// assignments*, for the best-first top-k generator. One scorer serves one
+/// query for as long as its generation session lives; everything it derives
+/// from the index is derived once.
 ///
 /// The search assigns keyword occurrences left to right; a search state's
 /// score splits into
@@ -254,95 +245,115 @@ use std::cell::RefCell;
 /// popping states best-first and cutting when the bound drops below the
 /// k-th best emitted score yields the exact top k.
 ///
-/// Group scores are cached per `(occurrence set, attribute)` — shared
+/// Group scores are memoized per `(occurrence set, attribute)` — shared
 /// across all templates, since the score of a value bag depends only on the
-/// underlying attribute, not on which template node carries it.
-pub struct IncrementalScorer<'a, 'q> {
-    model: &'q ProbabilityModel<'a>,
-    terms: Vec<String>,
+/// underlying attribute, not on which template node carries it. A memoized
+/// value is the term [`ProbabilityModel::log_score`] adds for that binding,
+/// bit for bit (the bag is scored in the binding's canonical keyword order),
+/// which is what lets [`Self::binding_ln`] assemble an emitted
+/// interpretation's exact score without walking postings again.
+pub struct IncrementalScorer<'q> {
+    index: &'q InvertedIndex,
+    config: ProbabilityConfig,
+    terms: &'q [String],
+    /// Occurrence indexes ordered by term: the keyword order of a canonical
+    /// [`crate::KeywordBinding`].
+    by_term: Vec<usize>,
     /// Per occurrence: candidate value attrs with their floored `ln ATF`,
     /// sorted by attr.
     value_ln: Vec<Vec<(AttrRef, f64)>>,
-    /// Per occurrence: best `ln ATF` per candidate table.
-    value_best_table: Vec<HashMap<TableId, f64>>,
-    /// Per occurrence: tables on which a value join with another occurrence
-    /// is possible (shared candidate attribute).
-    join_tables: Vec<std::collections::HashSet<TableId>>,
-    /// Per occurrence: tables carrying a schema-name match.
-    name_tables: Vec<Vec<TableId>>,
+    /// Per (occurrence, table), row-major: the best contribution the
+    /// occurrence can make on that table over the value, join and name
+    /// routes; `NEG_INFINITY` when it has no target there.
+    table_bound: Vec<f64>,
+    n_tables: usize,
     /// `ln` of a group's probability, keyed by (occurrence bitmask, attr).
-    group_cache: RefCell<HashMap<(u64, AttrRef), f64>>,
+    group_memo: HashMap<(u64, AttrRef), f64>,
     ln_pu: f64,
     ln_name: f64,
     allow_unmapped: bool,
-    uniform: bool,
 }
 
-impl<'a, 'q> IncrementalScorer<'a, 'q> {
-    fn new(
-        model: &'q ProbabilityModel<'a>,
-        terms: &[String],
+impl<'q> IncrementalScorer<'q> {
+    /// `terms` are the query's keyword occurrences in order; `value_attrs[i]`
+    /// are the attributes where occurrence `i` matches as a value;
+    /// `name_tables[i]` the tables on which it matches a schema name (table
+    /// or attribute); `n_tables` the schema's table count; `allow_unmapped`
+    /// enables the partial-interpretation branch charged `P_u`.
+    pub fn new(
+        index: &'q InvertedIndex,
+        config: ProbabilityConfig,
+        n_tables: usize,
+        terms: &'q [String],
         value_attrs: &[Vec<AttrRef>],
         name_tables: &[Vec<TableId>],
         allow_unmapped: bool,
     ) -> Self {
-        let cfg = model.config;
-        let uniform = cfg.uniform_keywords;
-        let mut value_ln = Vec::with_capacity(terms.len());
-        let mut value_best_table = Vec::with_capacity(terms.len());
-        for (i, attrs) in value_attrs.iter().enumerate() {
-            let mut lns: Vec<(AttrRef, f64)> = attrs
-                .iter()
-                .map(|&a| {
-                    let ln = if uniform {
-                        0.0
-                    } else {
-                        model.index.atf(&terms[i], a, cfg.alpha).max(MIN_PROB).ln()
-                    };
-                    (a, ln)
-                })
-                .collect();
-            lns.sort_by_key(|&(a, _)| a);
-            let mut best: HashMap<TableId, f64> = HashMap::new();
-            for &(a, ln) in &lns {
-                let e = best.entry(a.table).or_insert(f64::NEG_INFINITY);
-                if ln > *e {
-                    *e = ln;
-                }
+        let n = terms.len();
+        let uniform = config.uniform_keywords;
+        let ln_name = if uniform {
+            0.0
+        } else {
+            config.name_match_prob.max(MIN_PROB).ln()
+        };
+        let value_ln: Vec<Vec<(AttrRef, f64)>> = value_attrs
+            .iter()
+            .enumerate()
+            .map(|(i, attrs)| {
+                let mut lns: Vec<(AttrRef, f64)> = attrs
+                    .iter()
+                    .map(|&a| {
+                        let ln = if uniform {
+                            0.0
+                        } else {
+                            index.atf(&terms[i], a, config.alpha).max(MIN_PROB).ln()
+                        };
+                        (a, ln)
+                    })
+                    .collect();
+                lns.sort_by_key(|&(a, _)| a);
+                lns
+            })
+            .collect();
+        let mut table_bound = vec![f64::NEG_INFINITY; n * n_tables];
+        let mut raise = |i: usize, table: TableId, v: f64| {
+            let slot = &mut table_bound[i * n_tables + table.0 as usize];
+            if v > *slot {
+                *slot = v;
             }
-            value_ln.push(lns);
-            value_best_table.push(best);
-        }
-        // Tables on which occurrence i shares a candidate attribute with
-        // some other occurrence — the only places a value join can happen.
-        let mut join_tables: Vec<std::collections::HashSet<TableId>> =
-            vec![Default::default(); terms.len()];
-        for i in 0..terms.len() {
-            for j in (i + 1)..terms.len() {
+        };
+        for i in 0..n {
+            for &(a, ln) in &value_ln[i] {
+                raise(i, a.table, ln);
+            }
+            for &table in &name_tables[i] {
+                raise(i, table, ln_name);
+            }
+            // A value join with another occurrence is possible wherever the
+            // two share a candidate attribute; its delta is bounded by 0.
+            for j in (i + 1)..n {
                 for &(a, _) in &value_ln[i] {
                     if value_ln[j].binary_search_by_key(&a, |&(x, _)| x).is_ok() {
-                        join_tables[i].insert(a.table);
-                        join_tables[j].insert(a.table);
+                        raise(i, a.table, 0.0);
+                        raise(j, a.table, 0.0);
                     }
                 }
             }
         }
+        let mut by_term: Vec<usize> = (0..n).collect();
+        by_term.sort_by(|&a, &b| terms[a].cmp(&terms[b]));
         IncrementalScorer {
-            model,
-            terms: terms.to_vec(),
+            index,
+            config,
+            terms,
+            by_term,
             value_ln,
-            value_best_table,
-            join_tables,
-            name_tables: name_tables.to_vec(),
-            group_cache: RefCell::new(HashMap::new()),
-            ln_pu: cfg.unmapped_prob.max(MIN_PROB).ln(),
-            ln_name: if uniform {
-                0.0
-            } else {
-                cfg.name_match_prob.max(MIN_PROB).ln()
-            },
+            table_bound,
+            n_tables,
+            group_memo: HashMap::new(),
+            ln_pu: config.unmapped_prob.max(MIN_PROB).ln(),
+            ln_name,
             allow_unmapped,
-            uniform,
         }
     }
 
@@ -354,16 +365,6 @@ impl<'a, 'q> IncrementalScorer<'a, 'q> {
     /// Whether the query has no occurrences.
     pub fn is_empty(&self) -> bool {
         self.terms.is_empty()
-    }
-
-    /// `ln P(T)` of a template.
-    pub fn ln_prior(&self, tpl: &QueryTemplate) -> f64 {
-        let sig = tpl.signature(self.model.db);
-        self.model
-            .prior
-            .prob(&sig, self.model.catalog.len())
-            .max(MIN_PROB)
-            .ln()
     }
 
     /// `ln P_u`, the charge per unmapped keyword.
@@ -381,12 +382,22 @@ impl<'a, 'q> IncrementalScorer<'a, 'q> {
         self.allow_unmapped
     }
 
+    /// The keywords of the occurrences in `mask`, in canonical (sorted)
+    /// binding order.
+    pub fn bag(&self, mask: u64) -> Vec<String> {
+        self.by_term
+            .iter()
+            .filter(|&&i| mask & (1 << i) != 0)
+            .map(|&i| self.terms[i].clone())
+            .collect()
+    }
+
     /// `ln P(A : bag)` of the value group holding the occurrences in
-    /// `mask` (bit `i` = occurrence `i`), bound to `attr`. Cached; shared
+    /// `mask` (bit `i` = occurrence `i`), bound to `attr`. Memoized; shared
     /// across templates.
-    pub fn value_group_ln(&self, mask: u64, attr: AttrRef) -> f64 {
+    pub fn value_group_ln(&mut self, mask: u64, attr: AttrRef) -> f64 {
         debug_assert!(mask != 0);
-        if self.uniform {
+        if self.config.uniform_keywords {
             return 0.0;
         }
         if mask.count_ones() == 1 {
@@ -396,32 +407,47 @@ impl<'a, 'q> IncrementalScorer<'a, 'q> {
                 .map(|p| self.value_ln[i][p].1)
                 .unwrap_or_else(|_| {
                     // Off-candidate attr (term absent): smoothed floor.
-                    self.model
-                        .index
-                        .atf(&self.terms[i], attr, self.model.config.alpha)
+                    self.index
+                        .atf(&self.terms[i], attr, self.config.alpha)
                         .max(MIN_PROB)
                         .ln()
                 });
         }
-        if let Some(&ln) = self.group_cache.borrow().get(&(mask, attr)) {
+        if let Some(&ln) = self.group_memo.get(&(mask, attr)) {
             return ln;
         }
-        let keywords: Vec<String> = (0..self.terms.len())
-            .filter(|i| mask & (1 << i) != 0)
-            .map(|i| self.terms[i].clone())
-            .collect();
-        let cfg = self.model.config;
-        let p = if cfg.use_joint_atf {
-            self.model.index.joint_atf(&keywords, attr, cfg.alpha)
+        let keywords = self.bag(mask);
+        let p = if self.config.use_joint_atf {
+            self.index.joint_atf(&keywords, attr, self.config.alpha)
         } else {
             keywords
                 .iter()
-                .map(|k| self.model.index.atf(k, attr, cfg.alpha))
+                .map(|k| self.index.atf(k, attr, self.config.alpha))
                 .product()
         };
         let ln = p.max(MIN_PROB).ln();
-        self.group_cache.borrow_mut().insert((mask, attr), ln);
+        self.group_memo.insert((mask, attr), ln);
         ln
+    }
+
+    /// The term [`ProbabilityModel::log_score`] adds for one binding of an
+    /// emitted interpretation — the occurrences in `mask` bound to `target`
+    /// on a node of `table` — from the memo instead of the postings.
+    pub fn binding_ln(&mut self, target: BindingTarget, mask: u64, table: TableId) -> f64 {
+        match target {
+            BindingTarget::Value { attr, .. } => self.value_group_ln(mask, AttrRef { table, attr }),
+            BindingTarget::TableName { .. } | BindingTarget::AttrName { .. } => {
+                if self.config.uniform_keywords {
+                    0.0
+                } else {
+                    self.config
+                        .name_match_prob
+                        .powi(mask.count_ones() as i32)
+                        .max(MIN_PROB)
+                        .ln()
+                }
+            }
+        }
     }
 
     /// Admissible upper bound on the contribution of occurrence `i` within
@@ -429,45 +455,21 @@ impl<'a, 'q> IncrementalScorer<'a, 'q> {
     /// the type docs). `NEG_INFINITY` when the occurrence has no route —
     /// the template cannot interpret it and partials are off.
     pub fn term_bound(&self, tpl: &QueryTemplate, i: usize) -> f64 {
-        let mut best = if self.allow_unmapped {
+        let unmapped = if self.allow_unmapped {
             self.ln_pu
         } else {
             f64::NEG_INFINITY
         };
-        for table in tpl.distinct_tables() {
-            if let Some(&v) = self.value_best_table[i].get(&table) {
-                if v > best {
-                    best = v;
-                }
-                if self.join_tables[i].contains(&table) && best < 0.0 {
-                    best = 0.0;
-                }
-            }
-            if self.name_tables[i].contains(&table) && self.ln_name > best {
-                best = self.ln_name;
-            }
-        }
-        best
-    }
-
-    /// Suffix sums of per-occurrence bounds for `tpl`: entry `i` bounds the
-    /// total remaining contribution once occurrences `0..i` are assigned
-    /// (`NEG_INFINITY` when some remaining occurrence has no route). Entry
-    /// `n` is 0.
-    pub fn suffix_bounds(&self, tpl: &QueryTemplate) -> Vec<f64> {
-        let n = self.terms.len();
-        let mut out = vec![0.0; n + 1];
-        for i in (0..n).rev() {
-            out[i] = self.term_bound(tpl, i) + out[i + 1];
-        }
-        out
+        tpl.distinct_tables()
+            .map(|t| self.table_bound[i * self.n_tables + t.0 as usize])
+            .fold(unmapped, f64::max)
     }
 
     /// Whether occurrence `i` has any binding target inside `tpl`
     /// (ignoring the unmapped route).
     pub fn has_target_in(&self, tpl: &QueryTemplate, i: usize) -> bool {
         tpl.distinct_tables()
-            .any(|t| self.value_best_table[i].contains_key(&t) || self.name_tables[i].contains(&t))
+            .any(|t| self.table_bound[i * self.n_tables + t.0 as usize] > f64::NEG_INFINITY)
     }
 }
 

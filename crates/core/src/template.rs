@@ -8,6 +8,7 @@ use keybridge_relstore::{
     Database, JoinTree, JoinTreeEdge, RelError, RelResult, SchemaGraph, TableId,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::OnceLock;
 
 /// Identifier of a template within one [`TemplateCatalog`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -28,6 +29,8 @@ pub struct QueryTemplate {
     /// Node indexes that are leaves of the tree, ascending. Minimality
     /// (Def. 3.5.4(2)) requires every one of them to carry a binding.
     leaf_nodes: Vec<usize>,
+    /// The signature, filled by the first [`Self::signature_names`] call.
+    names: OnceLock<Vec<String>>,
 }
 
 impl QueryTemplate {
@@ -51,6 +54,7 @@ impl QueryTemplate {
             tree,
             table_index,
             leaf_nodes,
+            names: OnceLock::new(),
         }
     }
 
@@ -67,14 +71,24 @@ impl QueryTemplate {
     /// Sorted multiset of table names — the schema-level signature used to
     /// match templates against query-log usage records.
     pub fn signature(&self, db: &Database) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .tree
-            .nodes
-            .iter()
-            .map(|t| db.schema().table(*t).name.clone())
-            .collect();
-        names.sort();
-        names
+        self.signature_names(db).to_vec()
+    }
+
+    /// [`Self::signature`] without the copy: the names are resolved against
+    /// `db`'s schema on the first call and kept with the template (a
+    /// template's table ids mean something under one schema only, so every
+    /// later caller passes the same one).
+    pub fn signature_names(&self, db: &Database) -> &[String] {
+        self.names.get_or_init(|| {
+            let mut names: Vec<String> = self
+                .tree
+                .nodes
+                .iter()
+                .map(|t| db.schema().table(*t).name.clone())
+                .collect();
+            names.sort();
+            names
+        })
     }
 
     /// Node indexes whose table is `t`, ascending (precomputed).

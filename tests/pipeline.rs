@@ -7,7 +7,8 @@ mod common;
 use common::oracle_answers;
 use keybridge::core::{
     execute_interpretation, render_natural, render_sql, Interpreter, InterpreterConfig,
-    KeywordQuery, RankedAnswer, TemplateCatalog,
+    KeywordQuery, ProbabilityConfig, ProbabilityModel, RankedAnswer, TemplateCatalog,
+    TemplatePrior,
 };
 use keybridge::datagen::{
     FreebaseConfig, FreebaseDataset, ImdbConfig, ImdbDataset, LyricsConfig, LyricsDataset,
@@ -554,4 +555,252 @@ fn golden_answers_yago() {
         },
     ];
     run_golden("yago", &fb.db, &index, &catalog, &snaps);
+}
+
+// ---------------------------------------------------------------------------
+// The generator's memo-assembled scores are the oracle's scores.
+// ---------------------------------------------------------------------------
+
+/// The scoring configurations the generator is served under: the default
+/// joint-ATF model, the uniform baseline, the independence model, and the
+/// default model under a usage prior.
+fn scoring_configs(usage: TemplatePrior) -> Vec<(ProbabilityConfig, TemplatePrior)> {
+    vec![
+        (ProbabilityConfig::default(), TemplatePrior::Uniform),
+        (ProbabilityConfig::baseline(), TemplatePrior::Uniform),
+        (ProbabilityConfig::atf_independent(), TemplatePrior::Uniform),
+        (ProbabilityConfig::default(), usage),
+    ]
+}
+
+/// Every interpretation `top_k` emits for `queries` carries exactly the score
+/// `ProbabilityModel::log_score` computes for it from the postings — same
+/// bits — under each of `configs`. Returns how many interpretations were
+/// compared.
+fn assert_scores_are_the_oracles(
+    name: &str,
+    db: &Database,
+    index: &InvertedIndex,
+    catalog: &TemplateCatalog,
+    configs: &[(ProbabilityConfig, TemplatePrior)],
+    queries: &[Vec<String>],
+) -> usize {
+    let mut compared = 0;
+    for (prob, prior) in configs.iter().cloned() {
+        let generator = Interpreter::new(
+            db,
+            index,
+            catalog,
+            InterpreterConfig {
+                prob,
+                prior: prior.clone(),
+                ..Default::default()
+            },
+        );
+        let oracle = ProbabilityModel::new(db, index, catalog, prior, prob);
+        for terms in queries {
+            let q = KeywordQuery::from_terms(terms.clone());
+            for partials in [true, false] {
+                let (emitted, _) = generator.top_k_with_stats(&q, 400, partials);
+                for s in &emitted {
+                    assert_eq!(
+                        s.log_score.to_bits(),
+                        oracle.log_score(&s.interpretation, q.len()).to_bits(),
+                        "{name} {terms:?} {prob:?}: {:?}",
+                        s.interpretation
+                    );
+                }
+                compared += emitted.len();
+            }
+        }
+    }
+    compared
+}
+
+/// A usage prior over a catalog that has no workload generator: seeded
+/// counts on every third template signature.
+fn catalog_usage(db: &Database, catalog: &TemplateCatalog) -> TemplatePrior {
+    TemplatePrior::from_usage(
+        catalog
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % 3 == 0)
+            .map(|(i, t)| (t.signature(db), 1 + i % 7)),
+    )
+}
+
+/// Three words of one `song.lyrics` value, in an order for which the
+/// independence score of the bag (`ln P(T) + ln(ATF·ATF·ATF)`, Eq. 3.5, as
+/// the oracle adds it up for the one-binding interpretation on a `song`
+/// node) differs in bits from the score taken in canonical (sorted) order —
+/// the order a binding's keywords are scored in, whatever order the query
+/// listed them in.
+fn order_sensitive_lyrics_words(
+    data: &LyricsDataset,
+    index: &InvertedIndex,
+    n_templates: usize,
+) -> Vec<String> {
+    let tok = Tokenizer::new();
+    let lyrics = data.db.schema().resolve("song", "lyrics").unwrap();
+    let score = |words: &[String]| -> u64 {
+        let product: f64 = words.iter().map(|w| index.atf(w, lyrics, 1.0)).product();
+        ((1.0 / n_templates as f64).ln() + product.ln()).to_bits()
+    };
+    data.db
+        .table(data.song)
+        .rows()
+        .find_map(|(_, row)| {
+            let mut words = tok.tokenize(row[lyrics.attr.0 as usize].as_text().unwrap());
+            words.sort();
+            words.dedup();
+            words.truncate(8);
+            // Every sorted triple of the value's words, against a rotation.
+            let n = words.len();
+            (0..n)
+                .flat_map(|a| (a + 1..n).flat_map(move |b| (b + 1..n).map(move |c| [a, b, c])))
+                .map(|[a, b, c]| {
+                    let pick = |ix: [usize; 3]| ix.map(|i| words[i].clone()).to_vec();
+                    (pick([a, b, c]), pick([b, c, a]))
+                })
+                .find(|(sorted, rotated)| score(sorted) != score(rotated))
+                .map(|(_, rotated)| rotated)
+        })
+        .expect("some lyrics score depends on the keyword order")
+}
+
+#[test]
+fn memo_scores_equal_oracle_scores_on_every_fixture() {
+    // IMDB: the seeded log, plus the repeated-keyword and three-keyword-bag
+    // cases the occurrence-mask memo has to get right.
+    let data = ImdbDataset::generate(ImdbConfig::tiny(99)).unwrap();
+    let index = InvertedIndex::build(&data.db);
+    let catalog = TemplateCatalog::enumerate(&data.db, 4, 50_000).unwrap();
+    let w = Workload::imdb(
+        &data,
+        WorkloadConfig {
+            seed: 123,
+            n_queries: 10,
+            mc_fraction: 0.5,
+        },
+    );
+    let mut queries: Vec<Vec<String>> = w.queries.iter().map(|q| q.keywords.clone()).collect();
+    let tok = Tokenizer::new();
+    // A surname twice and a first name: the generator binds the pair into one
+    // `name` group and also splits it across two actor nodes.
+    let name = data.db.table(data.actor).row(keybridge::relstore::RowId(0))[1]
+        .as_text()
+        .unwrap()
+        .to_owned();
+    let name = tok.tokenize(&name);
+    let repeated = vec![name[1].clone(), name[0].clone(), name[1].clone()];
+    queries.push(repeated.clone());
+    // The schema word twice: both occurrences bind to the one table-name
+    // target, a two-keyword name binding.
+    let named_twice = vec!["actor".into(), "actor".into(), name[1].clone()];
+    queries.push(named_twice.clone());
+    let usage =
+        TemplatePrior::from_usage(w.template_usage.iter().map(|u| (u.tables.clone(), u.count)));
+    let configs = scoring_configs(usage);
+    let n = assert_scores_are_the_oracles("imdb", &data.db, &index, &catalog, &configs, &queries);
+    assert!(n > 1_000, "imdb: only {n} interpretations compared");
+    // The oracle scores that binding `ln(p²)`, the search's prefix `2 ln p`;
+    // across thirty name probabilities the two differ in the last bit often.
+    let name_probs: Vec<(ProbabilityConfig, TemplatePrior)> = (30..60)
+        .map(|p| ProbabilityConfig {
+            name_match_prob: p as f64 / 100.0,
+            ..Default::default()
+        })
+        .map(|prob| (prob, TemplatePrior::Uniform))
+        .collect();
+    assert_scores_are_the_oracles(
+        "imdb",
+        &data.db,
+        &index,
+        &catalog,
+        &name_probs,
+        &[named_twice],
+    );
+    // The repeated-keyword query did exercise both shapes.
+    let generator = Interpreter::new(&data.db, &index, &catalog, InterpreterConfig::default());
+    let emitted = generator.top_k(&KeywordQuery::from_terms(repeated.clone()), 400);
+    let surname = &repeated[0];
+    let uses =
+        |b: &keybridge::core::KeywordBinding| b.keywords.iter().filter(|k| *k == surname).count();
+    assert!(
+        emitted
+            .iter()
+            .any(|s| s.interpretation.bindings.iter().any(|b| uses(b) == 2)),
+        "no interpretation binds the repeated keyword into one group"
+    );
+    assert!(
+        emitted.iter().any(|s| s
+            .interpretation
+            .bindings
+            .iter()
+            .filter(|b| uses(b) == 1)
+            .count()
+            == 2),
+        "no interpretation splits the repeated keyword across two groups"
+    );
+
+    let data = LyricsDataset::generate(LyricsConfig::tiny(7)).unwrap();
+    let index = InvertedIndex::build(&data.db);
+    let catalog = TemplateCatalog::enumerate(&data.db, 4, 50_000).unwrap();
+    let w = Workload::lyrics(
+        &data,
+        WorkloadConfig {
+            seed: 21,
+            n_queries: 10,
+            mc_fraction: 0.5,
+        },
+    );
+    let mut queries: Vec<Vec<String>> = w.queries.iter().map(|q| q.keywords.clone()).collect();
+    queries.push(order_sensitive_lyrics_words(&data, &index, catalog.len()));
+    let usage =
+        TemplatePrior::from_usage(w.template_usage.iter().map(|u| (u.tables.clone(), u.count)));
+    let configs = scoring_configs(usage);
+    let n = assert_scores_are_the_oracles("lyrics", &data.db, &index, &catalog, &configs, &queries);
+    assert!(n > 1_000, "lyrics: only {n} interpretations compared");
+
+    // Freebase and YAGO have no workload generator: the golden tests' token
+    // logs, and a usage prior over the catalog's own signatures.
+    let fb = FreebaseDataset::generate(FreebaseConfig {
+        domains: 6,
+        types_per_domain: 4,
+        topics: 300,
+        rows_per_table: 12,
+        seed: 5,
+        scale: 1.0,
+    })
+    .unwrap();
+    let index = InvertedIndex::build(&fb.db);
+    let catalog = TemplateCatalog::enumerate(&fb.db, 2, 50_000).unwrap();
+    let queries: Vec<Vec<String>> = [&["tom"][..], &["light"], &["tadruste"], &["tom", "light"]]
+        .iter()
+        .map(|q| q.iter().map(|t| t.to_string()).collect())
+        .collect();
+    let usage = catalog_usage(&fb.db, &catalog);
+    let configs = scoring_configs(usage);
+    let n = assert_scores_are_the_oracles("freebase", &fb.db, &index, &catalog, &configs, &queries);
+    assert!(n > 100, "freebase: only {n} interpretations compared");
+
+    let fb = FreebaseDataset::generate(FreebaseConfig {
+        domains: 6,
+        types_per_domain: 4,
+        topics: 400,
+        rows_per_table: 15,
+        seed: 31,
+        scale: 1.0,
+    })
+    .unwrap();
+    let index = InvertedIndex::build(&fb.db);
+    let catalog = TemplateCatalog::enumerate(&fb.db, 2, 50_000).unwrap();
+    let queries: Vec<Vec<String>> = [&["fly"][..], &["david"], &["david", "fly"]]
+        .iter()
+        .map(|q| q.iter().map(|t| t.to_string()).collect())
+        .collect();
+    let usage = catalog_usage(&fb.db, &catalog);
+    let configs = scoring_configs(usage);
+    let n = assert_scores_are_the_oracles("yago", &fb.db, &index, &catalog, &configs, &queries);
+    assert!(n > 100, "yago: only {n} interpretations compared");
 }

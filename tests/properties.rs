@@ -5,8 +5,9 @@
 //! deterministically, so failures reproduce by seed).
 
 use keybridge::core::{
-    Interpreter, InterpreterConfig, KeywordQuery, ProbabilityConfig, ProbabilityModel,
-    ScoredInterpretation, TemplateCatalog, TemplatePrior,
+    BestFirstSource, GenerationStats, InterpretationSource, Interpreter, InterpreterConfig,
+    KeywordQuery, NonemptyCache, ProbabilityConfig, ProbabilityModel, ScoredInterpretation,
+    TemplateCatalog, TemplatePrior,
 };
 use keybridge::divq::{alpha_ndcg_w, diversify, jaccard, ws_recall, DivItem, EvalItem};
 use keybridge::index::{InvertedIndex, Tokenizer};
@@ -526,6 +527,163 @@ fn strategy_flag_agreement() {
             assert_eq!(x.interpretation, y.interpretation, "case {case}");
             assert!((x.log_score - y.log_score).abs() < 1e-12, "case {case}");
             assert!((x.probability - y.probability).abs() < 1e-9, "case {case}");
+        }
+    }
+}
+
+/// Every field of two generation-counter records, for equality assertions.
+fn counters(s: &GenerationStats) -> [usize; 8] {
+    [
+        s.materialized,
+        s.expanded,
+        s.pushed,
+        s.pruned,
+        s.nonempty_probes,
+        s.nonempty_cache_hits,
+        s.nonempty_shared_hits,
+        s.emitted,
+    ]
+}
+
+/// A resumed search is indistinguishable from a fresh one: one
+/// `BestFirstSource` pulled at `k, 4k, 16k, …` up to and past the size of the
+/// interpretation space returns at every step exactly what a fresh
+/// `top_k_with_cache` at that `k` returns — interpretations, order, score
+/// bits, probability bits — with the pulls' counters adding up to the fresh
+/// call's, and both equal the exhaustive oracle's prefix. Randomized schemas
+/// and scoring configurations, partials on and off, schema-name bindings,
+/// repeated keywords, and interpretation caps small enough to be hit.
+#[test]
+fn resumed_pulls_equal_fresh_top_k() {
+    let mut multi_pull_cases = 0usize;
+    let mut capped_cases = 0usize;
+    for seed in [2024u64, 2025, 2026, 2027] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for case in 0..30 {
+            let db = random_db(&mut rng);
+            let index = InvertedIndex::build(&db);
+            let catalog = TemplateCatalog::enumerate(&db, 3, 10_000).unwrap();
+            let mut config = random_config(&mut rng);
+            if case % 3 == 2 {
+                config.max_interpretations = rng.gen_range(2..15usize);
+            }
+            let cap = config.max_interpretations;
+            let interp = Interpreter::new(&db, &index, &catalog, config);
+            let mut terms = random_query(&mut rng).terms().to_vec();
+            if case % 4 == 1 {
+                terms.push(terms[0].clone());
+            }
+            let query = KeywordQuery::from_terms(terms);
+            for partials in [true, false] {
+                let note = format!("seed {seed} case {case} query \"{query}\" partials {partials}");
+                let oracle = if partials {
+                    interp.ranked_with_partials(&query)
+                } else {
+                    interp.ranked_interpretations(&query)
+                };
+                // The oracle caps its candidate list in canonical order, the
+                // search in rank order: comparable only below the cap.
+                let oracle_is_whole = oracle.len() < cap;
+                let mut source = BestFirstSource::new(&interp, &query, partials);
+                let mut cache = NonemptyCache::new();
+                let mut total = GenerationStats::default();
+                let mut k = rng.gen_range(1..4usize);
+                let mut pulls = 0usize;
+                loop {
+                    let (resumed, stats) = source.pull(k, &mut cache);
+                    total.absorb(&stats);
+                    pulls += 1;
+                    let (fresh, fresh_stats) =
+                        interp.top_k_with_cache(&query, k, partials, &mut NonemptyCache::new());
+                    assert_eq!(resumed.len(), fresh.len(), "{note} k {k}: length");
+                    for (rank, (r, f)) in resumed.iter().zip(&fresh).enumerate() {
+                        assert_eq!(
+                            r.interpretation, f.interpretation,
+                            "{note} k {k}: interpretation at rank {rank}"
+                        );
+                        assert_eq!(
+                            r.log_score.to_bits(),
+                            f.log_score.to_bits(),
+                            "{note} k {k}: score bits at rank {rank}"
+                        );
+                        assert_eq!(
+                            r.probability.to_bits(),
+                            f.probability.to_bits(),
+                            "{note} k {k}: probability bits at rank {rank}"
+                        );
+                    }
+                    assert_eq!(
+                        counters(&total),
+                        counters(&fresh_stats),
+                        "{note} k {k}: counters after {pulls} pulls"
+                    );
+                    if oracle_is_whole {
+                        assert_prefix_equal(&resumed, &oracle, k, &format!("{note} k {k}"));
+                    } else {
+                        assert_eq!(resumed.len(), k.min(cap), "{note} k {k}: capped length");
+                    }
+                    if k > oracle.len().max(1) {
+                        break;
+                    }
+                    k *= 4;
+                }
+                if pulls >= 3 && !oracle.is_empty() {
+                    multi_pull_cases += 1;
+                }
+                if !oracle_is_whole {
+                    capped_cases += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        multi_pull_cases >= 40,
+        "corpus too degenerate: {multi_pull_cases} cases resumed twice or more"
+    );
+    assert!(
+        capped_cases >= 10,
+        "the cap was hit in {capped_cases} cases"
+    );
+}
+
+/// A query longer than the search's inline assignment slots (8 keywords)
+/// still equals the oracle, fresh and resumed: ten keywords over one table,
+/// so every keyword subset is one interpretation (2^10 - 1 of them).
+#[test]
+fn long_queries_match_the_oracle_fresh_and_resumed() {
+    let words: Vec<String> = (0..10).map(|i| format!("w{i}")).collect();
+    let mut names = vec![words.join(" ")];
+    // Skewed frequencies, so scores differ between subsets.
+    for i in 0..10 {
+        names.push(words[i..].join(" "));
+    }
+    let db = tiny_db(&names);
+    let index = InvertedIndex::build(&db);
+    let catalog = TemplateCatalog::enumerate(&db, 0, 10).unwrap();
+    let config = InterpreterConfig {
+        prob: ProbabilityConfig {
+            unmapped_prob: 1e-4,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let interp = Interpreter::new(&db, &index, &catalog, config);
+    let mut terms = words.clone();
+    terms.rotate_left(3);
+    let query = KeywordQuery::from_terms(terms);
+    let oracle = interp.ranked_with_partials(&query);
+    assert_eq!(oracle.len(), (1 << 10) - 1);
+    let mut source = BestFirstSource::new(&interp, &query, true);
+    let mut cache = NonemptyCache::new();
+    for k in [1, 7, 100, 2000] {
+        let fresh = interp.top_k(&query, k);
+        assert_prefix_equal(&fresh, &oracle, k, &format!("fresh k {k}"));
+        let (resumed, _) = source.pull(k, &mut cache);
+        assert_eq!(resumed.len(), fresh.len(), "resumed k {k}: length");
+        for (r, f) in resumed.iter().zip(&fresh) {
+            assert_eq!(r.interpretation, f.interpretation, "resumed k {k}");
+            assert_eq!(r.log_score.to_bits(), f.log_score.to_bits(), "k {k}");
+            assert_eq!(r.probability.to_bits(), f.probability.to_bits(), "k {k}");
         }
     }
 }
