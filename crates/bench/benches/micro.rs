@@ -2,16 +2,22 @@
 //! ablations DESIGN.md calls out: index construction, interpretation
 //! generation, probabilistic vs SQAK scoring, greedy option selection,
 //! diversification with and without the early-stop bound, join execution,
-//! the lazy traversal, and (`generate_waves`) what a generation wave costs
-//! fresh against resumed. The `generate_waves` group asserts resumed ==
-//! fresh and memo score == oracle score before it times anything, so the
-//! `-- --test` run CI does is also a correctness pass.
+//! the lazy traversal, (`generate_waves`) what a generation wave costs
+//! fresh against resumed, and (`exec_cold`) the cold execute path — predicate
+//! decode, semi-join reduction, join — over the executions the answers
+//! pipeline performs for 256 log queries on the x10 fixture. The
+//! `generate_waves` group asserts resumed == fresh and memo score == oracle
+//! score, and the `exec_cold` group asserts executor == naive reference,
+//! reduced sets == the reference's projection and row-only decode ==
+//! postings iterator, before they time anything, so the `-- --test` run CI
+//! does is also a correctness pass.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use keybridge_core::{
-    execute_interpretation, sqak_score, BestFirstSource, BindingTarget, IncrementalScorer,
-    InterpretationSource, Interpreter, InterpreterConfig, KeywordQuery, NonemptyCache,
-    ProbabilityConfig, ProbabilityModel, ScoredInterpretation, TemplateCatalog, TemplatePrior,
+    execute_interpretation, execute_interpretation_cached, sqak_score, BestFirstSource,
+    BindingTarget, ExecCache, IncrementalScorer, InterpretationSource, Interpreter,
+    InterpreterConfig, KeywordQuery, NonemptyCache, ProbabilityConfig, ProbabilityModel,
+    ScoredInterpretation, TemplateCatalog, TemplatePrior,
 };
 use keybridge_datagen::{
     FreebaseConfig, FreebaseDataset, ImdbConfig, ImdbDataset, Workload, WorkloadConfig,
@@ -20,7 +26,11 @@ use keybridge_divq::{diversify, DivItem, DiversifyConfig};
 use keybridge_freeq::{LazyExplorer, TraversalConfig};
 use keybridge_index::InvertedIndex;
 use keybridge_iqp::{ConstructionSession, SessionConfig};
-use keybridge_relstore::ExecOptions;
+use keybridge_relstore::{
+    execute_join_tree_naive, execute_join_tree_with_stats_in, execute_reduced_in, plan_join_order,
+    reduce_join_tree, AttrRef, BatchArena, Candidates, ExecOptions, ExecStats, JoinTree, RowId,
+};
+use std::collections::{BTreeSet, HashSet};
 
 fn bench_pipeline(c: &mut Criterion) {
     let data = ImdbDataset::generate(ImdbConfig::default()).unwrap();
@@ -204,12 +214,9 @@ fn scorer_over<'q>(
     )
 }
 
-/// Generation waves on the x10 IMDB fixture: what the pipeline's `k → 4k →
-/// 16k` growth costs as three fresh searches against one source pulled three
-/// times, and what scoring an emitted list costs from a cold and a warm
-/// group memo against the oracle's postings walks.
-fn bench_generate_waves(c: &mut Criterion) {
-    const WAVES: [usize; 3] = [10, 40, 160];
+/// The x10 IMDB fixture kbench's `scale_search` runs on: store, index,
+/// catalog.
+fn imdb_x10() -> (ImdbDataset, InvertedIndex, TemplateCatalog) {
     let data = ImdbDataset::generate(ImdbConfig {
         scale: 10.0,
         ..ImdbConfig::default()
@@ -217,21 +224,35 @@ fn bench_generate_waves(c: &mut Criterion) {
     .unwrap();
     let index = InvertedIndex::build(&data.db);
     let catalog = TemplateCatalog::enumerate(&data.db, 3, 50_000).unwrap();
-    let config = InterpreterConfig::default();
-    let interpreter = Interpreter::new(&data.db, &index, &catalog, config.clone());
+    (data, index, catalog)
+}
+
+/// The first `n` queries of the fixture's seeded log.
+fn log_queries(data: &ImdbDataset, n: usize) -> Vec<KeywordQuery> {
     let log = Workload::imdb(
-        &data,
+        data,
         WorkloadConfig {
             seed: 5,
-            n_queries: 64,
+            n_queries: n,
             mc_fraction: 0.5,
         },
     );
-    let queries: Vec<KeywordQuery> = log
-        .queries
+    log.queries
         .into_iter()
         .map(|q| KeywordQuery::from_terms(q.keywords))
-        .collect();
+        .collect()
+}
+
+/// Generation waves on the x10 IMDB fixture: what the pipeline's `k → 4k →
+/// 16k` growth costs as three fresh searches against one source pulled three
+/// times, and what scoring an emitted list costs from a cold and a warm
+/// group memo against the oracle's postings walks.
+fn bench_generate_waves(c: &mut Criterion) {
+    const WAVES: [usize; 3] = [10, 40, 160];
+    let (data, index, catalog) = imdb_x10();
+    let config = InterpreterConfig::default();
+    let interpreter = Interpreter::new(&data.db, &index, &catalog, config.clone());
+    let queries = log_queries(&data, 64);
 
     let fresh = |q: &KeywordQuery, k: usize| {
         interpreter
@@ -393,9 +414,231 @@ fn bench_generate_waves(c: &mut Criterion) {
     });
 }
 
+/// One execution the answers pipeline performed: the template's join tree,
+/// the candidates harvested for it, the limit it ran under.
+struct ColdExec<'a> {
+    tree: &'a JoinTree,
+    candidates: Candidates,
+    limit: usize,
+}
+
+/// The cold execute path on the x10 IMDB fixture: for the first 256
+/// distinct-bag log queries, every execution the answers pipeline performs
+/// (the wave loop re-enacted over a per-query cache, cross-checked against
+/// the pipeline's own counters), candidates harvested once. Asserts the
+/// executor, the reducer and the one-list decode against their references,
+/// then times the reducer, the join over reduced sets and the predicate
+/// decode, and prints the reducer's rows touched per execution.
+fn bench_exec_cold(c: &mut Criterion) {
+    const K: usize = 10;
+    const QUERIES: usize = 256;
+    let (data, index, catalog) = imdb_x10();
+    let db = &data.db;
+    let config = InterpreterConfig::default();
+    let cap = config.max_interpretations;
+    let interpreter = Interpreter::new(db, &index, &catalog, config);
+    let mut seen = HashSet::new();
+    let queries: Vec<KeywordQuery> = log_queries(&data, 2 * QUERIES)
+        .into_iter()
+        .filter(|q| {
+            let mut bag = q.terms().to_vec();
+            bag.sort();
+            seen.insert(bag)
+        })
+        .take(QUERIES)
+        .collect();
+    assert_eq!(queries.len(), QUERIES, "log too short");
+
+    // The wave loop of `QueryPipeline::answers`, keeping what it executes.
+    let mut execs: Vec<ColdExec> = Vec::new();
+    let mut predicates: Vec<(Vec<String>, AttrRef)> = Vec::new();
+    let mut pipeline = ExecStats::default();
+    for q in &queries {
+        pipeline.absorb(&interpreter.answers_top_k_with_stats(q, K).1.exec);
+        let mut source = BestFirstSource::new(&interpreter, q, true);
+        let (mut gen_cache, mut exec_cache) = (NonemptyCache::new(), ExecCache::new());
+        let mut materialized = HashSet::new();
+        let mut gen_k = K.max(8).min(cap);
+        loop {
+            let (ranked, _) = source.pull(gen_k, &mut gen_cache);
+            let mut have = 0;
+            for s in &ranked {
+                if have >= K {
+                    break;
+                }
+                let interp = &s.interpretation;
+                let limit = K - have;
+                let opts = ExecOptions {
+                    limit,
+                    ..ExecOptions::default()
+                };
+                let hits = exec_cache.result_hits;
+                let Ok(res) = execute_interpretation_cached(
+                    db,
+                    &index,
+                    &catalog,
+                    interp,
+                    opts,
+                    &mut exec_cache,
+                ) else {
+                    continue;
+                };
+                have += res.len().min(limit);
+                if exec_cache.result_hits != hits {
+                    continue;
+                }
+                let tree = &catalog.get(interp.template).tree;
+                let mut per_node: Vec<Option<Vec<RowId>>> = vec![None; tree.nodes.len()];
+                for b in &interp.bindings {
+                    let BindingTarget::Value { node, attr } = b.target else {
+                        continue;
+                    };
+                    let table = tree.nodes[node];
+                    let aref = AttrRef { table, attr };
+                    let rows = index.rows_with_all(&b.keywords, aref);
+                    let mut bag = b.keywords.clone();
+                    bag.sort();
+                    if materialized.insert((bag, aref)) {
+                        predicates.push((b.keywords.clone(), aref));
+                    }
+                    per_node[node] = Some(match per_node[node].take() {
+                        Some(prev) => prev
+                            .into_iter()
+                            .filter(|r| rows.binary_search(r).is_ok())
+                            .collect(),
+                        None => rows,
+                    });
+                }
+                execs.push(ColdExec {
+                    tree,
+                    candidates: Candidates { per_node },
+                    limit,
+                });
+            }
+            if have >= K || ranked.len() < gen_k || gen_k >= cap {
+                break;
+            }
+            gen_k = gen_k.saturating_mul(4).min(cap);
+        }
+    }
+
+    // Correctness first. (i) The re-enactment reduces what the pipeline
+    // reduced; (ii) every reduced set is the projection of the unlimited
+    // reference join, and the executor returns that join as a multiset;
+    // (iii) a one-list predicate decodes to its postings' rows.
+    let unlimited = ExecOptions {
+        limit: usize::MAX,
+        max_intermediate: usize::MAX,
+    };
+    let mut reduced_stats = ExecStats::default();
+    let mut arena = BatchArena::new();
+    for e in &execs {
+        let reduced = reduce_join_tree(db, e.tree, &e.candidates).unwrap();
+        reduced_stats.absorb(&reduced.stats);
+        let mut naive = execute_join_tree_naive(db, e.tree, &e.candidates, unlimited)
+            .unwrap()
+            .rows;
+        for (node, given) in e.candidates.per_node.iter().enumerate() {
+            let alive: BTreeSet<RowId> = naive.iter().map(|jtt| jtt[node]).collect();
+            let want: Vec<RowId> = match given {
+                Some(rows) => rows.iter().copied().filter(|r| alive.contains(r)).collect(),
+                None => alive.into_iter().collect(),
+            };
+            assert_eq!(reduced.sets[node], want, "reduced set of node {node}");
+        }
+        let mut rows =
+            execute_join_tree_with_stats_in(db, e.tree, &e.candidates, unlimited, &mut arena)
+                .unwrap()
+                .rows;
+        rows.sort();
+        naive.sort();
+        assert_eq!(rows, naive, "executor vs naive reference");
+    }
+    let reduction = |s: &ExecStats| {
+        (
+            s.semijoin_rows_in,
+            s.semijoin_rows_out,
+            s.semijoin_rows_touched,
+        )
+    };
+    assert_eq!(
+        reduction(&reduced_stats),
+        reduction(&pipeline),
+        "re-enacted executions vs the pipeline's own"
+    );
+    let mut one_list = 0usize;
+    for (keywords, aref) in &predicates {
+        if let [term] = keywords.as_slice() {
+            let entry = index.postings(term, *aref).expect("executed predicate");
+            let want: Vec<RowId> = entry.rows().map(|(r, _)| r).collect();
+            assert_eq!(index.rows_with_all(keywords, *aref), want, "{term}");
+            one_list += 1;
+        }
+    }
+    let n = execs.len() as f64;
+    println!(
+        "exec_cold: {QUERIES} queries, {} executions, {} predicates ({one_list} one-list); \
+         per execution: {:.0} rows in, {:.0} touched, {:.1} out",
+        execs.len(),
+        predicates.len(),
+        reduced_stats.semijoin_rows_in as f64 / n,
+        reduced_stats.semijoin_rows_touched as f64 / n,
+        reduced_stats.semijoin_rows_out as f64 / n,
+    );
+
+    c.bench_function("exec_cold_reduce_join_tree", |b| {
+        b.iter(|| {
+            execs
+                .iter()
+                .map(|e| {
+                    let reduced = reduce_join_tree(db, e.tree, &e.candidates).unwrap();
+                    reduced.stats.semijoin_rows_out
+                })
+                .sum::<usize>()
+        })
+    });
+    c.bench_function("exec_cold_execute_reduced_in", |b| {
+        b.iter_batched(
+            || {
+                execs
+                    .iter()
+                    .map(|e| reduce_join_tree(db, e.tree, &e.candidates).unwrap())
+                    .collect::<Vec<_>>()
+            },
+            |reduced| {
+                let mut results = 0;
+                for (e, r) in execs.iter().zip(reduced) {
+                    let sizes: Vec<usize> = r.sets.iter().map(Vec::len).collect();
+                    let plan = plan_join_order(e.tree, &r.given, &sizes);
+                    let opts = ExecOptions {
+                        limit: e.limit,
+                        ..ExecOptions::default()
+                    };
+                    let out = execute_reduced_in(db, e.tree, r.sets, &plan, opts, &mut arena);
+                    results += out.unwrap().rows.len();
+                }
+                results
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    c.bench_function("exec_cold_rows_with_all_into", |b| {
+        let (mut rows, mut scratch) = (Vec::new(), Vec::new());
+        b.iter(|| {
+            predicates
+                .iter()
+                .map(|(keywords, aref)| {
+                    index.rows_with_all_into(keywords, *aref, &mut rows, &mut scratch);
+                    rows.len()
+                })
+                .sum::<usize>()
+        })
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_pipeline, bench_freebase, bench_generate_waves
+    targets = bench_pipeline, bench_freebase, bench_generate_waves, bench_exec_cold
 }
 criterion_main!(benches);

@@ -355,13 +355,14 @@ fn main() {
     );
     println!(
         "  hash join  : {} intermediate bindings, {} probes, {} batches, \
-         semi-join kept {}/{} rows ({:.0}% pruned) in {:.2} ms",
+         semi-join kept {}/{} rows ({:.0}% pruned) touching {} in {:.2} ms",
         hj.intermediate_bindings,
         hj.probes,
         hj.batches,
         hj.semijoin_rows_out,
         hj.semijoin_rows_in,
         hj.semijoin_reduction() * 100.0,
+        hj.semijoin_rows_touched,
         t_exec_hj * 1e3
     );
     println!(
@@ -1022,6 +1023,10 @@ fn render_json(
     s.push_str(&format!(
         "    \"semijoin_rows_out\": {},\n",
         hj.semijoin_rows_out
+    ));
+    s.push_str(&format!(
+        "    \"semijoin_rows_touched\": {},\n",
+        hj.semijoin_rows_touched
     ));
     s.push_str(&format!("    \"batch_cols\": {},\n", hj.batch_cols));
     s.push_str(&format!("    \"batch_allocs\": {},\n", hj.batch_allocs));

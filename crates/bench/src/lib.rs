@@ -844,6 +844,10 @@ const COUNTER_KEYS: &[&str] = &[
     "naive_probes",
     "hashjoin_probes",
     "hashjoin_batches",
+    // Rows the semi-join reducer's steps read and wrote on the executor
+    // replay: a pure function of data + log + code, and the reducer's cost
+    // where `semijoin_rows_in`/`_out` are only its input and output sizes.
+    "semijoin_rows_touched",
     "answers_generated",
     "answers_executed",
     "ingest_rows",
@@ -1068,7 +1072,7 @@ mod baseline_tests {
   "profile": "quick",
   "nonempty_probes": 10,
   "executor": { "hashjoin_probes": 100, "semijoin_rows_in": 5000,
-    "batch_cols": 400, "batch_allocs": 12, "arena_bytes_peak": 32768 },
+    "semijoin_rows_touched": 900, "batch_cols": 400, "batch_allocs": 12, "arena_bytes_peak": 32768 },
   "wall_clock_ms": { "answers_top10_4kw_ms": 1.000 },
   "serve": { "serve_cores": 8, "qps_w1": 200.0, "p50_ms_w1": 1.0, "p50_ms_w4": 2.0, "p95_ms_w1": 3.0,
     "qps_diversified": 120.0, "div_pool_items": 40, "div_selected": 30,
@@ -1145,6 +1149,10 @@ mod baseline_tests {
         assert!(check_regression(BASE, &cur, CheckConfig::default())
             .unwrap()
             .is_empty());
+        // What the reducer touched on the way is its cost: that one gates.
+        let cur = with("semijoin_rows_touched", "1000");
+        let v = check_regression(BASE, &cur, CheckConfig::default()).unwrap();
+        assert!(v.iter().any(|s| s.contains("rows_touched")), "{v:?}");
     }
 
     #[test]

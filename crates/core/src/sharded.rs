@@ -662,8 +662,8 @@ fn scatter_execute(
         }
         return Err(e);
     }
-    // Oracle mirror: `execute_hash_join` returns empty (reduction stats
-    // only) when any *global* reduced set is empty.
+    // Oracle mirror: `execute_join_tree_with_stats_in` returns empty
+    // (reduction stats only) when any *global* reduced set is empty.
     if size_sum.contains(&0) {
         for run in &runs {
             let _ = run.plan_tx.send(None);

@@ -20,6 +20,15 @@
 //! [`ExecOptions::limit`] can cut *every* batch, not just the final one — the
 //! executor streams top-`limit` answers without materializing the full join.
 //!
+//! The two phases order the tree by cardinality in opposite directions, and
+//! the two decisions are independent. The **reducer roots at the restricted
+//! node with the most given rows** and walks towards it from the small
+//! lists, because what a reduction costs is the rows its steps touch and its
+//! output does not depend on the root; the **join seeds at the node with the
+//! fewest** ([`plan_join_order`]), because what a join costs is the bindings
+//! it carries and its enumeration order — the bytes of a truncated reply —
+//! does depend on the seed.
+//!
 //! Both phases work in **row-id space**. Every edge is a foreign key, and the
 //! database resolves each fk cell to its parent's `RowId` once, at insert
 //! ([`Database::fk_parent_row`]); so "these two rows join" is `parent(child)
@@ -38,6 +47,7 @@ use crate::database::{Database, NO_PARENT};
 use crate::error::{RelError, RelResult};
 use crate::schema::{FkId, TableId};
 use crate::value::RowId;
+use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 
 /// An edge of a join tree: node indexes into [`JoinTree::nodes`] plus the
@@ -179,6 +189,13 @@ pub struct ExecStats {
     /// Candidate rows across all nodes after the bottom-up + top-down
     /// reduction sweeps.
     pub semijoin_rows_out: usize,
+    /// Rows the reducer read or wrote, summed over its steps: source rows
+    /// marked into the bitmap, target rows bit-tested, parent-column entries
+    /// scanned, and rows a materialization produced. Unlike
+    /// `semijoin_rows_in` it depends on the order of the semi-join program,
+    /// so it is the reducer's machine-independent cost. Zero on the naive
+    /// reference.
+    pub semijoin_rows_touched: usize,
     /// Result tuples found (capped at `limit`).
     pub result_count: usize,
     /// Columnar batch materializations: what the pre-arena executor paid
@@ -202,6 +219,7 @@ impl ExecStats {
         self.intermediate_bindings += other.intermediate_bindings;
         self.semijoin_rows_in += other.semijoin_rows_in;
         self.semijoin_rows_out += other.semijoin_rows_out;
+        self.semijoin_rows_touched += other.semijoin_rows_touched;
         self.result_count += other.result_count;
         self.batch_cols += other.batch_cols;
         self.batch_allocs += other.batch_allocs;
@@ -249,8 +267,8 @@ pub struct ReducedTree {
     /// Per node: candidate rows *before* reduction (free nodes count their
     /// full table) — the quantity seed selection keys on.
     pub given: Vec<usize>,
-    /// `semijoin_rows_in` / `semijoin_rows_out` for this reduction; the
-    /// join-phase counters stay zero.
+    /// `semijoin_rows_in` / `semijoin_rows_out` / `semijoin_rows_touched` for
+    /// this reduction; the join-phase counters stay zero.
     pub stats: ExecStats,
 }
 
@@ -354,26 +372,38 @@ impl RowBits {
 /// comes out) in entries of a sequential parent-column scan. A free fk-side
 /// node is materialized by the scan once its source holds more than one
 /// pk-side row in this many: the source then names about that share of the
-/// child table, so the two costs meet. Measured on the x10 IMDB fixture: flat
-/// from 16 to 64, 20% slower at 8.
-const SCAN_PER_GATHER: usize = 32;
+/// child table, so the two costs meet. Measured on the x10 IMDB fixture over
+/// the 1,264 executions of the micro bench's `exec_cold` group, reducer time
+/// as the median of five runs: 7.7 ms at 8 and at 16, 8.9 at 32, 8.7 at 64,
+/// 13.0 at 128, 28.0 when every such node is scanned (rows touched per
+/// execution 1,447 / 1,526 / 2,095 / 2,269 / 2,915 / 17,708). Under sources
+/// several times larger (a reducer rooted at its smallest node) the same
+/// bench was flat from 16 to 64 and 20% slower at 8, so 16 sits in the flat
+/// stretch whichever way source sizes move.
+const SCAN_PER_GATHER: usize = 16;
 
-/// Keep the rows of one node that satisfy `joins`, in their order. The node's
-/// working set is filtered in place; a node that still reads its given
-/// candidates gets its working set from them, so the given list is walked
-/// once and never copied whole. `false` = the node is free and has no rows
-/// yet: nothing to filter.
+/// Keep the rows of one node that satisfy `joins`, in their order, and return
+/// how many were tested. The node's working set is filtered in place; a node
+/// that still reads its given candidates gets its working set from them, so
+/// the given list is walked once and never copied whole. `None` = the node is
+/// free and has no rows yet: nothing to filter.
 fn retain_rows(
     work: &mut Option<Vec<RowId>>,
     given: &Option<Vec<RowId>>,
     joins: impl Fn(RowId) -> bool,
-) -> bool {
+) -> Option<usize> {
     match (work.as_mut(), given) {
-        (Some(rows), _) => rows.retain(|&r| joins(r)),
-        (None, Some(rows)) => *work = Some(rows.iter().copied().filter(|&r| joins(r)).collect()),
-        (None, None) => return false,
+        (Some(rows), _) => {
+            let tested = rows.len();
+            rows.retain(|&r| joins(r));
+            Some(tested)
+        }
+        (None, Some(rows)) => {
+            *work = Some(rows.iter().copied().filter(|&r| joins(r)).collect());
+            Some(rows.len())
+        }
+        (None, None) => None,
     }
-    true
 }
 
 /// The semi-join reduction pre-pass of the executor, exposed on
@@ -381,12 +411,12 @@ fn retain_rows(
 /// resulting cardinalities, and then run [`execute_reduced_in`] under a plan
 /// forced by a coordinator.
 ///
-/// Yannakakis' full reducer — root the tree at the most selective given
-/// node, filter each parent by each child bottom-up, then each child by its
-/// parent top-down — with every step done in row-id space. An edge joins a
-/// referencing (fk-side) node to a referenced (pk-side) node, and
-/// [`Database::fk_parent_row`] already holds the row each fk cell resolves
-/// to, so filtering never reads a row, extracts a key or hashes one:
+/// Yannakakis' full reducer — root the tree, filter each parent by each child
+/// bottom-up, then each child by its parent top-down — with every step done
+/// in row-id space. An edge joins a referencing (fk-side) node to a
+/// referenced (pk-side) node, and [`Database::fk_parent_row`] already holds
+/// the row each fk cell resolves to, so filtering never reads a row, extracts
+/// a key or hashes one:
 ///
 /// * the source's rows become a bitmap over the **pk-side table**: an
 ///   fk-side source marks its rows' parents, a pk-side source marks its own
@@ -408,6 +438,27 @@ fn retain_rows(
 /// by the semantics alone: a restricted node ends as its given list, order
 /// and duplicates kept, minus the rows in no complete JTT; a free node as
 /// the ascending distinct rows in some JTT.
+///
+/// Since no root changes the output, the program is ordered by what it
+/// costs — the rows its steps touch ([`ExecStats::semijoin_rows_touched`]):
+///
+/// * **The root is the restricted node with the most given rows** (ties: the
+///   lowest node index; when every node is free, the largest table). A free
+///   node is materialized by the first neighbor that reaches it, and the
+///   bottom-up sweep reaches it from below — so with the largest list on
+///   top, a free node between a small list and a large one is built from
+///   the small side, a few rows gathered, and the large list is only
+///   bit-tested, once, against what came up. Rooted at the small end, the
+///   same node would be built from the large list first — a scan of its
+///   whole parent column, or a gather of most of it — only for the
+///   top-down sweep to cut it back to the same few rows.
+/// * **Siblings go smallest given first** in the bottom-up sweep (a free
+///   sibling counts its whole table, so it goes last): a free parent is
+///   built from its smallest child and merely filtered by the others.
+///
+/// This is not the join's order. [`plan_join_order`] seeds at the node with
+/// the *fewest* given rows, and its choice, unlike this one, shows in the
+/// reply.
 pub fn reduce_join_tree(
     db: &Database,
     tree: &JoinTree,
@@ -439,19 +490,27 @@ pub fn reduce_join_tree(
         }
     }
 
-    // Root the tree at the most selective *given* node and compute a BFS
-    // order with parent pointers (edge index per non-root node).
-    let seed = (0..n).min_by_key(|&i| given[i]).expect("non-empty");
+    // Root the tree at the restricted node with the most given rows (ties:
+    // the lowest index; a tree with none: its largest table) and compute a
+    // BFS order with parent pointers (edge index per non-root node). Each
+    // adjacency list goes larger neighbor first: the bottom-up sweep walks
+    // the order backwards, so it visits siblings smallest first.
+    let root = (0..n)
+        .max_by_key(|&i| (candidates.per_node[i].is_some(), given[i], Reverse(i)))
+        .expect("non-empty");
     let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n]; // (edge idx, neighbor)
     for (ei, e) in tree.edges.iter().enumerate() {
         adj[e.a].push((ei, e.b));
         adj[e.b].push((ei, e.a));
     }
+    for neighbors in &mut adj {
+        neighbors.sort_by_key(|&(_, v)| Reverse(given[v]));
+    }
     let mut order: Vec<usize> = Vec::with_capacity(n);
     let mut parent_edge: Vec<Option<usize>> = vec![None; n];
     let mut seen = vec![false; n];
-    order.push(seed);
-    seen[seed] = true;
+    order.push(root);
+    seen[root] = true;
     let mut head = 0;
     while head < order.len() {
         let u = order[head];
@@ -476,6 +535,7 @@ pub fn reduce_join_tree(
     // dead rows, in which case a second, now-exact sweep over the (small)
     // materialized sets finishes the reduction.
     let mut bits = RowBits::default();
+    let mut touched = 0usize;
     let mut step = |sets: &mut [Option<Vec<RowId>>], target: usize, source: usize, ei: usize| {
         let edge = &tree.edges[ei];
         let s_fk = (edge.a == source) == a_is_fk_side(db, tree, edge);
@@ -495,17 +555,19 @@ pub fn reduce_join_tree(
             .as_deref()
             .or(candidates.per_node[source].as_deref());
         let Some(source_rows) = source_rows else {
-            if s_fk {
+            let tested = if s_fk {
                 retain_rows(work, given, |r| {
                     !db.fk_referrers(edge.fk, db.pk_value(pk_table, r))
                         .is_empty()
-                });
+                })
             } else {
-                retain_rows(work, given, |r| parent_of[r.index()] != NO_PARENT);
-            }
+                retain_rows(work, given, |r| parent_of[r.index()] != NO_PARENT)
+            };
+            touched += tested.unwrap_or(0);
             return true;
         };
         bits.reset(pk_rows);
+        touched += source_rows.len();
         if s_fk {
             for &r in source_rows {
                 let parent = parent_of[r.index()];
@@ -513,9 +575,10 @@ pub fn reduce_join_tree(
                     bits.set(parent);
                 }
             }
-            if !retain_rows(work, given, |r| bits.get(r.0)) {
-                *work = Some(bits.ones().collect());
-            }
+            touched += match retain_rows(work, given, |r| bits.get(r.0)) {
+                Some(tested) => tested,
+                None => work.insert(bits.ones().collect()).len(),
+            };
         } else {
             for &r in source_rows {
                 bits.set(r.0);
@@ -524,14 +587,13 @@ pub fn reduce_join_tree(
                 let parent = parent_of[r.index()];
                 parent != NO_PARENT && bits.get(parent)
             };
-            if !retain_rows(work, given, joins) {
-                let scan = source_rows.len() * SCAN_PER_GATHER >= pk_rows;
-                *work = Some(if scan {
-                    (0..parent_of.len() as u32)
-                        .map(RowId)
-                        .filter(|&r| joins(r))
-                        .collect()
-                } else {
+            touched += match retain_rows(work, given, joins) {
+                Some(tested) => tested,
+                None if source_rows.len() * SCAN_PER_GATHER >= pk_rows => {
+                    let rows = (0..parent_of.len() as u32).map(RowId);
+                    parent_of.len() + work.insert(rows.filter(|&r| joins(r)).collect()).len()
+                }
+                None => {
                     // Each child has one parent, so the gathered lists are
                     // disjoint: sorting alone makes them the distinct set.
                     let mut rows: Vec<RowId> = bits
@@ -540,9 +602,9 @@ pub fn reduce_join_tree(
                         .copied()
                         .collect();
                     rows.sort_unstable();
-                    rows
-                });
-            }
+                    work.insert(rows).len()
+                }
+            };
         }
         false
     };
@@ -577,6 +639,7 @@ pub fn reduce_join_tree(
                 .expect("reduced sets are materialized")
         })
         .collect();
+    stats.semijoin_rows_touched = touched;
     stats.semijoin_rows_out = sets.iter().map(Vec::len).sum();
     Ok(ReducedTree { sets, given, stats })
 }
@@ -585,7 +648,9 @@ pub fn reduce_join_tree(
 /// cardinalities (pre-reduction) and reduced set sizes: the seed is the
 /// first node with minimal given cardinality, then the edge whose new node
 /// has the smallest reduced set is attached, the live edge list evolving by
-/// `swap_remove` exactly as in execution — so ties break identically.
+/// `swap_remove` exactly as in execution — so ties break identically. The
+/// seed is the join's own decision: [`reduce_join_tree`] roots its sweeps at
+/// the other end of the tree, and nothing here depends on where.
 pub fn plan_join_order(tree: &JoinTree, given: &[usize], reduced: &[usize]) -> JoinPlan {
     let n = tree.nodes.len();
     let seed = (0..n).min_by_key(|&i| given[i]).expect("non-empty");
@@ -1299,6 +1364,151 @@ mod tests {
             nv.stats.intermediate_bindings
         );
         assert!((0.0..=1.0).contains(&hj.stats.semijoin_reduction()));
+    }
+
+    /// small(id) <- fact(id, small_id, mid_id, big_id) -> mid(id), big(id):
+    /// 1,000 rows per entity table, 30 facts per entity row.
+    fn star_db() -> Database {
+        const ENTITIES: i64 = 1000;
+        let mut b = SchemaBuilder::new();
+        for name in ["small", "mid", "big"] {
+            b.table(name, TableKind::Entity).pk("id");
+        }
+        b.table("fact", TableKind::Relation)
+            .pk("id")
+            .int_attr("small_id")
+            .int_attr("mid_id")
+            .int_attr("big_id");
+        for name in ["small", "mid", "big"] {
+            b.foreign_key("fact", &format!("{name}_id"), name).unwrap();
+        }
+        let mut db = Database::new(b.finish().unwrap());
+        for name in ["small", "mid", "big"] {
+            let table = db.schema().table_id(name).unwrap();
+            for id in 0..ENTITIES {
+                db.insert(table, vec![Value::Int(id)]).unwrap();
+            }
+        }
+        let fact = db.schema().table_id("fact").unwrap();
+        for id in 0..30 * ENTITIES {
+            // Three different strides, so a fact's parents are unrelated.
+            let (s, m, g) = (id % ENTITIES, id * 7 % ENTITIES, id * 13 % ENTITIES);
+            let row = [id, s, m, g].map(Value::Int).to_vec();
+            db.insert(fact, row).unwrap();
+        }
+        db
+    }
+
+    #[test]
+    fn reducer_walks_from_the_small_side() {
+        let db = star_db();
+        let s = db.schema();
+        let fact = s.table_id("fact").unwrap();
+        let n_fact = db.table(fact).len();
+        let node = |name: &str| {
+            let table = s.table_id(name).unwrap();
+            let fk = s.fks().find(|(_, f)| f.to.table == table).unwrap().0;
+            (table, fk)
+        };
+        let (small, fk_small) = node("small");
+        let (mid, fk_mid) = node("mid");
+        let (big, fk_big) = node("big");
+        let first = |n: u32| (0..n).map(RowId).collect::<Vec<_>>();
+        let (few, some, most) = (first(2), first(300), first(900));
+        // Facts under the small list: what a reduction from the small side
+        // materializes and then carries through every later step.
+        let children = few.len() * 30;
+
+        // R_big - F - R_small, the big list at either end of the node list.
+        for flip in [false, true] {
+            let (ends, fks) = if flip {
+                ([small, big], [fk_small, fk_big])
+            } else {
+                ([big, small], [fk_big, fk_small])
+            };
+            let tree = JoinTree {
+                nodes: vec![ends[0], fact, ends[1]],
+                edges: vec![
+                    JoinTreeEdge {
+                        a: 1,
+                        b: 0,
+                        fk: fks[0],
+                    },
+                    JoinTreeEdge {
+                        a: 1,
+                        b: 2,
+                        fk: fks[1],
+                    },
+                ],
+            };
+            let (at_big, at_small) = if flip { (2, 0) } else { (0, 2) };
+            let cands = Candidates::free(3)
+                .restrict(at_big, most.clone())
+                .restrict(at_small, few.clone());
+            let touched = reduce_join_tree(&db, &tree, &cands)
+                .unwrap()
+                .stats
+                .semijoin_rows_touched;
+            // The big list is bit-tested once; everything else is the small
+            // side's children, a handful of times.
+            assert!(
+                touched <= most.len() + 8 * (children + few.len()),
+                "chain (flip {flip}): touched {touched}"
+            );
+            assert!(touched * 10 < n_fact, "chain (flip {flip}): {touched}");
+        }
+
+        // A free centre with three restricted leaves of distinct sizes: the
+        // centre comes from the smallest leaf, the middle leaf is marked
+        // once and tested once, the largest is tested once.
+        let tree = JoinTree {
+            nodes: vec![fact, mid, big, small],
+            edges: vec![
+                JoinTreeEdge {
+                    a: 0,
+                    b: 1,
+                    fk: fk_mid,
+                },
+                JoinTreeEdge {
+                    a: 0,
+                    b: 2,
+                    fk: fk_big,
+                },
+                JoinTreeEdge {
+                    a: 0,
+                    b: 3,
+                    fk: fk_small,
+                },
+            ],
+        };
+        let cands = Candidates::free(4)
+            .restrict(1, some.clone())
+            .restrict(2, most.clone())
+            .restrict(3, few.clone());
+        let reduced = reduce_join_tree(&db, &tree, &cands).unwrap();
+        let touched = reduced.stats.semijoin_rows_touched;
+        assert!(
+            touched <= most.len() + 2 * some.len() + 12 * (children + few.len()),
+            "star: touched {touched}"
+        );
+        assert!(touched * 10 < n_fact, "star: touched {touched}");
+        // Same sets as the reference, whatever the order of the program.
+        let jtts = run_naive(
+            &db,
+            &tree,
+            &cands,
+            ExecOptions {
+                limit: usize::MAX,
+                max_intermediate: usize::MAX,
+            },
+        )
+        .rows;
+        for (i, set) in reduced.sets.iter().enumerate() {
+            let mut want: Vec<RowId> = jtts.iter().map(|jtt| jtt[i]).collect();
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(set, &want, "star: node {i}");
+        }
     }
 
     #[test]

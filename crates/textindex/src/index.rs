@@ -398,6 +398,35 @@ impl TermAttrEntry {
         }
     }
 
+    /// Append the entry's rows, ascending, to `out` — [`Self::rows`] without
+    /// the term frequencies, for a predicate that is one list. The bitmap
+    /// repr walks its set bits a `u64` word at a time and never touches the
+    /// tf stream; the gaps repr adds deltas and steps over each tf varint.
+    fn rows_into(&self, out: &mut Vec<RowId>) {
+        out.reserve(self.df());
+        match self.bitmap_parts() {
+            Some((base, words, _)) => {
+                for (wi, word) in words.chunks_exact(8).enumerate() {
+                    let mut word = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+                    let first = base + wi as u32 * 64;
+                    while word != 0 {
+                        out.push(RowId(first + word.trailing_zeros()));
+                        word &= word - 1;
+                    }
+                }
+            }
+            None => {
+                // The first delta is the first row verbatim.
+                let (mut pos, mut row) = (0, 0);
+                while pos < self.packed.len() {
+                    row += read_varu32(&self.packed, &mut pos);
+                    skip_varints(&self.packed, &mut pos, 1);
+                    out.push(RowId(row));
+                }
+            }
+        }
+    }
+
     /// Term frequency in `row`. Bitmap entries answer with one bit test
     /// plus a rank into the tf stream; gap entries decode-scan and exit at
     /// the first row past the probe.
@@ -1050,7 +1079,9 @@ impl InvertedIndex {
     /// Allocation-free variant of [`Self::rows_with_all`]: the intersection
     /// lands in `out`; `scratch` is a reusable work buffer kept for API
     /// stability (the k-way merge intersects in one pass without it). Both
-    /// are cleared first, so callers can reuse them across calls.
+    /// are cleared first, so callers can reuse them across calls. A
+    /// single-term predicate is its postings list: the rows are decoded
+    /// straight into `out`, no merge and no term frequencies.
     pub fn rows_with_all_into(
         &self,
         terms: &[String],
@@ -1060,6 +1091,12 @@ impl InvertedIndex {
     ) {
         out.clear();
         scratch.clear();
+        if let [term] = terms {
+            if let Some(entry) = self.postings(term, attr) {
+                entry.rows_into(out);
+            }
+            return;
+        }
         if terms.is_empty() {
             return;
         }
@@ -1977,6 +2014,82 @@ mod tests {
             });
             assert_eq!(first, want.first().copied(), "case {case} early exit");
         }
+    }
+
+    #[test]
+    fn one_list_rows_match_the_postings_iterator() {
+        // Property: a single-term rows_with_all_into (the row-only decode
+        // that never reads a tf) returns exactly the rows of the entry's
+        // Postings iterator, checked after every one of a run of
+        // out-of-order index_row splices — so at df == 1, on bitmaps whose
+        // base is not row 0 and whose last word is partial, on gaps lists
+        // holding multi-byte tf varints, and on both sides of every splice
+        // that flips the repr.
+        let schema = db().schema().clone();
+        let actor = schema.table_id("actor").unwrap();
+        let name = schema.resolve("actor", "name").unwrap();
+        let term = ["zed".to_owned()];
+        let mut rng = XorShift(0xD1B54A32D192ED03);
+        let (mut offset_bitmaps, mut wide_tf_gaps, mut flips) = (0usize, 0usize, 0usize);
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
+        for case in 0..200 {
+            // Dense cluster off row 0, sparse scatter, or a cluster plus a
+            // few far rows whose arrival drops the density back under 1/32.
+            let cluster_base = 1 + rng.below(5000) as u32;
+            let (near, span, far) = match case % 3 {
+                0 => (1 + rng.below(300), 600, 0),
+                1 => (0, 0, 1 + rng.below(40)),
+                _ => (20 + rng.below(80), 200, 1 + rng.below(3)),
+            };
+            let mut rows: Vec<u32> = Vec::new();
+            for _ in 0..near {
+                rows.push(cluster_base + rng.below(span) as u32);
+            }
+            for _ in 0..far {
+                rows.push((1 << 19) + rng.below(1 << 19) as u32);
+            }
+            rows.sort_unstable();
+            rows.dedup();
+            for i in (1..rows.len()).rev() {
+                rows.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            let mut index = InvertedIndex::build(&Database::new(schema.clone()));
+            let mut model: Vec<RowId> = Vec::new();
+            let mut repr = PostingsRepr::Gaps;
+            for &row in &rows {
+                // One row in eight repeats the term past a one-byte varint.
+                let tf = if rng.below(8) == 0 {
+                    128 + rng.below(300)
+                } else {
+                    1 + rng.below(5)
+                };
+                let text = Value::text("zed ".repeat(tf as usize));
+                index.index_row_values(&schema, actor, RowId(row), &[Value::Int(0), text]);
+                let at = model.binary_search(&RowId(row)).unwrap_err();
+                model.insert(at, RowId(row));
+
+                let entry = index.postings("zed", name).unwrap();
+                let want: Vec<RowId> = entry.rows().map(|(r, _)| r).collect();
+                assert_eq!(want, model, "case {case}: iterator vs model");
+                index.rows_with_all_into(&term, name, &mut out, &mut scratch);
+                assert_eq!(out, want, "case {case}: one-list path at df {}", want.len());
+
+                let span = want[want.len() - 1].0 - want[0].0 + 1;
+                match entry.repr() {
+                    PostingsRepr::Bitmap => {
+                        offset_bitmaps += usize::from(want[0].0 > 0 && !span.is_multiple_of(64))
+                    }
+                    PostingsRepr::Gaps => {
+                        wide_tf_gaps += usize::from(entry.rows().any(|(_, tf)| tf >= 128))
+                    }
+                }
+                flips += usize::from(entry.repr() != repr);
+                repr = entry.repr();
+            }
+        }
+        assert!(offset_bitmaps >= 1000, "offset bitmaps: {offset_bitmaps}");
+        assert!(wide_tf_gaps >= 1000, "wide-tf gaps lists: {wide_tf_gaps}");
+        assert!(flips >= 100, "repr flips: {flips}");
     }
 
     #[test]

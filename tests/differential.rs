@@ -613,13 +613,46 @@ fn messy_candidates(rng: &mut StdRng, db: &Database, tree: &JoinTree, short: boo
 /// reduced set must be exactly the rows bound at that node in some JTT of an
 /// unlimited naive execution — given order and duplicates kept where the
 /// node was restricted, ascending and distinct where it was free — and the
-/// reduction counters must be the sums over those sets.
-#[test]
-fn reducer_sets_equal_the_rows_of_the_naive_join() {
+/// reduction counters must be the sums over those sets. Returns the JTTs.
+fn assert_reduced_is_the_naive_projection(
+    db: &Database,
+    tree: &JoinTree,
+    cands: &Candidates,
+    note: &str,
+) -> Vec<JoinedRow> {
     let unlimited = ExecOptions {
         limit: usize::MAX,
         max_intermediate: usize::MAX,
     };
+    let jtts = execute_join_tree_naive(db, tree, cands, unlimited)
+        .unwrap_or_else(|e| panic!("{note}: naive failed: {e}"))
+        .rows;
+    let reduced =
+        reduce_join_tree(db, tree, cands).unwrap_or_else(|e| panic!("{note}: reducer failed: {e}"));
+    let (mut rows_in, mut rows_out) = (0usize, 0usize);
+    for (node, given) in cands.per_node.iter().enumerate() {
+        let alive: BTreeSet<RowId> = jtts.iter().map(|jtt| jtt[node]).collect();
+        let want: Vec<RowId> = match given {
+            Some(rows) => rows.iter().copied().filter(|r| alive.contains(r)).collect(),
+            None => alive.into_iter().collect(),
+        };
+        let given_len = given
+            .as_ref()
+            .map_or(db.table(tree.nodes[node]).len(), Vec::len);
+        assert_eq!(reduced.sets[node], want, "{note}: node {node}");
+        assert_eq!(reduced.given[node], given_len, "{note}: node {node}");
+        rows_in += given_len;
+        rows_out += want.len();
+    }
+    assert_eq!(reduced.stats.semijoin_rows_in, rows_in, "{note}");
+    assert_eq!(reduced.stats.semijoin_rows_out, rows_out, "{note}");
+    jtts
+}
+
+/// Random trees over the company schema under candidates the index would
+/// never produce.
+#[test]
+fn reducer_sets_equal_the_rows_of_the_naive_join() {
     let (mut nonempty, mut all_free, mut self_joins) = (0usize, 0usize, 0usize);
     for &seed in &SEEDS {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(2_654_435_761));
@@ -631,28 +664,7 @@ fn reducer_sets_equal_the_rows_of_the_naive_join() {
             let tree = random_tree(&mut rng, &db);
             let cands = messy_candidates(&mut rng, &db, &tree, big);
             let note = format!("seed {seed} case {case}: {tree:?} {cands:?}");
-            let jtts = execute_join_tree_naive(&db, &tree, &cands, unlimited)
-                .unwrap_or_else(|e| panic!("{note}: naive failed: {e}"))
-                .rows;
-            let reduced = reduce_join_tree(&db, &tree, &cands)
-                .unwrap_or_else(|e| panic!("{note}: reducer failed: {e}"));
-            let (mut rows_in, mut rows_out) = (0usize, 0usize);
-            for (node, given) in cands.per_node.iter().enumerate() {
-                let alive: BTreeSet<RowId> = jtts.iter().map(|jtt| jtt[node]).collect();
-                let want: Vec<RowId> = match given {
-                    Some(rows) => rows.iter().copied().filter(|r| alive.contains(r)).collect(),
-                    None => alive.into_iter().collect(),
-                };
-                let given_len = given
-                    .as_ref()
-                    .map_or(db.table(tree.nodes[node]).len(), Vec::len);
-                assert_eq!(reduced.sets[node], want, "{note}: node {node}");
-                assert_eq!(reduced.given[node], given_len, "{note}: node {node}");
-                rows_in += given_len;
-                rows_out += want.len();
-            }
-            assert_eq!(reduced.stats.semijoin_rows_in, rows_in, "{note}");
-            assert_eq!(reduced.stats.semijoin_rows_out, rows_out, "{note}");
+            let jtts = assert_reduced_is_the_naive_projection(&db, &tree, &cands, &note);
             nonempty += usize::from(!jtts.is_empty());
             all_free += usize::from(cands.per_node.iter().all(Option::is_none));
             self_joins += usize::from(
@@ -665,6 +677,85 @@ fn reducer_sets_equal_the_rows_of_the_naive_join() {
     assert!(nonempty >= 120, "corpus too degenerate: {nonempty}");
     assert!(all_free >= 20, "too few all-free trees: {all_free}");
     assert!(self_joins >= 40, "too few self-joins: {self_joins}");
+}
+
+/// `n` distinct rows of a `len`-row table, ascending (fewer if the table is
+/// smaller).
+fn some_rows(rng: &mut StdRng, len: usize, n: usize) -> Vec<RowId> {
+    let mut rows: Vec<RowId> = (0..len as u32).map(RowId).collect();
+    shuffle(rng, &mut rows);
+    rows.truncate(n);
+    rows.sort_unstable();
+    rows
+}
+
+/// The shapes the reducer's root and sibling order are chosen on, forced
+/// rather than drawn: the root is the restricted node with the most given
+/// rows, so each case pins where that node sits — either end of a chain
+/// through two free nodes, an internal node, one of two tied nodes, the only
+/// restricted node, nowhere (all free), and either endpoint of a
+/// self-referencing key. The output may not depend on any of it.
+#[test]
+fn reducer_output_does_not_depend_on_where_the_largest_node_sits() {
+    let mut nonempty = 0usize;
+    for &seed in &SEEDS {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(1_000_003));
+        // Small tables (free child tables scanned) and big ones (gathered).
+        for scale in [1, 24] {
+            let db = company_db(&mut rng, scale == 1, scale);
+            let s = db.schema();
+            let table = |name: &str| s.table_id(name).unwrap();
+            let fk = |from: &str, attr: &str| {
+                let attr = s.resolve(from, attr).unwrap();
+                s.fks().find(|(_, f)| f.from == attr).unwrap().0
+            };
+            let edge = |a: usize, b: usize, fk| JoinTreeEdge { a, b, fk };
+            // dept <- emp <- assign -> proj: a chain R - F - F - R when its
+            // two ends are restricted.
+            let chain = JoinTree {
+                nodes: ["dept", "emp", "assign", "proj"].map(table).to_vec(),
+                edges: vec![
+                    edge(1, 0, fk("emp", "dept_id")),
+                    edge(2, 1, fk("assign", "emp_id")),
+                    edge(2, 3, fk("assign", "proj_id")),
+                ],
+            };
+            let len = |tree: &JoinTree, node: usize| db.table(tree.nodes[node]).len();
+            // One case: `restricted` lists the restricted nodes with the
+            // length of each one's list.
+            let mut check = |name: &str, tree: &JoinTree, restricted: &[(usize, usize)]| {
+                tree.validate(&db).unwrap();
+                let mut cands = Candidates::free(tree.nodes.len());
+                for &(node, n) in restricted {
+                    let rows = some_rows(&mut rng, len(tree, node), n);
+                    cands = cands.restrict(node, rows);
+                }
+                let note = format!("seed {seed} scale {scale} {name}: {cands:?}");
+                let jtts = assert_reduced_is_the_naive_projection(&db, tree, &cands, &note);
+                nonempty += usize::from(!jtts.is_empty());
+            };
+            let (n_dept, n_emp, n_proj) = (len(&chain, 0), len(&chain, 1), len(&chain, 3));
+            check("largest first", &chain, &[(0, n_dept), (3, 1)]);
+            check("largest last", &chain, &[(0, 1), (3, n_proj)]);
+            check("largest internal", &chain, &[(0, 1), (1, n_emp), (3, 2)]);
+            check("tie", &chain, &[(0, 2), (1, 2), (3, 2)]);
+            for node in 0..4 {
+                check(&format!("only node {node}"), &chain, &[(node, 3)]);
+            }
+            check("all free", &chain, &[]);
+            // emp -> emp (its manager), the referencing node first and second.
+            for (a, b) in [(0, 1), (1, 0)] {
+                let pair = JoinTree {
+                    nodes: vec![table("emp"); 2],
+                    edges: vec![edge(a, b, fk("emp", "manager_id"))],
+                };
+                let name = format!("self fk {a}->{b}");
+                check(&name, &pair, &[(0, n_emp), (1, 2)]);
+                check(&name, &pair, &[(0, 2), (1, n_emp)]);
+            }
+        }
+    }
+    assert!(nonempty >= 40, "corpus too degenerate: {nonempty}");
 }
 
 /// Every `fk_parent_row` of `db`, by foreign key and child row.
