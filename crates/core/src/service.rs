@@ -124,8 +124,8 @@
 //! resolving to the matching [`Reply`] arm. That (plus the blocking
 //! [`ServeRequests::search`] convenience) is the whole request surface of
 //! both [`SearchService`] and the sharded scatter-gather router
-//! ([`crate::sharded::ShardedService`]), so the open-loop harness, the
-//! smoke driver, and the differential suites drive either through the same
+//! ([`crate::sharded::ShardedService`]), so the benchmark, the smoke
+//! driver, and the differential suites drive either through the same
 //! trait. Use [`ServiceBuilder`] to configure and start either service.
 //!
 //! Both topologies also *serve* a request through the same code: a
@@ -133,9 +133,6 @@
 //! `serve_request` function runs the [`QueryPipeline`] over that
 //! generation's interpreter, shared-cache handles and executor — panic
 //! containment per arm and completion-stamp placement live there, once.
-//!
-//! The `submit_panicking` / `submit_sleeping` testing seams compile only
-//! under the `test-seams` cargo feature (or `cfg(test)`).
 
 use crate::construct::{ConstructionOption, ConstructionSession, SessionConfig};
 use crate::exec::{ExecCache, ExecutedResult, Executor, SharedExecCache};
@@ -544,7 +541,7 @@ impl Durability {
 
 /// Cache/serving counters of a running service, for benches and logs.
 /// Cache counters describe the *current* epoch's generation.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Requests completed (all kinds).
     pub served: usize,
@@ -718,8 +715,8 @@ const MAX_OPEN_SESSIONS: usize = 1024;
 /// arrival time to `completed_at`. Stamping completion inside the worker
 /// lets the driver submit at the schedule and collect tickets afterwards,
 /// without parking one client thread per in-flight request — which would
-/// cap concurrency and reintroduce exactly the coordinated omission the
-/// open-loop harness exists to eliminate.
+/// cap concurrency and reintroduce exactly the coordinated omission an
+/// open-loop driver exists to eliminate.
 #[derive(Debug)]
 pub struct TimedReply<T> {
     /// When the serving worker finished computing this reply.
@@ -1197,9 +1194,8 @@ impl SearchService {
     /// Testing seam for the panic-containment path: a request whose serving
     /// code panics. The reply must arrive as [`Reply::Answers`] carrying
     /// [`RequestError::WorkerPanicked`], and the worker must survive.
-    #[cfg(any(test, feature = "test-seams"))]
-    #[doc(hidden)]
-    pub fn submit_panicking(&self) -> Ticket<Reply> {
+    #[cfg(test)]
+    fn submit_panicking(&self) -> Ticket<Reply> {
         self.pool.submit_pinned(&self.current, &self.served, |_| {
             let out = catch_unwind(|| -> SearchReply {
                 panic!("injected worker panic (testing seam)");
@@ -1434,14 +1430,6 @@ pub trait ServeRequests {
     /// The epoch currently being served.
     fn serving_epoch(&self) -> SnapshotEpoch;
 
-    /// Testing seam for the open-loop harness: a request that occupies one
-    /// serving worker for exactly `dur`, replying with an empty, stamped
-    /// [`Reply::AnswersTimed`]. Injecting known service delays makes measured
-    /// queueing comparable against an analytic queue model.
-    #[cfg(any(test, feature = "test-seams"))]
-    #[doc(hidden)]
-    fn submit_sleeping(&self, dur: Duration) -> Ticket<Reply>;
-
     /// Blocking convenience: submit a [`Request::Answers`] and wait.
     ///
     /// # Panics
@@ -1457,20 +1445,6 @@ pub trait ServeRequests {
             Some(Reply::Answers(Err(e))) => panic!("{e}"),
             _ => panic!("service shut down before replying"),
         }
-    }
-
-    /// One interactive-construction burst, as the open-loop harness issues
-    /// it: open a session over a `window`-candidate query, materialize its
-    /// answers (at most `limit` JTTs per candidate), and close it. Returns
-    /// whether answers materialized. Services without a session registry
-    /// serve the burst as a plain blocking answers request.
-    fn session_burst(&self, query: &KeywordQuery, window: usize, limit: usize) -> bool {
-        let (query, k) = (query.clone(), limit);
-        let _ = window;
-        matches!(
-            self.submit_request(Request::Answers { query, k }).wait(),
-            Some(Reply::Answers(Ok(_)))
-        )
     }
 }
 
@@ -1501,23 +1475,6 @@ impl ServeRequests for SearchService {
 
     fn serving_epoch(&self) -> SnapshotEpoch {
         self.current_epoch()
-    }
-
-    #[cfg(any(test, feature = "test-seams"))]
-    fn submit_sleeping(&self, dur: Duration) -> Ticket<Reply> {
-        self.pool
-            .submit_pinned(&self.current, &self.served, move |state: &ServingState| {
-                sleeping_reply(dur, state.epoch, Vec::new())
-            })
-    }
-
-    /// A real registry-backed burst: open, materialize, close — exactly the
-    /// per-burst work the session-mode load harness used to hand-roll.
-    fn session_burst(&self, query: &KeywordQuery, window: usize, limit: usize) -> bool {
-        let view = self.open_session(query, window, SessionConfig::default());
-        let served = self.session_answers(view.id, limit).is_some();
-        self.close_session(view.id);
-        served
     }
 }
 
@@ -1710,21 +1667,6 @@ impl ServeRequests for KeywordService {
             KeywordService::Sharded(s) => s.serving_epoch(),
         }
     }
-
-    #[cfg(any(test, feature = "test-seams"))]
-    fn submit_sleeping(&self, dur: Duration) -> Ticket<Reply> {
-        match self {
-            KeywordService::Single(s) => s.submit_sleeping(dur),
-            KeywordService::Sharded(s) => s.submit_sleeping(dur),
-        }
-    }
-
-    fn session_burst(&self, query: &KeywordQuery, window: usize, limit: usize) -> bool {
-        match self {
-            KeywordService::Single(s) => s.session_burst(query, window, limit),
-            KeywordService::Sharded(s) => s.session_burst(query, window, limit),
-        }
-    }
 }
 
 /// Everything one request is served against: the pinned generation's
@@ -1820,26 +1762,6 @@ pub(crate) fn serve_request<E: Executor>(pinned: &Pinned<'_, '_, E>, request: Re
             })
         }
     }
-}
-
-/// The body of the `submit_sleeping` testing seam: hold the worker for
-/// `dur`, then reply with an empty, stamped [`SearchReply`].
-#[cfg(any(test, feature = "test-seams"))]
-pub(crate) fn sleeping_reply(
-    dur: Duration,
-    epoch: SnapshotEpoch,
-    shard_epochs: Vec<SnapshotEpoch>,
-) -> Reply {
-    std::thread::sleep(dur);
-    Reply::AnswersTimed(TimedReply {
-        completed_at: Instant::now(),
-        result: Ok(SearchReply {
-            epoch,
-            shard_epochs,
-            answers: Vec::new(),
-            stats: AnswerStats::default(),
-        }),
-    })
 }
 
 /// Render a caught panic payload as the typed reply error. Panics raised by
@@ -2286,16 +2208,6 @@ mod tests {
         let div_reply = div_timed.result.expect("request served");
         assert_eq!(div_reply.pool, div_plain.pool);
         assert_eq!(div_reply.answers.len(), div_plain.answers.len());
-
-        // The sleeping seam holds the worker and stamps afterwards.
-        let t0 = Instant::now();
-        let Some(Reply::AnswersTimed(slept)) =
-            service.submit_sleeping(Duration::from_millis(20)).wait()
-        else {
-            panic!("sleeping request not served");
-        };
-        assert!(slept.completed_at.duration_since(t0) >= Duration::from_millis(20));
-        assert!(slept.result.is_ok());
     }
 
     #[test]

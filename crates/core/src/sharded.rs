@@ -486,14 +486,6 @@ impl ServeRequests for ShardedService {
     fn serving_epoch(&self) -> SnapshotEpoch {
         self.current.lock().unwrap().generation
     }
-
-    #[cfg(any(test, feature = "test-seams"))]
-    fn submit_sleeping(&self, dur: std::time::Duration) -> Ticket<Reply> {
-        self.coordinator
-            .submit_pinned(&self.current, &self.served, move |set: &ShardSet| {
-                crate::service::sleeping_reply(dur, set.generation, set.shard_epochs())
-            })
-    }
 }
 
 // ---------------------------------------------------------------------------
