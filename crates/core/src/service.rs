@@ -19,8 +19,8 @@
 //! verdicts and predicate row sets are pure facts about the indexed
 //! database, and only complete execution results (never truncated ones) are
 //! shared, so a request through a warm, contended service returns exactly
-//! what a cold single-threaded [`Interpreter`] returns. `tests/service.rs`
-//! asserts that identity on all four datagen fixtures.
+//! what a cold single-threaded [`Interpreter`] returns. The serving suite
+//! (`tests/serving`) asserts that identity on all four datagen fixtures.
 //!
 //! ## Live ingestion: epochs
 //!
@@ -47,7 +47,8 @@
 //!    integrity with intra-batch parents allowed. A rejected batch returns a
 //!    typed [`BatchError`] naming the table and batch row; it has cost
 //!    O(batch) and touched neither memory nor disk. The same bad batch gets
-//!    the same error value from either topology (`tests/sharded.rs`).
+//!    the same error value from either topology
+//!    (`tests/serving`: `rejections_are_identical_across_topologies`).
 //! 2. **Log** — durable services only: append one CRC-framed WAL record and
 //!    fsync it (see Durability below). A failed append poisons the service
 //!    and returns; because nothing has been cloned or applied yet, it leaves
@@ -94,13 +95,13 @@
 //! old epoch finishes. In-flight requests keep serving the epoch they
 //! started on (snapshot isolation).
 //!
-//! Correctness spine: `tests/ingest.rs` — after every batch of an FK-safe
-//! randomized schedule (`datagen::holdout_plan`), answers from the
-//! live-updated warm service are byte-identical (bit-exact scores) to a cold
-//! [`Interpreter`] over a from-scratch rebuilt store, on all four fixtures ×
-//! 3 schedule seeds, plus concurrent readers racing swaps; the epoch-race
-//! stress test in `tests/service.rs` asserts every racing reply matches
-//! exactly the oracle of the epoch it reports. `smoke --check` gates the
+//! Correctness spine: the serving suite's ingest-sweep histories
+//! (`tests/serving`) — after every batch of an FK-safe randomized schedule
+//! (`datagen::holdout_plan`), answers from the live-updated warm service are
+//! byte-identical (bit-exact scores) to a cold [`Interpreter`] over a
+//! from-scratch rebuilt store, on all four fixtures × 3 schedule seeds; its
+//! writer-race histories assert every racing reply matches exactly the
+//! oracle of the epoch it reports, and that every epoch was observed. `smoke --check` gates the
 //! deterministic `ingest_rows` / `ingest_batches` / `epoch_swaps` /
 //! `stale_evictions` counters across machines.
 //!
@@ -113,9 +114,10 @@
 //! always reconstructible; [`SearchService::checkpoint`] folds the log into
 //! a fresh atomic `snapshot.kb` and truncates it. Recovery loads the latest
 //! snapshot, replays the WAL tail (discarding a torn final record), and
-//! serves the newest durable epoch — `tests/recovery.rs` kills the service
-//! at every [`FaultPoint`] and asserts the recovered answers are
-//! byte-identical to a never-crashed oracle.
+//! serves the newest durable epoch — the serving suite's kill-matrix
+//! histories (`tests/serving`) kill the service at every [`FaultPoint`] and
+//! assert the recovered answers are byte-identical to a never-crashed
+//! oracle.
 //!
 //! ## The Request/Reply seam — **Hot path 8**
 //!

@@ -7,8 +7,9 @@
 //!
 //! This is the correctness spine under the live-ingestion path: the serving
 //! layer swaps in incrementally maintained indexes, and the end-to-end
-//! differential suite (`tests/ingest.rs` at the workspace root) only holds
-//! if the index layer is exact.
+//! ingest-sweep histories (`differential_*_three_schedules` in
+//! `tests/serving` at the workspace root) only hold if the index layer is
+//! exact.
 
 use keybridge_index::InvertedIndex;
 use keybridge_relstore::{AttrRef, Database, SchemaBuilder, TableKind, Value};

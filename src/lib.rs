@@ -112,8 +112,8 @@
 //! replaced, checksummed snapshot file, and [`core::SearchService::open`]
 //! recovers the newest durable epoch — replaying the log tail and
 //! discarding a torn final record. Recovered answers are byte-identical to
-//! a never-crashed service's (`tests/recovery.rs` proves this at every
-//! injected kill point); `examples/quickstart.rs` §8 walks the
+//! a never-crashed service's (the `crash_equivalence_*` histories in
+//! `tests/serving` prove this at every injected kill point); `examples/quickstart.rs` §8 walks the
 //! checkpoint → crash → reopen cycle.
 //!
 //! ## Sharded scatter-gather serving
@@ -124,8 +124,9 @@
 //! [`core::ShardedService`]: per-shard worker pools, epoch chains, and
 //! cache generations behind one coordinator that scatters each request,
 //! merges the per-shard streams, and replies **byte-identically** to the
-//! single-shard service (`tests/sharded.rs` proves this on every fixture
-//! under concurrent mixed-mode load). Ingested batches route to their
+//! single-shard service (the `sharded_identical_*` histories in
+//! `tests/serving` prove this on every fixture under concurrent mixed-mode
+//! load). Ingested batches route to their
 //! owning shards and advance only those shards' epochs; replies carry the
 //! per-shard epoch vector. Both deployments implement the
 //! [`core::ServeRequests`] trait — one typed [`core::Request`] enum in,
