@@ -5,6 +5,11 @@
 //! `--serve`) the diversification, ingest/epoch, WAL/recovery and
 //! shard-routing counters of sequential single-worker replays.
 //!
+//! Every invocation also runs the paper's experiments (`keybridge_bench::
+//! paper`): it prints each table and figure, writes their machine-independent
+//! cells to a `paper` section, and fails naming the entry id and the finding
+//! of any claim that does not hold.
+//!
 //! With `--scale`, a storage-footprint tier regenerates the profile's IMDB
 //! fixture at scale factors 1/10/50 (plus x100 on the full profile) and
 //! records rows, snapshot bytes (interned/delta-coded vs. the naive v1
@@ -29,7 +34,7 @@
 
 use keybridge_bench::{
     check_baseline, naive_heap_bytes, naive_index_snapshot_bytes, naive_store_snapshot_bytes,
-    replay_diversified, replay_durable, replay_mixed, replay_serve,
+    paper, replay_diversified, replay_durable, replay_mixed, replay_serve,
 };
 use keybridge_core::{
     execute_interpretation_cached, execute_interpretation_naive, DiversifyOptions, DurableOptions,
@@ -348,13 +353,23 @@ fn main() {
         ),
     ];
 
-    // The serve and scale gates defer their exit so the snapshot is still
-    // written as the CI artifact — its counters are what debugging needs.
-    let mut gate_failure: Option<String> = None;
+    // The paper's experiments: every entry, every invocation. Its claims,
+    // like the serve and scale gates, defer their exit so the snapshot is
+    // still written as the CI artifact — its cells are what debugging needs.
+    println!(
+        "\n== paper (every table and figure, {} profile) ==",
+        profile.name
+    );
+    let (cells, failures) = paper::run(profile.name == "quick");
+    snapshot.push(json_section("paper", &cells));
+    for why in &failures {
+        eprintln!("{why}");
+    }
+    let mut gate_failure = failures.into_iter().next();
     if serve {
         let (fields, failure) = serve_phases(&profile, data, index, catalog);
         snapshot.push(json_section("serve", &fields));
-        gate_failure = failure;
+        gate_failure = gate_failure.or(failure);
     }
     if scale {
         let (fields, failure) = scale_tier(&profile);

@@ -1,9 +1,13 @@
-//! Shared fixtures and helpers for the experiment harnesses.
+//! Shared fixtures and helpers for the paper's experiments and the `smoke`
+//! binary.
 //!
-//! Every `[[bench]]` target in this crate regenerates one table or figure of
-//! the paper's evaluation and prints the same rows/series the paper reports.
-//! Run a single one with `cargo bench -p keybridge-bench --bench fig3_5`, or
-//! everything with `cargo bench`.
+//! [`paper`] reproduces the paper's tables and figures as a table of entries
+//! whose findings are checked claims; `smoke` runs every entry on every
+//! invocation and holds its cells to the committed snapshot. The `[[bench]]`
+//! targets are microbenches: `micro`, `exec_stream` and
+//! `postings_intersect`.
+
+pub mod paper;
 
 use keybridge_core::{
     IntentDescription, Interpreter, InterpreterConfig, KeywordQuery, ScoredInterpretation,
@@ -624,6 +628,11 @@ pub fn parse_baseline(json: &str) -> BTreeMap<String, BaselineValue> {
 /// quick-profile run must never be diffed against a full-profile baseline).
 const IDENTITY_KEYS: &[&str] = &["fixture", "profile", "query4"];
 
+/// Sections a run writes only when asked (`--serve`, `--scale`). Every other
+/// section, `paper` included, is written on every run, so its keys are never
+/// excused.
+const OPTIONAL_SECTIONS: &[&str] = &["serve", "scale"];
+
 /// The section of a [`parse_baseline`] key (`""` at the top level).
 fn section_of(key: &str) -> &str {
     key.split_once('.').map_or("", |(section, _)| section)
@@ -633,8 +642,9 @@ fn section_of(key: &str) -> &str {
 /// snapshot holds is a pure function of seed + code, so the comparison is
 /// golden: every key must be present on both sides and equal, and a move in
 /// either direction is a violation naming the key — the change that moves a
-/// number commits the new one. Only the keys of a section the current run did
-/// not produce at all (`--serve` / `--scale` not passed) are skipped. Returns
+/// number commits the new one. Only the keys of an optional section the
+/// current run did not produce at all (`--serve` / `--scale` not passed) are
+/// skipped. Returns
 /// the violations (empty = the check passes), or an error when the snapshots
 /// are not comparable.
 pub fn check_baseline(baseline_json: &str, current_json: &str) -> Result<Vec<String>, String> {
@@ -658,7 +668,9 @@ pub fn check_baseline(baseline_json: &str, current_json: &str) -> Result<Vec<Str
         match cur.get(key) {
             Some(c) if c == b => {}
             Some(c) => violations.push(format!("{key}: baseline {b}, current {c}")),
-            None if produced.contains(section_of(key)) => {
+            None if produced.contains(section_of(key))
+                || !OPTIONAL_SECTIONS.contains(&section_of(key)) =>
+            {
                 violations.push(format!("{key}: missing from the current run"));
             }
             None => {}
@@ -680,6 +692,8 @@ mod baseline_tests {
   "nonempty_probes": 10,
   "executor": { "hashjoin_probes": 100, "semijoin_rows_in": 5000,
     "semijoin_rows_touched": 900, "batch_cols": 400, "batch_allocs": 12 },
+  "paper": { "fig4_2.imdb.a0_99.k10.div_mc": 0.756,
+    "tab3_4.structured_queries8.gap": 1.89 },
   "serve": { "div_pool_items": 40, "div_selected": 30,
     "ingest_rows": 500, "ingest_batches": 6, "epoch_swaps": 6, "stale_evictions": 40,
     "wal_batches": 6, "wal_bytes": 20000, "recovery_checkpoints": 1,
@@ -743,7 +757,11 @@ mod baseline_tests {
         assert_eq!(m["executor.batch_allocs"], BaselineValue::Num(12.0));
         assert_eq!(m["serve.div_pool_items"], BaselineValue::Num(40.0));
         assert_eq!(m["scale.scale10_bytes_per_row"], BaselineValue::Num(49.2));
-        assert_eq!(m.len(), 3 + 5 + 14 + 10);
+        assert_eq!(
+            m["paper.fig4_2.imdb.a0_99.k10.div_mc"],
+            BaselineValue::Num(0.756)
+        );
+        assert_eq!(m.len(), 3 + 5 + 2 + 14 + 10);
     }
 
     #[test]
@@ -842,6 +860,33 @@ mod baseline_tests {
         let cur = without_section("scale");
         assert!(!cur.contains("scale10_rows") && cur.contains("wal_bytes"));
         assert_eq!(check_baseline(BASE, &cur).unwrap(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn paper_cells_gate_and_name_their_key() {
+        assert_gated(&[
+            ("fig4_2.imdb.a0_99.k10.div_mc", "0.757", "0.755"),
+            ("tab3_4.structured_queries8.gap", "1.9", "1.88"),
+        ]);
+        let v = violation(&with("fig4_2.imdb.a0_99.k10.div_mc", "0.757"));
+        assert_eq!(
+            v,
+            "paper.fig4_2.imdb.a0_99.k10.div_mc: baseline 0.756, current 0.757"
+        );
+    }
+
+    #[test]
+    fn paper_keys_are_never_excused() {
+        // Every run writes the paper section, so a run without it is missing
+        // each of its keys, unlike the optional serve and scale sections.
+        let v = check_baseline(BASE, &without_section("paper")).unwrap();
+        assert_eq!(
+            v,
+            [
+                "paper.fig4_2.imdb.a0_99.k10.div_mc: missing from the current run",
+                "paper.tab3_4.structured_queries8.gap: missing from the current run",
+            ]
+        );
     }
 
     #[test]

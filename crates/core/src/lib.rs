@@ -20,7 +20,7 @@
 //!    search is tested against; tests and benches call it by name.
 //! 4. [`ProbabilityModel`] — the probabilistic interpretation model
 //!    (Eqs. 3.5–3.8) with the DivQ refinements (joint ATF, unmapped-keyword
-//!    smoothing; Eq. 4.2), plus the SQAK and join-count baseline rankers.
+//!    smoothing; Eq. 4.2), plus the SQAK baseline ranker.
 //! 5. [`execute_interpretation`] — runs an interpretation against the
 //!    database and materializes its joining tuple trees.
 //! 6. [`SearchService`] — the concurrent serving layer: an `Arc`-shared,
@@ -35,7 +35,6 @@
 mod construct;
 mod exec;
 mod generate;
-mod hierarchy;
 mod interp;
 mod keyword;
 mod pipeline;
@@ -57,7 +56,6 @@ pub use generate::{
     AnswerStats, GenerationStats, Interpreter, InterpreterConfig, NonemptyCache, RankedAnswer,
     ScoredInterpretation, SharedNonemptyCache,
 };
-pub use hierarchy::{subsumes, QueryHierarchy};
 pub use interp::{
     BindingAtom, BindingAtomKind, BindingTarget, IntentDescription, KeywordBinding,
     QueryInterpretation,
@@ -69,7 +67,7 @@ pub use pipeline::{
     PostProcess, QueryPipeline,
 };
 pub use prob::{IncrementalScorer, ProbabilityConfig, ProbabilityModel, TemplatePrior};
-pub use rank::{join_count_score, sqak_score};
+pub use rank::sqak_score;
 pub use render::{render_natural, render_sql};
 pub use service::{
     CheckpointReceipt, DiversifiedReply, DurableOptions, IngestError, IngestReceipt,

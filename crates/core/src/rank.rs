@@ -1,4 +1,4 @@
-//! Baseline rankers.
+//! The baseline ranker.
 //!
 //! * [`sqak_score`] — the SQAK-style ranking of §3.8.3: a query
 //!   interpretation is a graph whose keyword nodes are scored by Lucene-style
@@ -7,8 +7,6 @@
 //!   paper's description we aggregate `Σ node scores` and normalize by tree
 //!   size, so shorter join sequences win ties — exactly the behaviour that
 //!   hurts SQAK on the Lyrics chain queries.
-//! * [`join_count_score`] — the DISCOVER/DBXplorer-era baseline: rank purely
-//!   by the number of joins (§2.2.4).
 
 use crate::interp::{BindingTarget, QueryInterpretation};
 use crate::template::TemplateCatalog;
@@ -74,12 +72,6 @@ pub fn sqak_score(
     let unit = (free_nodes + n_edges) as f64;
     let _ = db; // schema currently unused; kept for signature stability
     (keyword_score + unit) / (n_nodes + n_edges) as f64
-}
-
-/// Join-count baseline: `1 / (1 + #joins)` — shorter joining sequences are
-/// considered more relevant (§2.2.4, DISCOVER/DBXplorer).
-pub fn join_count_score(catalog: &TemplateCatalog, interp: &QueryInterpretation) -> f64 {
-    1.0 / (1.0 + catalog.get(interp.template).join_count() as f64)
 }
 
 #[cfg(test)]
@@ -157,46 +149,6 @@ mod tests {
         let name = single_table_interp(&db, &catalog, "actor", "name", "garcia");
         let title = single_table_interp(&db, &catalog, "movie", "title", "garcia");
         assert!(sqak_score(&db, &idx, &catalog, &title) > sqak_score(&db, &idx, &catalog, &name));
-    }
-
-    #[test]
-    fn steiner_minimization_prefers_small_trees() {
-        let (db, _idx, catalog) = setup();
-        let small = single_table_interp(&db, &catalog, "actor", "name", "garcia");
-        // Same binding inside the 3-node actor-acts-movie template.
-        let actor = db.schema().table_id("actor").unwrap();
-        let movie = db.schema().table_id("movie").unwrap();
-        let sig = {
-            let mut s = vec!["actor".to_owned(), "acts".to_owned(), "movie".to_owned()];
-            s.sort();
-            s
-        };
-        let big_tpl = catalog.iter().find(|t| t.signature(&db) == sig).unwrap();
-        let actor_node = big_tpl.nodes_of_table(actor)[0];
-        let movie_node = big_tpl.nodes_of_table(movie)[0];
-        let name_attr = db.schema().resolve("actor", "name").unwrap().attr;
-        let title_attr = db.schema().resolve("movie", "title").unwrap().attr;
-        let big = QueryInterpretation::new(
-            big_tpl.id,
-            vec![
-                KeywordBinding {
-                    keywords: vec!["garcia".to_owned()],
-                    target: BindingTarget::Value {
-                        node: actor_node,
-                        attr: name_attr,
-                    },
-                },
-                KeywordBinding {
-                    keywords: vec!["terminal".to_owned()],
-                    target: BindingTarget::Value {
-                        node: movie_node,
-                        attr: title_attr,
-                    },
-                },
-            ],
-        );
-        // join_count baseline always prefers the smaller tree.
-        assert!(join_count_score(&catalog, &small) > join_count_score(&catalog, &big));
     }
 
     #[test]

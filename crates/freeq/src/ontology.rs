@@ -126,10 +126,14 @@ impl SchemaOntology {
 
     /// Whether table `t` belongs to the subtree rooted at `concept`.
     pub fn contains(&self, concept: usize, t: TableId) -> bool {
-        match self.concept_of(t) {
-            Some(leaf) => self.ancestors(leaf).contains(&concept),
-            None => false,
+        let mut at = self.concept_of(t);
+        while let Some(c) = at {
+            if c == concept {
+                return true;
+            }
+            at = self.concepts[c].parent;
         }
+        false
     }
 
     /// Maximum concept depth.

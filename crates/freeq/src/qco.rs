@@ -37,7 +37,7 @@ impl FreeQOption {
 }
 
 /// Shannon entropy of normalized weights.
-fn entropy(weights: &[f64]) -> f64 {
+pub(crate) fn entropy(weights: &[f64]) -> f64 {
     let total: f64 = weights.iter().sum();
     if total <= 0.0 {
         return 0.0;
@@ -64,10 +64,18 @@ pub fn qco_efficiency(
     ontology: Option<&SchemaOntology>,
 ) -> f64 {
     debug_assert_eq!(candidates.len(), probs.len());
-    let h = entropy(probs);
+    split_gain(entropy(probs), probs, |i| {
+        option.subsumed_by(&candidates[i], ontology)
+    })
+}
+
+/// [`qco_efficiency`] given `h = entropy(probs)`, with `accepts(i)` telling
+/// whether candidate `i` subsumes the option: a session computes `h` once
+/// per step instead of once per option.
+pub(crate) fn split_gain(h: f64, probs: &[f64], accepts: impl Fn(usize) -> bool) -> f64 {
     let (mut acc, mut rej) = (Vec::new(), Vec::new());
-    for (c, &p) in candidates.iter().zip(probs) {
-        if option.subsumed_by(c, ontology) {
+    for (i, &p) in probs.iter().enumerate() {
+        if accepts(i) {
             acc.push(p);
         } else {
             rej.push(p);
@@ -84,8 +92,8 @@ pub fn qco_efficiency(
 /// All options derivable from a candidate set: per keyword, the distinct
 /// bound tables; with an ontology, also every ancestor concept of those
 /// tables (excluding the root, which never discriminates).
-pub fn derive_options(
-    candidates: &[LazyInterpretation],
+pub fn derive_options<'a>(
+    candidates: impl IntoIterator<Item = &'a LazyInterpretation>,
     ontology: Option<&SchemaOntology>,
 ) -> Vec<FreeQOption> {
     use std::collections::BTreeSet;

@@ -2,7 +2,7 @@
 //! over lazily-materialized candidates, with or without ontology-based QCOs.
 
 use crate::ontology::SchemaOntology;
-use crate::qco::{derive_options, qco_efficiency, FreeQOption};
+use crate::qco::{derive_options, entropy, split_gain, FreeQOption};
 use crate::traversal::LazyInterpretation;
 use keybridge_relstore::TableId;
 
@@ -81,16 +81,31 @@ impl<'a> FreeQSession<'a> {
 
     /// Most efficient unasked option (§5.5.2's measure = information gain).
     pub fn next_option(&self) -> Option<FreeQOption> {
-        let interps: Vec<LazyInterpretation> =
-            self.candidates.iter().map(|(i, _)| i.clone()).collect();
         let probs: Vec<f64> = self.candidates.iter().map(|(_, p)| *p).collect();
-        let opts = derive_options(&interps, self.ontology);
+        let (h, total) = (entropy(&probs), probs.iter().sum::<f64>());
+        let opts = derive_options(self.candidates.iter().map(|(i, _)| i), self.ontology);
         let mut best: Option<(f64, FreeQOption)> = None;
         for o in opts {
             if self.asked.contains(&o) {
                 continue;
             }
-            let eff = qco_efficiency(o, &interps, &probs, self.ontology);
+            let accepts = |i: usize| o.subsumed_by(&self.candidates[i].0, self.ontology);
+            // An option's answer is a function of the candidate, so its gain
+            // is exactly the entropy of its accept/reject split. An option
+            // whose split entropy falls clearly short of the best gain so far
+            // cannot win and is not scored.
+            if let Some((b, _)) = best {
+                let pa = (0..probs.len())
+                    .filter(|&i| accepts(i))
+                    .map(|i| probs[i])
+                    .sum::<f64>()
+                    / total;
+                if entropy(&[pa, 1.0 - pa]) + 1e-9 < b - 1e-12 {
+                    continue;
+                }
+            }
+            // `qco_efficiency`, with the step's entropy computed once.
+            let eff = split_gain(h, &probs, accepts);
             if eff <= 0.0 {
                 continue;
             }

@@ -76,8 +76,11 @@ impl LazyInterpretation {
 
 /// A partial interpretation in the best-first frontier.
 struct Partial {
-    /// Attributes assigned to the keyword prefix.
-    assigned: Vec<AttrRef>,
+    /// The last assignment of the keyword prefix in the traversal's arena of
+    /// `(parent, attr)` links; `None` for the empty prefix.
+    last: Option<usize>,
+    /// Keywords assigned.
+    depth: usize,
     /// Exact log score of the assigned prefix (including join penalties so
     /// far).
     g: f64,
@@ -103,6 +106,19 @@ impl Ord for Partial {
             .partial_cmp(&other.bound)
             .unwrap_or(Ordering::Equal)
     }
+}
+
+/// A frontier prefix in reverse, from its last link in `links` (each a
+/// `(parent, attr)` pair) back to the first keyword's assignment.
+fn prefix(
+    links: &[(Option<usize>, AttrRef)],
+    mut at: Option<usize>,
+) -> impl Iterator<Item = AttrRef> + '_ {
+    std::iter::from_fn(move || {
+        let (parent, attr) = links[at?];
+        at = parent;
+        Some(attr)
+    })
 }
 
 /// The lazy best-first explorer.
@@ -177,9 +193,13 @@ impl<'a> LazyExplorer<'a> {
             suffix_max[i] = suffix_max[i + 1] + cands[i][0].1;
         }
 
+        // Each assignment is one `(parent, attr)` link, so a push copies no
+        // prefix.
+        let mut links: Vec<(Option<usize>, AttrRef)> = Vec::new();
         let mut heap: BinaryHeap<Partial> = BinaryHeap::new();
         heap.push(Partial {
-            assigned: Vec::new(),
+            last: None,
+            depth: 0,
             g: 0.0,
             bound: suffix_max[0],
         });
@@ -193,13 +213,15 @@ impl<'a> LazyExplorer<'a> {
             if expansions > budget {
                 break;
             }
-            let depth = p.assigned.len();
+            let depth = p.depth;
             if depth == n {
-                let mut tables: Vec<TableId> = p.assigned.iter().map(|a| a.table).collect();
+                let mut bindings: Vec<AttrRef> = prefix(&links, p.last).collect();
+                bindings.reverse();
+                let mut tables: Vec<TableId> = bindings.iter().map(|a| a.table).collect();
                 tables.sort();
                 tables.dedup();
                 out.push(LazyInterpretation {
-                    bindings: p.assigned,
+                    bindings,
                     tables,
                     log_score: p.g,
                 });
@@ -210,17 +232,17 @@ impl<'a> LazyExplorer<'a> {
             }
             for &(attr, lg) in &cands[depth] {
                 // Join penalty when this attribute's table is new.
-                let new_table = !p.assigned.iter().any(|a| a.table == attr.table);
-                let penalty = if new_table && !p.assigned.is_empty() {
+                let new_table = !prefix(&links, p.last).any(|a| a.table == attr.table);
+                let penalty = if new_table && depth > 0 {
                     self.config.join_log_penalty
                 } else {
                     0.0
                 };
                 let g = p.g + lg + penalty;
-                let mut assigned = p.assigned.clone();
-                assigned.push(attr);
+                links.push((p.last, attr));
                 heap.push(Partial {
-                    assigned,
+                    last: Some(links.len() - 1),
+                    depth: depth + 1,
                     g,
                     bound: g + suffix_max[depth + 1],
                 });
