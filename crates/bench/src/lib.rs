@@ -3,9 +3,8 @@
 //!
 //! [`paper`] reproduces the paper's tables and figures as a table of entries
 //! whose findings are checked claims; `smoke` runs every entry on every
-//! invocation and holds its cells to the committed snapshot. The `[[bench]]`
-//! targets are microbenches: `micro`, `exec_stream` and
-//! `postings_intersect`.
+//! invocation and holds its cells to the committed snapshot. Every clock is
+//! kbench's (`src/bin/kbench`).
 
 pub mod paper;
 

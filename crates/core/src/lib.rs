@@ -14,10 +14,11 @@
 //!    every keyword to a template element (value predicate, table name, or
 //!    attribute name) satisfying uniqueness and minimality (Def. 3.5.4).
 //!    `Interpreter::top_k` emits the best k interpretations (complete and
-//!    partial) by best-first search guided by [`IncrementalScorer`], never
-//!    materializing the full space. The exhaustive enumerate-then-rank
-//!    pipeline ([`Interpreter::ranked_with_partials`]) is the reference the
-//!    search is tested against; tests and benches call it by name.
+//!    partial) by best-first search guided by an incremental scorer (an
+//!    admissible bound plus a memo of group scores), never materializing the
+//!    full space. The exhaustive enumerate-then-rank pipeline
+//!    ([`Interpreter::ranked_with_partials`]) is the reference the search is
+//!    tested against; tests call it by name.
 //! 4. [`ProbabilityModel`] — the probabilistic interpretation model
 //!    (Eqs. 3.5–3.8) with the DivQ refinements (joint ATF, unmapped-keyword
 //!    smoothing; Eq. 4.2), plus the SQAK baseline ranker.
@@ -63,10 +64,9 @@ pub use interp::{
 pub use keyword::KeywordQuery;
 pub use pipeline::{
     div_pool, diversify, jaccard, BestFirstSource, DivItem, DiversifiedAnswer, DiversifiedAnswers,
-    DiversifyConfig, DiversifyOptions, ExecutedPool, FixedSource, InterpretationSource,
-    PostProcess, QueryPipeline,
+    DiversifyConfig, DiversifyOptions, ExecutedPool, InterpretationSource, QueryPipeline,
 };
-pub use prob::{IncrementalScorer, ProbabilityConfig, ProbabilityModel, TemplatePrior};
+pub use prob::{ProbabilityConfig, ProbabilityModel, TemplatePrior};
 pub use rank::sqak_score;
 pub use render::{render_natural, render_sql};
 pub use service::{
@@ -78,6 +78,5 @@ pub use service::{
 pub use sharded::ShardedService;
 pub use template::{QueryTemplate, TemplateCatalog, TemplateId};
 pub use wal::{
-    scan_wal, DurabilityError, FaultPlan, FaultPoint, Wal, WalScan, SNAPSHOT_FILE, SNAPSHOT_TMP,
-    WAL_FILE,
+    scan_wal, DurabilityError, FaultPlan, FaultPoint, Wal, WalScan, SNAPSHOT_FILE, WAL_FILE,
 };

@@ -114,7 +114,7 @@ impl InterpretationSource for BestFirstSource<'_, '_> {
 
 /// A fixed, pre-ranked candidate list — a diversification pool handed in by
 /// a caller, or the remaining window of a construction session.
-pub struct FixedSource {
+pub(crate) struct FixedSource {
     ranked: Vec<ScoredInterpretation>,
 }
 
@@ -165,7 +165,7 @@ impl InterpretationSource for FixedSource {
 
 /// A stage consuming the pipeline's stream of non-empty executed
 /// interpretations, in rank order.
-pub trait PostProcess {
+pub(crate) trait PostProcess {
     /// Raw answers (JTTs) the stage still wants. Drives the executor's
     /// per-interpretation `limit` and stops the wave at `0`. Stages that
     /// must see *every* candidate (diversification pools, session windows)

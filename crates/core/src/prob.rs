@@ -252,7 +252,7 @@ use keybridge_relstore::TableId;
 /// bit for bit (the bag is scored in the binding's canonical keyword order),
 /// which is what lets [`Self::binding_ln`] assemble an emitted
 /// interpretation's exact score without walking postings again.
-pub struct IncrementalScorer<'q> {
+pub(crate) struct IncrementalScorer<'q> {
     index: &'q InvertedIndex,
     config: ProbabilityConfig,
     terms: &'q [String],
@@ -355,16 +355,6 @@ impl<'q> IncrementalScorer<'q> {
             ln_name,
             allow_unmapped,
         }
-    }
-
-    /// Number of keyword occurrences.
-    pub fn len(&self) -> usize {
-        self.terms.len()
-    }
-
-    /// Whether the query has no occurrences.
-    pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
     }
 
     /// `ln P_u`, the charge per unmapped keyword.

@@ -1330,7 +1330,7 @@ impl SearchService {
             return 0;
         };
         let now = self.clock_ms();
-        let ttl_ms = ttl.as_millis() as u64;
+        let ttl_ms = u64::try_from(ttl.as_millis()).unwrap_or(u64::MAX);
         let mut sessions = self.sessions.lock().unwrap();
         let before = sessions.len();
         sessions
@@ -1348,7 +1348,7 @@ impl SearchService {
         let Some(entry) = sessions.get(&id.0) else {
             return false;
         };
-        let by_ms = by.as_millis() as u64;
+        let by_ms = u64::try_from(by.as_millis()).unwrap_or(u64::MAX);
         let aged = entry
             .last_touch_ms
             .load(Ordering::Relaxed)
@@ -2147,6 +2147,27 @@ mod tests {
             assert_eq!(r1.jtts, r2.jtts);
             assert_eq!(r1.keys, r2.keys);
         }
+    }
+
+    #[test]
+    fn ttl_beyond_u64_millis_saturates_instead_of_wrapping() {
+        // 2^64 ms + 384 ms: a truncating cast reads this as 384 ms.
+        let huge = Duration::from_secs(18_446_744_073_709_552);
+        let service = SearchService::start(snapshot(), 1);
+        service.set_session_ttl(Some(huge));
+        let q = KeywordQuery::from_terms(vec![]);
+        let a = service.open_session(&q, 5, SessionConfig::default());
+        assert!(service.age_session(a.id, Duration::from_secs(1)));
+        assert_eq!(
+            service.expire_idle_sessions(),
+            0,
+            "1 s idle under a huge TTL"
+        );
+        assert!(service.session_view(a.id).is_some());
+        // The same duration as an age back-dates past any finite TTL.
+        service.set_session_ttl(Some(Duration::from_secs(3600)));
+        assert!(service.age_session(a.id, huge));
+        assert_eq!(service.expire_idle_sessions(), 1, "aged by a huge duration");
     }
 
     #[test]

@@ -41,7 +41,7 @@ use std::sync::Mutex;
 /// Snapshot file name inside a durable service directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.kb";
 /// Temp file the checkpoint writes before the atomic rename.
-pub const SNAPSHOT_TMP: &str = "snapshot.tmp";
+pub(crate) const SNAPSHOT_TMP: &str = "snapshot.tmp";
 /// Write-ahead log file name inside a durable service directory.
 pub const WAL_FILE: &str = "wal.kb";
 

@@ -372,14 +372,17 @@ impl RowBits {
 /// comes out) in entries of a sequential parent-column scan. A free fk-side
 /// node is materialized by the scan once its source holds more than one
 /// pk-side row in this many: the source then names about that share of the
-/// child table, so the two costs meet. Measured on the x10 IMDB fixture over
-/// the 1,264 executions of the micro bench's `exec_cold` group, reducer time
-/// as the median of five runs: 7.7 ms at 8 and at 16, 8.9 at 32, 8.7 at 64,
-/// 13.0 at 128, 28.0 when every such node is scanned (rows touched per
-/// execution 1,447 / 1,526 / 2,095 / 2,269 / 2,915 / 17,708). Under sources
-/// several times larger (a reducer rooted at its smallest node) the same
-/// bench was flat from 16 to 64 and 20% slower at 8, so 16 sits in the flat
-/// stretch whichever way source sizes move.
+/// child table, so the two costs meet. When the constant was chosen it was
+/// measured on the x10 IMDB fixture over the 1,264 executions the answers
+/// pipeline performs for 256 log queries, reducer time as the median of five
+/// runs: 7.7 ms at 8 and at 16, 8.9 at 32, 8.7 at 64, 13.0 at 128, 28.0 when
+/// every such node is scanned (rows touched per execution 1,447 / 1,526 /
+/// 2,095 / 2,269 / 2,915 / 17,708). Under sources several times larger (a
+/// reducer rooted at its smallest node) the same measurement was flat from 16
+/// to 64 and 20% slower at 8, so 16 sits in the flat stretch whichever way
+/// source sizes move. To re-measure it: kbench's `relstore.exec.reduce_ms` on
+/// the `scale_search` workload for the time, and `smoke`'s strict
+/// `semijoin_rows_touched` counter for the rows touched.
 const SCAN_PER_GATHER: usize = 16;
 
 /// Keep the rows of one node that satisfy `joins`, in their order, and return

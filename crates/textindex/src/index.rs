@@ -1960,19 +1960,26 @@ mod tests {
     fn joint_rows_agree_across_repr_mixes() {
         // Property: for_each_joint_row (word-AND fast path, leapfrog-into-
         // bitmap, and pure gaps merge) matches a brute-force model
-        // intersection for every repr mix.
+        // intersection for every repr mix — each mix with cases whose
+        // intersection is non-empty.
         let mut rng = XorShift(0x2545F4914F6CDD1D);
-        for case in 0..200 {
+        let (mut all_bitmap, mut all_gaps, mut mixed) = (0usize, 0usize, 0usize);
+        for case in 0..1000 {
             let k = 2 + rng.below(3) as usize;
             let mut entries = Vec::new();
             let mut models: Vec<Vec<(RowId, u32)>> = Vec::new();
             for _ in 0..k {
-                let dense = rng.below(2) == 0;
-                let universe = if dense { 400 } else { 1 << 14 };
-                let n = rng.below(if dense { 200 } else { 40 }) as usize;
+                // Dense (a bitmap from df 16), sparse scatter, or sparse on
+                // a stride-41 lattice: gaps lists that still overlap.
+                let (universe, stride, most) = match rng.below(3) {
+                    0 => (400, 1, 200),
+                    1 => (1 << 14, 1, 40),
+                    _ => (400, 41, 40),
+                };
+                let n = rng.below(most) as usize;
                 let mut model: Vec<(RowId, u32)> = Vec::new();
                 for _ in 0..n {
-                    let row = RowId(rng.below(universe) as u32);
+                    let row = RowId((rng.below(universe) * stride) as u32);
                     let tf = rng.below(6) as u32 + 1;
                     match model.binary_search_by_key(&row, |&(r, _)| r) {
                         Ok(i) => model[i].1 += tf,
@@ -2006,6 +2013,17 @@ mod tests {
                 }
             }
             assert_eq!(got, want, "case {case}");
+            if !want.is_empty() {
+                let bitmaps = lists
+                    .iter()
+                    .filter(|e| e.repr() == PostingsRepr::Bitmap)
+                    .count();
+                match bitmaps {
+                    0 => all_gaps += 1,
+                    n if n == lists.len() => all_bitmap += 1,
+                    _ => mixed += 1,
+                }
+            }
             // Early exit stops after the first joint row on both paths.
             let mut first = None;
             for_each_joint_row(&lists, |row, min_tf| {
@@ -2014,6 +2032,11 @@ mod tests {
             });
             assert_eq!(first, want.first().copied(), "case {case} early exit");
         }
+        let nonempty = [all_bitmap, all_gaps, mixed];
+        assert!(
+            nonempty.iter().all(|&n| n >= 20),
+            "non-empty intersections (all-bitmap, all-gaps, mixed): {nonempty:?}"
+        );
     }
 
     #[test]

@@ -17,10 +17,11 @@ use keybridge::core::{
     InterpreterConfig, KeywordBinding, KeywordQuery, ProbabilityConfig, QueryInterpretation,
     TemplateCatalog,
 };
+use keybridge::datagen::{ImdbConfig, ImdbDataset, Workload, WorkloadConfig};
 use keybridge::index::InvertedIndex;
 use keybridge::relstore::{
     assign_shards, execute_join_tree_naive, execute_join_tree_with_stats_in, reduce_join_tree,
-    split_database, BatchArena, Candidates, Database, ExecOptions, JoinTree, JoinTreeEdge,
+    split_database, AttrRef, BatchArena, Candidates, Database, ExecOptions, JoinTree, JoinTreeEdge,
     JoinedRow, RelError, RowBatch, RowId, SchemaBuilder, TableId, TableKind, Value,
 };
 use rand::rngs::StdRng;
@@ -650,7 +651,8 @@ fn assert_reduced_is_the_naive_projection(
 }
 
 /// Random trees over the company schema under candidates the index would
-/// never produce.
+/// never produce, then the executions of the tiny IMDB fixture's log queries
+/// under the candidates the index does produce.
 #[test]
 fn reducer_sets_equal_the_rows_of_the_naive_join() {
     let (mut nonempty, mut all_free, mut self_joins) = (0usize, 0usize, 0usize);
@@ -677,6 +679,77 @@ fn reducer_sets_equal_the_rows_of_the_naive_join() {
     assert!(nonempty >= 120, "corpus too degenerate: {nonempty}");
     assert!(all_free >= 20, "too few all-free trees: {all_free}");
     assert!(self_joins >= 40, "too few self-joins: {self_joins}");
+
+    // Executions the answers pipeline performs: the tiny IMDB fixture's
+    // seeded log, each query's top interpretations with a value predicate,
+    // under the candidates the index harvests for them. The executor is held
+    // to the naive multiset as well.
+    let data = ImdbDataset::generate(ImdbConfig::tiny(99)).unwrap();
+    let index = InvertedIndex::build(&data.db);
+    let catalog = TemplateCatalog::enumerate(&data.db, 3, 50_000).unwrap();
+    let interpreter = Interpreter::new(&data.db, &index, &catalog, InterpreterConfig::default());
+    let log = Workload::imdb(
+        &data,
+        WorkloadConfig {
+            seed: 5,
+            n_queries: 8,
+            mc_fraction: 0.5,
+        },
+    );
+    let unlimited = ExecOptions {
+        limit: usize::MAX,
+        max_intermediate: usize::MAX,
+    };
+    let (mut executions, mut nonempty) = (0usize, 0usize);
+    for q in &log.queries {
+        let query = KeywordQuery::from_terms(q.keywords.clone());
+        for s in interpreter.top_k(&query, 10) {
+            let interp = &s.interpretation;
+            let tree = &catalog.get(interp.template).tree;
+            let Some(cands) = harvested_candidates(&index, tree, interp) else {
+                continue;
+            };
+            let note = format!("imdb \"{query}\": {interp:?}");
+            let jtts = assert_reduced_is_the_naive_projection(&data.db, tree, &cands, &note);
+            let rows = execute_join_tree_with_stats_in(
+                &data.db,
+                tree,
+                &cands,
+                unlimited,
+                &mut BatchArena::new(),
+            )
+            .unwrap_or_else(|e| panic!("{note}: hash join failed: {e}"))
+            .rows;
+            nonempty += usize::from(!jtts.is_empty());
+            assert_eq!(sorted(rows), sorted(jtts), "{note}: executor vs naive");
+            executions += 1;
+        }
+    }
+    assert!(executions >= 60, "imdb: only {executions} executions");
+    assert!(nonempty >= 40, "imdb: only {nonempty} non-empty executions");
+}
+
+/// The candidates the answers pipeline harvests for `interp`: each value
+/// binding's `rows_with_all`, intersected where two bind one node. `None`
+/// when no binding is a value predicate.
+fn harvested_candidates(
+    index: &InvertedIndex,
+    tree: &JoinTree,
+    interp: &QueryInterpretation,
+) -> Option<Candidates> {
+    let mut cands = Candidates::free(tree.nodes.len());
+    for b in &interp.bindings {
+        let BindingTarget::Value { node, attr } = b.target else {
+            continue;
+        };
+        let table = tree.nodes[node];
+        let mut rows = index.rows_with_all(&b.keywords, AttrRef { table, attr });
+        if let Some(prev) = &cands.per_node[node] {
+            rows.retain(|r| prev.binary_search(r).is_ok());
+        }
+        cands = cands.restrict(node, rows);
+    }
+    cands.per_node.iter().any(Option::is_some).then_some(cands)
 }
 
 /// `n` distinct rows of a `len`-row table, ascending (fewer if the table is

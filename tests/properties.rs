@@ -9,6 +9,7 @@ use keybridge::core::{
     KeywordQuery, NonemptyCache, ProbabilityConfig, ProbabilityModel, ScoredInterpretation,
     TemplateCatalog, TemplatePrior,
 };
+use keybridge::datagen::{ImdbConfig, ImdbDataset, Workload, WorkloadConfig};
 use keybridge::divq::{alpha_ndcg_w, diversify, jaccard, ws_recall, DivItem, EvalItem};
 use keybridge::index::{InvertedIndex, Tokenizer};
 use keybridge::iqp::{brute_force_plan, greedy_plan, plan_cost, PlanProblem};
@@ -552,7 +553,8 @@ fn counters(s: &GenerationStats) -> [usize; 8] {
 /// bits, probability bits — with the pulls' counters adding up to the fresh
 /// call's, and both equal the exhaustive oracle's prefix. Randomized schemas
 /// and scoring configurations, partials on and off, schema-name bindings,
-/// repeated keywords, and interpretation caps small enough to be hit.
+/// repeated keywords, and interpretation caps small enough to be hit; then
+/// the tiny IMDB fixture's seeded log pulled at 10 → 40 → 160.
 #[test]
 fn resumed_pulls_equal_fresh_top_k() {
     let mut multi_pull_cases = 0usize;
@@ -595,23 +597,7 @@ fn resumed_pulls_equal_fresh_top_k() {
                     pulls += 1;
                     let (fresh, fresh_stats) =
                         interp.top_k_with_cache(&query, k, partials, &mut NonemptyCache::new());
-                    assert_eq!(resumed.len(), fresh.len(), "{note} k {k}: length");
-                    for (rank, (r, f)) in resumed.iter().zip(&fresh).enumerate() {
-                        assert_eq!(
-                            r.interpretation, f.interpretation,
-                            "{note} k {k}: interpretation at rank {rank}"
-                        );
-                        assert_eq!(
-                            r.log_score.to_bits(),
-                            f.log_score.to_bits(),
-                            "{note} k {k}: score bits at rank {rank}"
-                        );
-                        assert_eq!(
-                            r.probability.to_bits(),
-                            f.probability.to_bits(),
-                            "{note} k {k}: probability bits at rank {rank}"
-                        );
-                    }
+                    assert_same_ranking(&resumed, &fresh, &format!("{note} k {k}"));
                     assert_eq!(
                         counters(&total),
                         counters(&fresh_stats),
@@ -644,6 +630,71 @@ fn resumed_pulls_equal_fresh_top_k() {
         capped_cases >= 10,
         "the cap was hit in {capped_cases} cases"
     );
+
+    // The tiny IMDB fixture's seeded log, pulled at the serving pipeline's
+    // wave sizes: generated skew and template fan-out, not a random schema.
+    let data = ImdbDataset::generate(ImdbConfig::tiny(99)).unwrap();
+    let index = InvertedIndex::build(&data.db);
+    let catalog = TemplateCatalog::enumerate(&data.db, 4, 50_000).unwrap();
+    let interp = Interpreter::new(&data.db, &index, &catalog, InterpreterConfig::default());
+    let log = Workload::imdb(
+        &data,
+        WorkloadConfig {
+            seed: 5,
+            n_queries: 12,
+            mc_fraction: 0.5,
+        },
+    );
+    // Per later wave: queries whose pull went past the previous wave's k.
+    let mut extended = [0usize; 2];
+    for q in &log.queries {
+        let query = KeywordQuery::from_terms(q.keywords.clone());
+        let mut source = BestFirstSource::new(&interp, &query, true);
+        let mut cache = NonemptyCache::new();
+        let mut total = GenerationStats::default();
+        for (wave, k) in [10, 40, 160].into_iter().enumerate() {
+            let (resumed, stats) = source.pull(k, &mut cache);
+            total.absorb(&stats);
+            let (fresh, fresh_stats) =
+                interp.top_k_with_cache(&query, k, true, &mut NonemptyCache::new());
+            let note = format!("imdb \"{query}\" k {k}");
+            assert_same_ranking(&resumed, &fresh, &note);
+            assert_eq!(counters(&total), counters(&fresh_stats), "{note}: counters");
+            if wave > 0 {
+                extended[wave - 1] += usize::from(resumed.len() > k / 4);
+            }
+        }
+    }
+    assert!(
+        extended[0] >= 5 && extended[1] >= 1,
+        "pulls past the previous wave at k 40, 160: {extended:?}"
+    );
+}
+
+/// `resumed` is `fresh`, rank by rank: interpretation, score bits,
+/// probability bits.
+fn assert_same_ranking(
+    resumed: &[ScoredInterpretation],
+    fresh: &[ScoredInterpretation],
+    note: &str,
+) {
+    assert_eq!(resumed.len(), fresh.len(), "{note}: length");
+    for (rank, (r, f)) in resumed.iter().zip(fresh).enumerate() {
+        assert_eq!(
+            r.interpretation, f.interpretation,
+            "{note}: interpretation at rank {rank}"
+        );
+        assert_eq!(
+            r.log_score.to_bits(),
+            f.log_score.to_bits(),
+            "{note}: score bits at rank {rank}"
+        );
+        assert_eq!(
+            r.probability.to_bits(),
+            f.probability.to_bits(),
+            "{note}: probability bits at rank {rank}"
+        );
+    }
 }
 
 /// A query longer than the search's inline assignment slots (8 keywords)
