@@ -100,7 +100,6 @@ impl Fixture {
                 max_interpretations: 3000,
                 prob,
                 prior,
-                ..Default::default()
             },
         )
     }

@@ -14,17 +14,18 @@ use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Generation and scoring knobs.
+///
+/// The paper's model is fixed, not configured: every value predicate must
+/// match at least one row (the DivQ non-empty-result necessary condition,
+/// §4.4.1), and a keyword may bind to a table or attribute *name* as well
+/// as to a value (Def. 3.5.4). What callers do choose is the size cap, the
+/// probability model and the template prior.
 #[derive(Debug, Clone)]
 pub struct InterpreterConfig {
     /// Hard cap on generated interpretations per query (the interpretation
     /// space grows polynomially with schema size and exponentially with
     /// query length; §3.8.5).
     pub max_interpretations: usize,
-    /// Require every value predicate to match at least one row (the DivQ
-    /// non-empty-result necessary condition, §4.4.1).
-    pub require_nonempty_predicates: bool,
-    /// Allow keywords to be interpreted as table/attribute names.
-    pub allow_schema_bindings: bool,
     /// Probability model knobs.
     pub prob: ProbabilityConfig,
     /// Template prior.
@@ -35,8 +36,6 @@ impl Default for InterpreterConfig {
     fn default() -> Self {
         InterpreterConfig {
             max_interpretations: 20_000,
-            require_nonempty_predicates: true,
-            allow_schema_bindings: true,
             prob: ProbabilityConfig::default(),
             prior: TemplatePrior::Uniform,
         }
@@ -291,12 +290,10 @@ impl<'a> Interpreter<'a> {
             for attr in self.index.attrs_containing(term) {
                 cands.push(TermCandidate::Value(*attr));
             }
-            if self.config.allow_schema_bindings {
-                for m in self.index.schema_matches(term) {
-                    match m {
-                        SchemaTarget::Table(t) => cands.push(TermCandidate::TableName(*t)),
-                        SchemaTarget::Attribute(a) => cands.push(TermCandidate::AttrName(*a)),
-                    }
+            for m in self.index.schema_matches(term) {
+                match m {
+                    SchemaTarget::Table(t) => cands.push(TermCandidate::TableName(*t)),
+                    SchemaTarget::Attribute(a) => cands.push(TermCandidate::AttrName(*a)),
                 }
             }
             // Deterministic order.
@@ -377,7 +374,7 @@ impl<'a> Interpreter<'a> {
             if !interp.is_minimal(self.catalog) {
                 return;
             }
-            if self.config.require_nonempty_predicates && !self.predicates_nonempty(tpl, &interp) {
+            if !self.predicates_nonempty(tpl, &interp) {
                 return;
             }
             results.insert(interp);
@@ -1123,7 +1120,6 @@ impl BestFirstSearch<'_, '_> {
         let i = node.depth as usize;
         let interpreter = self.interpreter;
         let tpl = interpreter.catalog.get(node.tpl);
-        let require_nonempty = interpreter.config.require_nonempty_predicates;
         // Held by value while the children are built (they need `&mut self`
         // for the memos and the frontier), put back below.
         let mut data = self.tpls[node.tpl.0 as usize]
@@ -1174,7 +1170,7 @@ impl BestFirstSearch<'_, '_> {
                     // Prune empty value groups: every extension keeps the
                     // group, so no descendant can satisfy the non-emptiness
                     // condition.
-                    if require_nonempty && !self.group_nonempty(new_mask, aref, cache) {
+                    if !self.group_nonempty(new_mask, aref, cache) {
                         continue;
                     }
                     let old_ln = if old_mask == 0 {
@@ -1790,29 +1786,5 @@ mod tests {
         // Some answers delivered, never more than k.
         let answers = interp.answers_top_k(&q, 3);
         assert!(!answers.is_empty() && answers.len() <= 3);
-    }
-
-    #[test]
-    fn space_grows_with_query_length() {
-        let f = fixture();
-        let (first, last) = first_actor_tokens(&f);
-        let interp = Interpreter::new(
-            &f.data.db,
-            &f.index,
-            &f.catalog,
-            InterpreterConfig {
-                require_nonempty_predicates: false,
-                ..Default::default()
-            },
-        );
-        let q1 = KeywordQuery::from_terms(vec![last.clone()]);
-        let q2 = KeywordQuery::from_terms(vec![first, last]);
-        let n1 = interp.enumerate_interpretations(&q1).len();
-        let n2 = interp.enumerate_interpretations(&q2).len();
-        assert!(n1 > 0);
-        assert!(
-            n2 >= n1,
-            "space should not shrink with more keywords: {n1} vs {n2}"
-        );
     }
 }

@@ -158,7 +158,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// An immutable, `Arc`-shared view of everything a query needs: database,
 /// inverted index, template catalog, and the interpreter configuration.
@@ -574,10 +574,6 @@ pub struct ServiceStats {
     /// Oldest sessions displaced by the registry bound (abandoned-session
     /// protection; a `close_session` is never counted here).
     pub sessions_evicted: usize,
-    /// Sessions dropped by the idle-TTL sweep (see
-    /// [`SearchService::set_session_ttl`]); like an eviction, an expired id
-    /// answers `None` everywhere.
-    pub sessions_expired: usize,
     /// WAL records appended by this instance (0 for a non-durable service).
     pub wal_batches: usize,
     /// WAL bytes appended by this instance, frames included.
@@ -690,25 +686,16 @@ struct SessionSlot {
     exec_cache: ExecCache,
 }
 
-/// A registered session plus its idle clock. The touch timestamp lives
-/// *outside* the slot mutex so the TTL sweep can read every session's
-/// idleness while holding only the registry lock — a slot busy serving a
-/// window refresh is by definition not idle and must not block the sweep.
-struct SessionEntry {
-    slot: Mutex<SessionSlot>,
-    /// Milliseconds since service start of the last registry call that
-    /// touched this session (open, view, advance, or answers).
-    last_touch_ms: AtomicU64,
-}
-
-/// Registry bound. Every slot pins a whole epoch (snapshot + cache
-/// generation), so sessions abandoned by clients that never `close_session`
-/// would otherwise leak O(database) memory each across ingest swaps. Like
-/// the shared cache tiers the registry is bounded — but it *evicts* the
-/// oldest session instead of refusing admission, because a construction
-/// session is per-user interaction state and the newest user must win.
-/// Evictions are counted in [`ServiceStats::sessions_evicted`]; an evicted
-/// id simply answers `None` everywhere, like a closed one.
+/// Registry bound — the registry's only abandonment policy. Every slot pins
+/// a whole epoch (snapshot + cache generation), so sessions abandoned by
+/// clients that never `close_session` would otherwise leak O(database)
+/// memory each across ingest swaps. Like the shared cache tiers the
+/// registry is bounded — but it *evicts* the oldest session (lowest id)
+/// instead of refusing admission, because a construction session is
+/// per-user interaction state and the newest user must win. Evictions are
+/// counted in [`ServiceStats::sessions_evicted`]; an evicted id simply
+/// answers `None` everywhere, like a closed one, and its pinned epoch is
+/// freed once no in-flight call still holds the slot.
 const MAX_OPEN_SESSIONS: usize = 1024;
 
 /// A reply stamped with its completion instant by the serving worker.
@@ -823,11 +810,6 @@ impl WorkerPool {
         }
     }
 
-    /// Number of threads.
-    pub(crate) fn size(&self) -> usize {
-        self.threads.len()
-    }
-
     pub(crate) fn submit(&self, job: PoolJob) {
         if let Some(tx) = &self.tx {
             // A send only fails when every thread is gone; the caller then
@@ -897,17 +879,9 @@ pub struct SearchService {
     /// Open construction sessions, each pinning the serving state of the
     /// epoch it was opened on. Sessions are independently locked so a slow
     /// window refresh never blocks another session (or the registry).
-    sessions: Mutex<HashMap<u64, Arc<SessionEntry>>>,
+    sessions: Mutex<HashMap<u64, Arc<Mutex<SessionSlot>>>>,
     next_session: AtomicU64,
     sessions_evicted: AtomicUsize,
-    /// Idle bound for abandoned sessions: one idle longer than this is
-    /// expired by the sweep in [`Self::open_session`] / [`Self::ingest`]
-    /// (or an explicit [`Self::expire_idle_sessions`]). `None` disables
-    /// expiry; the registry is then bounded only by `MAX_OPEN_SESSIONS`.
-    session_ttl: Mutex<Option<Duration>>,
-    sessions_expired: AtomicUsize,
-    /// Zero point of the session idle clocks.
-    started_at: Instant,
 }
 
 impl SearchService {
@@ -934,18 +908,6 @@ impl SearchService {
         dir: &Path,
         opts: &DurableOptions,
     ) -> Result<Self, DurabilityError> {
-        Self::start_durable_with_plan(snapshot, workers, dir, opts, Arc::new(FaultPlan::new()))
-    }
-
-    /// [`Self::start_durable`] with a caller-supplied fault-injection plan
-    /// (the builder's [`ServiceBuilder::fault_plan`] threads through here).
-    pub(crate) fn start_durable_with_plan(
-        snapshot: Arc<SearchSnapshot>,
-        workers: usize,
-        dir: &Path,
-        opts: &DurableOptions,
-        faults: Arc<FaultPlan>,
-    ) -> Result<Self, DurabilityError> {
         std::fs::create_dir_all(dir)
             .map_err(|e| DurabilityError::Io(format!("create {}: {e}", dir.display())))?;
         if dir.join(SNAPSHOT_FILE).exists() {
@@ -954,6 +916,7 @@ impl SearchService {
                 dir.display()
             )));
         }
+        let faults = Arc::new(FaultPlan::new());
         write_snapshot_file(dir, 0, &snapshot.db, &snapshot.index, &faults)?;
         let wal = Wal::create(dir)?;
         let durability = Durability::fresh(dir.to_path_buf(), wal, faults, opts.checkpoint_every);
@@ -979,16 +942,6 @@ impl SearchService {
         dir: &Path,
         workers: usize,
         opts: &DurableOptions,
-    ) -> Result<Self, DurabilityError> {
-        Self::open_with_plan(dir, workers, opts, Arc::new(FaultPlan::new()))
-    }
-
-    /// [`Self::open`] with a caller-supplied fault-injection plan.
-    pub(crate) fn open_with_plan(
-        dir: &Path,
-        workers: usize,
-        opts: &DurableOptions,
-        faults: Arc<FaultPlan>,
     ) -> Result<Self, DurabilityError> {
         let (snap_epoch, mut db, mut index) = read_snapshot_file(dir)?;
         let scan = scan_wal(dir)?;
@@ -1020,6 +973,7 @@ impl SearchService {
         } else {
             Wal::create(dir)?
         };
+        let faults = Arc::new(FaultPlan::new());
         let mut durability =
             Durability::fresh(dir.to_path_buf(), wal, faults, opts.checkpoint_every);
         durability.recovery_replayed = replayed;
@@ -1049,9 +1003,6 @@ impl SearchService {
             sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(0),
             sessions_evicted: AtomicUsize::new(0),
-            session_ttl: Mutex::new(None),
-            sessions_expired: AtomicUsize::new(0),
-            started_at: Instant::now(),
         }
     }
 
@@ -1064,11 +1015,6 @@ impl SearchService {
     /// The epoch currently being served.
     pub fn current_epoch(&self) -> SnapshotEpoch {
         self.current.lock().unwrap().epoch
-    }
-
-    /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.pool.size()
     }
 
     /// Apply one insert batch to the live store and publish the result as
@@ -1098,9 +1044,6 @@ impl SearchService {
                 return Err(IngestError::Poisoned);
             }
         }
-        // Each pinned epoch is about to cost a full displaced database
-        // copy; shed sessions nobody is coming back for first.
-        self.expire_idle_sessions();
         // `prev` cannot go stale below: the held writer lock serializes
         // every path that replaces `current`.
         let _writer = self.writer.lock().unwrap();
@@ -1223,7 +1166,6 @@ impl SearchService {
         window: usize,
         config: SessionConfig,
     ) -> SessionView {
-        self.expire_idle_sessions();
         let state = self.current.lock().unwrap().clone();
         let interpreter = state.snapshot.interpreter();
         let mut gen_cache = NonemptyCache::with_shared(Arc::clone(&state.nonempty));
@@ -1240,14 +1182,11 @@ impl SearchService {
         }
         sessions.insert(
             id,
-            Arc::new(SessionEntry {
-                slot: Mutex::new(SessionSlot {
-                    state,
-                    session,
-                    exec_cache,
-                }),
-                last_touch_ms: AtomicU64::new(self.clock_ms()),
-            }),
+            Arc::new(Mutex::new(SessionSlot {
+                state,
+                session,
+                exec_cache,
+            })),
         );
         view
     }
@@ -1262,8 +1201,8 @@ impl SearchService {
         option: &ConstructionOption,
         accepted: bool,
     ) -> Option<SessionView> {
-        let entry = self.touch_session(id)?;
-        let mut slot = entry.slot.lock().unwrap();
+        let slot = self.session(id)?;
+        let mut slot = slot.lock().unwrap();
         let SessionSlot { state, session, .. } = &mut *slot;
         session.apply(&state.snapshot.catalog, option.clone(), accepted);
         Some(Self::view_of(id.0, state, session))
@@ -1271,8 +1210,8 @@ impl SearchService {
 
     /// The current view of a session without advancing it.
     pub fn session_view(&self, id: SessionId) -> Option<SessionView> {
-        let entry = self.touch_session(id)?;
-        let slot = entry.slot.lock().unwrap();
+        let slot = self.session(id)?;
+        let slot = slot.lock().unwrap();
         Some(Self::view_of(id.0, &slot.state, &slot.session))
     }
 
@@ -1283,8 +1222,8 @@ impl SearchService {
     /// tier). Byte-identical to the cold offline
     /// [`ConstructionSession::window_answers`] over the pinned snapshot.
     pub fn session_answers(&self, id: SessionId, limit: usize) -> Option<SessionAnswers> {
-        let entry = self.touch_session(id)?;
-        let mut slot = entry.slot.lock().unwrap();
+        let slot = self.session(id)?;
+        let mut slot = slot.lock().unwrap();
         let SessionSlot {
             state,
             session,
@@ -1311,67 +1250,9 @@ impl SearchService {
         self.sessions.lock().unwrap().remove(&id.0).is_some()
     }
 
-    /// Bound the lifetime of *abandoned* sessions: any session idle (no
-    /// open/view/advance/answers call) longer than `ttl` is dropped by the
-    /// next sweep, releasing the epoch it pins — snapshot and cache
-    /// generation. Sweeps run inside [`Self::open_session`] and
-    /// [`Self::ingest`] (the moment pinned epochs start costing a full
-    /// database copy each), or explicitly via
-    /// [`Self::expire_idle_sessions`]. `None` (the default) disables expiry.
-    pub fn set_session_ttl(&self, ttl: Option<Duration>) {
-        *self.session_ttl.lock().unwrap() = ttl;
-    }
-
-    /// Drop every session idle longer than the configured TTL, counting
-    /// them in [`ServiceStats::sessions_expired`]. Returns how many were
-    /// expired. A no-op without a TTL.
-    pub fn expire_idle_sessions(&self) -> usize {
-        let Some(ttl) = *self.session_ttl.lock().unwrap() else {
-            return 0;
-        };
-        let now = self.clock_ms();
-        let ttl_ms = u64::try_from(ttl.as_millis()).unwrap_or(u64::MAX);
-        let mut sessions = self.sessions.lock().unwrap();
-        let before = sessions.len();
-        sessions
-            .retain(|_, e| now.saturating_sub(e.last_touch_ms.load(Ordering::Relaxed)) <= ttl_ms);
-        let expired = before - sessions.len();
-        self.sessions_expired.fetch_add(expired, Ordering::Relaxed);
-        expired
-    }
-
-    /// Testing seam: back-date a session's idle clock by `by`, so TTL tests
-    /// need not sleep. Returns whether the session exists.
-    #[doc(hidden)]
-    pub fn age_session(&self, id: SessionId, by: Duration) -> bool {
-        let sessions = self.sessions.lock().unwrap();
-        let Some(entry) = sessions.get(&id.0) else {
-            return false;
-        };
-        let by_ms = u64::try_from(by.as_millis()).unwrap_or(u64::MAX);
-        let aged = entry
-            .last_touch_ms
-            .load(Ordering::Relaxed)
-            .saturating_sub(by_ms);
-        entry.last_touch_ms.store(aged, Ordering::Relaxed);
-        true
-    }
-
-    /// The session idle clock: milliseconds since the service started,
-    /// biased well away from zero so [`Self::age_session`] can back-date a
-    /// fresh session without saturating.
-    fn clock_ms(&self) -> u64 {
-        const CLOCK_BIAS_MS: u64 = 1 << 40;
-        CLOCK_BIAS_MS + self.started_at.elapsed().as_millis() as u64
-    }
-
-    /// Look up a session and refresh its idle clock.
-    fn touch_session(&self, id: SessionId) -> Option<Arc<SessionEntry>> {
-        let entry = self.sessions.lock().unwrap().get(&id.0).cloned()?;
-        entry
-            .last_touch_ms
-            .store(self.clock_ms(), Ordering::Relaxed);
-        Some(entry)
+    /// Look up an open session.
+    fn session(&self, id: SessionId) -> Option<Arc<Mutex<SessionSlot>>> {
+        self.sessions.lock().unwrap().get(&id.0).cloned()
     }
 
     fn view_of(id: u64, state: &ServingState, session: &ConstructionSession) -> SessionView {
@@ -1404,7 +1285,6 @@ impl SearchService {
             result_hits: state.exec.result_hits(),
             sessions_open: self.sessions.lock().unwrap().len(),
             sessions_evicted: self.sessions_evicted.load(Ordering::Relaxed),
-            sessions_expired: self.sessions_expired.load(Ordering::Relaxed),
             wal_batches: durable.map_or(0, |d| d.wal_batches.load(Ordering::Relaxed)),
             wal_bytes: durable.map_or(0, |d| d.wal_bytes.load(Ordering::Relaxed)),
             checkpoints: durable.map_or(0, |d| d.checkpoints.load(Ordering::Relaxed)),
@@ -1498,7 +1378,6 @@ pub struct ServiceBuilder {
     shards: usize,
     durable_dir: Option<PathBuf>,
     checkpoint_every: usize,
-    fault_plan: Option<Arc<FaultPlan>>,
 }
 
 impl Default for ServiceBuilder {
@@ -1514,7 +1393,6 @@ impl ServiceBuilder {
             shards: 1,
             durable_dir: None,
             checkpoint_every: DurableOptions::default().checkpoint_every,
-            fault_plan: None,
         }
     }
 
@@ -1546,13 +1424,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Fault-injection plan threaded into the durable layer (the recovery
-    /// suite arms kill points through this).
-    pub fn fault_plan(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
     fn durable_opts(&self) -> DurableOptions {
         DurableOptions {
             checkpoint_every: self.checkpoint_every,
@@ -1574,17 +1445,7 @@ impl ServiceBuilder {
         }
         let service = match &self.durable_dir {
             Some(dir) => {
-                let faults = self
-                    .fault_plan
-                    .clone()
-                    .unwrap_or_else(|| Arc::new(FaultPlan::new()));
-                SearchService::start_durable_with_plan(
-                    snapshot,
-                    self.workers,
-                    dir,
-                    &self.durable_opts(),
-                    faults,
-                )?
+                SearchService::start_durable(snapshot, self.workers, dir, &self.durable_opts())?
             }
             None => SearchService::start(snapshot, self.workers),
         };
@@ -1601,12 +1462,7 @@ impl ServiceBuilder {
         let dir = self.durable_dir.as_ref().ok_or_else(|| {
             ServiceError::Unsupported("open() requires durable(dir) to be configured".into())
         })?;
-        let faults = self
-            .fault_plan
-            .clone()
-            .unwrap_or_else(|| Arc::new(FaultPlan::new()));
-        let service =
-            SearchService::open_with_plan(dir, self.workers, &self.durable_opts(), faults)?;
+        let service = SearchService::open(dir, self.workers, &self.durable_opts())?;
         Ok(KeywordService::Single(service))
     }
 }
@@ -2023,6 +1879,7 @@ mod tests {
         assert_eq!(opened.steps, 0);
         assert!(opened.remaining > 0);
         assert_eq!(service.stats().sessions_open, 1);
+        let epoch0 = Arc::downgrade(&*service.current.lock().unwrap());
 
         // The pinned-epoch oracle: a cold offline session over the same
         // snapshot must propose the same option and yield byte-identical
@@ -2040,6 +1897,8 @@ mod tests {
         )];
         let receipt = service.ingest(&batch).unwrap();
         assert_eq!(receipt.epoch, SnapshotEpoch(1));
+        // Ingest displaced epoch 0; only the session's pin keeps it alive.
+        assert!(epoch0.upgrade().is_some(), "the pin must hold epoch 0");
 
         let answers = service.session_answers(opened.id, 3).expect("session open");
         assert_eq!(answers.epoch, SnapshotEpoch(0), "session must stay pinned");
@@ -2068,7 +1927,10 @@ mod tests {
         assert_eq!(fresh.epoch, SnapshotEpoch(1));
         assert_eq!(service.stats().sessions_open, 2);
 
+        // Closing frees the whole pinned epoch: snapshot plus cache
+        // generation.
         assert!(service.close_session(opened.id));
+        assert!(epoch0.upgrade().is_none(), "closed session leaked epoch 0");
         assert!(!service.close_session(opened.id), "double close");
         assert!(service.session_answers(opened.id, 3).is_none());
         assert_eq!(service.stats().sessions_open, 1);
@@ -2099,99 +1961,6 @@ mod tests {
         // Explicit closes are not evictions.
         assert!(service.close_session(*ids.last().unwrap()));
         assert_eq!(service.stats().sessions_evicted, overflow);
-    }
-
-    #[test]
-    fn idle_session_expires_and_frees_its_pinned_epoch() {
-        let snap = snapshot();
-        let actor = snap.db.schema().table_id("actor").unwrap();
-        let next_pk = snap.db.table(actor).len() as i64 + 9000;
-        let service = SearchService::start(snap, 1);
-        service.set_session_ttl(Some(Duration::from_secs(3600)));
-        let q = KeywordQuery::from_terms(vec!["tom".into()]);
-
-        // Session A pins epoch 0.
-        let a = service.open_session(&q, 8, SessionConfig::default());
-        assert_eq!(a.epoch, SnapshotEpoch(0));
-        let epoch0 = Arc::downgrade(&*service.current.lock().unwrap());
-
-        // Ingest displaces epoch 0; only A's pin keeps it alive now.
-        let batch: RowBatch = vec![(actor, vec![Value::Int(next_pk), Value::text("tom idle")])];
-        service.ingest(&batch).unwrap();
-        assert!(epoch0.upgrade().is_some(), "A's pin must hold epoch 0");
-
-        // Session B is live on epoch 1; keep its answers for later.
-        let b = service.open_session(&q, 8, SessionConfig::default());
-        assert_eq!(b.epoch, SnapshotEpoch(1));
-        let b_before = service.session_answers(b.id, 3).expect("b open");
-
-        // A has been idle for two hours (back-dated); B was just touched.
-        assert!(service.age_session(a.id, Duration::from_secs(7200)));
-        assert_eq!(service.expire_idle_sessions(), 1);
-
-        // The expired session is gone and its whole epoch — snapshot plus
-        // cache generation — has been freed.
-        assert!(service.session_view(a.id).is_none());
-        assert!(epoch0.upgrade().is_none(), "expired session leaked epoch 0");
-        let stats = service.stats();
-        assert_eq!(stats.sessions_expired, 1);
-        assert_eq!(stats.sessions_open, 1);
-        assert_eq!(stats.sessions_evicted, 0, "expiry is not an eviction");
-
-        // The live session still answers, identically, from its epoch.
-        let b_after = service.session_answers(b.id, 3).expect("b still open");
-        assert_eq!(b_after.epoch, SnapshotEpoch(1));
-        assert_eq!(b_after.answers.len(), b_before.answers.len());
-        for ((i1, r1), (i2, r2)) in b_before.answers.iter().zip(&b_after.answers) {
-            assert_eq!(i1, i2);
-            assert_eq!(r1.jtts, r2.jtts);
-            assert_eq!(r1.keys, r2.keys);
-        }
-    }
-
-    #[test]
-    fn ttl_beyond_u64_millis_saturates_instead_of_wrapping() {
-        // 2^64 ms + 384 ms: a truncating cast reads this as 384 ms.
-        let huge = Duration::from_secs(18_446_744_073_709_552);
-        let service = SearchService::start(snapshot(), 1);
-        service.set_session_ttl(Some(huge));
-        let q = KeywordQuery::from_terms(vec![]);
-        let a = service.open_session(&q, 5, SessionConfig::default());
-        assert!(service.age_session(a.id, Duration::from_secs(1)));
-        assert_eq!(
-            service.expire_idle_sessions(),
-            0,
-            "1 s idle under a huge TTL"
-        );
-        assert!(service.session_view(a.id).is_some());
-        // The same duration as an age back-dates past any finite TTL.
-        service.set_session_ttl(Some(Duration::from_secs(3600)));
-        assert!(service.age_session(a.id, huge));
-        assert_eq!(service.expire_idle_sessions(), 1, "aged by a huge duration");
-    }
-
-    #[test]
-    fn open_session_sweeps_expired_sessions() {
-        let snap = snapshot();
-        let service = SearchService::start(snap, 1);
-        service.set_session_ttl(Some(Duration::from_secs(3600)));
-        let q = KeywordQuery::from_terms(vec!["tom".into()]);
-        let a = service.open_session(&q, 5, SessionConfig::default());
-        assert!(service.age_session(a.id, Duration::from_secs(7200)));
-        // No explicit sweep: the next open must reap the idle session.
-        let b = service.open_session(&q, 5, SessionConfig::default());
-        assert!(service.session_view(a.id).is_none());
-        assert!(service.session_view(b.id).is_some());
-        assert_eq!(service.stats().sessions_expired, 1);
-        // A touch resets the idle clock: an aged-then-viewed session stays.
-        service.age_session(b.id, Duration::from_secs(7200));
-        assert!(service.session_view(b.id).is_some());
-        assert_eq!(service.expire_idle_sessions(), 0);
-        // Without a TTL the sweep is a no-op regardless of idleness.
-        service.set_session_ttl(None);
-        service.age_session(b.id, Duration::from_secs(100_000));
-        assert_eq!(service.expire_idle_sessions(), 0);
-        assert!(service.session_view(b.id).is_some());
     }
 
     #[test]

@@ -232,8 +232,7 @@ impl ShardedService {
             exec: Arc::new(SharedExecCache::new()),
         });
         let schema_db = Arc::new(Database::new(snapshot.db.schema().clone()));
-        let shard_count = assignment.shards();
-        let pools: Vec<Arc<WorkerPool>> = (0..shard_count)
+        let pools: Vec<Arc<WorkerPool>> = (0..assignment.shards())
             .map(|s| Arc::new(WorkerPool::start(&format!("kb-shard{s}"), workers)))
             .collect();
         ShardedService {
@@ -252,11 +251,6 @@ impl ShardedService {
             stale_evictions: AtomicUsize::new(0),
             rows_ingested: AtomicUsize::new(0),
         }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.ctx.pools.len()
     }
 
     /// The per-shard epoch vector of the currently published generation.

@@ -49,27 +49,15 @@ pub fn executed_div_pool(
     ranked: &[ScoredInterpretation],
     opts: DivExecOptions,
 ) -> (Vec<DivItem>, Vec<BTreeSet<ResultKey>>, ExecStats) {
-    let mut cache = ExecCache::new();
-    executed_div_pool_with(db, index, catalog, ranked, opts, &mut cache)
-}
-
-/// [`executed_div_pool`] over an explicit [`ExecCache`] — the cached
-/// executor seam of the [`QueryPipeline`]. A cache built with
-/// `ExecCache::with_shared` falls through to a service's process-wide tier;
-/// either way the surviving items and key sets are byte-identical to the
-/// plain-cache run (complete cache hits are truncated back to the cap).
-pub fn executed_div_pool_with(
-    db: &Database,
-    index: &InvertedIndex,
-    catalog: &TemplateCatalog,
-    ranked: &[ScoredInterpretation],
-    opts: DivExecOptions,
-    cache: &mut ExecCache,
-) -> (Vec<DivItem>, Vec<BTreeSet<ResultKey>>, ExecStats) {
     let interpreter = Interpreter::new(db, index, catalog, InterpreterConfig::default());
-    let mut gen_cache = NonemptyCache::new();
-    let pool = QueryPipeline::new(&interpreter, ExecOptions::default(), &mut gen_cache, cache)
-        .executed_pool(ranked, opts.limit);
+    let (mut gen_cache, mut cache) = (NonemptyCache::new(), ExecCache::new());
+    let pool = QueryPipeline::new(
+        &interpreter,
+        ExecOptions::default(),
+        &mut gen_cache,
+        &mut cache,
+    )
+    .executed_pool(ranked, opts.limit);
     (pool.items, pool.keys, pool.stats.exec)
 }
 

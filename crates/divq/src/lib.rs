@@ -26,7 +26,6 @@ pub mod metrics;
 
 pub use assess::{simulate_assessments, AssessConfig};
 pub use diversify::{
-    div_pool, diversify, executed_div_pool, executed_div_pool_with, jaccard, DivExecOptions,
-    DivItem, DiversifyConfig,
+    div_pool, diversify, executed_div_pool, jaccard, DivExecOptions, DivItem, DiversifyConfig,
 };
 pub use metrics::{alpha_ndcg_w, s_recall, ws_recall, EvalItem};

@@ -500,7 +500,9 @@ impl Database {
         let schema_bytes = c.section(SEC_SCHEMA)?;
         let mut sc = Cursor::new(schema_bytes);
         let n_tables = sc.u32()? as usize;
-        let mut tables = Vec::with_capacity(n_tables);
+        // Counts come from the input: every entry takes at least one byte,
+        // so the bytes left cap what a crafted count can preallocate.
+        let mut tables = Vec::with_capacity(n_tables.min(sc.remaining()));
         for _ in 0..n_tables {
             let name = sc.str()?;
             let kind = match sc.u8()? {
@@ -510,7 +512,7 @@ impl Database {
             };
             let pk = sc.u32()?;
             let n_attrs = sc.u32()? as usize;
-            let mut attrs = Vec::with_capacity(n_attrs);
+            let mut attrs = Vec::with_capacity(n_attrs.min(sc.remaining()));
             for _ in 0..n_attrs {
                 let aname = sc.str()?;
                 let ty = match sc.u8()? {
@@ -533,7 +535,7 @@ impl Database {
             });
         }
         let n_fks = sc.u32()? as usize;
-        let mut fks = Vec::with_capacity(n_fks);
+        let mut fks = Vec::with_capacity(n_fks.min(sc.remaining()));
         for _ in 0..n_fks {
             let from_table = sc.u32()? as usize;
             let from_attr = sc.u32()? as usize;
@@ -768,6 +770,35 @@ mod tests {
             let err = Database::from_snapshot_bytes(&bytes[..cut]).unwrap_err();
             // Never a panic, never a partially loaded Ok.
             let _ = err.to_string();
+        }
+        // A CRC is not a MAC: a well-framed schema section may claim
+        // u32::MAX tables, attributes or foreign keys. Each claim must end
+        // as a truncation, never as an allocation sized by the claim.
+        let crafted = |tables: u32, attrs: u32, fks: u32| {
+            let mut schema = Vec::new();
+            put_u32(&mut schema, tables);
+            put_str(&mut schema, "t").unwrap();
+            put_u8(&mut schema, KIND_ENTITY);
+            put_u32(&mut schema, 0); // pk
+            put_u32(&mut schema, attrs);
+            put_str(&mut schema, "id").unwrap();
+            put_u8(&mut schema, TY_INT);
+            put_u32(&mut schema, fks);
+            let mut out = DB_MAGIC.to_vec();
+            put_u32(&mut out, DB_VERSION);
+            put_section(&mut out, SEC_SCHEMA, &schema);
+            put_section(&mut out, SEC_DICT, &[0]);
+            put_section(&mut out, SEC_ROWS, &[0]);
+            out
+        };
+        let honest = Database::from_snapshot_bytes(&crafted(1, 1, 0)).unwrap();
+        assert_eq!(honest.total_rows(), 0);
+        for (tables, attrs, fks) in [(u32::MAX, 1, 0), (1, u32::MAX, 0), (1, 1, u32::MAX)] {
+            assert_eq!(
+                Database::from_snapshot_bytes(&crafted(tables, attrs, fks)).unwrap_err(),
+                SnapshotError::Truncated,
+                "counts {tables}/{attrs}/{fks}"
+            );
         }
     }
 

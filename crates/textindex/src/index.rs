@@ -829,110 +829,51 @@ pub struct InvertedIndex {
 }
 
 impl InvertedIndex {
-    /// Index all text attributes of `db` with the default tokenizer.
+    /// Index all text attributes of `db` with the default tokenizer: seed
+    /// the schema-name terms and a zeroed [`AttrStats`] per text attribute
+    /// (a table with no rows still lists its attributes), then
+    /// [`Self::index_row`] every stored row in id order. Splice == rebuild
+    /// thus holds by construction for appends; `tests/incremental.rs` still
+    /// covers out-of-order splices, a path a build never takes.
     pub fn build(db: &Database) -> Self {
-        Self::build_with(db, Tokenizer::new())
+        let mut index = InvertedIndex {
+            dict: HashMap::new(),
+            attr_stats: HashMap::new(),
+            schema_terms: HashMap::new(),
+            tokenizer: Tokenizer::new(),
+        };
+        for (table, tdef) in db.schema().tables() {
+            let table_name = std::iter::once((SchemaTarget::Table(table), &tdef.name));
+            let attr_names = tdef
+                .attrs_with_ids()
+                .map(|(attr, a)| (SchemaTarget::Attribute(AttrRef { table, attr }), &a.name));
+            for (target, name) in table_name.chain(attr_names) {
+                for tok in index.tokenizer.tokenize(name) {
+                    index.schema_terms.entry(tok).or_default().push(target);
+                }
+            }
+            for (attr, _) in tdef.text_attrs() {
+                let aref = AttrRef { table, attr };
+                index.attr_stats.insert(aref, AttrStats::default());
+            }
+            for (row, _) in db.table(table).rows() {
+                index.index_row(db, table, row);
+            }
+        }
+        index
     }
 
-    /// Index all text attributes of `db` with a custom tokenizer.
-    pub fn build_with(db: &Database, tokenizer: Tokenizer) -> Self {
-        let mut staging: HashMap<String, HashMap<AttrRef, TermAttrEntry>> = HashMap::new();
-        let mut attr_stats: HashMap<AttrRef, AttrStats> = HashMap::new();
-
-        for (tid, tdef) in db.schema().tables() {
-            let store = db.table(tid);
-            for (aid, _) in tdef.text_attrs() {
-                let aref = AttrRef {
-                    table: tid,
-                    attr: aid,
-                };
-                let stats = attr_stats.entry(aref).or_default();
-                stats.row_count = store.len() as u32;
-                for (rid, row) in store.rows() {
-                    let Some(text) = row[aid.0 as usize].as_text() else {
-                        continue;
-                    };
-                    let tokens = tokenizer.tokenize(text);
-                    stats.total_tokens += tokens.len() as u64;
-                    let mut counts: HashMap<&str, u32> = HashMap::new();
-                    for t in &tokens {
-                        *counts.entry(t.as_str()).or_default() += 1;
-                    }
-                    for (term, tf) in counts {
-                        // Rows are visited in ascending id order, so staging
-                        // postings grow by the packed append fast path.
-                        staging
-                            .entry(term.to_owned())
-                            .or_default()
-                            .entry(aref)
-                            .or_default()
-                            .push(rid, tf);
-                    }
-                }
-            }
-        }
-
-        // Freeze staged postings into attribute-sorted parallel vectors and
-        // tally per-attribute vocabulary sizes in the same pass.
-        let mut dict: HashMap<String, TermEntry> = HashMap::with_capacity(staging.len());
-        for (term, by_attr) in staging {
-            let mut pairs: Vec<(AttrRef, TermAttrEntry)> = by_attr.into_iter().collect();
-            pairs.sort_by_key(|(a, _)| *a);
-            let mut entry = TermEntry {
-                attrs: Vec::with_capacity(pairs.len()),
-                postings: Vec::with_capacity(pairs.len()),
-            };
-            for (aref, postings) in pairs {
-                if let Some(s) = attr_stats.get_mut(&aref) {
-                    s.vocabulary += 1;
-                }
-                entry.attrs.push(aref);
-                entry.postings.push(postings);
-            }
-            dict.insert(term, entry);
-        }
-
-        // Schema-term index over table and attribute names.
-        let mut schema_terms: HashMap<String, Vec<SchemaTarget>> = HashMap::new();
-        for (tid, tdef) in db.schema().tables() {
-            for tok in tokenizer.tokenize(&tdef.name) {
-                schema_terms
-                    .entry(tok)
-                    .or_default()
-                    .push(SchemaTarget::Table(tid));
-            }
-            for (aid, adef) in tdef.attrs_with_ids() {
-                for tok in tokenizer.tokenize(&adef.name) {
-                    schema_terms
-                        .entry(tok)
-                        .or_default()
-                        .push(SchemaTarget::Attribute(AttrRef {
-                            table: tid,
-                            attr: aid,
-                        }));
-                }
-            }
-        }
-
-        InvertedIndex {
-            dict,
-            attr_stats,
-            schema_terms,
-            tokenizer,
-        }
-    }
-
-    /// Incrementally index one freshly inserted row of `table`, splicing its
-    /// postings and updating attribute statistics online so that the result
-    /// is *exactly* what [`Self::build`] would produce over the grown
-    /// database — same postings (sorted by row id), same sorted
-    /// [`Self::attrs_containing`] slices, same integer statistics and hence
-    /// bit-identical ATF/IDF/joint-ATF values. The live-ingestion
-    /// equivalence suite depends on this exactness.
+    /// Index one row of `table` that already landed in `db`, splicing its
+    /// postings and updating attribute statistics online. [`Self::build`]
+    /// is this call over every stored row, so after a fresh insert (the row
+    /// carries the largest id of its table) the result is *exactly* what a
+    /// rebuild over the grown database produces — same postings, same
+    /// sorted [`Self::attrs_containing`] slices, same integer statistics and
+    /// hence bit-identical ATF/IDF/joint-ATF values. A row spliced out of id
+    /// order takes the decode-splice-reencode path and stays canonical.
     ///
-    /// Call once per inserted row, *after* the row landed in `db`. Rows of
-    /// tables without text attributes are a no-op. Schema-name terms need no
-    /// maintenance: the schema is immutable.
+    /// Rows of tables without text attributes are a no-op. Schema-name
+    /// terms need no maintenance: the schema is immutable.
     pub fn index_row(&mut self, db: &Database, table: TableId, row: RowId) {
         self.index_row_values(db.schema(), table, row, db.table(table).row(row));
     }
@@ -952,12 +893,11 @@ impl InvertedIndex {
         values: &[keybridge_relstore::Value],
     ) {
         let tdef = schema.table(table);
-        let stored = values;
         for (aid, _) in tdef.text_attrs() {
             let aref = AttrRef { table, attr: aid };
             let stats = self.attr_stats.entry(aref).or_default();
             stats.row_count += 1;
-            let Some(text) = stored[aid.0 as usize].as_text() else {
+            let Some(text) = values[aid.0 as usize].as_text() else {
                 continue;
             };
             let tokens = self.tokenizer.tokenize(text);
@@ -1388,7 +1328,9 @@ impl InvertedIndex {
 
         let mut sc = Cursor::new(c.section(SEC_ATTR_STATS)?);
         let n = sc.u32()? as usize;
-        let mut attr_stats = HashMap::with_capacity(n);
+        // Counts come from the input: every entry takes at least one byte,
+        // so the bytes left cap what a crafted count can preallocate.
+        let mut attr_stats = HashMap::with_capacity(n.min(sc.remaining()));
         for _ in 0..n {
             let aref = read_attr_ref(&mut sc)?;
             attr_stats.insert(
@@ -1440,7 +1382,7 @@ impl InvertedIndex {
 
         let mut xc = Cursor::new(c.section(SEC_SCHEMA_TERMS)?);
         let n = xc.u32()? as usize;
-        let mut schema_terms = HashMap::with_capacity(n);
+        let mut schema_terms = HashMap::with_capacity(n.min(xc.remaining()));
         for _ in 0..n {
             let term = xc.str()?;
             let n_targets = xc.u32()? as usize;
@@ -1681,6 +1623,16 @@ mod tests {
         assert_eq!(idx.attr_stats(year), AttrStats::default());
         // Denominator matches the ATF normalization.
         assert_eq!(idx.atf_denominator(name, 1.0), 8.0 + 7.0);
+        // A text table with no rows still lists its attribute, zero rows.
+        let mut b = SchemaBuilder::new();
+        b.table("note", TableKind::Entity)
+            .pk("id")
+            .text_attr("body");
+        let empty = Database::new(b.finish().unwrap());
+        let body = aref(&empty, "note", "body");
+        let idx = InvertedIndex::build(&empty);
+        assert_eq!(idx.indexed_attrs().collect::<Vec<_>>(), [body]);
+        assert_eq!(idx.attr_stats(body).row_count, 0);
     }
 
     #[test]
@@ -1756,6 +1708,27 @@ mod tests {
         assert!(InvertedIndex::from_snapshot_bytes(&flipped).is_err());
         for cut in (0..bytes.len()).step_by(7) {
             assert!(InvertedIndex::from_snapshot_bytes(&bytes[..cut]).is_err());
+        }
+        // A CRC is not a MAC: a well-framed section may claim u32::MAX
+        // attribute stats or schema terms. Each claim must end as a
+        // truncation, never as an allocation sized by the claim.
+        let crafted = |stats: u32, schema_terms: u32| {
+            let mut out = IDX_MAGIC.to_vec();
+            put_u32(&mut out, IDX_VERSION);
+            put_section(&mut out, SEC_TOKENIZER, &0u32.to_le_bytes());
+            put_section(&mut out, SEC_ATTR_STATS, &stats.to_le_bytes());
+            put_section(&mut out, SEC_DICT, &[0]);
+            put_section(&mut out, SEC_SCHEMA_TERMS, &schema_terms.to_le_bytes());
+            out
+        };
+        let honest = InvertedIndex::from_snapshot_bytes(&crafted(0, 0)).unwrap();
+        assert_eq!(honest.term_count(), 0);
+        for (stats, schema_terms) in [(u32::MAX, 0), (0, u32::MAX)] {
+            assert_eq!(
+                InvertedIndex::from_snapshot_bytes(&crafted(stats, schema_terms)).unwrap_err(),
+                keybridge_relstore::SnapshotError::Truncated,
+                "counts {stats}/{schema_terms}"
+            );
         }
     }
 

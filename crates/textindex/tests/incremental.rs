@@ -3,7 +3,8 @@
 //! `InvertedIndex::build` rebuild — same postings in the same (row-sorted)
 //! order, same sorted `attrs_containing` slices, same integer statistics,
 //! and therefore bit-identical ATF / IDF / joint-ATF values — over
-//! randomized insert sequences on a randomized schema.
+//! randomized insert sequences on a randomized schema, and over the same
+//! rows spliced in shuffled order.
 //!
 //! This is the correctness spine under the live-ingestion path: the serving
 //! layer swaps in incrementally maintained indexes, and the end-to-end
@@ -172,6 +173,25 @@ fn run_sequence(seed: u64) {
             assert_equivalent(&live, &rebuilt, &format!("seed {seed} step {step}"));
         }
     }
+
+    // Out-of-order splices, which a build never takes: every stored row,
+    // shuffled, into an index built over the empty schema.
+    let mut rows: Vec<_> = tables
+        .iter()
+        .flat_map(|&t| db.table(t).rows().map(move |(r, _)| (t, r)))
+        .collect();
+    for i in (1..rows.len()).rev() {
+        rows.swap(i, rng.gen_range(0..=i));
+    }
+    let mut shuffled = InvertedIndex::build(&schema());
+    shuffled.index_batch(&db, &rows);
+    let rebuilt = InvertedIndex::build(&db);
+    assert_equivalent(&shuffled, &rebuilt, &format!("seed {seed} shuffled"));
+    assert_eq!(
+        shuffled.snapshot_bytes().unwrap(),
+        rebuilt.snapshot_bytes().unwrap(),
+        "seed {seed}: shuffled splices must encode canonically"
+    );
 }
 
 #[test]

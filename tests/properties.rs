@@ -423,8 +423,6 @@ fn random_config(rng: &mut StdRng) -> InterpreterConfig {
         TemplatePrior::Uniform
     };
     InterpreterConfig {
-        require_nonempty_predicates: rng.gen_bool(0.7),
-        allow_schema_bindings: rng.gen_bool(0.8),
         prob,
         prior,
         ..Default::default()
