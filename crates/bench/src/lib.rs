@@ -463,7 +463,7 @@ pub fn replay_diversified(
 /// batches ingested, `after_batch(n)` called once the `n`-th batch is
 /// published — then replay all the stream's queries once more against the
 /// fully grown service, and return its counters. With one serving worker
-/// (per shard, on the sharded router) nothing runs concurrently with
+/// (on either topology) nothing runs concurrently with
 /// anything it could race, so every counter is a function of `ops` alone.
 pub fn replay_mixed<S: ServeRequests>(
     service: &S,

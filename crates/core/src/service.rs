@@ -771,11 +771,11 @@ impl<T> Ticket<T> {
 type PoolJob = Box<dyn FnOnce() + Send + 'static>;
 
 /// A fixed set of named threads draining one job queue — the one place this
-/// crate spawns threads: [`SearchService`]'s workers, the sharded
-/// coordinator and every shard pool are instances. Jobs run under
-/// `catch_unwind` so a panicking job never takes its thread down; the
-/// submitter observes the failure through the job's dropped reply channel.
-/// Dropping the pool hangs up the queue and joins every thread.
+/// crate spawns threads: each service, single or sharded, owns exactly one.
+/// Jobs run under `catch_unwind` so a panicking job never takes its thread
+/// down; the submitter observes the failure through the job's dropped
+/// reply channel. Dropping the pool hangs up the queue and joins every
+/// thread.
 pub(crate) struct WorkerPool {
     tx: Option<Sender<PoolJob>>,
     threads: Vec<JoinHandle<()>>,
@@ -810,14 +810,6 @@ impl WorkerPool {
         }
     }
 
-    pub(crate) fn submit(&self, job: PoolJob) {
-        if let Some(tx) = &self.tx {
-            // A send only fails when every thread is gone; the caller then
-            // observes the hang-up through its reply channel.
-            let _ = tx.send(job);
-        }
-    }
-
     /// Enqueue one request-shaped job. The worker pins the generation
     /// `current` holds when the job *starts* — one pointer load, after which
     /// a swap mid-request cannot affect it (snapshot isolation) and it can
@@ -833,7 +825,7 @@ impl WorkerPool {
         let (reply, rx) = channel();
         let current = Arc::clone(current);
         let served = Arc::clone(served);
-        self.submit(Box::new(move || {
+        let job: PoolJob = Box::new(move || {
             let state = match current.lock() {
                 Ok(guard) => Arc::clone(&guard),
                 Err(_) => return, // writer panicked mid-swap: hang up
@@ -841,7 +833,12 @@ impl WorkerPool {
             let out = serve(&state);
             served.fetch_add(1, Ordering::Relaxed);
             let _ = reply.send(out); // client may have given up: fine
-        }));
+        });
+        if let Some(tx) = &self.tx {
+            // A send only fails when every thread is gone; the client then
+            // observes the hang-up through its ticket.
+            let _ = tx.send(job);
+        }
         Ticket { rx }
     }
 }
@@ -1208,8 +1205,10 @@ impl SearchService {
         Some(Self::view_of(id.0, state, session))
     }
 
-    /// The current view of a session without advancing it.
-    pub fn session_view(&self, id: SessionId) -> Option<SessionView> {
+    /// The current view of a session without advancing it (the registry
+    /// tests' probe).
+    #[cfg(test)]
+    fn session_view(&self, id: SessionId) -> Option<SessionView> {
         let slot = self.session(id)?;
         let slot = slot.lock().unwrap();
         Some(Self::view_of(id.0, &slot.state, &slot.session))
@@ -1396,7 +1395,8 @@ impl ServiceBuilder {
         }
     }
 
-    /// Serving worker threads (per shard on a sharded service; at least 1).
+    /// Serving worker threads (at least 1). A sharded service runs every
+    /// shard's part of a request on the worker serving it.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
@@ -1485,14 +1485,6 @@ impl KeywordService {
         match self {
             KeywordService::Single(s) => Some(s),
             KeywordService::Sharded(_) => None,
-        }
-    }
-
-    /// The sharded service, when this is one.
-    pub fn as_sharded(&self) -> Option<&crate::sharded::ShardedService> {
-        match self {
-            KeywordService::Single(_) => None,
-            KeywordService::Sharded(s) => Some(s),
         }
     }
 }

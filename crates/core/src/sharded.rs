@@ -1,16 +1,30 @@
-//! Sharded scatter-gather serving — the same [`ServeRequests`] surface as
-//! the single-shard [`crate::SearchService`], over K FK-closed partitions.
+//! Sharded scatter-gather serving — **Hot path 8**: the same
+//! [`ServeRequests`] surface as the single-shard [`crate::SearchService`],
+//! over K FK-closed partitions.
+//!
+//! Both services implement one typed seam, `submit_request(Request) ->
+//! Ticket<Reply>`, plus the one blocking [`ServeRequests::search`]
+//! convenience; `ServiceBuilder::new().workers(w).shards(k).start(snapshot)`
+//! picks the deployment (`shards(1)` is the single service; durable +
+//! sharded is refused as `Unsupported`). `examples/quickstart.rs` step 9
+//! walks it end to end.
 //!
 //! ## Architecture
 //!
-//! Rows are partitioned across K shards by [`assign_shards`]: whole
-//! foreign-key components land on one shard, so every join tree an
-//! interpretation can execute stays *within* a shard and the global result
-//! set is the disjoint union of the per-shard result sets. Each shard owns
-//! its own [`Database`], its own local [`InvertedIndex`], its own
-//! [`SharedExecCache`] generation, and its own [`SnapshotEpoch`] chain — an
-//! ingest touching shards {i, j} republishes only those two shards; every
-//! other shard keeps its `Arc`'d state *and* its warm caches.
+//! Rows are partitioned across K shards by [`assign_shards`], which walks
+//! the FK DAG parents-first and places each row on the hash shard of its
+//! root ancestor's pk: whole foreign-key components land on one shard, so
+//! every join tree an interpretation can execute stays *within* a shard and
+//! the global result set is the disjoint union of the per-shard result
+//! sets. Each shard owns its own [`Database`], its own local
+//! [`InvertedIndex`], its own [`SharedExecCache`] generation, and its own
+//! [`SnapshotEpoch`] chain — an ingest touching shards {i, j} republishes
+//! only those two shards; every other shard keeps its `Arc`'d state *and*
+//! its warm caches. Replies carry the per-shard epoch vector
+//! (`SearchReply::shard_epochs`). Ingest is the single service's write
+//! shape plus a routing step ([`ShardedService::ingest`]);
+//! `datagen::sharded_holdout_plan` fixes the assignment over the full
+//! pre-holdout corpus so replayed batches always route cleanly.
 //!
 //! The coordinator keeps what sharding cannot split:
 //!
@@ -28,42 +42,59 @@
 //! generation over the global index, waves, post-processing stages, result
 //! memoization, reply assembly — with the coordinator plugged into the
 //! pipeline's crate-private `Executor` seam for the two things that are
-//! genuinely different here. What the coordinator still owns:
+//! genuinely different here:
 //!
 //! - **Key minting** from the pk maps (`Executor::pk`), the stand-in for
 //!   `db.pk_value` where no global database exists.
 //! - **Executing one interpretation** (`Executor::execute`), memoized
-//!   through the global result-level cache and otherwise scattered in two
-//!   phases:
-//!   1. **Reduce**: every shard harvests its local candidate rows through
-//!      its own predicate cache and runs the full Yannakakis semi-join
-//!      reduction; it reports its per-node `given` and reduced-set
-//!      cardinalities and *blocks*.
-//!   2. **Plan forcing + bounded merge**: the coordinator sums the
-//!      cardinalities — under FK-closed partitioning the sums equal the
-//!      single-store values — and forces one global [`JoinPlan`] on every
-//!      shard. Shards enumerate their (limit-capped) result prefixes and
-//!      translate local row ids to global through their monotone row maps;
-//!      the coordinator k-way merges by the plan's visit-order row tuple,
-//!      stopping at the limit. Because the executor enumerates
-//!      lexicographically in visit order and each shard's output is the
-//!      order-preserved restriction of the global enumeration, the merged
-//!      prefix is **byte-identical** to the single-store oracle.
+//!   through the global result-level cache and otherwise scattered over the
+//!   shards in two phases, both on the worker already serving the request:
+//!   1. **Reduce**: for each shard in shard order, harvest its local
+//!      candidate rows through its own predicate cache, run the full
+//!      Yannakakis semi-join reduction, and add its per-node `given` and
+//!      reduced-set cardinalities to the sums.
+//!   2. **Plan forcing + bounded merge**: under FK-closed partitioning the
+//!      sums equal the single-store values, so one [`JoinPlan`] computed
+//!      from them is the oracle's. Every shard enumerates its
+//!      (limit-capped) result prefix under that plan and translates local
+//!      row ids to global through its monotone row map; a k-way merge by
+//!      the plan's visit-order row tuple stops at the limit. Because the
+//!      executor enumerates lexicographically in visit order and each
+//!      shard's output is the order-preserved restriction of the global
+//!      enumeration, the merged prefix is **byte-identical** to the
+//!      single-store oracle.
+//!
+//! A sharded service therefore owns one `WorkerPool` of `workers`
+//! threads, like the single service, and a panic anywhere in a scatter
+//! unwinds into `serve_request`'s per-arm containment. The shards run one
+//! after another: on IMDB the partition puts nearly every row on one shard
+//! (kbench's `relstore.partition.skew` reads 3.87 of 4 at K=4), so there
+//! is no parallel work to win yet.
 //!
 //! The one deliberate divergence: the `max_intermediate` abort guard fires
 //! per shard, so a query that aborts on one big store may succeed sharded
 //! (each shard's intermediate stays under the bound). The differential
 //! fixtures never trigger the guard; byte-identity there is exact.
 //!
-//! Coordinator pool size equals every shard pool size, so at most one job
-//! per shard pool exists per in-flight request and the two-phase barrier
-//! cannot deadlock: every in-flight request's shard jobs hold threads
-//! simultaneously, reduce always completes, and the plan (or an abort) is
-//! always delivered.
+//! ## Correctness spine
+//!
+//! `tests/serving`: K=4 answers byte-identical to the single-shard oracle
+//! on all four fixtures under concurrent mixed-mode clients, every reply's
+//! shard epoch vector checked (`sharded_identical_*`); each batch advances
+//! exactly the owning shards' epochs
+//! (`ingest_bumps_only_touched_shard_epochs`); an 8-client race against a
+//! writer swapping shard epochs, every reply matching the unsharded oracle
+//! of exactly the epoch it reports (`sharded_writer_swaps_epochs_mid_replay`);
+//! K=4 and single-shard per-request wave-loop counters equal on cold
+//! transcripts (`wave_counters_agree_across_topologies`); K=1 equal to the
+//! single service (`one_shard_equals_the_single_service`). `smoke --serve`
+//! replays a seeded query/insert interleave through 4 shards with one
+//! worker and holds `shard_epoch_swaps`, `shards_touched`,
+//! `shard_rows_skipped` and `sharded_stale_evictions` to the golden;
+//! sharded latency is kbench's `sharded_mixed` workload.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
 use keybridge_index::InvertedIndex;
@@ -131,15 +162,14 @@ impl ShardSet {
     }
 }
 
-/// Everything a coordinator job needs beside its pinned [`ShardSet`],
-/// cloneable into the job closure.
+/// Everything a request needs beside its pinned [`ShardSet`], cloneable
+/// into the job closure.
 #[derive(Clone)]
 struct ServeCtx {
     base: Arc<SearchSnapshot>,
     /// Empty database over the schema — the generation side only reads
     /// schema names from it (verified: `tpl.signature(db)`), never rows.
     schema_db: Arc<Database>,
-    pools: Arc<Vec<Arc<WorkerPool>>>,
     /// Gathered-but-never-merged rows: what the bounded top-k merge left
     /// unconsumed once the global prefix was provably complete.
     shard_rows_skipped: Arc<AtomicUsize>,
@@ -156,10 +186,8 @@ struct ServeCtx {
 ///
 /// Construct through [`crate::ServiceBuilder::shards`].
 pub struct ShardedService {
-    // Dropped first: joins the coordinator threads, after which no new
-    // shard jobs can be submitted and the pools (Arc'd by in-flight jobs)
-    // wind down on their own Drop.
-    coordinator: WorkerPool,
+    // Dropped first: joins the workers before anything they serve from.
+    pool: WorkerPool,
     ctx: ServeCtx,
     current: Arc<Mutex<Arc<ShardSet>>>,
     served: Arc<AtomicUsize>,
@@ -178,7 +206,8 @@ pub struct ShardedService {
 impl ShardedService {
     /// Partition `snapshot`'s database into `shards` FK-closed shards (a
     /// deterministic LPT over the foreign-key components) and start serving
-    /// with `workers` threads on the coordinator *and* on each shard.
+    /// on `workers` threads. Each request runs every shard's part of its
+    /// executions on the one worker that serves it.
     pub fn start(snapshot: Arc<SearchSnapshot>, shards: usize, workers: usize) -> ShardedService {
         let assignment = assign_shards(&snapshot.db, shards.max(1));
         Self::start_with_assignment(snapshot, assignment, workers)
@@ -232,15 +261,11 @@ impl ShardedService {
             exec: Arc::new(SharedExecCache::new()),
         });
         let schema_db = Arc::new(Database::new(snapshot.db.schema().clone()));
-        let pools: Vec<Arc<WorkerPool>> = (0..assignment.shards())
-            .map(|s| Arc::new(WorkerPool::start(&format!("kb-shard{s}"), workers)))
-            .collect();
         ShardedService {
-            coordinator: WorkerPool::start("kb-coord", workers),
+            pool: WorkerPool::start("kb-coord", workers),
             ctx: ServeCtx {
                 base: snapshot,
                 schema_db,
-                pools: Arc::new(pools),
                 shard_rows_skipped: Arc::new(AtomicUsize::new(0)),
             },
             current: Arc::new(Mutex::new(set)),
@@ -426,7 +451,7 @@ impl ServeRequests for ShardedService {
         let ctx = self.ctx.clone();
         // One generation pinned for the whole request: snapshot isolation
         // across every shard at once.
-        self.coordinator
+        self.pool
             .submit_pinned(&self.current, &self.served, move |set: &ShardSet| {
                 let interpreter = coordinator_interpreter(&ctx, set);
                 let pinned = Pinned {
@@ -550,7 +575,8 @@ fn coordinator_interpreter<'a>(ctx: &'a ServeCtx, set: &'a ShardSet) -> Interpre
 }
 
 /// The scatter-gather [`Executor`] the coordinator plugs into the shared
-/// pipeline for one request: the service's pools and one pinned generation.
+/// pipeline for one request: the service's context and one pinned
+/// generation.
 #[derive(Clone, Copy)]
 struct Coordinator<'a> {
     ctx: &'a ServeCtx,
@@ -572,88 +598,42 @@ impl Executor for Coordinator<'_> {
     }
 }
 
-/// What a shard reports after its semi-join reduction pass: per-node
-/// candidate counts before reduction, per-node reduced-set sizes, and the
-/// reduction's executor counters.
-type ReduceReport = RelResult<(Vec<usize>, Vec<usize>, ExecStats)>;
-
 /// Execute one interpretation across every shard and merge the prefixes
 /// into the oracle's result (see the module docs for why the merge is
-/// byte-identical). Returns global row ids.
+/// byte-identical). Runs on the calling worker. Returns global row ids.
 fn scatter_execute(
     coordinator: &Coordinator<'_>,
     interp: &QueryInterpretation,
     opts: ExecOptions,
 ) -> RelResult<ExecutedResult> {
     let Coordinator { ctx, set } = *coordinator;
-    let catalog = &ctx.base.catalog;
-    let tpl = catalog.get(interp.template);
-    let tree = &tpl.tree;
+    let tree = &ctx.base.catalog.get(interp.template).tree;
     let n = tree.nodes.len();
 
-    struct ShardRun {
-        plan_tx: Sender<Option<JoinPlan>>,
-        red_rx: Receiver<ReduceReport>,
-        out_rx: Receiver<RelResult<(Vec<JoinedRow>, ExecStats)>>,
-    }
-    let runs: Vec<ShardRun> = set
-        .shards
-        .iter()
-        .enumerate()
-        .map(|(si, shard)| {
-            let (plan_tx, plan_rx) = channel::<Option<JoinPlan>>();
-            let (red_tx, red_rx) = channel();
-            let (out_tx, out_rx) = channel();
-            let shard = Arc::clone(shard);
-            let interp = interp.clone();
-            let tree = tree.clone();
-            ctx.pools[si].submit(Box::new(move || {
-                shard_execute(&shard, &interp, &tree, opts, red_tx, plan_rx, out_tx);
-            }));
-            ShardRun {
-                plan_tx,
-                red_rx,
-                out_rx,
-            }
-        })
-        .collect();
-
-    // Phase 1: gather per-shard reduction cardinalities. Under FK-closed
-    // partitioning the global reduced set per node is the disjoint union of
-    // the per-shard sets, so the sums equal the oracle's values.
+    // Phase 1: every shard harvests its local candidates through its own
+    // predicate cache and reduces. Under FK-closed partitioning the global
+    // reduced set per node is the disjoint union of the per-shard sets, so
+    // the summed cardinalities equal the oracle's values. Reduction errors
+    // are schema-level (tree validation): every shard fails identically,
+    // exactly as the oracle would.
     let mut given_sum = vec![0usize; n];
     let mut size_sum = vec![0usize; n];
     let mut stats = ExecStats::default();
-    let mut failure = None;
-    for run in &runs {
-        match run.red_rx.recv() {
-            Ok(Ok((given, sizes, red_stats))) => {
-                for i in 0..n {
-                    given_sum[i] += given[i];
-                    size_sum[i] += sizes[i];
-                }
-                stats.absorb(&red_stats);
-            }
-            // Reduction errors are schema-level (tree validation): every
-            // shard fails identically, exactly as the oracle would.
-            Ok(Err(e)) => failure = failure.or(Some(e)),
-            // A shard job panicked (its channel died): surface as a worker
-            // panic through the serving arm's catch_unwind.
-            Err(_) => panic!("shard worker disappeared during reduction"),
+    let mut reduced = Vec::with_capacity(set.shards.len());
+    for shard in &set.shards {
+        let mut cache = ExecCache::with_shared(Arc::clone(&shard.exec));
+        let candidates = harvest_candidates(&mut cache, &shard.index, interp, &tree.nodes);
+        let red = reduce_join_tree(&shard.db, tree, &candidates)?;
+        for i in 0..n {
+            given_sum[i] += red.given[i];
+            size_sum[i] += red.sets[i].len();
         }
-    }
-    if let Some(e) = failure {
-        for run in &runs {
-            let _ = run.plan_tx.send(None);
-        }
-        return Err(e);
+        stats.absorb(&red.stats);
+        reduced.push((shard, cache, red.sets));
     }
     // Oracle mirror: `execute_join_tree_with_stats_in` returns empty
     // (reduction stats only) when any *global* reduced set is empty.
     if size_sum.contains(&0) {
-        for run in &runs {
-            let _ = run.plan_tx.send(None);
-        }
         return Ok(ExecutedResult {
             jtts: Vec::new(),
             keys: BTreeSet::new(),
@@ -663,21 +643,26 @@ fn scatter_execute(
     }
 
     // Phase 2: force the oracle's plan (computed from the summed
-    // cardinalities) on every shard, gather the limit-capped prefixes.
+    // cardinalities) on every shard, translating each limit-capped prefix
+    // to global row ids through the shard's row map.
     let plan = plan_join_order(tree, &given_sum, &size_sum);
-    for run in &runs {
-        let _ = run.plan_tx.send(Some(plan.clone()));
-    }
-    let mut shard_rows: Vec<Vec<JoinedRow>> = Vec::with_capacity(runs.len());
-    for run in &runs {
-        match run.out_rx.recv() {
-            Ok(Ok((rows, exec_stats))) => {
-                stats.absorb(&exec_stats);
-                shard_rows.push(rows);
-            }
-            Ok(Err(e)) => return Err(e),
-            Err(_) => panic!("shard worker disappeared during execution"),
-        }
+    let mut shard_rows: Vec<Vec<JoinedRow>> = Vec::with_capacity(reduced.len());
+    for (shard, mut cache, sets) in reduced {
+        let out = execute_reduced_in(&shard.db, tree, sets, &plan, opts, &mut cache.arena)?;
+        stats.absorb(&out.stats);
+        shard_rows.push(
+            out.rows
+                .into_iter()
+                .map(|jtt| {
+                    jtt.iter()
+                        .enumerate()
+                        .map(|(node, local)| {
+                            shard.row_map[tree.nodes[node].0 as usize][local.index()]
+                        })
+                        .collect()
+                })
+                .collect(),
+        );
     }
 
     // Bounded merge: the executor enumerates lexicographically by the plan's
@@ -741,54 +726,7 @@ fn visit_order(tree: &JoinTree, plan: &JoinPlan) -> Vec<usize> {
     visit
 }
 
-/// The per-shard job: harvest local candidates through the shard's
-/// predicate cache, reduce, report cardinalities, await the global plan,
-/// execute, translate local rows to global ids. Runs entirely on the
-/// shard's pool; a dropped plan channel (coordinator abort or panic) ends
-/// the job silently.
-fn shard_execute(
-    shard: &ShardState,
-    interp: &QueryInterpretation,
-    tree: &JoinTree,
-    opts: ExecOptions,
-    red_tx: Sender<ReduceReport>,
-    plan_rx: Receiver<Option<JoinPlan>>,
-    out_tx: Sender<RelResult<(Vec<JoinedRow>, ExecStats)>>,
-) {
-    let mut cache = ExecCache::with_shared(Arc::clone(&shard.exec));
-    let candidates = harvest_candidates(&mut cache, &shard.index, interp, &tree.nodes);
-    let reduced = match reduce_join_tree(&shard.db, tree, &candidates) {
-        Ok(r) => r,
-        Err(e) => {
-            let _ = red_tx.send(Err(e));
-            return;
-        }
-    };
-    let sizes: Vec<usize> = reduced.sets.iter().map(Vec::len).collect();
-    let _ = red_tx.send(Ok((reduced.given, sizes, reduced.stats)));
-    let Ok(Some(plan)) = plan_rx.recv() else {
-        return; // aborted (empty result, error, or coordinator gone)
-    };
-    let result = execute_reduced_in(&shard.db, tree, reduced.sets, &plan, opts, &mut cache.arena)
-        .map(|out| {
-            let rows = out
-                .rows
-                .into_iter()
-                .map(|jtt| {
-                    jtt.iter()
-                        .enumerate()
-                        .map(|(node, local)| {
-                            shard.row_map[tree.nodes[node].0 as usize][local.index()]
-                        })
-                        .collect()
-                })
-                .collect();
-            (rows, out.stats)
-        });
-    let _ = out_tx.send(result);
-}
-
-// Everything a coordinator or shard job touches crosses threads.
+// Everything a serving job touches crosses threads.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ShardedService>();
@@ -799,6 +737,7 @@ mod tests {
     use super::*;
     use crate::generate::InterpreterConfig;
     use keybridge_datagen::{ImdbConfig, ImdbDataset};
+    use std::sync::mpsc::channel;
     use std::time::Duration;
 
     #[test]

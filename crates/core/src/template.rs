@@ -241,26 +241,11 @@ impl TemplateCatalog {
             }
         }
 
-        let templates: Vec<QueryTemplate> = out
-            .into_iter()
-            .enumerate()
-            .map(|(i, tree)| QueryTemplate::new(TemplateId(i as u32), tree))
-            .collect();
-        let mut by_table: HashMap<TableId, Vec<TemplateId>> = HashMap::new();
-        for t in &templates {
-            for table in t.distinct_tables() {
-                by_table.entry(table).or_default().push(t.id);
-            }
-        }
-        Ok(TemplateCatalog {
-            templates,
-            by_table,
-        })
+        Ok(Self::from_trees(out))
     }
 
-    /// Build a catalog from an explicit template list (e.g. administrator-
-    /// defined templates, the third source in §3.5.2).
-    pub fn from_trees(trees: Vec<JoinTree>) -> Self {
+    /// Build a catalog from an explicit template list, ids in list order.
+    fn from_trees(trees: Vec<JoinTree>) -> Self {
         let templates: Vec<QueryTemplate> = trees
             .into_iter()
             .enumerate()

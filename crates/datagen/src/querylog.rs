@@ -361,11 +361,6 @@ impl Workload {
         }
     }
 
-    /// Queries flagged single-concept.
-    pub fn single_concept(&self) -> impl Iterator<Item = &WorkloadQuery> {
-        self.queries.iter().filter(|q| !q.multi_concept)
-    }
-
     /// Queries flagged multi-concept.
     pub fn multi_concept(&self) -> impl Iterator<Item = &WorkloadQuery> {
         self.queries.iter().filter(|q| q.multi_concept)
@@ -530,8 +525,8 @@ mod tests {
             },
         );
         assert_eq!(w.queries.len(), 60);
-        assert!(w.single_concept().count() > 5);
-        assert!(w.multi_concept().count() > 5);
+        let mc = w.multi_concept().count();
+        assert!(mc > 5 && w.queries.len() - mc > 5);
         for q in &w.queries {
             assert!(!q.keywords.is_empty());
             assert_eq!(q.keywords, q.intent.keywords());

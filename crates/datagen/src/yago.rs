@@ -248,11 +248,6 @@ impl YagoOntology {
         }
     }
 
-    /// Number of categories of a given kind.
-    pub fn count_kind(&self, kind: CategoryKind) -> usize {
-        self.categories.iter().filter(|c| c.kind == kind).count()
-    }
-
     /// Total number of distinct instances across all categories.
     pub fn distinct_instances(&self) -> usize {
         let mut set = std::collections::HashSet::new();
@@ -295,11 +290,15 @@ mod tests {
         }
     }
 
+    fn count_kind(y: &YagoOntology, kind: CategoryKind) -> usize {
+        y.categories.iter().filter(|c| c.kind == kind).count()
+    }
+
     #[test]
     fn kinds_distributed() {
         let (_, y) = setup();
-        assert!(y.count_kind(CategoryKind::WordNet) > 0);
-        assert!(y.count_kind(CategoryKind::Conceptual) > 0);
+        assert!(count_kind(&y, CategoryKind::WordNet) > 0);
+        assert!(count_kind(&y, CategoryKind::Conceptual) > 0);
         let leaves = y.leaves().count();
         assert_eq!(leaves, 40);
     }
@@ -310,7 +309,7 @@ mod tests {
         for &(idx, _) in &y.gold {
             assert_eq!(y.categories[idx].kind, CategoryKind::Conceptual);
         }
-        assert_eq!(y.gold.len(), y.count_kind(CategoryKind::Conceptual));
+        assert_eq!(y.gold.len(), count_kind(&y, CategoryKind::Conceptual));
     }
 
     #[test]

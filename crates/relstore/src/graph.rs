@@ -70,54 +70,6 @@ impl SchemaGraph {
     pub fn degree(&self, t: TableId) -> usize {
         self.adj[t.0 as usize].len()
     }
-
-    /// Whether every table is reachable from table 0 (useful sanity check
-    /// for generated schemas; an unconnected schema cannot join everything).
-    pub fn is_connected(&self) -> bool {
-        if self.adj.is_empty() {
-            return true;
-        }
-        let mut seen = vec![false; self.adj.len()];
-        let mut stack = vec![TableId(0)];
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(t) = stack.pop() {
-            for e in self.neighbors(t) {
-                let o = e.other(t);
-                if !seen[o.0 as usize] {
-                    seen[o.0 as usize] = true;
-                    count += 1;
-                    stack.push(o);
-                }
-            }
-        }
-        count == self.adj.len()
-    }
-
-    /// Length (in edges) of the shortest path between two tables, if any.
-    /// Used to bound template enumeration and by tests.
-    pub fn shortest_path_len(&self, a: TableId, b: TableId) -> Option<usize> {
-        if a == b {
-            return Some(0);
-        }
-        let mut dist = vec![usize::MAX; self.adj.len()];
-        dist[a.0 as usize] = 0;
-        let mut queue = std::collections::VecDeque::from([a]);
-        while let Some(t) = queue.pop_front() {
-            let d = dist[t.0 as usize];
-            for e in self.neighbors(t) {
-                let o = e.other(t);
-                if dist[o.0 as usize] == usize::MAX {
-                    dist[o.0 as usize] = d + 1;
-                    if o == b {
-                        return Some(d + 1);
-                    }
-                    queue.push_back(o);
-                }
-            }
-        }
-        None
-    }
 }
 
 #[cfg(test)]
@@ -150,7 +102,6 @@ mod tests {
         assert_eq!(g.degree(TableId(0)), 1);
         assert_eq!(g.degree(TableId(1)), 2);
         assert_eq!(g.degree(TableId(3)), 1);
-        assert!(g.is_connected());
     }
 
     #[test]
@@ -164,26 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn shortest_paths() {
-        let s = chain_schema(5);
-        let g = SchemaGraph::new(&s);
-        assert_eq!(g.shortest_path_len(TableId(0), TableId(0)), Some(0));
-        assert_eq!(g.shortest_path_len(TableId(0), TableId(4)), Some(4));
-        assert_eq!(g.shortest_path_len(TableId(1), TableId(3)), Some(2));
-    }
-
-    #[test]
-    fn disconnected_detected() {
-        let mut b = SchemaBuilder::new();
-        b.table("a", TableKind::Entity).pk("id");
-        b.table("b", TableKind::Entity).pk("id");
-        let s = b.finish().unwrap();
-        let g = SchemaGraph::new(&s);
-        assert!(!g.is_connected());
-        assert_eq!(g.shortest_path_len(TableId(0), TableId(1)), None);
-    }
-
-    #[test]
     fn self_referencing_fk_single_adjacency() {
         let mut b = SchemaBuilder::new();
         b.table("emp", TableKind::Entity)
@@ -194,6 +125,5 @@ mod tests {
         let g = SchemaGraph::new(&s);
         // A self-loop appears once, not twice.
         assert_eq!(g.degree(TableId(0)), 1);
-        assert!(g.is_connected());
     }
 }

@@ -77,20 +77,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The shared text handle, if any. Cloning the returned `Arc` is a
-    /// refcount bump; used by the arena to canonicalize without re-allocating.
-    pub fn as_text_arc(&self) -> Option<&Arc<str>> {
-        match self {
-            Value::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Whether the value is `Null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
 }
 
 impl fmt::Display for Value {
@@ -140,8 +126,6 @@ mod tests {
         assert_eq!(Value::Int(7).as_int(), Some(7));
         assert_eq!(Value::Int(7).as_text(), None);
         assert_eq!(Value::text("a").as_text(), Some("a"));
-        assert!(Value::Null.is_null());
-        assert!(!Value::Int(0).is_null());
     }
 
     #[test]
@@ -169,9 +153,10 @@ mod tests {
     fn text_clone_shares_allocation() {
         let v = Value::text("shared payload");
         let w = v.clone();
-        let (a, b) = (v.as_text_arc().unwrap(), w.as_text_arc().unwrap());
+        let (Value::Text(a), Value::Text(b)) = (&v, &w) else {
+            panic!("text values")
+        };
         assert!(Arc::ptr_eq(a, b));
         assert_eq!(v.as_text(), Some("shared payload"));
-        assert_eq!(Value::Int(1).as_text_arc(), None);
     }
 }

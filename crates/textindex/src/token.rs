@@ -62,11 +62,6 @@ impl Tokenizer {
         out
     }
 
-    /// Whether `term` is a stopword under this tokenizer.
-    pub fn is_stopword(&self, term: &str) -> bool {
-        self.stopwords.contains(term)
-    }
-
     /// Tokenize `text` into lowercase terms.
     pub fn tokenize(&self, text: &str) -> Vec<String> {
         let mut out = Vec::new();
@@ -119,15 +114,13 @@ mod tests {
             t.tokenize("Joe versus the Volcano"),
             vec!["joe", "versus", "volcano"]
         );
-        assert!(t.is_stopword("the"));
-        assert!(!t.is_stopword("terminal"));
+        assert!(t.tokenize("the").is_empty());
     }
 
     #[test]
     fn keep_all_keeps_stopwords() {
         let t = Tokenizer::keep_all();
         assert_eq!(t.tokenize("The Terminal"), vec!["the", "terminal"]);
-        assert!(!t.is_stopword("the"));
     }
 
     #[test]

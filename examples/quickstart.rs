@@ -305,12 +305,13 @@ fn main() {
     // 9. Scale out: `ServiceBuilder` serves the same Request/Reply surface
     //    from a sharded scatter-gather deployment. Rows are partitioned
     //    into FK-closed shards — every foreign key stays inside its shard —
-    //    each with its own worker pool, epoch chain, and cache generations.
-    //    A coordinator scatters each query, merges the per-shard answer
-    //    streams, and the merged reply is byte-identical to the
-    //    single-shard service over the same data. Ingested batches route
-    //    to the shards that own them, so an insert bumps only the touched
-    //    shards' epochs and leaves every other shard's caches warm.
+    //    each with its own epoch chain and cache generations. The worker
+    //    serving a query scatters each execution over the shards and
+    //    merges the per-shard answer streams; the merged reply is
+    //    byte-identical to the single-shard service over the same data.
+    //    Ingested batches route to the shards that own them, so an insert
+    //    bumps only the touched shards' epochs and leaves every other
+    //    shard's caches warm.
     let sharded = ServiceBuilder::new()
         .workers(2)
         .shards(4)

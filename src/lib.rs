@@ -121,9 +121,9 @@
 //! The same request surface scales out horizontally.
 //! [`core::ServiceBuilder`] with `.shards(k)` partitions the rows into k
 //! FK-closed shards ([`relstore::assign_shards`]) and starts a
-//! [`core::ShardedService`]: per-shard worker pools, epoch chains, and
-//! cache generations behind one coordinator that scatters each request,
-//! merges the per-shard streams, and replies **byte-identically** to the
+//! [`core::ShardedService`]: per-shard epoch chains and cache generations
+//! behind one worker pool whose worker scatters each execution over the
+//! shards, merges the per-shard streams, and replies **byte-identically** to the
 //! single-shard service (the `sharded_identical_*` histories in
 //! `tests/serving` prove this on every fixture under concurrent mixed-mode
 //! load). Ingested batches route to their

@@ -12,9 +12,10 @@ mod history;
 
 use history::*;
 use keybridge::core::{
-    scan_wal, DurableOptions, FaultPoint, IngestError, InterpreterConfig, KeywordQuery,
-    SearchService, SearchSnapshot, ServeRequests, ServiceBuilder, ServiceError, ServiceStats,
-    ShardedService, TemplateCatalog, SNAPSHOT_FILE, WAL_FILE,
+    scan_wal, DiversifyOptions, DurableOptions, FaultPoint, IngestError, InterpreterConfig,
+    KeywordQuery, KeywordService, Reply, Request, SearchService, SearchSnapshot, ServeRequests,
+    ServiceBuilder, ServiceError, ServiceStats, ShardedService, TemplateCatalog, SNAPSHOT_FILE,
+    WAL_FILE,
 };
 use keybridge::datagen::{sharded_holdout_plan, ImdbConfig, ImdbDataset, IngestConfig};
 use keybridge::index::InvertedIndex;
@@ -390,6 +391,51 @@ fn wave_counters_agree_across_topologies() {
     }
 }
 
+/// K=1 is one merge stream over identity row maps: a one-shard service
+/// answers the IMDB log exactly as the single service does — JTTs, keys
+/// and score bits, plain and diversified.
+#[test]
+fn one_shard_equals_the_single_service() {
+    let fx = Fixture::load(Fx::Imdb);
+    let snap = SearchSnapshot::build(fx.db.clone(), InterpreterConfig::default(), 4, 50_000);
+    let snap = Arc::new(snap.unwrap());
+    let single = transcript(&SearchService::start(Arc::clone(&snap), 2), &fx.queries);
+    let sharded = transcript(&ShardedService::start(snap, 1, 2), &fx.queries);
+    assert!(single.iter().any(|line| line.contains("jtt")), "no answers");
+    assert_eq!(single, sharded);
+}
+
+/// Every answer's interpretation, JTT, keys and score bits, then every
+/// diversified pick's, query by query.
+fn transcript(svc: &impl ServeRequests, queries: &[Vec<String>]) -> Vec<String> {
+    let mut out = Vec::new();
+    for terms in queries {
+        let query = KeywordQuery::from_terms(terms.clone());
+        let answers = svc.search(&query, 10).answers;
+        out.extend(answers.iter().map(|a| {
+            let bits = a.log_score.to_bits();
+            format!(
+                "{:?} jtt={:?} {:?} {bits:x}",
+                a.interpretation, a.jtt, a.keys
+            )
+        }));
+        let opts = DiversifyOptions::default();
+        let request = Request::Diversified { query, opts };
+        let Some(Reply::Diversified(Ok(div))) = svc.submit_request(request).wait() else {
+            panic!("{terms:?}: no diversified reply")
+        };
+        out.push(format!("pool={}", div.pool));
+        out.extend(div.answers.iter().map(|a| {
+            let bits = (a.log_score.to_bits(), a.relevance.to_bits());
+            format!(
+                "{:?} {:?} {:?} {bits:x?}",
+                a.interpretation, a.atoms, a.keys
+            )
+        }));
+    }
+    out
+}
+
 #[test]
 fn ingest_bumps_only_touched_shard_epochs() {
     let data = ImdbDataset::generate(ImdbConfig::tiny(99)).unwrap();
@@ -637,7 +683,9 @@ fn rejections_are_identical_across_topologies() {
             .unwrap()
     };
     let (single, many) = (start(1), start(SHARDS));
-    let sharded = many.as_sharded().unwrap();
+    let KeywordService::Sharded(sharded) = &many else {
+        panic!("{SHARDS} shards start a sharded service")
+    };
 
     let good_actor = |pk: i64| (actor, vec![Value::Int(pk), Value::text("fresh face")]);
     let bad: Vec<(&str, RowBatch)> = vec![
