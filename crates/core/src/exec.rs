@@ -103,11 +103,12 @@ const RESULT_STRIPE_CAP: usize = 1024;
 /// A predicate's cache identity: sorted keyword bag + attribute.
 type PredicateKey = (Vec<String>, AttrRef);
 
-/// Process-wide execution cache shared by every worker of a
-/// [`crate::SearchService`]: lock-striped maps of predicate row sets and
-/// *complete* memoized results, keyed exactly like [`ExecCache`]. All maps
-/// are valid only for the snapshot (database + index + catalog) they were
-/// populated against — the service owns both, so the pairing is structural.
+/// Process-wide execution cache shared by every worker of a service:
+/// lock-striped maps of predicate row sets and *complete* memoized results,
+/// keyed exactly like [`ExecCache`]. Row ids are the whole store's, on a
+/// sharded service too. All maps are valid only for the snapshot (database +
+/// index + catalog) they were populated against — the service owns both, so
+/// the pairing is structural.
 #[derive(Debug)]
 pub struct SharedExecCache {
     predicates: StripedMap<PredicateKey, Arc<Vec<RowId>>>,
@@ -258,8 +259,9 @@ pub fn bound_nodes(interp: &QueryInterpretation, node_count: usize) -> Vec<bool>
 /// a store — run one interpretation to a limit through an [`ExecCache`], and
 /// name a bound result row by its primary key. [`LocalExecutor`] answers
 /// both from one database; the sharded coordinator scatters the first over
-/// its shards and answers the second from its pk maps. Implementations are
-/// bundles of borrows into a pinned serving state, hence `Copy`.
+/// its shards and answers the second from its placement table.
+/// Implementations are bundles of borrows into a pinned serving state, hence
+/// `Copy`.
 pub(crate) trait Executor: Copy {
     /// Execute `interp` under `opts`, memoized through `cache` by the
     /// [`with_result_cache`] rules.
@@ -469,7 +471,8 @@ pub(crate) fn prefix_keys(
 /// `cache` (local tier, shared tier, or a fresh `index` intersection), and
 /// several predicates on one node intersect by sorted merge — both lists come
 /// out of the index sorted. The one harvest of both topologies: `index` is
-/// the whole store's on a single service and a shard's own on a shard.
+/// always the whole store's, and the sharded coordinator splits the rows
+/// across its shards afterwards.
 pub(crate) fn harvest_candidates(
     cache: &mut ExecCache,
     index: &InvertedIndex,

@@ -28,8 +28,9 @@
 //! [`ResultKey`]s. [`QueryPipeline::new`] plugs in the local executor
 //! (index harvest + join-tree execution + `db.pk_value` over the
 //! interpreter's database); [`crate::ShardedService`] plugs in its
-//! scatter-gather coordinator (per-shard reduction, one forced plan, bounded
-//! merge, pk maps). Dispatch is static — the loop is monomorphized per
+//! scatter-gather coordinator (one harvest split across the shards,
+//! per-shard reduction, one forced plan, bounded merge, pks from its
+//! placement table). Dispatch is static — the loop is monomorphized per
 //! executor — and nothing in it asks which one it got.
 //!
 //! [`crate::Interpreter::answers_top_k`], the [`crate::SearchService`] and

@@ -55,8 +55,8 @@
 //!    **nothing in memory** to roll back — the served epoch is still the
 //!    last one whose record is durable.
 //! 3. **Clone from published**: copy the published [`Database`] and
-//!    [`InvertedIndex`] (on the sharded service: the touched shards' stores,
-//!    local indexes and row maps, plus the global index and pk maps). This
+//!    [`InvertedIndex`] (on the sharded service: the touched shards' stores
+//!    and row maps, plus the one index and the placement table). This
 //!    is the one O(database) step of a write, paid once per *accepted*
 //!    batch, outside the lock readers pin through. Interned text cells make
 //!    it refcount bumps rather than string copies; making it O(batch) is
@@ -77,9 +77,10 @@
 //! to the single shard its foreign-key parents pin (multi-pass hint
 //! resolution, post-verified; a cross-shard edge rejects as
 //! [`IngestError::Unroutable`], still before any clone) — and swaps **only
-//! the touched shards'** states under one global generation bump: the
-//! untouched K−1 shards keep their `Arc`s and their warm caches
-//! ([`ServiceStats::shard_epoch_swaps`] / `shards_touched`).
+//! the touched shards'** rows under one global generation bump: the
+//! untouched K−1 shards keep their `Arc`s
+//! ([`ServiceStats::shard_epoch_swaps`] / `shards_touched`). Its one index
+//! and its one cache generation are replaced like the single service's.
 //!
 //! ### Cache generations
 //!
@@ -1036,14 +1037,13 @@ impl SearchService {
     /// just published runs after the swap (its failure also poisons, but the
     /// batch itself — already WAL-durable — is still accepted).
     pub fn ingest(&self, batch: &RowBatch) -> Result<IngestReceipt, IngestError> {
-        if let Some(d) = &self.durability {
-            if d.is_poisoned() {
-                return Err(IngestError::Poisoned);
-            }
-        }
         // `prev` cannot go stale below: the held writer lock serializes
-        // every path that replaces `current`.
+        // every path that replaces `current`. Poisoning happens under it
+        // too, so a write queued behind a failing one sees the poison.
         let _writer = self.writer.lock().unwrap();
+        if self.is_poisoned() {
+            return Err(IngestError::Poisoned);
+        }
         let prev = Arc::clone(&self.current.lock().unwrap());
         prev.snapshot.db.validate_batch(batch)?;
         let epoch = SnapshotEpoch(prev.epoch.0 + 1);
@@ -1101,10 +1101,10 @@ impl SearchService {
             .durability
             .as_ref()
             .ok_or(DurabilityError::NotDurable)?;
+        let _writer = self.writer.lock().unwrap();
         if d.is_poisoned() {
             return Err(DurabilityError::Poisoned);
         }
-        let _writer = self.writer.lock().unwrap();
         let state = self.current.lock().unwrap().clone();
         match d.checkpoint(state.epoch.0, &state.snapshot.db, &state.snapshot.index) {
             Ok(snapshot_bytes) => Ok(CheckpointReceipt {
@@ -2149,6 +2149,40 @@ mod tests {
         let receipt = recovered.ingest(&good(1)).unwrap();
         assert_eq!(receipt.epoch, SnapshotEpoch(2));
         drop(recovered);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn ingest_queued_behind_a_poisoning_write_is_refused() {
+        let dir =
+            std::env::temp_dir().join(format!("keybridge-service-queued-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let snap = snapshot();
+        let actor = snap.db.schema().table_id("actor").unwrap();
+        let batch: RowBatch = vec![(
+            actor,
+            vec![
+                Value::Int(snap.db.table(actor).len() as i64 + 9000),
+                Value::text("tom queued"),
+            ],
+        )];
+        let service = Arc::new(
+            SearchService::start_durable(snap, 1, &dir, &DurableOptions::default()).unwrap(),
+        );
+        // Stand in for a write that holds the lock and then fails: the
+        // racer queues on the lock, the failure poisons, the lock drops.
+        let failing_write = service.writer.lock().unwrap();
+        let racer = {
+            let service = Arc::clone(&service);
+            std::thread::spawn(move || service.ingest(&batch))
+        };
+        // Lets the racer reach the lock; the outcome does not depend on it.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        service.durability.as_ref().unwrap().poison();
+        drop(failing_write);
+        assert!(matches!(racer.join().unwrap(), Err(IngestError::Poisoned)));
+        assert_eq!(service.stats().wal_batches, 0);
+        drop(service);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

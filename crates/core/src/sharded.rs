@@ -16,24 +16,28 @@
 //! root ancestor's pk: whole foreign-key components land on one shard, so
 //! every join tree an interpretation can execute stays *within* a shard and
 //! the global result set is the disjoint union of the per-shard result
-//! sets. Each shard owns its own [`Database`], its own local
-//! [`InvertedIndex`], its own [`SharedExecCache`] generation, and its own
-//! [`SnapshotEpoch`] chain — an ingest touching shards {i, j} republishes
-//! only those two shards; every other shard keeps its `Arc`'d state *and*
-//! its warm caches. Replies carry the per-shard epoch vector
-//! (`SearchReply::shard_epochs`). Ingest is the single service's write
-//! shape plus a routing step ([`ShardedService::ingest`]);
-//! `datagen::sharded_holdout_plan` fixes the assignment over the full
-//! pre-holdout corpus so replayed batches always route cleanly.
+//! sets. A shard is nothing but rows: its own [`Database`], the map from
+//! its local row ids back to global ones, and its own [`SnapshotEpoch`]
+//! chain. An ingest touching shards {i, j} republishes only those two
+//! shards; every other shard keeps its `Arc`'d rows. Replies carry the
+//! per-shard epoch vector (`SearchReply::shard_epochs`). Ingest is the
+//! single service's write shape plus a routing step
+//! ([`ShardedService::ingest`]); `datagen::sharded_holdout_plan` fixes the
+//! assignment over the full pre-holdout corpus so replayed batches always
+//! route cleanly.
 //!
-//! The coordinator keeps what sharding cannot split:
+//! Everything textual lives once, at the coordinator, as on the single
+//! service:
 //!
-//! - the **global inverted index** (generation must see global term
-//!   statistics to rank interpretations byte-identically to one store),
-//! - the **pk maps** (global `RowId` → primary key per table, to mint
-//!   [`crate::ResultKey`]s without a global database),
-//! - the global [`SharedNonemptyCache`] / result-level [`SharedExecCache`]
-//!   generations (swapped on every ingest, like the single-shard service).
+//! - the **inverted index** of the whole store: generation ranks on its
+//!   global term statistics, and execution harvests each predicate's rows
+//!   from it once,
+//! - the **placement table**: per table, global `RowId` → primary key,
+//!   shard and local row id. The pk mints [`crate::ResultKey`]s without a
+//!   global database; the other two split candidate rows across shards,
+//! - one [`SharedNonemptyCache`] and one [`SharedExecCache`] generation
+//!   (predicate rows in global row ids, memoized results), swapped on every
+//!   ingest like the single service's.
 //!
 //! ## Execution: the pipeline over a scatter-gather executor
 //!
@@ -44,16 +48,21 @@
 //! pipeline's crate-private `Executor` seam for the two things that are
 //! genuinely different here:
 //!
-//! - **Key minting** from the pk maps (`Executor::pk`), the stand-in for
-//!   `db.pk_value` where no global database exists.
+//! - **Key minting** from the placement table (`Executor::pk`), the
+//!   stand-in for `db.pk_value` where no global database exists.
 //! - **Executing one interpretation** (`Executor::execute`), memoized
-//!   through the global result-level cache and otherwise scattered over the
-//!   shards in two phases, both on the worker already serving the request:
-//!   1. **Reduce**: for each shard in shard order, harvest its local
-//!      candidate rows through its own predicate cache, run the full
-//!      Yannakakis semi-join reduction, and add its per-node `given` and
+//!   through the request's [`ExecCache`] as on one store and otherwise
+//!   scattered over the shards, all on the worker already serving the
+//!   request:
+//!   1. **Harvest + split**: harvest the candidate rows once, over the
+//!      global index through the request's cache, then split each
+//!      restricted node's sorted global rows into one sorted local list per
+//!      shard in a single pass over the placement table. Free nodes stay
+//!      free on every shard.
+//!   2. **Reduce**: for each shard in shard order, run the full Yannakakis
+//!      semi-join reduction over its lists and add its per-node `given` and
 //!      reduced-set cardinalities to the sums.
-//!   2. **Plan forcing + bounded merge**: under FK-closed partitioning the
+//!   3. **Plan forcing + bounded merge**: under FK-closed partitioning the
 //!      sums equal the single-store values, so one [`JoinPlan`] computed
 //!      from them is the oracle's. Every shard enumerates its
 //!      (limit-capped) result prefix under that plan and translates local
@@ -100,8 +109,8 @@ use std::sync::{Arc, Mutex};
 use keybridge_index::InvertedIndex;
 use keybridge_relstore::{
     assign_shards, execute_reduced_in, hash_shard, plan_join_order, reduce_join_tree,
-    split_database, Database, ExecOptions, ExecStats, JoinPlan, JoinTree, JoinedRow, RelResult,
-    RowBatch, RowId, Schema, ShardAssignment, TableId, MAX_TABLE_ROWS,
+    split_database, Candidates, Database, ExecOptions, ExecStats, JoinPlan, JoinTree, JoinedRow,
+    RelResult, RowBatch, RowId, Schema, ShardAssignment, TableId, MAX_TABLE_ROWS,
 };
 
 use crate::exec::{bound_nodes, collect_result_keys, harvest_candidates, with_result_cache};
@@ -117,21 +126,25 @@ use crate::service::{
 // Published state.
 // ---------------------------------------------------------------------------
 
-/// One shard's immutable serving state. Untouched shards keep their `Arc`
-/// (and warm predicate cache) across ingests.
+/// One shard's immutable rows. Untouched shards keep their `Arc` across
+/// ingests.
 struct ShardState {
     /// This shard's own epoch chain: bumped only when an ingest routes rows
     /// *here*.
     epoch: SnapshotEpoch,
     db: Arc<Database>,
-    /// Local inverted index over the shard's rows (local row ids).
-    index: Arc<InvertedIndex>,
-    /// Shard-generation predicate cache (local row ids — never valid across
-    /// this shard's epochs, so it is replaced whenever `epoch` bumps).
-    exec: Arc<SharedExecCache>,
     /// Per table: local row index → global [`RowId`]. Strictly increasing,
     /// because a shard's rows are inserted in global order.
     row_map: Arc<Vec<Vec<RowId>>>,
+}
+
+/// Where one global row lives.
+#[derive(Clone, Copy)]
+struct Placement {
+    pk: i64,
+    shard: u32,
+    /// The row's id in its shard's [`Database`].
+    local: RowId,
 }
 
 /// One published generation of the whole sharded store: the shard vector
@@ -143,16 +156,15 @@ struct ShardSet {
     /// oracle's epoch for the same replay).
     generation: SnapshotEpoch,
     shards: Vec<Arc<ShardState>>,
-    /// The coordinator's *global* inverted index — identical to the oracle's
-    /// (generation must rank on global term statistics).
+    /// The inverted index of the whole store, identical to the oracle's.
     index: Arc<InvertedIndex>,
-    /// Per table: global row index → primary key. The coordinator's stand-in
-    /// for `db.pk_value` when minting [`crate::ResultKey`]s.
-    pk_maps: Arc<Vec<Vec<i64>>>,
-    /// Global generation-side verdict cache (swapped every ingest).
+    /// Per table: global row index → its [`Placement`]. Global row ids are
+    /// minted off its lengths.
+    placements: Arc<Vec<Vec<Placement>>>,
+    /// Generation-side verdict cache (swapped every ingest).
     nonempty: Arc<SharedNonemptyCache>,
-    /// Global *result-level* execution cache (swapped every ingest). Its
-    /// predicate tier stays empty — predicate rows are shard-local.
+    /// Execution cache: predicate rows in global row ids and memoized
+    /// results (swapped every ingest).
     exec: Arc<SharedExecCache>,
 }
 
@@ -226,37 +238,47 @@ impl ShardedService {
         let split = split_database(&snapshot.db, &assignment)
             .expect("shard assignment covers every snapshot row");
         let table_count = snapshot.db.schema().table_count();
-        let shard_states: Vec<Arc<ShardState>> = split
-            .dbs
-            .into_iter()
-            .zip(split.row_maps)
-            .map(|(db, row_map)| {
-                let index = InvertedIndex::build(&db);
-                Arc::new(ShardState {
-                    epoch: SnapshotEpoch::default(),
-                    db: Arc::new(db),
-                    index: Arc::new(index),
-                    exec: Arc::new(SharedExecCache::new()),
-                    row_map: Arc::new(row_map),
-                })
-            })
-            .collect();
-        let pk_maps: Vec<Vec<i64>> = (0..table_count)
+        let mut placements: Vec<Vec<Placement>> = (0..table_count)
             .map(|t| {
                 let table = TableId(t as u32);
                 snapshot
                     .db
                     .table(table)
                     .rows()
-                    .map(|(r, _)| snapshot.db.pk_value(table, r))
+                    .map(|(r, _)| Placement {
+                        pk: snapshot.db.pk_value(table, r),
+                        shard: 0,
+                        local: RowId(0),
+                    })
                     .collect()
+            })
+            .collect();
+        for (shard, row_map) in split.row_maps.iter().enumerate() {
+            for (table, globals) in placements.iter_mut().zip(row_map) {
+                for (local, global) in globals.iter().enumerate() {
+                    let p = &mut table[global.index()];
+                    p.shard = shard as u32;
+                    p.local = RowId(local as u32);
+                }
+            }
+        }
+        let shard_states: Vec<Arc<ShardState>> = split
+            .dbs
+            .into_iter()
+            .zip(split.row_maps)
+            .map(|(db, row_map)| {
+                Arc::new(ShardState {
+                    epoch: SnapshotEpoch::default(),
+                    db: Arc::new(db),
+                    row_map: Arc::new(row_map),
+                })
             })
             .collect();
         let set = Arc::new(ShardSet {
             generation: SnapshotEpoch::default(),
             shards: shard_states,
             index: Arc::new(snapshot.index.clone()),
-            pk_maps: Arc::new(pk_maps),
+            placements: Arc::new(placements),
             nonempty: Arc::new(SharedNonemptyCache::new()),
             exec: Arc::new(SharedExecCache::new()),
         });
@@ -290,18 +312,17 @@ impl ShardedService {
     ///
     /// 1. **Validate** with relstore's one batch validator
     ///    ([`Schema::validate_batch`]), its two lookups answered by the shard
-    ///    directory and the global pk maps — so a batch is rejected here with
+    ///    directory and the placement table — so a batch is rejected here with
     ///    exactly the [`BatchError`](keybridge_relstore::BatchError) the
     ///    single service returns, before anything is cloned.
     /// 2. **Route** every row to the single shard its foreign-key parents
     ///    pin (planned placement honored, rootless rows hashed); a row whose
     ///    constraints disagree is [`IngestError::Unroutable`], still before
     ///    any clone.
-    /// 3. **Clone from published**: only the touched shards' stores, plus
-    ///    the global index and pk maps.
-    /// 4. **Apply** in batch order, then **swap** in a generation in which
-    ///    only the touched shards carry a new epoch and a fresh predicate
-    ///    cache.
+    /// 3. **Clone from published**: only the touched shards' stores and row
+    ///    maps, plus the global index and placement table.
+    /// 4. **Apply** in batch order, then **swap** in a generation with fresh
+    ///    caches in which only the touched shards carry a new epoch.
     pub fn ingest(&self, batch: &RowBatch) -> Result<IngestReceipt, IngestError> {
         let mut directory = self.writer.lock().unwrap();
         let set = Arc::clone(&self.current.lock().unwrap());
@@ -315,13 +336,13 @@ impl ShardedService {
                 .shard_of(table, pk)
                 .filter(|&s| set.shards[s].db.table(table).by_pk(pk).is_some())
         };
-        // Global row ids are minted off the pk maps, so their lengths are
-        // the table sizes the capacity check must see.
+        // Global row ids are minted off the placement table, so its lengths
+        // are the table sizes the capacity check must see.
         let row_pks = schema.validate_batch(
             batch,
             MAX_TABLE_ROWS,
             |table, pk| in_store(table, pk).is_some(),
-            |table| set.pk_maps[table.0 as usize].len(),
+            |table| set.placements[table.0 as usize].len(),
         )?;
         let batch_pos: HashMap<(u32, i64), usize> = batch
             .iter()
@@ -374,54 +395,46 @@ impl ShardedService {
             }
         }
 
-        // Clone only the touched shards' published state (store, local
-        // index, row map), then apply in full batch order: insert locally,
-        // maintain the local index, the global index, the row/pk maps, and
-        // the directory.
-        let mut forks: BTreeMap<usize, (Database, InvertedIndex, Vec<Vec<RowId>>)> =
-            BTreeMap::new();
+        // Clone only the touched shards' published rows (store, row map),
+        // then apply in full batch order: insert locally, maintain the row
+        // map, the global index, the placement table, and the directory.
+        let mut forks: BTreeMap<usize, (Database, Vec<Vec<RowId>>)> = BTreeMap::new();
         for s in route.iter().map(|r| r.expect("routed")) {
             forks.entry(s).or_insert_with(|| {
                 let old = &set.shards[s];
-                (
-                    (*old.db).clone(),
-                    (*old.index).clone(),
-                    (*old.row_map).clone(),
-                )
+                ((*old.db).clone(), (*old.row_map).clone())
             });
         }
-        let mut pk_maps = (*set.pk_maps).clone();
-        let mut global_index = (*set.index).clone();
+        let mut placements = (*set.placements).clone();
+        let mut index = (*set.index).clone();
         for (i, (table, row)) in batch.iter().enumerate() {
             let s = route[i].expect("routed");
             let t = table.0 as usize;
-            let (db, index, row_map) = forks.get_mut(&s).expect("touched shard");
+            let (db, row_map) = forks.get_mut(&s).expect("touched shard");
             let local = db
                 .insert(*table, row.clone())
                 .expect("batch validated before apply");
-            index.index_row(db, *table, local);
             let global =
-                RowId(u32::try_from(pk_maps[t].len()).expect("capacity validated before apply"));
+                RowId(u32::try_from(placements[t].len()).expect("capacity validated before apply"));
             row_map[t].push(global);
-            global_index.index_row_values(schema, *table, global, row);
-            pk_maps[t].push(row_pks[i]);
+            index.index_row_values(schema, *table, global, row);
+            placements[t].push(Placement {
+                pk: row_pks[i],
+                shard: s as u32,
+                local,
+            });
             directory.record(*table, row_pks[i], s);
         }
 
-        // Publish: global epoch bumps, touched shards bump their own chain
-        // and drop their predicate-cache generation, everyone else keeps
-        // their Arc (and their warm cache).
-        let mut stale = set.nonempty.len() + set.exec.predicate_count() + set.exec.result_count();
+        // Publish: the generation and its caches are replaced, touched
+        // shards bump their own epoch chain, every other shard keeps its Arc.
+        let stale = set.nonempty.len() + set.exec.predicate_count() + set.exec.result_count();
         let mut shards = set.shards.clone();
         let touched = forks.len();
-        for (s, (db, index, row_map)) in forks {
-            let old = &set.shards[s];
-            stale += old.exec.predicate_count() + old.exec.result_count();
+        for (s, (db, row_map)) in forks {
             shards[s] = Arc::new(ShardState {
-                epoch: SnapshotEpoch(old.epoch.0 + 1),
+                epoch: SnapshotEpoch(set.shards[s].epoch.0 + 1),
                 db: Arc::new(db),
-                index: Arc::new(index),
-                exec: Arc::new(SharedExecCache::new()),
                 row_map: Arc::new(row_map),
             });
         }
@@ -429,8 +442,8 @@ impl ShardedService {
         let next = Arc::new(ShardSet {
             generation,
             shards,
-            index: Arc::new(global_index),
-            pk_maps: Arc::new(pk_maps),
+            index: Arc::new(index),
+            placements: Arc::new(placements),
             nonempty: Arc::new(SharedNonemptyCache::new()),
             exec: Arc::new(SharedExecCache::new()),
         });
@@ -472,16 +485,6 @@ impl ServeRequests for ShardedService {
 
     fn service_stats(&self) -> ServiceStats {
         let set = Arc::clone(&self.current.lock().unwrap());
-        let mut predicate_entries = set.exec.predicate_count();
-        let mut predicate_hits = set.exec.predicate_hits();
-        let mut result_entries = set.exec.result_count();
-        let mut result_hits = set.exec.result_hits();
-        for s in &set.shards {
-            predicate_entries += s.exec.predicate_count();
-            predicate_hits += s.exec.predicate_hits();
-            result_entries += s.exec.result_count();
-            result_hits += s.exec.result_hits();
-        }
         ServiceStats {
             served: self.served.load(Ordering::Relaxed),
             epoch: set.generation.0,
@@ -490,10 +493,10 @@ impl ServeRequests for ShardedService {
             rows_ingested: self.rows_ingested.load(Ordering::Relaxed),
             nonempty_entries: set.nonempty.len(),
             nonempty_hits: set.nonempty.hits(),
-            predicate_entries,
-            predicate_hits,
-            result_entries,
-            result_hits,
+            predicate_entries: set.exec.predicate_count(),
+            predicate_hits: set.exec.predicate_hits(),
+            result_entries: set.exec.result_count(),
+            result_hits: set.exec.result_hits(),
             shard_epoch_swaps: self.shard_epoch_swaps.load(Ordering::Relaxed),
             shard_rows_skipped: self.ctx.shard_rows_skipped.load(Ordering::Relaxed),
             // A shard's epoch chain starts at 0 and only ingest bumps it.
@@ -590,28 +593,50 @@ impl Executor for Coordinator<'_> {
         opts: ExecOptions,
         cache: &mut ExecCache,
     ) -> RelResult<Arc<ExecutedResult>> {
-        with_result_cache(cache, interp, opts, |_| scatter_execute(self, interp, opts))
+        with_result_cache(cache, interp, opts, |cache| {
+            scatter_execute(self, interp, opts, cache)
+        })
     }
 
     fn pk(&self, table: TableId, row: RowId) -> i64 {
-        self.set.pk_maps[table.0 as usize][row.index()]
+        self.set.placements[table.0 as usize][row.index()].pk
     }
 }
 
 /// Execute one interpretation across every shard and merge the prefixes
 /// into the oracle's result (see the module docs for why the merge is
-/// byte-identical). Runs on the calling worker. Returns global row ids.
+/// byte-identical). Runs on the calling worker, harvesting and joining
+/// through `cache`. Returns global row ids.
 fn scatter_execute(
     coordinator: &Coordinator<'_>,
     interp: &QueryInterpretation,
     opts: ExecOptions,
+    cache: &mut ExecCache,
 ) -> RelResult<ExecutedResult> {
     let Coordinator { ctx, set } = *coordinator;
     let tree = &ctx.base.catalog.get(interp.template).tree;
     let n = tree.nodes.len();
 
-    // Phase 1: every shard harvests its local candidates through its own
-    // predicate cache and reduces. Under FK-closed partitioning the global
+    // Harvest once over the global index, then split each restricted node's
+    // sorted global rows into per-shard local lists in one pass over the
+    // placement table. A shard's local ids follow global order, so every
+    // list comes out sorted.
+    let global = harvest_candidates(cache, &set.index, interp, &tree.nodes);
+    let mut local = vec![Candidates::free(n); set.shards.len()];
+    for (node, rows) in global.per_node.iter().enumerate() {
+        let Some(rows) = rows else { continue };
+        let placements = &set.placements[tree.nodes[node].0 as usize];
+        let mut split = vec![Vec::new(); set.shards.len()];
+        for row in rows {
+            let p = placements[row.index()];
+            split[p.shard as usize].push(p.local);
+        }
+        for (candidates, rows) in local.iter_mut().zip(split) {
+            candidates.per_node[node] = Some(rows);
+        }
+    }
+
+    // Every shard reduces its lists. Under FK-closed partitioning the global
     // reduced set per node is the disjoint union of the per-shard sets, so
     // the summed cardinalities equal the oracle's values. Reduction errors
     // are schema-level (tree validation): every shard fails identically,
@@ -620,16 +645,14 @@ fn scatter_execute(
     let mut size_sum = vec![0usize; n];
     let mut stats = ExecStats::default();
     let mut reduced = Vec::with_capacity(set.shards.len());
-    for shard in &set.shards {
-        let mut cache = ExecCache::with_shared(Arc::clone(&shard.exec));
-        let candidates = harvest_candidates(&mut cache, &shard.index, interp, &tree.nodes);
-        let red = reduce_join_tree(&shard.db, tree, &candidates)?;
+    for (shard, candidates) in set.shards.iter().zip(&local) {
+        let red = reduce_join_tree(&shard.db, tree, candidates)?;
         for i in 0..n {
             given_sum[i] += red.given[i];
             size_sum[i] += red.sets[i].len();
         }
         stats.absorb(&red.stats);
-        reduced.push((shard, cache, red.sets));
+        reduced.push((shard, red.sets));
     }
     // Oracle mirror: `execute_join_tree_with_stats_in` returns empty
     // (reduction stats only) when any *global* reduced set is empty.
@@ -642,12 +665,12 @@ fn scatter_execute(
         });
     }
 
-    // Phase 2: force the oracle's plan (computed from the summed
-    // cardinalities) on every shard, translating each limit-capped prefix
-    // to global row ids through the shard's row map.
+    // Force the oracle's plan (computed from the summed cardinalities) on
+    // every shard, translating each limit-capped prefix to global row ids
+    // through the shard's row map.
     let plan = plan_join_order(tree, &given_sum, &size_sum);
     let mut shard_rows: Vec<Vec<JoinedRow>> = Vec::with_capacity(reduced.len());
-    for (shard, mut cache, sets) in reduced {
+    for (shard, sets) in reduced {
         let out = execute_reduced_in(&shard.db, tree, sets, &plan, opts, &mut cache.arena)?;
         stats.absorb(&out.stats);
         shard_rows.push(

@@ -311,7 +311,7 @@ fn main() {
     //    byte-identical to the single-shard service over the same data.
     //    Ingested batches route to the shards that own them, so an insert
     //    bumps only the touched shards' epochs and leaves every other
-    //    shard's caches warm.
+    //    shard's rows untouched.
     let sharded = ServiceBuilder::new()
         .workers(2)
         .shards(4)

@@ -439,7 +439,7 @@ pub struct Entry {
     /// The per-shard epoch vector of a sharded reply.
     pub shards: Vec<u64>,
     /// The wave-loop counters of an answers or diversified reply.
-    pub stats: Option<[usize; 7]>,
+    pub stats: Option<[usize; 8]>,
 }
 
 fn entry(op: usize, epoch: u64, reply: String) -> Entry {
@@ -1124,7 +1124,7 @@ fn canon_recovered(replayed: usize, torn: bool, snap: &SearchSnapshot) -> String
 }
 
 /// The counters the one wave loop drives, whatever the topology.
-fn waves(s: &AnswerStats) -> [usize; 7] {
+fn waves(s: &AnswerStats) -> [usize; 8] {
     let hits = s.result_cache_hits;
     [
         s.waves,
@@ -1134,5 +1134,6 @@ fn waves(s: &AnswerStats) -> [usize; 7] {
         s.exec_errors,
         s.answers,
         hits,
+        s.predicate_cache_hits,
     ]
 }
