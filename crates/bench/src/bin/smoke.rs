@@ -39,7 +39,7 @@ use keybridge_bench::{
 use keybridge_core::{
     execute_interpretation_cached, execute_interpretation_naive, DiversifyOptions, DurableOptions,
     ExecCache, Interpreter, InterpreterConfig, KeywordQuery, SearchService, SearchSnapshot,
-    ShardedService, TemplateCatalog,
+    TemplateCatalog,
 };
 use keybridge_datagen::{
     holdout_plan, sharded_holdout_plan, ImdbConfig, ImdbDataset, IngestConfig, MixedWorkload,
@@ -625,7 +625,7 @@ fn serve_phases(
     );
     let shard_mixed = MixedWorkload::interleave(plan, &queries, 23);
     let shard_batches = shard_mixed.counts().1;
-    let service = ShardedService::start_with_assignment(
+    let service = SearchService::start_with_assignment(
         snapshot_of(&shard_mixed.initial, &catalog),
         assignment,
         1,

@@ -529,7 +529,7 @@ pub fn replay_durable(
 
     let recovered = SearchService::open(dir, 1, opts)
         .expect("store recovers")
-        .stats();
+        .service_stats();
     assert_eq!(recovered.epoch as usize, batches, "recovery lost batches");
     assert_eq!(
         recovered.recovery_replayed_batches,

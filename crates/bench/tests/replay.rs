@@ -3,9 +3,7 @@
 //! its inputs — on the single service and on the sharded router alike.
 
 use keybridge_bench::replay_mixed;
-use keybridge_core::{
-    InterpreterConfig, SearchService, SearchSnapshot, ShardedService, TemplateCatalog,
-};
+use keybridge_core::{InterpreterConfig, SearchService, SearchSnapshot, TemplateCatalog};
 use keybridge_datagen::{
     sharded_holdout_plan, ImdbConfig, ImdbDataset, IngestConfig, MixedWorkload, ShardedIngestPlan,
     Workload, WorkloadConfig,
@@ -54,7 +52,7 @@ fn replay_mixed_is_a_function_of_its_inputs_on_both_topologies() {
     assert_eq!(single, again);
 
     let sharded = || {
-        let service = ShardedService::start_with_assignment(snapshot(), assignment.clone(), 1);
+        let service = SearchService::start_with_assignment(snapshot(), assignment.clone(), 1);
         replay_mixed(&service, &mixed.ops, 5, |_| {})
     };
     let first = sharded();

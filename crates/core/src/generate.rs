@@ -20,7 +20,7 @@ use std::sync::Arc;
 /// §4.4.1), and a keyword may bind to a table or attribute *name* as well
 /// as to a value (Def. 3.5.4). What callers do choose is the size cap, the
 /// probability model and the template prior.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InterpreterConfig {
     /// Hard cap on generated interpretations per query (the interpretation
     /// space grows polynomially with schema size and exponentially with

@@ -73,9 +73,8 @@ pub use service::{
     CheckpointReceipt, DiversifiedReply, DurableOptions, IngestError, IngestReceipt,
     InterpretationsReply, KeywordService, Reply, Request, RequestError, SearchReply, SearchService,
     SearchSnapshot, ServeRequests, ServiceBuilder, ServiceError, ServiceStats, SessionAnswers,
-    SessionId, SessionView, SnapshotEpoch, Ticket, TimedReply,
+    SessionId, SessionView, ShardedService, SnapshotEpoch, Ticket, TimedReply,
 };
-pub use sharded::ShardedService;
 pub use template::{QueryTemplate, TemplateCatalog, TemplateId};
 pub use wal::{
     scan_wal, DurabilityError, FaultPlan, FaultPoint, Wal, WalScan, SNAPSHOT_FILE, WAL_FILE,

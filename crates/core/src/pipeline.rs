@@ -27,14 +27,14 @@
 //! primary key of a bound `(table, row)`* so stages can mint
 //! [`ResultKey`]s. [`QueryPipeline::new`] plugs in the local executor
 //! (index harvest + join-tree execution + `db.pk_value` over the
-//! interpreter's database); [`crate::ShardedService`] plugs in its
-//! scatter-gather coordinator (one harvest split across the shards,
+//! interpreter's database); a [`crate::SearchService`] serving a K-shard
+//! partition plugs in its scatter-gather coordinator (one harvest split across the shards,
 //! per-shard reduction, one forced plan, bounded merge, pks from its
 //! placement table). Dispatch is static — the loop is monomorphized per
 //! executor — and nothing in it asks which one it got.
 //!
-//! [`crate::Interpreter::answers_top_k`], the [`crate::SearchService`] and
-//! the [`crate::ShardedService`] request modes all run on this pipeline,
+//! [`crate::Interpreter::answers_top_k`] and every [`crate::SearchService`]
+//! request mode, on either store, run on this pipeline,
 //! which is what keeps a warm, concurrent, possibly sharded service
 //! byte-identical to the cold offline oracles: the only cross-query state is
 //! the result-invariant shared cache tier, and complete cached results are

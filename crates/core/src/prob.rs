@@ -26,7 +26,7 @@ use std::collections::HashMap;
 const MIN_PROB: f64 = 1e-300;
 
 /// Prior over query templates.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TemplatePrior {
     /// All templates equally likely (no query log; the `Tequal` runs).
     Uniform,
@@ -72,7 +72,7 @@ impl TemplatePrior {
 }
 
 /// Knobs of the probability model.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbabilityConfig {
     /// Additive smoothing for ATF (Eq. 3.8's α).
     pub alpha: f64,

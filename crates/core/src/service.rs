@@ -1,141 +1,122 @@
-//! Concurrent query serving — **Hot path 3** (immutable snapshot serving)
-//! and **Hot path 4** (live ingestion with epoch-swapped snapshots).
+//! Concurrent query serving — **Hot path 3** (snapshot serving), **Hot
+//! path 4** (live ingestion) and **Hot path 8** (the Request/Reply seam).
 //!
-//! The per-query pipeline (best-first generation → streaming execution) is
-//! read-only over three structures: the [`Database`], its
-//! [`InvertedIndex`], and the [`TemplateCatalog`]. A [`SearchSnapshot`]
-//! bundles the three behind one `Arc` so any number of worker threads can
-//! serve from the same memory without copies or locks on the data itself.
+//! There is one service type, [`SearchService`]. It serves one of two
+//! stores: **one store**, a [`SearchSnapshot`] (database, index, catalog and
+//! interpreter configuration behind one `Arc`) run by the local executor
+//! ([`SearchService::start`], [`SearchService::start_durable`],
+//! [`SearchService::open`]); or a **K-shard partition** of the same rows
+//! run by a scatter-gather coordinator (`core/sharded.rs`;
+//! [`SearchService::start_with_assignment`], any K). Everything else is
+//! written once: one `WorkerPool`, one `serve_request` dispatcher over the
+//! [`QueryPipeline`], one session registry, one write path, one publish
+//! step, one set of counters. The store is matched only where it differs —
+//! the interpreter and executor of a request, the validate and apply steps
+//! of a write. [`ServiceBuilder`] picks the store from `shards(k)`; why K=1
+//! stays one store is measured in `core/sharded.rs`.
 //!
-//! What *does* need coordination is the derived state queries build as they
-//! run: non-emptiness verdicts and predicate row sets. [`SearchService`]
-//! keeps those in two process-wide, lock-striped maps
-//! ([`SharedNonemptyCache`], [`SharedExecCache`]) handed to every request
-//! as the backing tier of its per-query caches — one user's pruning work
-//! prunes every other user's search, which is what makes repeated keyword
-//! workloads tractable at service scale (the Mragyati/EMBANKS observation).
+//! ## Serving: shared caches per epoch
 //!
-//! Sharing is *result-invariant by construction*: shared non-emptiness
-//! verdicts and predicate row sets are pure facts about the indexed
-//! database, and only complete execution results (never truncated ones) are
-//! shared, so a request through a warm, contended service returns exactly
-//! what a cold single-threaded [`Interpreter`] returns. The serving suite
-//! (`tests/serving`) asserts that identity on all four datagen fixtures.
+//! The pipeline is read-only over the published store. What needs
+//! coordination is the derived state queries build as they run:
+//! non-emptiness verdicts, predicate row sets and complete results. The
+//! service keeps those in process-wide, lock-striped maps
+//! ([`SharedNonemptyCache`], [`SharedExecCache`]) handed to every request as
+//! the backing tier of its per-query caches — one user's pruning work prunes
+//! every other user's search (the Mragyati/EMBANKS observation). Sharing is
+//! *result-invariant by construction*: verdicts and predicate row sets are
+//! pure facts about the indexed database, and only complete execution
+//! results are shared, so a warm, contended service returns exactly what a
+//! cold single-threaded [`Interpreter`] returns — on all four fixtures and
+//! both stores (`tests/serving`: `concurrent_identical_*`,
+//! `sharded_identical_*`, eight clients in
+//! `stress_overlapping_logs_warm_caches`). Outside a service the same seam
+//! is `Interpreter::answers_top_k_with_caches` over caches built by
+//! [`NonemptyCache::with_shared`] / [`ExecCache::with_shared`]. Throughput
+//! and latency are kbench's (`hot_interactive`, `scale_search`); `smoke
+//! --serve` keeps one closed-loop replay as the multi-core check (on ≥ 4
+//! cores, 4 workers under 1.3x the 1-worker QPS fails; printed, never
+//! written).
 //!
-//! ## Live ingestion: epochs
+//! Every serving mode is a [`Request`] value; [`ServeRequests::submit_request`]
+//! returns a [`Ticket`] resolving to the matching [`Reply`] arm, and that
+//! (plus [`ServeRequests::search`]) is the whole request surface every
+//! harness drives. A `WorkerPool` thread pins the current serving state and
+//! `serve_request` runs the pipeline over its interpreter, cache generation
+//! and executor — panic containment per arm and completion stamps live
+//! there, once. Construction sessions (ch. 3) are served by the registry
+//! ([`SearchService::open_session`] and friends) on either store.
 //!
-//! The paper's pipeline assumes a frozen database; a production deployment
-//! must absorb inserts while answering queries. The service's answer is a
-//! chain of immutable **epochs**: the store a reader sees never changes, and
-//! a write publishes a whole new one — rebuild-and-swap behind a
-//! `Mutex<Arc<..>>`, the std-only `ArcSwap` idiom. There is no writer-side
-//! copy of the store: the writer *is* the latest published epoch, and the
-//! writer lock guards nothing but the right to replace it.
+//! ## Live ingestion: epochs and the write path
 //!
-//! ### The write path
+//! The store a reader sees never changes; a write publishes a whole new
+//! **epoch** — rebuild-and-swap behind a `Mutex<Arc<..>>`, the std-only
+//! `ArcSwap` idiom. The writer *is* the latest published epoch, and the
+//! writer lock guards only the right to replace it (and, on a partition,
+//! the shard directory that routes new rows). [`SearchService::ingest`]
+//! takes a [`RowBatch`] through these steps under that lock:
 //!
-//! A write enters as a [`RowBatch`] and takes the same five steps on both
-//! topologies ([`SearchService::ingest`], and
-//! [`ShardedService::ingest`](crate::sharded::ShardedService::ingest) with
-//! "the store" read as "the touched shards"):
+//! 1. **Poison check** — a durable service whose log failed refuses writes.
+//! 2. **Validate** the batch *as a unit* with relstore's one batch validator
+//!    (`Schema::validate_batch`: arity, types, pk uniqueness against store +
+//!    batch, table capacity, referential integrity with intra-batch parents
+//!    allowed) — through [`Database::validate_batch`] on one store; on a
+//!    partition through the shard directory and placement table, followed
+//!    by **routing** each row to the one shard its parents pin (else
+//!    [`IngestError::Unroutable`]). A rejection is a typed error naming the
+//!    table and batch row, has cost O(batch) and touched neither memory nor
+//!    disk, and is the same [`BatchError`] from either store
+//!    (`rejections_are_identical_across_topologies`).
+//! 3. **Log** — durable services only: append one CRC-framed WAL record and
+//!    fsync it. A failed append poisons the service and returns with
+//!    **nothing in memory** to roll back.
+//! 4. **Apply** to copies of the published store. One store clones its
+//!    [`Database`] and [`InvertedIndex`] — the one O(database) step of a
+//!    write, outside the lock readers pin through (making it O(batch) is
+//!    ROADMAP Open item 3) — and runs `apply_batch`: `insert_batch`, then an
+//!    `index_batch` posting splice whose online stats keep ATF/IDF
+//!    *bit-identical* to a rebuild (`textindex/tests/incremental.rs`);
+//!    recovery replays through the same helper. A partition clones only the
+//!    touched shards' rows plus its index and placement table.
+//! 5. **Publish** the next [`SnapshotEpoch`] under one fresh cache
+//!    generation and count it once (`epoch_swaps`, `stale_evictions`,
+//!    `rows_ingested`, `shard_epoch_swaps`). The catalog transfers
+//!    unchanged. Readers never block beyond this pointer store; every reply
+//!    carries its epoch ([`SearchReply::epoch`]) and, on a partition, the
+//!    per-shard epoch vector.
+//! 6. **Auto-checkpoint** once a durable service's `checkpoint_every` is
+//!    reached.
 //!
-//! 1. **Validate** the batch *as a unit* against the published store with
-//!    relstore's one batch validator (`Schema::validate_batch`, reached
-//!    through [`Database::validate_batch`] here and through shard-directory
-//!    lookups on the sharded service): arity, types, pk uniqueness against
-//!    store + batch, table capacity (the `u32` row-id space), referential
-//!    integrity with intra-batch parents allowed. A rejected batch returns a
-//!    typed [`BatchError`] naming the table and batch row; it has cost
-//!    O(batch) and touched neither memory nor disk. The same bad batch gets
-//!    the same error value from either topology
-//!    (`tests/serving`: `rejections_are_identical_across_topologies`).
-//! 2. **Log** — durable services only: append one CRC-framed WAL record and
-//!    fsync it (see Durability below). A failed append poisons the service
-//!    and returns; because nothing has been cloned or applied yet, it leaves
-//!    **nothing in memory** to roll back — the served epoch is still the
-//!    last one whose record is durable.
-//! 3. **Clone from published**: copy the published [`Database`] and
-//!    [`InvertedIndex`] (on the sharded service: the touched shards' stores
-//!    and row maps, plus the one index and the placement table). This
-//!    is the one O(database) step of a write, paid once per *accepted*
-//!    batch, outside the lock readers pin through. Interned text cells make
-//!    it refcount bumps rather than string copies; making it O(batch) is
-//!    ROADMAP Open item 3.
-//! 4. **Apply** the batch to the copy: `insert_batch` with pk/fk hash-index
-//!    maintenance, then `index_batch` — a sorted-position posting splice per
-//!    new row with online row-count/token/vocabulary stats, so ATF/IDF/
-//!    joint-ATF stay *bit-identical* to a full rebuild (property-tested in
-//!    `textindex/tests/incremental.rs`). Recovery replays logged batches
-//!    through the same `apply_batch` helper.
-//! 5. **Swap**: publish the copy as a fresh [`SearchSnapshot`] under the
-//!    next [`SnapshotEpoch`]. The catalog is schema-derived and transfers
-//!    across epochs unchanged. Readers never block on a writer beyond this
-//!    pointer store; every reply carries the epoch that served it
-//!    ([`SearchReply::epoch`]).
+//! **Cache generations.** Each epoch's shared caches are bundled with its
+//! store in one `ServingState` `Arc` that workers load atomically per
+//! request, so state computed against epoch *n* is structurally unreachable
+//! from epoch *n + 1* — no tagging, no invalidation sweep. The displaced
+//! generation's entries are counted in [`ServiceStats::stale_evictions`] and
+//! freed when the last request or session pinning that epoch lets go
+//! (snapshot isolation).
 //!
-//! The sharded service adds a routing step between 1 and 3 — each row goes
-//! to the single shard its foreign-key parents pin (multi-pass hint
-//! resolution, post-verified; a cross-shard edge rejects as
-//! [`IngestError::Unroutable`], still before any clone) — and swaps **only
-//! the touched shards'** rows under one global generation bump: the
-//! untouched K−1 shards keep their `Arc`s
-//! ([`ServiceStats::shard_epoch_swaps`] / `shards_touched`). Its one index
-//! and its one cache generation are replaced like the single service's.
-//!
-//! ### Cache generations
-//!
-//! Every epoch carries its *own generation* of the two shared caches,
-//! bundled with the snapshot in one [`ServingState`] `Arc` that workers
-//! load atomically per request. Because a cache generation can only ever be
-//! reached through the state that owns it, a verdict or predicate row set
-//! computed against epoch *n* is structurally unreachable from epoch
-//! *n + 1* — stale entries cannot leak into post-update answers, no
-//! per-entry tagging or invalidation sweep required. The displaced
-//! generation's entries are counted in [`ServiceStats::stale_evictions`]
-//! (swaps in `epoch_swaps`) and freed when the last in-flight request of the
-//! old epoch finishes. In-flight requests keep serving the epoch they
-//! started on (snapshot isolation).
-//!
-//! Correctness spine: the serving suite's ingest-sweep histories
-//! (`tests/serving`) — after every batch of an FK-safe randomized schedule
-//! (`datagen::holdout_plan`), answers from the live-updated warm service are
-//! byte-identical (bit-exact scores) to a cold [`Interpreter`] over a
-//! from-scratch rebuilt store, on all four fixtures × 3 schedule seeds; its
-//! writer-race histories assert every racing reply matches exactly the
-//! oracle of the epoch it reports, and that every epoch was observed. `smoke --check` gates the
-//! deterministic `ingest_rows` / `ingest_batches` / `epoch_swaps` /
-//! `stale_evictions` counters across machines.
+//! Correctness spine (`tests/serving`): after every batch of an FK-safe
+//! randomized schedule (`datagen::holdout_plan`), the live-updated warm
+//! service answers byte-identically (score bits included) to a cold
+//! [`Interpreter`] over a rebuilt store, on all four fixtures × 3 seeds;
+//! writer-race histories match every racing reply to the oracle of the
+//! epoch it reports and require every epoch observed. `smoke --check` holds
+//! `ingest_rows` / `ingest_batches` / `epoch_swaps` / `stale_evictions` to
+//! the golden.
 //!
 //! ## Durability: WAL + checkpoints — **Hot path 6**
 //!
 //! A service started with [`SearchService::start_durable`] (or recovered
-//! with [`SearchService::open`]) additionally survives process death. Every
-//! accepted batch is appended to a CRC-framed write-ahead log and fsynced
-//! *before* its epoch is published, so an epoch a client ever observed is
-//! always reconstructible; [`SearchService::checkpoint`] folds the log into
-//! a fresh atomic `snapshot.kb` and truncates it. Recovery loads the latest
-//! snapshot, replays the WAL tail (discarding a torn final record), and
-//! serves the newest durable epoch — the serving suite's kill-matrix
-//! histories (`tests/serving`) kill the service at every [`FaultPoint`] and
-//! assert the recovered answers are byte-identical to a never-crashed
-//! oracle.
-//!
-//! ## The Request/Reply seam — **Hot path 8**
-//!
-//! Every serving mode is a value of the typed [`Request`] enum; submitting
-//! one through [`ServeRequests::submit_request`] yields a [`Ticket`]
-//! resolving to the matching [`Reply`] arm. That (plus the blocking
-//! [`ServeRequests::search`] convenience) is the whole request surface of
-//! both [`SearchService`] and the sharded scatter-gather router
-//! ([`crate::sharded::ShardedService`]), so the benchmark, the smoke
-//! driver, and the differential suites drive either through the same
-//! trait. Use [`ServiceBuilder`] to configure and start either service.
-//!
-//! Both topologies also *serve* a request through the same code: a
-//! `WorkerPool` thread pins the current generation, and the one
-//! `serve_request` function runs the [`QueryPipeline`] over that
-//! generation's interpreter, shared-cache handles and executor — panic
-//! containment per arm and completion-stamp placement live there, once.
+//! with [`SearchService::open`]) survives process death; it serves one store
+//! (a durable partition needs a checkpoint format for K stores). Every
+//! accepted batch is fsynced to the WAL *before* its epoch is published;
+//! [`SearchService::checkpoint`] folds the log into an atomic `snapshot.kb`
+//! and truncates it. Recovery loads the snapshot, replays the WAL tail
+//! (discarding a torn final record), rebuilds the catalog under the
+//! [`DurableOptions`] the store was started with (`start_durable` refuses a
+//! snapshot built under others), and serves the newest durable epoch — the
+//! kill-matrix histories kill the service at every [`FaultPoint`] and hold
+//! recovered answers to a never-crashed oracle.
 
 use crate::construct::{ConstructionOption, ConstructionSession, SessionConfig};
 use crate::exec::{ExecCache, ExecutedResult, Executor, SharedExecCache};
@@ -145,13 +126,17 @@ use crate::generate::{
 };
 use crate::keyword::KeywordQuery;
 use crate::pipeline::{DiversifiedAnswer, DiversifyOptions, QueryPipeline};
+use crate::sharded::Partition;
 use crate::template::TemplateCatalog;
 use crate::wal::{
     read_snapshot_file, scan_wal, write_snapshot_file, DurabilityError, FaultPlan, FaultPoint, Wal,
     SNAPSHOT_FILE,
 };
 use keybridge_index::InvertedIndex;
-use keybridge_relstore::{BatchError, Database, ExecOptions, RelResult, RowBatch, RowId, TableId};
+use keybridge_relstore::{
+    assign_shards, BatchError, Database, ExecOptions, RelResult, RowBatch, RowId, ShardAssignment,
+    TableId,
+};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -223,22 +208,61 @@ impl std::fmt::Display for SnapshotEpoch {
     }
 }
 
-/// One served generation: a snapshot plus the shared-cache generation that
+/// What a service serves: one store, or a K-shard partition of one (see
+/// the module docs).
+enum Store {
+    One(Arc<SearchSnapshot>),
+    Sharded(Partition),
+}
+
+impl Store {
+    /// The generation-side interpreter over this store.
+    fn interpreter(&self) -> Interpreter<'_> {
+        match self {
+            Store::One(snapshot) => snapshot.interpreter(),
+            Store::Sharded(part) => part.interpreter(),
+        }
+    }
+
+    fn catalog(&self) -> &TemplateCatalog {
+        match self {
+            Store::One(snapshot) => &snapshot.catalog,
+            Store::Sharded(part) => part.catalog(),
+        }
+    }
+
+    fn one(&self) -> Option<&Arc<SearchSnapshot>> {
+        match self {
+            Store::One(snapshot) => Some(snapshot),
+            Store::Sharded(_) => None,
+        }
+    }
+
+    /// Per-shard epochs; empty on one store.
+    fn shard_epochs(&self) -> Vec<SnapshotEpoch> {
+        match self {
+            Store::One(_) => Vec::new(),
+            Store::Sharded(part) => part.shard_epochs(),
+        }
+    }
+}
+
+/// One served generation: a store plus the shared-cache generation that
 /// belongs to it. Workers load the whole bundle atomically per request, so
 /// cached derived state can never outlive (or predate) the data it
 /// describes — the generation tag *is* the `Arc` identity.
 struct ServingState {
     epoch: SnapshotEpoch,
-    snapshot: Arc<SearchSnapshot>,
+    store: Store,
     nonempty: Arc<SharedNonemptyCache>,
     exec: Arc<SharedExecCache>,
 }
 
 impl ServingState {
-    fn fresh(epoch: SnapshotEpoch, snapshot: Arc<SearchSnapshot>) -> Arc<Self> {
+    fn fresh(epoch: SnapshotEpoch, store: Store) -> Arc<Self> {
         Arc::new(ServingState {
             epoch,
-            snapshot,
+            store,
             nonempty: Arc::new(SharedNonemptyCache::new()),
             exec: Arc::new(SharedExecCache::new()),
         })
@@ -280,8 +304,7 @@ pub enum IngestError {
     /// An earlier durability failure poisoned the service. Reads still
     /// work; writes are refused until the store is reopened.
     Poisoned,
-    /// A [`ShardedService`](crate::ShardedService) could not place a batch
-    /// row on a single shard: its foreign-key parents live on two or more
+    /// A partitioned service could not place a batch row on a single shard: its foreign-key parents live on two or more
     /// different shards, so inserting it anywhere would leave a dangling
     /// cross-shard edge. Nothing changed.
     Unroutable {
@@ -423,6 +446,8 @@ impl From<BatchError> for ServiceError {
 /// database and index, but the template catalog and interpreter
 /// configuration are derived state rebuilt at open time, and recovered
 /// answers are only byte-identical to the original's under the same bounds.
+/// `start_durable` therefore refuses a snapshot whose catalog or
+/// configuration these options would not rebuild.
 #[derive(Debug, Clone)]
 pub struct DurableOptions {
     /// Checkpoint automatically after this many ingested batches
@@ -511,15 +536,20 @@ impl Durability {
         Ok(())
     }
 
-    /// Write `snapshot.kb` at `epoch`, pass the pre-truncate kill point,
-    /// then truncate the WAL. Called with the writer lock held.
-    fn checkpoint(
-        &self,
-        epoch: u64,
-        db: &Database,
-        index: &InvertedIndex,
-    ) -> Result<u64, DurabilityError> {
-        let bytes = write_snapshot_file(&self.dir, epoch, db, index, &self.faults)?;
+    /// Write `snapshot.kb` at `state`'s epoch, pass the pre-truncate kill
+    /// point, then truncate the WAL. Called with the writer lock held.
+    fn checkpoint(&self, state: &ServingState) -> Result<u64, DurabilityError> {
+        let snap = state
+            .store
+            .one()
+            .expect("a durable service serves one store");
+        let bytes = write_snapshot_file(
+            &self.dir,
+            state.epoch.0,
+            &snap.db,
+            &snap.index,
+            &self.faults,
+        )?;
         if self.faults.fire(FaultPoint::PostCheckpointPreTruncate) {
             // The snapshot landed but the log still holds its records —
             // recovery must skip them instead of applying them twice.
@@ -585,16 +615,16 @@ pub struct ServiceStats {
     /// Batches replayed from the WAL tail by the `open` that built this
     /// instance (0 for `start` / `start_durable`).
     pub recovery_replayed_batches: usize,
-    /// Per-shard epoch bumps published by ingest on a sharded service (an
-    /// ingest touching two shards counts 2). Always 0 on a single-shard
-    /// service, where `epoch_swaps` is the whole story.
+    /// Per-shard epoch bumps published by ingest on a partition (an ingest
+    /// touching two shards counts 2). Always 0 on one store, where
+    /// `epoch_swaps` is the whole story.
     pub shard_epoch_swaps: usize,
-    /// Distinct shards ever touched by ingest on a sharded service.
-    /// Always 0 on a single-shard service.
+    /// Distinct shards ever touched by ingest on a partition. Always 0 on
+    /// one store.
     pub shards_touched: usize,
     /// Rows gathered from shards but never examined by the coordinator's
     /// bounded top-k merge (it stops once the global prefix is provably
-    /// complete). Always 0 on a single-shard service.
+    /// complete). Always 0 on one store.
     pub shard_rows_skipped: usize,
 }
 
@@ -715,8 +745,8 @@ pub struct TimedReply<T> {
 }
 
 /// One serving request, as a value. Every mode the service can serve is a
-/// variant here; [`ServeRequests::submit_request`] is the single seam both
-/// the single-shard [`SearchService`] and the sharded router implement.
+/// variant here; [`ServeRequests::submit_request`] is the single seam every
+/// deployment of [`SearchService`] implements.
 #[derive(Debug, Clone)]
 pub enum Request {
     /// Top-k *answers* (the end-to-end hot path). Resolves to
@@ -772,19 +802,19 @@ impl<T> Ticket<T> {
 type PoolJob = Box<dyn FnOnce() + Send + 'static>;
 
 /// A fixed set of named threads draining one job queue — the one place this
-/// crate spawns threads: each service, single or sharded, owns exactly one.
+/// crate spawns threads: each service owns exactly one.
 /// Jobs run under `catch_unwind` so a panicking job never takes its thread
 /// down; the submitter observes the failure through the job's dropped
 /// reply channel. Dropping the pool hangs up the queue and joins every
 /// thread.
-pub(crate) struct WorkerPool {
+struct WorkerPool {
     tx: Option<Sender<PoolJob>>,
     threads: Vec<JoinHandle<()>>,
 }
 
 impl WorkerPool {
     /// Spawn `threads` workers (at least one) named `{name}-{i}`.
-    pub(crate) fn start(name: &str, threads: usize) -> Self {
+    fn start(name: &str, threads: usize) -> Self {
         let (tx, rx) = channel::<PoolJob>();
         let rx = Arc::new(Mutex::new(rx));
         let threads = (0..threads.max(1))
@@ -817,11 +847,11 @@ impl WorkerPool {
     /// never mix generations — runs `serve` against it, and counts the
     /// request before replying, so a client that just got its answer never
     /// observes a stale total.
-    pub(crate) fn submit_pinned<S: Send + Sync + 'static>(
+    fn submit_pinned(
         &self,
-        current: &Arc<Mutex<Arc<S>>>,
+        current: &Arc<Mutex<Arc<ServingState>>>,
         served: &Arc<AtomicUsize>,
-        serve: impl FnOnce(&S) -> Reply + Send + 'static,
+        serve: impl FnOnce(&ServingState) -> Reply + Send + 'static,
     ) -> Ticket<Reply> {
         let (reply, rx) = channel();
         let current = Arc::clone(current);
@@ -853,27 +883,34 @@ impl Drop for WorkerPool {
     }
 }
 
-/// A multi-user keyword-search server over a **live** store: an epoch-
-/// versioned [`SearchSnapshot`] served by N OS threads pulling jobs off a
-/// shared channel, with all cross-query derived state in per-epoch shared
-/// caches. Requests can be issued from any number of client threads;
-/// replies arrive on per-request [`Ticket`]s. Writers feed
-/// [`SearchService::ingest`]; readers never block on them beyond the
-/// one-pointer snapshot load. Dropping the service hangs up the job channel
+/// A multi-user keyword-search server over a **live** store: one store or a
+/// K-shard partition (module docs), epoch-versioned and served by N OS
+/// threads pulling jobs off a shared channel, with all cross-query derived
+/// state in per-epoch shared caches. Requests can be issued from any number
+/// of client threads; replies arrive on per-request [`Ticket`]s. Writers
+/// feed [`SearchService::ingest`]; readers never block on them beyond the
+/// one-pointer state load. Dropping the service hangs up the job channel
 /// and joins the workers.
 pub struct SearchService {
     // Dropped first: joins the workers before anything they serve from.
     pool: WorkerPool,
     current: Arc<Mutex<Arc<ServingState>>>,
-    /// Serializes every path that replaces `current` (ingest, checkpoint).
-    /// Guards no data: the writer's store *is* the latest published epoch.
-    writer: Mutex<()>,
-    /// WAL + checkpoint state for durable services; `None` under `start`.
+    /// The writer lock: serializes every path that replaces `current`
+    /// (ingest, checkpoint). It holds the shard directory — `(table, pk) →
+    /// shard` for every row a partition ever placed or was planned to —
+    /// which is empty on one store; the store itself *is* the latest
+    /// published epoch.
+    pub(crate) writer: Mutex<ShardAssignment>,
+    /// WAL + checkpoint state for durable services; `None` otherwise.
     durability: Option<Durability>,
     served: Arc<AtomicUsize>,
     epoch_swaps: AtomicUsize,
     stale_evictions: AtomicUsize,
     rows_ingested: AtomicUsize,
+    shard_epoch_swaps: AtomicUsize,
+    /// Gathered-but-never-merged rows: what a partition's bounded top-k
+    /// merges left unconsumed once the global prefix was provably complete.
+    shard_rows_skipped: Arc<AtomicUsize>,
     /// Open construction sessions, each pinning the serving state of the
     /// epoch it was opened on. Sessions are independently locked so a slow
     /// window refresh never blocks another session (or the registry).
@@ -889,7 +926,23 @@ impl SearchService {
     /// Prefer [`ServiceBuilder`], which configures this and every other
     /// start mode (durable, sharded) behind one entry point.
     pub fn start(snapshot: Arc<SearchSnapshot>, workers: usize) -> Self {
-        Self::start_inner(snapshot, workers, SnapshotEpoch::default(), None)
+        Self::start_inner(Store::One(snapshot), None, workers, SnapshotEpoch(0), None)
+    }
+
+    /// Start `workers` threads serving `snapshot`'s rows partitioned along
+    /// `assignment` (any number of shards, one included) as epoch 0, with no
+    /// durability; answers are byte-identical to [`Self::start`]'s
+    /// (`core/sharded.rs`). The assignment may cover *more* rows than the
+    /// snapshot holds (a plan computed over a full corpus before rows were
+    /// held out for replay); ingest then routes each held-out row to its
+    /// planned shard. Every row the snapshot *does* hold must be assigned.
+    pub fn start_with_assignment(
+        snapshot: Arc<SearchSnapshot>,
+        assignment: ShardAssignment,
+        workers: usize,
+    ) -> Self {
+        let store = Store::Sharded(Partition::new(snapshot, &assignment));
+        Self::start_inner(store, Some(assignment), workers, SnapshotEpoch(0), None)
     }
 
     /// Start a **durable** service over a fresh directory: write `snapshot`
@@ -897,7 +950,10 @@ impl SearchService {
     /// log (`wal.kb`), and serve. Every subsequent [`Self::ingest`] is
     /// WAL-logged and fsynced before its epoch is published, so the served
     /// state survives process death — reopen with [`Self::open`] and the
-    /// same `opts`. Refuses a directory that already holds a store.
+    /// same `opts`. Refuses, before writing anything, a directory that
+    /// already holds a store and a snapshot whose catalog or interpreter
+    /// configuration `opts` would not rebuild at reopen
+    /// ([`DurabilityError::Corrupt`] naming the mismatch).
     ///
     /// Prefer [`ServiceBuilder`] with [`ServiceBuilder::durable`].
     pub fn start_durable(
@@ -906,6 +962,26 @@ impl SearchService {
         dir: &Path,
         opts: &DurableOptions,
     ) -> Result<Self, DurabilityError> {
+        let rebuilt = TemplateCatalog::enumerate(&snapshot.db, opts.max_joins, opts.max_templates)
+            .map_err(|e| DurabilityError::Corrupt(format!("catalog enumeration failed: {e}")))?;
+        let trees = rebuilt.iter().map(|t| &t.tree);
+        if !snapshot.catalog.iter().map(|t| &t.tree).eq(trees) {
+            return Err(DurabilityError::Corrupt(format!(
+                "the snapshot's catalog ({} templates) is not the one max_joins = {}, \
+                 max_templates = {} rebuild at reopen ({} templates)",
+                snapshot.catalog.len(),
+                opts.max_joins,
+                opts.max_templates,
+                rebuilt.len()
+            )));
+        }
+        if snapshot.config != opts.config {
+            return Err(DurabilityError::Corrupt(
+                "the snapshot's interpreter config differs from DurableOptions::config, \
+                 which reopen serves under"
+                    .into(),
+            ));
+        }
         std::fs::create_dir_all(dir)
             .map_err(|e| DurabilityError::Io(format!("create {}: {e}", dir.display())))?;
         if dir.join(SNAPSHOT_FILE).exists() {
@@ -918,10 +994,12 @@ impl SearchService {
         write_snapshot_file(dir, 0, &snapshot.db, &snapshot.index, &faults)?;
         let wal = Wal::create(dir)?;
         let durability = Durability::fresh(dir.to_path_buf(), wal, faults, opts.checkpoint_every);
+        let store = Store::One(snapshot);
         Ok(Self::start_inner(
-            snapshot,
+            store,
+            None,
             workers,
-            SnapshotEpoch::default(),
+            SnapshotEpoch(0),
             Some(durability),
         ))
     }
@@ -975,29 +1053,35 @@ impl SearchService {
         let mut durability =
             Durability::fresh(dir.to_path_buf(), wal, faults, opts.checkpoint_every);
         durability.recovery_replayed = replayed;
+        let store = Store::One(snapshot);
         Ok(Self::start_inner(
-            snapshot,
+            store,
+            None,
             workers,
             SnapshotEpoch(epoch),
             Some(durability),
         ))
     }
 
+    /// `directory` is the partition's shard directory (`None` on one store).
     fn start_inner(
-        snapshot: Arc<SearchSnapshot>,
+        store: Store,
+        directory: Option<ShardAssignment>,
         workers: usize,
         epoch: SnapshotEpoch,
         durability: Option<Durability>,
     ) -> Self {
         SearchService {
             pool: WorkerPool::start("keybridge-worker", workers),
-            current: Arc::new(Mutex::new(ServingState::fresh(epoch, snapshot))),
-            writer: Mutex::new(()),
+            current: Arc::new(Mutex::new(ServingState::fresh(epoch, store))),
+            writer: Mutex::new(directory.unwrap_or_else(|| ShardAssignment::empty(1, 0))),
             durability,
             served: Arc::new(AtomicUsize::new(0)),
             epoch_swaps: AtomicUsize::new(0),
             stale_evictions: AtomicUsize::new(0),
             rows_ingested: AtomicUsize::new(0),
+            shard_epoch_swaps: AtomicUsize::new(0),
+            shard_rows_skipped: Arc::new(AtomicUsize::new(0)),
             sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(0),
             sessions_evicted: AtomicUsize::new(0),
@@ -1005,47 +1089,42 @@ impl SearchService {
     }
 
     /// The snapshot currently being served (requests already in flight may
-    /// still be completing against an earlier epoch).
-    pub fn snapshot(&self) -> Arc<SearchSnapshot> {
-        Arc::clone(&self.current.lock().unwrap().snapshot)
+    /// still be completing against an earlier epoch); `None` on a partition,
+    /// which holds no one database.
+    pub fn snapshot(&self) -> Option<Arc<SearchSnapshot>> {
+        self.current.lock().unwrap().store.one().cloned()
     }
 
-    /// The epoch currently being served.
-    pub fn current_epoch(&self) -> SnapshotEpoch {
-        self.current.lock().unwrap().epoch
+    /// The per-shard epoch vector of the currently published partition;
+    /// empty on one store.
+    pub fn shard_epochs(&self) -> Vec<SnapshotEpoch> {
+        self.current.lock().unwrap().store.shard_epochs()
     }
 
     /// Apply one insert batch to the live store and publish the result as
-    /// the next epoch — the module docs' write path, steps in order:
-    ///
-    /// 1. **Validate** the batch as a unit against the published store
-    ///    ([`Database::validate_batch`]: arity, types, primary keys, table
-    ///    capacity, referential integrity — intra-batch parents allowed). A
-    ///    rejected batch costs O(batch) and changes nothing: no clone, no
-    ///    WAL byte, no epoch.
-    /// 2. **Log** (durable services): append the batch to the write-ahead
-    ///    log and fsync — an epoch a client ever observed is always
-    ///    recoverable. A failed append poisons the service and returns with
-    ///    nothing in memory to undo.
-    /// 3. **Clone** the published `Database` + `InvertedIndex` — the one
-    ///    O(database) step — **apply** the batch to the copy, and **swap**
-    ///    it in under a fresh shared-cache generation.
-    ///
+    /// the next epoch: poison check → validate (+ route, on a partition) →
+    /// WAL append (durable) → apply to copies → publish → auto-checkpoint,
+    /// the module docs' write path. A rejected batch changes nothing: no
+    /// clone, no WAL byte, no epoch. A failed auto-checkpoint poisons
+    /// future writes but does not un-accept the already WAL-durable batch.
     /// Concurrent ingests serialize on the writer lock; readers are never
-    /// blocked beyond the single pointer swap. If the configured
-    /// `checkpoint_every` threshold is reached, a checkpoint of the epoch
-    /// just published runs after the swap (its failure also poisons, but the
-    /// batch itself — already WAL-durable — is still accepted).
+    /// blocked beyond the single pointer swap.
     pub fn ingest(&self, batch: &RowBatch) -> Result<IngestReceipt, IngestError> {
         // `prev` cannot go stale below: the held writer lock serializes
         // every path that replaces `current`. Poisoning happens under it
         // too, so a write queued behind a failing one sees the poison.
-        let _writer = self.writer.lock().unwrap();
+        let mut directory = self.writer.lock().unwrap();
         if self.is_poisoned() {
             return Err(IngestError::Poisoned);
         }
         let prev = Arc::clone(&self.current.lock().unwrap());
-        prev.snapshot.db.validate_batch(batch)?;
+        let route = match &prev.store {
+            Store::One(snap) => {
+                snap.db.validate_batch(batch)?;
+                None
+            }
+            Store::Sharded(part) => Some(part.route(batch, &directory)?),
+        };
         let epoch = SnapshotEpoch(prev.epoch.0 + 1);
         if let Some(d) = &self.durability {
             // WAL before swap: the record producing the next epoch must be
@@ -1059,37 +1138,43 @@ impl SearchService {
         // workers pin their state through that lock per request, so it may
         // only be held for pointer reads and the final swap. The catalog is
         // schema-derived and the schema is immutable, so it transfers.
-        let mut db = prev.snapshot.db.clone();
-        let mut index = prev.snapshot.index.clone();
-        let rows = apply_batch(&mut db, &mut index, batch)
-            .expect("batch validated against the store it is applied to");
-        let next = ServingState::fresh(
-            epoch,
-            Arc::new(SearchSnapshot::new(
-                db,
-                index,
-                prev.snapshot.catalog.clone(),
-                prev.snapshot.config.clone(),
-            )),
-        );
+        let (store, touched) = match &prev.store {
+            Store::One(snap) => {
+                let mut db = snap.db.clone();
+                let mut index = snap.index.clone();
+                apply_batch(&mut db, &mut index, batch)
+                    .expect("batch validated against the store it is applied to");
+                let next =
+                    SearchSnapshot::new(db, index, snap.catalog.clone(), snap.config.clone());
+                (Store::One(Arc::new(next)), 0)
+            }
+            Store::Sharded(part) => {
+                let route = route.expect("a partition routes every batch it validates");
+                let (next, touched) = part.apply(batch, route, &mut directory);
+                (Store::Sharded(next), touched)
+            }
+        };
+        let next = ServingState::fresh(epoch, store);
         *self.current.lock().unwrap() = Arc::clone(&next);
         self.epoch_swaps.fetch_add(1, Ordering::Relaxed);
+        self.shard_epoch_swaps.fetch_add(touched, Ordering::Relaxed);
         self.stale_evictions
             .fetch_add(prev.cache_entries(), Ordering::Relaxed);
-        self.rows_ingested.fetch_add(rows, Ordering::Relaxed);
+        self.rows_ingested.fetch_add(batch.len(), Ordering::Relaxed);
         if let Some(d) = &self.durability {
             let since = d.batches_since_checkpoint.fetch_add(1, Ordering::Relaxed) + 1;
-            if d.checkpoint_every > 0 && since >= d.checkpoint_every {
-                // Auto-checkpoint under the still-held writer lock. The
-                // batch is already WAL-durable, so a checkpoint failure
-                // poisons future writes but does not un-accept it.
-                let snap = &next.snapshot;
-                if d.checkpoint(epoch.0, &snap.db, &snap.index).is_err() {
-                    d.poison();
-                }
+            // Under the still-held writer lock. The batch is already
+            // WAL-durable, so a checkpoint failure poisons future writes
+            // but does not un-accept it.
+            if d.checkpoint_every > 0 && since >= d.checkpoint_every && d.checkpoint(&next).is_err()
+            {
+                d.poison();
             }
         }
-        Ok(IngestReceipt { epoch, rows })
+        Ok(IngestReceipt {
+            epoch,
+            rows: batch.len(),
+        })
     }
 
     /// Fold the log into a fresh `snapshot.kb` (written atomically) and
@@ -1106,7 +1191,7 @@ impl SearchService {
             return Err(DurabilityError::Poisoned);
         }
         let state = self.current.lock().unwrap().clone();
-        match d.checkpoint(state.epoch.0, &state.snapshot.db, &state.snapshot.index) {
+        match d.checkpoint(&state) {
             Ok(snapshot_bytes) => Ok(CheckpointReceipt {
                 epoch: state.epoch,
                 snapshot_bytes,
@@ -1119,14 +1204,14 @@ impl SearchService {
     }
 
     /// The fault-injection plan of a durable service (the recovery suite
-    /// arms kill points through this). `None` under [`Self::start`].
+    /// arms kill points through this). `None` on a non-durable service.
     pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
         self.durability.as_ref().map(|d| Arc::clone(&d.faults))
     }
 
     /// Whether an earlier durability failure poisoned this service (reads
-    /// keep working; writes are refused). Always `false` under
-    /// [`Self::start`].
+    /// keep working; writes are refused). Always `false` on a non-durable
+    /// service.
     pub fn is_poisoned(&self) -> bool {
         self.durability
             .as_ref()
@@ -1153,10 +1238,10 @@ impl SearchService {
     /// Open a construction session over the *current* epoch: generate the
     /// top-`window` complete interpretations best-first (through this
     /// epoch's shared non-emptiness cache) and register the session. The
-    /// session pins the serving state it was opened on — snapshot *and*
-    /// cache generation — so its window, options, and answers keep
-    /// referring to the same database version even while concurrent
-    /// [`Self::ingest`]s swap epochs underneath.
+    /// session pins the serving state it was opened on — store *and* cache
+    /// generation — so its window, options, and answers keep referring to
+    /// the same database version even while concurrent [`Self::ingest`]s
+    /// swap epochs underneath.
     pub fn open_session(
         &self,
         query: &KeywordQuery,
@@ -1164,10 +1249,10 @@ impl SearchService {
         config: SessionConfig,
     ) -> SessionView {
         let state = self.current.lock().unwrap().clone();
-        let interpreter = state.snapshot.interpreter();
         let mut gen_cache = NonemptyCache::with_shared(Arc::clone(&state.nonempty));
+        let interpreter = state.store.interpreter();
         let (ranked, _) = interpreter.top_k_with_cache(query, window, false, &mut gen_cache);
-        let session = ConstructionSession::new(&state.snapshot.catalog, &ranked, config);
+        let session = ConstructionSession::new(state.store.catalog(), &ranked, config);
         let exec_cache = ExecCache::with_shared(Arc::clone(&state.exec));
         let id = self.next_session.fetch_add(1, Ordering::Relaxed);
         let view = Self::view_of(id, &state, &session);
@@ -1201,7 +1286,7 @@ impl SearchService {
         let slot = self.session(id)?;
         let mut slot = slot.lock().unwrap();
         let SessionSlot { state, session, .. } = &mut *slot;
-        session.apply(&state.snapshot.catalog, option.clone(), accepted);
+        session.apply(state.store.catalog(), option.clone(), accepted);
         Some(Self::view_of(id.0, state, session))
     }
 
@@ -1215,11 +1300,11 @@ impl SearchService {
     }
 
     /// Materialize the session's current query window (at most `limit` JTTs
-    /// per candidate) against its *pinned* epoch, through the session's
-    /// persistent execution cache (predicates intersected once across
-    /// refreshes; local misses fall through to the pinned epoch's shared
-    /// tier). Byte-identical to the cold offline
-    /// [`ConstructionSession::window_answers`] over the pinned snapshot.
+    /// per candidate) against its *pinned* epoch, through the store's
+    /// executor and the session's persistent execution cache (predicates
+    /// intersected once across refreshes; local misses fall through to the
+    /// pinned epoch's shared tier). Byte-identical to the cold offline
+    /// [`ConstructionSession::window_answers`] over the pinned rows.
     pub fn session_answers(&self, id: SessionId, limit: usize) -> Option<SessionAnswers> {
         let slot = self.session(id)?;
         let mut slot = slot.lock().unwrap();
@@ -1228,15 +1313,21 @@ impl SearchService {
             session,
             exec_cache,
         } = &mut *slot;
-        let interpreter = state.snapshot.interpreter();
-        let mut gen_cache = NonemptyCache::new();
-        let answers = QueryPipeline::new(
-            &interpreter,
-            ExecOptions::default(),
-            &mut gen_cache,
-            exec_cache,
-        )
-        .window(session.remaining(), limit);
+        let interpreter = state.store.interpreter();
+        let (gen_cache, base) = (&mut NonemptyCache::new(), ExecOptions::default());
+        let window = session.remaining();
+        let answers = match &state.store {
+            Store::One(_) => {
+                let executor = interpreter.local_executor();
+                QueryPipeline::with_executor(&interpreter, executor, base, gen_cache, exec_cache)
+                    .window(window, limit)
+            }
+            Store::Sharded(part) => {
+                let executor = part.coordinator(&self.shard_rows_skipped);
+                QueryPipeline::with_executor(&interpreter, executor, base, gen_cache, exec_cache)
+                    .window(window, limit)
+            }
+        };
         Some(SessionAnswers {
             epoch: state.epoch,
             answers,
@@ -1255,7 +1346,7 @@ impl SearchService {
     }
 
     fn view_of(id: u64, state: &ServingState, session: &ConstructionSession) -> SessionView {
-        let next_option = session.next_option(&state.snapshot.catalog);
+        let next_option = session.next_option(state.store.catalog());
         SessionView {
             id: SessionId(id),
             epoch: state.epoch,
@@ -1265,39 +1356,14 @@ impl SearchService {
             next_option,
         }
     }
-
-    /// Current serving/cache counters.
-    pub fn stats(&self) -> ServiceStats {
-        let state = self.current.lock().unwrap().clone();
-        let durable = self.durability.as_ref();
-        ServiceStats {
-            served: self.served.load(Ordering::Relaxed),
-            epoch: state.epoch.0,
-            epoch_swaps: self.epoch_swaps.load(Ordering::Relaxed),
-            stale_evictions: self.stale_evictions.load(Ordering::Relaxed),
-            rows_ingested: self.rows_ingested.load(Ordering::Relaxed),
-            nonempty_entries: state.nonempty.len(),
-            nonempty_hits: state.nonempty.hits(),
-            predicate_entries: state.exec.predicate_count(),
-            predicate_hits: state.exec.predicate_hits(),
-            result_entries: state.exec.result_count(),
-            result_hits: state.exec.result_hits(),
-            sessions_open: self.sessions.lock().unwrap().len(),
-            sessions_evicted: self.sessions_evicted.load(Ordering::Relaxed),
-            wal_batches: durable.map_or(0, |d| d.wal_batches.load(Ordering::Relaxed)),
-            wal_bytes: durable.map_or(0, |d| d.wal_bytes.load(Ordering::Relaxed)),
-            checkpoints: durable.map_or(0, |d| d.checkpoints.load(Ordering::Relaxed)),
-            recovery_replayed_batches: durable.map_or(0, |d| d.recovery_replayed),
-            ..Default::default()
-        }
-    }
 }
 
 /// The unified serving seam — **Hot path 8**. One typed [`Request`] enum in,
 /// one [`Ticket`] resolving to the matching [`Reply`] arm out, plus the
-/// ingest/stats/epoch surface a load driver needs. [`SearchService`] and
-/// [`crate::sharded::ShardedService`] both implement it, so harnesses,
-/// differential suites, and examples drive either interchangeably.
+/// ingest/stats/epoch surface a load driver needs. [`SearchService`]
+/// implements it over either store, and [`KeywordService`] by delegation,
+/// so harnesses, differential suites, and examples drive any deployment
+/// interchangeably.
 pub trait ServeRequests {
     /// Enqueue one request; the ticket resolves to the matching reply arm.
     fn submit_request(&self, request: Request) -> Ticket<Reply>;
@@ -1330,19 +1396,23 @@ pub trait ServeRequests {
 }
 
 impl ServeRequests for SearchService {
+    /// The worker pins the serving state once, and the store chooses the
+    /// interpreter and executor the one dispatcher runs on.
     fn submit_request(&self, request: Request) -> Ticket<Reply> {
+        let skipped = Arc::clone(&self.shard_rows_skipped);
         self.pool
-            .submit_pinned(&self.current, &self.served, |state: &ServingState| {
-                let interpreter = state.snapshot.interpreter();
-                let pinned = Pinned {
-                    interpreter: &interpreter,
-                    executor: interpreter.local_executor(),
-                    nonempty: &state.nonempty,
-                    exec: &state.exec,
-                    epoch: state.epoch,
-                    shard_epochs: Vec::new(),
-                };
-                serve_request(&pinned, request)
+            .submit_pinned(&self.current, &self.served, move |state| {
+                let interpreter = state.store.interpreter();
+                match &state.store {
+                    Store::One(_) => {
+                        let executor = interpreter.local_executor();
+                        serve_request(state, &interpreter, executor, request)
+                    }
+                    Store::Sharded(part) => {
+                        let executor = part.coordinator(&skipped);
+                        serve_request(state, &interpreter, executor, request)
+                    }
+                }
             })
     }
 
@@ -1351,19 +1421,44 @@ impl ServeRequests for SearchService {
     }
 
     fn service_stats(&self) -> ServiceStats {
-        self.stats()
+        let state = self.current.lock().unwrap().clone();
+        let durable = self.durability.as_ref();
+        ServiceStats {
+            served: self.served.load(Ordering::Relaxed),
+            epoch: state.epoch.0,
+            epoch_swaps: self.epoch_swaps.load(Ordering::Relaxed),
+            stale_evictions: self.stale_evictions.load(Ordering::Relaxed),
+            rows_ingested: self.rows_ingested.load(Ordering::Relaxed),
+            nonempty_entries: state.nonempty.len(),
+            nonempty_hits: state.nonempty.hits(),
+            predicate_entries: state.exec.predicate_count(),
+            predicate_hits: state.exec.predicate_hits(),
+            result_entries: state.exec.result_count(),
+            result_hits: state.exec.result_hits(),
+            sessions_open: self.sessions.lock().unwrap().len(),
+            sessions_evicted: self.sessions_evicted.load(Ordering::Relaxed),
+            wal_batches: durable.map_or(0, |d| d.wal_batches.load(Ordering::Relaxed)),
+            wal_bytes: durable.map_or(0, |d| d.wal_bytes.load(Ordering::Relaxed)),
+            checkpoints: durable.map_or(0, |d| d.checkpoints.load(Ordering::Relaxed)),
+            recovery_replayed_batches: durable.map_or(0, |d| d.recovery_replayed),
+            shard_epoch_swaps: self.shard_epoch_swaps.load(Ordering::Relaxed),
+            shards_touched: match &state.store {
+                Store::One(_) => 0,
+                Store::Sharded(part) => part.shards_touched(),
+            },
+            shard_rows_skipped: self.shard_rows_skipped.load(Ordering::Relaxed),
+        }
     }
 
     fn serving_epoch(&self) -> SnapshotEpoch {
-        self.current_epoch()
+        self.current.lock().unwrap().epoch
     }
 }
 
 /// One entry point for every way to start a service — **the** constructor
-/// the examples and harnesses use. Consolidates the legacy
-/// [`SearchService::start`] / [`SearchService::start_durable`] /
-/// [`SearchService::open`] triplet plus the sharded router behind a single
-/// configured builder:
+/// the examples and harnesses use. Consolidates [`SearchService::start`] /
+/// [`SearchService::start_durable`] / [`SearchService::open`] and the
+/// partitioned start behind a single configured builder:
 ///
 /// ```ignore
 /// let svc = ServiceBuilder::new().workers(4).start(snapshot)?;          // in-memory
@@ -1395,16 +1490,20 @@ impl ServiceBuilder {
         }
     }
 
-    /// Serving worker threads (at least 1). A sharded service runs every
+    /// Serving worker threads (at least 1). A partitioned service runs every
     /// shard's part of a request on the worker serving it.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
     }
 
-    /// Number of shards. `1` (the default) starts a plain [`SearchService`];
-    /// anything larger starts the scatter-gather
-    /// [`crate::sharded::ShardedService`].
+    /// Number of shards. `1` (the default) serves one store; anything larger
+    /// partitions the snapshot's rows with [`assign_shards`] and serves them
+    /// through [`SearchService::start_with_assignment`]. K=1 is not served
+    /// as a one-shard partition because that costs setup time, throughput
+    /// and memory one store does not pay (measured in `core/sharded.rs`).
+    /// A partition cannot be durable yet: [`Self::start`] refuses `shards(k
+    /// > 1)` with [`Self::durable`] as [`ServiceError::Unsupported`].
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
@@ -1439,8 +1538,8 @@ impl ServiceBuilder {
                     "a sharded service cannot be durable yet; drop shards() or durable()".into(),
                 ));
             }
-            let service =
-                crate::sharded::ShardedService::start(snapshot, self.shards, self.workers);
+            let assignment = assign_shards(&snapshot.db, self.shards);
+            let service = SearchService::start_with_assignment(snapshot, assignment, self.workers);
             return Ok(KeywordService::Sharded(service));
         }
         let service = match &self.durable_dir {
@@ -1467,132 +1566,100 @@ impl ServiceBuilder {
     }
 }
 
-/// A started service of either topology, returned by [`ServiceBuilder`].
-/// Implements [`ServeRequests`] by delegation, so callers that only speak
-/// the request seam never need to know which variant they hold.
-// The size skew between the two handles is irrelevant: a process holds a
-// handful of services, never collections of them.
-#[allow(clippy::large_enum_variant)]
+/// What [`ServiceBuilder`] returns: one [`SearchService`], tagged with the
+/// store it was started over. Both variants hold the same type, so
+/// [`Self::as_single`] always answers and [`ServeRequests`] delegates
+/// without caring which. The enum, its two variants and `as_single` remain
+/// only because the benchmark package (`crates/bench/src/bin/kbench`) names
+/// them; in-repo code uses [`SearchService`] directly.
 pub enum KeywordService {
     Single(SearchService),
-    Sharded(crate::sharded::ShardedService),
+    Sharded(SearchService),
 }
 
 impl KeywordService {
-    /// The single-shard service, when this is one (for the session registry
-    /// and the durability surface, which have no sharded counterpart yet).
+    /// The service, whichever store it serves (never `None`).
     pub fn as_single(&self) -> Option<&SearchService> {
-        match self {
-            KeywordService::Single(s) => Some(s),
-            KeywordService::Sharded(_) => None,
-        }
+        Some(self.service())
+    }
+
+    fn service(&self) -> &SearchService {
+        let (KeywordService::Single(s) | KeywordService::Sharded(s)) = self;
+        s
     }
 }
+
+/// Another name for [`SearchService`], which serves partitions too; it
+/// remains only because the benchmark package names
+/// `ShardedService::start_with_assignment`.
+pub type ShardedService = SearchService;
 
 impl ServeRequests for KeywordService {
     fn submit_request(&self, request: Request) -> Ticket<Reply> {
-        match self {
-            KeywordService::Single(s) => s.submit_request(request),
-            KeywordService::Sharded(s) => s.submit_request(request),
-        }
+        self.service().submit_request(request)
     }
 
     fn ingest_batch(&self, batch: &RowBatch) -> Result<IngestReceipt, ServiceError> {
-        match self {
-            KeywordService::Single(s) => ServeRequests::ingest_batch(s, batch),
-            KeywordService::Sharded(s) => ServeRequests::ingest_batch(s, batch),
-        }
+        self.service().ingest_batch(batch)
     }
 
     fn service_stats(&self) -> ServiceStats {
-        match self {
-            KeywordService::Single(s) => s.service_stats(),
-            KeywordService::Sharded(s) => s.service_stats(),
-        }
+        self.service().service_stats()
     }
 
     fn serving_epoch(&self) -> SnapshotEpoch {
-        match self {
-            KeywordService::Single(s) => s.serving_epoch(),
-            KeywordService::Sharded(s) => s.serving_epoch(),
-        }
+        self.service().serving_epoch()
     }
 }
 
-/// Everything one request is served against: the pinned generation's
-/// interpreter, shared-cache handles and executor, plus the epoch stamps its
-/// replies carry. The two topologies differ only in how they fill this in.
-pub(crate) struct Pinned<'s, 'a, E> {
-    pub(crate) interpreter: &'s Interpreter<'a>,
-    pub(crate) executor: E,
-    pub(crate) nonempty: &'s Arc<SharedNonemptyCache>,
-    pub(crate) exec: &'s Arc<SharedExecCache>,
-    pub(crate) epoch: SnapshotEpoch,
-    /// Empty on a single-shard service.
-    pub(crate) shard_epochs: Vec<SnapshotEpoch>,
-}
-
-impl<E: Executor> Pinned<'_, '_, E> {
-    /// Run `mode` on a fresh pipeline whose per-request caches fall through
-    /// to this generation's shared tier.
-    fn run<T>(&self, mode: impl FnOnce(&mut QueryPipeline<'_, '_, E>) -> T) -> T {
-        let mut gen_cache = NonemptyCache::with_shared(Arc::clone(self.nonempty));
-        let mut exec_cache = ExecCache::with_shared(Arc::clone(self.exec));
-        mode(&mut QueryPipeline::with_executor(
-            self.interpreter,
-            self.executor,
-            ExecOptions::default(),
-            &mut gen_cache,
-            &mut exec_cache,
-        ))
-    }
-
-    fn answers(&self, query: &KeywordQuery, k: usize) -> SearchReply {
-        let (answers, stats) = self.run(|p| p.answers(query, k));
-        SearchReply {
-            epoch: self.epoch,
-            shard_epochs: self.shard_epochs.clone(),
-            answers,
-            stats,
-        }
-    }
-
-    fn diversified(&self, query: &KeywordQuery, opts: DiversifyOptions) -> DiversifiedReply {
-        let out = self.run(|p| p.diversified(query, opts));
-        DiversifiedReply {
-            epoch: self.epoch,
-            shard_epochs: self.shard_epochs.clone(),
-            answers: out.answers,
-            pool: out.pool,
-            stats: out.stats,
-        }
-    }
-}
-
-/// Serve one [`Request`] against a pinned generation, always producing the
-/// matching [`Reply`] arm — the one request dispatcher of both topologies.
-/// Serving code runs under `catch_unwind`: a panicking query must come back
-/// to its client as a typed [`RequestError`], not as a hung-up channel — and
-/// the worker must survive to take the next job. `AssertUnwindSafe` is sound
-/// here because the shared caches only ever admit *complete* entries (a
-/// panic mid-query cannot have published partial derived state), and
-/// everything else the closure touches dies with the request. Timed arms
-/// stamp completion after the reply is computed, still on the worker.
-pub(crate) fn serve_request<E: Executor>(pinned: &Pinned<'_, '_, E>, request: Request) -> Reply {
+/// Serve one [`Request`] against a pinned serving state with the
+/// interpreter and executor its store chose, always producing the matching
+/// [`Reply`] arm — the one request dispatcher. Serving code runs under
+/// `catch_unwind`: a panicking query must come back to its client as a
+/// typed [`RequestError`], not as a hung-up channel — and the worker must
+/// survive to take the next job. `AssertUnwindSafe` is sound here because
+/// the shared caches only ever admit *complete* entries (a panic mid-query
+/// cannot have published partial derived state), and everything else the
+/// closure touches dies with the request. Timed arms stamp completion after
+/// the reply is computed, still on the worker.
+fn serve_request<E: Executor>(
+    state: &ServingState,
+    interpreter: &Interpreter<'_>,
+    executor: E,
+    request: Request,
+) -> Reply {
     let answers = |query: &KeywordQuery, k: usize| {
-        catch_unwind(AssertUnwindSafe(|| pinned.answers(query, k))).map_err(panic_to_error)
+        catch_unwind(AssertUnwindSafe(|| {
+            let (answers, stats) = run(state, interpreter, executor, |p| p.answers(query, k));
+            let (epoch, shard_epochs) = (state.epoch, state.store.shard_epochs());
+            SearchReply {
+                epoch,
+                shard_epochs,
+                answers,
+                stats,
+            }
+        }))
+        .map_err(panic_to_error)
     };
     let diversified = |query: &KeywordQuery, opts: DiversifyOptions| {
-        catch_unwind(AssertUnwindSafe(|| pinned.diversified(query, opts))).map_err(panic_to_error)
+        catch_unwind(AssertUnwindSafe(|| {
+            let out = run(state, interpreter, executor, |p| p.diversified(query, opts));
+            DiversifiedReply {
+                epoch: state.epoch,
+                shard_epochs: state.store.shard_epochs(),
+                answers: out.answers,
+                pool: out.pool,
+                stats: out.stats,
+            }
+        }))
+        .map_err(panic_to_error)
     };
     match request {
         Request::Answers { query, k } => Reply::Answers(answers(&query, k)),
         Request::Interpretations { query, k } => Reply::Interpretations(
             catch_unwind(AssertUnwindSafe(|| {
-                let mut gen_cache = NonemptyCache::with_shared(Arc::clone(pinned.nonempty));
-                pinned
-                    .interpreter
-                    .top_k_with_cache(&query, k, true, &mut gen_cache)
+                let mut gen_cache = NonemptyCache::with_shared(Arc::clone(&state.nonempty));
+                interpreter.top_k_with_cache(&query, k, true, &mut gen_cache)
             }))
             .map_err(panic_to_error),
         ),
@@ -1614,9 +1681,28 @@ pub(crate) fn serve_request<E: Executor>(pinned: &Pinned<'_, '_, E>, request: Re
     }
 }
 
+/// Run `mode` on a fresh pipeline over `executor` whose per-request caches
+/// fall through to `state`'s shared tier.
+fn run<E: Executor, T>(
+    state: &ServingState,
+    interpreter: &Interpreter<'_>,
+    executor: E,
+    mode: impl FnOnce(&mut QueryPipeline<'_, '_, E>) -> T,
+) -> T {
+    let mut gen_cache = NonemptyCache::with_shared(Arc::clone(&state.nonempty));
+    let mut exec_cache = ExecCache::with_shared(Arc::clone(&state.exec));
+    mode(&mut QueryPipeline::with_executor(
+        interpreter,
+        executor,
+        ExecOptions::default(),
+        &mut gen_cache,
+        &mut exec_cache,
+    ))
+}
+
 /// Render a caught panic payload as the typed reply error. Panics raised by
 /// `panic!("…")` carry `&str` or `String`; anything else gets a fixed tag.
-pub(crate) fn panic_to_error(payload: Box<dyn std::any::Any + Send>) -> RequestError {
+fn panic_to_error(payload: Box<dyn std::any::Any + Send>) -> RequestError {
     let message = if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -1683,7 +1769,7 @@ mod tests {
             assert_eq!(a.keys, b.keys);
             assert!((a.log_score - b.log_score).abs() < 1e-12);
         }
-        assert_eq!(service.stats().served, 1);
+        assert_eq!(service.service_stats().served, 1);
     }
 
     #[test]
@@ -1692,7 +1778,7 @@ mod tests {
         let service = SearchService::start(snap, 1);
         let q = KeywordQuery::from_terms(vec!["tom".into(), "hanks".into()]);
         let first = service.search(&q, 5).answers;
-        let stats = service.stats();
+        let stats = service.service_stats();
         assert!(
             stats.nonempty_entries > 0,
             "no shared verdicts after a query"
@@ -1714,7 +1800,7 @@ mod tests {
             assert_eq!(a.jtt, b.jtt);
         }
         assert_eq!(astats.gen.nonempty_probes, 0, "replay re-probed the index");
-        let stats = service.stats();
+        let stats = service.service_stats();
         assert!(stats.nonempty_hits > 0);
         assert!(stats.result_hits + stats.predicate_hits > 0);
     }
@@ -1756,7 +1842,7 @@ mod tests {
             assert!(reply.answers.len() <= 3, "request {i} overflowed k");
             assert_eq!(reply.epoch, SnapshotEpoch(0));
         }
-        assert_eq!(service.stats().served, 16);
+        assert_eq!(service.service_stats().served, 16);
     }
 
     #[test]
@@ -1774,13 +1860,13 @@ mod tests {
         let actor = snap.db.schema().table_id("actor").unwrap();
         let next_pk = snap.db.table(actor).len() as i64 + 1000;
         let service = SearchService::start(snap, 2);
-        assert_eq!(service.current_epoch(), SnapshotEpoch(0));
+        assert_eq!(service.serving_epoch(), SnapshotEpoch(0));
 
         // Warm the epoch-0 cache generation, then swap.
         let q = KeywordQuery::from_terms(vec!["tom".into()]);
         let before = service.search(&q, 5);
         assert_eq!(before.epoch, SnapshotEpoch(0));
-        let warm = service.stats();
+        let warm = service.service_stats();
         assert!(warm.nonempty_entries > 0, "epoch-0 generation never filled");
         assert_eq!(warm.epoch_swaps, 0);
         assert_eq!(warm.stale_evictions, 0);
@@ -1794,9 +1880,9 @@ mod tests {
                 rows: 1
             }
         );
-        assert_eq!(service.current_epoch(), SnapshotEpoch(1));
+        assert_eq!(service.serving_epoch(), SnapshotEpoch(1));
 
-        let stats = service.stats();
+        let stats = service.service_stats();
         assert_eq!(stats.epoch, 1);
         assert_eq!(stats.epoch_swaps, 1);
         assert_eq!(stats.rows_ingested, 1);
@@ -1855,7 +1941,7 @@ mod tests {
                 assert_eq!(a.pool_rank, b.pool_rank, "pass {pass}");
             }
         }
-        assert_eq!(service.stats().served, 2);
+        assert_eq!(service.service_stats().served, 2);
     }
 
     #[test]
@@ -1870,7 +1956,7 @@ mod tests {
         assert_eq!(opened.epoch, SnapshotEpoch(0));
         assert_eq!(opened.steps, 0);
         assert!(opened.remaining > 0);
-        assert_eq!(service.stats().sessions_open, 1);
+        assert_eq!(service.service_stats().sessions_open, 1);
         let epoch0 = Arc::downgrade(&*service.current.lock().unwrap());
 
         // The pinned-epoch oracle: a cold offline session over the same
@@ -1917,7 +2003,7 @@ mod tests {
         // A session opened *now* pins the new epoch.
         let fresh = service.open_session(&q, 10, SessionConfig::default());
         assert_eq!(fresh.epoch, SnapshotEpoch(1));
-        assert_eq!(service.stats().sessions_open, 2);
+        assert_eq!(service.service_stats().sessions_open, 2);
 
         // Closing frees the whole pinned epoch: snapshot plus cache
         // generation.
@@ -1925,7 +2011,7 @@ mod tests {
         assert!(epoch0.upgrade().is_none(), "closed session leaked epoch 0");
         assert!(!service.close_session(opened.id), "double close");
         assert!(service.session_answers(opened.id, 3).is_none());
-        assert_eq!(service.stats().sessions_open, 1);
+        assert_eq!(service.service_stats().sessions_open, 1);
         assert!(service.close_session(fresh.id));
     }
 
@@ -1940,7 +2026,7 @@ mod tests {
         let ids: Vec<SessionId> = (0..MAX_OPEN_SESSIONS + overflow)
             .map(|_| service.open_session(&q, 5, SessionConfig::default()).id)
             .collect();
-        let stats = service.stats();
+        let stats = service.service_stats();
         assert_eq!(stats.sessions_open, MAX_OPEN_SESSIONS);
         assert_eq!(stats.sessions_evicted, overflow);
         // The oldest ids were displaced; the newest still answer.
@@ -1952,7 +2038,7 @@ mod tests {
         }
         // Explicit closes are not evictions.
         assert!(service.close_session(*ids.last().unwrap()));
-        assert_eq!(service.stats().sessions_evicted, overflow);
+        assert_eq!(service.service_stats().sessions_evicted, overflow);
     }
 
     #[test]
@@ -2020,7 +2106,11 @@ mod tests {
             assert_eq!(a.interpretation, b.interpretation);
             assert_eq!(a.log_score.to_bits(), b.log_score.to_bits());
         }
-        assert_eq!(service.stats().served, 3, "panicked request still counted");
+        assert_eq!(
+            service.service_stats().served,
+            3,
+            "panicked request still counted"
+        );
     }
 
     #[test]
@@ -2065,7 +2155,7 @@ mod tests {
             vec![Value::Int(base_pk + 2), Value::text("tom durable2")],
         )];
         service.ingest(&batch).unwrap();
-        let stats = service.stats();
+        let stats = service.service_stats();
         assert_eq!(stats.wal_batches, 3);
         assert!(stats.wal_bytes > 0);
         assert_eq!(stats.checkpoints, 1);
@@ -2074,8 +2164,8 @@ mod tests {
         drop(service);
 
         let recovered = SearchService::open(&dir, 2, &opts).unwrap();
-        assert_eq!(recovered.current_epoch(), SnapshotEpoch(3));
-        assert_eq!(recovered.stats().recovery_replayed_batches, 1);
+        assert_eq!(recovered.serving_epoch(), SnapshotEpoch(3));
+        assert_eq!(recovered.service_stats().recovery_replayed_batches, 1);
         let got = recovered.search(&q, 10);
         assert_eq!(got.epoch, expected.epoch);
         assert_eq!(got.answers.len(), expected.answers.len());
@@ -2110,7 +2200,7 @@ mod tests {
         };
         let service = SearchService::start_durable(Arc::clone(&snap), 1, &dir, &opts).unwrap();
         service.ingest(&good(0)).unwrap();
-        let before = service.stats();
+        let before = service.service_stats();
         assert_eq!(before.wal_batches, 1);
         assert_eq!(scan_wal(&dir).unwrap().records.len(), 1);
 
@@ -2133,7 +2223,7 @@ mod tests {
                 ..
             }))
         ));
-        let after = service.stats();
+        let after = service.service_stats();
         assert_eq!(after.wal_batches, before.wal_batches);
         assert_eq!(after.wal_bytes, before.wal_bytes);
         assert_eq!(after.epoch_swaps, 1);
@@ -2144,8 +2234,8 @@ mod tests {
         // Recovery finds the pre-rejection epoch, and the batch whose first
         // row rode in the rejected one is still acceptable.
         let recovered = SearchService::open(&dir, 1, &opts).unwrap();
-        assert_eq!(recovered.current_epoch(), SnapshotEpoch(1));
-        assert_eq!(recovered.stats().recovery_replayed_batches, 1);
+        assert_eq!(recovered.serving_epoch(), SnapshotEpoch(1));
+        assert_eq!(recovered.service_stats().recovery_replayed_batches, 1);
         let receipt = recovered.ingest(&good(1)).unwrap();
         assert_eq!(receipt.epoch, SnapshotEpoch(2));
         drop(recovered);
@@ -2166,9 +2256,11 @@ mod tests {
                 Value::text("tom queued"),
             ],
         )];
-        let service = Arc::new(
-            SearchService::start_durable(snap, 1, &dir, &DurableOptions::default()).unwrap(),
-        );
+        let opts = DurableOptions {
+            max_joins: 4,
+            ..DurableOptions::default()
+        };
+        let service = Arc::new(SearchService::start_durable(snap, 1, &dir, &opts).unwrap());
         // Stand in for a write that holds the lock and then fails: the
         // racer queues on the lock, the failure poisons, the lock drops.
         let failing_write = service.writer.lock().unwrap();
@@ -2181,9 +2273,80 @@ mod tests {
         service.durability.as_ref().unwrap().poison();
         drop(failing_write);
         assert!(matches!(racer.join().unwrap(), Err(IngestError::Poisoned)));
-        assert_eq!(service.stats().wal_batches, 0);
+        assert_eq!(service.service_stats().wal_batches, 0);
         drop(service);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn start_durable_refuses_a_snapshot_its_options_would_not_rebuild() {
+        // Reopen rebuilds the catalog and config from the options, so a
+        // snapshot built under others would come back as a different
+        // interpretation space. Refused before a byte is written.
+        let dir =
+            std::env::temp_dir().join(format!("keybridge-service-opts-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let data = ImdbDataset::generate(ImdbConfig::tiny(1)).unwrap();
+        let one_join = SearchSnapshot::build(data.db, InterpreterConfig::default(), 1, 50_000);
+        let one_join = Arc::new(one_join.unwrap());
+        let start = |snap: &Arc<SearchSnapshot>, opts: &DurableOptions| {
+            SearchService::start_durable(Arc::clone(snap), 1, &dir, opts).map(drop)
+        };
+        let defaults = DurableOptions::default();
+        match start(&one_join, &defaults) {
+            Err(DurabilityError::Corrupt(msg)) => assert!(msg.contains("catalog"), "{msg}"),
+            other => panic!("a max_joins = 1 catalog under max_joins = 3: {other:?}"),
+        }
+        let matching = DurableOptions {
+            max_joins: 1,
+            ..DurableOptions::default()
+        };
+        let other_config = DurableOptions {
+            config: InterpreterConfig {
+                max_interpretations: 7,
+                ..InterpreterConfig::default()
+            },
+            ..matching.clone()
+        };
+        match start(&one_join, &other_config) {
+            Err(DurabilityError::Corrupt(msg)) => assert!(msg.contains("config"), "{msg}"),
+            other => panic!("a default config under max_interpretations = 7: {other:?}"),
+        }
+        assert!(!dir.exists(), "a refused start wrote to its directory");
+        start(&one_join, &matching).expect("matching options start");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sessions_are_served_on_a_partition() {
+        let snap = snapshot();
+        let assignment = assign_shards(&snap.db, 2);
+        let service = SearchService::start_with_assignment(Arc::clone(&snap), assignment, 1);
+        assert!(
+            service.snapshot().is_none(),
+            "a partition has no one database"
+        );
+        let q = KeywordQuery::from_terms(vec!["tom".into()]);
+        let opened = service.open_session(&q, 10, SessionConfig::default());
+        let interpreter = snap.interpreter();
+        let mut oracle =
+            ConstructionSession::for_query(&interpreter, &q, 10, SessionConfig::default());
+        assert_eq!(opened.remaining, oracle.remaining().len());
+        assert_eq!(opened.next_option, oracle.next_option(&snap.catalog));
+        let option = opened.next_option.clone().expect("tom has options");
+        let view = service.advance_session(opened.id, &option, true).unwrap();
+        oracle.apply(&snap.catalog, option, true);
+        assert_eq!(view.remaining, oracle.remaining().len());
+        let answers = service.session_answers(opened.id, 3).expect("session open");
+        let cold = oracle.window_answers(&snap.db, &snap.index, &snap.catalog, 3);
+        assert_eq!(answers.answers.len(), cold.len());
+        for ((si, sr), (ci, cr)) in answers.answers.iter().zip(&cold) {
+            assert_eq!(si, ci);
+            assert_eq!(sr.jtts, cr.jtts);
+            assert_eq!(sr.keys, cr.keys);
+            assert_eq!(sr.all_keys, cr.all_keys);
+        }
+        assert!(service.close_session(opened.id));
     }
 
     #[test]
@@ -2194,7 +2357,7 @@ mod tests {
             Err(DurabilityError::NotDurable)
         ));
         assert!(service.fault_plan().is_none());
-        let stats = service.stats();
+        let stats = service.service_stats();
         assert_eq!(stats.wal_batches, 0);
         assert_eq!(stats.recovery_replayed_batches, 0);
     }
@@ -2228,8 +2391,8 @@ mod tests {
             ],
         )];
         assert!(service.ingest(&batch).is_err());
-        assert_eq!(service.current_epoch(), SnapshotEpoch(0));
-        let stats = service.stats();
+        assert_eq!(service.serving_epoch(), SnapshotEpoch(0));
+        let stats = service.service_stats();
         assert_eq!(stats.epoch_swaps, 0);
         assert_eq!(stats.rows_ingested, 0);
     }
@@ -2251,12 +2414,12 @@ mod tests {
             let receipt = service.ingest(&batch).unwrap();
             assert_eq!(receipt.epoch, SnapshotEpoch(i as u64 + 1));
         }
-        let stats = service.stats();
+        let stats = service.service_stats();
         assert_eq!(stats.epoch, 3);
         assert_eq!(stats.epoch_swaps, 3);
         assert_eq!(stats.rows_ingested, 3);
         // All three rows are visible to the served snapshot.
-        let snap_now = service.snapshot();
+        let snap_now = service.snapshot().unwrap();
         for i in 0..3 {
             assert!(snap_now.db.table(actor).by_pk(base_pk + i).is_some());
         }

@@ -8,11 +8,11 @@
 use keybridge::core::{
     execute_interpretation, render_natural, render_sql, DiversifyOptions, DurableOptions,
     Interpreter, InterpreterConfig, KeywordQuery, Reply, Request, SearchService, SearchSnapshot,
-    ServeRequests, ServiceBuilder, SessionConfig, TemplateCatalog,
+    ServeRequests, SessionConfig, TemplateCatalog,
 };
 use keybridge::datagen::{ImdbConfig, ImdbDataset};
 use keybridge::index::InvertedIndex;
-use keybridge::relstore::{ExecOptions, Value};
+use keybridge::relstore::{assign_shards, ExecOptions, Value};
 use std::sync::Arc;
 
 fn main() {
@@ -130,7 +130,7 @@ fn main() {
             reply.epoch
         );
     }
-    let stats = service.stats();
+    let stats = service.service_stats();
     println!(
         "service stats: {} served; shared caches hold {} verdicts, {} predicates, \
          {} results ({} cross-query hits)",
@@ -146,7 +146,7 @@ fn main() {
     //    the inverted index incrementally, and published as the next epoch —
     //    readers never block, and post-update answers are byte-identical to
     //    a from-scratch rebuild over the grown database.
-    let snap = service.snapshot();
+    let snap = service.snapshot().expect("one store");
     let actor = snap.db.schema().table_id("actor").expect("imdb schema");
     let movie = snap.db.schema().table_id("movie").expect("imdb schema");
     let acts = snap.db.schema().table_id("acts").expect("imdb schema");
@@ -194,7 +194,7 @@ fn main() {
     //    session registry runs incremental query construction server-side —
     //    each session pinned to the epoch it was opened on, so a user's
     //    window never shifts under them while ingests land.
-    let snap = service.snapshot();
+    let snap = service.snapshot().expect("one store");
     let query = KeywordQuery::from_terms(vec!["hanks".into(), "terminal".into()]);
     let diversified = Request::Diversified {
         query: query.clone(),
@@ -266,7 +266,7 @@ fn main() {
         max_templates: 100_000,
         ..DurableOptions::default()
     };
-    let durable = SearchService::start_durable(service.snapshot(), 2, &dir, &opts)
+    let durable = SearchService::start_durable(Arc::clone(&snap), 2, &dir, &opts)
         .expect("fresh store directory");
     drop(service);
     let batch: keybridge::relstore::RowBatch = vec![(
@@ -297,26 +297,23 @@ fn main() {
         "\nrecovered store at epoch {} ({} batch replayed from the WAL); \
          pre-crash and post-recovery \"tom\" answers identical: {identical}",
         after.epoch,
-        recovered.stats().recovery_replayed_batches,
+        recovered.service_stats().recovery_replayed_batches,
     );
     drop(recovered);
     let _ = std::fs::remove_dir_all(&dir);
 
-    // 9. Scale out: `ServiceBuilder` serves the same Request/Reply surface
-    //    from a sharded scatter-gather deployment. Rows are partitioned
-    //    into FK-closed shards — every foreign key stays inside its shard —
-    //    each with its own epoch chain and cache generations. The worker
-    //    serving a query scatters each execution over the shards and
-    //    merges the per-shard answer streams; the merged reply is
-    //    byte-identical to the single-shard service over the same data.
-    //    Ingested batches route to the shards that own them, so an insert
-    //    bumps only the touched shards' epochs and leaves every other
-    //    shard's rows untouched.
-    let sharded = ServiceBuilder::new()
-        .workers(2)
-        .shards(4)
-        .start(Arc::clone(&snap))
-        .expect("an in-memory sharded service always starts");
+    // 9. Scale out: the same SearchService serves a K-shard partition of
+    //    the rows (`ServiceBuilder::new().shards(4)` does the same). Rows
+    //    are partitioned into FK-closed shards — every foreign key stays
+    //    inside its shard — each with its own epoch chain. The worker
+    //    serving a query scatters each execution over the shards and merges
+    //    the per-shard answer streams; the merged reply is byte-identical to
+    //    one store over the same data. Ingested batches route to the shards
+    //    that own them, so an insert bumps only the touched shards' epochs
+    //    and leaves every other shard's rows untouched. Every request mode
+    //    is served, construction sessions included.
+    let sharded =
+        SearchService::start_with_assignment(Arc::clone(&snap), assign_shards(&snap.db, 4), 2);
     let q = KeywordQuery::from_terms(vec!["hanks".into(), "terminal".into()]);
     let reply = sharded.search(&q, 3);
     println!(
@@ -341,4 +338,22 @@ fn main() {
         stats.shards_touched,
         reply.shard_epochs.len(),
     );
+    let view = sharded.open_session(&q, 10, SessionConfig::default());
+    let option = view
+        .next_option
+        .clone()
+        .expect("an ambiguous query has options");
+    let view = sharded
+        .advance_session(view.id, &option, true)
+        .expect("session open");
+    let answers = sharded.session_answers(view.id, 3).expect("session open");
+    println!(
+        "sharded construction session: accepted {}, {} candidates left, \
+         {} answer non-empty across the shards (epoch {})",
+        option.describe(&snap.db, &snap.catalog),
+        view.remaining,
+        answers.answers.len(),
+        answers.epoch
+    );
+    sharded.close_session(view.id);
 }

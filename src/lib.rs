@@ -118,19 +118,21 @@
 //!
 //! ## Sharded scatter-gather serving
 //!
-//! The same request surface scales out horizontally.
-//! [`core::ServiceBuilder`] with `.shards(k)` partitions the rows into k
-//! FK-closed shards ([`relstore::assign_shards`]) and starts a
-//! [`core::ShardedService`]: per-shard rows and epoch chains under one
+//! The same service scales out horizontally.
+//! [`core::SearchService::start_with_assignment`] (or
+//! [`core::ServiceBuilder`] with `.shards(k)`) partitions the rows into k
+//! FK-closed shards ([`relstore::assign_shards`]) and serves them from one
+//! [`core::SearchService`]: per-shard rows and epoch chains under one
 //! inverted index and one cache generation, behind one worker pool whose
 //! worker scatters each execution over the shards, merges the per-shard
-//! streams, and replies **byte-identically** to the single-shard service
-//! (the `sharded_identical_*` histories in `tests/serving` prove this on
-//! every fixture under concurrent mixed-mode load). Ingested batches route
-//! to their owning shards and advance only those shards' epochs; replies
-//! carry the per-shard epoch vector. Both deployments implement the
-//! [`core::ServeRequests`] trait — one typed [`core::Request`] enum in,
-//! one [`core::Reply`] ticket out — so callers are deployment-agnostic;
+//! streams, and replies **byte-identically** to one store (the
+//! `sharded_identical_*` histories in `tests/serving` prove this on every
+//! fixture under concurrent mixed-mode load). Every request mode is served,
+//! construction sessions included. Ingested batches route to their owning
+//! shards and advance only those shards' epochs; replies carry the
+//! per-shard epoch vector. Every deployment implements the
+//! [`core::ServeRequests`] trait — one typed [`core::Request`] enum in, one
+//! [`core::Reply`] ticket out — so callers are deployment-agnostic;
 //! `examples/quickstart.rs` §9 walks the sharded end-to-end.
 
 pub use keybridge_core as core;

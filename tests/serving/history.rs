@@ -16,10 +16,9 @@
 use keybridge::core::{
     scan_wal, AnswerStats, BindingAtom, ConstructionOption, ConstructionSession, DiversifyConfig,
     DiversifyOptions, DurabilityError, DurableOptions, ExecutedResult, FaultPoint, IngestError,
-    IngestReceipt, InterpreterConfig, KeywordQuery, KeywordService, RankedAnswer, Reply, Request,
-    ResultKey, SearchService, SearchSnapshot, ServeRequests, ServiceError, ServiceStats,
-    SessionConfig, SessionId, SessionView, ShardedService, SnapshotEpoch, TemplateCatalog,
-    TimedReply,
+    IngestReceipt, InterpreterConfig, KeywordQuery, RankedAnswer, Reply, Request, ResultKey,
+    SearchService, SearchSnapshot, ServeRequests, ServiceError, ServiceStats, SessionConfig,
+    SessionId, SessionView, SnapshotEpoch, TemplateCatalog, TimedReply,
 };
 use keybridge::datagen::{
     sharded_holdout_plan, FreebaseConfig, FreebaseDataset, ImdbConfig, ImdbDataset, IngestConfig,
@@ -376,8 +375,7 @@ pub fn generate(seed: u64, target: Target, fx: &'static Fixture) -> History {
             }
             let q = picks.next().expect("one pick per query");
             let (k, small) = ([1, 5, 10][rng.gen_range(0..3usize)], rng.gen_bool(0.5));
-            let arms = if target == Target::Sharded { 6 } else { 9 };
-            h.ops.push(match rng.gen_range(0..arms) {
+            h.ops.push(match rng.gen_range(0..9) {
                 0 | 1 => Op::Answers(q, k),
                 2 => Op::Interpretations(q, k),
                 3 => Op::Diversified(q, small),
@@ -455,7 +453,7 @@ fn entry(op: usize, epoch: u64, reply: String) -> Entry {
 pub struct Run {
     pub entries: Vec<Entry>,
     pub stats: ServiceStats,
-    pub service: KeywordService,
+    pub service: SearchService,
     dir: Option<PathBuf>,
 }
 
@@ -487,7 +485,7 @@ fn query(case: &Case, q: usize) -> KeywordQuery {
     KeywordQuery::from_terms(case.fx.queries[q].clone())
 }
 
-fn ingest(case: &Case, svc: &KeywordService, b: usize) -> String {
+fn ingest(case: &Case, svc: &SearchService, b: usize) -> String {
     format!("{:?}", svc.ingest_batch(&case.plan.batches[b]))
 }
 
@@ -510,7 +508,7 @@ fn request(case: &Case, op: Op) -> Request {
 }
 
 /// A read or session op, from any client.
-fn client(case: &Case, svc: &KeywordService, i: usize, op: Op, slots: &mut Slots) -> Entry {
+fn client(case: &Case, svc: &SearchService, i: usize, op: Op, slots: &mut Slots) -> Entry {
     let mut e = entry(i, svc.serving_epoch().0, String::new());
     if op.read().is_some() {
         let (epoch, shards, stats, reply) = match svc.submit_request(request(case, op)).wait() {
@@ -538,9 +536,6 @@ fn client(case: &Case, svc: &KeywordService, i: usize, op: Op, slots: &mut Slots
         e.shards = shards.iter().map(|s| s.0).collect();
         return e;
     }
-    let s = svc
-        .as_single()
-        .expect("sessions are served by the single service");
     let slot = op.slot().expect("a client op is a read or a session op");
     let view = |slots: &mut Slots, v: SessionView| {
         slots.insert(slot, (v.id, v.epoch.0, v.next_option.clone()));
@@ -553,37 +548,33 @@ fn client(case: &Case, svc: &KeywordService, i: usize, op: Op, slots: &mut Slots
     (e.epoch, e.reply) = match op {
         Op::Open(_, q) => view(
             slots,
-            s.open_session(&query(case, q), WINDOW, SessionConfig::default()),
+            svc.open_session(&query(case, q), WINDOW, SessionConfig::default()),
         ),
         Op::Advance(_, accept) => match slots[&slot].clone() {
             (_, pinned, None) => (pinned, "no option".into()),
-            (id, _, Some(o)) => view(slots, s.advance_session(id, &o, accept).expect("open")),
+            (id, _, Some(o)) => view(slots, svc.advance_session(id, &o, accept).expect("open")),
         },
         Op::Window(_) => {
-            let w = s.session_answers(slots[&slot].0, WLIMIT).expect("open");
+            let w = svc.session_answers(slots[&slot].0, WLIMIT).expect("open");
             (w.epoch.0, canon_window(&w.answers))
         }
         _ => {
             let (id, pinned, _) = slots.remove(&slot).expect("open");
-            (pinned, format!("closed={}", s.close_session(id)))
+            (pinned, format!("closed={}", svc.close_session(id)))
         }
     };
     e
 }
 
 /// A barrier op's reply; `Reopen` replaces the service.
-fn barrier(case: &Case, svc: &mut Option<KeywordService>, dir: &Option<PathBuf>, op: Op) -> String {
+fn barrier(case: &Case, svc: &mut Option<SearchService>, dir: &Option<PathBuf>, op: Op) -> String {
     let live = svc.as_ref().expect("a live service");
-    let single = || {
-        live.as_single()
-            .expect("a durable op needs the durable service")
-    };
-    let checkpoint = || format!("{:?}", single().checkpoint().map(|r| r.epoch));
+    let checkpoint = || format!("{:?}", live.checkpoint().map(|r| r.epoch));
     match op {
         Op::Settle => String::new(),
         Op::Checkpoint => checkpoint(),
         Op::Crash(at, batch) => {
-            single().fault_plan().expect("durable service").arm(at);
+            live.fault_plan().expect("durable service").arm(at);
             let fault = if is_wal(at) {
                 ingest(case, live, batch)
             } else {
@@ -596,8 +587,9 @@ fn barrier(case: &Case, svc: &mut Option<KeywordService>, dir: &Option<PathBuf>,
             let dir = dir.as_ref().expect("a durable target has a store");
             let torn = scan_wal(dir).unwrap().torn_bytes > 0;
             let s = SearchService::open(dir, WORKERS, &case.fx.durable_opts()).unwrap();
-            let (snap, replayed) = (s.snapshot(), s.stats().recovery_replayed_batches);
-            *svc = Some(KeywordService::Single(s));
+            let snap = s.snapshot().expect("a durable service serves one store");
+            let replayed = s.service_stats().recovery_replayed_batches;
+            *svc = Some(s);
             canon_recovered(replayed, torn, &snap)
         }
     }
@@ -613,15 +605,13 @@ pub fn execute(case: &Case, h: &History, target: Target, mode: Mode) -> Run {
     let snap = Oracle::new(case).snap(0);
     let dir = (target == Target::Durable).then(|| test_dir(&format!("{}-{}", h.name, h.seed)));
     let mut svc = Some(match (target, &dir) {
-        (Target::Sharded, _) => KeywordService::Sharded(ShardedService::start_with_assignment(
-            snap,
-            case.assignment.clone(),
-            WORKERS,
-        )),
-        (_, Some(dir)) => KeywordService::Single(
-            SearchService::start_durable(snap, WORKERS, dir, &case.fx.durable_opts()).unwrap(),
-        ),
-        _ => KeywordService::Single(SearchService::start(snap, WORKERS)),
+        (Target::Sharded, _) => {
+            SearchService::start_with_assignment(snap, case.assignment.clone(), WORKERS)
+        }
+        (_, Some(dir)) => {
+            SearchService::start_durable(snap, WORKERS, dir, &case.fx.durable_opts()).unwrap()
+        }
+        _ => SearchService::start(snap, WORKERS),
     });
     let clients = match mode {
         Mode::Sequential => 1,
@@ -706,7 +696,7 @@ impl Drop for Abort<'_> {
 /// requests are in flight across each swap.
 fn race(
     case: &Case,
-    svc: &KeywordService,
+    svc: &SearchService,
     h: &History,
     range: std::ops::Range<usize>,
     slots: &mut [Slots],
@@ -944,7 +934,9 @@ pub fn check(case: &Case, h: &History, target: Target, mode: Mode, entries: &[En
         if op.pins_current() {
             seen.insert(e.epoch);
         }
-        if target == Target::Sharded && op.pins_current() {
+        // Only read replies carry the shard-epoch vector; session views
+        // report their pinned epoch alone.
+        if target == Target::Sharded && op.pins_current() && op.read().is_some() {
             let vector = oracle.shard_epochs(e.epoch);
             if e.shards != vector {
                 fail(i, format!("shard epochs {:?}, want {vector:?}", e.shards));

@@ -13,13 +13,14 @@ mod history;
 use history::*;
 use keybridge::core::{
     scan_wal, DiversifyOptions, DurableOptions, FaultPoint, IngestError, InterpreterConfig,
-    KeywordQuery, KeywordService, Reply, Request, SearchService, SearchSnapshot, ServeRequests,
-    ServiceBuilder, ServiceError, ServiceStats, ShardedService, TemplateCatalog, SNAPSHOT_FILE,
-    WAL_FILE,
+    KeywordQuery, Reply, Request, SearchService, SearchSnapshot, ServeRequests, ServiceBuilder,
+    ServiceError, ServiceStats, SnapshotEpoch, TemplateCatalog, SNAPSHOT_FILE, WAL_FILE,
 };
 use keybridge::datagen::{sharded_holdout_plan, ImdbConfig, ImdbDataset, IngestConfig};
 use keybridge::index::InvertedIndex;
-use keybridge::relstore::{BatchError, Database, RowBatch, SchemaBuilder, TableKind, Value};
+use keybridge::relstore::{
+    assign_shards, BatchError, Database, RowBatch, SchemaBuilder, TableKind, Value,
+};
 use std::sync::Arc;
 
 /// One `#[test]` per fixture, each running `$body` on it.
@@ -146,7 +147,7 @@ fn differential_three_schedules(fx: &'static Fixture) {
         assert!(plan.total_rows() > 0, "holdout produced no inserts");
         assert_eq!(run.stats.epoch_swaps, batches);
         assert_eq!(run.stats.rows_ingested, plan.total_rows());
-        let restored = run.service.as_single().unwrap().snapshot().db.total_rows();
+        let restored = run.service.snapshot().unwrap().db.total_rows();
         assert_eq!(
             restored,
             fx.db.total_rows(),
@@ -400,7 +401,9 @@ fn one_shard_equals_the_single_service() {
     let snap = SearchSnapshot::build(fx.db.clone(), InterpreterConfig::default(), 4, 50_000);
     let snap = Arc::new(snap.unwrap());
     let single = transcript(&SearchService::start(Arc::clone(&snap), 2), &fx.queries);
-    let sharded = transcript(&ShardedService::start(snap, 1, 2), &fx.queries);
+    let one_shard = assign_shards(&snap.db, 1);
+    let sharded = SearchService::start_with_assignment(snap, one_shard, 2);
+    let sharded = transcript(&sharded, &fx.queries);
     assert!(single.iter().any(|line| line.contains("jtt")), "no answers");
     assert_eq!(single, sharded);
 }
@@ -459,7 +462,7 @@ fn ingest_bumps_only_touched_shard_epochs() {
         )
         .unwrap(),
     );
-    let service = ShardedService::start_with_assignment(snap, sharded_plan.assignment.clone(), 2);
+    let service = SearchService::start_with_assignment(snap, sharded_plan.assignment.clone(), 2);
 
     let mut expected_swaps = 0usize;
     let mut touched_union = std::collections::BTreeSet::new();
@@ -541,7 +544,7 @@ fn ingest_routes_children_to_their_parents_or_refuses() {
     };
     let snap =
         Arc::new(SearchSnapshot::build(data.db, InterpreterConfig::default(), 4, 50_000).unwrap());
-    let service = ShardedService::start_with_assignment(snap, assignment, 1);
+    let service = SearchService::start_with_assignment(snap, assignment, 1);
 
     // acts -> movie -> company, each parent *after* its child in the batch.
     let chain: RowBatch = vec![
@@ -683,9 +686,12 @@ fn rejections_are_identical_across_topologies() {
             .unwrap()
     };
     let (single, many) = (start(1), start(SHARDS));
-    let KeywordService::Sharded(sharded) = &many else {
-        panic!("{SHARDS} shards start a sharded service")
+    // Every read reply carries the per-shard epoch vector it was served at.
+    let shard_epochs = |s: &dyn ServeRequests| -> Vec<SnapshotEpoch> {
+        s.search(&KeywordQuery::from_terms(vec!["face".into()]), 1)
+            .shard_epochs
     };
+    assert_eq!(shard_epochs(&many).len(), SHARDS, "shards() partitions");
 
     let good_actor = |pk: i64| (actor, vec![Value::Int(pk), Value::text("fresh face")]);
     let bad: Vec<(&str, RowBatch)> = vec![
@@ -737,14 +743,14 @@ fn rejections_are_identical_across_topologies() {
         )
     };
     let (single_before, many_before) = (counters(&single), counters(&many));
-    let shard_epochs_before = sharded.shard_epochs();
+    let shard_epochs_before = shard_epochs(&many);
     for (what, batch) in &bad {
         let a = rejection(single.ingest_batch(batch));
         let b = rejection(many.ingest_batch(batch));
         assert_eq!(a, b, "{what}: topologies disagree on the rejection");
         assert_eq!(counters(&single), single_before, "{what}: single moved");
         assert_eq!(counters(&many), many_before, "{what}: sharded moved");
-        assert_eq!(sharded.shard_epochs(), shard_epochs_before, "{what}");
+        assert_eq!(shard_epochs(&many), shard_epochs_before, "{what}");
     }
     // The last case pins the *second* row: order of discovery is shared too.
     assert!(matches!(
@@ -761,7 +767,7 @@ fn rejections_are_identical_across_topologies() {
         assert_eq!((stats.epoch_swaps, stats.rows_ingested), (1, 1));
     }
     assert_eq!(many.service_stats().shard_epoch_swaps, 1);
-    assert_eq!(sharded.shard_epochs().iter().map(|e| e.0).sum::<u64>(), 1);
+    assert_eq!(shard_epochs(&many).iter().map(|e| e.0).sum::<u64>(), 1);
 }
 
 /// End-to-end torn-tail coverage: take a store whose log holds two records,
@@ -846,16 +852,16 @@ fn torn_wal_tail_at_every_byte_recovers_prefix() {
 
         let recovered = SearchService::open(&case, 1, &opts).unwrap();
         assert_eq!(
-            recovered.current_epoch().0 as usize,
+            recovered.serving_epoch().0 as usize,
             expected_batches,
             "cut at byte {cut}"
         );
         assert_eq!(
-            recovered.stats().recovery_replayed_batches,
+            recovered.service_stats().recovery_replayed_batches,
             expected_batches,
             "cut at byte {cut}"
         );
-        let snap = recovered.snapshot();
+        let snap = recovered.snapshot().unwrap();
         assert_eq!(
             snap.db.snapshot_bytes().unwrap(),
             oracle[expected_batches].db.snapshot_bytes().unwrap(),
