@@ -61,7 +61,8 @@ pub struct GenerationStats {
     /// minimality infeasibility — and still cut when the pull returned (a
     /// larger pull lowers the bound and may admit some after all).
     pub pruned: usize,
-    /// Non-emptiness probes issued against the index.
+    /// Non-emptiness probes issued against the index: value groups counted
+    /// by a postings walk (or, for one keyword, read off its entry).
     pub nonempty_probes: usize,
     /// Probes answered by the memo cache.
     pub nonempty_cache_hits: usize,
@@ -99,22 +100,26 @@ pub struct ScoredInterpretation {
     pub probability: f64,
 }
 
-/// The generator's memoized non-emptiness probes, keyed by keyword
-/// occurrence bitmask and attribute, extracted so it can persist across
-/// repeated `top_k` calls for the *same* keyword query (occurrence masks are
-/// positional — the cache remembers its term sequence and self-clears when
-/// handed a different query, so stale verdicts can never leak).
-/// [`Interpreter::answers_top_k`] hands one cache to every pull of its
-/// generation session.
+/// The generator's memoized value-group counts, keyed by keyword occurrence
+/// bitmask and attribute: a group's joint occurrence count in the attribute
+/// (rows holding every keyword of the bag, each contributing its smallest
+/// term frequency). One count answers both questions the search asks of a
+/// group — non-emptiness is `count > 0`, and under joint ATF the group's
+/// score is `(count + α) / denom` — so a group is walked once. Extracted so
+/// it can persist across repeated `top_k` calls for the *same* keyword query
+/// (occurrence masks are positional — the cache remembers its term sequence
+/// and self-clears when handed a different query, so stale counts can never
+/// leak). [`Interpreter::answers_top_k`] hands one cache to every pull of
+/// its generation session.
 ///
 /// A cache can additionally be backed by a [`SharedNonemptyCache`], whose
-/// verdicts are keyed by the *sorted keyword bag* instead of the positional
+/// counts are keyed by the *sorted keyword bag* instead of the positional
 /// mask and therefore survive across queries (and threads): local misses
-/// consult the shared map before probing the index, and fresh verdicts are
+/// consult the shared map before walking the index, and fresh counts are
 /// published back.
 #[derive(Debug, Default)]
 pub struct NonemptyCache {
-    map: HashMap<(u64, AttrRef), bool>,
+    map: HashMap<(u64, AttrRef), u64>,
     terms: Vec<String>,
     shared: Option<Arc<SharedNonemptyCache>>,
 }
@@ -132,7 +137,7 @@ impl NonemptyCache {
         }
     }
 
-    /// Number of memoized probes.
+    /// Number of memoized group counts.
     pub fn len(&self) -> usize {
         self.map.len()
     }
@@ -142,25 +147,27 @@ impl NonemptyCache {
     }
 }
 
-/// Process-wide non-emptiness verdicts shared by every worker of a
+/// Process-wide value-group counts shared by every worker of a
 /// [`crate::SearchService`]: a lock-striped map of `(sorted keyword bag,
-/// attribute) → bool`. Verdicts are pure facts about the indexed database,
-/// so concurrent readers never observe anything stale; striping keeps
+/// attribute) → joint occurrence count` (see [`NonemptyCache`]; `0` is the
+/// empty verdict). Counts are pure facts about the indexed database, so
+/// concurrent readers never observe anything stale, and a group costs one
+/// postings walk per epoch however many queries meet it; striping keeps
 /// writer contention away from the read-mostly fast path. Valid only for
 /// the index it was populated against.
 #[derive(Debug)]
 pub struct SharedNonemptyCache {
     /// Keyed by *sorted* keyword bag + attribute.
-    verdicts: StripedMap<(Vec<String>, AttrRef), bool>,
+    counts: StripedMap<(Vec<String>, AttrRef), u64>,
 }
 
-/// Per-stripe admission cap of the shared verdict map (see [`StripedMap`]).
-const VERDICT_STRIPE_CAP: usize = 65_536;
+/// Per-stripe admission cap of the shared count map (see [`StripedMap`]).
+const COUNT_STRIPE_CAP: usize = 65_536;
 
 impl Default for SharedNonemptyCache {
     fn default() -> Self {
         SharedNonemptyCache {
-            verdicts: StripedMap::new(VERDICT_STRIPE_CAP),
+            counts: StripedMap::new(COUNT_STRIPE_CAP),
         }
     }
 }
@@ -170,9 +177,9 @@ impl SharedNonemptyCache {
         Self::default()
     }
 
-    /// Verdicts currently shared.
+    /// Group counts currently shared.
     pub fn len(&self) -> usize {
-        self.verdicts.len()
+        self.counts.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -181,7 +188,7 @@ impl SharedNonemptyCache {
 
     /// Cross-query hits served so far.
     pub fn hits(&self) -> usize {
-        self.verdicts.hits()
+        self.counts.hits()
     }
 }
 
@@ -508,9 +515,16 @@ impl<'a> Interpreter<'a> {
     /// returned list (the exhaustive paths normalize over the whole
     /// candidate space, which `top_k` never materializes).
     ///
-    /// Unlike `ranked_with_partials`, there is no query-length ceiling: the
-    /// partials lattice is folded into the search as an extra "unmapped
-    /// (charged `P_u`)" branch per keyword, not a `2^n` subset sweep.
+    /// Query length is bounded in two places. `ranked_with_partials` falls
+    /// back to complete-only ranking past 12 keywords; the search instead
+    /// folds the partials lattice in as an extra "unmapped (charged `P_u`)"
+    /// branch per keyword, not a `2^n` subset sweep, so it keeps partials up
+    /// to 63 keywords, the width of its occurrence masks. A longer query is
+    /// ranked by [`Self::ranked_interpretations`]: complete interpretations
+    /// only, so partials are dropped without notice, and its work is
+    /// unbounded. Below 63 the search's work also grows steeply with
+    /// length (seconds per query at a few dozen distinct keywords). Nothing
+    /// refuses a long query yet.
     pub fn top_k(&self, query: &KeywordQuery, k: usize) -> Vec<ScoredInterpretation> {
         self.top_k_with_stats(query, k, true).0
     }
@@ -576,7 +590,8 @@ impl<'a> Interpreter<'a> {
     ) -> BestFirstSearch<'q, 'a> {
         let terms = query.terms();
         // Occurrence bitmasks are u64; queries longer than 63 keywords are
-        // beyond any workload in the paper and take the exhaustive pipeline.
+        // beyond any workload in the paper and take the exhaustive pipeline,
+        // complete interpretations only (see `top_k`).
         let exhaustive = (terms.len() > 63).then(|| self.ranked_interpretations(query));
         let by_term = if exhaustive.is_some() {
             HashMap::new()
@@ -778,6 +793,50 @@ fn localize_candidates(
     targets
 }
 
+/// Whether every template leaf can be bound by an occurrence of its own:
+/// a matching of leaves to distinct occurrences, `reach[l]` holding the
+/// occurrences that can bind leaf `l` (bit per occurrence, so at most 63).
+/// Minimality (Def. 3.5.4(2)) needs a binding on every leaf and one
+/// occurrence binds one node, so a template without such a matching emits
+/// no interpretation, complete or partial. Augmenting paths (Kuhn); more
+/// leaves than reaching occurrences fails at once.
+fn leaves_coverable(reach: &[u64]) -> bool {
+    let reaching = reach.iter().fold(0u64, |m, r| m | r);
+    if reach.len() > reaching.count_ones() as usize {
+        return false;
+    }
+    /// Find `leaf` an occurrence, displacing earlier leaves along an
+    /// augmenting path; `seen` marks the occurrences this search visited.
+    fn augment(leaf: usize, reach: &[u64], owner: &mut [usize; 64], seen: &mut u64) -> bool {
+        loop {
+            let free = reach[leaf] & !*seen;
+            if free == 0 {
+                return false;
+            }
+            let i = free.trailing_zeros() as usize;
+            *seen |= 1 << i;
+            if owner[i] == usize::MAX || augment(owner[i], reach, owner, seen) {
+                owner[i] = leaf;
+                return true;
+            }
+        }
+    }
+    // The leaf each occurrence is matched to.
+    let mut owner = [usize::MAX; 64];
+    (0..reach.len()).all(|leaf| augment(leaf, reach, &mut owner, &mut 0))
+}
+
+/// The joint occurrence count of `bag` in `attr` ([`NonemptyCache`]): what
+/// [`InvertedIndex::joint_occurrences`] counts, `0` when some keyword does
+/// not occur there. One keyword's count is its postings entry's occurrence
+/// total, which needs no walk.
+fn joint_count(index: &InvertedIndex, bag: &[String], attr: AttrRef) -> u64 {
+    match bag {
+        [term] => index.postings(term, attr).map_or(0, |e| e.occurrences),
+        _ => index.joint_occurrences(bag, attr).unwrap_or(0),
+    }
+}
+
 /// Float-tolerance margin absorbing associativity drift between the
 /// incrementally maintained prefix score and the exact score of an emitted
 /// interpretation.
@@ -943,8 +1002,8 @@ pub(crate) struct BestFirstSearch<'q, 'a> {
 impl BestFirstSearch<'_, '_> {
     /// The best `k` interpretations found by searching until the `k`-th
     /// best is proven, with the work this pull added (see
-    /// [`GenerationStats::absorb`]). Non-emptiness verdicts are read from
-    /// and written to `cache`, which resets itself when it last served a
+    /// [`GenerationStats::absorb`]). Value-group counts are read from and
+    /// written to `cache`, which resets itself when it last served a
     /// different keyword sequence.
     pub(crate) fn pull(
         &mut self,
@@ -1038,33 +1097,34 @@ impl BestFirstSearch<'_, '_> {
         }
     }
 
-    /// Push one root state per template that can interpret the query.
+    /// Push one root state per template that can interpret the query: its
+    /// leaves can be bound by distinct occurrences ([`leaves_coverable`])
+    /// and every occurrence has a route (a binding target, or the unmapped
+    /// branch when partials are on).
     fn seed_roots(&mut self) {
         let n = self.terms.len();
-        let partials = self.scorer.allows_unmapped();
         let interpreter = self.interpreter;
+        let reach: Vec<u64> = (0..interpreter.db.schema().table_count())
+            .map(|t| self.scorer.reach(TableId(t as u32)))
+            .collect();
+        let mut leaf_reach = Vec::new();
         let mut bounds = vec![0.0; n];
         for tpl in interpreter.catalog.iter() {
-            // More leaves than keywords can never satisfy minimality
-            // (every leaf needs a binding; each keyword binds one node).
-            if tpl.leaves().len() > n {
+            leaf_reach.clear();
+            leaf_reach.extend(
+                tpl.leaves()
+                    .iter()
+                    .map(|&leaf| reach[tpl.tree.nodes[leaf].0 as usize]),
+            );
+            if !leaves_coverable(&leaf_reach) {
                 continue;
             }
             let mut bound_sum = 0.0;
-            let mut targetable = 0usize;
             for (i, bound) in bounds.iter_mut().enumerate() {
                 *bound = self.scorer.term_bound(tpl, i);
                 bound_sum += *bound;
-                if self.scorer.has_target_in(tpl, i) {
-                    targetable += 1;
-                }
             }
-            // A template is viable when every occurrence has a route and at
-            // least one can actually bind (all-unmapped emits nothing).
-            if !bound_sum.is_finite() || targetable == 0 {
-                continue;
-            }
-            if !partials && targetable < n {
+            if !bound_sum.is_finite() {
                 continue;
             }
             let mut suffix = vec![0.0; n + 1];
@@ -1170,7 +1230,8 @@ impl BestFirstSearch<'_, '_> {
                     // Prune empty value groups: every extension keeps the
                     // group, so no descendant can satisfy the non-emptiness
                     // condition.
-                    if !self.group_nonempty(new_mask, aref, cache) {
+                    let count = self.group_count(new_mask, aref, cache);
+                    if count == 0 {
                         continue;
                     }
                     let old_ln = if old_mask == 0 {
@@ -1178,7 +1239,7 @@ impl BestFirstSearch<'_, '_> {
                     } else {
                         self.scorer.value_group_ln(old_mask, aref)
                     };
-                    self.scorer.value_group_ln(new_mask, aref) - old_ln
+                    self.scorer.form_group(new_mask, aref, count) - old_ln
                 }
                 BindingTarget::TableName { .. } | BindingTarget::AttrName { .. } => {
                     self.scorer.name_ln()
@@ -1215,14 +1276,15 @@ impl BestFirstSearch<'_, '_> {
         }
     }
 
-    /// Memoized non-emptiness of a value group (keyword bag ⊂ attr), the
-    /// bag encoded as its occurrence bitmask (fixed per query), so cache
-    /// hits are allocation-free; duplicate keywords at different positions
-    /// probe the index once each, which is the only sharing the mask
-    /// encoding gives up. Misses consult the cross-query shared cache
-    /// (bag-keyed) before probing the index; fresh verdicts are published
-    /// back so every other query — on any thread — skips the probe.
-    fn group_nonempty(&mut self, mask: u64, aref: AttrRef, cache: &mut NonemptyCache) -> bool {
+    /// Memoized joint occurrence count of a value group (keyword bag ⊂
+    /// attr; see [`NonemptyCache`]), the bag encoded as its occurrence
+    /// bitmask (fixed per query), so cache hits are allocation-free;
+    /// duplicate keywords at different positions count once each, which is
+    /// the only sharing the mask encoding gives up. Misses consult the
+    /// cross-query shared cache (bag-keyed) before walking the index; fresh
+    /// counts are published back so every other query — on any thread —
+    /// skips the walk.
+    fn group_count(&mut self, mask: u64, aref: AttrRef, cache: &mut NonemptyCache) -> u64 {
         if let Some(&hit) = cache.map.get(&(mask, aref)) {
             self.stats.nonempty_cache_hits += 1;
             return hit;
@@ -1230,29 +1292,29 @@ impl BestFirstSearch<'_, '_> {
         // Sorted, which is how the shared tier keys a bag.
         let bag = self.scorer.bag(mask);
         let index = self.interpreter.index;
-        let ok = match &cache.shared {
+        let count = match &cache.shared {
             Some(shared) => {
                 let key = (bag, aref);
-                match shared.verdicts.get(&key, |_| true) {
-                    Some(ok) => {
+                match shared.counts.get(&key, |_| true) {
+                    Some(count) => {
                         self.stats.nonempty_shared_hits += 1;
-                        ok
+                        count
                     }
                     None => {
                         self.stats.nonempty_probes += 1;
-                        let ok = index.has_row_with_all(&key.0, aref);
-                        shared.verdicts.insert(key, ok);
-                        ok
+                        let count = joint_count(index, &key.0, aref);
+                        shared.counts.insert(key, count);
+                        count
                     }
                 }
             }
             None => {
                 self.stats.nonempty_probes += 1;
-                index.has_row_with_all(&bag, aref)
+                joint_count(index, &bag, aref)
             }
         };
-        cache.map.insert((mask, aref), ok);
-        ok
+        cache.map.insert((mask, aref), count);
+        count
     }
 
     /// Turn a fully assigned state into a `QueryInterpretation`, apply the
@@ -1361,6 +1423,9 @@ mod tests {
     use super::*;
     use keybridge_datagen::{ImdbConfig, ImdbDataset};
     use keybridge_index::Tokenizer;
+    use keybridge_relstore::{SchemaBuilder, TableKind, Value};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     struct Fixture {
         data: ImdbDataset,
@@ -1763,6 +1828,200 @@ mod tests {
             assert_eq!(a.interpretation, b.interpretation);
             assert!((a.log_score - b.log_score).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn leaves_coverable_is_a_matching() {
+        // An augmenting path: leaf 0 first takes occurrence 0, then moves
+        // to occurrence 1 so leaf 1 can have 0.
+        assert!(leaves_coverable(&[0b11, 0b01]));
+        assert!(leaves_coverable(&[0b111, 0b011, 0b011]));
+        // More leaves than reaching occurrences fails at once ...
+        assert!(!leaves_coverable(&[0b11, 0b11, 0b11]));
+        // ... and a Hall violation inside a large enough union fails too.
+        assert!(!leaves_coverable(&[0b001, 0b001, 0b110]));
+        assert!(!leaves_coverable(&[0b1, 0]));
+    }
+
+    /// The three-table schema of `tests/properties.rs`: random row counts,
+    /// names and titles over a seven-word vocabulary (heavy sharing between
+    /// the two, which is what makes interpretations ambiguous), and a
+    /// random, possibly empty, relation between them.
+    fn random_db(rng: &mut StdRng) -> Database {
+        let mut b = SchemaBuilder::new();
+        b.table("actor", TableKind::Entity)
+            .pk("id")
+            .text_attr("name");
+        b.table("movie", TableKind::Entity)
+            .pk("id")
+            .text_attr("title");
+        b.table("acts", TableKind::Relation)
+            .pk("id")
+            .int_attr("actor_id")
+            .int_attr("movie_id");
+        b.foreign_key("acts", "actor_id", "actor").unwrap();
+        b.foreign_key("acts", "movie_id", "movie").unwrap();
+        let mut db = Database::new(b.finish().unwrap());
+        let [actor, movie, acts] =
+            ["actor", "movie", "acts"].map(|t| db.schema().table_id(t).unwrap());
+        const VOCAB: &[&str] = &["tom", "meg", "stone", "london", "terminal", "guest", "fire"];
+        let words = |rng: &mut StdRng, n: usize| {
+            (0..n)
+                .map(|_| VOCAB[rng.gen_range(0..VOCAB.len())])
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        let n_actor = rng.gen_range(2..7usize);
+        let n_movie = rng.gen_range(2..7usize);
+        for i in 0..n_actor {
+            let name = words(rng, 2);
+            db.insert(actor, vec![Value::Int(i as i64), Value::text(name)])
+                .unwrap();
+        }
+        for i in 0..n_movie {
+            let n = rng.gen_range(1..=2usize);
+            let title = words(rng, n);
+            db.insert(movie, vec![Value::Int(i as i64), Value::text(title)])
+                .unwrap();
+        }
+        for i in 0..rng.gen_range(0..8usize) {
+            let pair = [
+                rng.gen_range(0..n_actor as i64),
+                rng.gen_range(0..n_movie as i64),
+            ];
+            db.insert(
+                acts,
+                vec![
+                    Value::Int(i as i64),
+                    Value::Int(pair[0]),
+                    Value::Int(pair[1]),
+                ],
+            )
+            .unwrap();
+        }
+        db
+    }
+
+    /// A random 1–4 keyword query over the vocabulary, schema words and an
+    /// unknown token; a third of them repeat one of their keywords.
+    fn random_query(rng: &mut StdRng) -> KeywordQuery {
+        const POOL: &[&str] = &[
+            "tom", "meg", "stone", "london", "terminal", "guest", "fire", "actor", "movie",
+            "title", "name", "zzzz",
+        ];
+        let n = rng.gen_range(1..=4usize);
+        let mut terms: Vec<String> = (0..n)
+            .map(|_| POOL[rng.gen_range(0..POOL.len())].to_owned())
+            .collect();
+        if rng.gen_bool(0.33) {
+            terms.push(terms[rng.gen_range(0..n)].clone());
+        }
+        KeywordQuery::from_terms(terms)
+    }
+
+    /// The leaf-cover rule is exact: every template `seed_roots` passes
+    /// over carries no interpretation of the exhaustive oracle, partials on
+    /// and off. The rule must also reject templates the two checks it
+    /// replaced (more leaves than keywords, no occurrence with a target)
+    /// let through, or it would prove nothing.
+    #[test]
+    fn unseeded_templates_carry_no_oracle_interpretation() {
+        let mut rng = StdRng::seed_from_u64(3737);
+        let (mut unseeded, mut beyond_old_checks) = (0usize, 0usize);
+        for case in 0..80 {
+            let db = random_db(&mut rng);
+            let index = InvertedIndex::build(&db);
+            let catalog = TemplateCatalog::enumerate(&db, 3, 10_000).unwrap();
+            let cfg = InterpreterConfig {
+                prob: keybridge_core_test_unmapped(),
+                ..Default::default()
+            };
+            let interp = Interpreter::new(&db, &index, &catalog, cfg);
+            let query = random_query(&mut rng);
+            let n = query.len();
+            for partials in [true, false] {
+                let oracle = if partials {
+                    interp.ranked_with_partials(&query)
+                } else {
+                    interp.ranked_interpretations(&query)
+                };
+                let search = interp.open_search(&query, partials);
+                for tpl in catalog.iter() {
+                    if search.tpls[tpl.id.0 as usize].is_some() {
+                        continue;
+                    }
+                    unseeded += 1;
+                    assert!(
+                        !oracle.iter().any(|s| s.interpretation.template == tpl.id),
+                        "case {case} query \"{query}\" partials {partials}: \
+                         template {:?} was not seeded but the oracle interprets on it",
+                        tpl.id
+                    );
+                    let leaf_reach: Vec<u64> = tpl
+                        .leaves()
+                        .iter()
+                        .map(|&leaf| search.scorer.reach(tpl.tree.nodes[leaf]))
+                        .collect();
+                    let targetable = tpl.distinct_tables().any(|t| search.scorer.reach(t) != 0);
+                    if tpl.leaves().len() <= n && targetable && !leaves_coverable(&leaf_reach) {
+                        beyond_old_checks += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            unseeded > 0 && beyond_old_checks > 0,
+            "{unseeded} unseeded, {beyond_old_checks} by the cover rule alone"
+        );
+    }
+
+    /// Terms that live in one table seed only the templates whose leaves
+    /// all sit on that table (each leaf needs an occurrence of its own that
+    /// reaches it), and the search still materializes exactly what it did
+    /// when any template some occurrence reached was seeded.
+    #[test]
+    fn one_table_query_seeds_only_that_tables_templates() {
+        let f = fixture();
+        // The first actor whose name tokens occur nowhere else.
+        let actor_only = |term: &String| {
+            f.index
+                .attrs_containing(term)
+                .iter()
+                .all(|a| a.table == f.data.actor)
+                && f.index.schema_matches(term).is_empty()
+        };
+        let terms = (f.data.db.table(f.data.actor).rows())
+            .map(|(_, row)| Tokenizer::new().tokenize(row[1].as_text().unwrap()))
+            .find(|toks| toks.len() == 2 && toks.iter().all(actor_only))
+            .expect("some actor name lives only in the actor table");
+        let q = KeywordQuery::from_terms(terms);
+        let interp = Interpreter::new(
+            &f.data.db,
+            &f.index,
+            &f.catalog,
+            InterpreterConfig::default(),
+        );
+        for partials in [true, false] {
+            let search = interp.open_search(&q, partials);
+            let seeded: Vec<_> = f
+                .catalog
+                .iter()
+                .filter(|tpl| search.tpls[tpl.id.0 as usize].is_some())
+                .collect();
+            assert!(!seeded.is_empty());
+            for tpl in seeded {
+                assert!(
+                    tpl.leaves()
+                        .iter()
+                        .all(|&leaf| tpl.tree.nodes[leaf] == f.data.actor),
+                    "seeded {:?} has a leaf off the actor table",
+                    tpl.id
+                );
+            }
+        }
+        let (_, stats) = interp.top_k_with_stats(&q, 10, true);
+        // Measured with every template some occurrence reached seeded.
+        assert_eq!(stats.materialized, 5);
     }
 
     #[test]

@@ -247,11 +247,12 @@ use keybridge_relstore::TableId;
 ///
 /// Group scores are memoized per `(occurrence set, attribute)` — shared
 /// across all templates, since the score of a value bag depends only on the
-/// underlying attribute, not on which template node carries it. A memoized
-/// value is the term [`ProbabilityModel::log_score`] adds for that binding,
-/// bit for bit (the bag is scored in the binding's canonical keyword order),
-/// which is what lets [`Self::binding_ln`] assemble an emitted
-/// interpretation's exact score without walking postings again.
+/// underlying attribute, not on which template node carries it. A group is
+/// scored from the joint occurrence count its non-emptiness check already
+/// fetched ([`Self::form_group`]); the memoized value is the term
+/// [`ProbabilityModel::log_score`] adds for that binding, bit for bit, which
+/// is what lets [`Self::binding_ln`] assemble an emitted interpretation's
+/// exact score without walking postings at all.
 pub(crate) struct IncrementalScorer<'q> {
     index: &'q InvertedIndex,
     config: ProbabilityConfig,
@@ -267,7 +268,8 @@ pub(crate) struct IncrementalScorer<'q> {
     /// routes; `NEG_INFINITY` when it has no target there.
     table_bound: Vec<f64>,
     n_tables: usize,
-    /// `ln` of a group's probability, keyed by (occurrence bitmask, attr).
+    /// `ln` of a multi-occurrence group's probability, keyed by
+    /// (occurrence bitmask, attr), recorded by [`Self::form_group`].
     group_memo: HashMap<(u64, AttrRef), f64>,
     ln_pu: f64,
     ln_name: f64,
@@ -382,10 +384,44 @@ impl<'q> IncrementalScorer<'q> {
             .collect()
     }
 
-    /// `ln P(A : bag)` of the value group holding the occurrences in
-    /// `mask` (bit `i` = occurrence `i`), bound to `attr`. Memoized; shared
-    /// across templates.
-    pub fn value_group_ln(&mut self, mask: u64, attr: AttrRef) -> f64 {
+    /// Record the value group the search has just formed — the occurrences
+    /// in `mask` (bit `i` = occurrence `i`), bound to `attr` — and return its
+    /// `ln P(A : bag)`. `count` is the group's joint occurrence count in
+    /// `attr`, the value of its non-emptiness entry
+    /// ([`crate::NonemptyCache`]): under joint ATF the score is
+    /// `(count + α) / denom`, the arithmetic of
+    /// [`InvertedIndex::joint_atf`], so scoring walks no postings. Memoized
+    /// per (mask, attr) and shared across templates; a single-occurrence
+    /// group is read from the precomputed candidate table instead.
+    pub fn form_group(&mut self, mask: u64, attr: AttrRef, count: u64) -> f64 {
+        if self.config.uniform_keywords || mask.count_ones() == 1 {
+            return self.value_group_ln(mask, attr);
+        }
+        if let Some(&ln) = self.group_memo.get(&(mask, attr)) {
+            return ln;
+        }
+        let p = if self.config.use_joint_atf {
+            let denom = self.index.atf_denominator(attr, self.config.alpha);
+            if denom <= 0.0 {
+                0.0
+            } else {
+                (count as f64 + self.config.alpha) / denom
+            }
+        } else {
+            self.bag(mask)
+                .iter()
+                .map(|k| self.index.atf(k, attr, self.config.alpha))
+                .product()
+        };
+        let ln = p.max(MIN_PROB).ln();
+        self.group_memo.insert((mask, attr), ln);
+        ln
+    }
+
+    /// `ln P(A : bag)` of a value group formed earlier in the session (see
+    /// [`Self::form_group`]): every group a search state holds was formed
+    /// when its last occurrence was assigned.
+    pub fn value_group_ln(&self, mask: u64, attr: AttrRef) -> f64 {
         debug_assert!(mask != 0);
         if self.config.uniform_keywords {
             return 0.0;
@@ -403,27 +439,16 @@ impl<'q> IncrementalScorer<'q> {
                         .ln()
                 });
         }
-        if let Some(&ln) = self.group_memo.get(&(mask, attr)) {
-            return ln;
-        }
-        let keywords = self.bag(mask);
-        let p = if self.config.use_joint_atf {
-            self.index.joint_atf(&keywords, attr, self.config.alpha)
-        } else {
-            keywords
-                .iter()
-                .map(|k| self.index.atf(k, attr, self.config.alpha))
-                .product()
-        };
-        let ln = p.max(MIN_PROB).ln();
-        self.group_memo.insert((mask, attr), ln);
-        ln
+        *self
+            .group_memo
+            .get(&(mask, attr))
+            .expect("a multi-occurrence group is scored when it forms")
     }
 
     /// The term [`ProbabilityModel::log_score`] adds for one binding of an
     /// emitted interpretation — the occurrences in `mask` bound to `target`
     /// on a node of `table` — from the memo instead of the postings.
-    pub fn binding_ln(&mut self, target: BindingTarget, mask: u64, table: TableId) -> f64 {
+    pub fn binding_ln(&self, target: BindingTarget, mask: u64, table: TableId) -> f64 {
         match target {
             BindingTarget::Value { attr, .. } => self.value_group_ln(mask, AttrRef { table, attr }),
             BindingTarget::TableName { .. } | BindingTarget::AttrName { .. } => {
@@ -455,11 +480,12 @@ impl<'q> IncrementalScorer<'q> {
             .fold(unmapped, f64::max)
     }
 
-    /// Whether occurrence `i` has any binding target inside `tpl`
-    /// (ignoring the unmapped route).
-    pub fn has_target_in(&self, tpl: &QueryTemplate, i: usize) -> bool {
-        tpl.distinct_tables()
-            .any(|t| self.table_bound[i * self.n_tables + t.0 as usize] > f64::NEG_INFINITY)
+    /// Bit per occurrence with a binding target on `table` (a value or a
+    /// schema-name route): the occurrences that can bind a node of it.
+    pub fn reach(&self, table: TableId) -> u64 {
+        (0..self.terms.len())
+            .filter(|&i| self.table_bound[i * self.n_tables + table.0 as usize] > f64::NEG_INFINITY)
+            .fold(0, |m, i| m | 1 << i)
     }
 }
 

@@ -18,18 +18,21 @@
 //! ## Serving: shared caches per epoch
 //!
 //! The pipeline is read-only over the published store. What needs
-//! coordination is the derived state queries build as they run:
-//! non-emptiness verdicts, predicate row sets and complete results. The
-//! service keeps those in process-wide, lock-striped maps
-//! ([`SharedNonemptyCache`], [`SharedExecCache`]) handed to every request as
-//! the backing tier of its per-query caches — one user's pruning work prunes
-//! every other user's search (the Mragyati/EMBANKS observation). Sharing is
-//! *result-invariant by construction*: verdicts and predicate row sets are
-//! pure facts about the indexed database, and only complete execution
-//! results are shared, so a warm, contended service returns exactly what a
-//! cold single-threaded [`Interpreter`] returns — on all four fixtures and
-//! both stores (`tests/serving`: `concurrent_identical_*`,
-//! `sharded_identical_*`, eight clients in
+//! coordination is the derived state queries build as they run: value-group
+//! counts, predicate row sets and complete results. The service keeps those
+//! in process-wide, lock-striped maps ([`SharedNonemptyCache`],
+//! [`SharedExecCache`]) handed to every request as the backing tier of its
+//! per-query caches — one user's pruning work prunes every other user's
+//! search (the Mragyati/EMBANKS observation). A group count is a keyword
+//! bag's joint occurrence count in one attribute: it is the group's
+//! non-emptiness verdict (`count > 0`) and the numerator of its joint ATF
+//! at once, so each group is walked once per epoch and scored from the
+//! entry. Sharing is *result-invariant by construction*: group counts and
+//! predicate row sets are pure facts about the indexed database, and only
+//! complete execution results are shared, so a warm, contended service
+//! returns exactly what a cold single-threaded [`Interpreter`] returns — on
+//! all four fixtures and both stores (`tests/serving`:
+//! `concurrent_identical_*`, `sharded_identical_*`, eight clients in
 //! `stress_overlapping_logs_warm_caches`). Outside a service the same seam
 //! is `Interpreter::answers_top_k_with_caches` over caches built by
 //! [`NonemptyCache::with_shared`] / [`ExecCache::with_shared`]. Throughput
@@ -582,13 +585,14 @@ pub struct ServiceStats {
     pub epoch: u64,
     /// Snapshots published by `ingest` since the service started.
     pub epoch_swaps: usize,
-    /// Shared-cache entries retired with displaced epochs: verdicts,
+    /// Shared-cache entries retired with displaced epochs: group counts,
     /// predicate row sets, and memoized results that became unreachable
     /// (and uncountable as hits) the moment their epoch was swapped out.
     pub stale_evictions: usize,
     /// Rows accepted by `ingest` since the service started.
     pub rows_ingested: usize,
-    /// Distinct non-emptiness verdicts in the shared cache.
+    /// Distinct value-group counts (non-emptiness entries) in the shared
+    /// cache.
     pub nonempty_entries: usize,
     /// Cross-query non-emptiness hits.
     pub nonempty_hits: usize,
