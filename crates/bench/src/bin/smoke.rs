@@ -562,12 +562,14 @@ fn serve_phases(
     }
 
     // == diversified: the log replayed as Alg. 4.1 requests. ==
-    let (pool_items, selected) =
-        replay_diversified(&snapshot, &queries, DiversifyOptions::default());
+    let div = replay_diversified(&snapshot, &queries, DiversifyOptions::default());
     println!(
         "\n== diversified ({} queries, Alg. 4.1 top-10, pool 25) ==\n  \
-         {pool_items} pool items, {selected} selected across the log",
-        queries.len()
+         {} pool items, {} selected across the log; {} executions on the warm replay",
+        queries.len(),
+        div.pool_items,
+        div.selected,
+        div.warm_executed
     );
 
     // == ingest: the epoch-swap path under the seeded mixed read/write
@@ -665,8 +667,9 @@ fn serve_phases(
 
     let fields = vec![
         field("serve_queries", queries.len()),
-        field("div_pool_items", pool_items),
-        field("div_selected", selected),
+        field("div_pool_items", div.pool_items),
+        field("div_selected", div.selected),
+        field("div_warm_executed", div.warm_executed),
         field("ingest_rows", ingest.rows_ingested),
         field("ingest_batches", batches),
         field("epoch_swaps", ingest.epoch_swaps),

@@ -433,29 +433,52 @@ pub fn replay_serve(
     queries.len() as f64 / wall.elapsed().as_secs_f64().max(1e-12)
 }
 
+/// What [`replay_diversified`] counts — each a pure function of the data
+/// and the query log.
+#[derive(Debug, Clone, Copy)]
+pub struct DiversifiedReplay {
+    /// Surviving executed-pool sizes, summed over the first pass's replies.
+    pub pool_items: usize,
+    /// Selected answers, summed over the first pass's replies.
+    pub selected: usize,
+    /// Fresh executions (`AnswerStats::executed`), summed over the second
+    /// pass's replies: what a warm service still executes for a query it
+    /// has already diversified in this epoch.
+    pub warm_executed: usize,
+}
+
 /// Replay `queries` as diversified top-k requests (Alg. 4.1), one at a time,
-/// through a fresh single-worker [`SearchService`] over `snapshot`. Returns
-/// the surviving executed-pool sizes and the selected answers, each summed
-/// over all replies — pure functions of the data and the query log.
+/// through a fresh single-worker [`SearchService`] over `snapshot`, then
+/// replay them once more on the same, now warm, service.
 pub fn replay_diversified(
     snapshot: &Arc<SearchSnapshot>,
     queries: &[Vec<String>],
     opts: DiversifyOptions,
-) -> (usize, usize) {
+) -> DiversifiedReplay {
     let service = SearchService::start(Arc::clone(snapshot), 1);
+    let pass = || {
+        queries.iter().map(|terms| {
+            let query = KeywordQuery::from_terms(terms.clone());
+            match service
+                .submit_request(Request::Diversified { query, opts })
+                .wait()
+            {
+                Some(Reply::Diversified(Ok(reply))) => reply,
+                _ => panic!("diversified request not served"),
+            }
+        })
+    };
     let (mut pool_items, mut selected) = (0, 0);
-    for terms in queries {
-        let query = KeywordQuery::from_terms(terms.clone());
-        let Some(Reply::Diversified(Ok(reply))) = service
-            .submit_request(Request::Diversified { query, opts })
-            .wait()
-        else {
-            panic!("diversified request not served");
-        };
+    for reply in pass() {
         pool_items += reply.pool;
         selected += reply.answers.len();
     }
-    (pool_items, selected)
+    let warm_executed = pass().map(|reply| reply.stats.executed).sum();
+    DiversifiedReplay {
+        pool_items,
+        selected,
+        warm_executed,
+    }
 }
 
 /// Drive the seeded mixed read/write stream `ops` through `service` in

@@ -325,7 +325,7 @@ impl ConstructionSession {
     /// recomputing predicate row sets (and replay memoized executions), and
     /// a cache built with [`ExecCache::with_shared`] falls through to a
     /// service's process-wide tier while staying byte-identical to the cold
-    /// path (complete shared hits are truncated back to `limit`).
+    /// path (shared hits at a larger limit are truncated back to `limit`).
     pub fn window_answers_with_cache(
         &self,
         db: &Database,

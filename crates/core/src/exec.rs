@@ -12,9 +12,10 @@
 //!
 //! An `ExecCache` can additionally be backed by a process-wide
 //! [`SharedExecCache`] (see [`crate::SearchService`]): predicate row sets
-//! and completed results then outlive the query that computed them, so one
-//! user's intersections prune every other user's executions. Whole-result
-//! hits are shared (`Arc`) and cost no copying on any thread; a predicate
+//! and finished results, each under the limit it ran at, then outlive the
+//! query that computed them, so one user's intersections prune every other
+//! user's executions. Whole-result hits are shared (`Arc`) and cost no
+//! copying on any thread, nor an entry in the request's own map; a predicate
 //! hit skips the index intersection but still copies its row list out of
 //! the `Arc` when an execution consumes it (the join-tree `Candidates` API
 //! takes owned vectors).
@@ -87,12 +88,27 @@ impl CachedExecution {
     }
 
     /// Whether the run finished below its limit, i.e. holds the *full*
-    /// result set. Only complete runs may enter the shared cache: a prefix
-    /// of a complete result is byte-identical to a fresh limited run
-    /// (post-reduction truncation preserves enumeration order), so serving
-    /// them cross-query cannot change what any caller observes.
+    /// result set. A complete run serves any limit; a run that stopped at
+    /// its limit serves limits up to its own. Both may be shared: a prefix
+    /// of a run at limit `L` is byte-identical to a fresh run at any
+    /// `L' <= L` (post-reduction truncation preserves enumeration order),
+    /// so serving it cross-query cannot change what any caller observes.
     fn is_complete(&self) -> bool {
         self.result.jtts.len() < self.limit
+    }
+
+    /// Whether this run serves every request `other` serves under
+    /// [`CachedExecution::satisfies`].
+    fn covers(&self, other: &CachedExecution) -> bool {
+        self.max_intermediate <= other.max_intermediate
+            && (self.is_complete() || (!other.is_complete() && self.limit >= other.limit))
+    }
+
+    /// Whether this run may replace `held` in the shared tier: it serves
+    /// every request `held` serves, and more — no looser `max_intermediate`,
+    /// and complete where `held` is limited, or limited at a larger limit.
+    fn supersedes(&self, held: &CachedExecution) -> bool {
+        self.covers(held) && !held.covers(self)
     }
 }
 
@@ -104,11 +120,15 @@ const RESULT_STRIPE_CAP: usize = 1024;
 type PredicateKey = (Vec<String>, AttrRef);
 
 /// Process-wide execution cache shared by every worker of a service:
-/// lock-striped maps of predicate row sets and *complete* memoized results,
-/// keyed exactly like [`ExecCache`]. Row ids are the whole store's, on a
-/// sharded service too. All maps are valid only for the snapshot (database +
-/// index + catalog) they were populated against — the service owns both, so
-/// the pairing is structural.
+/// lock-striped maps of predicate row sets and memoized results, keyed
+/// exactly like [`ExecCache`]. A result entry is the best finished run of
+/// its interpretation so far, held under the limit it ran at: it serves a
+/// request exactly when a local entry would (`satisfies`: complete, or run
+/// at a limit no smaller, with `max_intermediate` no looser), and it is
+/// replaced only by a run that serves every request it serves, and more.
+/// Row ids are the whole store's, on a sharded service too. All maps are
+/// valid only for the snapshot (database + index + catalog) they were
+/// populated against — the service owns both, so the pairing is structural.
 #[derive(Debug)]
 pub struct SharedExecCache {
     predicates: StripedMap<PredicateKey, Arc<Vec<RowId>>>,
@@ -134,7 +154,7 @@ impl SharedExecCache {
         self.predicates.len()
     }
 
-    /// Complete executions currently shared.
+    /// Executions currently shared, complete or stopped at their limit.
     pub fn result_count(&self) -> usize {
         self.results.len()
     }
@@ -217,7 +237,9 @@ impl ExecCache {
         }
         let rows = Arc::new(index.rows_with_all(keywords, attr));
         if let Some(shared) = &self.shared {
-            shared.predicates.insert(key.clone(), Arc::clone(&rows));
+            shared
+                .predicates
+                .admit(key.clone(), Arc::clone(&rows), |_, _| false);
         }
         self.predicate_rows.insert(key, Arc::clone(&rows));
         rows
@@ -320,13 +342,13 @@ pub fn execute_interpretation(
 /// constraint (it either completed below its limit or had at least the
 /// requested one).
 /// When `cache` is backed by a [`SharedExecCache`], local result misses fall
-/// through to the *complete* runs other queries have shared, and fresh
-/// complete runs are published back.
+/// through to the runs other queries have shared under the same rule, and
+/// every fresh run is published back.
 ///
 /// Results are shared (`Arc`) so cache hits cost no copying. Note a cache
-/// hit on a *complete* cached result may carry more than `opts.limit` JTTs;
-/// callers that need an exact cap must truncate themselves (the streaming
-/// answer loop takes only what it still needs).
+/// hit may carry more than `opts.limit` JTTs (a complete run, or one at a
+/// larger limit); callers that need an exact cap must truncate themselves
+/// (the streaming answer loop takes only what it still needs).
 pub fn execute_interpretation_cached(
     db: &Database,
     index: &InvertedIndex,
@@ -340,10 +362,15 @@ pub fn execute_interpretation_cached(
 
 /// The result-memoization spine of [`execute_interpretation_cached`] with the
 /// actual execution abstracted out: check the local then shared caches under
-/// the `satisfies` rule, otherwise run `compute` and publish its (complete)
-/// result to both tiers. Every [`Executor`] routes its executions through
-/// this path, so single-shard and sharded serving share one caching
-/// semantics.
+/// the `satisfies` rule, otherwise run `compute` and publish its result to
+/// both tiers — to the shared one unless the entry there already serves
+/// every request the new run does (`supersedes`). A shared hit is returned
+/// as it is and not copied into the local map: a re-walk in the same request
+/// finds it in the shared tier again, which never drops a key within an
+/// epoch and only replaces an entry by one that serves more. Fresh runs do
+/// enter the local map, because a full shared stripe may refuse them. Every
+/// [`Executor`] routes its executions through this path, so single-shard
+/// and sharded serving share one caching semantics.
 pub(crate) fn with_result_cache(
     cache: &mut ExecCache,
     interp: &QueryInterpretation,
@@ -358,19 +385,8 @@ pub(crate) fn with_result_cache(
     }
     if let Some(shared) = &cache.shared {
         if let Some(hit) = shared.results.get(interp, |c| c.satisfies(&opts)) {
-            let result = hit.result;
             cache.result_hits += 1;
-            // Shared entries are complete; remember locally under a limit
-            // that marks them complete for any follow-up request.
-            cache.results.insert(
-                interp.clone(),
-                CachedExecution {
-                    limit: result.jtts.len() + 1,
-                    max_intermediate: opts.max_intermediate,
-                    result: Arc::clone(&result),
-                },
-            );
-            return Ok(result);
+            return Ok(hit.result);
         }
     }
     let result = Arc::new(compute(cache)?);
@@ -380,9 +396,9 @@ pub(crate) fn with_result_cache(
         result: Arc::clone(&result),
     };
     if let Some(shared) = &cache.shared {
-        if cached.is_complete() {
-            shared.results.insert(interp.clone(), cached.clone());
-        }
+        shared
+            .results
+            .admit(interp.clone(), cached.clone(), CachedExecution::supersedes);
     }
     cache.results.insert(interp.clone(), cached);
     Ok(result)
@@ -417,16 +433,16 @@ pub(crate) fn collect_result_keys(
 
 /// `res` truncated to at most `cap` JTTs, keys recomputed over the prefix —
 /// the *answer content* (`jtts`, `keys`, `all_keys`) is byte-identical to a
-/// fresh run under `limit = cap`. A *complete* cached result may carry more
-/// JTTs than a limited request asked for; since post-reduction truncation
-/// preserves enumeration order, its prefix is exactly what the fresh
-/// limited run would have returned, which is what lets warm shared-cache
-/// hits serve limit-sensitive callers (session windows, diversification
-/// pools) without breaking oracle equality. The `stats` field is the one
-/// deliberate exception: it keeps the cached run's counters (`result_count`
-/// etc. describe the complete execution, not a hypothetical re-run) — cache
-/// hits cost no executor work, so fabricating fresh-run counters would
-/// misreport what actually happened.
+/// fresh run under `limit = cap`. A cached result — complete, or run at a
+/// larger limit — may carry more JTTs than a limited request asked for;
+/// since post-reduction truncation preserves enumeration order, its prefix
+/// is exactly what the fresh limited run would have returned, which is what
+/// lets warm shared-cache hits serve limit-sensitive callers (session
+/// windows, diversification pools) without breaking oracle equality. The
+/// `stats` field is the one deliberate exception: it keeps the cached run's
+/// counters (`result_count` etc. describe the cached execution, not a
+/// hypothetical re-run) — cache hits cost no executor work, so fabricating
+/// fresh-run counters would misreport what actually happened.
 pub(crate) fn truncate_result(
     executor: &impl Executor,
     catalog: &TemplateCatalog,
@@ -810,6 +826,147 @@ mod tests {
             execute_interpretation_cached(&db, &idx, &catalog, &interp, small, &mut cache).unwrap();
         assert_eq!(cache.result_hits, 1);
         assert_eq!(r3.len(), 2); // cached complete result, caller sees ≥ limit
+    }
+
+    /// The tiny IMDB fixture and one interpretation of it whose complete
+    /// run has more than 10 JTTs.
+    fn imdb_with_wide_interpretation() -> (
+        Database,
+        InvertedIndex,
+        TemplateCatalog,
+        QueryInterpretation,
+    ) {
+        use crate::generate::{Interpreter, InterpreterConfig};
+        use crate::keyword::KeywordQuery;
+        use keybridge_datagen::{ImdbConfig, ImdbDataset};
+        let db = ImdbDataset::generate(ImdbConfig::tiny(1)).unwrap().db;
+        let idx = InvertedIndex::build(&db);
+        let catalog = TemplateCatalog::enumerate(&db, 4, 50_000).unwrap();
+        let wide = {
+            let it = Interpreter::new(&db, &idx, &catalog, InterpreterConfig::default());
+            ["drama", "comedy", "tom", "john"]
+                .iter()
+                .flat_map(|t| it.top_k(&KeywordQuery::from_terms(vec![t.to_string()]), 10))
+                .map(|s| s.interpretation)
+                .find(|i| {
+                    let all = ExecOptions {
+                        limit: usize::MAX,
+                        ..Default::default()
+                    };
+                    execute_interpretation(&db, &idx, &catalog, i, all)
+                        .unwrap()
+                        .len()
+                        > 10
+                })
+                .expect("fixture has an interpretation with > 10 JTTs")
+        };
+        (db, idx, catalog, wide)
+    }
+
+    fn at(limit: usize) -> ExecOptions {
+        ExecOptions {
+            limit,
+            ..Default::default()
+        }
+    }
+
+    /// The shared entry of `interp`: (limit it ran at, result).
+    fn shared_entry(
+        shared: &SharedExecCache,
+        interp: &QueryInterpretation,
+    ) -> (usize, Arc<ExecutedResult>) {
+        let held = shared.results.get(interp, |_| true).expect("entry shared");
+        (held.limit, held.result)
+    }
+
+    #[test]
+    fn limited_runs_are_shared_under_their_limit() {
+        let (db, idx, catalog, interp) = imdb_with_wide_interpretation();
+        let local = LocalExecutor {
+            db: &db,
+            index: &idx,
+            catalog: &catalog,
+        };
+        let shared = Arc::new(SharedExecCache::new());
+        // Each call is one request: a fresh local cache over the shared tier.
+        let request = |opts: ExecOptions| {
+            let mut cache = ExecCache::with_shared(Arc::clone(&shared));
+            let res = local.execute(&interp, opts, &mut cache).unwrap();
+            (res, cache.result_hits)
+        };
+
+        // A run that stopped at limit 3 is published ...
+        let (r3, hits) = request(at(3));
+        assert_eq!((r3.len(), hits), (3, 0));
+        assert_eq!(shared.result_count(), 1);
+        // ... and serves limit 2 from the shared tier, its prefix equal to a
+        // fresh limit-2 run.
+        let (r, hits) = request(at(2));
+        assert_eq!(hits, 1, "limit 2 must hit the limit-3 entry");
+        assert!(Arc::ptr_eq(&r, &r3));
+        let fresh2 = execute_interpretation(&db, &idx, &catalog, &interp, at(2)).unwrap();
+        let cut = truncate_result(&local, &catalog, &interp, &r, 2);
+        assert_eq!(cut.jtts, fresh2.jtts);
+        assert_eq!(cut.keys, fresh2.keys);
+        assert_eq!(cut.all_keys, fresh2.all_keys);
+
+        // Limit 10 is more than the entry can answer: it executes and
+        // replaces the entry, which then serves limit 3.
+        let (r10, hits) = request(at(10));
+        assert_eq!((r10.len(), hits), (10, 0));
+        let (limit, held) = shared_entry(&shared, &interp);
+        assert_eq!(limit, 10);
+        assert!(Arc::ptr_eq(&held, &r10));
+        let (r, hits) = request(at(3));
+        assert_eq!(hits, 1);
+        assert!(Arc::ptr_eq(&r, &r10));
+        assert_eq!(shared.result_count(), 1);
+
+        // A complete run replaces the limited one; then no request executes
+        // again and nothing replaces it — not a limited run, not a second
+        // complete one.
+        let (all, hits) = request(at(10_000));
+        assert_eq!(hits, 0);
+        assert!(all.len() > 10 && all.len() < 10_000);
+        for limit in [1, 10, 10_000, usize::MAX] {
+            let (r, hits) = request(at(limit));
+            assert_eq!(hits, 1, "limit {limit} must hit the complete entry");
+            assert!(Arc::ptr_eq(&r, &all));
+        }
+        for limit in [5, 20_000] {
+            let run = CachedExecution {
+                limit,
+                max_intermediate: ExecOptions::default().max_intermediate,
+                result: Arc::new(
+                    execute_interpretation(&db, &idx, &catalog, &interp, at(limit)).unwrap(),
+                ),
+            };
+            shared
+                .results
+                .admit(interp.clone(), run, CachedExecution::supersedes);
+            assert!(Arc::ptr_eq(&shared_entry(&shared, &interp).1, &all));
+        }
+    }
+
+    #[test]
+    fn a_limited_shared_hit_does_not_answer_a_larger_limit() {
+        let (db, idx, catalog, interp) = imdb_with_wide_interpretation();
+        let local = LocalExecutor {
+            db: &db,
+            index: &idx,
+            catalog: &catalog,
+        };
+        let shared = Arc::new(SharedExecCache::new());
+        let mut earlier = ExecCache::with_shared(Arc::clone(&shared));
+        local.execute(&interp, at(3), &mut earlier).unwrap();
+        // One request takes the limit-3 entry as a shared hit, then asks for
+        // more of the same interpretation (a later wave): it must execute.
+        let mut cache = ExecCache::with_shared(Arc::clone(&shared));
+        let small = local.execute(&interp, at(3), &mut cache).unwrap();
+        assert_eq!((small.len(), cache.result_hits), (3, 1));
+        let large = local.execute(&interp, at(10), &mut cache).unwrap();
+        assert_eq!(cache.result_hits, 1, "limit 10 was served from limit 3");
+        assert_eq!(large.len(), 10);
     }
 
     #[test]

@@ -1303,7 +1303,7 @@ impl BestFirstSearch<'_, '_> {
                     None => {
                         self.stats.nonempty_probes += 1;
                         let count = joint_count(index, &key.0, aref);
-                        shared.counts.insert(key, count);
+                        shared.counts.admit(key, count, |_, _| false);
                         count
                     }
                 }

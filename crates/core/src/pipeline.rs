@@ -37,7 +37,8 @@
 //! request mode, on either store, run on this pipeline,
 //! which is what keeps a warm, concurrent, possibly sharded service
 //! byte-identical to the cold offline oracles: the only cross-query state is
-//! the result-invariant shared cache tier, and complete cached results are
+//! the result-invariant shared cache tier, and cached results that carry
+//! more JTTs than asked for (complete runs, or runs at a larger limit) are
 //! truncated back to the request's limit before a stage observes them.
 
 use crate::exec::{
@@ -180,8 +181,8 @@ pub(crate) trait PostProcess {
 
     /// One non-empty executed candidate. `rank` is its position in the
     /// current wave's ranked list. The result may carry more JTTs than
-    /// [`PostProcess::demand`] asked for when it was served complete from a
-    /// cache; stages cap what they consume.
+    /// [`PostProcess::demand`] asked for when a cache served it from a
+    /// complete run or one at a larger limit; stages cap what they consume.
     fn ingest(&mut self, rank: usize, scored: &ScoredInterpretation, result: &Arc<ExecutedResult>);
 }
 
@@ -267,7 +268,7 @@ impl<E: Executor> PostProcess for DivPoolStage<'_, '_, E> {
 
 /// A construction session's window refresh: every candidate executed (at
 /// most `limit` JTTs each), non-empty ones collected with their window
-/// index, complete cache hits truncated back to `limit`.
+/// index, cache hits that carry more JTTs truncated back to `limit`.
 struct WindowStage<'q, 'a, E> {
     interpreter: &'q Interpreter<'a>,
     executor: E,
@@ -509,8 +510,8 @@ impl<'s, 'a, E: Executor> QueryPipeline<'s, 'a, E> {
     /// runs through the cached executor (at most `limit` JTTs each), and
     /// the non-empty ones come back as `(window index, result)` in window
     /// order — byte-identical to a cold per-candidate execution even when
-    /// served from a warm shared cache (complete hits are truncated back to
-    /// `limit`).
+    /// served from a warm shared cache (hits at a larger limit are
+    /// truncated back to `limit`).
     pub fn window(
         &mut self,
         candidates: &[(QueryInterpretation, f64)],

@@ -19,7 +19,7 @@
 //!
 //! The pipeline is read-only over the published store. What needs
 //! coordination is the derived state queries build as they run: value-group
-//! counts, predicate row sets and complete results. The service keeps those
+//! counts, predicate row sets and execution results. The service keeps those
 //! in process-wide, lock-striped maps ([`SharedNonemptyCache`],
 //! [`SharedExecCache`]) handed to every request as the backing tier of its
 //! per-query caches — one user's pruning work prunes every other user's
@@ -28,10 +28,15 @@
 //! non-emptiness verdict (`count > 0`) and the numerator of its joint ATF
 //! at once, so each group is walked once per epoch and scored from the
 //! entry. Sharing is *result-invariant by construction*: group counts and
-//! predicate row sets are pure facts about the indexed database, and only
-//! complete execution results are shared, so a warm, contended service
-//! returns exactly what a cold single-threaded [`Interpreter`] returns — on
-//! all four fixtures and both stores (`tests/serving`:
+//! predicate row sets are pure facts about the indexed database, and an
+//! execution result is held under the limit it ran at and serves a request
+//! only when a fresh run could not differ (it finished below its limit, or
+//! ran at a limit no smaller, with `max_intermediate` no looser — its
+//! prefix *is* the fresh run, since truncation preserves enumeration
+//! order). An entry is replaced only by a run that serves every request it
+//! serves, and more. So a warm, contended service returns exactly what a
+//! cold single-threaded [`Interpreter`] returns — on all four fixtures and
+//! both stores (`tests/serving`:
 //! `concurrent_identical_*`, `sharded_identical_*`, eight clients in
 //! `stress_overlapping_logs_warm_caches`). Outside a service the same seam
 //! is `Interpreter::answers_top_k_with_caches` over caches built by
@@ -586,8 +591,9 @@ pub struct ServiceStats {
     /// Snapshots published by `ingest` since the service started.
     pub epoch_swaps: usize,
     /// Shared-cache entries retired with displaced epochs: group counts,
-    /// predicate row sets, and memoized results that became unreachable
-    /// (and uncountable as hits) the moment their epoch was swapped out.
+    /// predicate row sets, and memoized results (complete or stopped at
+    /// their limit, one per interpretation) that became unreachable (and
+    /// uncountable as hits) the moment their epoch was swapped out.
     pub stale_evictions: usize,
     /// Rows accepted by `ingest` since the service started.
     pub rows_ingested: usize,
@@ -600,7 +606,8 @@ pub struct ServiceStats {
     pub predicate_entries: usize,
     /// Cross-query predicate hits.
     pub predicate_hits: usize,
-    /// Complete executions in the shared cache.
+    /// Memoized executions in the shared cache, one per interpretation: the
+    /// best finished run so far, complete or stopped at its limit.
     pub result_entries: usize,
     /// Cross-query whole-result hits.
     pub result_hits: usize,
@@ -1622,10 +1629,12 @@ impl ServeRequests for KeywordService {
 /// `catch_unwind`: a panicking query must come back to its client as a
 /// typed [`RequestError`], not as a hung-up channel — and the worker must
 /// survive to take the next job. `AssertUnwindSafe` is sound here because
-/// the shared caches only ever admit *complete* entries (a panic mid-query
-/// cannot have published partial derived state), and everything else the
-/// closure touches dies with the request. Timed arms stamp completion after
-/// the reply is computed, still on the worker.
+/// the shared caches only ever admit an entry after the work behind it has
+/// *finished* — a count walked, a row set intersected, a run executed to
+/// its limit or below it — and admit it under one stripe lock, so a panic
+/// mid-query cannot have published partial derived state; everything else
+/// the closure touches dies with the request. Timed arms stamp completion
+/// after the reply is computed, still on the worker.
 fn serve_request<E: Executor>(
     state: &ServingState,
     interpreter: &Interpreter<'_>,
@@ -1946,6 +1955,33 @@ mod tests {
             }
         }
         assert_eq!(service.service_stats().served, 2);
+    }
+
+    #[test]
+    fn repeated_diversified_request_executes_nothing() {
+        // With `cap: 1` every non-empty pool member stops at its limit; the
+        // shared tier keeps those runs, so the repeat is served entirely
+        // from it and replies exactly as the first request did.
+        let service = SearchService::start(snapshot(), 1);
+        let q = KeywordQuery::from_terms(vec!["tom".into()]);
+        let opts = DiversifyOptions {
+            cap: 1,
+            ..DiversifyOptions::default()
+        };
+        let first = diversified(&service, &q, opts);
+        assert!(first.stats.executed > 0 && first.pool > 0);
+        let second = diversified(&service, &q, opts);
+        assert_eq!(second.stats.executed, 0, "the repeat re-executed");
+        assert_eq!(second.pool, first.pool);
+        assert_eq!(second.answers.len(), first.answers.len());
+        for (a, b) in first.answers.iter().zip(&second.answers) {
+            assert_eq!(a.interpretation, b.interpretation);
+            assert_eq!(a.log_score.to_bits(), b.log_score.to_bits());
+            assert_eq!(a.relevance.to_bits(), b.relevance.to_bits());
+            assert_eq!(a.atoms, b.atoms);
+            assert_eq!(a.keys, b.keys);
+            assert_eq!(a.pool_rank, b.pool_rank);
+        }
     }
 
     #[test]
