@@ -62,7 +62,7 @@ pub fn naive_heap_bytes(db: &Database) -> u64 {
                 .sum::<u64>();
         }
     }
-    // One fk-index posting per row holding a non-null foreign key.
+    // One child-list entry per row holding a non-null foreign key.
     for (_, fk) in db.schema().fks() {
         let col = fk.from.attr.0 as usize;
         let postings = db

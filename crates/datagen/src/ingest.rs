@@ -82,15 +82,14 @@ pub fn holdout_plan(db: &Database, cfg: IngestConfig) -> IngestPlan {
     }
 
     // Pass 2: close under children — a preloaded row must never reference a
-    // held-out parent. `fk_referrers` gives the children of a parent row
-    // directly off the database's own fk hash index.
+    // held-out parent. `fk_children` gives the children of a parent row
+    // directly off the database's own row-id child lists.
     while let Some((tid, rid)) = worklist.pop() {
-        let pk = db.pk_value(tid, rid);
         for (fk_id, fk) in schema.fks() {
             if fk.to.table != tid {
                 continue;
             }
-            for &child in db.fk_referrers(fk_id, pk) {
+            for &child in db.fk_children(fk_id, rid) {
                 if held.insert((fk.from.table, child)) {
                     worklist.push((fk.from.table, child));
                 }

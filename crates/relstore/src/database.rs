@@ -1,4 +1,5 @@
-//! Row storage with primary-key and foreign-key hash indexes.
+//! Row storage with a primary-key hash index and, per foreign key, the
+//! row-id links between referencing and referenced rows.
 
 use crate::error::{BatchError, RelError, RelResult};
 use crate::schema::{AttrRef, FkId, Schema, TableId};
@@ -91,14 +92,23 @@ impl TableStore {
 }
 
 /// An in-memory database: a [`Schema`] plus per-table storage and, for every
-/// foreign key, a hash index from referenced key value to referencing rows.
+/// foreign key, both directions of its row-id links — each child's parent
+/// row and each parent's child rows — resolved once, at insert.
 #[derive(Debug, Clone)]
 pub struct Database {
     schema: Schema,
     tables: Vec<TableStore>,
-    /// `fk_index[fk][key]` = rows of the *referencing* table whose fk column
-    /// holds `key`. This supports joins in the pk -> fk direction.
-    fk_index: Vec<HashMap<i64, Vec<RowId>>>,
+    /// `fk_children[fk][parent row]` = rows of the *referencing* table whose
+    /// fk cell resolves to that row of the referenced table, ascending: the
+    /// inverse of `fk_parent`, one list per referenced row, opened when that
+    /// row is inserted. Joins in the pk -> fk direction read it by row id.
+    /// Derived from the rows and never serialized.
+    fk_children: Vec<Vec<Vec<RowId>>>,
+    /// `fk_orphans[fk][key]` = rows of the referencing table whose fk cell
+    /// holds `key` while no row with that primary key is stored, ascending.
+    /// Loaders insert in arbitrary order: the parent's insert adopts them
+    /// into its `fk_children` list. Empty once every key resolves.
+    fk_orphans: Vec<HashMap<i64, Vec<RowId>>>,
     /// `fk_parent[fk][child row]` = row id of the referenced parent, or
     /// [`NO_PARENT`]: the pk -> row resolution of every fk cell, done once
     /// at insert, so joins along a foreign key run on dense row ids instead
@@ -121,7 +131,8 @@ impl Database {
     /// Create an empty database over `schema`.
     pub fn new(schema: Schema) -> Self {
         let tables = vec![TableStore::default(); schema.table_count()];
-        let fk_index = vec![HashMap::new(); schema.fk_count()];
+        let fk_children = vec![Vec::new(); schema.fk_count()];
+        let fk_orphans = vec![HashMap::new(); schema.fk_count()];
         let fk_parent = vec![Vec::new(); schema.fk_count()];
         let mut table_fk_cols = vec![Vec::new(); schema.table_count()];
         let mut table_fk_in = vec![Vec::new(); schema.table_count()];
@@ -137,7 +148,8 @@ impl Database {
         Database {
             schema,
             tables,
-            fk_index,
+            fk_children,
+            fk_orphans,
             fk_parent,
             table_fk_cols,
             table_fk_in,
@@ -175,12 +187,24 @@ impl Database {
             .expect("primary keys are validated at insert")
     }
 
-    /// Rows of the referencing table whose foreign-key column equals `key`.
+    /// Rows of the referencing table whose foreign-key column equals `key`,
+    /// ascending: the child list of the row `by_pk(key)` names, or, while no
+    /// such row is stored, the children waiting for it. Key space: a row-id
+    /// caller reads [`Self::fk_children`] instead.
     pub fn fk_referrers(&self, fk: FkId, key: i64) -> &[RowId] {
-        self.fk_index[fk.0 as usize]
-            .get(&key)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+        match self.table(self.schema.fk(fk).to.table).by_pk(key) {
+            Some(parent) => self.fk_children(fk, parent),
+            None => self.fk_orphans[fk.0 as usize]
+                .get(&key)
+                .map_or(&[], Vec::as_slice),
+        }
+    }
+
+    /// The rows of the referencing table whose cell of foreign key `fk`
+    /// resolves to `parent`, a row of the referenced table, ascending: the
+    /// inverse of [`Self::fk_parent_row`], built at insert.
+    pub fn fk_children(&self, fk: FkId, parent: RowId) -> &[RowId] {
+        &self.fk_children[fk.0 as usize][parent.index()]
     }
 
     /// The parent row that `child`'s cell of foreign key `fk` references:
@@ -202,7 +226,7 @@ impl Database {
     /// capacity (a `RowId` is a `u32`; a table at capacity reports
     /// [`RelError::TableFull`] instead of silently wrapping ids), interns
     /// every text cell into the database's string arena, and maintains the
-    /// pk and fk hash indexes and the parent columns — the only place any
+    /// pk index, the parent columns and the child lists — the only place any
     /// of them is written. Returns the new row's id.
     pub fn insert(&mut self, table: TableId, mut row: Vec<Value>) -> RelResult<RowId> {
         let pk_val = self.schema.check_shape(table, &row)?;
@@ -224,23 +248,30 @@ impl Database {
         }
         self.tables[table.0 as usize].pk_index.insert(pk_val, id);
 
-        // Every fk whose referencing side is `table`: index the cell and
-        // resolve it to its parent's row (which may be this very row).
+        // Every fk that references `table`: open this row's child list.
+        // Loaders insert in arbitrary order, so children of this row may
+        // already be stored; the list adopts them, ascending, and their
+        // parent cells point here from now on.
+        for &fk_idx in &self.table_fk_in[table.0 as usize] {
+            let adopted = self.fk_orphans[fk_idx].remove(&pk_val).unwrap_or_default();
+            for child in &adopted {
+                self.fk_parent[fk_idx][child.index()] = id.0;
+            }
+            self.fk_children[fk_idx].push(adopted);
+        }
+        // Every fk whose referencing side is `table`: resolve the cell to its
+        // parent's row (which may be this very row, its lists opened above)
+        // and list this row under it, or under its key until it arrives.
         for &(fk_idx, col, to) in &self.table_fk_cols[table.0 as usize] {
             let parent = row[col].as_int().and_then(|key| {
-                self.fk_index[fk_idx].entry(key).or_default().push(id);
-                self.tables[to].by_pk(key)
+                let parent = self.tables[to].by_pk(key);
+                match parent {
+                    Some(p) => self.fk_children[fk_idx][p.index()].push(id),
+                    None => self.fk_orphans[fk_idx].entry(key).or_default().push(id),
+                }
+                parent
             });
             self.fk_parent[fk_idx].push(parent.map_or(NO_PARENT, |p| p.0));
-        }
-        // Every fk that references `table`: loaders insert in arbitrary
-        // order, so children of this row may already be stored.
-        for &fk_idx in &self.table_fk_in[table.0 as usize] {
-            if let Some(children) = self.fk_index[fk_idx].get(&pk_val) {
-                for child in children {
-                    self.fk_parent[fk_idx][child.index()] = id.0;
-                }
-            }
         }
 
         self.tables[table.0 as usize].rows.push(row);
@@ -320,14 +351,15 @@ impl Database {
 
     /// Deterministic approximation of row-storage heap bytes. Counts logical
     /// content — per-row and per-cell struct sizes, one copy of each interned
-    /// string, pk/fk index entries, parent-column entries — not allocator
-    /// capacities, so the result is a pure function of database content
-    /// (identical across machines and runs) and can be regression-gated like
-    /// any other counter.
+    /// string, pk-index entries, child-list entries, parent-column entries —
+    /// not allocator capacities, so the result is a pure function of database
+    /// content (identical across machines and runs) and can be
+    /// regression-gated like any other counter.
     pub fn approx_heap_bytes(&self) -> u64 {
         // Struct-size constants for the accounting model (64-bit targets):
         // a row's `Vec<Value>` header, the `Value` enum (discriminant + the
-        // 16-byte `Arc<str>` fat pointer), a pk-index entry, an fk posting,
+        // 16-byte `Arc<str>` fat pointer), a pk-index entry, a child-list
+        // entry per non-null fk cell (listed under its parent or its key),
         // a parent-column entry per fk cell, and an `Arc` strong/weak
         // refcount header per interned string.
         const ROW_VEC: u64 = 24;
@@ -346,10 +378,9 @@ impl Database {
         for s in &self.arena.syms {
             bytes += s.len() as u64 + ARC_HEADER;
         }
-        for idx in &self.fk_index {
-            for rows in idx.values() {
-                bytes += rows.len() as u64 * FK_ENTRY;
-            }
+        let children = self.fk_children.iter().flatten();
+        for rows in children.chain(self.fk_orphans.iter().flat_map(HashMap::values)) {
+            bytes += rows.len() as u64 * FK_ENTRY;
         }
         for col in &self.fk_parent {
             bytes += col.len() as u64 * FK_PARENT;
@@ -469,6 +500,7 @@ mod tests {
             .find(|(_, fk)| fk.to.table == actor)
             .expect("fk to actor exists");
         assert_eq!(db.fk_referrers(fk_actor, 1), &[a1, a2]);
+        assert_eq!(db.fk_children(fk_actor, RowId(0)), &[a1, a2]);
         assert!(db.fk_referrers(fk_actor, 99).is_empty());
         db.validate().unwrap();
     }
@@ -746,8 +778,8 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(db.approx_heap_bytes() - before, 100 * (24 + 16 + 2 * 24));
-        // A row with fk cells also pays, per non-null cell, an fk-index
-        // posting, and per cell, null or not, a parent-column entry.
+        // A row with fk cells also pays, per non-null cell, a child-list
+        // entry, and per cell, null or not, a parent-column entry.
         let acts = db.schema().table_id("acts").unwrap();
         let before = db.approx_heap_bytes();
         db.insert(acts, vec![Value::Int(1), Value::Int(1), Value::Null])
@@ -773,11 +805,13 @@ mod tests {
         assert_eq!(db.fk_parent_row(fk_actor, child), None);
         assert_eq!(db.fk_parent_row(fk_movie, child), None);
         assert!(db.validate().is_err());
-        // The parent patches the child that was waiting for it.
+        assert_eq!(db.fk_referrers(fk_actor, 1), &[child]);
+        // The parent adopts the child that was waiting for it.
         let parent = db
             .insert(actor, vec![Value::Int(1), Value::text("Hanks")])
             .unwrap();
         assert_eq!(db.fk_parent_row(fk_actor, child), Some(parent));
+        assert_eq!(db.fk_children(fk_actor, parent), &[child]);
         assert_eq!(db.fk_parent_row(fk_movie, child), None);
         db.validate().unwrap();
         // A child loaded after its parent resolves on the spot.
@@ -785,5 +819,7 @@ mod tests {
             .insert(acts, vec![Value::Int(101), Value::Int(1), Value::Null])
             .unwrap();
         assert_eq!(db.fk_parent_row(fk_actor, late), Some(parent));
+        assert_eq!(db.fk_children(fk_actor, parent), &[child, late]);
+        assert_eq!(db.fk_referrers(fk_actor, 1), &[child, late]);
     }
 }

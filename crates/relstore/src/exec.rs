@@ -31,17 +31,21 @@
 //!
 //! Both phases work in **row-id space**. Every edge is a foreign key, and the
 //! database resolves each fk cell to its parent's `RowId` once, at insert
-//! ([`Database::fk_parent_row`]); so "these two rows join" is `parent(child)
-//! == row`, a dense `u32` column read — no row fetch, no key extraction, no
-//! key hashing. The reducer turns each step's source into a bitmap over the
-//! edge's pk-side table and filters or materializes the target from it; the
-//! join phase keys its build table by pk-side row.
+//! ([`Database::fk_parent_row`]), and lists each parent row's children
+//! ([`Database::fk_children`]); so "these two rows join" is `parent(child)
+//! == row`, a dense `u32` column read, and "the rows that join this one" is
+//! a list read — no row fetch, no key extraction, no key hashing. The
+//! reducer turns each step's source into a bitmap over the edge's pk-side
+//! table and filters or materializes the target from it; the join phase
+//! keys its build table by pk-side row.
 //!
 //! [`execute_join_tree_naive`] is the named reference it is tested against:
-//! the original nested-loop expansion in key space — cell reads and pk / fk
-//! index probes, one `Vec<Option<RowId>>` per partial binding, cloned on
-//! every edge attach — and so shares nothing with the parent column. Tests
-//! and benches call it by name; no option selects it.
+//! the original nested-loop expansion in key space — cell reads, pk-index
+//! probes and [`Database::fk_referrers`] by key, one `Vec<Option<RowId>>`
+//! per partial binding, cloned on every edge attach — and so never reads
+//! the parent column. It reaches the child lists through `fk_referrers`;
+//! the differential suite holds those lists to the raw cells. Tests and
+//! benches call it by name; no option selects it.
 
 use crate::database::{Database, NO_PARENT};
 use crate::error::{RelError, RelResult};
@@ -367,22 +371,32 @@ impl RowBits {
     }
 }
 
-/// What gathering one parent's children costs (a row read for its key, a hash
-/// probe of the fk index, a second heap hop to the list, the sort of what
-/// comes out) in entries of a sequential parent-column scan. A free fk-side
-/// node is materialized by the scan once its source holds more than one
-/// pk-side row in this many: the source then names about that share of the
-/// child table, so the two costs meet. When the constant was chosen it was
-/// measured on the x10 IMDB fixture over the 1,264 executions the answers
+/// What gathering one parent's children costs (a read of its child list by
+/// row id, and the sort of what comes out) in entries of a sequential
+/// parent-column scan. A free fk-side node is materialized by the scan once
+/// its source holds more than one pk-side row in this many: the source then
+/// names about that share of the child table, so the two costs meet.
+///
+/// The constant was chosen against a gather in key space (a row read for the
+/// parent's key, a hash probe of an fk index, a second heap hop to the list).
+/// Measured on the x10 IMDB fixture over the 1,264 executions the answers
 /// pipeline performs for 256 log queries, reducer time as the median of five
 /// runs: 7.7 ms at 8 and at 16, 8.9 at 32, 8.7 at 64, 13.0 at 128, 28.0 when
 /// every such node is scanned (rows touched per execution 1,447 / 1,526 /
 /// 2,095 / 2,269 / 2,915 / 17,708). Under sources several times larger (a
 /// reducer rooted at its smallest node) the same measurement was flat from 16
-/// to 64 and 20% slower at 8, so 16 sits in the flat stretch whichever way
-/// source sizes move. To re-measure it: kbench's `relstore.exec.reduce_ms` on
-/// the `scale_search` workload for the time, and `smoke`'s strict
-/// `semijoin_rows_touched` counter for the rows touched.
+/// to 64 and 20% slower at 8.
+///
+/// Re-measured once the gather read child lists: kbench `scale_search
+/// --trace 1 --seconds 5 --seed 3` on a 2-core box, `relstore.exec.reduce_ms`
+/// as the median of five runs per value in rotating order — 0.0262 ms at 4,
+/// 0.0185 at 8, 0.0206 at 16, 0.0291 at 32, 0.0288 at 64, with the five runs
+/// of one value spread over ~0.008 ms; smoke's `semijoin_rows_touched`
+/// 10,124 / 10,124 / 25,164 / 34,188 / 34,188. 8 beats 16 by less than the
+/// spread, so 16 stays. To re-measure it: kbench's
+/// `relstore.exec.reduce_ms` on the `scale_search` workload for the time,
+/// and `smoke`'s strict `semijoin_rows_touched` counter for the rows
+/// touched.
 const SCAN_PER_GATHER: usize = 16;
 
 /// Keep the rows of one node that satisfy `joins`, in their order, and return
@@ -428,19 +442,18 @@ fn retain_rows(
 ///   parent's bit (fk side) is set, in their order;
 /// * a free target that has none yet is *materialized from the bitmap*: on
 ///   the pk side it is the set bits, ascending; on the fk side it is the
-///   children of the set bits, either gathered from the fk index and sorted
-///   or picked by one sequential scan of the parent column. Both give the
-///   same sorted, distinct rows; `SCAN_PER_GATHER` and the two lengths
-///   decide which is cheaper.
+///   children of the set bits, either gathered from their child lists
+///   ([`Database::fk_children`]) and sorted or picked by one sequential scan
+///   of the parent column. Both give the same sorted, distinct rows;
+///   `SCAN_PER_GATHER` and the two lengths decide which is cheaper.
 ///
 /// So a free table's rows are never read, and its parent column is walked
-/// only when the source already covers a fair share of it; key space is
-/// entered in two places only — the gather (one key read and one fk-index
-/// probe per marked parent) and a free fk-side *source*, where a pk-side
-/// row survives if the fk index lists any child for it. The output is fixed
-/// by the semantics alone: a restricted node ends as its given list, order
-/// and duplicates kept, minus the rows in no complete JTT; a free node as
-/// the ascending distinct rows in some JTT.
+/// only when the source already covers a fair share of it. Key space is
+/// never entered: the gather reads one child list per marked parent, and a
+/// free fk-side *source* keeps a pk-side row if its child list is non-empty.
+/// The output is fixed by the semantics alone: a restricted node ends as its
+/// given list, order and duplicates kept, minus the rows in no complete JTT;
+/// a free node as the ascending distinct rows in some JTT.
 ///
 /// Since no root changes the output, the program is ordered by what it
 /// costs — the rows its steps touch ([`ExecStats::semijoin_rows_touched`]):
@@ -559,10 +572,7 @@ pub fn reduce_join_tree(
             .or(candidates.per_node[source].as_deref());
         let Some(source_rows) = source_rows else {
             let tested = if s_fk {
-                retain_rows(work, given, |r| {
-                    !db.fk_referrers(edge.fk, db.pk_value(pk_table, r))
-                        .is_empty()
-                })
+                retain_rows(work, given, |r| !db.fk_children(edge.fk, r).is_empty())
             } else {
                 retain_rows(work, given, |r| parent_of[r.index()] != NO_PARENT)
             };
@@ -601,7 +611,7 @@ pub fn reduce_join_tree(
                     // disjoint: sorting alone makes them the distinct set.
                     let mut rows: Vec<RowId> = bits
                         .ones()
-                        .flat_map(|p| db.fk_referrers(edge.fk, db.pk_value(pk_table, p)))
+                        .flat_map(|p| db.fk_children(edge.fk, p))
                         .copied()
                         .collect();
                     rows.sort_unstable();

@@ -706,7 +706,7 @@ mod tests {
         assert_eq!(back.schema().table_count(), db.schema().table_count());
         assert_eq!(back.schema().fk_count(), db.schema().fk_count());
         assert_eq!(back.total_rows(), db.total_rows());
-        // Row ids, pk index, and fk index all reconstructed exactly.
+        // Row ids, pk index, and child lists all reconstructed exactly.
         let actor = db.schema().table_id("actor").unwrap();
         assert_eq!(back.schema().table_id("actor"), Some(actor));
         assert_eq!(back.table(actor).by_pk(1), db.table(actor).by_pk(1));

@@ -10,8 +10,10 @@
 //! * [`InvertedIndex::postings`] is a binary search in a short vector
 //!   (terms rarely occur in more than a handful of attributes);
 //! * [`InvertedIndex::rows_with_all`] and [`InvertedIndex::joint_atf`]
-//!   intersect postings by k-way leapfrog merge over the delta-decoded
-//!   lists, never building per-call hash sets;
+//!   intersect postings in place over the packed lists
+//!   ([`for_each_joint_row`]: a word-AND of all-bitmap inputs, otherwise
+//!   the smallest-df list probing the others), never building per-call
+//!   hash sets;
 //!   [`InvertedIndex::has_row_with_all`] is the early-exit variant backing
 //!   the generator's non-emptiness cache.
 //!
@@ -152,50 +154,29 @@ impl Iterator for Postings<'_> {
     }
 }
 
-impl Postings<'_> {
-    /// First posting with row `>= target`, consuming it — the leapfrog
-    /// probe. Gap lists scan linearly (decoding is the only way forward);
-    /// bitmap lists jump straight to the target's bit, *skipping* the
-    /// overleapt tf varints instead of decoding them.
-    pub fn seek(&mut self, target: RowId) -> Option<(RowId, u32)> {
-        if let Cur::Bitmap {
-            base,
-            words,
-            tfs,
-            tf_pos,
-            bit,
-        } = &mut self.cur
-        {
-            let tbit = target.0.saturating_sub(*base) as usize;
-            if tbit > *bit {
-                let skipped = count_set_bits(words, *bit, tbit.min(words.len() * 8));
-                skip_varints(tfs, tf_pos, skipped);
-                *bit = tbit;
-            }
-            return self.next();
-        }
-        loop {
-            let h = self.next()?;
-            if h.0 >= target {
-                return Some(h);
-            }
-        }
-    }
+/// Word `i` of a bitmap block: 64 presence bits, little-endian.
+#[inline]
+fn word_at(words: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(words[i * 8..i * 8 + 8].try_into().expect("8-byte word"))
 }
 
-/// Set bits of `words` in bit range `[from, to)`.
+/// Set bits of the bitmap block `words` in bit range `[from, to)`, counted a
+/// `u64` word at a time.
 fn count_set_bits(words: &[u8], from: usize, to: usize) -> usize {
+    if from >= to {
+        return 0;
+    }
+    let (first, last) = (from / 64, (to - 1) / 64);
     let mut n = 0;
-    let mut bit = from;
-    while bit < to {
-        let byte = bit / 8;
-        let end = ((byte + 1) * 8).min(to);
-        let mut mask = words[byte] >> (bit % 8);
-        if end - bit < 8 {
-            mask &= (1u8 << (end - bit)) - 1;
+    for i in first..=last {
+        let mut word = word_at(words, i);
+        if i == first {
+            word &= !0 << (from % 64);
         }
-        n += mask.count_ones() as usize;
-        bit = end;
+        if i == last && !to.is_multiple_of(64) {
+            word &= (1 << (to % 64)) - 1;
+        }
+        n += word.count_ones() as usize;
     }
     n
 }
@@ -648,60 +629,173 @@ impl TermAttrEntry {
 }
 
 /// Walk the intersection of several row-sorted postings lists, calling
-/// `visit(row, min_tf)` for every row present in *all* lists. `visit`
-/// returns `false` to stop early.
+/// `visit(row, min_tf)` for every row present in *all* lists, ascending.
+/// `visit` returns `false` to stop early.
 ///
-/// All-bitmap intersections take a word-at-a-time AND fast path; any mix
-/// involving a gaps list runs the k-way leapfrog merge, where each advance
-/// [`Postings::seek`]s — bitmap lists jump straight to the target bit
-/// instead of decoding every overleapt posting. Both paths emit the
-/// identical ascending `(row, min_tf)` sequence.
+/// All-bitmap intersections take a word-at-a-time AND fast path. Every other
+/// input walks the list with the smallest df (the lead) and probes the
+/// others at each of its rows: a bitmap answers with one bit test, a gaps list
+/// advances its decoder, and the first list with no row left ends the walk.
+/// Both paths emit the identical ascending `(row, min_tf)` sequence.
 pub fn for_each_joint_row(lists: &[&TermAttrEntry], mut visit: impl FnMut(RowId, u32) -> bool) {
-    if lists.is_empty() {
+    if lists.is_empty() || lists.iter().any(|e| e.df == 0) {
         return;
     }
-    if lists.len() >= 2
-        && lists
-            .iter()
-            .all(|e| e.repr() == PostingsRepr::Bitmap && e.df > 0)
-    {
+    if lists.len() >= 2 && lists.iter().all(|e| e.repr() == PostingsRepr::Bitmap) {
         return joint_bitmap_and(lists, visit);
     }
-    let mut iters: Vec<Postings<'_>> = lists.iter().map(|e| e.rows()).collect();
-    let mut heads: Vec<(RowId, u32)> = Vec::with_capacity(iters.len());
-    for it in &mut iters {
-        match it.next() {
-            Some(h) => heads.push(h),
-            None => return,
-        }
-    }
-    loop {
-        let target = heads.iter().map(|h| h.0).max().expect("lists nonempty");
-        let mut aligned = true;
-        for (head, it) in heads.iter_mut().zip(&mut iters) {
-            if head.0 < target {
-                match it.seek(target) {
-                    Some(h) => *head = h,
-                    None => return,
-                }
-            }
-            if head.0 > target {
-                aligned = false;
+    let lead = (0..lists.len())
+        .min_by_key(|&i| lists[i].df)
+        .expect("lists nonempty");
+    let mut probes: Vec<Probe<'_>> = (0..lists.len())
+        .filter(|&i| i != lead)
+        .map(|i| Probe::new(lists[i]))
+        .collect();
+    'rows: for (row, tf) in lists[lead].rows() {
+        let mut min_tf = tf;
+        for probe in &mut probes {
+            match probe.at(row.0) {
+                Hit::Tf(tf) => min_tf = min_tf.min(tf),
+                Hit::Miss => continue 'rows,
+                Hit::Done => return,
             }
         }
-        if !aligned {
-            continue; // some list leapt past `target`: re-aim at the new max
-        }
-        let min_tf = heads.iter().map(|h| h.1).min().expect("lists nonempty");
-        if !visit(target, min_tf) {
+        if !visit(row, min_tf) {
             return;
         }
-        for (head, it) in heads.iter_mut().zip(&mut iters) {
-            match it.next() {
-                Some(h) => *head = h,
-                None => return,
+    }
+}
+
+/// What a [`Probe`] says about one row.
+enum Hit {
+    /// The row is in the list, with this term frequency.
+    Tf(u32),
+    /// The row is not in the list.
+    Miss,
+    /// The list holds no row at or past the probed one.
+    Done,
+}
+
+/// Membership and term frequency of one postings list at *ascending* rows:
+/// the probe side of [`for_each_joint_row`].
+enum Probe<'a> {
+    /// A gaps list: its own decoder (not a [`Postings`], which branches on
+    /// the repr and on the first posting at every step), standing on the
+    /// first posting not yet passed (`None` once the list is spent).
+    Gaps {
+        bytes: &'a [u8],
+        pos: usize,
+        head: Option<(u32, u32)>,
+    },
+    Bitmap(BitmapTfs<'a>),
+}
+
+impl<'a> Probe<'a> {
+    fn new(entry: &'a TermAttrEntry) -> Self {
+        match BitmapTfs::new(entry) {
+            Some(bitmap) => Probe::Bitmap(bitmap),
+            None => {
+                let mut pos = 0;
+                // The first delta is the first row verbatim.
+                let head = next_gap(&entry.packed, &mut pos, 0);
+                Probe::Gaps {
+                    bytes: &entry.packed,
+                    pos,
+                    head,
+                }
             }
         }
+    }
+
+    /// Whether `row` is in the list, and its tf. `row` must not be below any
+    /// row probed before.
+    #[inline]
+    fn at(&mut self, row: u32) -> Hit {
+        match self {
+            Probe::Gaps { bytes, pos, head } => loop {
+                let Some((r, tf)) = *head else {
+                    return Hit::Done;
+                };
+                if r >= row {
+                    return if r == row { Hit::Tf(tf) } else { Hit::Miss };
+                }
+                *head = next_gap(bytes, pos, r);
+            },
+            Probe::Bitmap(bitmap) => {
+                if row > bitmap.last {
+                    Hit::Done
+                } else if bitmap.contains(row) {
+                    Hit::Tf(bitmap.tf(row))
+                } else {
+                    Hit::Miss
+                }
+            }
+        }
+    }
+}
+
+/// Decode the `(row, tf)` posting at `pos` of a gaps buffer whose previous
+/// row is `prev` (0 before the first, whose delta is its row), or `None`
+/// at the end of the buffer.
+#[inline]
+fn next_gap(bytes: &[u8], pos: &mut usize, prev: u32) -> Option<(u32, u32)> {
+    (*pos < bytes.len()).then(|| {
+        let row = prev + read_varu32(bytes, pos);
+        (row, read_varu32(bytes, pos))
+    })
+}
+
+/// A bitmap entry's presence bits plus a monotone rank cursor into its tf
+/// stream.
+struct BitmapTfs<'a> {
+    base: u32,
+    last: u32,
+    words: &'a [u8],
+    tfs: &'a [u8],
+    /// Postings below this bit have their tf varints before `tf_pos`.
+    bit: usize,
+    tf_pos: usize,
+    /// `occurrences == df`: every tf is 1, so no rank is ever taken.
+    unit_tf: bool,
+}
+
+impl<'a> BitmapTfs<'a> {
+    /// `None` for a gaps entry.
+    fn new(entry: &'a TermAttrEntry) -> Option<Self> {
+        let (base, words, tfs) = entry.bitmap_parts()?;
+        Some(BitmapTfs {
+            base,
+            last: entry.last,
+            words,
+            tfs,
+            bit: 0,
+            tf_pos: 0,
+            unit_tf: entry.occurrences == entry.df as u64,
+        })
+    }
+
+    /// Whether `row` is in the list: one bit test.
+    #[inline]
+    fn contains(&self, row: u32) -> bool {
+        row >= self.base && row <= self.last && {
+            let bit = (row - self.base) as usize;
+            self.words[bit / 8] >> (bit % 8) & 1 != 0
+        }
+    }
+
+    /// The tf of `row`, which is in the list and not below any row asked
+    /// before: the set bits since the last answer are counted a word at a
+    /// time and their tf varints skipped undecoded.
+    #[inline]
+    fn tf(&mut self, row: u32) -> u32 {
+        if self.unit_tf {
+            return 1;
+        }
+        let bit = (row - self.base) as usize;
+        let passed = count_set_bits(self.words, self.bit, bit);
+        skip_varints(self.tfs, &mut self.tf_pos, passed);
+        self.bit = bit + 1;
+        read_varu32(self.tfs, &mut self.tf_pos)
     }
 }
 
@@ -734,44 +828,41 @@ fn bits_at(words: &[u8], r0: i64) -> u64 {
 
 /// The all-bitmap fast path of [`for_each_joint_row`]: AND the (mutually
 /// unaligned) word blocks 64 rows at a time over the lists' overlapping
-/// span, then rank each surviving row into every list's tf stream through a
-/// monotone [`Postings::seek`] cursor. Total work is one word-AND sweep of
-/// the span plus one sequential tf-stream pass per list — no per-row heap
-/// leapfrogging.
+/// span, then rank each surviving row into every list's tf stream through
+/// its monotone [`BitmapTfs`] cursor. Total work is one word-AND sweep of
+/// the span plus one sequential tf-stream pass per list.
 fn joint_bitmap_and(lists: &[&TermAttrEntry], mut visit: impl FnMut(RowId, u32) -> bool) {
-    let parts: Vec<(u32, &[u8])> = lists
+    let mut bitmaps: Vec<BitmapTfs<'_>> = lists
         .iter()
-        .map(|e| {
-            let (base, words, _) = e.bitmap_parts().expect("all lists bitmap");
-            (base, words)
-        })
+        .map(|e| BitmapTfs::new(e).expect("all lists bitmap"))
         .collect();
-    let lo = parts.iter().map(|&(b, _)| b).max().expect("lists nonempty");
-    let hi = lists.iter().map(|e| e.last).min().expect("lists nonempty");
+    let lo = bitmaps
+        .iter()
+        .map(|b| b.base)
+        .max()
+        .expect("lists nonempty");
+    let hi = bitmaps
+        .iter()
+        .map(|b| b.last)
+        .min()
+        .expect("lists nonempty");
     if hi < lo {
         return;
     }
-    let mut tf_cursors: Vec<Postings<'_>> = lists.iter().map(|e| e.rows()).collect();
     let mut a = lo as u64;
     while a <= hi as u64 {
         let mut word = !0u64;
-        for &(base, words) in &parts {
-            word &= bits_at(words, a as i64 - base as i64);
+        for b in &bitmaps {
+            word &= bits_at(b.words, a as i64 - b.base as i64);
             if word == 0 {
                 break;
             }
         }
         while word != 0 {
-            let b = word.trailing_zeros();
+            let row = a as u32 + word.trailing_zeros();
             word &= word - 1;
-            let row = RowId(a as u32 + b);
-            let mut min_tf = u32::MAX;
-            for cur in &mut tf_cursors {
-                let (r, tf) = cur.seek(row).expect("row set in every bitmap");
-                debug_assert_eq!(r, row);
-                min_tf = min_tf.min(tf);
-            }
-            if !visit(row, min_tf) {
+            let min_tf = bitmaps.iter_mut().map(|b| b.tf(row)).min();
+            if !visit(RowId(row), min_tf.expect("lists nonempty")) {
                 return;
             }
         }
@@ -1018,7 +1109,8 @@ impl InvertedIndex {
 
     /// Allocation-free variant of [`Self::rows_with_all`]: the intersection
     /// lands in `out`; `scratch` is a reusable work buffer kept for API
-    /// stability (the k-way merge intersects in one pass without it). Both
+    /// stability ([`for_each_joint_row`] intersects in one pass without
+    /// it). Both
     /// are cleared first, so callers can reuse them across calls. A
     /// single-term predicate is its postings list: the rows are decoded
     /// straight into `out`, no merge and no term frequencies.
@@ -1052,9 +1144,9 @@ impl InvertedIndex {
 
     /// Whether at least one row of `attr` contains *all* of `terms` — the
     /// non-emptiness probe of the DivQ necessary condition (§4.4.1). The
-    /// k-way merge exits on the first surviving row, so the common case (a
-    /// frequent co-occurrence) decodes only a prefix of each list instead
-    /// of running a full intersection.
+    /// walk of [`for_each_joint_row`] exits on the first surviving row, so
+    /// the common case (a frequent co-occurrence) decodes only a prefix of
+    /// the lists instead of running a full intersection.
     pub fn has_row_with_all(&self, terms: &[String], attr: AttrRef) -> bool {
         if terms.is_empty() {
             return false;
@@ -1113,8 +1205,8 @@ impl InvertedIndex {
     /// attribute) this exceeds the product of marginal ATFs, which is what
     /// pushes phrase-consistent interpretations up the ranking.
     ///
-    /// Joint occurrences are counted by a k-way leapfrog merge over the
-    /// delta-decoded postings lists — no per-call hash maps.
+    /// Joint occurrences are counted by [`for_each_joint_row`] over the
+    /// packed postings lists — no per-call hash maps.
     pub fn joint_atf(&self, terms: &[String], attr: AttrRef, alpha: f64) -> f64 {
         if terms.is_empty() {
             return 0.0;
@@ -1931,32 +2023,48 @@ mod tests {
 
     #[test]
     fn joint_rows_agree_across_repr_mixes() {
-        // Property: for_each_joint_row (word-AND fast path, leapfrog-into-
-        // bitmap, and pure gaps merge) matches a brute-force model
-        // intersection for every repr mix — each mix with cases whose
-        // intersection is non-empty.
+        // Property: for_each_joint_row (the word-AND path for all-bitmap
+        // inputs, the shortest-list probe for every other) matches a
+        // brute-force model intersection for every repr mix, stops where
+        // `visit` says, and the index methods built on it agree with the
+        // model too. Each kernel shape is seen with non-empty intersections.
+        let schema = db().schema().clone();
+        let name = schema.resolve("actor", "name").unwrap();
+        let words = ["alpha", "bravo", "charlie", "delta"].map(String::from);
         let mut rng = XorShift(0x2545F4914F6CDD1D);
-        let (mut all_bitmap, mut all_gaps, mut mixed) = (0usize, 0usize, 0usize);
-        for case in 0..1000 {
+        // all-bitmap, all-gaps, gaps lead x unit-tf bitmap probe, gaps
+        // lead x bitmap probe with some tf > 1, bitmap lead x gaps
+        // probe, three or more lists of mixed reprs, early stop on a mixed
+        // walk with more than one joint row.
+        let mut seen = [0usize; 7];
+        for case in 0..2000 {
             let k = 2 + rng.below(3) as usize;
             let mut entries = Vec::new();
             let mut models: Vec<Vec<(RowId, u32)>> = Vec::new();
             for _ in 0..k {
-                // Dense (a bitmap from df 16), sparse scatter, or sparse on
-                // a stride-41 lattice: gaps lists that still overlap.
-                let (universe, stride, most) = match rng.below(3) {
-                    0 => (400, 1, 200),
-                    1 => (1 << 14, 1, 40),
-                    _ => (400, 41, 40),
+                // Dense (a bitmap from df 16), sparse scatter, sparse on a
+                // stride-41 lattice, or a dense cluster with one far row
+                // (a gaps list as long as a bitmap, over the same rows).
+                let (universe, stride, most, far) = match rng.below(4) {
+                    0 => (400, 1, 200, false),
+                    1 => (1 << 14, 1, 40, false),
+                    2 => (400, 41, 40, false),
+                    _ => (400, 1, 200, true),
                 };
-                let n = rng.below(most) as usize;
+                let unit_tf = rng.below(3) == 0;
+                let mut rows: Vec<u32> = (0..rng.below(most))
+                    .map(|_| (rng.below(universe) * stride) as u32)
+                    .collect();
+                if far {
+                    rows.push((1 << 14) + rng.below(1 << 10) as u32);
+                }
                 let mut model: Vec<(RowId, u32)> = Vec::new();
-                for _ in 0..n {
-                    let row = RowId((rng.below(universe) * stride) as u32);
-                    let tf = rng.below(6) as u32 + 1;
-                    match model.binary_search_by_key(&row, |&(r, _)| r) {
-                        Ok(i) => model[i].1 += tf,
-                        Err(i) => model.insert(i, (row, tf)),
+                for row in rows {
+                    let tf = if unit_tf { 1 } else { rng.below(6) as u32 + 1 };
+                    match model.binary_search_by_key(&RowId(row), |&(r, _)| r) {
+                        Ok(i) if !unit_tf => model[i].1 += tf,
+                        Ok(_) => {}
+                        Err(i) => model.insert(i, (RowId(row), tf)),
                     }
                 }
                 entries.push(TermAttrEntry::from_pairs(&model));
@@ -1986,29 +2094,61 @@ mod tests {
                 }
             }
             assert_eq!(got, want, "case {case}");
-            if !want.is_empty() {
-                let bitmaps = lists
-                    .iter()
-                    .filter(|e| e.repr() == PostingsRepr::Bitmap)
-                    .count();
-                match bitmaps {
-                    0 => all_gaps += 1,
-                    n if n == lists.len() => all_bitmap += 1,
-                    _ => mixed += 1,
-                }
-            }
-            // Early exit stops after the first joint row on both paths.
-            let mut first = None;
+            // Early stop: the walk ends at the first joint row.
+            let mut visited = Vec::new();
             for_each_joint_row(&lists, |row, min_tf| {
-                first = Some((row, min_tf));
+                visited.push((row, min_tf));
                 false
             });
-            assert_eq!(first, want.first().copied(), "case {case} early exit");
+            assert_eq!(visited, want[..want.len().min(1)], "case {case} early stop");
+
+            // The index methods over the same postings, which hand the
+            // kernel its lists smallest-df first.
+            let mut index = InvertedIndex::build(&Database::new(schema.clone()));
+            for (word, entry) in words.iter().zip(&entries) {
+                let term = TermEntry {
+                    attrs: vec![name],
+                    postings: vec![entry.clone()],
+                };
+                index.dict.insert(word.clone(), term);
+            }
+            let terms = &words[..k];
+            let (mut out, mut scratch) = (Vec::new(), Vec::new());
+            index.rows_with_all_into(terms, name, &mut out, &mut scratch);
+            let want_rows: Vec<RowId> = want.iter().map(|&(r, _)| r).collect();
+            assert_eq!(out, want_rows, "case {case} rows_with_all_into");
+            assert_eq!(index.has_row_with_all(terms, name), !want.is_empty());
+            let joint: u64 = want.iter().map(|&(_, tf)| tf as u64).sum();
+            assert_eq!(index.joint_occurrences(terms, name), Some(joint));
+
+            if want.is_empty() {
+                continue;
+            }
+            let bitmap = |e: &TermAttrEntry| e.repr() == PostingsRepr::Bitmap;
+            let bitmaps = lists.iter().filter(|e| bitmap(e)).count();
+            if bitmaps == k {
+                seen[0] += 1;
+                continue;
+            }
+            if bitmaps == 0 {
+                seen[1] += 1;
+                continue;
+            }
+            let lead = (0..k).min_by_key(|&i| lists[i].df()).unwrap();
+            let probes = || (0..k).filter(move |&i| i != lead).map(|i| lists[i]);
+            if bitmap(lists[lead]) {
+                seen[4] += 1;
+            } else {
+                let unit = |e: &TermAttrEntry| e.occurrences == e.df() as u64;
+                seen[2] += usize::from(probes().any(|e| bitmap(e) && unit(e)));
+                seen[3] += usize::from(probes().any(|e| bitmap(e) && !unit(e)));
+            }
+            seen[5] += usize::from(k >= 3);
+            seen[6] += usize::from(want.len() >= 2);
         }
-        let nonempty = [all_bitmap, all_gaps, mixed];
         assert!(
-            nonempty.iter().all(|&n| n >= 20),
-            "non-empty intersections (all-bitmap, all-gaps, mixed): {nonempty:?}"
+            seen.iter().all(|&n| n >= 20),
+            "non-empty intersections per kernel shape: {seen:?}"
         );
     }
 

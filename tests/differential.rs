@@ -26,7 +26,7 @@ use keybridge::relstore::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The differential suite's seed set — at least 3 distinct seeds, per the
 /// CI gate.
@@ -844,25 +844,61 @@ fn parent_column(db: &Database) -> Vec<Vec<Option<RowId>>> {
         .collect()
 }
 
-/// The column's invariant: it is `by_pk` of the fk cell, cached.
-fn assert_column_is_the_pk_index(db: &Database, note: &str) {
+/// Every `fk_children` list of `db`, by foreign key and parent row.
+fn child_lists(db: &Database) -> Vec<Vec<Vec<RowId>>> {
+    db.schema()
+        .fks()
+        .map(|(id, fk)| {
+            db.table(fk.to.table)
+                .rows()
+                .map(|(p, _)| db.fk_children(id, p).to_vec())
+                .collect()
+        })
+        .collect()
+}
+
+/// Both directions of every fk link, recomputed from the raw cells alone:
+/// the parent column is `by_pk` of the cell, cached; the children of a key
+/// are the rows whose cell holds it, ascending — listed under the parent
+/// row that key names, and returned by `fk_referrers` for every key a cell
+/// holds, dangling keys that never resolve included.
+fn assert_fk_links_are_the_cells(db: &Database, note: &str) {
     for (id, fk) in db.schema().fks() {
+        let mut by_key: BTreeMap<i64, Vec<RowId>> = BTreeMap::new();
         for (r, _) in db.table(fk.from.table).rows() {
-            let by_pk = db
-                .cell(fk.from.table, r, fk.from)
-                .as_int()
-                .and_then(|key| db.table(fk.to.table).by_pk(key));
+            let key = db.cell(fk.from.table, r, fk.from).as_int();
+            let by_pk = key.and_then(|key| db.table(fk.to.table).by_pk(key));
             assert_eq!(
                 db.fk_parent_row(id, r),
                 by_pk,
                 "{note}: fk {id:?} row {r:?}"
             );
+            if let Some(key) = key {
+                by_key.entry(key).or_default().push(r);
+            }
+        }
+        for (&key, rows) in &by_key {
+            assert_eq!(
+                db.fk_referrers(id, key),
+                rows.as_slice(),
+                "{note}: fk {id:?} key {key}"
+            );
+        }
+        for (p, _) in db.table(fk.to.table).rows() {
+            let key = db.pk_value(fk.to.table, p);
+            let want = by_key.get(&key).map_or(&[][..], Vec::as_slice);
+            assert_eq!(
+                db.fk_children(id, p),
+                want,
+                "{note}: fk {id:?} parent {p:?}"
+            );
         }
     }
 }
 
-/// The parent column is derived state with one write site; every way a
-/// store comes to exist must leave it equal to the pk index it caches.
+/// The parent column and the child lists are derived state with one write
+/// site; every way a store comes to exist must leave both equal to what the
+/// cells say.
 #[test]
 fn fk_parent_column_tracks_the_pk_index() {
     for &seed in &SEEDS {
@@ -871,7 +907,7 @@ fn fk_parent_column_tracks_the_pk_index() {
             let note = format!("seed {seed} case {case}");
             // (i) Row-at-a-time load in shuffled order, dangling keys included.
             let loose = company_db(&mut rng, true, 1);
-            assert_column_is_the_pk_index(&loose, &note);
+            assert_fk_links_are_the_cells(&loose, &note);
             let resolved = parent_column(&loose).iter().flatten().flatten().count();
             assert!(resolved > 0, "{note}: nothing resolved");
 
@@ -879,21 +915,22 @@ fn fk_parent_column_tracks_the_pk_index() {
             let (mut db, rows) = company_rows(&mut rng, false, 1);
             db.insert_batch(&rows).unwrap();
             db.validate().unwrap();
-            assert_column_is_the_pk_index(&db, &note);
+            assert_fk_links_are_the_cells(&db, &note);
 
-            // (iii) Snapshot round trip: the column is rebuilt, not stored.
+            // (iii) Snapshot round trip: the links are rebuilt, not stored.
             let decoded = Database::from_snapshot_bytes(&db.snapshot_bytes().unwrap()).unwrap();
-            assert_column_is_the_pk_index(&decoded, &note);
+            assert_fk_links_are_the_cells(&decoded, &note);
             assert_eq!(parent_column(&decoded), parent_column(&db), "{note}");
+            assert_eq!(child_lists(&decoded), child_lists(&db), "{note}");
 
             // (iv) Every shard of a split, in its local row ids.
             let split = split_database(&db, &assign_shards(&db, 3)).unwrap();
             for shard in &split.dbs {
-                assert_column_is_the_pk_index(shard, &note);
+                assert_fk_links_are_the_cells(shard, &note);
             }
 
-            // (v) A clone owns its column: a parent arriving on the clone
-            // patches the clone's waiting children and nobody else's.
+            // (v) A clone owns its links: a parent arriving on the clone
+            // adopts the clone's waiting children and nobody else's.
             let emp = db.schema().table_id("emp").unwrap();
             let orphan = vec![
                 Value::Int(9001),
@@ -902,16 +939,22 @@ fn fk_parent_column_tracks_the_pk_index() {
                 Value::Int(9002),
             ];
             db.insert(emp, orphan).unwrap();
-            let before = parent_column(&db);
+            assert_fk_links_are_the_cells(&db, &note);
+            let before = (parent_column(&db), child_lists(&db));
             let mut fork = db.clone();
             let boss = vec![Value::Int(9002), Value::text("b"), Value::Null, Value::Null];
             let boss = fork.insert(emp, boss).unwrap();
-            assert_column_is_the_pk_index(&fork, &note);
-            assert_eq!(parent_column(&db), before, "{note}: original moved");
+            assert_fk_links_are_the_cells(&fork, &note);
+            assert_fk_links_are_the_cells(&db, &note);
+            let now = (parent_column(&db), child_lists(&db));
+            assert_eq!(now, before, "{note}: original moved");
             let waiting = db.table(emp).by_pk(9001).unwrap();
             assert!(parent_column(&fork)
                 .iter()
                 .any(|col| col.get(waiting.index()) == Some(&Some(boss))));
+            assert!(child_lists(&fork)
+                .iter()
+                .any(|lists| lists.get(boss.index()) == Some(&vec![waiting])));
 
             // A rejected batch writes nothing, the column included.
             let bad: RowBatch = vec![
@@ -930,7 +973,8 @@ fn fk_parent_column_tracks_the_pk_index() {
                 ),
             ];
             db.insert_batch(&bad).unwrap_err();
-            assert_eq!(parent_column(&db), before, "{note}: rejected batch wrote");
+            let now = (parent_column(&db), child_lists(&db));
+            assert_eq!(now, before, "{note}: rejected batch wrote");
         }
     }
 }
