@@ -7,8 +7,9 @@
 //!
 //! Every invocation also runs the paper's experiments (`keybridge_bench::
 //! paper`): it prints each table and figure, writes their machine-independent
-//! cells to a `paper` section, and fails naming the entry id and the finding
-//! of any claim that does not hold.
+//! cells to a `paper` section beside the heap model of every fixture database
+//! they built (`fixture.freebase1800.heap_bytes`), and fails naming the entry
+//! id and the finding of any claim that does not hold.
 //!
 //! With `--scale`, a storage-footprint tier regenerates the profile's IMDB
 //! fixture at scale factors 1/10/50 (plus x100 on the full profile) and

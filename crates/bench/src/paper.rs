@@ -24,7 +24,7 @@ use keybridge_freeq::{qco, qco_efficiency, FreeQSession, FreeQSessionConfig, Laz
 use keybridge_freeq::{LazyInterpretation, SchemaOntology, TraversalConfig};
 use keybridge_iqp::{brute_force_plan, greedy_plan, median, quartiles, ConstructionSession};
 use keybridge_iqp::{PlanProblem, SessionConfig, SimConfig, SimSpace, TimeModel};
-use keybridge_relstore::TableId;
+use keybridge_relstore::{Database, TableId};
 use keybridge_yagof::{category_kind_distribution, combine, evaluate_matching, instance_histogram};
 use keybridge_yagof::{match_categories, shared_instance_distribution, MatchConfig};
 use rand::{rngs::StdRng, SeedableRng};
@@ -236,11 +236,33 @@ impl Fixtures {
         self.yago
             .get_or_init(|| self.yago_with(base.coverage, base.noise))
     }
+
+    /// The heap model of every shared fixture's database that was built, as
+    /// `fixture.<name>.heap_bytes` cells: pure numbers, so a representation
+    /// that blows up on one of these schemas moves a key, not only a clock.
+    fn heap_cells(&self) -> Vec<(String, String)> {
+        let datasets = self.datasets.get().into_iter().flatten();
+        let datasets = datasets.map(|d| (d.key, &d.fixture.db));
+        let freebase = [
+            ("freebase1800", &self.fb1800),
+            ("freebase7000", &self.fb7000),
+            ("freebase61", &self.fb61),
+        ];
+        let freebase = freebase
+            .into_iter()
+            .filter_map(|(key, fb)| Some((key, &fb.get()?.fb.db)));
+        let heap = |(key, db): (&str, &Database)| {
+            let bytes = db.approx_heap_bytes();
+            (format!("fixture.{key}.heap_bytes"), bytes.to_string())
+        };
+        datasets.chain(freebase).map(heap).collect()
+    }
 }
 
 /// Run every entry over shared fixtures, print each table and each claim
-/// in entry order, and return the written cells as `(key, value)` pairs and
-/// the failures (each names its entry id).
+/// in entry order, and return the written cells as `(key, value)` pairs —
+/// the entries', then each fixture's heap model — and the failures (each
+/// names its entry id).
 ///
 /// Two workers run the entries: one chapters 3–4, over the IMDB and Lyrics
 /// fixtures, and one chapters 5–6, over the Freebase ones.
@@ -277,6 +299,7 @@ pub fn run(quick: bool) -> (Vec<(String, String)>, Vec<String>) {
         fields.extend(f);
         failures.extend(e);
     }
+    fields.extend(fixtures.heap_cells());
     (fields, failures)
 }
 

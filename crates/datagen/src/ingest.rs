@@ -83,7 +83,7 @@ pub fn holdout_plan(db: &Database, cfg: IngestConfig) -> IngestPlan {
 
     // Pass 2: close under children — a preloaded row must never reference a
     // held-out parent. `fk_children` gives the children of a parent row
-    // directly off the database's own row-id child lists.
+    // directly off the database's own child maps.
     while let Some((tid, rid)) = worklist.pop() {
         for (fk_id, fk) in schema.fks() {
             if fk.to.table != tid {

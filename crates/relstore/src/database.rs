@@ -1,10 +1,13 @@
 //! Row storage with a primary-key hash index and, per foreign key, the
-//! row-id links between referencing and referenced rows.
+//! links between referencing and referenced rows: a row-id parent column and
+//! a child map keyed by the referenced key.
 
 use crate::error::{BatchError, RelError, RelResult};
 use crate::schema::{AttrRef, FkId, Schema, TableId};
 use crate::value::{RowId, Value};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 /// Hard per-table row capacity: `RowId` is a `u32` and its last value is
@@ -15,6 +18,39 @@ pub const MAX_TABLE_ROWS: usize = u32::MAX as usize;
 /// The parent column's mark for "null foreign key, or parent not loaded
 /// yet". Never a row id: see [`MAX_TABLE_ROWS`].
 pub(crate) const NO_PARENT: u32 = u32::MAX;
+
+/// A hasher for `i64` keys: one folded multiply per key (the two halves of a
+/// 128-bit product, XORed) over a random seed. The child maps are probed
+/// once per parent a join gathers, where std's SipHash would cost more than
+/// the rest of the probe; the seed keeps keys that ingested rows choose from
+/// colliding by design.
+#[derive(Debug, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl BuildHasher for KeyHasher {
+    type Hasher = KeyHasher;
+
+    fn build_hasher(&self) -> KeyHasher {
+        *self
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let product = u128::from(self.0 ^ x ^ 0x243f_6a88_85a3_08d3) * 0x1319_8a2e_0370_7344;
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+}
 
 /// Per-database string dictionary. Every text cell is canonicalized to one
 /// shared [`Arc<str>`] per distinct string, identified by a dense `u32`
@@ -53,10 +89,13 @@ impl StringArena {
 /// untouched.
 pub type RowBatch = Vec<(TableId, Vec<Value>)>;
 
-/// Storage for one table: a row-major `Vec` of rows plus a primary-key index.
+/// Storage for one table: a row-major `Vec` of rows, its primary-key column
+/// and a primary-key index.
 #[derive(Debug, Clone, Default)]
 pub struct TableStore {
     rows: Vec<Vec<Value>>,
+    /// `pks[row]` = the row's primary key, so reading it touches no row.
+    pks: Vec<i64>,
     pk_index: HashMap<i64, RowId>,
 }
 
@@ -92,23 +131,20 @@ impl TableStore {
 }
 
 /// An in-memory database: a [`Schema`] plus per-table storage and, for every
-/// foreign key, both directions of its row-id links — each child's parent
-/// row and each parent's child rows — resolved once, at insert.
+/// foreign key, both directions of its links — each child's parent row and
+/// each key's child rows — maintained at insert.
 #[derive(Debug, Clone)]
 pub struct Database {
     schema: Schema,
     tables: Vec<TableStore>,
-    /// `fk_children[fk][parent row]` = rows of the *referencing* table whose
-    /// fk cell resolves to that row of the referenced table, ascending: the
-    /// inverse of `fk_parent`, one list per referenced row, opened when that
-    /// row is inserted. Joins in the pk -> fk direction read it by row id.
-    /// Derived from the rows and never serialized.
-    fk_children: Vec<Vec<Vec<RowId>>>,
-    /// `fk_orphans[fk][key]` = rows of the referencing table whose fk cell
-    /// holds `key` while no row with that primary key is stored, ascending.
-    /// Loaders insert in arbitrary order: the parent's insert adopts them
-    /// into its `fk_children` list. Empty once every key resolves.
-    fk_orphans: Vec<HashMap<i64, Vec<RowId>>>,
+    /// `fk_children[fk][key]` = rows of the *referencing* table whose fk cell
+    /// holds `key`, ascending, whether or not a row with that primary key is
+    /// stored: one entry per distinct non-null key, so the links cost
+    /// O(edges) and a row nothing references costs nothing. Joins in the
+    /// pk -> fk direction reach it through the parent's pk column
+    /// ([`Database::fk_children`]). Derived from the rows and never
+    /// serialized.
+    fk_children: Vec<HashMap<i64, Vec<RowId>, KeyHasher>>,
     /// `fk_parent[fk][child row]` = row id of the referenced parent, or
     /// [`NO_PARENT`]: the pk -> row resolution of every fk cell, done once
     /// at insert, so joins along a foreign key run on dense row ids instead
@@ -131,8 +167,8 @@ impl Database {
     /// Create an empty database over `schema`.
     pub fn new(schema: Schema) -> Self {
         let tables = vec![TableStore::default(); schema.table_count()];
-        let fk_children = vec![Vec::new(); schema.fk_count()];
-        let fk_orphans = vec![HashMap::new(); schema.fk_count()];
+        let seed = KeyHasher(RandomState::new().build_hasher().finish());
+        let fk_children = vec![HashMap::with_hasher(seed); schema.fk_count()];
         let fk_parent = vec![Vec::new(); schema.fk_count()];
         let mut table_fk_cols = vec![Vec::new(); schema.table_count()];
         let mut table_fk_in = vec![Vec::new(); schema.table_count()];
@@ -149,7 +185,6 @@ impl Database {
             schema,
             tables,
             fk_children,
-            fk_orphans,
             fk_parent,
             table_fk_cols,
             table_fk_in,
@@ -179,32 +214,26 @@ impl Database {
         &self.tables[table.0 as usize].row(row)[attr.attr.0 as usize]
     }
 
-    /// Primary-key value of a row.
+    /// Primary-key value of a row: a read of the table's pk column.
     pub fn pk_value(&self, table: TableId, row: RowId) -> i64 {
-        let pk = self.schema.table(table).pk;
-        self.tables[table.0 as usize].row(row)[pk.0 as usize]
-            .as_int()
-            .expect("primary keys are validated at insert")
+        self.tables[table.0 as usize].pks[row.index()]
     }
 
     /// Rows of the referencing table whose foreign-key column equals `key`,
-    /// ascending: the child list of the row `by_pk(key)` names, or, while no
-    /// such row is stored, the children waiting for it. Key space: a row-id
-    /// caller reads [`Self::fk_children`] instead.
+    /// ascending, whether or not a row with that primary key is stored: one
+    /// probe of the fk's child map.
     pub fn fk_referrers(&self, fk: FkId, key: i64) -> &[RowId] {
-        match self.table(self.schema.fk(fk).to.table).by_pk(key) {
-            Some(parent) => self.fk_children(fk, parent),
-            None => self.fk_orphans[fk.0 as usize]
-                .get(&key)
-                .map_or(&[], Vec::as_slice),
-        }
+        self.fk_children[fk.0 as usize]
+            .get(&key)
+            .map_or(&[], Vec::as_slice)
     }
 
     /// The rows of the referencing table whose cell of foreign key `fk`
     /// resolves to `parent`, a row of the referenced table, ascending: the
-    /// inverse of [`Self::fk_parent_row`], built at insert.
+    /// inverse of [`Self::fk_parent_row`]. A read of the parent's pk column
+    /// and one [`Self::fk_referrers`] probe; no row is read.
     pub fn fk_children(&self, fk: FkId, parent: RowId) -> &[RowId] {
-        &self.fk_children[fk.0 as usize][parent.index()]
+        self.fk_referrers(fk, self.pk_value(self.schema.fk(fk).to.table, parent))
     }
 
     /// The parent row that `child`'s cell of foreign key `fk` references:
@@ -226,8 +255,8 @@ impl Database {
     /// capacity (a `RowId` is a `u32`; a table at capacity reports
     /// [`RelError::TableFull`] instead of silently wrapping ids), interns
     /// every text cell into the database's string arena, and maintains the
-    /// pk index, the parent columns and the child lists — the only place any
-    /// of them is written. Returns the new row's id.
+    /// pk column and index, the parent columns and the child maps — the only
+    /// place any of them is written. Returns the new row's id.
     pub fn insert(&mut self, table: TableId, mut row: Vec<Value>) -> RelResult<RowId> {
         let pk_val = self.schema.check_shape(table, &row)?;
         let store = &self.tables[table.0 as usize];
@@ -246,30 +275,25 @@ impl Database {
                 *s = self.arena.intern(s.clone());
             }
         }
-        self.tables[table.0 as usize].pk_index.insert(pk_val, id);
+        let store = &mut self.tables[table.0 as usize];
+        store.pk_index.insert(pk_val, id);
+        store.pks.push(pk_val);
 
-        // Every fk that references `table`: open this row's child list.
-        // Loaders insert in arbitrary order, so children of this row may
-        // already be stored; the list adopts them, ascending, and their
+        // Every fk that references `table`: loaders insert in arbitrary
+        // order, so rows holding this key may already be stored; their
         // parent cells point here from now on.
         for &fk_idx in &self.table_fk_in[table.0 as usize] {
-            let adopted = self.fk_orphans[fk_idx].remove(&pk_val).unwrap_or_default();
-            for child in &adopted {
+            for child in self.fk_children[fk_idx].get(&pk_val).into_iter().flatten() {
                 self.fk_parent[fk_idx][child.index()] = id.0;
             }
-            self.fk_children[fk_idx].push(adopted);
         }
-        // Every fk whose referencing side is `table`: resolve the cell to its
-        // parent's row (which may be this very row, its lists opened above)
-        // and list this row under it, or under its key until it arrives.
+        // Every fk whose referencing side is `table`: list this row under the
+        // cell's key and resolve the cell to its parent's row (which may be
+        // this very row).
         for &(fk_idx, col, to) in &self.table_fk_cols[table.0 as usize] {
             let parent = row[col].as_int().and_then(|key| {
-                let parent = self.tables[to].by_pk(key);
-                match parent {
-                    Some(p) => self.fk_children[fk_idx][p.index()].push(id),
-                    None => self.fk_orphans[fk_idx].entry(key).or_default().push(id),
-                }
-                parent
+                self.fk_children[fk_idx].entry(key).or_default().push(id);
+                self.tables[to].by_pk(key)
             });
             self.fk_parent[fk_idx].push(parent.map_or(NO_PARENT, |p| p.0));
         }
@@ -343,6 +367,12 @@ impl Database {
         self.arena.lookup(s)
     }
 
+    /// Number of child lists the database holds, over every foreign key.
+    #[cfg(test)]
+    pub(crate) fn child_list_count(&self) -> usize {
+        self.fk_children.iter().map(HashMap::len).sum()
+    }
+
     /// Total bytes of distinct interned string payloads.
     #[cfg(test)]
     pub(crate) fn symbol_bytes(&self) -> u64 {
@@ -351,26 +381,29 @@ impl Database {
 
     /// Deterministic approximation of row-storage heap bytes. Counts logical
     /// content — per-row and per-cell struct sizes, one copy of each interned
-    /// string, pk-index entries, child-list entries, parent-column entries —
-    /// not allocator capacities, so the result is a pure function of database
-    /// content (identical across machines and runs) and can be
-    /// regression-gated like any other counter.
+    /// string, pk-column and pk-index entries, child-map entries and the
+    /// rows they list, parent-column entries — not allocator capacities, so
+    /// the result is a pure function of database content (identical across
+    /// machines and runs) and can be regression-gated like any other counter.
     pub fn approx_heap_bytes(&self) -> u64 {
         // Struct-size constants for the accounting model (64-bit targets):
         // a row's `Vec<Value>` header, the `Value` enum (discriminant + the
-        // 16-byte `Arc<str>` fat pointer), a pk-index entry, a child-list
-        // entry per non-null fk cell (listed under its parent or its key),
-        // a parent-column entry per fk cell, and an `Arc` strong/weak
-        // refcount header per interned string.
+        // 16-byte `Arc<str>` fat pointer), a pk-column entry, a pk-index
+        // entry, a child-map entry per distinct key (the `i64` key and its
+        // list's `Vec` header), a `RowId` per child it lists, a parent-column
+        // entry per fk cell, and an `Arc` strong/weak refcount header per
+        // interned string.
         const ROW_VEC: u64 = 24;
         const CELL: u64 = 24;
+        const PK_COL: u64 = 8;
         const PK_ENTRY: u64 = 16;
-        const FK_ENTRY: u64 = 12;
+        const FK_KEY: u64 = 8 + 24;
+        const FK_CHILD: u64 = 4;
         const FK_PARENT: u64 = 4;
         const ARC_HEADER: u64 = 16;
         let mut bytes = 0u64;
         for t in &self.tables {
-            bytes += t.rows.len() as u64 * (ROW_VEC + PK_ENTRY);
+            bytes += t.rows.len() as u64 * (ROW_VEC + PK_COL + PK_ENTRY);
             for r in &t.rows {
                 bytes += r.len() as u64 * CELL;
             }
@@ -378,9 +411,8 @@ impl Database {
         for s in &self.arena.syms {
             bytes += s.len() as u64 + ARC_HEADER;
         }
-        let children = self.fk_children.iter().flatten();
-        for rows in children.chain(self.fk_orphans.iter().flat_map(HashMap::values)) {
-            bytes += rows.len() as u64 * FK_ENTRY;
+        for rows in self.fk_children.iter().flat_map(HashMap::values) {
+            bytes += FK_KEY + rows.len() as u64 * FK_CHILD;
         }
         for col in &self.fk_parent {
             bytes += col.len() as u64 * FK_PARENT;
@@ -401,6 +433,7 @@ impl Database {
 mod tests {
     use super::*;
     use crate::schema::{SchemaBuilder, TableKind};
+    use std::collections::BTreeSet;
 
     fn db() -> Database {
         let mut b = SchemaBuilder::new();
@@ -771,23 +804,30 @@ mod tests {
             other => panic!("expected text cells, got {other:?}"),
         }
         // The accounting model sees the dedup: 100 more "terminal" cells
-        // cost their row, cell and pk-index entries, and no string bytes.
+        // cost their row, cell, pk-column and pk-index entries, and no
+        // string bytes. No row references them, so no child map grows.
         let before = db.approx_heap_bytes();
         for i in 10..110 {
             db.insert(actor, vec![Value::Int(i), Value::text("terminal")])
                 .unwrap();
         }
-        assert_eq!(db.approx_heap_bytes() - before, 100 * (24 + 16 + 2 * 24));
-        // A row with fk cells also pays, per non-null cell, a child-list
-        // entry, and per cell, null or not, a parent-column entry.
+        assert_eq!(
+            db.approx_heap_bytes() - before,
+            100 * (24 + 8 + 16 + 2 * 24)
+        );
+        // A row with fk cells also pays, per cell, null or not, a
+        // parent-column entry, and per non-null cell a child-list entry; the
+        // first cell to hold its key also opens that key's map entry.
         let acts = db.schema().table_id("acts").unwrap();
         let before = db.approx_heap_bytes();
         db.insert(acts, vec![Value::Int(1), Value::Int(1), Value::Null])
             .unwrap();
-        assert_eq!(
-            db.approx_heap_bytes() - before,
-            (24 + 16 + 3 * 24) + 12 + 2 * 4
-        );
+        let row = 24 + 8 + 16 + 3 * 24;
+        assert_eq!(db.approx_heap_bytes() - before, row + (32 + 4) + 2 * 4);
+        let before = db.approx_heap_bytes();
+        db.insert(acts, vec![Value::Int(2), Value::Int(1), Value::Null])
+            .unwrap();
+        assert_eq!(db.approx_heap_bytes() - before, row + 4 + 2 * 4);
     }
 
     #[test]
@@ -806,7 +846,7 @@ mod tests {
         assert_eq!(db.fk_parent_row(fk_movie, child), None);
         assert!(db.validate().is_err());
         assert_eq!(db.fk_referrers(fk_actor, 1), &[child]);
-        // The parent adopts the child that was waiting for it.
+        // The parent's insert points the waiting child at it.
         let parent = db
             .insert(actor, vec![Value::Int(1), Value::text("Hanks")])
             .unwrap();
@@ -821,5 +861,87 @@ mod tests {
         assert_eq!(db.fk_parent_row(fk_actor, late), Some(parent));
         assert_eq!(db.fk_children(fk_actor, parent), &[child, late]);
         assert_eq!(db.fk_referrers(fk_actor, 1), &[child, late]);
+    }
+
+    /// `topic` is referenced by `fks` tables, holds `parents` rows and is
+    /// referenced from the first three tables only: children stored before
+    /// and after their parents, repeated keys, dangling keys and null cells.
+    /// Returns the database and the distinct `(fk, key)` pairs the children
+    /// hold.
+    fn fan_in(fks: usize, parents: i64) -> (Database, BTreeSet<(usize, i64)>) {
+        let mut b = SchemaBuilder::new();
+        b.table("topic", TableKind::Entity)
+            .pk("id")
+            .text_attr("name");
+        for t in 0..fks {
+            let name = format!("type{t}");
+            b.table(&name, TableKind::Entity)
+                .pk("id")
+                .int_attr("topic_id");
+            b.foreign_key(&name, "topic_id", "topic").unwrap();
+        }
+        let mut db = Database::new(b.finish().unwrap());
+        let s = db.schema().clone();
+        let topic = s.table_id("topic").unwrap();
+        // (table, key) of every child; keys past `parents` never resolve.
+        let keys = [Some(3), Some(3), Some(5), None, Some(-1), Some(8), Some(5)];
+        let children: Vec<(usize, Option<i64>)> =
+            (0..21).map(|i| (i % 3, keys[i % keys.len()])).collect();
+        let mut held = BTreeSet::new();
+        let mut insert_child = |db: &mut Database, i: usize, (t, key): (usize, Option<i64>)| {
+            let table = s.table_id(&format!("type{t}")).unwrap();
+            let fk = s.fks().find(|(_, fk)| fk.from.table == table).unwrap().0;
+            let cell = key.map_or(Value::Null, Value::Int);
+            db.insert(table, vec![Value::Int(i as i64), cell]).unwrap();
+            if let Some(key) = key {
+                held.insert((fk.0 as usize, key));
+            }
+        };
+        for (i, &child) in children.iter().enumerate().take(10) {
+            insert_child(&mut db, i, child);
+        }
+        for p in 0..parents {
+            db.insert(topic, vec![Value::Int(p), Value::text(format!("t{p}"))])
+                .unwrap();
+        }
+        for (i, &child) in children.iter().enumerate().skip(10) {
+            insert_child(&mut db, i, child);
+        }
+        (db, held)
+    }
+
+    #[test]
+    fn child_lists_follow_the_edges_not_the_parents() {
+        let mut counts = BTreeSet::new();
+        for (fks, parents) in [(32, 10), (32, 2_000), (48, 10), (48, 2_000)] {
+            let (db, held) = fan_in(fks, parents);
+            assert_eq!(
+                db.child_list_count(),
+                held.len(),
+                "{fks} fks, {parents} parents"
+            );
+            counts.insert(db.child_list_count());
+            // The lists are the children's cells, resolved or not.
+            let topic = db.schema().table_id("topic").unwrap();
+            for &(fk, key) in &held {
+                let fk = FkId(fk as u32);
+                let rows = db.fk_referrers(fk, key);
+                assert!(!rows.is_empty() && rows.windows(2).all(|w| w[0] < w[1]));
+                let parent = db.table(topic).by_pk(key);
+                assert_eq!(parent.is_some(), key >= 0);
+                for &child in rows {
+                    assert_eq!(db.fk_parent_row(fk, child), parent);
+                }
+                if let Some(parent) = parent {
+                    assert_eq!(db.fk_children(fk, parent), rows);
+                }
+            }
+            assert!(db.fk_children(FkId(0), RowId(0)).is_empty());
+        }
+        assert_eq!(
+            counts.len(),
+            1,
+            "the count moved with the parents or the fks"
+        );
     }
 }

@@ -31,13 +31,14 @@
 //!
 //! Both phases work in **row-id space**. Every edge is a foreign key, and the
 //! database resolves each fk cell to its parent's `RowId` once, at insert
-//! ([`Database::fk_parent_row`]), and lists each parent row's children
-//! ([`Database::fk_children`]); so "these two rows join" is `parent(child)
-//! == row`, a dense `u32` column read, and "the rows that join this one" is
-//! a list read — no row fetch, no key extraction, no key hashing. The
-//! reducer turns each step's source into a bitmap over the edge's pk-side
-//! table and filters or materializes the target from it; the join phase
-//! keys its build table by pk-side row.
+//! ([`Database::fk_parent_row`]), so "these two rows join" is
+//! `parent(child) == row`, a dense `u32` column read — no row fetch, no key
+//! extraction, no key hashing. "The rows that join this one" is the one
+//! step that goes through a key: [`Database::fk_children`] reads the row's
+//! pk from a dense column and probes the fk's child map with it, still
+//! without reading a row. The reducer turns each step's source into a bitmap
+//! over the edge's pk-side table and filters or materializes the target from
+//! it; the join phase keys its build table by pk-side row.
 //!
 //! [`execute_join_tree_naive`] is the named reference it is tested against:
 //! the original nested-loop expansion in key space — cell reads, pk-index
@@ -371,11 +372,12 @@ impl RowBits {
     }
 }
 
-/// What gathering one parent's children costs (a read of its child list by
-/// row id, and the sort of what comes out) in entries of a sequential
-/// parent-column scan. A free fk-side node is materialized by the scan once
-/// its source holds more than one pk-side row in this many: the source then
-/// names about that share of the child table, so the two costs meet.
+/// What gathering one parent's children costs (a read of its pk column, one
+/// probe of the fk's child map, and the sort of what comes out) in entries
+/// of a sequential parent-column scan. A free fk-side node is materialized
+/// by the scan once its source holds more than one pk-side row in this many:
+/// the source then names about that share of the child table, so the two
+/// costs meet.
 ///
 /// The constant was chosen against a gather in key space (a row read for the
 /// parent's key, a hash probe of an fk index, a second heap hop to the list).
@@ -387,16 +389,24 @@ impl RowBits {
 /// reducer rooted at its smallest node) the same measurement was flat from 16
 /// to 64 and 20% slower at 8.
 ///
-/// Re-measured once the gather read child lists: kbench `scale_search
+/// Re-measured each time the gather changed, with kbench `scale_search
 /// --trace 1 --seconds 5 --seed 3` on a 2-core box, `relstore.exec.reduce_ms`
-/// as the median of five runs per value in rotating order — 0.0262 ms at 4,
-/// 0.0185 at 8, 0.0206 at 16, 0.0291 at 32, 0.0288 at 64, with the five runs
-/// of one value spread over ~0.008 ms; smoke's `semijoin_rows_touched`
-/// 10,124 / 10,124 / 25,164 / 34,188 / 34,188. 8 beats 16 by less than the
-/// spread, so 16 stays. To re-measure it: kbench's
-/// `relstore.exec.reduce_ms` on the `scale_search` workload for the time,
-/// and `smoke`'s strict `semijoin_rows_touched` counter for the rows
-/// touched.
+/// as the median of five runs per value in rotating order, and smoke's
+/// `semijoin_rows_touched` (10,124 at 4 and 8, 25,164 at 16, 34,188 at 32
+/// and 64):
+///
+/// | gather | 4 | 8 | 16 | 32 | 64 | runs of one value spread over |
+/// |---|---|---|---|---|---|---|
+/// | child list by row id | 0.0262 | 0.0185 | 0.0206 | 0.0291 | 0.0288 | ~0.008 ms |
+/// | pk column + child map | 0.0242 | 0.0237 | 0.0236 | 0.0176 | 0.0245 | 0.003–0.012 ms |
+///
+/// In neither row does another value beat 16 by more than the spread, so
+/// 16 stays. In the second row the box's speed drifted between runs: the
+/// share of traced self time spent in `relstore.exec` was 0.266 / 0.259 /
+/// 0.260 / 0.288 / 0.305, which puts 32 and 64 behind. To re-measure it:
+/// kbench's `relstore.exec.reduce_ms` on the `scale_search` workload for
+/// the time, and `smoke`'s strict `semijoin_rows_touched` counter for the
+/// rows touched.
 const SCAN_PER_GATHER: usize = 16;
 
 /// Keep the rows of one node that satisfy `joins`, in their order, and return
@@ -433,7 +443,7 @@ fn retain_rows(
 /// in row-id space. An edge joins a referencing (fk-side) node to a
 /// referenced (pk-side) node, and [`Database::fk_parent_row`] already holds
 /// the row each fk cell resolves to, so filtering never reads a row, extracts
-/// a key or hashes one:
+/// a key from one or hashes one:
 ///
 /// * the source's rows become a bitmap over the **pk-side table**: an
 ///   fk-side source marks its rows' parents, a pk-side source marks its own
@@ -448,9 +458,11 @@ fn retain_rows(
 ///   `SCAN_PER_GATHER` and the two lengths decide which is cheaper.
 ///
 /// So a free table's rows are never read, and its parent column is walked
-/// only when the source already covers a fair share of it. Key space is
-/// never entered: the gather reads one child list per marked parent, and a
-/// free fk-side *source* keeps a pk-side row if its child list is non-empty.
+/// only when the source already covers a fair share of it. Keys are touched
+/// only where a pk-side row asks for its children: the gather reads one
+/// child list per marked parent, and a free fk-side *source* keeps a pk-side
+/// row if its child list is non-empty — each a pk-column read and one
+/// child-map probe.
 /// The output is fixed by the semantics alone: a restricted node ends as its
 /// given list, order and duplicates kept, minus the rows in no complete JTT;
 /// a free node as the ascending distinct rows in some JTT.

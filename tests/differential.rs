@@ -539,6 +539,43 @@ fn company_rows(rng: &mut StdRng, dangling: bool, scale: i64) -> (Database, RowB
     (db, rows)
 }
 
+/// The Freebase shape: `topic` referenced by `fks` type tables, each holding
+/// a few rows, so most of its `parents` rows are referenced by nothing. Keys
+/// come from a hot prefix of the topics, with null cells and keys past the
+/// last topic that no row answers to. Shuffled: children come before their
+/// parents.
+fn fan_in_rows(rng: &mut StdRng, fks: usize, parents: i64) -> (Database, RowBatch) {
+    let mut b = SchemaBuilder::new();
+    b.table("topic", TableKind::Entity)
+        .pk("id")
+        .text_attr("name");
+    for t in 0..fks {
+        let name = format!("type{t}");
+        b.table(&name, TableKind::Entity)
+            .pk("id")
+            .int_attr("topic_id");
+        b.foreign_key(&name, "topic_id", "topic").unwrap();
+    }
+    let db = Database::new(b.finish().unwrap());
+    let topic = db.schema().table_id("topic").unwrap();
+    let mut rows: RowBatch = (0..parents)
+        .map(|p| (topic, vec![Value::Int(p), Value::text(format!("t{p}"))]))
+        .collect();
+    for t in 0..fks {
+        let table = db.schema().table_id(&format!("type{t}")).unwrap();
+        for i in 0..rng.gen_range(0..4i64) {
+            let key = match rng.gen_range(0..10) {
+                0 => Value::Null,
+                1 => Value::Int(parents + rng.gen_range(0..3i64)),
+                _ => Value::Int(rng.gen_range(0..parents / 20)),
+            };
+            rows.push((table, vec![Value::Int(i), key]));
+        }
+    }
+    shuffle(rng, &mut rows);
+    (db, rows)
+}
+
 fn company_db(rng: &mut StdRng, dangling: bool, scale: i64) -> Database {
     let (mut db, rows) = company_rows(rng, dangling, scale);
     for (table, row) in rows {
@@ -901,6 +938,7 @@ fn assert_fk_links_are_the_cells(db: &Database, note: &str) {
 /// cells say.
 #[test]
 fn fk_parent_column_tracks_the_pk_index() {
+    let mut late_resolved = 0;
     for &seed in &SEEDS {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(40_503));
         for case in 0..10 {
@@ -930,7 +968,7 @@ fn fk_parent_column_tracks_the_pk_index() {
             }
 
             // (v) A clone owns its links: a parent arriving on the clone
-            // adopts the clone's waiting children and nobody else's.
+            // resolves the clone's waiting children and nobody else's.
             let emp = db.schema().table_id("emp").unwrap();
             let orphan = vec![
                 Value::Int(9001),
@@ -975,6 +1013,35 @@ fn fk_parent_column_tracks_the_pk_index() {
             db.insert_batch(&bad).unwrap_err();
             let now = (parent_column(&db), child_lists(&db));
             assert_eq!(now, before, "{note}: rejected batch wrote");
+
+            // (vi) The Freebase shape, loaded row at a time: dozens of fks
+            // into one parent table, most of its keys childless, dangling
+            // keys included; then its snapshot round trip, and a clone on
+            // which the first dangling key's parent arrives late.
+            let (mut wide, rows) = fan_in_rows(&mut rng, 40, 400);
+            for (table, row) in rows {
+                wide.insert(table, row).unwrap();
+            }
+            assert_fk_links_are_the_cells(&wide, &note);
+            let decoded = Database::from_snapshot_bytes(&wide.snapshot_bytes().unwrap()).unwrap();
+            assert_fk_links_are_the_cells(&decoded, &note);
+            assert_eq!(parent_column(&decoded), parent_column(&wide), "{note}");
+            assert_eq!(child_lists(&decoded), child_lists(&wide), "{note}");
+            let before = (parent_column(&wide), child_lists(&wide));
+            let mut fork = wide.clone();
+            let topic = wide.schema().table_id("topic").unwrap();
+            let late = fork
+                .insert(topic, vec![Value::Int(400), Value::text("late")])
+                .unwrap();
+            assert_fk_links_are_the_cells(&fork, &note);
+            let now = (parent_column(&wide), child_lists(&wide));
+            assert_eq!(now, before, "{note}: original moved");
+            late_resolved += parent_column(&fork)
+                .iter()
+                .flatten()
+                .filter(|&&p| p == Some(late))
+                .count();
         }
     }
+    assert!(late_resolved > 0, "no late parent found a waiting child");
 }
