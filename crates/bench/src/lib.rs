@@ -338,7 +338,10 @@ pub fn ch4_data(
         DivExecOptions::default(),
     );
     let probs: Vec<f64> = items.iter().map(|i| i.relevance).collect();
-    let atoms: Vec<BTreeSet<BindingAtom>> = items.into_iter().map(|i| i.atoms).collect();
+    let atoms: Vec<BTreeSet<BindingAtom>> = items
+        .into_iter()
+        .map(|i| Arc::unwrap_or_clone(i.atoms))
+        .collect();
     if probs.len() < min_interps {
         return None;
     }

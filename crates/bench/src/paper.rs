@@ -29,7 +29,7 @@ use keybridge_yagof::{category_kind_distribution, combine, evaluate_matching, in
 use keybridge_yagof::{match_categories, shared_instance_distribution, MatchConfig};
 use rand::{rngs::StdRng, SeedableRng};
 use std::collections::BTreeSet;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// One printed table: `|`-separated header and rows, the first cell of each
@@ -508,7 +508,7 @@ fn tab3_4(_: &Fixtures) -> Rows {
 /// of its top `k`.
 fn diversified(relevance: &[f64], atoms: &[Atoms], lambda: f64, k: usize) -> Vec<usize> {
     let item = |(&relevance, atoms): (&f64, &Atoms)| {
-        let atoms = atoms.clone();
+        let atoms = Arc::new(atoms.clone());
         DivItem { relevance, atoms }
     };
     let items: Vec<DivItem> = relevance.iter().zip(atoms).map(item).collect();

@@ -38,6 +38,15 @@ pub enum ConstructionOption {
 }
 
 impl ConstructionOption {
+    /// The option as the information-gain scan compares it.
+    fn as_ref(&self) -> OptionRef<'_> {
+        match self {
+            ConstructionOption::Atom(a) => OptionRef::Atom(a),
+            ConstructionOption::UsesTable(t) => OptionRef::UsesTable(*t),
+            ConstructionOption::Template(t) => OptionRef::Template(*t),
+        }
+    }
+
     /// Whether `interp` subsumes this option.
     pub fn subsumed_by(&self, interp: &QueryInterpretation, catalog: &TemplateCatalog) -> bool {
         match self {
@@ -118,6 +127,26 @@ impl ConstructionOption {
     }
 }
 
+/// A [`ConstructionOption`] borrowed from a session's atom cache, so the
+/// information-gain scan copies only the option it proposes. Variants and
+/// fields are in [`ConstructionOption`]'s order, so the two sort alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum OptionRef<'s> {
+    Atom(&'s BindingAtom),
+    UsesTable(TableId),
+    Template(TemplateId),
+}
+
+impl OptionRef<'_> {
+    fn to_owned(self) -> ConstructionOption {
+        match self {
+            OptionRef::Atom(a) => ConstructionOption::Atom(a.clone()),
+            OptionRef::UsesTable(t) => ConstructionOption::UsesTable(t),
+            OptionRef::Template(t) => ConstructionOption::Template(t),
+        }
+    }
+}
+
 /// Session tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionConfig {
@@ -162,7 +191,8 @@ fn entropy_of_weights(weights: &[f64]) -> f64 {
 /// a [`crate::SearchService`] session registry) independently of the
 /// snapshot that created it.
 pub struct ConstructionSession {
-    candidates: Vec<(QueryInterpretation, f64)>,
+    /// The window, shared with the ranking it was opened from.
+    candidates: Vec<(Arc<QueryInterpretation>, f64)>,
     /// Sorted atom list per candidate (parallel to `candidates`).
     atom_cache: Vec<Vec<BindingAtom>>,
     asked: Vec<ConstructionOption>,
@@ -178,9 +208,9 @@ impl ConstructionSession {
         ranked: &[ScoredInterpretation],
         config: SessionConfig,
     ) -> Self {
-        let candidates: Vec<(QueryInterpretation, f64)> = ranked
+        let candidates: Vec<(Arc<QueryInterpretation>, f64)> = ranked
             .iter()
-            .map(|s| (s.interpretation.clone(), s.probability.max(1e-12)))
+            .map(|s| (Arc::clone(&s.interpretation), s.probability.max(1e-12)))
             .collect();
         let atom_cache = candidates.iter().map(|(c, _)| c.atoms(catalog)).collect();
         ConstructionSession {
@@ -207,7 +237,7 @@ impl ConstructionSession {
     }
 
     /// Remaining candidates, best first.
-    pub fn remaining(&self) -> &[(QueryInterpretation, f64)] {
+    pub fn remaining(&self) -> &[(Arc<QueryInterpretation>, f64)] {
         &self.candidates
     }
 
@@ -236,15 +266,15 @@ impl ConstructionSession {
     }
 
     /// Subsumption against the cached atoms of candidate `i`.
-    fn subsumes_cached(&self, catalog: &TemplateCatalog, i: usize, o: &ConstructionOption) -> bool {
+    fn subsumes_cached(&self, catalog: &TemplateCatalog, i: usize, o: OptionRef<'_>) -> bool {
         match o {
-            ConstructionOption::Atom(a) => self.atom_cache[i].binary_search(a).is_ok(),
-            ConstructionOption::UsesTable(t) => catalog
+            OptionRef::Atom(a) => self.atom_cache[i].binary_search(a).is_ok(),
+            OptionRef::UsesTable(t) => catalog
                 .get(self.candidates[i].0.template)
                 .tree
                 .nodes
-                .contains(t),
-            ConstructionOption::Template(t) => self.candidates[i].0.template == *t,
+                .contains(&t),
+            OptionRef::Template(t) => self.candidates[i].0.template == t,
         }
     }
 
@@ -256,31 +286,38 @@ impl ConstructionSession {
     /// information revealed" requires and what makes the baseline degrade to
     /// binary splitting under uniform probabilities.)
     pub fn next_option(&self, catalog: &TemplateCatalog) -> Option<ConstructionOption> {
-        // Derive candidate options from the cached atoms.
-        use std::collections::BTreeSet;
-        let mut opts: BTreeSet<ConstructionOption> = BTreeSet::new();
+        // Derive candidate options from the cached atoms, borrowed, in
+        // option order.
+        let nodes = |c: &QueryInterpretation| &catalog.get(c.template).tree.nodes;
+        let mut opts: Vec<OptionRef<'_>> = Vec::with_capacity(
+            self.atom_cache.iter().map(Vec::len).sum::<usize>()
+                + self
+                    .candidates
+                    .iter()
+                    .map(|(c, _)| nodes(c).len() + 1)
+                    .sum::<usize>(),
+        );
         for (i, (c, _)) in self.candidates.iter().enumerate() {
-            for a in &self.atom_cache[i] {
-                opts.insert(ConstructionOption::Atom(a.clone()));
-            }
-            for t in &catalog.get(c.template).tree.nodes {
-                opts.insert(ConstructionOption::UsesTable(*t));
-            }
-            opts.insert(ConstructionOption::Template(c.template));
+            opts.extend(self.atom_cache[i].iter().map(OptionRef::Atom));
+            opts.extend(nodes(c).iter().map(|&t| OptionRef::UsesTable(t)));
+            opts.push(OptionRef::Template(c.template));
         }
-        let h = entropy_of_weights(&self.candidates.iter().map(|(_, p)| *p).collect::<Vec<_>>());
-        let total: f64 = self.candidates.iter().map(|(_, p)| *p).sum();
-        let mut best: Option<(f64, ConstructionOption)> = None;
+        opts.sort_unstable();
+        opts.dedup();
         let mut acc: Vec<f64> = Vec::with_capacity(self.candidates.len());
         let mut rej: Vec<f64> = Vec::with_capacity(self.candidates.len());
+        acc.extend(self.candidates.iter().map(|(_, p)| *p));
+        let h = entropy_of_weights(&acc);
+        let total: f64 = acc.iter().sum();
+        let mut best: Option<(f64, OptionRef<'_>)> = None;
         for o in opts {
-            if self.asked.contains(&o) {
+            if self.asked.iter().any(|asked| asked.as_ref() == o) {
                 continue;
             }
             acc.clear();
             rej.clear();
             for (i, (_, p)) in self.candidates.iter().enumerate() {
-                if self.subsumes_cached(catalog, i, &o) {
+                if self.subsumes_cached(catalog, i, o) {
                     acc.push(*p);
                 } else {
                     rej.push(*p);
@@ -300,7 +337,7 @@ impl ConstructionSession {
                 best = Some((ig, o));
             }
         }
-        best.map(|(_, o)| o)
+        best.map(|(_, o)| o.to_owned())
     }
 
     /// Materialize the answers of the current query window through the
@@ -349,7 +386,7 @@ impl ConstructionSession {
     pub fn apply(&mut self, catalog: &TemplateCatalog, option: ConstructionOption, accepted: bool) {
         self.steps += 1;
         let keep: Vec<bool> = (0..self.candidates.len())
-            .map(|i| self.subsumes_cached(catalog, i, &option) == accepted)
+            .map(|i| self.subsumes_cached(catalog, i, option.as_ref()) == accepted)
             .collect();
         let mut it = keep.iter();
         self.candidates.retain(|_| *it.next().expect("parallel"));

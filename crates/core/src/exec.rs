@@ -14,11 +14,12 @@
 //! [`SharedExecCache`] (see [`crate::SearchService`]): predicate row sets
 //! and finished results, each under the limit it ran at, then outlive the
 //! query that computed them, so one user's intersections prune every other
-//! user's executions. Whole-result hits are shared (`Arc`) and cost no
-//! copying on any thread, nor an entry in the request's own map; a predicate
-//! hit skips the index intersection but still copies its row list out of
-//! the `Arc` when an execution consumes it (the join-tree `Candidates` API
-//! takes owned vectors).
+//! user's executions. Shared hits, whole results and predicate row sets
+//! alike, are `Arc`s handed out without an entry in the request's own map.
+//! A whole-result hit costs no copying on any thread; a predicate hit skips
+//! the index intersection but still copies its row list out of the `Arc`
+//! when an execution consumes it (the join-tree `Candidates` API takes
+//! owned vectors).
 
 use crate::interp::BindingTarget;
 use crate::striped::StripedMap;
@@ -49,8 +50,9 @@ pub struct ExecutedResult {
     /// The distinct *answer* tuples: rows of the non-free nodes (those
     /// carrying a keyword predicate). These are the information nuggets /
     /// subtopics of Chapter 4 — connector rows of free tables join the
-    /// answer together but do not identify it.
-    pub keys: BTreeSet<ResultKey>,
+    /// answer together but do not identify it. Shared with the
+    /// diversification pools and replies that cite the whole result.
+    pub keys: Arc<BTreeSet<ResultKey>>,
     /// All distinct tuples appearing in any JTT, free nodes included.
     pub all_keys: BTreeSet<ResultKey>,
     /// Executor counters of this run (batches, probes, semi-join reduction).
@@ -132,7 +134,7 @@ type PredicateKey = (Vec<String>, AttrRef);
 #[derive(Debug)]
 pub struct SharedExecCache {
     predicates: StripedMap<PredicateKey, Arc<Vec<RowId>>>,
-    results: StripedMap<QueryInterpretation, CachedExecution>,
+    results: StripedMap<Arc<QueryInterpretation>, CachedExecution>,
 }
 
 impl Default for SharedExecCache {
@@ -171,14 +173,14 @@ impl SharedExecCache {
 }
 
 /// Shared execution state across many interpretations of one query:
-/// predicate row sets keyed by `(sorted keyword bag, attribute)` and
+/// predicate row sets keyed by attribute, then by sorted keyword bag, and
 /// memoized per-interpretation results. Optionally backed by a
 /// [`SharedExecCache`], in which case local misses consult (and local
 /// fills feed) the process-wide maps.
 #[derive(Debug, Default)]
 pub struct ExecCache {
-    predicate_rows: HashMap<PredicateKey, Arc<Vec<RowId>>>,
-    results: HashMap<QueryInterpretation, CachedExecution>,
+    predicate_rows: HashMap<AttrRef, HashMap<Vec<String>, Arc<Vec<RowId>>>>,
+    results: HashMap<Arc<QueryInterpretation>, CachedExecution>,
     shared: Option<Arc<SharedExecCache>>,
     /// Columnar batch arena reused by every execution routed through this
     /// cache: one query's capacity growth pays for the whole candidate
@@ -205,7 +207,7 @@ impl ExecCache {
 
     /// Number of distinct predicates materialized so far.
     pub fn predicate_count(&self) -> usize {
-        self.predicate_rows.len()
+        self.predicate_rows.values().map(HashMap::len).sum()
     }
 
     /// Number of memoized executions.
@@ -215,33 +217,45 @@ impl ExecCache {
 
     /// Rows of `attr` containing all of `keywords`, from the local cache,
     /// the shared cache, or freshly intersected (and then cached in both).
+    /// Both tiers are probed with the borrowed bag, and a shared hit is
+    /// returned as it is, not copied into the local map (the shared tier
+    /// never drops a key within its epoch), so only a fresh intersection
+    /// builds an owned key. Binding keywords arrive sorted
+    /// ([`QueryInterpretation::new`]), which is how the tiers key a bag; an
+    /// interpretation built around that constructor with an unsorted bag
+    /// still gets its rows, under a key of its own.
     pub(crate) fn rows(
         &mut self,
         index: &InvertedIndex,
         keywords: &[String],
         attr: AttrRef,
     ) -> Arc<Vec<RowId>> {
-        let mut sorted = keywords.to_vec();
-        sorted.sort();
-        let key = (sorted, attr);
-        if let Some(rows) = self.predicate_rows.get(&key) {
+        if let Some(rows) = self
+            .predicate_rows
+            .get(&attr)
+            .and_then(|bags| bags.get(keywords))
+        {
             self.predicate_hits += 1;
             return Arc::clone(rows);
         }
         if let Some(shared) = &self.shared {
-            if let Some(rows) = shared.predicates.get(&key, |_| true) {
+            let is = |(bag, a): &PredicateKey| *a == attr && bag[..] == *keywords;
+            if let Some(rows) = shared.predicates.get_by(&(keywords, attr), is, |_| true) {
                 self.predicate_hits += 1;
-                self.predicate_rows.insert(key, Arc::clone(&rows));
                 return rows;
             }
         }
         let rows = Arc::new(index.rows_with_all(keywords, attr));
         if let Some(shared) = &self.shared {
+            let key = (keywords.to_vec(), attr);
             shared
                 .predicates
-                .admit(key.clone(), Arc::clone(&rows), |_, _| false);
+                .admit(key, Arc::clone(&rows), |_, _| false);
         }
-        self.predicate_rows.insert(key, Arc::clone(&rows));
+        self.predicate_rows
+            .entry(attr)
+            .or_default()
+            .insert(keywords.to_vec(), Arc::clone(&rows));
         rows
     }
 }
@@ -286,10 +300,10 @@ pub fn bound_nodes(interp: &QueryInterpretation, node_count: usize) -> Vec<bool>
 /// `Copy`.
 pub(crate) trait Executor: Copy {
     /// Execute `interp` under `opts`, memoized through `cache` by the
-    /// [`with_result_cache`] rules.
+    /// [`with_result_cache`] rules (which key by the shared `interp`).
     fn execute(
         &self,
-        interp: &QueryInterpretation,
+        interp: &Arc<QueryInterpretation>,
         opts: ExecOptions,
         cache: &mut ExecCache,
     ) -> RelResult<Arc<ExecutedResult>>;
@@ -310,11 +324,12 @@ pub struct LocalExecutor<'a> {
 impl Executor for LocalExecutor<'_> {
     fn execute(
         &self,
-        interp: &QueryInterpretation,
+        interp: &Arc<QueryInterpretation>,
         opts: ExecOptions,
         cache: &mut ExecCache,
     ) -> RelResult<Arc<ExecutedResult>> {
-        with_result_cache(cache, interp, opts, |c| {
+        let key = || Arc::clone(interp);
+        with_result_cache(cache, interp, key, opts, |c| {
             execute_inner(self, interp, opts, c)
         })
     }
@@ -357,7 +372,11 @@ pub fn execute_interpretation_cached(
     opts: ExecOptions,
     cache: &mut ExecCache,
 ) -> RelResult<Arc<ExecutedResult>> {
-    LocalExecutor { db, index, catalog }.execute(interp, opts, cache)
+    let local = LocalExecutor { db, index, catalog };
+    let key = || Arc::new(interp.clone());
+    with_result_cache(cache, interp, key, opts, |c| {
+        execute_inner(&local, interp, opts, c)
+    })
 }
 
 /// The result-memoization spine of [`execute_interpretation_cached`] with the
@@ -370,10 +389,12 @@ pub fn execute_interpretation_cached(
 /// epoch and only replaces an entry by one that serves more. Fresh runs do
 /// enter the local map, because a full shared stripe may refuse them. Every
 /// [`Executor`] routes its executions through this path, so single-shard
-/// and sharded serving share one caching semantics.
+/// and sharded serving share one caching semantics. `key` makes the owned
+/// key a fresh run is filed under; lookups borrow `interp`.
 pub(crate) fn with_result_cache(
     cache: &mut ExecCache,
     interp: &QueryInterpretation,
+    key: impl FnOnce() -> Arc<QueryInterpretation>,
     opts: ExecOptions,
     compute: impl FnOnce(&mut ExecCache) -> RelResult<ExecutedResult>,
 ) -> RelResult<Arc<ExecutedResult>> {
@@ -384,7 +405,8 @@ pub(crate) fn with_result_cache(
         }
     }
     if let Some(shared) = &cache.shared {
-        if let Some(hit) = shared.results.get(interp, |c| c.satisfies(&opts)) {
+        let is = |held: &Arc<QueryInterpretation>| **held == *interp;
+        if let Some(hit) = shared.results.get_by(interp, is, |c| c.satisfies(&opts)) {
             cache.result_hits += 1;
             return Ok(hit.result);
         }
@@ -395,12 +417,15 @@ pub(crate) fn with_result_cache(
         max_intermediate: opts.max_intermediate,
         result: Arc::clone(&result),
     };
+    let key = key();
     if let Some(shared) = &cache.shared {
-        shared
-            .results
-            .admit(interp.clone(), cached.clone(), CachedExecution::supersedes);
+        shared.results.admit(
+            Arc::clone(&key),
+            cached.clone(),
+            CachedExecution::supersedes,
+        );
     }
-    cache.results.insert(interp.clone(), cached);
+    cache.results.insert(key, cached);
     Ok(result)
 }
 
@@ -459,27 +484,28 @@ pub(crate) fn truncate_result(
     let (keys, all_keys) = collect_result_keys(executor, &tpl.tree.nodes, &bound, &jtts);
     Arc::new(ExecutedResult {
         jtts,
-        keys,
+        keys: Arc::new(keys),
         all_keys,
         stats: res.stats,
     })
 }
 
 /// The answer keys of `res`'s first `cap` JTTs — [`truncate_result`]'s
-/// keys-only fast path for stages that never look at the tuple trees.
+/// keys-only fast path for stages that never look at the tuple trees. A
+/// result within the cap shares its own key set.
 pub(crate) fn prefix_keys(
     executor: &impl Executor,
     catalog: &TemplateCatalog,
     interp: &QueryInterpretation,
     res: &ExecutedResult,
     cap: usize,
-) -> BTreeSet<ResultKey> {
+) -> Arc<BTreeSet<ResultKey>> {
     if res.jtts.len() <= cap {
-        return res.keys.clone();
+        return Arc::clone(&res.keys);
     }
     let tpl = catalog.get(interp.template);
     let bound = bound_nodes(interp, tpl.tree.nodes.len());
-    collect_result_keys(executor, &tpl.tree.nodes, &bound, &res.jtts[..cap]).0
+    Arc::new(collect_result_keys(executor, &tpl.tree.nodes, &bound, &res.jtts[..cap]).0)
 }
 
 /// The candidate row sets of `interp`'s value predicates, one per join-tree
@@ -554,7 +580,7 @@ fn executed_result(
     let (keys, all_keys) = collect_result_keys(local, &tree.nodes, &bound, &outcome.rows);
     ExecutedResult {
         jtts: outcome.rows,
-        keys,
+        keys: Arc::new(keys),
         all_keys,
         stats: outcome.stats,
     }
@@ -834,7 +860,7 @@ mod tests {
         Database,
         InvertedIndex,
         TemplateCatalog,
-        QueryInterpretation,
+        Arc<QueryInterpretation>,
     ) {
         use crate::generate::{Interpreter, InterpreterConfig};
         use crate::keyword::KeywordQuery;
@@ -873,7 +899,7 @@ mod tests {
     /// The shared entry of `interp`: (limit it ran at, result).
     fn shared_entry(
         shared: &SharedExecCache,
-        interp: &QueryInterpretation,
+        interp: &Arc<QueryInterpretation>,
     ) -> (usize, Arc<ExecutedResult>) {
         let held = shared.results.get(interp, |_| true).expect("entry shared");
         (held.limit, held.result)

@@ -90,10 +90,14 @@ impl GenerationStats {
     }
 }
 
-/// An interpretation with its score under the probability model.
+/// An interpretation with its score under the probability model. The
+/// interpretation is immutable once generated and shared: the search's
+/// buffer, every reply that ranks it, the execution caches that key by it,
+/// the answers it yields and a session window that holds it all point at
+/// one allocation.
 #[derive(Debug, Clone)]
 pub struct ScoredInterpretation {
-    pub interpretation: QueryInterpretation,
+    pub interpretation: Arc<QueryInterpretation>,
     /// `ln P(Q|K)` up to the per-query constant.
     pub log_score: f64,
     /// Probability normalized over the generated candidate set.
@@ -196,8 +200,9 @@ impl SharedNonemptyCache {
 /// it came from, ordered best-interpretation-first.
 #[derive(Debug, Clone)]
 pub struct RankedAnswer {
-    /// The interpretation this answer instantiates.
-    pub interpretation: QueryInterpretation,
+    /// The interpretation this answer instantiates (shared with its
+    /// siblings and the generation session that ranked it).
+    pub interpretation: Arc<QueryInterpretation>,
     /// The interpretation's `ln P(Q|K)` (answers inherit their
     /// interpretation's score; JTTs of one interpretation tie).
     pub log_score: f64,
@@ -241,6 +246,25 @@ enum TermCandidate {
     Value(AttrRef),
     TableName(keybridge_relstore::TableId),
     AttrName(AttrRef),
+}
+
+impl TermCandidate {
+    /// The attribute of a value route.
+    fn value_attr(&self) -> Option<AttrRef> {
+        match self {
+            TermCandidate::Value(a) => Some(*a),
+            _ => None,
+        }
+    }
+
+    /// The table a schema-name route lands on.
+    fn name_table(&self) -> Option<TableId> {
+        match self {
+            TermCandidate::TableName(t) => Some(*t),
+            TermCandidate::AttrName(a) => Some(a.table),
+            TermCandidate::Value(_) => None,
+        }
+    }
 }
 
 /// The interpretation generator over one database, its inverted index and
@@ -294,25 +318,38 @@ impl<'a> Interpreter<'a> {
         let mut out = HashMap::new();
         for term in query.distinct_terms() {
             let mut cands = Vec::new();
-            for attr in self.index.attrs_containing(term) {
-                cands.push(TermCandidate::Value(*attr));
-            }
-            for m in self.index.schema_matches(term) {
-                match m {
-                    SchemaTarget::Table(t) => cands.push(TermCandidate::TableName(*t)),
-                    SchemaTarget::Attribute(a) => cands.push(TermCandidate::AttrName(*a)),
-                }
-            }
-            // Deterministic order.
-            cands.sort_by_key(|c| match c {
-                TermCandidate::Value(a) => (0u8, a.table.0, a.attr.0),
-                TermCandidate::AttrName(a) => (1, a.table.0, a.attr.0),
-                TermCandidate::TableName(t) => (2, t.0, 0),
-            });
-            cands.dedup();
+            self.push_term_candidates(term, &mut cands);
             out.insert(term.to_owned(), cands);
         }
         out
+    }
+
+    /// Append the schema-level candidates of `term` to `out`, in a
+    /// deterministic order and without repeats.
+    fn push_term_candidates(&self, term: &str, out: &mut Vec<TermCandidate>) {
+        let start = out.len();
+        for attr in self.index.attrs_containing(term) {
+            out.push(TermCandidate::Value(*attr));
+        }
+        for m in self.index.schema_matches(term) {
+            match m {
+                SchemaTarget::Table(t) => out.push(TermCandidate::TableName(*t)),
+                SchemaTarget::Attribute(a) => out.push(TermCandidate::AttrName(*a)),
+            }
+        }
+        out[start..].sort_by_key(|c| match c {
+            TermCandidate::Value(a) => (0u8, a.table.0, a.attr.0),
+            TermCandidate::AttrName(a) => (1, a.table.0, a.attr.0),
+            TermCandidate::TableName(t) => (2, t.0, 0),
+        });
+        let mut kept = start;
+        for i in start..out.len() {
+            if kept == start || out[i] != out[kept - 1] {
+                out[kept] = out[i];
+                kept += 1;
+            }
+        }
+        out.truncate(kept);
     }
 
     /// Enumerate complete, minimal interpretations of `query` (Def. 3.5.4),
@@ -329,7 +366,8 @@ impl<'a> Interpreter<'a> {
             // Localize candidates to template nodes.
             let mut local: Vec<Vec<BindingTarget>> = Vec::with_capacity(terms.len());
             for term in terms {
-                let targets = localize_candidates(&candidates[term.as_str()], tpl);
+                let mut targets = Vec::new();
+                localize_candidates(&candidates[term.as_str()], tpl, &mut targets);
                 if targets.is_empty() {
                     continue 'template; // term uninterpretable here
                 }
@@ -487,7 +525,7 @@ impl<'a> Interpreter<'a> {
             .zip(probs)
             .map(
                 |((interpretation, log_score), probability)| ScoredInterpretation {
-                    interpretation,
+                    interpretation: Arc::new(interpretation),
                     log_score,
                     probability,
                 },
@@ -571,11 +609,7 @@ impl<'a> Interpreter<'a> {
         k: usize,
     ) -> Vec<ScoredInterpretation> {
         ranked.truncate(k);
-        let logs: Vec<f64> = ranked.iter().map(|s| s.log_score).collect();
-        let probs = ProbabilityModel::normalize(&logs);
-        for (s, p) in ranked.iter_mut().zip(probs) {
-            s.probability = p;
-        }
+        normalize_in_place(&mut ranked);
         ranked
     }
 
@@ -593,66 +627,57 @@ impl<'a> Interpreter<'a> {
         // beyond any workload in the paper and take the exhaustive pipeline,
         // complete interpretations only (see `top_k`).
         let exhaustive = (terms.len() > 63).then(|| self.ranked_interpretations(query));
-        let by_term = if exhaustive.is_some() {
-            HashMap::new()
-        } else {
-            self.term_candidates(query)
+        // Each term is resolved once; a repeated term's occurrences share
+        // the first one's candidates.
+        let mut candidates = Vec::new();
+        let mut cand_spans: Vec<(u32, u32)> = Vec::with_capacity(terms.len());
+        let mut repeated_terms = false;
+        for (i, term) in terms.iter().enumerate() {
+            if let Some(first) = terms[..i].iter().position(|t| t == term) {
+                repeated_terms = true;
+                cand_spans.push(cand_spans[first]);
+                continue;
+            }
+            let start = candidates.len();
+            if exhaustive.is_none() {
+                self.push_term_candidates(term, &mut candidates);
+            }
+            cand_spans.push((start as u32, candidates.len() as u32));
+        }
+        let of = |i: usize| {
+            let (start, end) = cand_spans[i];
+            &candidates[start as usize..end as usize]
         };
-        let candidates: Vec<Vec<TermCandidate>> = terms
-            .iter()
-            .map(|t| by_term.get(t.as_str()).cloned().unwrap_or_default())
-            .collect();
-        // Per-occurrence candidate views for the incremental scorer.
-        let value_attrs: Vec<Vec<AttrRef>> = candidates
-            .iter()
-            .map(|cands| {
-                cands
-                    .iter()
-                    .filter_map(|c| match c {
-                        TermCandidate::Value(a) => Some(*a),
-                        _ => None,
-                    })
-                    .collect()
-            })
-            .collect();
-        let name_tables: Vec<Vec<TableId>> = candidates
-            .iter()
-            .map(|cands| {
-                cands
-                    .iter()
-                    .filter_map(|c| match c {
-                        TermCandidate::TableName(t) => Some(*t),
-                        TermCandidate::AttrName(a) => Some(a.table),
-                        TermCandidate::Value(_) => None,
-                    })
-                    .collect()
-            })
-            .collect();
         let scorer = IncrementalScorer::new(
             self.index,
             self.config.prob,
             self.db.schema().table_count(),
             terms,
-            &value_attrs,
-            &name_tables,
+            |i| of(i).iter().filter_map(TermCandidate::value_attr),
+            |i| of(i).iter().filter_map(TermCandidate::name_table),
             include_partials,
         );
         let mut search = BestFirstSearch {
             interpreter: self,
             terms,
             candidates,
+            cand_spans,
             scorer,
             exhaustive,
-            tpls: (0..self.catalog.len()).map(|_| None).collect(),
+            tpls: vec![None; self.catalog.len()],
+            suffix: Vec::new(),
+            spans: Vec::new(),
+            targets: Vec::new(),
             heap: BinaryHeap::new(),
             deferred: Vec::new(),
             buffer: Vec::new(),
-            // `by_term` is keyed by distinct term.
-            repeated_terms: by_term.len() < terms.len(),
+            repeated_terms,
             emitted: HashSet::new(),
             k: 0,
             top_scores: BinaryHeap::new(),
             stats: GenerationStats::default(),
+            groups: Vec::new(),
+            bag: Vec::new(),
         };
         search.seed_roots();
         search
@@ -753,7 +778,7 @@ impl<'a> Interpreter<'a> {
             keys.sort();
             keys.dedup();
             answers.push(RankedAnswer {
-                interpretation: s.interpretation.clone(),
+                interpretation: Arc::clone(&s.interpretation),
                 log_score: s.log_score,
                 jtt: jtt.clone(),
                 keys,
@@ -762,15 +787,32 @@ impl<'a> Interpreter<'a> {
     }
 }
 
+/// Set every entry's probability to its share of the list's mass:
+/// [`ProbabilityModel::normalize`] over the `log_score`s, operation for
+/// operation, written in place.
+fn normalize_in_place(ranked: &mut [ScoredInterpretation]) {
+    let m = ranked
+        .iter()
+        .map(|s| s.log_score)
+        .fold(f64::NEG_INFINITY, f64::max);
+    for s in ranked.iter_mut() {
+        s.probability = (s.log_score - m).exp();
+    }
+    let sum: f64 = ranked.iter().map(|s| s.probability).sum();
+    for s in ranked.iter_mut() {
+        s.probability /= sum;
+    }
+}
+
 /// Localize schema-level term candidates to the node occurrences of one
-/// template — the single definition of binding semantics, shared by the
-/// exhaustive enumerator and the best-first search so the two cannot drift
-/// apart.
+/// template, appending them to `targets` — the single definition of binding
+/// semantics, shared by the exhaustive enumerator and the best-first search
+/// so the two cannot drift apart.
 fn localize_candidates(
     candidates: &[TermCandidate],
     tpl: &crate::template::QueryTemplate,
-) -> Vec<BindingTarget> {
-    let mut targets = Vec::with_capacity(candidates.len());
+    targets: &mut Vec<BindingTarget>,
+) {
     for cand in candidates {
         match cand {
             TermCandidate::Value(a) => {
@@ -790,7 +832,6 @@ fn localize_candidates(
             }
         }
     }
-    targets
 }
 
 /// Whether every template leaf can be bound by an occurrence of its own:
@@ -921,22 +962,22 @@ impl Ord for SearchNode {
     }
 }
 
-/// What the session knows about one viable template: its prior, the suffix
-/// sums of its per-occurrence bounds (entry `i` bounds the total remaining
-/// contribution once occurrences `0..i` are assigned; entry `n` is 0), and
-/// the per-occurrence binding targets, each localized when a state of the
-/// template first assigns that occurrence (so a state at depth `d` finds
-/// occurrences `0..d` localized by its ancestors).
+/// What the session knows about one viable template: its prior, and where
+/// its rows of the session's flat tables start — its suffix bounds in
+/// [`BestFirstSearch::suffix`] and its per-occurrence target ranges in
+/// [`BestFirstSearch::spans`].
+#[derive(Clone, Copy)]
 struct TplData {
     ln_prior: f64,
-    suffix: Vec<f64>,
+    /// Ordinal among the seeded templates: its suffix bounds start at
+    /// `at · (n + 1)`, its target ranges at `at · n`.
+    at: usize,
     /// Bit per leaf node, for the minimality-feasibility prune. Template
     /// trees are tiny in practice; the rare > 64-node template skips the
     /// prune (sound — it is only an optimization, minimality is checked at
     /// emission).
     leaf_mask: Option<u64>,
-    targets: Vec<Vec<BindingTarget>>,
-    /// Bit per occurrence whose `targets` entry is filled.
+    /// Bit per occurrence whose target range is filled.
     localized: u64,
 }
 
@@ -973,33 +1014,51 @@ impl Ord for Score {
 pub(crate) struct BestFirstSearch<'q, 'a> {
     interpreter: &'q Interpreter<'a>,
     terms: &'q [String],
-    /// Per occurrence: the schema-level candidates of its term.
-    candidates: Vec<Vec<TermCandidate>>,
+    /// The schema-level candidates of every term, flat: occurrence `i`'s
+    /// are the range `cand_spans[i]` (shared by repeated terms).
+    candidates: Vec<TermCandidate>,
+    cand_spans: Vec<(u32, u32)>,
     scorer: IncrementalScorer<'q>,
     /// The whole ranking, for a query too long for occurrence masks.
     exhaustive: Option<Vec<ScoredInterpretation>>,
     /// Indexed by `TemplateId`; `None` for templates that cannot interpret
     /// the query.
     tpls: Vec<Option<TplData>>,
+    /// `n + 1` entries per seeded template: the suffix sums of its
+    /// per-occurrence bounds (entry `i` bounds the total remaining
+    /// contribution once occurrences `0..i` are assigned; entry `n` is 0).
+    suffix: Vec<f64>,
+    /// `n` entries per seeded template: the range of `targets` holding
+    /// occurrence `i`'s binding targets on it, filled when a state of the
+    /// template first assigns that occurrence (so a state at depth `d` finds
+    /// occurrences `0..d` localized by its ancestors).
+    spans: Vec<(u32, u32)>,
+    /// Every binding target the session has localized.
+    targets: Vec<BindingTarget>,
     heap: BinaryHeap<SearchNode>,
     /// Children cut by the k-th-best threshold, each with the number of
     /// interpretations buffered when it was cut, in cut order.
     deferred: Vec<(usize, SearchNode)>,
     /// Emitted interpretations with their exact scores, in emission order.
-    buffer: Vec<(QueryInterpretation, f64)>,
+    /// Each is built once; replies share it.
+    buffer: Vec<(Arc<QueryInterpretation>, f64)>,
     /// Whether some keyword occurs twice — the only way two assignments can
     /// spell the same interpretation, so the only time `emitted` is needed.
     repeated_terms: bool,
-    emitted: HashSet<QueryInterpretation>,
+    emitted: HashSet<Arc<QueryInterpretation>>,
     /// The `k` of the current pull.
     k: usize,
     /// Min-heap of the `k` best exact scores seen so far.
     top_scores: BinaryHeap<std::cmp::Reverse<Score>>,
     /// Counters since the session opened; `pull` reports what it added.
     stats: GenerationStats,
+    /// [`Self::materialize`]'s scratch: the state's value groups.
+    groups: Vec<(BindingTarget, u64)>,
+    /// [`Self::group_count`]'s scratch: the group's sorted keyword bag.
+    bag: Vec<&'q str>,
 }
 
-impl BestFirstSearch<'_, '_> {
+impl<'q> BestFirstSearch<'q, '_> {
     /// The best `k` interpretations found by searching until the `k`-th
     /// best is proven, with the work this pull added (see
     /// [`GenerationStats::absorb`]). Value-group counts are read from and
@@ -1107,8 +1166,10 @@ impl BestFirstSearch<'_, '_> {
         let reach: Vec<u64> = (0..interpreter.db.schema().table_count())
             .map(|t| self.scorer.reach(TableId(t as u32)))
             .collect();
+        // First the templates whose leaves the query can cover, so the
+        // flat tables are sized once.
         let mut leaf_reach = Vec::new();
-        let mut bounds = vec![0.0; n];
+        let mut seeded = 0;
         for tpl in interpreter.catalog.iter() {
             leaf_reach.clear();
             leaf_reach.extend(
@@ -1116,38 +1177,45 @@ impl BestFirstSearch<'_, '_> {
                     .iter()
                     .map(|&leaf| reach[tpl.tree.nodes[leaf].0 as usize]),
             );
-            if !leaves_coverable(&leaf_reach) {
-                continue;
+            if leaves_coverable(&leaf_reach) {
+                self.tpls[tpl.id.0 as usize] = Some(TplData {
+                    ln_prior: 0.0,
+                    at: seeded,
+                    leaf_mask: (tpl.tree.nodes.len() <= 64)
+                        .then(|| tpl.leaves().iter().fold(0u64, |m, &l| m | 1 << l)),
+                    localized: 0,
+                });
+                seeded += 1;
             }
+        }
+        self.suffix = vec![0.0; seeded * (n + 1)];
+        self.spans = vec![(0, 0); seeded * n];
+        self.targets.reserve(seeded * n);
+        let mut bounds = vec![0.0; n];
+        for tpl in interpreter.catalog.iter() {
+            let slot = &mut self.tpls[tpl.id.0 as usize];
+            let Some(data) = slot else { continue };
             let mut bound_sum = 0.0;
             for (i, bound) in bounds.iter_mut().enumerate() {
                 *bound = self.scorer.term_bound(tpl, i);
                 bound_sum += *bound;
             }
             if !bound_sum.is_finite() {
+                *slot = None;
                 continue;
             }
-            let mut suffix = vec![0.0; n + 1];
+            let row = &mut self.suffix[data.at * (n + 1)..(data.at + 1) * (n + 1)];
             for i in (0..n).rev() {
-                suffix[i] = bounds[i] + suffix[i + 1];
+                row[i] = bounds[i] + row[i + 1];
             }
-            let ln_prior = interpreter.config.prior.ln_prob(
+            data.ln_prior = interpreter.config.prior.ln_prob(
                 tpl.signature_names(interpreter.db),
                 interpreter.catalog.len(),
             );
-            let leaf_mask = (tpl.tree.nodes.len() <= 64)
-                .then(|| tpl.leaves().iter().fold(0u64, |m, &l| m | 1 << l));
-            self.tpls[tpl.id.0 as usize] = Some(TplData {
-                ln_prior,
-                suffix,
-                leaf_mask,
-                targets: Vec::new(),
-                localized: 0,
-            });
             self.stats.pushed += 1;
             self.heap.push(SearchNode {
-                ub: ln_prior + bound_sum,
-                prefix: ln_prior,
+                ub: data.ln_prior + bound_sum,
+                prefix: data.ln_prior,
                 tpl: tpl.id,
                 depth: 0,
                 slots: Assign::new(n),
@@ -1174,22 +1242,33 @@ impl BestFirstSearch<'_, '_> {
         }
     }
 
+    /// Occurrence `p`'s binding target `choice` on the template whose
+    /// tables start at `at` (the occurrence must be localized there).
+    fn target(&self, at: usize, p: usize, choice: i16) -> BindingTarget {
+        let (start, _) = self.spans[at * self.terms.len() + p];
+        self.targets[start as usize + choice as usize]
+    }
+
     /// Expand one frontier state over every option for the next occurrence.
     fn expand(&mut self, node: SearchNode, cache: &mut NonemptyCache) {
         self.stats.expanded += 1;
         let i = node.depth as usize;
+        let n = self.terms.len();
         let interpreter = self.interpreter;
         let tpl = interpreter.catalog.get(node.tpl);
-        // Held by value while the children are built (they need `&mut self`
-        // for the memos and the frontier), put back below.
-        let mut data = self.tpls[node.tpl.0 as usize]
-            .take()
+        let data = self.tpls[node.tpl.0 as usize]
+            .as_mut()
             .expect("a frontier state's template was seeded");
         if data.localized & 1 << i == 0 {
-            data.targets.resize_with(self.terms.len(), Vec::new);
-            data.targets[i] = localize_candidates(&self.candidates[i], tpl);
             data.localized |= 1 << i;
+            let start = self.targets.len();
+            let (from, to) = self.cand_spans[i];
+            let candidates = &self.candidates[from as usize..to as usize];
+            localize_candidates(candidates, tpl, &mut self.targets);
+            self.spans[data.at * n + i] = (start as u32, self.targets.len() as u32);
         }
+        let at = data.at;
+        let leaf_mask = data.leaf_mask;
         let assign = node.assign();
         // Template nodes already carrying a binding.
         let bound_nodes = assign
@@ -1197,24 +1276,25 @@ impl BestFirstSearch<'_, '_> {
             .enumerate()
             .filter(|&(_, &t)| t != UNMAPPED)
             .fold(0u64, |m, (p, &t)| {
-                m | 1u64 << (data.targets[p][t as usize].node() & 63)
+                m | 1u64 << (self.target(at, p, t).node() & 63)
             });
         // A child is viable only if the leaves still unbound after it can
         // all be covered by the occurrences that remain.
-        let remaining_after = self.terms.len() - i - 1;
-        let leaf_mask = data.leaf_mask;
+        let remaining_after = n - i - 1;
         let feasible = |nodes_mask: u64| {
             leaf_mask.is_none_or(|leaves| {
                 (leaves & !nodes_mask).count_ones() as usize <= remaining_after
             })
         };
-        let suffix = data.suffix[i + 1];
-        for (ti, target) in data.targets[i].iter().enumerate() {
+        let suffix = self.suffix[at * (n + 1) + i + 1];
+        let (start, end) = self.spans[at * n + i];
+        for (ti, t) in (start as usize..end as usize).enumerate() {
+            let target = self.targets[t];
             if !feasible(bound_nodes | 1u64 << (target.node() & 63)) {
                 self.stats.pruned += 1;
                 continue;
             }
-            let delta = match *target {
+            let delta = match target {
                 BindingTarget::Value { node: tnode, attr } => {
                     let aref = AttrRef {
                         table: tpl.tree.nodes[tnode],
@@ -1224,7 +1304,7 @@ impl BestFirstSearch<'_, '_> {
                     let old_mask = assign
                         .iter()
                         .enumerate()
-                        .filter(|&(p, &t)| t != UNMAPPED && data.targets[p][t as usize] == *target)
+                        .filter(|&(p, &t)| t != UNMAPPED && self.target(at, p, t) == target)
                         .fold(0u64, |m, (p, _)| m | 1u64 << p);
                     let new_mask = old_mask | 1u64 << i;
                     // Prune empty value groups: every extension keeps the
@@ -1251,7 +1331,6 @@ impl BestFirstSearch<'_, '_> {
         if self.scorer.allows_unmapped() && feasible(bound_nodes) {
             self.offer(&node, UNMAPPED, self.scorer.unmapped_ln(), suffix);
         }
-        self.tpls[node.tpl.0 as usize] = Some(data);
     }
 
     /// Put the child of `parent` that assigns `choice` to the next
@@ -1281,36 +1360,38 @@ impl BestFirstSearch<'_, '_> {
     /// bitmask (fixed per query), so cache hits are allocation-free;
     /// duplicate keywords at different positions count once each, which is
     /// the only sharing the mask encoding gives up. Misses consult the
-    /// cross-query shared cache (bag-keyed) before walking the index; fresh
-    /// counts are published back so every other query — on any thread —
-    /// skips the walk.
+    /// cross-query shared cache (bag-keyed, probed with the bag borrowed
+    /// from the query's terms) before walking the index; fresh counts are
+    /// published back so every other query — on any thread — skips the
+    /// walk.
     fn group_count(&mut self, mask: u64, aref: AttrRef, cache: &mut NonemptyCache) -> u64 {
         if let Some(&hit) = cache.map.get(&(mask, aref)) {
             self.stats.nonempty_cache_hits += 1;
             return hit;
         }
         // Sorted, which is how the shared tier keys a bag.
-        let bag = self.scorer.bag(mask);
-        let index = self.interpreter.index;
-        let count = match &cache.shared {
-            Some(shared) => {
-                let key = (bag, aref);
-                match shared.counts.get(&key, |_| true) {
-                    Some(count) => {
-                        self.stats.nonempty_shared_hits += 1;
-                        count
-                    }
-                    None => {
-                        self.stats.nonempty_probes += 1;
-                        let count = joint_count(index, &key.0, aref);
-                        shared.counts.admit(key, count, |_, _| false);
-                        count
-                    }
-                }
+        self.bag.clear();
+        self.bag.extend(self.scorer.bag(mask));
+        let bag = &self.bag[..];
+        let shared = cache.shared.as_ref().and_then(|shared| {
+            let is = |(held, attr): &(Vec<String>, AttrRef)| {
+                *attr == aref && held.iter().map(String::as_str).eq(bag.iter().copied())
+            };
+            shared.counts.get_by(&(bag, aref), is, |_| true)
+        });
+        let count = match shared {
+            Some(count) => {
+                self.stats.nonempty_shared_hits += 1;
+                count
             }
             None => {
                 self.stats.nonempty_probes += 1;
-                joint_count(index, &bag, aref)
+                let owned: Vec<String> = bag.iter().map(|&t| t.to_owned()).collect();
+                let count = joint_count(self.interpreter.index, &owned, aref);
+                if let Some(shared) = &cache.shared {
+                    shared.counts.admit((owned, aref), count, |_, _| false);
+                }
+                count
             }
         };
         cache.map.insert((mask, aref), count);
@@ -1325,20 +1406,26 @@ impl BestFirstSearch<'_, '_> {
     /// the terms `ProbabilityModel::log_score` adds, without its postings
     /// walks.
     fn materialize(&mut self, node: &SearchNode) {
-        let data = self.tpls[node.tpl.0 as usize]
-            .as_ref()
-            .expect("a frontier state's template was seeded");
-        let mut groups: Vec<(BindingTarget, u64)> = Vec::with_capacity(node.depth as usize);
+        let data = self.tpls[node.tpl.0 as usize].expect("a frontier state's template was seeded");
+        let mut groups = std::mem::take(&mut self.groups);
+        groups.clear();
         for (p, &t) in node.assign().iter().enumerate() {
             if t == UNMAPPED {
                 continue;
             }
-            let target = data.targets[p][t as usize];
+            let target = self.target(data.at, p, t);
             match groups.iter_mut().find(|g| g.0 == target) {
                 Some(group) => group.1 |= 1 << p,
                 None => groups.push((target, 1 << p)),
             }
         }
+        self.emit(node, data.ln_prior, &groups);
+        self.groups = groups;
+    }
+
+    /// [`Self::materialize`] past grouping: `groups` are the state's
+    /// `(target, occurrence mask)` bindings in assignment order.
+    fn emit(&mut self, node: &SearchNode, ln_prior: f64, groups: &[(BindingTarget, u64)]) {
         if groups.is_empty() {
             return; // all-unmapped: not an interpretation of any subset
         }
@@ -1351,16 +1438,17 @@ impl BestFirstSearch<'_, '_> {
         }
         let bindings: Vec<KeywordBinding> = groups
             .iter()
-            .map(|&(target, mask)| KeywordBinding {
-                keywords: self.scorer.bag(mask),
-                target,
+            .map(|&(target, mask)| {
+                let mut keywords = Vec::with_capacity(mask.count_ones() as usize);
+                keywords.extend(self.scorer.bag(mask).map(str::to_owned));
+                KeywordBinding { keywords, target }
             })
             .collect();
-        let interp = QueryInterpretation::new(node.tpl, bindings);
-        if self.repeated_terms && !self.emitted.insert(interp.clone()) {
+        let interp = Arc::new(QueryInterpretation::new(node.tpl, bindings));
+        if self.repeated_terms && !self.emitted.insert(Arc::clone(&interp)) {
             return; // duplicate via permuted identical keywords
         }
-        let mut exact = data.ln_prior;
+        let mut exact = ln_prior;
         for b in &interp.bindings {
             let &(_, mask) = groups
                 .iter()
@@ -1392,9 +1480,10 @@ impl BestFirstSearch<'_, '_> {
     }
 
     /// The canonical sort of the buffer (the oracle's comparator),
-    /// truncated to `k`, probabilities normalized over the survivors.
+    /// truncated to `k`, probabilities normalized over the survivors. The
+    /// reply shares the buffered interpretations.
     fn reply(&self) -> Vec<ScoredInterpretation> {
-        let mut order: Vec<&(QueryInterpretation, f64)> = self.buffer.iter().collect();
+        let mut order: Vec<&(Arc<QueryInterpretation>, f64)> = self.buffer.iter().collect();
         order.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .unwrap_or(Ordering::Equal)
@@ -1402,19 +1491,16 @@ impl BestFirstSearch<'_, '_> {
                 .then_with(|| a.0.bindings.cmp(&b.0.bindings))
         });
         order.truncate(self.k);
-        let logs: Vec<f64> = order.iter().map(|(_, l)| *l).collect();
-        let probs = ProbabilityModel::normalize(&logs);
-        order
+        let mut reply: Vec<ScoredInterpretation> = order
             .into_iter()
-            .zip(probs)
-            .map(
-                |((interpretation, log_score), probability)| ScoredInterpretation {
-                    interpretation: interpretation.clone(),
-                    log_score: *log_score,
-                    probability,
-                },
-            )
-            .collect()
+            .map(|(interpretation, log_score)| ScoredInterpretation {
+                interpretation: Arc::clone(interpretation),
+                log_score: *log_score,
+                probability: 0.0,
+            })
+            .collect();
+        normalize_in_place(&mut reply);
+        reply
     }
 }
 

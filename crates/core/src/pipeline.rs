@@ -128,12 +128,12 @@ impl FixedSource {
     /// Wrap a construction-session window: `(interpretation, weight)` pairs
     /// in window order. Weights become probabilities; the window carries no
     /// log-scores.
-    pub fn from_window(window: &[(QueryInterpretation, f64)]) -> Self {
+    pub fn from_window(window: &[(Arc<QueryInterpretation>, f64)]) -> Self {
         FixedSource {
             ranked: window
                 .iter()
                 .map(|(c, p)| ScoredInterpretation {
-                    interpretation: c.clone(),
+                    interpretation: Arc::clone(c),
                     log_score: 0.0,
                     probability: *p,
                 })
@@ -212,13 +212,15 @@ impl<E: Executor> PostProcess for TopKAnswers<'_, '_, E> {
 
 /// The diversification pool (§4.4.2): every non-empty candidate survives
 /// with its relevance, structural atoms, and result keys capped at `cap`
-/// JTTs per interpretation — the pool Alg. 4.1 then selects from.
+/// JTTs per interpretation — the pool Alg. 4.1 then selects from. Atoms are
+/// derived once per candidate and keys shared with the executed result when
+/// the cap leaves it whole; the selected answers share both.
 struct DivPoolStage<'q, 'a, E> {
     interpreter: &'q Interpreter<'a>,
     executor: E,
     cap: usize,
     items: Vec<DivItem>,
-    keys: Vec<BTreeSet<ResultKey>>,
+    keys: Vec<Arc<BTreeSet<ResultKey>>>,
     picks: Vec<ScoredInterpretation>,
 }
 
@@ -249,11 +251,12 @@ impl<E: Executor> PostProcess for DivPoolStage<'_, '_, E> {
     fn ingest(&mut self, _rank: usize, s: &ScoredInterpretation, res: &Arc<ExecutedResult>) {
         self.items.push(DivItem {
             relevance: s.probability,
-            atoms: s
-                .interpretation
-                .atoms(self.interpreter.catalog())
-                .into_iter()
-                .collect(),
+            atoms: Arc::new(
+                s.interpretation
+                    .atoms(self.interpreter.catalog())
+                    .into_iter()
+                    .collect(),
+            ),
         });
         self.keys.push(prefix_keys(
             &self.executor,
@@ -366,7 +369,7 @@ impl<'s, 'a, E: Executor> QueryPipeline<'s, 'a, E> {
         grow: bool,
         stats: &mut AnswerStats,
     ) {
-        let mut failed: HashSet<QueryInterpretation> = HashSet::new();
+        let mut failed: HashSet<Arc<QueryInterpretation>> = HashSet::new();
         let mut gen_k = start_k;
         loop {
             stats.waves += 1;
@@ -394,7 +397,7 @@ impl<'s, 'a, E: Executor> QueryPipeline<'s, 'a, E> {
                     Ok(r) => r,
                     Err(_) => {
                         stats.exec_errors += 1;
-                        failed.insert(s.interpretation.clone());
+                        failed.insert(Arc::clone(&s.interpretation));
                         continue;
                     }
                 };
@@ -490,11 +493,11 @@ impl<'s, 'a, E: Executor> QueryPipeline<'s, 'a, E> {
         let answers: Vec<DiversifiedAnswer> = selected
             .into_iter()
             .map(|i| DiversifiedAnswer {
-                interpretation: post.picks[i].interpretation.clone(),
+                interpretation: Arc::clone(&post.picks[i].interpretation),
                 log_score: post.picks[i].log_score,
                 relevance: post.items[i].relevance,
-                atoms: post.items[i].atoms.clone(),
-                keys: post.keys[i].clone(),
+                atoms: Arc::clone(&post.items[i].atoms),
+                keys: Arc::clone(&post.keys[i]),
                 pool_rank: i,
             })
             .collect();
@@ -514,7 +517,7 @@ impl<'s, 'a, E: Executor> QueryPipeline<'s, 'a, E> {
     /// truncated back to `limit`).
     pub fn window(
         &mut self,
-        candidates: &[(QueryInterpretation, f64)],
+        candidates: &[(Arc<QueryInterpretation>, f64)],
         limit: usize,
     ) -> Vec<(usize, Arc<ExecutedResult>)> {
         let mut stats = AnswerStats::default();
@@ -541,7 +544,7 @@ pub struct ExecutedPool {
     pub items: Vec<DivItem>,
     /// Result keys per surviving interpretation, capped at the pool's
     /// per-interpretation JTT limit (the Chapter 4 subtopics).
-    pub keys: Vec<BTreeSet<ResultKey>>,
+    pub keys: Vec<Arc<BTreeSet<ResultKey>>>,
     /// The surviving interpretations, parallel to `items`.
     pub interps: Vec<ScoredInterpretation>,
     /// Candidates handed to the executor (pool size before the empty-result
@@ -577,15 +580,16 @@ impl Default for DiversifyOptions {
 #[derive(Debug, Clone)]
 pub struct DiversifiedAnswer {
     /// The selected interpretation.
-    pub interpretation: QueryInterpretation,
+    pub interpretation: Arc<QueryInterpretation>,
     /// Its `ln P(Q|K)` (up to the per-query constant).
     pub log_score: f64,
     /// Its relevance: the probability normalized over the generated pool.
     pub relevance: f64,
-    /// Its keyword-interpretation set `I` (Eq. 4.3).
-    pub atoms: BTreeSet<BindingAtom>,
-    /// Its capped result keys (the subtopics it covers).
-    pub keys: BTreeSet<ResultKey>,
+    /// Its keyword-interpretation set `I` (Eq. 4.3), shared with the pool.
+    pub atoms: Arc<BTreeSet<BindingAtom>>,
+    /// Its capped result keys (the subtopics it covers), shared with the
+    /// pool and, when the cap left the result whole, with the result.
+    pub keys: Arc<BTreeSet<ResultKey>>,
     /// Position in the executed pool (relevance rank).
     pub pool_rank: usize,
 }
@@ -613,8 +617,9 @@ pub struct DiversifiedAnswers {
 pub struct DivItem {
     /// Relevance = `P(Q|K)` from the disambiguation model (§4.4.2).
     pub relevance: f64,
-    /// The keyword-interpretation set `I` of Eq. 4.3.
-    pub atoms: BTreeSet<BindingAtom>,
+    /// The keyword-interpretation set `I` of Eq. 4.3 (shared with the
+    /// answer that selects it).
+    pub atoms: Arc<BTreeSet<BindingAtom>>,
 }
 
 /// Build the diversification pool from ranked interpretations — typically
@@ -627,7 +632,7 @@ pub fn div_pool(ranked: &[ScoredInterpretation], catalog: &TemplateCatalog) -> V
         .iter()
         .map(|s| DivItem {
             relevance: s.probability,
-            atoms: s.interpretation.atoms(catalog).into_iter().collect(),
+            atoms: Arc::new(s.interpretation.atoms(catalog).into_iter().collect()),
         })
         .collect()
 }
@@ -889,7 +894,7 @@ mod tests {
         let it = interp(&f);
         let q = KeywordQuery::from_terms(vec!["tom".into()]);
         let ranked = it.top_k_complete(&q, 6);
-        let window: Vec<(QueryInterpretation, f64)> = ranked
+        let window: Vec<(Arc<QueryInterpretation>, f64)> = ranked
             .iter()
             .map(|s| (s.interpretation.clone(), s.probability))
             .collect();

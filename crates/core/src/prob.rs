@@ -260,9 +260,10 @@ pub(crate) struct IncrementalScorer<'q> {
     /// Occurrence indexes ordered by term: the keyword order of a canonical
     /// [`crate::KeywordBinding`].
     by_term: Vec<usize>,
-    /// Per occurrence: candidate value attrs with their floored `ln ATF`,
-    /// sorted by attr.
-    value_ln: Vec<Vec<(AttrRef, f64)>>,
+    /// Candidate value attrs with their floored `ln ATF`, flat: occurrence
+    /// `i`'s are `value_ln[value_at[i]..value_at[i + 1]]`, sorted by attr.
+    value_ln: Vec<(AttrRef, f64)>,
+    value_at: Vec<usize>,
     /// Per (occurrence, table), row-major: the best contribution the
     /// occurrence can make on that table over the value, join and name
     /// routes; `NEG_INFINITY` when it has no target there.
@@ -277,20 +278,25 @@ pub(crate) struct IncrementalScorer<'q> {
 }
 
 impl<'q> IncrementalScorer<'q> {
-    /// `terms` are the query's keyword occurrences in order; `value_attrs[i]`
-    /// are the attributes where occurrence `i` matches as a value;
-    /// `name_tables[i]` the tables on which it matches a schema name (table
-    /// or attribute); `n_tables` the schema's table count; `allow_unmapped`
-    /// enables the partial-interpretation branch charged `P_u`.
-    pub fn new(
+    /// `terms` are the query's keyword occurrences in order;
+    /// `value_attrs(i)` are the attributes where occurrence `i` matches as a
+    /// value; `name_tables(i)` the tables on which it matches a schema name
+    /// (table or attribute); `n_tables` the schema's table count;
+    /// `allow_unmapped` enables the partial-interpretation branch charged
+    /// `P_u`.
+    pub fn new<V, N>(
         index: &'q InvertedIndex,
         config: ProbabilityConfig,
         n_tables: usize,
         terms: &'q [String],
-        value_attrs: &[Vec<AttrRef>],
-        name_tables: &[Vec<TableId>],
+        value_attrs: impl Fn(usize) -> V,
+        name_tables: impl Fn(usize) -> N,
         allow_unmapped: bool,
-    ) -> Self {
+    ) -> Self
+    where
+        V: Iterator<Item = AttrRef>,
+        N: Iterator<Item = TableId>,
+    {
         let n = terms.len();
         let uniform = config.uniform_keywords;
         let ln_name = if uniform {
@@ -298,25 +304,23 @@ impl<'q> IncrementalScorer<'q> {
         } else {
             config.name_match_prob.max(MIN_PROB).ln()
         };
-        let value_ln: Vec<Vec<(AttrRef, f64)>> = value_attrs
-            .iter()
-            .enumerate()
-            .map(|(i, attrs)| {
-                let mut lns: Vec<(AttrRef, f64)> = attrs
-                    .iter()
-                    .map(|&a| {
-                        let ln = if uniform {
-                            0.0
-                        } else {
-                            index.atf(&terms[i], a, config.alpha).max(MIN_PROB).ln()
-                        };
-                        (a, ln)
-                    })
-                    .collect();
-                lns.sort_by_key(|&(a, _)| a);
-                lns
-            })
-            .collect();
+        let mut value_ln: Vec<(AttrRef, f64)> = Vec::new();
+        let mut value_at = Vec::with_capacity(n + 1);
+        value_at.push(0);
+        for (i, term) in terms.iter().enumerate() {
+            let start = value_ln.len();
+            value_ln.extend(value_attrs(i).map(|a| {
+                let ln = if uniform {
+                    0.0
+                } else {
+                    index.atf(term, a, config.alpha).max(MIN_PROB).ln()
+                };
+                (a, ln)
+            }));
+            value_ln[start..].sort_by_key(|&(a, _)| a);
+            value_at.push(value_ln.len());
+        }
+        let of = |i: usize| &value_ln[value_at[i]..value_at[i + 1]];
         let mut table_bound = vec![f64::NEG_INFINITY; n * n_tables];
         let mut raise = |i: usize, table: TableId, v: f64| {
             let slot = &mut table_bound[i * n_tables + table.0 as usize];
@@ -325,17 +329,17 @@ impl<'q> IncrementalScorer<'q> {
             }
         };
         for i in 0..n {
-            for &(a, ln) in &value_ln[i] {
+            for &(a, ln) in of(i) {
                 raise(i, a.table, ln);
             }
-            for &table in &name_tables[i] {
+            for table in name_tables(i) {
                 raise(i, table, ln_name);
             }
             // A value join with another occurrence is possible wherever the
             // two share a candidate attribute; its delta is bounded by 0.
             for j in (i + 1)..n {
-                for &(a, _) in &value_ln[i] {
-                    if value_ln[j].binary_search_by_key(&a, |&(x, _)| x).is_ok() {
+                for &(a, _) in of(i) {
+                    if of(j).binary_search_by_key(&a, |&(x, _)| x).is_ok() {
                         raise(i, a.table, 0.0);
                         raise(j, a.table, 0.0);
                     }
@@ -350,6 +354,7 @@ impl<'q> IncrementalScorer<'q> {
             terms,
             by_term,
             value_ln,
+            value_at,
             table_bound,
             n_tables,
             group_memo: HashMap::new(),
@@ -375,13 +380,13 @@ impl<'q> IncrementalScorer<'q> {
     }
 
     /// The keywords of the occurrences in `mask`, in canonical (sorted)
-    /// binding order.
-    pub fn bag(&self, mask: u64) -> Vec<String> {
+    /// binding order, borrowed from the query.
+    pub fn bag(&self, mask: u64) -> impl Iterator<Item = &'q str> + '_ {
+        let terms = self.terms;
         self.by_term
             .iter()
-            .filter(|&&i| mask & (1 << i) != 0)
-            .map(|&i| self.terms[i].clone())
-            .collect()
+            .filter(move |&&i| mask & (1 << i) != 0)
+            .map(move |&i| terms[i].as_str())
     }
 
     /// Record the value group the search has just formed — the occurrences
@@ -409,7 +414,6 @@ impl<'q> IncrementalScorer<'q> {
             }
         } else {
             self.bag(mask)
-                .iter()
                 .map(|k| self.index.atf(k, attr, self.config.alpha))
                 .product()
         };
@@ -428,9 +432,10 @@ impl<'q> IncrementalScorer<'q> {
         }
         if mask.count_ones() == 1 {
             let i = mask.trailing_zeros() as usize;
-            return self.value_ln[i]
+            let lns = &self.value_ln[self.value_at[i]..self.value_at[i + 1]];
+            return lns
                 .binary_search_by_key(&attr, |&(a, _)| a)
-                .map(|p| self.value_ln[i][p].1)
+                .map(|p| lns[p].1)
                 .unwrap_or_else(|_| {
                     // Off-candidate attr (term absent): smoothed floor.
                     self.index

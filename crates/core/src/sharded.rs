@@ -484,11 +484,12 @@ pub(crate) struct Coordinator<'a> {
 impl Executor for Coordinator<'_> {
     fn execute(
         &self,
-        interp: &QueryInterpretation,
+        interp: &Arc<QueryInterpretation>,
         opts: ExecOptions,
         cache: &mut ExecCache,
     ) -> RelResult<Arc<ExecutedResult>> {
-        with_result_cache(cache, interp, opts, |cache| {
+        let key = || Arc::clone(interp);
+        with_result_cache(cache, interp, key, opts, |cache| {
             scatter_execute(self, interp, opts, cache)
         })
     }
@@ -554,7 +555,7 @@ fn scatter_execute(
     if size_sum.contains(&0) {
         return Ok(ExecutedResult {
             jtts: Vec::new(),
-            keys: BTreeSet::new(),
+            keys: Arc::default(),
             all_keys: BTreeSet::new(),
             stats,
         });
@@ -621,7 +622,7 @@ fn scatter_execute(
     let (keys, all_keys) = collect_result_keys(coordinator, &tree.nodes, &bound, &merged);
     Ok(ExecutedResult {
         jtts: merged,
-        keys,
+        keys: Arc::new(keys),
         all_keys,
         stats,
     })

@@ -17,6 +17,7 @@ use keybridge_core::{
 use keybridge_index::InvertedIndex;
 use keybridge_relstore::{Database, ExecOptions, ExecStats};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Execution knobs of the diversification pool build.
 #[derive(Debug, Clone, Copy)]
@@ -58,7 +59,8 @@ pub fn executed_div_pool(
         &mut cache,
     )
     .executed_pool(ranked, opts.limit);
-    (pool.items, pool.keys, pool.stats.exec)
+    let keys = pool.keys.into_iter().map(Arc::unwrap_or_clone).collect();
+    (pool.items, keys, pool.stats.exec)
 }
 
 #[cfg(test)]
@@ -78,8 +80,8 @@ mod tests {
         }
     }
 
-    fn set(atoms: &[BindingAtom]) -> BTreeSet<BindingAtom> {
-        atoms.iter().cloned().collect()
+    fn set(atoms: &[BindingAtom]) -> Arc<BTreeSet<BindingAtom>> {
+        Arc::new(atoms.iter().cloned().collect())
     }
 
     #[test]
@@ -155,7 +157,7 @@ mod tests {
         assert!(diversify(&[], DiversifyConfig::default()).is_empty());
         let items = vec![DivItem {
             relevance: 1.0,
-            atoms: BTreeSet::new(),
+            atoms: Arc::default(),
         }];
         assert!(diversify(&items, DiversifyConfig { lambda: 0.5, k: 0 }).is_empty());
     }
@@ -187,7 +189,7 @@ mod tests {
                         .collect();
                     DivItem {
                         relevance: rng.gen_range(0.01..1.0),
-                        atoms,
+                        atoms: Arc::new(atoms),
                     }
                 })
                 .collect();

@@ -43,7 +43,7 @@ impl<'a> SimulatedUser<'a> {
     ) -> Option<&'b QueryInterpretation> {
         ranked
             .iter()
-            .map(|s| &s.interpretation)
+            .map(|s| &*s.interpretation)
             .find(|i| self.intent.matches(i, self.db, self.catalog))
     }
 
@@ -75,7 +75,7 @@ impl<'a> SimulatedUser<'a> {
             let accept = option.subsumed_by(&target, self.catalog);
             session.apply(self.catalog, option, accept);
         }
-        let target_retained = session.remaining().iter().any(|(c, _)| *c == target);
+        let target_retained = session.remaining().iter().any(|(c, _)| **c == target);
         Some(ConstructionOutcome {
             steps: session.steps(),
             remaining: session.remaining().len(),

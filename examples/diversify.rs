@@ -49,7 +49,7 @@ fn main() {
             &ranked[idx].interpretation,
             ExecOptions::default(),
         )
-        .map(|r| r.keys)
+        .map(|r| std::sync::Arc::unwrap_or_clone(r.keys))
         .unwrap_or_default()
     };
 

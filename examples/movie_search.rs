@@ -85,7 +85,7 @@ fn main() {
             session.remaining().len()
         );
         for (c, p) in session.remaining() {
-            let marker = if *c == target { " <= intended" } else { "" };
+            let marker = if **c == target { " <= intended" } else { "" };
             println!(
                 "  p={:5.3}  {}{}",
                 p,

@@ -144,7 +144,7 @@ fn diversified_results_cover_more_tuples() {
         .iter()
         .map(|s| DivItem {
             relevance: s.probability,
-            atoms: s.interpretation.atoms(&p.catalog).into_iter().collect(),
+            atoms: std::sync::Arc::new(s.interpretation.atoms(&p.catalog).into_iter().collect()),
         })
         .collect();
     let k = 5;
@@ -158,7 +158,7 @@ fn diversified_results_cover_more_tuples() {
             &ranked[idx].interpretation,
             ExecOptions::default(),
         )
-        .map(|r| r.keys)
+        .map(|r| std::sync::Arc::unwrap_or_clone(r.keys))
         .unwrap_or_default()
     };
     let mut rank_cover = std::collections::BTreeSet::new();

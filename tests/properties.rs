@@ -124,16 +124,14 @@ fn diversify_is_permutation_prefix() {
         let mut items: Vec<DivItem> = (0..n)
             .map(|i| DivItem {
                 relevance: rng.gen_range(0.001..1.0),
-                atoms: [keybridge::core::BindingAtom {
+                atoms: std::sync::Arc::new(BTreeSet::from([keybridge::core::BindingAtom {
                     keyword: format!("k{}", i % 4),
                     kind: keybridge::core::BindingAtomKind::Value,
                     attr: AttrRef {
                         table: TableId((i % 5) as u32),
                         attr: AttrId(0),
                     },
-                }]
-                .into_iter()
-                .collect(),
+                }])),
             })
             .collect();
         items.sort_by(|a, b| b.relevance.partial_cmp(&a.relevance).unwrap());

@@ -522,7 +522,7 @@ fn client(case: &Case, svc: &SearchService, i: usize, op: Op, slots: &mut Slots)
                 let picks = r.answers.iter();
                 let reply = canon_div(
                     r.pool,
-                    picks.map(|a| (a.pool_rank, a.relevance, &a.atoms, &a.keys)),
+                    picks.map(|a| (a.pool_rank, a.relevance, &*a.atoms, &*a.keys)),
                 );
                 (r.epoch, r.shard_epochs, r.stats, reply)
             }
@@ -836,7 +836,7 @@ impl<'c> Oracle<'c> {
                 let picks = diversify(&items, opts.config).into_iter();
                 canon_div(
                     items.len(),
-                    picks.map(|i| (i, items[i].relevance, &items[i].atoms, &keys[i])),
+                    picks.map(|i| (i, items[i].relevance, &*items[i].atoms, &keys[i])),
                 )
             }
             _ => unreachable!("not a read"),
