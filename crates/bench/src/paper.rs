@@ -387,7 +387,7 @@ fn fig3_6(fx: &Fixtures) -> Rows {
             // Re-rank the same interpretation space with the SQAK scorer.
             let (db, index, catalog, intent) = (&f.db, &f.index, &f.catalog, f.intent(q));
             let interps = eval.ranked.iter().map(|s| &s.interpretation);
-            let scored = interps.map(|i| (sqak_score(db, index, catalog, i), i));
+            let scored = interps.map(|i| (sqak_score(index, catalog, i), i));
             let mut scored: Vec<_> = scored.collect();
             scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
             let hit = scored.iter().position(|s| intent.matches(s.1, db, catalog));

@@ -5,10 +5,13 @@
 //!
 //! [`ExecCache`] makes repeated execution cheap across a candidate list:
 //! predicate row sets are computed once per distinct `(keyword bag, attr)`
-//! pair — the same probe the generator's non-emptiness cache answers — and
-//! whole [`ExecutedResult`]s are memoized per interpretation, which is what
-//! lets [`crate::Interpreter::answers_top_k`] replay its ranked prefix in
-//! successive generation waves for free.
+//! pair — the same bag the generator's non-emptiness count covers — and
+//! whole [`ExecutedResult`]s are memoized per interpretation, so a session
+//! window refreshed through one cache, or a request served beside others
+//! through the shared tier, executes each interpretation once. (A single
+//! [`crate::Interpreter::answers_top_k`] request walks each ranked
+//! interpretation once whatever its waves, so it never hits its own
+//! results.)
 //!
 //! An `ExecCache` can additionally be backed by a process-wide
 //! [`SharedExecCache`] (see [`crate::SearchService`]): predicate row sets
@@ -384,10 +387,11 @@ pub fn execute_interpretation_cached(
 /// the `satisfies` rule, otherwise run `compute` and publish its result to
 /// both tiers — to the shared one unless the entry there already serves
 /// every request the new run does (`supersedes`). A shared hit is returned
-/// as it is and not copied into the local map: a re-walk in the same request
-/// finds it in the shared tier again, which never drops a key within an
-/// epoch and only replaces an entry by one that serves more. Fresh runs do
-/// enter the local map, because a full shared stripe may refuse them. Every
+/// as it is and not copied into the local map: a later lookup through the
+/// same cache finds it in the shared tier again, which never drops a key
+/// within an epoch and only replaces an entry by one that serves more.
+/// Fresh runs do enter the local map, because a full shared stripe may
+/// refuse them. Every
 /// [`Executor`] routes its executions through this path, so single-shard
 /// and sharded serving share one caching semantics. `key` makes the owned
 /// key a fresh run is filed under; lookups borrow `interp`.
@@ -986,7 +990,7 @@ mod tests {
         let mut earlier = ExecCache::with_shared(Arc::clone(&shared));
         local.execute(&interp, at(3), &mut earlier).unwrap();
         // One request takes the limit-3 entry as a shared hit, then asks for
-        // more of the same interpretation (a later wave): it must execute.
+        // more of the same interpretation: it must execute.
         let mut cache = ExecCache::with_shared(Arc::clone(&shared));
         let small = local.execute(&interp, at(3), &mut cache).unwrap();
         assert_eq!((small.len(), cache.result_hits), (3, 1));

@@ -1,5 +1,77 @@
 //! Interpretation generation (§3.5.2): compose keyword interpretations with
-//! query templates into complete, minimal query interpretations.
+//! query templates into complete, minimal query interpretations, best
+//! first (§3.6).
+//!
+//! ## The generation session
+//!
+//! [`Interpreter::top_k`] opens a **generation session** (`BestFirstSearch`,
+//! opened by `Interpreter::open_search`) and pulls it once; every `top_k*`
+//! entry point is "open a session, pull once". Opening resolves the query:
+//!
+//! * term candidates — one `attrs_containing` slice lookup per distinct
+//!   term, all terms' candidates in one flat `Vec`;
+//! * the `IncrementalScorer` (`core/prob.rs`) — a dense per-(occurrence,
+//!   table) bound table, and the session's one memo of value groups;
+//! * one root per **viable** template, with its `ln P(T)` in a `Vec`
+//!   indexed by `TemplateId` (template signatures are resolved once per
+//!   template and kept on it). Viable means the template's leaves can be
+//!   matched to distinct occurrences that reach each leaf's table
+//!   (`leaves_coverable`: augmenting paths over `u64` occurrence masks;
+//!   minimality needs a binding on every leaf and one occurrence binds one
+//!   node), and every occurrence has a route. The rule is exact:
+//!   `unseeded_templates_carry_no_oracle_interpretation` checks over
+//!   randomized schemas that no template it rejects carries an oracle
+//!   interpretation.
+//!
+//! The session is flat: one `Vec` of suffix bounds, one of per-(template,
+//! occurrence) target ranges and one of every localized `BindingTarget`,
+//! offsets in `TplData`, plus two scratch vectors (the state's value
+//! groups, the group's keyword bag) reused by every emission and lookup.
+//!
+//! Below the roots, best-first search pops partial assignments (slots
+//! inline in the state; targets localized per (template, occurrence) on
+//! first use through the template's table → nodes index). A count-based
+//! `feasible` check prunes children whose unbound leaves outnumber the
+//! occurrences left (the matching there measured slower). A value binding
+//! forms a **value group** — the occurrences bound to one attribute — and
+//! the group's joint occurrence count (rows holding the whole bag, each
+//! contributing its smallest term frequency; 0 when empty) answers both
+//! questions the search asks of it: the non-emptiness verdict
+//! (`count > 0`, §4.4.1) and the joint ATF `(count + α) / denom`. The
+//! count is taken once per group per session: the scorer memoizes the
+//! group's `ln P(A : bag)` (or its emptiness) by occurrence mask and
+//! attribute, and only a group the session has not met goes past it — to
+//! the epoch's [`SharedNonemptyCache`] (the request's [`NonemptyCache`]
+//! handle names it; probed with the bag borrowed from the query's terms)
+//! and then to a postings walk, published back to the tier. So a group
+//! costs one walk per epoch, and only a fresh walk builds an owned key.
+//!
+//! Each emitted interpretation is scored exactly from the template's prior
+//! and the memo, in binding order — the terms
+//! [`ProbabilityModel::log_score`] adds, bit for bit, without its postings
+//! walks (`debug_assert`ed against it at the emission site;
+//! `tests/pipeline.rs` holds the bits equal in release on all four
+//! fixtures). It is built once, into an `Arc<QueryInterpretation>`: the
+//! buffer, every pull's reply, the execution caches' keys, the answers and
+//! a session window share it. What is still copied per emitted
+//! interpretation is its own content — the bindings `Vec`, each binding's
+//! keyword `Vec` and strings — because kbench reads `b.keywords` as a
+//! `Vec<String>`.
+//!
+//! `pull(k)` searches until the k-th best is proven; `pull(4k)`
+//! **continues**: the state that ended the previous pull and every child
+//! the k-th-best threshold cut were kept, the top-`k` scores are rebuilt
+//! from the buffer, cut children are re-judged against the threshold a
+//! fresh search at `4k` would have held when they were cut, and the reply
+//! is the canonical sort of the buffer. A resumed pull therefore returns
+//! what a fresh `top_k` returns (interpretations, order, score and
+//! probability bits), its first `k` entries are the previous pull's reply,
+//! and the pulls' counters add up to the fresh call's
+//! (`tests/properties.rs::resumed_pulls_equal_fresh_top_k`, on randomized
+//! schemas and on the tiny IMDB fixture's log at 10 → 40 → 160). The
+//! exhaustive pipeline ([`Interpreter::ranked_with_partials`], scored by
+//! `log_score`) is the correctness oracle, called by name;
+//! `tests/properties.rs` asserts equality on randomized schemas.
 
 use crate::exec::{bound_nodes, ExecCache, ExecutedResult, Executor, LocalExecutor, ResultKey};
 use crate::interp::{BindingTarget, KeywordBinding, QueryInterpretation};
@@ -64,7 +136,8 @@ pub struct GenerationStats {
     /// Non-emptiness probes issued against the index: value groups counted
     /// by a postings walk (or, for one keyword, read off its entry).
     pub nonempty_probes: usize,
-    /// Probes answered by the memo cache.
+    /// Value groups answered by the session's memo (met before in this
+    /// session).
     pub nonempty_cache_hits: usize,
     /// Probes answered by the process-wide shared cache (another query's
     /// work, possibly on another thread).
@@ -104,27 +177,19 @@ pub struct ScoredInterpretation {
     pub probability: f64,
 }
 
-/// The generator's memoized value-group counts, keyed by keyword occurrence
-/// bitmask and attribute: a group's joint occurrence count in the attribute
-/// (rows holding every keyword of the bag, each contributing its smallest
-/// term frequency). One count answers both questions the search asks of a
-/// group — non-emptiness is `count > 0`, and under joint ATF the group's
-/// score is `(count + α) / denom` — so a group is walked once. Extracted so
-/// it can persist across repeated `top_k` calls for the *same* keyword query
-/// (occurrence masks are positional — the cache remembers its term sequence
-/// and self-clears when handed a different query, so stale counts can never
-/// leak). [`Interpreter::answers_top_k`] hands one cache to every pull of
-/// its generation session.
-///
-/// A cache can additionally be backed by a [`SharedNonemptyCache`], whose
-/// counts are keyed by the *sorted keyword bag* instead of the positional
-/// mask and therefore survive across queries (and threads): local misses
-/// consult the shared map before walking the index, and fresh counts are
-/// published back.
+/// A request's handle on the epoch's [`SharedNonemptyCache`], or on
+/// nothing. Generation asks two questions of a value group — whether some
+/// row holds its whole keyword bag, and under joint ATF how often — and
+/// one joint occurrence count answers both, so a group is counted once per
+/// generation session: the session memoizes it by occurrence mask
+/// (positions in its own query, so the memo dies with the session). A
+/// group the session has not met is looked up in the shared tier, by its
+/// sorted keyword bag, before the index is walked, and a fresh walk is
+/// published back, so across queries and threads a group costs one walk
+/// per epoch. A plain cache ([`Self::new`]) has no tier: every session
+/// walks the groups it meets once.
 #[derive(Debug, Default)]
 pub struct NonemptyCache {
-    map: HashMap<(u64, AttrRef), u64>,
-    terms: Vec<String>,
     shared: Option<Arc<SharedNonemptyCache>>,
 }
 
@@ -133,21 +198,11 @@ impl NonemptyCache {
         Self::default()
     }
 
-    /// A per-query cache whose misses fall through to `shared`.
+    /// A handle whose sessions fall through to `shared`.
     pub fn with_shared(shared: Arc<SharedNonemptyCache>) -> Self {
         NonemptyCache {
             shared: Some(shared),
-            ..Default::default()
         }
-    }
-
-    /// Number of memoized group counts.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -231,7 +286,10 @@ pub struct AnswerStats {
     pub answers: usize,
     /// Predicate row sets served from the execution cache.
     pub predicate_cache_hits: usize,
-    /// Whole executions served from the cache (wave replays).
+    /// Whole executions served from the cache: runs another request
+    /// shared through the tier, or earlier runs of a reused cache. A
+    /// request walks each ranked interpretation once, so on a fresh plain
+    /// cache this is 0.
     pub result_cache_hits: usize,
     /// The request's generation work over all waves: what one fresh
     /// `top_k` at the final wave's `k` counts.
@@ -502,7 +560,7 @@ impl<'a> Interpreter<'a> {
     }
 
     /// Score and sort a pre-enumerated interpretation list.
-    pub fn rank(
+    fn rank(
         &self,
         query: &KeywordQuery,
         interps: Vec<QueryInterpretation>,
@@ -583,15 +641,14 @@ impl<'a> Interpreter<'a> {
         self.top_k_with_cache(query, k, include_partials, &mut NonemptyCache::new())
     }
 
-    /// Like [`Self::top_k_with_stats`], but the non-emptiness memo lives in
-    /// `cache`, so it outlasts the call (and falls through to the shared
-    /// tier when built with [`NonemptyCache::with_shared`]). Occurrence
-    /// masks are positional, so a cache handed a different keyword sequence
-    /// resets itself first.
+    /// Like [`Self::top_k_with_stats`], with value groups the session has
+    /// not met looked up in `cache`'s shared tier before the index (see
+    /// [`NonemptyCache`]).
     ///
     /// Every `top_k*` entry point is this: open a generation session, pull
     /// once. A caller that will come back for a larger `k` keeps the
-    /// session instead ([`crate::BestFirstSource`]).
+    /// session instead ([`crate::BestFirstSource`]): a new session meets
+    /// every group again.
     pub fn top_k_with_cache(
         &self,
         query: &KeywordQuery,
@@ -695,8 +752,8 @@ impl<'a> Interpreter<'a> {
     /// where the previous one stopped — and executed lazily with `limit` set
     /// to the answers still missing (the batched executor then streams
     /// instead of materializing full joins); empty interpretations are
-    /// skipped, and the prefix a wave re-walks is served from the execution
-    /// cache.
+    /// skipped, and a wave executes only the ranks past those the previous
+    /// wave walked.
     pub fn answers_top_k(&self, query: &KeywordQuery, k: usize) -> Vec<RankedAnswer> {
         self.answers_top_k_with_stats(query, k).0
     }
@@ -997,10 +1054,10 @@ impl Ord for Score {
 }
 
 /// One query's generation session: everything best-first search derives
-/// from the query — term candidates, the scorer's bound tables and group
-/// memo, per-template priors, targets and suffix bounds — and everything it
-/// has found so far — the frontier, the exactly scored interpretations, the
-/// children the k-th-best threshold cut. All of it is paid for once:
+/// from the query — term candidates, the scorer's bound tables and value
+/// group memo, per-template priors, targets and suffix bounds — and
+/// everything it has found so far — the frontier, the exactly scored
+/// interpretations, the children the k-th-best threshold cut. All of it is paid for once:
 /// [`Self::pull`] at a larger `k` *continues* the search instead of
 /// restarting it.
 ///
@@ -1054,20 +1111,19 @@ pub(crate) struct BestFirstSearch<'q, 'a> {
     stats: GenerationStats,
     /// [`Self::materialize`]'s scratch: the state's value groups.
     groups: Vec<(BindingTarget, u64)>,
-    /// [`Self::group_count`]'s scratch: the group's sorted keyword bag.
+    /// [`Self::value_group`]'s scratch: the group's sorted keyword bag.
     bag: Vec<&'q str>,
 }
 
 impl<'q> BestFirstSearch<'q, '_> {
     /// The best `k` interpretations found by searching until the `k`-th
     /// best is proven, with the work this pull added (see
-    /// [`GenerationStats::absorb`]). Value-group counts are read from and
-    /// written to `cache`, which resets itself when it last served a
-    /// different keyword sequence.
+    /// [`GenerationStats::absorb`]). Value groups the session has not met
+    /// are looked up in `cache`'s shared tier before the index.
     pub(crate) fn pull(
         &mut self,
         k: usize,
-        cache: &mut NonemptyCache,
+        cache: &NonemptyCache,
     ) -> (Vec<ScoredInterpretation>, GenerationStats) {
         if k == 0 || self.terms.is_empty() {
             return (Vec::new(), GenerationStats::default());
@@ -1079,10 +1135,6 @@ impl<'q> BestFirstSearch<'q, '_> {
                 ..Default::default()
             };
             return (Interpreter::renormalized_prefix(ranked.clone(), k), stats);
-        }
-        if cache.terms.as_slice() != self.terms {
-            cache.map.clear();
-            cache.terms = self.terms.to_vec();
         }
         let before = self.stats;
         self.retarget(k);
@@ -1226,7 +1278,7 @@ impl<'q> BestFirstSearch<'q, '_> {
     /// Pop-expand until the k-th best is provably found. The state that
     /// proves it goes back on the frontier: a later, larger pull starts
     /// from it.
-    fn run(&mut self, cache: &mut NonemptyCache) {
+    fn run(&mut self, cache: &NonemptyCache) {
         let n = self.terms.len();
         let cap = self.interpreter.config.max_interpretations;
         while let Some(node) = self.heap.pop() {
@@ -1250,7 +1302,7 @@ impl<'q> BestFirstSearch<'q, '_> {
     }
 
     /// Expand one frontier state over every option for the next occurrence.
-    fn expand(&mut self, node: SearchNode, cache: &mut NonemptyCache) {
+    fn expand(&mut self, node: SearchNode, cache: &NonemptyCache) {
         self.stats.expanded += 1;
         let i = node.depth as usize;
         let n = self.terms.len();
@@ -1306,20 +1358,18 @@ impl<'q> BestFirstSearch<'q, '_> {
                         .enumerate()
                         .filter(|&(p, &t)| t != UNMAPPED && self.target(at, p, t) == target)
                         .fold(0u64, |m, (p, _)| m | 1u64 << p);
-                    let new_mask = old_mask | 1u64 << i;
                     // Prune empty value groups: every extension keeps the
                     // group, so no descendant can satisfy the non-emptiness
                     // condition.
-                    let count = self.group_count(new_mask, aref, cache);
-                    if count == 0 {
+                    let Some(ln) = self.value_group(old_mask | 1u64 << i, aref, cache) else {
                         continue;
-                    }
+                    };
                     let old_ln = if old_mask == 0 {
                         0.0
                     } else {
                         self.scorer.value_group_ln(old_mask, aref)
                     };
-                    self.scorer.form_group(new_mask, aref, count) - old_ln
+                    ln - old_ln
                 }
                 BindingTarget::TableName { .. } | BindingTarget::AttrName { .. } => {
                     self.scorer.name_ln()
@@ -1355,19 +1405,19 @@ impl<'q> BestFirstSearch<'q, '_> {
         }
     }
 
-    /// Memoized joint occurrence count of a value group (keyword bag ⊂
-    /// attr; see [`NonemptyCache`]), the bag encoded as its occurrence
-    /// bitmask (fixed per query), so cache hits are allocation-free;
-    /// duplicate keywords at different positions count once each, which is
-    /// the only sharing the mask encoding gives up. Misses consult the
-    /// cross-query shared cache (bag-keyed, probed with the bag borrowed
-    /// from the query's terms) before walking the index; fresh counts are
-    /// published back so every other query — on any thread — skips the
-    /// walk.
-    fn group_count(&mut self, mask: u64, aref: AttrRef, cache: &mut NonemptyCache) -> u64 {
-        if let Some(&hit) = cache.map.get(&(mask, aref)) {
+    /// `ln P(A : bag)` of a value group (keyword bag ⊂ attr; see
+    /// [`NonemptyCache`]), `None` when no row holds the bag. The session's
+    /// memo answers a group it has met, by occurrence bitmask, so a hit is
+    /// allocation-free (duplicate keywords at different positions count
+    /// once each, the only sharing the mask encoding gives up). A group met
+    /// for the first time is looked up in the cross-query shared tier
+    /// (bag-keyed, probed with the bag borrowed from the query's terms)
+    /// before the index is walked; a fresh count is published back so
+    /// every other query — on any thread — skips the walk.
+    fn value_group(&mut self, mask: u64, aref: AttrRef, cache: &NonemptyCache) -> Option<f64> {
+        if let Some(ln) = self.scorer.memo(mask, aref) {
             self.stats.nonempty_cache_hits += 1;
-            return hit;
+            return ln;
         }
         // Sorted, which is how the shared tier keys a bag.
         self.bag.clear();
@@ -1394,8 +1444,7 @@ impl<'q> BestFirstSearch<'q, '_> {
                 count
             }
         };
-        cache.map.insert((mask, aref), count);
-        count
+        self.scorer.form_group(mask, aref, count)
     }
 
     /// Turn a fully assigned state into a `QueryInterpretation`, apply the
@@ -1893,8 +1942,8 @@ mod tests {
 
     #[test]
     fn nonempty_cache_resets_across_queries() {
-        // Reusing one cache for a *different* query must not leak positional
-        // verdicts: results equal a fresh top_k run.
+        // Reusing one cache for a *different* query must not leak verdicts
+        // (occurrence masks are positional): results equal a fresh top_k run.
         let f = fixture();
         let (first, last) = first_actor_tokens(&f);
         let interp = Interpreter::new(

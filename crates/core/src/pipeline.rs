@@ -8,8 +8,8 @@
 //! tier), and a pluggable [`PostProcess`] stage consumes the streamed
 //! [`ExecutedResult`]s:
 //!
-//! * **plain top-k answers** (Hot path 2) — collect JTTs best-first until
-//!   `k` answers exist, growing the generation wave geometrically;
+//! * **plain top-k answers** — collect JTTs best-first until `k` answers
+//!   exist, growing the generation wave geometrically;
 //! * **diversified top-k** (Alg. 4.1, §4.4) — build the relevance/novelty
 //!   pool from streamed executions (empty interpretations drop out, result
 //!   keys are capped per interpretation) and greedily select relevant *and*
@@ -33,6 +33,52 @@
 //! placement table). Dispatch is static — the loop is monomorphized per
 //! executor — and nothing in it asks which one it got.
 //!
+//! ## Waves continue
+//!
+//! Plain top-k answers ([`crate::Interpreter::answers_top_k_with_caches`]
+//! *is* [`QueryPipeline::answers`]) pull interpretations best-first in
+//! geometrically growing waves (`max(k, 8)`, then ×4 up to
+//! `max_interpretations`) from one generation session,
+//! [`BestFirstSource`]: a wave at `4k`
+//! resumes the search the wave at `k` stopped, and `AnswerStats::gen` is
+//! the request's total, equal to one fresh `top_k` at the final `k`. A
+//! pull at `4k` starts with the pull at `k`'s reply — the canonical order
+//! is total, a pull stops only when every open state's bound is below the
+//! k-th best, or at the interpretation cap, after which later pulls add
+//! nothing — so the driver executes only the ranks past those the
+//! previous wave walked, and stage output accumulates across waves. No
+//! ranked interpretation is executed, served from a cache, or offered to a
+//! stage twice in one request (on a fresh plain cache
+//! `AnswerStats::result_cache_hits` is 0). Executions run lazily with
+//! `limit` = answers still missing. Each `RankedAnswer` shares its
+//! interpretation (`Arc`); per answer, only its JTT and its key list are
+//! new.
+//!
+//! ## Execution
+//!
+//! `core/exec.rs` → `relstore/exec.rs`: predicate row sets come from the
+//! request's [`ExecCache`] (one sorted-merge intersection per distinct
+//! `(keyword bag, attr)` across the whole candidate list, looked up by the
+//! borrowed, already sorted bag, in the shared tier too, so a hit builds
+//! no key), then the batched engine runs the join tree — a Yannakakis
+//! semi-join full reducer shrinks every candidate set to rows that take
+//! part in some result, then build/probe hash joins grow columnar binding
+//! batches, each truncated to `limit` (sound after full reduction: every
+//! partial extends to at least one distinct result). Both phases run in
+//! row-id space: fk cells are resolved to parent `RowId`s at insert, a
+//! reducer step is one reused bitmap over the edge's pk-side table, and no
+//! row is fetched, no key extracted or hashed per candidate row. The
+//! reducer roots at the restricted node with the most given rows (full
+//! reduction is root-independent, so no reply byte depends on it); the
+//! join seeds at the node with the fewest (`plan_join_order`), which does
+//! show in a reply. `execute_join_tree_naive` keeps the per-binding
+//! key-space executor as the oracle: `tests/differential.rs` asserts
+//! multiset equality and holds every reduced set to the rows of an
+//! unlimited naive join on randomized schemas, and `tests/pipeline.rs`
+//! snapshot-asserts answers on all four datagen fixtures.
+//!
+//! ## Cold and warm replies agree
+//!
 //! [`crate::Interpreter::answers_top_k`] and every [`crate::SearchService`]
 //! request mode, on either store, run on this pipeline,
 //! which is what keeps a warm, concurrent, possibly sharded service
@@ -53,7 +99,7 @@ use crate::keyword::KeywordQuery;
 use crate::template::TemplateCatalog;
 use crate::QueryInterpretation;
 use keybridge_relstore::ExecOptions;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -63,13 +109,15 @@ use std::sync::Arc;
 /// A source of ranked candidate interpretations. `pull(k)` returns the best
 /// `k`, best-first; the pipeline driver grows `k` geometrically (up to
 /// [`InterpretationSource::cap`]) when the post-processing stage still
-/// demands answers after a wave.
+/// demands answers after a wave, and walks only the entries the previous
+/// pull did not return.
 pub trait InterpretationSource {
     /// The best `k` candidates, best-first, with the generation work this
     /// pull added (see [`GenerationStats::absorb`]). A later, larger pull
-    /// returns a superset whose first entries are the earlier pull's, in
-    /// the same order; a source may keep state between pulls so that the
-    /// larger one costs only the difference.
+    /// must return a superset whose first entries are the earlier pull's,
+    /// in the same order: the driver walks only the entries past them. A
+    /// source may keep state between pulls so that the larger one costs
+    /// only the difference.
     fn pull(
         &mut self,
         k: usize,
@@ -83,9 +131,9 @@ pub trait InterpretationSource {
 /// Best-first generation over a keyword query: one generation session
 /// (the [`Interpreter::top_k_with_cache`] search, kept open), so a wave at
 /// `4k` continues from the frontier the wave at `k` stopped on instead of
-/// searching again from the roots. The non-emptiness memo is the caller's
-/// `gen_cache` (falling through to the shared tier when it was built with
-/// [`NonemptyCache::with_shared`]).
+/// searching again from the roots, and every value group is counted once
+/// per request: the session memoizes it, and `gen_cache` names the shared
+/// tier a group it has not met is looked up in (see [`NonemptyCache`]).
 pub struct BestFirstSource<'q, 'a> {
     search: BestFirstSearch<'q, 'a>,
     cap: usize,
@@ -166,21 +214,18 @@ impl InterpretationSource for FixedSource {
 // ---------------------------------------------------------------------------
 
 /// A stage consuming the pipeline's stream of non-empty executed
-/// interpretations, in rank order.
+/// interpretations, in rank order. Output accumulates over the whole
+/// request: each ranked interpretation is offered once, however many waves
+/// the request takes.
 pub(crate) trait PostProcess {
     /// Raw answers (JTTs) the stage still wants. Drives the executor's
-    /// per-interpretation `limit` and stops the wave at `0`. Stages that
+    /// per-interpretation `limit` and stops the walk at `0`. Stages that
     /// must see *every* candidate (diversification pools, session windows)
     /// return their per-candidate cap and never reach `0`.
     fn demand(&self) -> usize;
 
-    /// Start of a (re)play: the driver re-walks the ranked prefix each
-    /// wave (the source only extends it; re-executions are execution-cache
-    /// hits), so accumulated output resets here.
-    fn begin_wave(&mut self);
-
     /// One non-empty executed candidate. `rank` is its position in the
-    /// current wave's ranked list. The result may carry more JTTs than
+    /// ranked list. The result may carry more JTTs than
     /// [`PostProcess::demand`] asked for when a cache served it from a
     /// complete run or one at a larger limit; stages cap what they consume.
     fn ingest(&mut self, rank: usize, scored: &ScoredInterpretation, result: &Arc<ExecutedResult>);
@@ -197,10 +242,6 @@ struct TopKAnswers<'q, 'a, E> {
 impl<E: Executor> PostProcess for TopKAnswers<'_, '_, E> {
     fn demand(&self) -> usize {
         self.k - self.answers.len().min(self.k)
-    }
-
-    fn begin_wave(&mut self) {
-        self.answers.clear();
     }
 
     fn ingest(&mut self, _rank: usize, s: &ScoredInterpretation, res: &Arc<ExecutedResult>) {
@@ -242,12 +283,6 @@ impl<E: Executor> PostProcess for DivPoolStage<'_, '_, E> {
         self.cap
     }
 
-    fn begin_wave(&mut self) {
-        self.items.clear();
-        self.keys.clear();
-        self.picks.clear();
-    }
-
     fn ingest(&mut self, _rank: usize, s: &ScoredInterpretation, res: &Arc<ExecutedResult>) {
         self.items.push(DivItem {
             relevance: s.probability,
@@ -282,10 +317,6 @@ struct WindowStage<'q, 'a, E> {
 impl<E: Executor> PostProcess for WindowStage<'_, '_, E> {
     fn demand(&self) -> usize {
         self.limit
-    }
-
-    fn begin_wave(&mut self) {
-        self.out.clear();
     }
 
     fn ingest(&mut self, rank: usize, s: &ScoredInterpretation, res: &Arc<ExecutedResult>) {
@@ -356,11 +387,12 @@ impl<'s, 'a, E: Executor> QueryPipeline<'s, 'a, E> {
     }
 
     /// The shared driver: pull a ranked wave from `source`, execute each
-    /// candidate through the executor with `limit` set to
-    /// the stage's remaining demand, and feed non-empty results to `post`.
-    /// With `grow`, waves expand geometrically until the stage is satisfied
-    /// or the source is exhausted; executions that error are tombstoned so
-    /// replays skip them.
+    /// candidate the previous wave did not reach through the executor with
+    /// `limit` set to the stage's remaining demand, and feed non-empty
+    /// results to `post`. With `grow`, waves expand geometrically until the
+    /// stage is satisfied or the source is exhausted; a later wave's first
+    /// entries are the earlier wave's reply, so it starts where that one
+    /// stopped. Executions that error are counted and skipped.
     fn drive<S: InterpretationSource, P: PostProcess>(
         &mut self,
         source: &mut S,
@@ -369,15 +401,14 @@ impl<'s, 'a, E: Executor> QueryPipeline<'s, 'a, E> {
         grow: bool,
         stats: &mut AnswerStats,
     ) {
-        let mut failed: HashSet<Arc<QueryInterpretation>> = HashSet::new();
         let mut gen_k = start_k;
+        let mut walked = 0;
         loop {
             stats.waves += 1;
             let (ranked, gstats) = source.pull(gen_k, self.gen_cache);
             stats.gen.absorb(&gstats);
             stats.generated = ranked.len();
-            post.begin_wave();
-            for (rank, s) in ranked.iter().enumerate() {
+            for (rank, s) in ranked.iter().enumerate().skip(walked) {
                 let remaining = post.demand();
                 if remaining == 0 {
                     break;
@@ -386,20 +417,13 @@ impl<'s, 'a, E: Executor> QueryPipeline<'s, 'a, E> {
                     limit: remaining,
                     ..self.base
                 };
-                if failed.contains(&s.interpretation) {
-                    continue;
-                }
                 let hits_before = self.exec_cache.result_hits;
-                let res = match self
+                let Ok(res) = self
                     .executor
                     .execute(&s.interpretation, opts, self.exec_cache)
-                {
-                    Ok(r) => r,
-                    Err(_) => {
-                        stats.exec_errors += 1;
-                        failed.insert(Arc::clone(&s.interpretation));
-                        continue;
-                    }
+                else {
+                    stats.exec_errors += 1;
+                    continue;
                 };
                 if self.exec_cache.result_hits == hits_before {
                     // Fresh execution: count it once.
@@ -414,6 +438,7 @@ impl<'s, 'a, E: Executor> QueryPipeline<'s, 'a, E> {
                 }
                 post.ingest(rank, s, &res);
             }
+            walked = ranked.len();
             let exhausted = ranked.len() < gen_k || gen_k >= source.cap();
             if post.demand() == 0 || !grow || exhausted {
                 break;
@@ -424,7 +449,7 @@ impl<'s, 'a, E: Executor> QueryPipeline<'s, 'a, E> {
         stats.result_cache_hits = self.exec_cache.result_hits;
     }
 
-    /// Streamed top-k answers (Hot path 2): best-first generation in
+    /// Streamed top-k answers: best-first generation in
     /// geometrically growing waves, lazy limited execution, answers in
     /// interpretation-rank order. This *is*
     /// [`Interpreter::answers_top_k_with_caches`].
@@ -802,6 +827,10 @@ mod tests {
                 QueryPipeline::new(&it, ExecOptions::default(), &mut gen_cache, &mut exec_cache)
                     .answers(&q, k);
             assert_eq!(stats.waves, waves, "{terms:?}: fixture drifted");
+            // A later wave continues where the earlier one stopped: no
+            // ranked interpretation is walked, or served from the cache,
+            // twice.
+            assert_eq!(stats.result_cache_hits, 0, "{terms:?}: prefix re-walked");
             let final_k = (1..waves).fold(k, |gen_k, _| gen_k * 4);
             let (fresh, want) = it.top_k_with_cache(&q, final_k, true, &mut NonemptyCache::new());
             assert_eq!(stats.generated, fresh.len(), "{terms:?}");

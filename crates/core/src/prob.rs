@@ -245,14 +245,18 @@ use keybridge_relstore::TableId;
 /// popping states best-first and cutting when the bound drops below the
 /// k-th best emitted score yields the exact top k.
 ///
-/// Group scores are memoized per `(occurrence set, attribute)` — shared
-/// across all templates, since the score of a value bag depends only on the
-/// underlying attribute, not on which template node carries it. A group is
-/// scored from the joint occurrence count its non-emptiness check already
-/// fetched ([`Self::form_group`]); the memoized value is the term
-/// [`ProbabilityModel::log_score`] adds for that binding, bit for bit, which
-/// is what lets [`Self::binding_ln`] assemble an emitted interpretation's
-/// exact score without walking postings at all.
+/// The scorer is also the session's one memo of value groups: every
+/// `(occurrence set, attribute)` the search meets is recorded once, by
+/// [`Self::form_group`], as its `ln P(A : bag)` — or as empty, when no row
+/// holds the whole bag. The entry is shared across all templates, since
+/// the score of a value bag depends only on the underlying attribute, not
+/// on which template node carries it; it is scored from the joint
+/// occurrence count the search fetched for it (through
+/// [`crate::NonemptyCache`]) and is the term [`ProbabilityModel::log_score`]
+/// adds for that binding, bit for bit, which is what lets
+/// [`Self::binding_ln`] assemble an emitted interpretation's exact score
+/// without walking postings at all. Occurrence masks are positions in this
+/// query, so the memo lives and dies with the session.
 pub(crate) struct IncrementalScorer<'q> {
     index: &'q InvertedIndex,
     config: ProbabilityConfig,
@@ -269,9 +273,9 @@ pub(crate) struct IncrementalScorer<'q> {
     /// routes; `NEG_INFINITY` when it has no target there.
     table_bound: Vec<f64>,
     n_tables: usize,
-    /// `ln` of a multi-occurrence group's probability, keyed by
-    /// (occurrence bitmask, attr), recorded by [`Self::form_group`].
-    group_memo: HashMap<(u64, AttrRef), f64>,
+    /// Every value group met so far, keyed by (occurrence bitmask, attr):
+    /// its `ln P(A : bag)`, `None` when the group matches no row.
+    groups: HashMap<(u64, AttrRef), Option<f64>>,
     ln_pu: f64,
     ln_name: f64,
     allow_unmapped: bool,
@@ -357,7 +361,7 @@ impl<'q> IncrementalScorer<'q> {
             value_at,
             table_bound,
             n_tables,
-            group_memo: HashMap::new(),
+            groups: HashMap::new(),
             ln_pu: config.unmapped_prob.max(MIN_PROB).ln(),
             ln_name,
             allow_unmapped,
@@ -389,44 +393,27 @@ impl<'q> IncrementalScorer<'q> {
             .map(move |&i| terms[i].as_str())
     }
 
-    /// Record the value group the search has just formed — the occurrences
-    /// in `mask` (bit `i` = occurrence `i`), bound to `attr` — and return its
-    /// `ln P(A : bag)`. `count` is the group's joint occurrence count in
-    /// `attr`, the value of its non-emptiness entry
-    /// ([`crate::NonemptyCache`]): under joint ATF the score is
+    /// The memo entry of a value group the session has met: `Some(None)`
+    /// when it matches no row, `None` when it has not been met yet.
+    pub fn memo(&self, mask: u64, attr: AttrRef) -> Option<Option<f64>> {
+        self.groups.get(&(mask, attr)).copied()
+    }
+
+    /// Record a value group the search has just met — the occurrences in
+    /// `mask` (bit `i` = occurrence `i`), bound to `attr` — and return its
+    /// `ln P(A : bag)`, or `None` when `count`, the group's joint
+    /// occurrence count in `attr`, is 0. Under joint ATF the score is
     /// `(count + α) / denom`, the arithmetic of
-    /// [`InvertedIndex::joint_atf`], so scoring walks no postings. Memoized
-    /// per (mask, attr) and shared across templates; a single-occurrence
-    /// group is read from the precomputed candidate table instead.
-    pub fn form_group(&mut self, mask: u64, attr: AttrRef, count: u64) -> f64 {
-        if self.config.uniform_keywords || mask.count_ones() == 1 {
-            return self.value_group_ln(mask, attr);
-        }
-        if let Some(&ln) = self.group_memo.get(&(mask, attr)) {
-            return ln;
-        }
-        let p = if self.config.use_joint_atf {
-            let denom = self.index.atf_denominator(attr, self.config.alpha);
-            if denom <= 0.0 {
-                0.0
-            } else {
-                (count as f64 + self.config.alpha) / denom
-            }
-        } else {
-            self.bag(mask)
-                .map(|k| self.index.atf(k, attr, self.config.alpha))
-                .product()
-        };
-        let ln = p.max(MIN_PROB).ln();
-        self.group_memo.insert((mask, attr), ln);
+    /// [`InvertedIndex::joint_atf`], so scoring walks no postings; a
+    /// single-occurrence group is read from the precomputed candidate
+    /// table instead.
+    pub fn form_group(&mut self, mask: u64, attr: AttrRef, count: u64) -> Option<f64> {
+        let ln = (count > 0).then(|| self.group_ln(mask, attr, count));
+        self.groups.insert((mask, attr), ln);
         ln
     }
 
-    /// `ln P(A : bag)` of a value group formed earlier in the session (see
-    /// [`Self::form_group`]): every group a search state holds was formed
-    /// when its last occurrence was assigned.
-    pub fn value_group_ln(&self, mask: u64, attr: AttrRef) -> f64 {
-        debug_assert!(mask != 0);
+    fn group_ln(&self, mask: u64, attr: AttrRef, count: u64) -> f64 {
         if self.config.uniform_keywords {
             return 0.0;
         }
@@ -444,10 +431,27 @@ impl<'q> IncrementalScorer<'q> {
                         .ln()
                 });
         }
-        *self
-            .group_memo
-            .get(&(mask, attr))
-            .expect("a multi-occurrence group is scored when it forms")
+        let p = if self.config.use_joint_atf {
+            let denom = self.index.atf_denominator(attr, self.config.alpha);
+            if denom <= 0.0 {
+                0.0
+            } else {
+                (count as f64 + self.config.alpha) / denom
+            }
+        } else {
+            self.bag(mask)
+                .map(|k| self.index.atf(k, attr, self.config.alpha))
+                .product()
+        };
+        p.max(MIN_PROB).ln()
+    }
+
+    /// `ln P(A : bag)` of a value group a search state holds: every such
+    /// group was met, non-empty, when its last occurrence was assigned.
+    pub fn value_group_ln(&self, mask: u64, attr: AttrRef) -> f64 {
+        self.memo(mask, attr)
+            .flatten()
+            .expect("a state's value groups were formed non-empty")
     }
 
     /// The term [`ProbabilityModel::log_score`] adds for one binding of an

@@ -11,7 +11,7 @@
 use crate::interp::{BindingTarget, QueryInterpretation};
 use crate::template::TemplateCatalog;
 use keybridge_index::InvertedIndex;
-use keybridge_relstore::{AttrRef, Database};
+use keybridge_relstore::AttrRef;
 
 /// Lucene-classic-style score of a keyword bag in one attribute:
 /// `Σ_k sqrt(tf̄(k)) · idf(k)²` where `tf̄` is the average per-row term
@@ -39,7 +39,6 @@ fn lucene_bag_score(index: &InvertedIndex, keywords: &[String], attr: AttrRef) -
 /// SQAK-style score: TF-IDF node scores plus unit scores for keyword-free
 /// elements, normalized by tree size (Steiner minimization).
 pub fn sqak_score(
-    db: &Database,
     index: &InvertedIndex,
     catalog: &TemplateCatalog,
     interp: &QueryInterpretation,
@@ -70,7 +69,6 @@ pub fn sqak_score(
     }
     let free_nodes = keyword_nodes.iter().filter(|k| !**k).count();
     let unit = (free_nodes + n_edges) as f64;
-    let _ = db; // schema currently unused; kept for signature stability
     (keyword_score + unit) / (n_nodes + n_edges) as f64
 }
 
@@ -78,7 +76,7 @@ pub fn sqak_score(
 mod tests {
     use super::*;
     use crate::interp::KeywordBinding;
-    use keybridge_relstore::{SchemaBuilder, TableKind, Value};
+    use keybridge_relstore::{Database, SchemaBuilder, TableKind, Value};
 
     fn setup() -> (Database, InvertedIndex, TemplateCatalog) {
         let mut b = SchemaBuilder::new();
@@ -148,7 +146,7 @@ mod tests {
         let (db, idx, catalog) = setup();
         let name = single_table_interp(&db, &catalog, "actor", "name", "garcia");
         let title = single_table_interp(&db, &catalog, "movie", "title", "garcia");
-        assert!(sqak_score(&db, &idx, &catalog, &title) > sqak_score(&db, &idx, &catalog, &name));
+        assert!(sqak_score(&idx, &catalog, &title) > sqak_score(&idx, &catalog, &name));
     }
 
     #[test]
@@ -156,7 +154,7 @@ mod tests {
         let (db, idx, catalog) = setup();
         let hit = single_table_interp(&db, &catalog, "actor", "name", "garcia");
         let miss = single_table_interp(&db, &catalog, "actor", "name", "zzz");
-        assert!(sqak_score(&db, &idx, &catalog, &hit) > sqak_score(&db, &idx, &catalog, &miss));
+        assert!(sqak_score(&idx, &catalog, &hit) > sqak_score(&idx, &catalog, &miss));
     }
 
     #[test]
@@ -175,6 +173,6 @@ mod tests {
                 target: BindingTarget::TableName { node: 0 },
             }],
         );
-        assert!(sqak_score(&db, &idx, &catalog, &meta) > 0.0);
+        assert!(sqak_score(&idx, &catalog, &meta) > 0.0);
     }
 }

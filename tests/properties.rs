@@ -587,10 +587,12 @@ fn resumed_pulls_equal_fresh_top_k() {
                 let mut total = GenerationStats::default();
                 let mut k = rng.gen_range(1..4usize);
                 let mut pulls = 0usize;
+                let mut previous = Vec::new();
                 loop {
                     let (resumed, stats) = source.pull(k, &mut cache);
                     total.absorb(&stats);
                     pulls += 1;
+                    assert_extends(&resumed, &previous, &format!("{note} k {k}"));
                     let (fresh, fresh_stats) =
                         interp.top_k_with_cache(&query, k, partials, &mut NonemptyCache::new());
                     assert_same_ranking(&resumed, &fresh, &format!("{note} k {k}"));
@@ -607,6 +609,7 @@ fn resumed_pulls_equal_fresh_top_k() {
                     if k > oracle.len().max(1) {
                         break;
                     }
+                    previous = resumed;
                     k *= 4;
                 }
                 if pulls >= 3 && !oracle.is_empty() {
@@ -648,9 +651,11 @@ fn resumed_pulls_equal_fresh_top_k() {
         let mut source = BestFirstSource::new(&interp, &query, true);
         let mut cache = NonemptyCache::new();
         let mut total = GenerationStats::default();
+        let mut previous = Vec::new();
         for (wave, k) in [10, 40, 160].into_iter().enumerate() {
             let (resumed, stats) = source.pull(k, &mut cache);
             total.absorb(&stats);
+            assert_extends(&resumed, &previous, &format!("imdb \"{query}\" k {k}"));
             let (fresh, fresh_stats) =
                 interp.top_k_with_cache(&query, k, true, &mut NonemptyCache::new());
             let note = format!("imdb \"{query}\" k {k}");
@@ -659,12 +664,32 @@ fn resumed_pulls_equal_fresh_top_k() {
             if wave > 0 {
                 extended[wave - 1] += usize::from(resumed.len() > k / 4);
             }
+            previous = resumed;
         }
     }
     assert!(
         extended[0] >= 5 && extended[1] >= 1,
         "pulls past the previous wave at k 40, 160: {extended:?}"
     );
+}
+
+/// A larger pull starts with the previous pull's reply — same
+/// interpretations, same score bits, same order — which is what lets the
+/// serving pipeline's next wave walk only the entries past the previous
+/// one. Probabilities are normalized per reply, so they may differ.
+fn assert_extends(resumed: &[ScoredInterpretation], previous: &[ScoredInterpretation], note: &str) {
+    assert!(resumed.len() >= previous.len(), "{note}: reply shrank");
+    for (rank, (r, p)) in resumed.iter().zip(previous).enumerate() {
+        assert_eq!(
+            r.interpretation, p.interpretation,
+            "{note}: interpretation at rank {rank} moved"
+        );
+        assert_eq!(
+            r.log_score.to_bits(),
+            p.log_score.to_bits(),
+            "{note}: score bits at rank {rank} moved"
+        );
+    }
 }
 
 /// `resumed` is `fresh`, rank by rank: interpretation, score bits,
