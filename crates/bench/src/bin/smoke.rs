@@ -566,11 +566,13 @@ fn serve_phases(
     let div = replay_diversified(&snapshot, &queries, DiversifyOptions::default());
     println!(
         "\n== diversified ({} queries, Alg. 4.1 top-10, pool 25) ==\n  \
-         {} pool items, {} selected across the log; {} executions on the warm replay",
+         {} pool items, {} selected across the log; {} executions and {} rankings \
+         served from the shared tier on the warm replay",
         queries.len(),
         div.pool_items,
         div.selected,
-        div.warm_executed
+        div.warm_executed,
+        div.warm_ranking_hits
     );
 
     // == ingest: the epoch-swap path under the seeded mixed read/write
@@ -671,6 +673,7 @@ fn serve_phases(
         field("div_pool_items", div.pool_items),
         field("div_selected", div.selected),
         field("div_warm_executed", div.warm_executed),
+        field("ranking_hits", div.warm_ranking_hits),
         field("ingest_rows", ingest.rows_ingested),
         field("ingest_batches", batches),
         field("epoch_swaps", ingest.epoch_swaps),

@@ -448,6 +448,10 @@ pub struct DiversifiedReplay {
     /// pass's replies: what a warm service still executes for a query it
     /// has already diversified in this epoch.
     pub warm_executed: usize,
+    /// Pulls the second pass served from the shared tier's rankings
+    /// (`ServiceStats::ranking_hits`): one per query when a warm service
+    /// generates nothing for a query it has already diversified.
+    pub warm_ranking_hits: usize,
 }
 
 /// Replay `queries` as diversified top-k requests (Alg. 4.1), one at a time,
@@ -476,11 +480,13 @@ pub fn replay_diversified(
         pool_items += reply.pool;
         selected += reply.answers.len();
     }
+    let ranking_hits = service.service_stats().ranking_hits;
     let warm_executed = pass().map(|reply| reply.stats.executed).sum();
     DiversifiedReplay {
         pool_items,
         selected,
         warm_executed,
+        warm_ranking_hits: service.service_stats().ranking_hits - ranking_hits,
     }
 }
 

@@ -6,7 +6,19 @@
 //!
 //! [`Interpreter::top_k`] opens a **generation session** (`BestFirstSearch`,
 //! opened by `Interpreter::open_search`) and pulls it once; every `top_k*`
-//! entry point is "open a session, pull once". Opening resolves the query:
+//! entry point is "open a session, pull once" — unless the epoch's
+//! [`SharedNonemptyCache`] already holds the query's ranking. A query's
+//! ranking is a pure function of the epoch, its terms in order and whether
+//! partials rank, and a pull's reply is a prefix of any larger pull's. So
+//! the tier keeps, per `(terms, include_partials)`, the reply of the
+//! longest proven pull so far (and whether that search ran dry), and a
+//! pull at `k` that it covers is served from it: the first `k` pairs,
+//! probabilities renormalized over them, which is bit for bit what a
+//! fresh session returns. No session is opened for it — no term
+//! candidates, no scorer, no roots, no search — and its stats count only
+//! `emitted`. Every other pull's proven reply is admitted, superseding a
+//! shorter ranking; a pull the interpretation cap stopped is not proven
+//! and never admitted. Opening a session resolves the query:
 //!
 //! * term candidates — one `attrs_containing` slice lookup per distinct
 //!   term, all terms' candidates in one flat `Vec`;
@@ -76,6 +88,7 @@
 use crate::exec::{bound_nodes, ExecCache, ExecutedResult, Executor, LocalExecutor, ResultKey};
 use crate::interp::{BindingTarget, KeywordBinding, QueryInterpretation};
 use crate::keyword::KeywordQuery;
+use crate::pipeline::{BestFirstSource, InterpretationSource};
 use crate::prob::{IncrementalScorer, ProbabilityConfig, ProbabilityModel, TemplatePrior};
 use crate::striped::StripedMap;
 use crate::template::TemplateCatalog;
@@ -120,7 +133,9 @@ impl Default for InterpreterConfig {
 ///
 /// A pull of a resumed search ([`crate::BestFirstSource`]) reports the work
 /// *it* added; [`Self::absorb`] folds the pulls of one request into the
-/// counters a single fresh `top_k` at the last pull's `k` reports.
+/// counters a single fresh `top_k` at the last pull's `k` reports. A pull
+/// the shared tier's rankings served (see [`SharedNonemptyCache`]) did no
+/// generation work: it counts only `emitted`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GenerationStats {
     /// Complete interpretations actually constructed (grouped, hashed).
@@ -186,7 +201,9 @@ pub struct ScoredInterpretation {
 /// group the session has not met is looked up in the shared tier, by its
 /// sorted keyword bag, before the index is walked, and a fresh walk is
 /// published back, so across queries and threads a group costs one walk
-/// per epoch. A plain cache ([`Self::new`]) has no tier: every session
+/// per epoch. The same tier holds the proven rankings of whole queries, so
+/// a pull the tier already answers opens no session at all. A plain cache
+/// ([`Self::new`]) has no tier: every pull searches, and every session
 /// walks the groups it meets once.
 #[derive(Debug, Default)]
 pub struct NonemptyCache {
@@ -204,29 +221,71 @@ impl NonemptyCache {
             shared: Some(shared),
         }
     }
+
+    /// The shared tier's answer to a pull at `k` over `terms`, if it holds
+    /// one: what a fresh pull returns, bit for bit. Probed with the
+    /// borrowed terms, so a hit builds no key.
+    pub(crate) fn ranked(
+        &self,
+        terms: &[String],
+        partials: bool,
+        k: usize,
+    ) -> Option<Vec<ScoredInterpretation>> {
+        let shared = self.shared.as_ref()?;
+        let is = |(held, p): &(Vec<String>, bool)| *p == partials && held[..] == *terms;
+        let ranking = shared
+            .rankings
+            .get_by(&(terms, partials), is, |r| r.serves(k))?;
+        Some(ranking.reply(k))
+    }
 }
 
-/// Process-wide value-group counts shared by every worker of a
-/// [`crate::SearchService`]: a lock-striped map of `(sorted keyword bag,
-/// attribute) → joint occurrence count` (see [`NonemptyCache`]; `0` is the
-/// empty verdict). Counts are pure facts about the indexed database, so
-/// concurrent readers never observe anything stale, and a group costs one
-/// postings walk per epoch however many queries meet it; striping keeps
-/// writer contention away from the read-mostly fast path. Valid only for
-/// the index it was populated against.
+/// The generation's process-wide tier, shared by every worker of a
+/// [`crate::SearchService`] and retired with its epoch. Two lock-striped,
+/// admission-capped maps (striping keeps writer contention away from the
+/// read-mostly fast path):
+///
+/// * **group counts**, `(sorted keyword bag, attribute) → joint occurrence
+///   count` (see [`NonemptyCache`]; `0` is the empty verdict): a group
+///   costs one postings walk per epoch however many queries meet it;
+/// * **rankings**, `(the query's terms in order, include_partials) →` the
+///   canonical ranking a proven pull returned, as `(interpretation,
+///   log_score)` pairs, plus whether the search ran dry. A pull's reply is
+///   a prefix of any larger pull's, so an entry of `n` pairs serves every
+///   pull at `k ≤ n` — its first `k` pairs, probabilities normalized over
+///   them, bit for bit what a fresh search returns — and a dry entry
+///   serves every `k`. A repeated query then skips generation altogether:
+///   no term candidates, no scorer, no roots, no search.
+///
+/// Both are pure functions of the indexed database and the interpreter's
+/// configuration, so concurrent readers never observe anything stale. Valid
+/// only for the index it was populated against, under one
+/// [`InterpreterConfig`].
 #[derive(Debug)]
 pub struct SharedNonemptyCache {
     /// Keyed by *sorted* keyword bag + attribute.
     counts: StripedMap<(Vec<String>, AttrRef), u64>,
+    /// Keyed by the query's terms in input order + whether partials rank.
+    rankings: StripedMap<(Vec<String>, bool), Arc<Ranking>>,
 }
 
 /// Per-stripe admission cap of the shared count map (see [`StripedMap`]).
 const COUNT_STRIPE_CAP: usize = 65_536;
 
+/// Per-stripe admission cap of the shared rankings: 16 stripes hold at most
+/// 2,048 rankings. An entry keeps its interpretations alive: on the x10
+/// IMDB log's 365 distinct queries, their answers (k 10), diversified
+/// (pool 25) and session (window 20) rankings hold 15.9 pairs and 4.5 KB
+/// per entry on average (179 KB the largest, a many-wave answers
+/// request), so the tier holds ~9 MB at cap. `hot_interactive`'s 108
+/// queries fill a tenth of it.
+const RANKING_STRIPE_CAP: usize = 128;
+
 impl Default for SharedNonemptyCache {
     fn default() -> Self {
         SharedNonemptyCache {
             counts: StripedMap::new(COUNT_STRIPE_CAP),
+            rankings: StripedMap::new(RANKING_STRIPE_CAP),
         }
     }
 }
@@ -248,6 +307,44 @@ impl SharedNonemptyCache {
     /// Cross-query hits served so far.
     pub fn hits(&self) -> usize {
         self.counts.hits()
+    }
+
+    /// Rankings currently shared.
+    pub fn ranking_count(&self) -> usize {
+        self.rankings.len()
+    }
+
+    /// Pulls served from a shared ranking so far.
+    pub fn ranking_hits(&self) -> usize {
+        self.rankings.hits()
+    }
+}
+
+/// A proven ranking in the shared tier (see [`SharedNonemptyCache`]).
+#[derive(Debug)]
+struct Ranking {
+    /// A proven pull's reply, best first, without its probabilities.
+    pairs: Vec<(Arc<QueryInterpretation>, f64)>,
+    /// Whether the search ran dry: `pairs` is the whole ranking.
+    dry: bool,
+}
+
+impl Ranking {
+    /// Whether this ranking answers a pull at `k`.
+    fn serves(&self, k: usize) -> bool {
+        self.dry || self.pairs.len() >= k
+    }
+
+    /// The admission rule: a dry ranking, or a longer one, supersedes a
+    /// shorter one that did not run dry.
+    fn supersedes(&self, held: &Self) -> bool {
+        !held.dry && (self.dry || self.pairs.len() > held.pairs.len())
+    }
+
+    /// What a fresh pull at `k` returns: the first `k` pairs, probabilities
+    /// normalized over them.
+    fn reply(&self, k: usize) -> Vec<ScoredInterpretation> {
+        reply_of(self.pairs.iter().take(k))
     }
 }
 
@@ -641,14 +738,16 @@ impl<'a> Interpreter<'a> {
         self.top_k_with_cache(query, k, include_partials, &mut NonemptyCache::new())
     }
 
-    /// Like [`Self::top_k_with_stats`], with value groups the session has
-    /// not met looked up in `cache`'s shared tier before the index (see
-    /// [`NonemptyCache`]).
+    /// Like [`Self::top_k_with_stats`], through `cache`'s shared tier (see
+    /// [`SharedNonemptyCache`]): a ranking the tier holds answers the pull
+    /// without a search (the stats then count only `emitted`); otherwise
+    /// value groups the session has not met are looked up there before the
+    /// index, and the proven reply is admitted.
     ///
-    /// Every `top_k*` entry point is this: open a generation session, pull
-    /// once. A caller that will come back for a larger `k` keeps the
-    /// session instead ([`crate::BestFirstSource`]): a new session meets
-    /// every group again.
+    /// Every `top_k*` entry point is this: one pull of a fresh
+    /// [`crate::BestFirstSource`]. A caller that will come back for a
+    /// larger `k` keeps the source instead: a new session meets every group
+    /// again.
     pub fn top_k_with_cache(
         &self,
         query: &KeywordQuery,
@@ -656,7 +755,7 @@ impl<'a> Interpreter<'a> {
         include_partials: bool,
         cache: &mut NonemptyCache,
     ) -> (Vec<ScoredInterpretation>, GenerationStats) {
-        self.open_search(query, include_partials).pull(k, cache)
+        BestFirstSource::new(self, query, include_partials).pull(k, cache)
     }
 
     /// Truncate a ranked list to `k` and renormalize probabilities over the
@@ -842,6 +941,22 @@ impl<'a> Interpreter<'a> {
             });
         }
     }
+}
+
+/// The reply over ranked `(interpretation, log_score)` pairs, best first:
+/// the pairs shared, probabilities normalized over them.
+fn reply_of<'p>(
+    pairs: impl Iterator<Item = &'p (Arc<QueryInterpretation>, f64)>,
+) -> Vec<ScoredInterpretation> {
+    let mut reply: Vec<ScoredInterpretation> = pairs
+        .map(|(interpretation, log_score)| ScoredInterpretation {
+            interpretation: Arc::clone(interpretation),
+            log_score: *log_score,
+            probability: 0.0,
+        })
+        .collect();
+    normalize_in_place(&mut reply);
+    reply
 }
 
 /// Set every entry's probability to its share of the list's mass:
@@ -1140,6 +1255,7 @@ impl<'q> BestFirstSearch<'q, '_> {
         self.retarget(k);
         self.run(cache);
         let reply = self.reply();
+        self.publish(&reply, cache);
         let stats = GenerationStats {
             materialized: self.stats.materialized - before.materialized,
             expanded: self.stats.expanded - before.expanded,
@@ -1151,6 +1267,31 @@ impl<'q> BestFirstSearch<'q, '_> {
             emitted: reply.len(),
         };
         (reply, stats)
+    }
+
+    /// Admit `reply`, this pull's, to the shared tier's rankings (see
+    /// [`SharedNonemptyCache`]) — unless the interpretation cap stopped the
+    /// search, which leaves the reply unproven. The search ran dry when no
+    /// state is left open or cut and the reply holds every interpretation
+    /// buffered.
+    fn publish(&self, reply: &[ScoredInterpretation], cache: &NonemptyCache) {
+        let Some(shared) = &cache.shared else { return };
+        if self.buffer.len() >= self.interpreter.config.max_interpretations {
+            return;
+        }
+        let ranking = Ranking {
+            pairs: reply
+                .iter()
+                .map(|s| (Arc::clone(&s.interpretation), s.log_score))
+                .collect(),
+            dry: self.heap.is_empty()
+                && self.deferred.is_empty()
+                && reply.len() == self.buffer.len(),
+        };
+        let key = (self.terms.to_vec(), self.scorer.allows_unmapped());
+        shared
+            .rankings
+            .admit(key, Arc::new(ranking), |new, held| new.supersedes(held));
     }
 
     /// The k-th best exact score buffered so far (`-inf` until `k` found):
@@ -1539,17 +1680,7 @@ impl<'q> BestFirstSearch<'q, '_> {
                 .then_with(|| a.0.template.cmp(&b.0.template))
                 .then_with(|| a.0.bindings.cmp(&b.0.bindings))
         });
-        order.truncate(self.k);
-        let mut reply: Vec<ScoredInterpretation> = order
-            .into_iter()
-            .map(|(interpretation, log_score)| ScoredInterpretation {
-                interpretation: Arc::clone(interpretation),
-                log_score: *log_score,
-                probability: 0.0,
-            })
-            .collect();
-        normalize_in_place(&mut reply);
-        reply
+        reply_of(order.into_iter().take(self.k))
     }
 }
 
@@ -1832,6 +1963,76 @@ mod tests {
         );
         assert!(stats.nonempty_cache_hits > 0, "memo cache never hit");
         assert!(stats.pruned > 0, "bound never pruned");
+    }
+
+    /// The rankings tier is bounded: more distinct queries than its cap
+    /// leave at most the cap admitted, and the rankings it holds keep
+    /// serving repeats without a search, bit for bit.
+    #[test]
+    fn rankings_tier_admits_at_most_its_cap() {
+        let f = fixture();
+        let interp = Interpreter::new(
+            &f.data.db,
+            &f.index,
+            &f.catalog,
+            InterpreterConfig::default(),
+        );
+        let stripe_cap = 2;
+        let cap = crate::striped::STRIPES * stripe_cap;
+        let shared = Arc::new(SharedNonemptyCache {
+            counts: StripedMap::new(COUNT_STRIPE_CAP),
+            rankings: StripedMap::new(stripe_cap),
+        });
+        let mut cache = NonemptyCache::with_shared(Arc::clone(&shared));
+        // Distinct queries: actor-name tokens, alone and in pairs.
+        let mut words: Vec<String> = (0..40)
+            .flat_map(|r| {
+                let row = f
+                    .data
+                    .db
+                    .table(f.data.actor)
+                    .row(keybridge_relstore::RowId(r));
+                Tokenizer::new().tokenize(row[1].as_text().unwrap())
+            })
+            .collect();
+        words.sort();
+        words.dedup();
+        let queries: Vec<KeywordQuery> = words
+            .iter()
+            .flat_map(|a| {
+                std::iter::once(vec![a.clone()])
+                    .chain(words.iter().map(move |b| vec![a.clone(), b.clone()]))
+            })
+            .take(16 * cap)
+            .map(KeywordQuery::from_terms)
+            .collect();
+        // Far more queries than slots: every stripe fills.
+        assert_eq!(queries.len(), 16 * cap, "vocabulary too small");
+        for q in &queries {
+            interp.top_k_with_cache(q, 5, true, &mut cache);
+        }
+        let held = shared.ranking_count();
+        assert_eq!(held, cap, "{held} rankings admitted, cap {cap}");
+        let mut served = 0;
+        for q in &queries {
+            let hits = shared.ranking_hits();
+            let (reply, stats) = interp.top_k_with_cache(q, 5, true, &mut cache);
+            if shared.ranking_hits() == hits {
+                continue;
+            }
+            served += 1;
+            assert_eq!((stats.expanded, stats.materialized), (0, 0), "{q}");
+            assert_eq!(stats.emitted, reply.len());
+            let fresh = interp.top_k(q, 5);
+            assert_eq!(reply.len(), fresh.len(), "{q}");
+            for (a, b) in reply.iter().zip(&fresh) {
+                assert_eq!(a.interpretation, b.interpretation, "{q}");
+                assert_eq!(a.log_score.to_bits(), b.log_score.to_bits(), "{q}");
+                assert_eq!(a.probability.to_bits(), b.probability.to_bits(), "{q}");
+            }
+        }
+        assert_eq!(served, held, "every admitted ranking serves its query");
+        assert_eq!(shared.ranking_count(), held, "a full tier admits nothing");
     }
 
     #[test]

@@ -46,7 +46,13 @@
 //! is total, a pull stops only when every open state's bound is below the
 //! k-th best, or at the interpretation cap, after which later pulls add
 //! nothing — so the driver executes only the ranks past those the
-//! previous wave walked, and stage output accumulates across waves. No
+//! previous wave walked, and stage output accumulates across waves. A wave
+//! the epoch's shared rankings already cover (a repeated query; see
+//! [`crate::SharedNonemptyCache`]) is a **memo-served pull**: the source
+//! opens no session, the reply is the ranking's first `k` pairs,
+//! renormalized — what the session would have returned — and its
+//! `GenerationStats` count only `emitted`. The first wave the rankings do
+//! not cover opens the session, and later waves continue it. No
 //! ranked interpretation is executed, served from a cache, or offered to a
 //! stage twice in one request (on a fresh plain cache
 //! `AnswerStats::result_cache_hits` is 0). Executions run lazily with
@@ -134,16 +140,25 @@ pub trait InterpretationSource {
 /// searching again from the roots, and every value group is counted once
 /// per request: the session memoizes it, and `gen_cache` names the shared
 /// tier a group it has not met is looked up in (see [`NonemptyCache`]).
+///
+/// The session opens lazily: while the shared tier holds a proven ranking
+/// that answers the pull, the pull is served from it and no session is
+/// opened. The first pull it cannot answer opens the session, and every
+/// later pull continues that session.
 pub struct BestFirstSource<'q, 'a> {
-    search: BestFirstSearch<'q, 'a>,
-    cap: usize,
+    interpreter: &'q Interpreter<'a>,
+    query: &'q KeywordQuery,
+    partials: bool,
+    search: Option<BestFirstSearch<'q, 'a>>,
 }
 
 impl<'q, 'a> BestFirstSource<'q, 'a> {
     pub fn new(interpreter: &'q Interpreter<'a>, query: &'q KeywordQuery, partials: bool) -> Self {
         BestFirstSource {
-            search: interpreter.open_search(query, partials),
-            cap: interpreter.config().max_interpretations,
+            interpreter,
+            query,
+            partials,
+            search: None,
         }
     }
 }
@@ -154,11 +169,23 @@ impl InterpretationSource for BestFirstSource<'_, '_> {
         k: usize,
         gen_cache: &mut NonemptyCache,
     ) -> (Vec<ScoredInterpretation>, GenerationStats) {
-        self.search.pull(k, gen_cache)
+        let (interpreter, query, partials) = (self.interpreter, self.query, self.partials);
+        if self.search.is_none() {
+            if let Some(reply) = gen_cache.ranked(query.terms(), partials, k) {
+                let stats = GenerationStats {
+                    emitted: reply.len(),
+                    ..Default::default()
+                };
+                return (reply, stats);
+            }
+        }
+        self.search
+            .get_or_insert_with(|| interpreter.open_search(query, partials))
+            .pull(k, gen_cache)
     }
 
     fn cap(&self) -> usize {
-        self.cap
+        self.interpreter.config().max_interpretations
     }
 }
 

@@ -19,16 +19,26 @@
 //!
 //! The pipeline is read-only over the published store. What needs
 //! coordination is the derived state queries build as they run: value-group
-//! counts, predicate row sets and execution results. The service keeps those
-//! in process-wide, lock-striped maps ([`SharedNonemptyCache`],
-//! [`SharedExecCache`]) handed to every request as the backing tier of its
-//! per-query caches — one user's pruning work prunes every other user's
-//! search (the Mragyati/EMBANKS observation). A group count is a keyword
-//! bag's joint occurrence count in one attribute: it is the group's
-//! non-emptiness verdict (`count > 0`) and the numerator of its joint ATF
-//! at once, so each group is walked once per epoch and scored from the
-//! entry. Sharing is *result-invariant by construction*: group counts and
-//! predicate row sets are pure facts about the indexed database, and an
+//! counts, query rankings, predicate row sets and execution results. The
+//! service keeps those in process-wide, lock-striped maps
+//! ([`SharedNonemptyCache`], [`SharedExecCache`]) handed to every request
+//! as the backing tier of its per-query caches — one user's pruning work
+//! prunes every other user's search (the Mragyati/EMBANKS observation):
+//!
+//! * **group counts** — a keyword bag's joint occurrence count in one
+//!   attribute: the group's non-emptiness verdict (`count > 0`) and the
+//!   numerator of its joint ATF at once, so each group is walked once per
+//!   epoch and scored from the entry;
+//! * **rankings** — per `(terms, include_partials)`, the longest proven
+//!   top-k reply so far: a repeated query's answers, diversified,
+//!   interpretations and session-open requests skip generation whenever
+//!   it covers their `k` (`ranking_entries`, `ranking_hits`);
+//! * **predicate row sets** and **execution results** (`core/exec.rs`).
+//!
+//! Sharing is *result-invariant by construction*: group counts and
+//! predicate row sets are pure facts about the indexed database, a ranking
+//! is a pure function of the epoch and the query (a pull at `k` is served
+//! only from a ranking proven to at least `k`, or run dry), and an
 //! execution result is held under the limit it ran at and serves a request
 //! only when a fresh run could not differ (it finished below its limit, or
 //! ran at a limit no smaller, with `max_intermediate` no looser — its
@@ -279,7 +289,10 @@ impl ServingState {
     /// Entries held by this generation's shared caches (the count retired
     /// as `stale_evictions` when the generation is displaced).
     fn cache_entries(&self) -> usize {
-        self.nonempty.len() + self.exec.predicate_count() + self.exec.result_count()
+        self.nonempty.len()
+            + self.nonempty.ranking_count()
+            + self.exec.predicate_count()
+            + self.exec.result_count()
     }
 }
 
@@ -591,9 +604,10 @@ pub struct ServiceStats {
     /// Snapshots published by `ingest` since the service started.
     pub epoch_swaps: usize,
     /// Shared-cache entries retired with displaced epochs: group counts,
-    /// predicate row sets, and memoized results (complete or stopped at
-    /// their limit, one per interpretation) that became unreachable (and
-    /// uncountable as hits) the moment their epoch was swapped out.
+    /// rankings, predicate row sets, and memoized results (complete or
+    /// stopped at their limit, one per interpretation) that became
+    /// unreachable (and uncountable as hits) the moment their epoch was
+    /// swapped out.
     pub stale_evictions: usize,
     /// Rows accepted by `ingest` since the service started.
     pub rows_ingested: usize,
@@ -602,6 +616,11 @@ pub struct ServiceStats {
     pub nonempty_entries: usize,
     /// Cross-query non-emptiness hits.
     pub nonempty_hits: usize,
+    /// Proven query rankings in the shared cache, one per `(terms,
+    /// include_partials)`.
+    pub ranking_entries: usize,
+    /// Generation pulls served from a shared ranking, without a search.
+    pub ranking_hits: usize,
     /// Distinct predicate row sets in the shared cache.
     pub predicate_entries: usize,
     /// Cross-query predicate hits.
@@ -1248,7 +1267,9 @@ impl SearchService {
 
     /// Open a construction session over the *current* epoch: generate the
     /// top-`window` complete interpretations best-first (through this
-    /// epoch's shared non-emptiness cache) and register the session. The
+    /// epoch's shared generation tier, whose ranking of the query, when it
+    /// holds one, opens the window without a search) and register the
+    /// session. The
     /// session pins the serving state it was opened on — store *and* cache
     /// generation — so its window, options, and answers keep referring to
     /// the same database version even while concurrent [`Self::ingest`]s
@@ -1442,6 +1463,8 @@ impl ServeRequests for SearchService {
             rows_ingested: self.rows_ingested.load(Ordering::Relaxed),
             nonempty_entries: state.nonempty.len(),
             nonempty_hits: state.nonempty.hits(),
+            ranking_entries: state.nonempty.ranking_count(),
+            ranking_hits: state.nonempty.ranking_hits(),
             predicate_entries: state.exec.predicate_count(),
             predicate_hits: state.exec.predicate_hits(),
             result_entries: state.exec.result_count(),
@@ -1813,9 +1836,120 @@ mod tests {
             assert_eq!(a.jtt, b.jtt);
         }
         assert_eq!(astats.gen.nonempty_probes, 0, "replay re-probed the index");
+        // The replay's ranking came from the tier, so it met no value
+        // group. A window of complete interpretations is a ranking the tier
+        // does not hold yet: its search meets the groups the first request
+        // counted.
+        assert!(service.service_stats().ranking_hits > 0);
+        service.open_session(&q, 40, SessionConfig::default());
         let stats = service.service_stats();
         assert!(stats.nonempty_hits > 0);
         assert!(stats.result_hits + stats.predicate_hits > 0);
+    }
+
+    /// Whether two rankings agree rank by rank: interpretation, score bits,
+    /// probability bits.
+    fn assert_same_ranking(got: &[ScoredInterpretation], want: &[ScoredInterpretation]) {
+        assert_eq!(got.len(), want.len());
+        for (a, b) in got.iter().zip(want) {
+            assert_eq!(a.interpretation, b.interpretation);
+            assert_eq!(a.log_score.to_bits(), b.log_score.to_bits());
+            assert_eq!(a.probability.to_bits(), b.probability.to_bits());
+        }
+    }
+
+    /// On a warm service a repeated request generates nothing: answers,
+    /// diversified, interpretations and a session window are each served
+    /// from the tier's proven ranking — no state expanded, no
+    /// interpretation built, no value group met — and each reply is a cold
+    /// interpreter's, bit for bit. A pull past a ranking that did not run
+    /// dry searches again and supersedes it.
+    #[test]
+    fn repeated_requests_skip_generation() {
+        use crate::pipeline::DiversifyOptions;
+        let snap = snapshot();
+        let service = SearchService::start(Arc::clone(&snap), 1);
+        let cold = snap.interpreter();
+        let q = KeywordQuery::from_terms(vec!["tom".into(), "hanks".into()]);
+        let window = 20;
+        let interpretations = |k: usize| {
+            let query = q.clone();
+            match service
+                .submit_request(Request::Interpretations { query, k })
+                .wait()
+            {
+                Some(Reply::Interpretations(Ok(reply))) => reply,
+                other => panic!("interpretations request not served: {other:?}"),
+            }
+        };
+        let cold_div = QueryPipeline::new(
+            &cold,
+            ExecOptions::default(),
+            &mut NonemptyCache::new(),
+            &mut ExecCache::new(),
+        )
+        .diversified(&q, DiversifyOptions::default());
+        for pass in 0..2 {
+            let before = service.service_stats();
+            let reply = service.search(&q, 10);
+            let want = cold.answers_top_k(&q, 10);
+            assert_eq!(reply.answers.len(), want.len());
+            for (a, b) in reply.answers.iter().zip(&want) {
+                assert_eq!(a.interpretation, b.interpretation);
+                assert_eq!(a.log_score.to_bits(), b.log_score.to_bits());
+                assert_eq!((&a.jtt, &a.keys), (&b.jtt, &b.keys));
+            }
+            let div = diversified(&service, &q, DiversifyOptions::default());
+            assert_eq!(div.pool, cold_div.pool);
+            assert_eq!(div.answers.len(), cold_div.answers.len());
+            for (a, b) in div.answers.iter().zip(&cold_div.answers) {
+                assert_eq!(a.interpretation, b.interpretation);
+                assert_eq!(a.log_score.to_bits(), b.log_score.to_bits());
+                assert_eq!(a.relevance.to_bits(), b.relevance.to_bits());
+                assert_eq!((&a.keys, a.pool_rank), (&b.keys, b.pool_rank));
+            }
+            let (ranked, istats) = interpretations(7);
+            assert_same_ranking(&ranked, &cold.top_k(&q, 7));
+            let counted = service.service_stats();
+            let view = service.open_session(&q, window, SessionConfig::default());
+            let opened = service.service_stats();
+            let slot = service.session(view.id).expect("the session is open");
+            let held: Vec<_> = slot.lock().unwrap().session.remaining().to_vec();
+            let want = ConstructionSession::for_query(&cold, &q, window, SessionConfig::default());
+            assert_eq!(held.len(), want.remaining().len());
+            for ((a, wa), (b, wb)) in held.iter().zip(want.remaining()) {
+                assert_eq!((a, wa.to_bits()), (b, wb.to_bits()));
+            }
+            assert!(service.close_session(view.id));
+            if pass == 1 {
+                for gen in [reply.stats.gen, div.stats.gen, istats] {
+                    assert_eq!((gen.expanded, gen.materialized), (0, 0), "{gen:?}");
+                    assert_eq!(gen.nonempty_probes + gen.nonempty_shared_hits, 0);
+                }
+                // The session opened without a search: one ranking hit, no
+                // value group looked up.
+                assert_eq!(opened.ranking_hits, counted.ranking_hits + 1);
+                assert_eq!(opened.nonempty_hits, counted.nonempty_hits);
+                assert_eq!(opened.ranking_entries, before.ranking_entries);
+            }
+        }
+
+        // A pull past what the ranking holds, which did not run dry:
+        // searched again, and its reply supersedes the entry in place.
+        let k = 30;
+        let want = cold.top_k(&q, k);
+        assert!(cold.top_k(&q, 2 * k).len() > k, "the ranking runs past {k}");
+        let before = service.service_stats();
+        let (ranked, stats) = interpretations(k);
+        assert_same_ranking(&ranked, &want);
+        assert!(stats.expanded > 0, "served a pull the ranking cannot prove");
+        let after = service.service_stats();
+        assert_eq!(after.ranking_hits, before.ranking_hits);
+        assert_eq!(after.ranking_entries, before.ranking_entries);
+        let (ranked, stats) = interpretations(k);
+        assert_same_ranking(&ranked, &want);
+        assert_eq!((stats.expanded, stats.materialized), (0, 0));
+        assert_eq!(service.service_stats().ranking_hits, after.ranking_hits + 1);
     }
 
     #[test]
@@ -1899,13 +2033,18 @@ mod tests {
         assert_eq!(stats.epoch, 1);
         assert_eq!(stats.epoch_swaps, 1);
         assert_eq!(stats.rows_ingested, 1);
+        assert!(warm.ranking_entries > 0, "epoch-0 ranking never admitted");
         assert_eq!(
             stats.stale_evictions,
-            warm.nonempty_entries + warm.predicate_entries + warm.result_entries,
+            warm.nonempty_entries
+                + warm.ranking_entries
+                + warm.predicate_entries
+                + warm.result_entries,
             "displaced generation's entries must all be counted stale"
         );
         // The new generation starts cold: nothing from epoch 0 leaked in.
         assert_eq!(stats.nonempty_entries, 0);
+        assert_eq!(stats.ranking_entries, 0);
         assert_eq!(stats.predicate_entries, 0);
         assert_eq!(stats.result_entries, 0);
 

@@ -1,6 +1,6 @@
 //! The one lock-striped, admission-capped map behind every process-wide
-//! cache tier of a service ([`crate::SharedNonemptyCache`] and the two maps
-//! of [`crate::SharedExecCache`]).
+//! cache tier of a service (the two maps of [`crate::SharedNonemptyCache`]
+//! and the two of [`crate::SharedExecCache`]).
 
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
@@ -11,7 +11,7 @@ use std::sync::RwLock;
 /// Number of lock stripes, `2^STRIPE_BITS`: small enough to stay
 /// cache-friendly, large enough that 8 workers rarely collide.
 const STRIPE_BITS: u32 = 4;
-const STRIPES: usize = 1 << STRIPE_BITS;
+pub(crate) const STRIPES: usize = 1 << STRIPE_BITS;
 
 /// `STRIPES` `RwLock`ed stripes picked by key hash, plus a hit counter.
 /// Bounded, not evicting: a stripe holding `stripe_cap` entries stops

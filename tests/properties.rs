@@ -7,7 +7,7 @@
 use keybridge::core::{
     BestFirstSource, GenerationStats, InterpretationSource, Interpreter, InterpreterConfig,
     KeywordQuery, NonemptyCache, ProbabilityConfig, ProbabilityModel, ScoredInterpretation,
-    TemplateCatalog, TemplatePrior,
+    SharedNonemptyCache, TemplateCatalog, TemplatePrior,
 };
 use keybridge::datagen::{ImdbConfig, ImdbDataset, Workload, WorkloadConfig};
 use keybridge::divq::{alpha_ndcg_w, diversify, jaccard, ws_recall, DivItem, EvalItem};
@@ -17,6 +17,7 @@ use keybridge::relstore::{AttrId, AttrRef, Database, SchemaBuilder, TableId, Tab
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Tokenizer and probability-normalization invariants.
@@ -612,6 +613,9 @@ fn resumed_pulls_equal_fresh_top_k() {
                     previous = resumed;
                     k *= 4;
                 }
+                // The last pull went past the whole space: below the cap,
+                // its search ran dry.
+                assert_tier_serves(&interp, &query, partials, k, oracle_is_whole, &note);
                 if pulls >= 3 && !oracle.is_empty() {
                     multi_pull_cases += 1;
                 }
@@ -666,11 +670,60 @@ fn resumed_pulls_equal_fresh_top_k() {
             }
             previous = resumed;
         }
+        let dry = previous.len() < 160;
+        assert_tier_serves(
+            &interp,
+            &query,
+            true,
+            160,
+            dry,
+            &format!("imdb \"{query}\""),
+        );
     }
     assert!(
         extended[0] >= 5 && extended[1] >= 1,
         "pulls past the previous wave at k 40, 160: {extended:?}"
     );
+}
+
+/// The shared tier's rankings answer a pull as a fresh search does. One
+/// handle on a fresh tier, filled by a pull at `largest`, then pulled at
+/// every smaller `k` and, when the search ran dry (`dry`), past the
+/// ranking's length: each reply equals a fresh `top_k_with_cache` at its
+/// `k` (interpretations, order, score and probability bits), and is served
+/// without a search. A ranking from a dry search below the cap is always
+/// admitted; one the cap stopped never is, and its pulls search again.
+fn assert_tier_serves(
+    interp: &Interpreter<'_>,
+    query: &KeywordQuery,
+    partials: bool,
+    largest: usize,
+    dry: bool,
+    note: &str,
+) {
+    let shared = Arc::new(SharedNonemptyCache::new());
+    let mut cache = NonemptyCache::with_shared(Arc::clone(&shared));
+    interp.top_k_with_cache(query, largest, partials, &mut cache);
+    let admitted = shared.ranking_count() == 1;
+    assert!(admitted || !dry, "{note}: a dry ranking was not admitted");
+    let beyond = if dry {
+        vec![largest + 1, 4 * largest + 3]
+    } else {
+        Vec::new()
+    };
+    for k in (1..largest).chain(beyond) {
+        let (served, stats) = interp.top_k_with_cache(query, k, partials, &mut cache);
+        let (fresh, _) = interp.top_k_with_cache(query, k, partials, &mut NonemptyCache::new());
+        let note = format!("{note} tier k {k}");
+        assert_same_ranking(&served, &fresh, &note);
+        if admitted {
+            assert_eq!(
+                (stats.expanded, stats.materialized, stats.emitted),
+                (0, 0, served.len()),
+                "{note}: searched"
+            );
+        }
+    }
 }
 
 /// A larger pull starts with the previous pull's reply — same

@@ -119,11 +119,22 @@ per_fixture! { session_identical:
 
 /// Eight clients, two passes' worth of overlapping logs on one warm
 /// service: late requests are served almost entirely from caches another
-/// thread filled.
+/// thread filled. The tier's rankings serve every replay at k 5 without a
+/// search, so a closing sweep at k 50, past what most rankings hold,
+/// searches again and reads the group counts the first searches left.
 #[test]
 fn stress_overlapping_logs_warm_caches() {
     let fx = Fixture::load(Fx::Imdb);
-    let stats = reads(fx, fx.queries.len(), Target::Single, 8, 16, answers);
+    let n = fx.queries.len();
+    let h = History::full(format!("reads-{:?}", fx.fx))
+        .with(passes(n, 16, answers))
+        .with(passes(n, 1, |q| [Op::Answers(q, 50)]));
+    let stats = verify(fx, &h, Target::Single, Mode::Threaded(8)).stats;
+    assert_eq!(stats.served, h.ops.len());
+    assert!(
+        stats.ranking_hits > 0,
+        "replays never hit the shared rankings"
+    );
     assert!(stats.nonempty_hits > 0);
     assert!(
         stats.result_hits > 0,
