@@ -604,10 +604,11 @@ fn serve_phases(
         max_templates: 100_000,
         ..DurableOptions::default()
     };
-    let (at_crash, recovered) = replay_durable(&mixed, REPLAY_K, &opts, &dir);
+    let (at_crash, recovered, checkpoint_bytes) = replay_durable(&mixed, REPLAY_K, &opts, &dir);
     println!(
         "\n== recovery (WAL every batch, one mid-stream checkpoint, kill, reopen) ==\n  \
-         durability : {} WAL records ({} bytes framed), {} checkpoint\n  \
+         durability : {} WAL records ({} bytes framed), {} checkpoint ({checkpoint_bytes} \
+         bytes, the rows only)\n  \
          reopen     : {} batches replayed from the log tail",
         at_crash.wal_batches,
         at_crash.wal_bytes,
@@ -680,6 +681,7 @@ fn serve_phases(
         field("stale_evictions", ingest.stale_evictions),
         field("wal_batches", at_crash.wal_batches),
         field("wal_bytes", at_crash.wal_bytes),
+        field("checkpoint_bytes", checkpoint_bytes),
         field("recovery_checkpoints", at_crash.checkpoints),
         field(
             "recovery_replayed_batches",

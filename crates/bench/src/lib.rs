@@ -531,19 +531,22 @@ pub fn replay_mixed<S: ServeRequests>(
 /// `mixed.initial` in `dir`: every batch goes through the WAL, one checkpoint
 /// is taken halfway through the batches, the service is dropped — the
 /// simulated crash — and the store reopened once. Returns the counters at
-/// the crash and those of the recovered service, which must be at the last
-/// epoch having replayed exactly the post-checkpoint batches. `dir` is
-/// removed afterwards.
+/// the crash, those of the recovered service, which must be at the last
+/// epoch having replayed exactly the post-checkpoint batches, and the size
+/// of the mid-stream checkpoint file
+/// ([`keybridge_core::CheckpointReceipt::snapshot_bytes`]). The snapshot is
+/// served under the default interpreter configuration, the one reopen
+/// serves under. `dir` is removed afterwards.
 pub fn replay_durable(
     mixed: &MixedWorkload,
     k: usize,
     opts: &DurableOptions,
     dir: &std::path::Path,
-) -> (ServiceStats, ServiceStats) {
+) -> (ServiceStats, ServiceStats, u64) {
     let _ = std::fs::remove_dir_all(dir);
     let snapshot = SearchSnapshot::build(
         mixed.initial.clone(),
-        opts.config.clone(),
+        InterpreterConfig::default(),
         opts.max_joins,
         opts.max_templates,
     )
@@ -552,9 +555,13 @@ pub fn replay_durable(
         .expect("fresh durable directory");
     let batches = mixed.counts().1;
     let mid = batches.div_ceil(2);
+    let mut checkpoint_bytes = 0;
     let at_crash = replay_mixed(&service, &mixed.ops, k, |n| {
         if n == mid {
-            service.checkpoint().expect("checkpoint succeeds");
+            checkpoint_bytes = service
+                .checkpoint()
+                .expect("checkpoint succeeds")
+                .snapshot_bytes;
         }
     });
     drop(service); // the crash: all in-memory state is gone
@@ -569,7 +576,7 @@ pub fn replay_durable(
         "unexpected replay"
     );
     let _ = std::fs::remove_dir_all(dir);
-    (at_crash, recovered)
+    (at_crash, recovered, checkpoint_bytes)
 }
 
 // ---------------------------------------------------------------------------

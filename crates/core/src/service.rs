@@ -91,11 +91,11 @@
 //! 4. **Apply** to copies of the published store. One store clones its
 //!    [`Database`] and [`InvertedIndex`] — the one O(database) step of a
 //!    write, outside the lock readers pin through (making it O(batch) is
-//!    ROADMAP Open item 3) — and runs `apply_batch`: `insert_batch`, then an
-//!    `index_batch` posting splice whose online stats keep ATF/IDF
-//!    *bit-identical* to a rebuild (`textindex/tests/incremental.rs`);
-//!    recovery replays through the same helper. A partition clones only the
-//!    touched shards' rows plus its index and placement table.
+//!    ROADMAP Open item 3) — then runs `insert_batch` and an `index_batch`
+//!    posting splice whose online stats keep ATF/IDF *bit-identical* to a
+//!    rebuild (`textindex/tests/incremental.rs`); that identity is what lets
+//!    recovery replay rows only and build the index once. A partition clones
+//!    only the touched shards' rows plus its index and placement table.
 //! 5. **Publish** the next [`SnapshotEpoch`] under one fresh cache
 //!    generation and count it once (`epoch_swaps`, `stale_evictions`,
 //!    `rows_ingested`, `shard_epoch_swaps`). The catalog transfers
@@ -126,15 +126,18 @@
 //!
 //! A service started with [`SearchService::start_durable`] (or recovered
 //! with [`SearchService::open`]) survives process death; it serves one store
-//! (a durable partition needs a checkpoint format for K stores). Every
-//! accepted batch is fsynced to the WAL *before* its epoch is published;
-//! [`SearchService::checkpoint`] folds the log into an atomic `snapshot.kb`
-//! and truncates it. Recovery loads the snapshot, replays the WAL tail
-//! (discarding a torn final record), rebuilds the catalog under the
-//! [`DurableOptions`] the store was started with (`start_durable` refuses a
-//! snapshot built under others), and serves the newest durable epoch — the
-//! kill-matrix histories kill the service at every [`FaultPoint`] and hold
-//! recovered answers to a never-crashed oracle.
+//! (a durable partition is ROADMAP item 2(a)). Every accepted batch is
+//! fsynced to the WAL *before* its epoch is published;
+//! [`SearchService::checkpoint`] writes the epoch's rows — only the rows — to
+//! an atomic `snapshot.kb` and truncates the log. Recovery decodes the rows,
+//! replays the WAL tail (discarding a torn final record), then derives the
+//! rest: the index by one `InvertedIndex::build`, the catalog under the
+//! [`DurableOptions`] the store was started with, the default interpreter
+//! configuration. `start_durable` refuses a snapshot whose index, catalog or
+//! configuration would not come back that way. The kill-matrix histories
+//! kill the service at every [`FaultPoint`] and hold recovered answers to a
+//! never-crashed oracle. The format, the write path and the recovery steps
+//! are `core/wal.rs`'s module docs.
 
 use crate::construct::{ConstructionOption, ConstructionSession, SessionConfig};
 use crate::exec::{ExecCache, ExecutedResult, Executor, SharedExecCache};
@@ -296,22 +299,6 @@ impl ServingState {
     }
 }
 
-/// The apply step of the write path: insert `batch` into `db` (atomically —
-/// [`Database::insert_batch`] validates before it stores) and splice the new
-/// rows into `index`. Live ingest runs it on a clone of the published store,
-/// recovery on the store it is rebuilding, so replay and ingest cannot
-/// diverge. Returns the number of rows inserted.
-fn apply_batch(
-    db: &mut Database,
-    index: &mut InvertedIndex,
-    batch: &RowBatch,
-) -> Result<usize, BatchError> {
-    let ids = db.insert_batch(batch)?;
-    let inserted: Vec<(TableId, RowId)> = batch.iter().map(|(table, _)| *table).zip(ids).collect();
-    index.index_batch(db, &inserted);
-    Ok(inserted.len())
-}
-
 /// Why an [`SearchService::ingest`] was refused.
 #[derive(Debug)]
 pub enum IngestError {
@@ -464,18 +451,18 @@ impl From<BatchError> for ServiceError {
 /// Configuration of a durable service directory. The same options passed to
 /// [`SearchService::start_durable`] must be passed to every later
 /// [`SearchService::open`] of that directory: the snapshot file persists
-/// database and index, but the template catalog and interpreter
-/// configuration are derived state rebuilt at open time, and recovered
-/// answers are only byte-identical to the original's under the same bounds.
-/// `start_durable` therefore refuses a snapshot whose catalog or
-/// configuration these options would not rebuild.
+/// only the rows, and the index, the template catalog and the interpreter
+/// configuration are rebuilt at open — the index by `InvertedIndex::build`,
+/// the catalog under these bounds, the configuration as
+/// [`InterpreterConfig::default`]. Recovered answers are byte-identical to the
+/// original's only if all three come back the same, so `start_durable`
+/// refuses a snapshot whose index, catalog or configuration reopen would not
+/// rebuild.
 #[derive(Debug, Clone)]
 pub struct DurableOptions {
     /// Checkpoint automatically after this many ingested batches
     /// (0 = manual [`SearchService::checkpoint`] only).
     pub checkpoint_every: usize,
-    /// Interpreter configuration of the serving snapshot.
-    pub config: InterpreterConfig,
     /// Catalog enumeration bound: maximum joins per template.
     pub max_joins: usize,
     /// Catalog enumeration bound: maximum number of templates.
@@ -486,7 +473,6 @@ impl Default for DurableOptions {
     fn default() -> Self {
         DurableOptions {
             checkpoint_every: 0,
-            config: InterpreterConfig::default(),
             max_joins: 3,
             max_templates: 50_000,
         }
@@ -564,13 +550,7 @@ impl Durability {
             .store
             .one()
             .expect("a durable service serves one store");
-        let bytes = write_snapshot_file(
-            &self.dir,
-            state.epoch.0,
-            &snap.db,
-            &snap.index,
-            &self.faults,
-        )?;
+        let bytes = write_snapshot_file(&self.dir, state.epoch.0, &snap.db, &self.faults)?;
         if self.faults.fire(FaultPoint::PostCheckpointPreTruncate) {
             // The snapshot landed but the log still holds its records —
             // recovery must skip them instead of applying them twice.
@@ -738,13 +718,13 @@ pub struct SessionAnswers {
 /// pinned at open time. The pinned `Arc` keeps the whole epoch alive —
 /// snapshot *and* cache generation — so a session keeps answering from the
 /// database version its user has been winnowing, across any number of
-/// concurrent ingests (snapshot isolation at session granularity). The
-/// per-session [`ExecCache`] persists across window refreshes and falls
-/// through to the pinned epoch's shared tier.
+/// concurrent ingests (snapshot isolation at session granularity). A slot
+/// keeps no execution cache of its own: every window refresh runs through the
+/// pinned epoch's shared tier, which holds the runs earlier refreshes did
+/// (unless their stripe was full).
 struct SessionSlot {
     state: Arc<ServingState>,
     session: ConstructionSession,
-    exec_cache: ExecCache,
 }
 
 /// Registry bound — the registry's only abandonment policy. Every slot pins
@@ -981,9 +961,10 @@ impl SearchService {
     /// WAL-logged and fsynced before its epoch is published, so the served
     /// state survives process death — reopen with [`Self::open`] and the
     /// same `opts`. Refuses, before writing anything, a directory that
-    /// already holds a store and a snapshot whose catalog or interpreter
-    /// configuration `opts` would not rebuild at reopen
-    /// ([`DurabilityError::Corrupt`] naming the mismatch).
+    /// already holds a store, and a snapshot whose catalog, interpreter
+    /// configuration or index reopen would not rebuild from its rows
+    /// ([`DurabilityError::Corrupt`] naming the mismatch): the catalog under
+    /// `opts`, the default configuration, and `InvertedIndex::build`.
     ///
     /// Prefer [`ServiceBuilder`] with [`ServiceBuilder::durable`].
     pub fn start_durable(
@@ -1005,11 +986,15 @@ impl SearchService {
                 rebuilt.len()
             )));
         }
-        if snapshot.config != opts.config {
+        if snapshot.config != InterpreterConfig::default() {
             return Err(DurabilityError::Corrupt(
-                "the snapshot's interpreter config differs from DurableOptions::config, \
-                 which reopen serves under"
+                "the snapshot's interpreter config is not the default one reopen serves under"
                     .into(),
+            ));
+        }
+        if snapshot.index != InvertedIndex::build(&snapshot.db) {
+            return Err(DurabilityError::Corrupt(
+                "the snapshot's index is not the one reopen builds from its rows".into(),
             ));
         }
         std::fs::create_dir_all(dir)
@@ -1021,7 +1006,7 @@ impl SearchService {
             )));
         }
         let faults = Arc::new(FaultPlan::new());
-        write_snapshot_file(dir, 0, &snapshot.db, &snapshot.index, &faults)?;
+        write_snapshot_file(dir, 0, &snapshot.db, &faults)?;
         let wal = Wal::create(dir)?;
         let durability = Durability::fresh(dir.to_path_buf(), wal, faults, opts.checkpoint_every);
         let store = Store::One(snapshot);
@@ -1034,13 +1019,15 @@ impl SearchService {
         ))
     }
 
-    /// Recover a durable service from `dir`: load the latest checkpoint,
-    /// replay the WAL tail past the checkpoint's epoch (a torn final record
-    /// is discarded, never partially applied — [`Database::insert_batch`]
-    /// atomicity is the replay unit), rebuild the catalog under `opts`, and
-    /// serve the newest durable epoch. Records at or below the checkpoint
-    /// epoch are skipped, so the post-checkpoint / pre-truncate crash window
-    /// never double-applies a batch.
+    /// Recover a durable service from `dir`: decode the latest checkpoint's
+    /// rows, replay the WAL tail past the checkpoint's epoch (a torn final
+    /// record is discarded, never partially applied —
+    /// [`Database::insert_batch`] atomicity is the replay unit), build the
+    /// index over the recovered rows once, enumerate the catalog under
+    /// `opts`, and serve the newest durable epoch under the default
+    /// interpreter configuration. Records at or below the checkpoint epoch
+    /// are skipped, so the post-checkpoint / pre-truncate crash window never
+    /// double-applies a batch.
     ///
     /// Prefer [`ServiceBuilder`] with [`ServiceBuilder::durable`] and
     /// [`ServiceBuilder::open`].
@@ -1049,7 +1036,7 @@ impl SearchService {
         workers: usize,
         opts: &DurableOptions,
     ) -> Result<Self, DurabilityError> {
-        let (snap_epoch, mut db, mut index) = read_snapshot_file(dir)?;
+        let (snap_epoch, mut db) = read_snapshot_file(dir)?;
         let scan = scan_wal(dir)?;
         let mut epoch = snap_epoch;
         let mut replayed = 0usize;
@@ -1065,15 +1052,17 @@ impl SearchService {
             }
             // A logged batch was validated before it was appended, so a
             // rejection here means the snapshot and log disagree.
-            apply_batch(&mut db, &mut index, batch).map_err(|e| {
+            db.insert_batch(batch).map_err(|e| {
                 DurabilityError::Corrupt(format!("WAL batch for epoch {seq} rejected: {e}"))
             })?;
             epoch = *seq;
             replayed += 1;
         }
+        let index = InvertedIndex::build(&db);
         let catalog = TemplateCatalog::enumerate(&db, opts.max_joins, opts.max_templates)
             .map_err(|e| DurabilityError::Corrupt(format!("catalog enumeration failed: {e}")))?;
-        let snapshot = Arc::new(SearchSnapshot::new(db, index, catalog, opts.config.clone()));
+        let config = InterpreterConfig::default();
+        let snapshot = Arc::new(SearchSnapshot::new(db, index, catalog, config));
         let wal = if scan.header_valid {
             Wal::open_at(dir, scan.good_len)?
         } else {
@@ -1172,8 +1161,12 @@ impl SearchService {
             Store::One(snap) => {
                 let mut db = snap.db.clone();
                 let mut index = snap.index.clone();
-                apply_batch(&mut db, &mut index, batch)
+                let ids = db
+                    .insert_batch(batch)
                     .expect("batch validated against the store it is applied to");
+                let inserted: Vec<(TableId, RowId)> =
+                    batch.iter().map(|(table, _)| *table).zip(ids).collect();
+                index.index_batch(&db, &inserted);
                 let next =
                     SearchSnapshot::new(db, index, snap.catalog.clone(), snap.config.clone());
                 (Store::One(Arc::new(next)), 0)
@@ -1285,7 +1278,6 @@ impl SearchService {
         let interpreter = state.store.interpreter();
         let (ranked, _) = interpreter.top_k_with_cache(query, window, false, &mut gen_cache);
         let session = ConstructionSession::new(state.store.catalog(), &ranked, config);
-        let exec_cache = ExecCache::with_shared(Arc::clone(&state.exec));
         let id = self.next_session.fetch_add(1, Ordering::Relaxed);
         let view = Self::view_of(id, &state, &session);
         let mut sessions = self.sessions.lock().unwrap();
@@ -1294,14 +1286,7 @@ impl SearchService {
             sessions.remove(&oldest);
             self.sessions_evicted.fetch_add(1, Ordering::Relaxed);
         }
-        sessions.insert(
-            id,
-            Arc::new(Mutex::new(SessionSlot {
-                state,
-                session,
-                exec_cache,
-            })),
-        );
+        sessions.insert(id, Arc::new(Mutex::new(SessionSlot { state, session })));
         view
     }
 
@@ -1317,7 +1302,7 @@ impl SearchService {
     ) -> Option<SessionView> {
         let slot = self.session(id)?;
         let mut slot = slot.lock().unwrap();
-        let SessionSlot { state, session, .. } = &mut *slot;
+        let SessionSlot { state, session } = &mut *slot;
         session.apply(state.store.catalog(), option.clone(), accepted);
         Some(Self::view_of(id.0, state, session))
     }
@@ -1333,20 +1318,18 @@ impl SearchService {
 
     /// Materialize the session's current query window (at most `limit` JTTs
     /// per candidate) against its *pinned* epoch, through the store's
-    /// executor and the session's persistent execution cache (predicates
-    /// intersected once across refreshes; local misses fall through to the
-    /// pinned epoch's shared tier). Byte-identical to the cold offline
+    /// executor and a fresh execution cache over the pinned epoch's shared
+    /// tier (which holds the runs earlier refreshes did, unless their stripe
+    /// was full).
+    /// Byte-identical to the cold offline
     /// [`ConstructionSession::window_answers`] over the pinned rows.
     pub fn session_answers(&self, id: SessionId, limit: usize) -> Option<SessionAnswers> {
         let slot = self.session(id)?;
-        let mut slot = slot.lock().unwrap();
-        let SessionSlot {
-            state,
-            session,
-            exec_cache,
-        } = &mut *slot;
+        let slot = slot.lock().unwrap();
+        let SessionSlot { state, session } = &*slot;
         let interpreter = state.store.interpreter();
         let (gen_cache, base) = (&mut NonemptyCache::new(), ExecOptions::default());
+        let exec_cache = &mut ExecCache::with_shared(Arc::clone(&state.exec));
         let window = session.remaining();
         let answers = match &state.store {
             Store::One(_) => {
@@ -2459,9 +2442,9 @@ mod tests {
 
     #[test]
     fn start_durable_refuses_a_snapshot_its_options_would_not_rebuild() {
-        // Reopen rebuilds the catalog and config from the options, so a
-        // snapshot built under others would come back as a different
-        // interpretation space. Refused before a byte is written.
+        // Reopen rebuilds the catalog from the options and serves the default
+        // config, so a snapshot built under others would come back as a
+        // different interpretation space. Refused before a byte is written.
         let dir =
             std::env::temp_dir().join(format!("keybridge-service-opts-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -2480,19 +2463,56 @@ mod tests {
             max_joins: 1,
             ..DurableOptions::default()
         };
-        let other_config = DurableOptions {
-            config: InterpreterConfig {
+        let other_config = Arc::new(SearchSnapshot::new(
+            one_join.db.clone(),
+            one_join.index.clone(),
+            one_join.catalog.clone(),
+            InterpreterConfig {
                 max_interpretations: 7,
                 ..InterpreterConfig::default()
             },
-            ..matching.clone()
-        };
-        match start(&one_join, &other_config) {
+        ));
+        match start(&other_config, &matching) {
             Err(DurabilityError::Corrupt(msg)) => assert!(msg.contains("config"), "{msg}"),
-            other => panic!("a default config under max_interpretations = 7: {other:?}"),
+            other => panic!("max_interpretations = 7 under the default config: {other:?}"),
         }
         assert!(!dir.exists(), "a refused start wrote to its directory");
         start(&one_join, &matching).expect("matching options start");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn start_durable_refuses_an_index_reopen_would_not_rebuild() {
+        // The checkpoint holds only the rows and reopen builds the index from
+        // them, so an index that is not `build(db)` would not survive a
+        // crash. Refused before a byte is written, like a foreign catalog.
+        let dir =
+            std::env::temp_dir().join(format!("keybridge-service-index-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let snap = snapshot();
+        let opts = DurableOptions {
+            max_joins: 4,
+            ..DurableOptions::default()
+        };
+        // The index of a store one row longer: every part but the index is
+        // what reopen rebuilds.
+        let actor = snap.db.schema().table_id("actor").unwrap();
+        let mut more = snap.db.clone();
+        let pk = snap.db.table(actor).len() as i64 + 9500;
+        more.insert(actor, vec![Value::Int(pk), Value::text("tom stale")])
+            .unwrap();
+        let stale = Arc::new(SearchSnapshot::new(
+            snap.db.clone(),
+            InvertedIndex::build(&more),
+            snap.catalog.clone(),
+            snap.config.clone(),
+        ));
+        match SearchService::start_durable(stale, 1, &dir, &opts).map(drop) {
+            Err(DurabilityError::Corrupt(msg)) => assert!(msg.contains("index"), "{msg}"),
+            other => panic!("an index over another store: {other:?}"),
+        }
+        assert!(!dir.exists(), "a refused start wrote to its directory");
+        SearchService::start_durable(snap, 1, &dir, &opts).expect("the built index starts");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -872,7 +872,7 @@ fn joint_bitmap_and(lists: &[&TermAttrEntry], mut visit: impl FnMut(RowId, u32) 
 
 /// All postings of one term, over every attribute it occurs in.
 /// `attrs` is sorted; `postings[i]` belongs to `attrs[i]`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct TermEntry {
     attrs: Vec<AttrRef>,
     postings: Vec<TermAttrEntry>,
@@ -907,8 +907,11 @@ pub enum SchemaTarget {
     Attribute(AttrRef),
 }
 
-/// Inverted index over every text attribute of a database.
-#[derive(Debug, Clone)]
+/// Inverted index over every text attribute of a database. Equality is
+/// structural: two indexes are equal when every term's packed postings, every
+/// attribute's statistics, the schema-name terms and the stopwords agree —
+/// everything the index's snapshot codec writes.
+#[derive(Debug, Clone, PartialEq)]
 pub struct InvertedIndex {
     /// term -> attribute-sorted postings.
     dict: HashMap<String, TermEntry>,

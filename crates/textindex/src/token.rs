@@ -16,7 +16,7 @@ const DEFAULT_STOPWORDS: &[&str] = &[
 ];
 
 /// A configurable tokenizer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tokenizer {
     stopwords: HashSet<String>,
 }

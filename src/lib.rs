@@ -109,9 +109,10 @@
 //! process death: every accepted batch is appended to a CRC-framed
 //! write-ahead log and fsynced *before* its epoch is published,
 //! [`core::SearchService::checkpoint`] folds the log into an atomically
-//! replaced, checksummed snapshot file, and [`core::SearchService::open`]
-//! recovers the newest durable epoch — replaying the log tail and
-//! discarding a torn final record. Recovered answers are byte-identical to
+//! replaced, checksummed snapshot file that holds only the rows, and
+//! [`core::SearchService::open`] recovers the newest durable epoch —
+//! replaying the log tail, discarding a torn final record, and building the
+//! index from the recovered rows. Recovered answers are byte-identical to
 //! a never-crashed service's (the `crash_equivalence_*` histories in
 //! `tests/serving` prove this at every injected kill point); `examples/quickstart.rs` §8 walks the
 //! checkpoint → crash → reopen cycle.

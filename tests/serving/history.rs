@@ -144,7 +144,6 @@ impl Fixture {
     fn durable_opts(&self) -> DurableOptions {
         DurableOptions {
             checkpoint_every: 0,
-            config: InterpreterConfig::default(),
             max_joins: self.max_joins,
             max_templates: 50_000,
         }

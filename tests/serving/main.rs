@@ -798,7 +798,6 @@ fn torn_wal_tail_at_every_byte_recovers_prefix() {
     let catalog = TemplateCatalog::enumerate(&db, 1, 100).unwrap();
     let opts = DurableOptions {
         checkpoint_every: 0,
-        config: InterpreterConfig::default(),
         max_joins: 1,
         max_templates: 100,
     };
