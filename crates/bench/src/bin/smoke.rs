@@ -673,6 +673,7 @@ fn serve_phases(
         field("serve_queries", queries.len()),
         field("div_pool_items", div.pool_items),
         field("div_selected", div.selected),
+        field("div_selection_digest", div.selection_digest),
         field("div_warm_executed", div.warm_executed),
         field("ranking_hits", div.warm_ranking_hits),
         field("ingest_rows", ingest.rows_ingested),

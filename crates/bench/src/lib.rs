@@ -444,6 +444,11 @@ pub struct DiversifiedReplay {
     pub pool_items: usize,
     /// Selected answers, summed over the first pass's replies.
     pub selected: usize,
+    /// The first pass's selections in reply order: 64-bit FNV-1a over each
+    /// selected answer's `pool_rank` and `relevance.to_bits()` (little
+    /// endian), folded to 32 bits so a JSON number holds it exactly. A
+    /// reordered selection or a score that moved one bit changes it.
+    pub selection_digest: u32,
     /// Fresh executions (`AnswerStats::executed`), summed over the second
     /// pass's replies: what a warm service still executes for a query it
     /// has already diversified in this epoch.
@@ -452,6 +457,28 @@ pub struct DiversifiedReplay {
     /// (`ServiceStats::ranking_hits`): one per query when a warm service
     /// generates nothing for a query it has already diversified.
     pub warm_ranking_hits: usize,
+}
+
+/// 64-bit FNV-1a.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash's two halves xor-ed together.
+    fn fold32(&self) -> u32 {
+        (self.0 ^ (self.0 >> 32)) as u32
+    }
 }
 
 /// Replay `queries` as diversified top-k requests (Alg. 4.1), one at a time,
@@ -476,15 +503,21 @@ pub fn replay_diversified(
         })
     };
     let (mut pool_items, mut selected) = (0, 0);
+    let mut digest = Fnv1a::default();
     for reply in pass() {
         pool_items += reply.pool;
         selected += reply.answers.len();
+        for answer in &reply.answers {
+            digest.write(&(answer.pool_rank as u64).to_le_bytes());
+            digest.write(&answer.relevance.to_bits().to_le_bytes());
+        }
     }
     let ranking_hits = service.service_stats().ranking_hits;
     let warm_executed = pass().map(|reply| reply.stats.executed).sum();
     DiversifiedReplay {
         pool_items,
         selected,
+        selection_digest: digest.fold32(),
         warm_executed,
         warm_ranking_hits: service.service_stats().ranking_hits - ranking_hits,
     }

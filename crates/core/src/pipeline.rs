@@ -92,6 +92,72 @@
 //! the result-invariant shared cache tier, and cached results that carry
 //! more JTTs than asked for (complete runs, or runs at a larger limit) are
 //! truncated back to the request's limit before a stage observes them.
+//!
+//! ## Hot path 5: the served modes
+//!
+//! **Diversified top-k** (Alg. 4.1, §4.4). The pool is the best `pool`
+//! complete and partial interpretations, executed to at most `cap` JTTs
+//! each, empty ones dropped. The algorithm lives here so the service can run
+//! it; `keybridge_divq` re-exports it and keeps the offline
+//! `executed_div_pool(DivExecOptions)` oracle. Each pool item's atom set is
+//! derived once, its key set is the executed result's own `Arc` unless the
+//! cap cut the result, and a [`DiversifiedAnswer`] shares the pick's
+//! interpretation, atoms and keys. The atom sets are still derived per
+//! request, with one `String` per keyword. The greedy λ-weighted
+//! relevance/novelty selection, [`diversify`], runs on interned atom ids:
+//! one bitset per item and one running similarity sum per candidate, whose
+//! scores keep the bits the per-pair set walk gives them (its docs say why);
+//! `tests/properties.rs` holds it to that walk, kept there verbatim, on
+//! random pools (several bitset words, empty atom sets, exact relevance
+//! ties, every `k`) and on the real pools of all four fixtures' logs.
+//!
+//! **Session windows** (Alg. 3.2). `ConstructionOption` and
+//! `ConstructionSession` live in `core::construct`, catalog-free so a
+//! service can hold them; `iqp` keeps the evaluation harness on top. The
+//! window holds the ranking's `Arc<QueryInterpretation>`s, and
+//! `next_option` scans options borrowed from the atom cache and copies only
+//! the one it proposes. Still copied: each candidate's atom list at
+//! `open_session`, and a window result that a cache served with more JTTs
+//! than the limit, which `truncate_result` rebuilds on every
+//! `session_answers`.
+//!
+//! **Serving.** Every `Request` arm is served by the one `serve_request`
+//! (`core/service.rs`) on a `WorkerPool` thread: pin the current
+//! generation, run the pipeline over that generation's interpreter,
+//! shared-cache handles and executor, `catch_unwind` per arm, stamp the
+//! completion after the reply is computed. So `Request::Diversified {
+//! query, opts }` runs through the epoch's shared caches on either store.
+//! The session registry (`open_session` / `advance_session` /
+//! `session_answers` / `close_session`) pins each session to the
+//! `Arc<ServingState>` of the epoch it was opened on, snapshot *and* cache
+//! generation, so a user's construction window is snapshot-isolated from
+//! concurrent `ingest`s: its answers keep reporting the pinned epoch after
+//! any number of swaps, and a fresh session pins the new one. That holds on
+//! either store (`session_answers` runs the window through the store's
+//! executor).
+//!
+//! **The byte-identity spine.** A shared hit at a larger limit (a complete
+//! run, or a run that stopped at a larger limit) can carry more JTTs than a
+//! limited request, so limit-sensitive stages truncate it back with
+//! `truncate_result`; truncation after full reduction preserves the
+//! enumeration order, so the prefix equals a fresh limited run. The serving
+//! suite's `diversified_identical_*` and `session_identical_*` histories
+//! (`tests/serving`) assert that warm, contended diversified replies,
+//! session views and window answers are byte-identical (score bits
+//! included) to the cold `divq` / `iqp` oracles on all four fixtures, and
+//! `stress_sessions_pinned_across_epoch_swaps` races all three request
+//! modes from 8 clients against a writer swapping epochs: every reply must
+//! match the oracle of exactly the epoch it reports, and pinned sessions
+//! keep answering from their pinned epoch. `smoke --serve` replays the log
+//! as diversified requests and records `div_pool_items`, `div_selected` and
+//! `div_selection_digest` (an FNV-1a of every selected answer's pool rank
+//! and relevance bits, in reply order) into `BENCH_baseline.json`, pure
+//! functions of data and log held to equality by `smoke --check`. It then
+//! replays the log again on the same warm service and records that pass's
+//! fresh executions as `div_warm_executed`, 0 because every run the first
+//! pass made, limited ones included, is shared. What the mode costs is
+//! kbench's `div_p95_ms`, `core.pipeline.diversified_p50_ms` and
+//! `core.pipeline.diversify_select_ms`.
 
 use crate::exec::{
     prefix_keys, truncate_result, ExecCache, ExecutedResult, Executor, LocalExecutor, ResultKey,
@@ -724,6 +790,20 @@ impl Default for DiversifyConfig {
 /// λ-weighting (the note under Eq. 4.4), and the scan for each next element
 /// stops early once `best_score > λ · relevance(L[j])` can no longer be
 /// beaten — the upper-bound pruning of the paper's pseudo-code.
+///
+/// The selection runs on interned atoms: each distinct atom of the pool
+/// gets an id (its rank in [`BindingAtom`] order) and each item a bitset of
+/// `u64` words, as many as the pool's atoms need, so a Jaccard coefficient
+/// is `popcount(a & b)` over `|a| + |b| − popcount(a & b)` — the two
+/// integers [`jaccard`] divides, so the same `f64`, with two empty sets
+/// still 1.0. Each candidate keeps a running sum of its similarity to the
+/// selected items: every greedy step adds `jac(chosen, j)` to each
+/// still-available `j`. Those are the additions, in the same (selection)
+/// order, that summing over the selected items afresh per candidate per
+/// step makes, so every score keeps its bits and the selection is the one
+/// the per-pair set walk makes, while the Jaccard work per call falls from
+/// O(k·n·|S|) set walks to O(n² + k·n) word operations. The bitsets and
+/// the sums share one scratch buffer.
 pub fn diversify(items: &[DivItem], cfg: DiversifyConfig) -> Vec<usize> {
     let n = items.len();
     if n == 0 || cfg.k == 0 {
@@ -733,6 +813,46 @@ pub fn diversify(items: &[DivItem], cfg: DiversifyConfig) -> Vec<usize> {
         items.windows(2).all(|w| w[0].relevance >= w[1].relevance),
         "items must be sorted by relevance descending"
     );
+    let target = cfg.k.min(n);
+    if target == 1 {
+        return vec![0]; // the most relevant item always leads
+    }
+
+    // Intern: the pool's (atom, item) pairs in `BindingAtom` order; an
+    // atom's id is the index of its run of equal atoms.
+    let mut pairs: Vec<(&BindingAtom, usize)> =
+        Vec::with_capacity(items.iter().map(|i| i.atoms.len()).sum());
+    for (i, item) in items.iter().enumerate() {
+        pairs.extend(item.atoms.iter().map(|atom| (atom, i)));
+    }
+    pairs.sort_unstable_by(|x, y| x.0.cmp(y.0));
+    let distinct = pairs.chunk_by(|x, y| x.0 == y.0).count();
+    // Item i's bitset is the `words` words from `i * words`; after the
+    // bitsets, one word per item holds its running similarity sum (as `f64`
+    // bits), or `TAKEN` once it is selected.
+    const TAKEN: u64 = u64::MAX; // a NaN: no sum of coefficients has these bits
+    let words = distinct.div_ceil(64);
+    let mut scratch = vec![0u64; n * (words + 1)];
+    let (bits, sums) = scratch.split_at_mut(n * words);
+    for (id, run) in pairs.chunk_by(|x, y| x.0 == y.0).enumerate() {
+        for &(_, i) in run {
+            bits[i * words + id / 64] |= 1 << (id % 64);
+        }
+    }
+    let bits: &[u64] = bits;
+    let jac = |a: usize, b: usize| {
+        let (len_a, len_b) = (items[a].atoms.len(), items[b].atoms.len());
+        if len_a == 0 && len_b == 0 {
+            return 1.0;
+        }
+        let (bits_a, bits_b) = (&bits[a * words..][..words], &bits[b * words..][..words]);
+        let inter: usize = bits_a
+            .iter()
+            .zip(bits_b)
+            .map(|(x, y)| (x & y).count_ones() as usize)
+            .sum();
+        inter as f64 / (len_a + len_b - inter) as f64
+    };
 
     // Normalization to equal means. Mean similarity is estimated over all
     // pairs of the candidate list (the population the selection draws from).
@@ -741,7 +861,7 @@ pub fn diversify(items: &[DivItem], cfg: DiversifyConfig) -> Vec<usize> {
     let mut sim_cnt = 0usize;
     for i in 0..n {
         for j in (i + 1)..n {
-            sim_sum += jaccard(&items[i].atoms, &items[j].atoms);
+            sim_sum += jac(i, j);
             sim_cnt += 1;
         }
     }
@@ -754,33 +874,43 @@ pub fn diversify(items: &[DivItem], cfg: DiversifyConfig) -> Vec<usize> {
     let sim_scale = if mean_sim > 0.0 { 1.0 / mean_sim } else { 1.0 };
 
     let lambda = cfg.lambda;
-    let mut selected: Vec<usize> = vec![0]; // most relevant always first
-    let mut available: Vec<usize> = (1..n).collect();
+    let mut selected: Vec<usize> = Vec::with_capacity(target);
+    selected.push(0); // most relevant always first
+    sums[0] = TAKEN;
+    for (j, sum) in sums.iter_mut().enumerate().skip(1) {
+        *sum = jac(0, j).to_bits();
+    }
 
-    while selected.len() < cfg.k.min(n) {
+    while selected.len() < target {
         let mut best_score = f64::NEG_INFINITY;
-        let mut best_pos = 0usize;
-        for (pos, &j) in available.iter().enumerate() {
+        // The first available candidate unless a later one scores higher.
+        let mut best = None;
+        for j in (1..n).filter(|&j| sums[j] != TAKEN) {
+            best.get_or_insert(j);
             let rel = items[j].relevance * rel_scale;
             // Upper bound: diversity penalty is ≥ 0, so score(j) ≤ λ·rel(j).
-            // `available` is relevance-sorted, so once the bound falls below
+            // Candidates are relevance-sorted, so once the bound falls below
             // the incumbent nothing later can win.
             if best_score > lambda * rel {
                 break;
             }
-            let avg_sim = selected
-                .iter()
-                .map(|&s| jaccard(&items[s].atoms, &items[j].atoms))
-                .sum::<f64>()
-                / selected.len() as f64;
+            let avg_sim = f64::from_bits(sums[j]) / selected.len() as f64;
             let score = lambda * rel - (1.0 - lambda) * avg_sim * sim_scale;
             if score > best_score {
                 best_score = score;
-                best_pos = pos;
+                best = Some(j);
             }
         }
-        let chosen = available.remove(best_pos);
+        let chosen = best.expect("fewer than n items are selected");
+        sums[chosen] = TAKEN;
         selected.push(chosen);
+        if selected.len() < target {
+            for (j, sum) in sums.iter_mut().enumerate() {
+                if *sum != TAKEN {
+                    *sum = (f64::from_bits(*sum) + jac(chosen, j)).to_bits();
+                }
+            }
+        }
     }
     selected
 }

@@ -128,13 +128,15 @@
 //! with [`SearchService::open`]) survives process death; it serves one store
 //! (a durable partition is ROADMAP item 2(a)). Every accepted batch is
 //! fsynced to the WAL *before* its epoch is published;
-//! [`SearchService::checkpoint`] writes the epoch's rows — only the rows — to
-//! an atomic `snapshot.kb` and truncates the log. Recovery decodes the rows,
-//! replays the WAL tail (discarding a torn final record), then derives the
-//! rest: the index by one `InvertedIndex::build`, the catalog under the
-//! [`DurableOptions`] the store was started with, the default interpreter
-//! configuration. `start_durable` refuses a snapshot whose index, catalog or
-//! configuration would not come back that way. The kill-matrix histories
+//! [`SearchService::checkpoint`] writes the epoch's rows — nothing derived —
+//! and the catalog bounds of the [`DurableOptions`] the store was started
+//! with to an atomic `snapshot.kb`, and truncates the log. Recovery decodes
+//! the rows, replays the WAL tail (discarding a torn final record), then
+//! derives the rest: the index by one `InvertedIndex::build`, the catalog
+//! under the recorded bounds, the default interpreter configuration.
+//! `start_durable` refuses a snapshot whose index, catalog or configuration
+//! would not come back that way, and `open` refuses bounds other than the
+//! recorded ones. The kill-matrix histories
 //! kill the service at every [`FaultPoint`] and hold recovered answers to a
 //! never-crashed oracle. The format, the write path and the recovery steps
 //! are `core/wal.rs`'s module docs.
@@ -150,8 +152,8 @@ use crate::pipeline::{DiversifiedAnswer, DiversifyOptions, QueryPipeline};
 use crate::sharded::Partition;
 use crate::template::TemplateCatalog;
 use crate::wal::{
-    read_snapshot_file, scan_wal, write_snapshot_file, DurabilityError, FaultPlan, FaultPoint, Wal,
-    SNAPSHOT_FILE,
+    read_snapshot_file, scan_wal, write_snapshot_file, CatalogBounds, DurabilityError, FaultPlan,
+    FaultPoint, Wal, SNAPSHOT_FILE,
 };
 use keybridge_index::InvertedIndex;
 use keybridge_relstore::{
@@ -451,13 +453,14 @@ impl From<BatchError> for ServiceError {
 /// Configuration of a durable service directory. The same options passed to
 /// [`SearchService::start_durable`] must be passed to every later
 /// [`SearchService::open`] of that directory: the snapshot file persists
-/// only the rows, and the index, the template catalog and the interpreter
-/// configuration are rebuilt at open — the index by `InvertedIndex::build`,
-/// the catalog under these bounds, the configuration as
-/// [`InterpreterConfig::default`]. Recovered answers are byte-identical to the
-/// original's only if all three come back the same, so `start_durable`
-/// refuses a snapshot whose index, catalog or configuration reopen would not
-/// rebuild.
+/// the rows and the catalog bounds, and the index, the template catalog and
+/// the interpreter configuration are rebuilt at open — the index by
+/// `InvertedIndex::build`, the catalog under these bounds, the configuration
+/// as [`InterpreterConfig::default`]. Recovered answers are byte-identical
+/// to the original's only if all three come back the same, so
+/// `start_durable` refuses a snapshot whose index, catalog or configuration
+/// reopen would not rebuild, and `open` refuses bounds other than the ones
+/// the snapshot file records.
 #[derive(Debug, Clone)]
 pub struct DurableOptions {
     /// Checkpoint automatically after this many ingested batches
@@ -467,6 +470,13 @@ pub struct DurableOptions {
     pub max_joins: usize,
     /// Catalog enumeration bound: maximum number of templates.
     pub max_templates: usize,
+}
+
+impl DurableOptions {
+    /// The catalog bounds a checkpoint records: `(max_joins, max_templates)`.
+    fn bounds(&self) -> CatalogBounds {
+        (self.max_joins, self.max_templates)
+    }
 }
 
 impl Default for DurableOptions {
@@ -502,6 +512,9 @@ struct Durability {
     poisoned: AtomicBool,
     /// Auto-checkpoint threshold in batches (0 disables the trigger).
     checkpoint_every: usize,
+    /// The catalog bounds every checkpoint records, so `open` can refuse
+    /// others.
+    bounds: CatalogBounds,
     batches_since_checkpoint: AtomicUsize,
     wal_batches: AtomicUsize,
     wal_bytes: AtomicU64,
@@ -512,13 +525,14 @@ struct Durability {
 }
 
 impl Durability {
-    fn fresh(dir: PathBuf, wal: Wal, faults: Arc<FaultPlan>, checkpoint_every: usize) -> Self {
+    fn fresh(dir: PathBuf, wal: Wal, faults: Arc<FaultPlan>, opts: &DurableOptions) -> Self {
         Durability {
             dir,
             wal: Mutex::new(wal),
             faults,
             poisoned: AtomicBool::new(false),
-            checkpoint_every,
+            checkpoint_every: opts.checkpoint_every,
+            bounds: opts.bounds(),
             batches_since_checkpoint: AtomicUsize::new(0),
             wal_batches: AtomicUsize::new(0),
             wal_bytes: AtomicU64::new(0),
@@ -550,7 +564,8 @@ impl Durability {
             .store
             .one()
             .expect("a durable service serves one store");
-        let bytes = write_snapshot_file(&self.dir, state.epoch.0, &snap.db, &self.faults)?;
+        let (epoch, bounds) = (state.epoch.0, self.bounds);
+        let bytes = write_snapshot_file(&self.dir, epoch, bounds, &snap.db, &self.faults)?;
         if self.faults.fire(FaultPoint::PostCheckpointPreTruncate) {
             // The snapshot landed but the log still holds its records —
             // recovery must skip them instead of applying them twice.
@@ -1006,9 +1021,9 @@ impl SearchService {
             )));
         }
         let faults = Arc::new(FaultPlan::new());
-        write_snapshot_file(dir, 0, &snapshot.db, &faults)?;
+        write_snapshot_file(dir, 0, opts.bounds(), &snapshot.db, &faults)?;
         let wal = Wal::create(dir)?;
-        let durability = Durability::fresh(dir.to_path_buf(), wal, faults, opts.checkpoint_every);
+        let durability = Durability::fresh(dir.to_path_buf(), wal, faults, opts);
         let store = Store::One(snapshot);
         Ok(Self::start_inner(
             store,
@@ -1027,7 +1042,8 @@ impl SearchService {
     /// `opts`, and serve the newest durable epoch under the default
     /// interpreter configuration. Records at or below the checkpoint epoch
     /// are skipped, so the post-checkpoint / pre-truncate crash window never
-    /// double-applies a batch.
+    /// double-applies a batch. Bounds in `opts` other than the ones the
+    /// checkpoint records are [`DurabilityError::Corrupt`], naming both.
     ///
     /// Prefer [`ServiceBuilder`] with [`ServiceBuilder::durable`] and
     /// [`ServiceBuilder::open`].
@@ -1036,7 +1052,18 @@ impl SearchService {
         workers: usize,
         opts: &DurableOptions,
     ) -> Result<Self, DurabilityError> {
-        let (snap_epoch, mut db) = read_snapshot_file(dir)?;
+        let (snap_epoch, bounds, mut db) = read_snapshot_file(dir)?;
+        if bounds != opts.bounds() {
+            return Err(DurabilityError::Corrupt(format!(
+                "{} was started under max_joins = {}, max_templates = {}, and cannot be \
+                 reopened under max_joins = {}, max_templates = {}: its catalog would differ",
+                dir.display(),
+                bounds.0,
+                bounds.1,
+                opts.max_joins,
+                opts.max_templates
+            )));
+        }
         let scan = scan_wal(dir)?;
         let mut epoch = snap_epoch;
         let mut replayed = 0usize;
@@ -1069,8 +1096,7 @@ impl SearchService {
             Wal::create(dir)?
         };
         let faults = Arc::new(FaultPlan::new());
-        let mut durability =
-            Durability::fresh(dir.to_path_buf(), wal, faults, opts.checkpoint_every);
+        let mut durability = Durability::fresh(dir.to_path_buf(), wal, faults, opts);
         durability.recovery_replayed = replayed;
         let store = Store::One(snapshot);
         Ok(Self::start_inner(
@@ -2513,6 +2539,46 @@ mod tests {
         }
         assert!(!dir.exists(), "a refused start wrote to its directory");
         SearchService::start_durable(snap, 1, &dir, &opts).expect("the built index starts");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_refuses_bounds_the_checkpoint_does_not_record() {
+        // Reopen enumerates the catalog under the bounds it is handed; under
+        // others than the store was started with it would serve another
+        // interpretation space (13 templates instead of 59 here) at the same
+        // epoch. The checkpoint records the bounds, and open refuses others.
+        let dir =
+            std::env::temp_dir().join(format!("keybridge-service-bounds-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let data = ImdbDataset::generate(ImdbConfig::tiny(1)).unwrap();
+        let defaults = DurableOptions::default();
+        let snap = SearchSnapshot::build(data.db, InterpreterConfig::default(), 3, 50_000);
+        let snap = Arc::new(snap.unwrap());
+        assert_eq!(snap.catalog.len(), 59, "fixture drifted");
+        let one_join = TemplateCatalog::enumerate(&snap.db, 1, 50_000).unwrap();
+        assert_eq!(one_join.len(), 13, "fixture drifted");
+        let service = SearchService::start_durable(Arc::clone(&snap), 1, &dir, &defaults).unwrap();
+        drop(service);
+        let reopen = |max_joins, max_templates| {
+            let opts = DurableOptions {
+                max_joins,
+                max_templates,
+                ..DurableOptions::default()
+            };
+            SearchService::open(&dir, 1, &opts).map(drop)
+        };
+        for (joins, templates) in [(1, 50_000), (3, 40_000)] {
+            match reopen(joins, templates) {
+                Err(DurabilityError::Corrupt(msg)) => {
+                    let started = "max_joins = 3, max_templates = 50000";
+                    let asked = format!("max_joins = {joins}, max_templates = {templates}");
+                    assert!(msg.contains(started) && msg.contains(&asked), "{msg}");
+                }
+                other => panic!("reopened under ({joins}, {templates}): {other:?}"),
+            }
+        }
+        reopen(3, 50_000).expect("the recorded bounds reopen");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

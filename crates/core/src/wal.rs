@@ -7,18 +7,19 @@
 //! A durable service directory holds exactly two files:
 //!
 //! * `snapshot.kb` — the latest checkpoint and the only persisted copy of
-//!   the data: the magic `KBSNAP01`, the format version (2), the epoch, and
-//!   one length-prefixed, CRC-checksummed section holding the
-//!   [`Database`] snapshot (relstore's store codec). Nothing derived is
-//!   written. The inverted index is a pure function of the rows
-//!   (`InvertedIndex::build`), the template catalog a pure function of the
-//!   schema and the [`crate::DurableOptions`] bounds, and the interpreter
-//!   configuration is always the default; recovery derives all three. The
-//!   file is replaced atomically (temp file → fsync → rename → directory
-//!   sync), so it is always a complete snapshot of *some* epoch. A version-1
-//!   file (store and index sections) is refused as
-//!   `SnapshotError::UnsupportedVersion`, and bytes after the store section
-//!   as [`DurabilityError::Corrupt`].
+//!   the data: the magic `KBSNAP01`, the format version (3), the epoch, the
+//!   catalog bounds the store was started with (`max_joins`,
+//!   `max_templates`, each a `u64`), and one length-prefixed,
+//!   CRC-checksummed section holding the [`Database`] snapshot (relstore's
+//!   store codec). Nothing derived is written. The inverted index is a pure
+//!   function of the rows (`InvertedIndex::build`), the template catalog a
+//!   pure function of the schema and the recorded bounds, and the
+//!   interpreter configuration is always the default; recovery derives all
+//!   three. The file is replaced atomically (temp file → fsync → rename →
+//!   directory sync), so it is always a complete snapshot of *some* epoch.
+//!   A version-1 file (store and index sections) and a version-2 file (no
+//!   bounds) are refused as `SnapshotError::UnsupportedVersion`, and bytes
+//!   after the store section as [`DurabilityError::Corrupt`].
 //! * `wal.kb` — the write-ahead log: a magic header followed by CRC-framed
 //!   records, one per ingested batch. A record is `[len u32][crc u32][seq
 //!   u64 + encoded RowBatch]`; `seq` is the epoch the batch produces.
@@ -40,7 +41,12 @@
 //! **Recovery** ([`crate::SearchService::open`]): decode the store, replay
 //! every WAL record with seq > the snapshot's epoch through
 //! [`Database::insert_batch`], then build the index once over the recovered
-//! rows and enumerate the catalog. Skipping records at or below the epoch
+//! rows and enumerate the catalog under the recorded bounds. `open` is
+//! handed its bounds again and refuses ([`DurabilityError::Corrupt`], naming
+//! both pairs) bounds that differ from the recorded ones: a catalog
+//! enumerated under other bounds is another interpretation space, and the
+//! reopened store would answer differently from the one that crashed.
+//! Skipping records at or below the epoch
 //! covers the checkpoint-before-truncate crash window, so no batch applies
 //! twice. A sequence gap, or a logged batch the store rejects, is
 //! [`DurabilityError::Corrupt`]. [`scan_wal`] stops at the first bad frame,
@@ -82,7 +88,8 @@
 //! `recovery_s`. Quickstart §8 walks checkpoint → crash → reopen.
 
 use keybridge_relstore::snapshot::{
-    crc32, decode_batch, encode_batch, put_section, put_u32, put_u64, Cursor, SnapshotError,
+    crc32, decode_batch, encode_batch, len_u32, put_section, put_u32, put_u64, Cursor,
+    SnapshotError,
 };
 use keybridge_relstore::{Database, RowBatch};
 use std::fmt;
@@ -100,7 +107,7 @@ pub const WAL_FILE: &str = "wal.kb";
 
 const WAL_MAGIC: &[u8; 8] = b"KBWAL001";
 const SNAP_MAGIC: &[u8; 8] = b"KBSNAP01";
-const SNAP_VERSION: u32 = 2;
+const SNAP_VERSION: u32 = 3;
 const SEC_DB: u8 = 1;
 
 /// A point in the WAL/checkpoint path where the fault-injection harness can
@@ -290,7 +297,9 @@ impl Wal {
     }
 
     /// Append one record — `seq` plus the encoded batch — and fsync it.
-    /// Returns the frame size in bytes. On failure the file is rolled back
+    /// Returns the frame size in bytes. A record longer than the frame's
+    /// `u32` length field is refused as [`SnapshotError::TooLarge`] before
+    /// any byte is written. On failure the file is rolled back
     /// to the previous good length; if that rollback *itself* fails the log
     /// poisons itself and every later append returns
     /// [`DurabilityError::Poisoned`], because appending past a torn frame
@@ -309,9 +318,9 @@ impl Wal {
         let mut payload = Vec::new();
         put_u64(&mut payload, seq);
         payload.extend_from_slice(&encode_batch(batch)?);
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(&payload));
+        let header = frame_header(payload.len(), crc32(&payload))?;
+        let mut frame = Vec::with_capacity(header.len() + payload.len());
+        frame.extend_from_slice(&header);
         frame.extend_from_slice(&payload);
 
         if faults.fire(FaultPoint::MidWalAppend) {
@@ -370,6 +379,18 @@ impl Wal {
         self.good_len = header;
         Ok(())
     }
+}
+
+/// A WAL frame's header, `[len u32][crc u32]`, for a payload of `len`
+/// bytes. A length the `u32` field cannot hold is
+/// [`SnapshotError::TooLarge`], so [`Wal::append`] refuses the record before
+/// it writes a byte: a wrapped length would make the record, and every
+/// record after it, unreadable to [`scan_wal`].
+fn frame_header(len: usize, crc: u32) -> Result<[u8; 8], SnapshotError> {
+    let mut header = [0u8; 8];
+    header[..4].copy_from_slice(&len_u32("WAL record", len)?.to_le_bytes());
+    header[4..].copy_from_slice(&crc.to_le_bytes());
+    Ok(header)
 }
 
 /// Result of scanning a write-ahead log.
@@ -460,13 +481,18 @@ pub fn scan_wal(dir: &Path) -> Result<WalScan, DurabilityError> {
     })
 }
 
-/// Write `snapshot.kb` — the epoch and `db`'s rows, nothing derived —
-/// atomically: temp file, fsync, rename, best-effort directory sync. Returns
-/// the file size in bytes. The [`FaultPoint::MidCheckpoint`] hook dies
-/// halfway through the temp write, leaving the previous snapshot intact.
+/// The catalog bounds a checkpoint records: `(max_joins, max_templates)`.
+pub(crate) type CatalogBounds = (usize, usize);
+
+/// Write `snapshot.kb` — the epoch, the catalog `bounds` and `db`'s rows,
+/// nothing derived — atomically: temp file, fsync, rename, best-effort
+/// directory sync. Returns the file size in bytes. The
+/// [`FaultPoint::MidCheckpoint`] hook dies halfway through the temp write,
+/// leaving the previous snapshot intact.
 pub fn write_snapshot_file(
     dir: &Path,
     epoch: u64,
+    bounds: CatalogBounds,
     db: &Database,
     faults: &FaultPlan,
 ) -> Result<u64, DurabilityError> {
@@ -474,6 +500,8 @@ pub fn write_snapshot_file(
     out.extend_from_slice(SNAP_MAGIC);
     put_u32(&mut out, SNAP_VERSION);
     put_u64(&mut out, epoch);
+    put_u64(&mut out, bounds.0 as u64);
+    put_u64(&mut out, bounds.1 as u64);
     put_section(&mut out, SEC_DB, &db.snapshot_bytes()?);
 
     let tmp = dir.join(SNAPSHOT_TMP);
@@ -496,12 +524,13 @@ pub fn write_snapshot_file(
     Ok(out.len() as u64)
 }
 
-/// Read and decode `snapshot.kb` from `dir`, returning `(epoch, db)`; the
-/// caller derives the index and catalog from `db`. A stale `snapshot.tmp`
-/// left by a mid-checkpoint crash is deleted. A file of another format
-/// version is [`SnapshotError::UnsupportedVersion`], and bytes after the
-/// store section are [`DurabilityError::Corrupt`].
-pub fn read_snapshot_file(dir: &Path) -> Result<(u64, Database), DurabilityError> {
+/// Read and decode `snapshot.kb` from `dir`, returning `(epoch, bounds,
+/// db)`; the caller derives the index from `db` and the catalog from `db`
+/// and `bounds`. A stale `snapshot.tmp` left by a mid-checkpoint crash is
+/// deleted. A file of another format version is
+/// [`SnapshotError::UnsupportedVersion`], and bytes after the store section
+/// are [`DurabilityError::Corrupt`].
+pub fn read_snapshot_file(dir: &Path) -> Result<(u64, CatalogBounds, Database), DurabilityError> {
     let _ = std::fs::remove_file(dir.join(SNAPSHOT_TMP)); // absent is fine
     let path = dir.join(SNAPSHOT_FILE);
     let bytes = std::fs::read(&path).map_err(|e| io_ctx("read", &path, e))?;
@@ -514,12 +543,18 @@ pub fn read_snapshot_file(dir: &Path) -> Result<(u64, Database), DurabilityError
         return Err(SnapshotError::UnsupportedVersion(version).into());
     }
     let epoch = c.u64()?;
+    let mut bound = || -> Result<usize, DurabilityError> {
+        let value = c.u64()?;
+        usize::try_from(value)
+            .map_err(|_| DurabilityError::Corrupt(format!("catalog bound {value} overflows")))
+    };
+    let bounds = (bound()?, bound()?);
     let db_bytes = c.section(SEC_DB)?;
     if c.remaining() > 0 {
         let msg = format!("{} bytes follow the store section", c.remaining());
         return Err(DurabilityError::Corrupt(msg));
     }
-    Ok((epoch, Database::from_snapshot_bytes(db_bytes)?))
+    Ok((epoch, bounds, Database::from_snapshot_bytes(db_bytes)?))
 }
 
 #[cfg(test)]
@@ -544,6 +579,9 @@ mod tests {
             .map(|&i| (doc, vec![Value::Int(i), Value::text(format!("row {i}"))]))
             .collect()
     }
+
+    /// Catalog bounds the snapshot-file tests record.
+    const BOUNDS: CatalogBounds = (4, 100_000);
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -704,17 +742,18 @@ mod tests {
         let dir = tmp_dir("snapfile");
         let db = tiny_db();
         let faults = FaultPlan::new();
-        let n = write_snapshot_file(&dir, 7, &db, &faults).unwrap();
+        let n = write_snapshot_file(&dir, 7, BOUNDS, &db, &faults).unwrap();
         assert!(n > 0);
         assert!(!dir.join(SNAPSHOT_TMP).exists(), "tmp renamed away");
-        // The file is the header, the epoch and one store section, nothing
-        // else: its length is fixed by the store bytes.
+        // The file is the header, the epoch, the two bounds and one store
+        // section, nothing else: its length is fixed by the store bytes.
         let store = db.snapshot_bytes().unwrap();
-        assert_eq!(n as usize, 8 + 4 + 8 + (1 + 8 + 4 + store.len()));
+        assert_eq!(n as usize, 8 + 4 + 8 + 16 + (1 + 8 + 4 + store.len()));
         // A stale tmp from a crashed checkpoint is swept on read.
         std::fs::write(dir.join(SNAPSHOT_TMP), b"partial").unwrap();
-        let (epoch, db2) = read_snapshot_file(&dir).unwrap();
+        let (epoch, bounds, db2) = read_snapshot_file(&dir).unwrap();
         assert_eq!(epoch, 7);
+        assert_eq!(bounds, BOUNDS);
         assert_eq!(db2.snapshot_bytes().unwrap(), store);
         // The index recovery derives equals the one built from the original.
         assert_eq!(InvertedIndex::build(&db2), InvertedIndex::build(&db));
@@ -728,7 +767,7 @@ mod tests {
         // today's only in the version word, and that word alone refuses it.
         let dir = tmp_dir("snapv1");
         let db = tiny_db();
-        write_snapshot_file(&dir, 3, &db, &FaultPlan::new()).unwrap();
+        write_snapshot_file(&dir, 3, BOUNDS, &db, &FaultPlan::new()).unwrap();
         let mut bytes = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
         bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
         std::fs::write(dir.join(SNAPSHOT_FILE), &bytes).unwrap();
@@ -742,10 +781,64 @@ mod tests {
     }
 
     #[test]
+    fn version_two_snapshot_is_refused_by_its_version() {
+        // A v2 file is today's without the two bounds words: reading it as v3
+        // would take its store section's first bytes for bounds, so the
+        // version word refuses it first.
+        let dir = tmp_dir("snapv2");
+        let db = tiny_db();
+        write_snapshot_file(&dir, 3, BOUNDS, &db, &FaultPlan::new()).unwrap();
+        let v3 = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+        let mut v2 = v3[..20].to_vec();
+        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
+        v2.extend_from_slice(&v3[36..]);
+        std::fs::write(dir.join(SNAPSHOT_FILE), &v2).unwrap();
+        assert!(matches!(
+            read_snapshot_file(&dir),
+            Err(DurabilityError::Snapshot(
+                SnapshotError::UnsupportedVersion(2)
+            ))
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn frame_header_refuses_a_length_past_u32() {
+        // The 4 GiB boundary itself, without allocating 4 GiB.
+        let max = u32::MAX as usize;
+        let header = frame_header(max, 0xdead_beef).unwrap();
+        let mut c = Cursor::new(&header);
+        assert_eq!(
+            (c.u32().unwrap(), c.u32().unwrap()),
+            (u32::MAX, 0xdead_beef)
+        );
+        assert_eq!(
+            frame_header(max + 1, 0).unwrap_err(),
+            SnapshotError::TooLarge {
+                what: "WAL record",
+                len: max + 1,
+            }
+        );
+        // What `scan_wal` reads back is what `append` framed.
+        let dir = tmp_dir("frame");
+        let db = tiny_db();
+        let mut wal = Wal::create(&dir).unwrap();
+        let bytes = wal
+            .append(1, &batch(&db, &[10]), &FaultPlan::new())
+            .unwrap();
+        let file = std::fs::read(dir.join(WAL_FILE)).unwrap();
+        let payload = &file[WAL_MAGIC.len() + 8..];
+        assert_eq!(bytes as usize, 8 + payload.len());
+        let header = frame_header(payload.len(), crc32(payload)).unwrap();
+        assert_eq!(file[WAL_MAGIC.len()..][..8], header);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn bytes_after_the_store_section_are_corrupt() {
         let dir = tmp_dir("snaptrail");
         let db = tiny_db();
-        write_snapshot_file(&dir, 3, &db, &FaultPlan::new()).unwrap();
+        write_snapshot_file(&dir, 3, BOUNDS, &db, &FaultPlan::new()).unwrap();
         let bytes = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
         // A second section — what a v1 index section would look like after
         // the store — and a single stray byte are both refused.
@@ -769,10 +862,10 @@ mod tests {
         let dir = tmp_dir("midckpt");
         let db = tiny_db();
         let faults = FaultPlan::new();
-        write_snapshot_file(&dir, 1, &db, &faults).unwrap();
+        write_snapshot_file(&dir, 1, BOUNDS, &db, &faults).unwrap();
         let before = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
         faults.arm(FaultPoint::MidCheckpoint);
-        let err = write_snapshot_file(&dir, 2, &db, &faults).unwrap_err();
+        let err = write_snapshot_file(&dir, 2, BOUNDS, &db, &faults).unwrap_err();
         assert!(matches!(
             err,
             DurabilityError::FaultInjected(FaultPoint::MidCheckpoint)

@@ -5,15 +5,23 @@
 //! deterministically, so failures reproduce by seed).
 
 use keybridge::core::{
-    BestFirstSource, GenerationStats, InterpretationSource, Interpreter, InterpreterConfig,
-    KeywordQuery, NonemptyCache, ProbabilityConfig, ProbabilityModel, ScoredInterpretation,
-    SharedNonemptyCache, TemplateCatalog, TemplatePrior,
+    BestFirstSource, DiversifyOptions, ExecCache, GenerationStats, InterpretationSource,
+    Interpreter, InterpreterConfig, KeywordQuery, NonemptyCache, ProbabilityConfig,
+    ProbabilityModel, QueryPipeline, ScoredInterpretation, SharedNonemptyCache, TemplateCatalog,
+    TemplatePrior,
 };
-use keybridge::datagen::{ImdbConfig, ImdbDataset, Workload, WorkloadConfig};
-use keybridge::divq::{alpha_ndcg_w, diversify, jaccard, ws_recall, DivItem, EvalItem};
+use keybridge::datagen::{
+    FreebaseConfig, FreebaseDataset, ImdbConfig, ImdbDataset, LyricsConfig, LyricsDataset,
+    Workload, WorkloadConfig, YagoConfig, YagoOntology,
+};
+use keybridge::divq::{
+    alpha_ndcg_w, diversify, jaccard, ws_recall, DivItem, DiversifyConfig, EvalItem,
+};
 use keybridge::index::{InvertedIndex, Tokenizer};
 use keybridge::iqp::{brute_force_plan, greedy_plan, plan_cost, PlanProblem};
-use keybridge::relstore::{AttrId, AttrRef, Database, SchemaBuilder, TableId, TableKind, Value};
+use keybridge::relstore::{
+    AttrId, AttrRef, Database, ExecOptions, RowId, SchemaBuilder, TableId, TableKind, Value,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -144,6 +152,210 @@ fn diversify_is_permutation_prefix() {
         assert!(sel.iter().all(|&i| i < items.len()));
         // The most relevant item always leads.
         assert_eq!(sel[0], 0);
+    }
+}
+
+/// Alg. 4.1 as it ran before the served kernel interned atoms: every
+/// Jaccard coefficient is a walk of two `BTreeSet`s, recomputed for each
+/// pair of the mean and for each (candidate, selected) pair at each greedy
+/// step. Kept verbatim as the oracle the served `diversify` must equal
+/// index for index; unlike `divq`'s test reference it groups every score
+/// exactly as the served kernel does, so near-ties cannot part them.
+fn per_pair_diversify(items: &[DivItem], cfg: DiversifyConfig) -> Vec<usize> {
+    let n = items.len();
+    if n == 0 || cfg.k == 0 {
+        return Vec::new();
+    }
+    debug_assert!(
+        items.windows(2).all(|w| w[0].relevance >= w[1].relevance),
+        "items must be sorted by relevance descending"
+    );
+
+    // Normalization to equal means. Mean similarity is estimated over all
+    // pairs of the candidate list (the population the selection draws from).
+    let mean_rel = items.iter().map(|i| i.relevance).sum::<f64>() / n as f64;
+    let mut sim_sum = 0.0;
+    let mut sim_cnt = 0usize;
+    for i in 0..n {
+        for j in (i + 1)..n {
+            sim_sum += jaccard(&items[i].atoms, &items[j].atoms);
+            sim_cnt += 1;
+        }
+    }
+    let mean_sim = if sim_cnt > 0 {
+        sim_sum / sim_cnt as f64
+    } else {
+        0.0
+    };
+    let rel_scale = if mean_rel > 0.0 { 1.0 / mean_rel } else { 1.0 };
+    let sim_scale = if mean_sim > 0.0 { 1.0 / mean_sim } else { 1.0 };
+
+    let lambda = cfg.lambda;
+    let mut selected: Vec<usize> = vec![0]; // most relevant always first
+    let mut available: Vec<usize> = (1..n).collect();
+
+    while selected.len() < cfg.k.min(n) {
+        let mut best_score = f64::NEG_INFINITY;
+        let mut best_pos = 0usize;
+        for (pos, &j) in available.iter().enumerate() {
+            let rel = items[j].relevance * rel_scale;
+            // Upper bound: diversity penalty is ≥ 0, so score(j) ≤ λ·rel(j).
+            // `available` is relevance-sorted, so once the bound falls below
+            // the incumbent nothing later can win.
+            if best_score > lambda * rel {
+                break;
+            }
+            let avg_sim = selected
+                .iter()
+                .map(|&s| jaccard(&items[s].atoms, &items[j].atoms))
+                .sum::<f64>()
+                / selected.len() as f64;
+            let score = lambda * rel - (1.0 - lambda) * avg_sim * sim_scale;
+            if score > best_score {
+                best_score = score;
+                best_pos = pos;
+            }
+        }
+        let chosen = available.remove(best_pos);
+        selected.push(chosen);
+    }
+    selected
+}
+
+/// An atom drawn from a universe of `tables × 4 attrs × 4 keywords` atoms.
+fn universe_atom(rng: &mut StdRng, tables: u32) -> keybridge::core::BindingAtom {
+    keybridge::core::BindingAtom {
+        keyword: format!("w{}", rng.gen_range(0..4usize)),
+        kind: keybridge::core::BindingAtomKind::Value,
+        attr: AttrRef {
+            table: TableId(rng.gen_range(0..tables)),
+            attr: AttrId(rng.gen_range(0..4u32)),
+        },
+    }
+}
+
+/// Every selection size from 0 to past the pool, at three trade-offs.
+fn assert_selection_is_the_oracles(items: &[DivItem], note: &str) {
+    for lambda in [0.1, 0.5, 0.9] {
+        for k in 0..=items.len() + 2 {
+            let cfg = DiversifyConfig { lambda, k };
+            assert_eq!(
+                diversify(items, cfg),
+                per_pair_diversify(items, cfg),
+                "{note}: lambda {lambda}, k {k}"
+            );
+        }
+    }
+}
+
+#[test]
+fn interned_selection_equals_the_per_pair_walk_on_random_pools() {
+    let mut rng = StdRng::seed_from_u64(106);
+    let (mut multiword, mut empties, mut ties) = (0, 0, 0);
+    for case in 0..300 {
+        let n = rng.gen_range(1..30usize);
+        // A small universe (one bitset word) or a large one (up to 8 words).
+        let tables = if case % 2 == 0 { 2 } else { 32 };
+        // Few distinct relevances force exact ties.
+        let levels = rng.gen_range(1..5usize);
+        let mut items: Vec<DivItem> = (0..n)
+            .map(|_| {
+                let atoms = match rng.gen_range(0..6usize) {
+                    0 => BTreeSet::new(),
+                    size => (0..size * 3)
+                        .map(|_| universe_atom(&mut rng, tables))
+                        .collect(),
+                };
+                DivItem {
+                    relevance: rng.gen_range(1..=levels) as f64 / levels as f64,
+                    atoms: Arc::new(atoms),
+                }
+            })
+            .collect();
+        items.sort_by(|a, b| b.relevance.partial_cmp(&a.relevance).unwrap());
+        let distinct: BTreeSet<_> = items.iter().flat_map(|i| i.atoms.iter()).collect();
+        multiword += usize::from(distinct.len() > 64);
+        empties += usize::from(items.iter().filter(|i| i.atoms.is_empty()).count() > 1);
+        ties += usize::from(items.windows(2).any(|w| w[0].relevance == w[1].relevance));
+        assert_selection_is_the_oracles(&items, &format!("case {case}"));
+    }
+    // The cases reached what they are for.
+    assert!(multiword > 50, "only {multiword} pools need several words");
+    assert!(
+        empties > 50,
+        "only {empties} pools hold two empty atom sets"
+    );
+    assert!(ties > 50, "only {ties} pools hold an exact relevance tie");
+}
+
+#[test]
+fn interned_selection_equals_the_per_pair_walk_on_fixture_pools() {
+    let log = |seed| WorkloadConfig {
+        seed,
+        n_queries: 8,
+        mc_fraction: 0.5,
+    };
+    let keywords = |w: Workload| -> Vec<Vec<String>> {
+        w.queries.iter().map(|q| q.keywords.clone()).collect()
+    };
+    let freebase = |topics, rows_per_table, seed| {
+        FreebaseDataset::generate(FreebaseConfig {
+            domains: 6,
+            types_per_domain: 4,
+            topics,
+            rows_per_table,
+            seed,
+            scale: 1.0,
+        })
+        .unwrap()
+    };
+    // First tokens of a table's leading rows, as single-keyword queries.
+    let token_log = |db: &Database, table: TableId, n: usize| -> Vec<Vec<String>> {
+        let tok = Tokenizer::new();
+        (0..db.table(table).len() as u32)
+            .filter_map(|i| {
+                let text = db.table(table).row(RowId(i))[1].as_text().unwrap_or("");
+                tok.tokenize(text).first().map(|t| vec![t.clone()])
+            })
+            .take(n)
+            .collect()
+    };
+    let imdb = ImdbDataset::generate(ImdbConfig::tiny(99)).unwrap();
+    let imdb_log = keywords(Workload::imdb(&imdb, log(123)));
+    let lyrics = LyricsDataset::generate(LyricsConfig::tiny(7)).unwrap();
+    let lyrics_log = keywords(Workload::lyrics(&lyrics, log(21)));
+    let fb = freebase(300, 12, 5);
+    let fb_log = token_log(&fb.db, fb.topic, 6);
+    let yago_fb = freebase(400, 15, 31);
+    let gold = YagoOntology::generate(YagoConfig::tiny(32), &yago_fb).gold[0].1;
+    let yago_log = token_log(&yago_fb.db, gold, 5);
+    let fixtures = [
+        ("imdb", &imdb.db, imdb_log, 4),
+        ("lyrics", &lyrics.db, lyrics_log, 4),
+        ("freebase", &fb.db, fb_log, 2),
+        ("yago", &yago_fb.db, yago_log, 2),
+    ];
+    let opts = DiversifyOptions::default();
+    for (name, db, queries, max_joins) in fixtures {
+        let index = InvertedIndex::build(db);
+        let catalog = TemplateCatalog::enumerate(db, max_joins, 50_000).unwrap();
+        let interp = Interpreter::new(db, &index, &catalog, InterpreterConfig::default());
+        let mut largest = 0;
+        for terms in queries {
+            let query = KeywordQuery::from_terms(terms.clone());
+            let ranked = interp.top_k(&query, opts.pool);
+            let (mut gen_cache, mut exec_cache) = (NonemptyCache::new(), ExecCache::new());
+            let pool = QueryPipeline::new(
+                &interp,
+                ExecOptions::default(),
+                &mut gen_cache,
+                &mut exec_cache,
+            )
+            .executed_pool(&ranked, opts.cap);
+            largest = largest.max(pool.items.len());
+            assert_selection_is_the_oracles(&pool.items, &format!("{name} {terms:?}"));
+        }
+        assert!(largest > 2, "{name}: no pool to select from");
     }
 }
 
